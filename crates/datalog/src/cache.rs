@@ -6,9 +6,9 @@
 //! candidate, per structure). A [`PlanCache`] memoizes the compiled
 //! [`RulePlans`] so repeated evaluations skip planning (and, more
 //! importantly, skip re-deriving the cardinality statistics that feed the
-//! planner's tie-breaks). The stratified pipeline
-//! ([`eval_stratified`](crate::stratify::eval_stratified)) plans each
-//! stratum's rewritten sub-program against the structure extended with
+//! planner's tie-breaks). Every [`Evaluator`](crate::evaluator::Evaluator)
+//! session owns one. The stratified pipeline plans each stratum's
+//! rewritten sub-program against the structure extended with
 //! the lower strata's materialized relations, so its cache keys — and
 //! their cardinality shapes — incorporate those extensions like any other
 //! relation.
@@ -39,13 +39,12 @@
 //! accumulate plans for unboundedly many programs.
 
 use crate::ast::{Program, Rule};
-use crate::eval::{run_seminaive, EvalStats, IdbStore};
 use crate::plan::{plan_program_with, RulePlans, StructureStats};
 use mdtw_structure::fx::FxHasher;
 use mdtw_structure::Structure;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Maximum number of cached plan sets; the oldest entry is evicted
 /// beyond this.
@@ -137,15 +136,6 @@ impl PlanCache {
     }
 }
 
-/// The process-wide cache used by the deprecated one-shot
-/// [`eval_seminaive`](crate::eval::eval_seminaive) wrapper. Prefer an
-/// [`Evaluator`](crate::evaluator::Evaluator) session, which owns its
-/// cache.
-pub fn global_plan_cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(PlanCache::new)
-}
-
 /// Resolves the compiled plans of `program` for `structure`: through
 /// `cache` when one is supplied (reporting whether it hit), or by
 /// planning fresh when caching is disabled.
@@ -161,37 +151,6 @@ pub(crate) fn plans_for(
             false,
         ),
     }
-}
-
-/// Semi-naive evaluation with an explicit plan cache (the library-level
-/// entry point for callers that want cache control or isolation;
-/// [`eval_seminaive`](crate::eval::eval_seminaive) uses
-/// [`global_plan_cache`]). [`EvalStats::plan_cache_hits`] reports whether
-/// planning was skipped.
-///
-/// # Errors
-/// [`EvalError`](crate::evaluator::EvalError::NotSemipositive) if the
-/// program negates an intensional atom (negated intensional atoms need
-/// [`eval_stratified`](crate::stratify::eval_stratified)) or is otherwise
-/// ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session, which owns its `PlanCache` \
-            (`Evaluator::new(program)?.evaluate(&structure)`)"
-)]
-pub fn eval_seminaive_with_cache(
-    program: &Program,
-    structure: &Structure,
-    cache: &PlanCache,
-) -> Result<(IdbStore, EvalStats), crate::evaluator::EvalError> {
-    crate::eval::check_semipositive(program)?;
-    let (plans, hit) = cache.plans(program, structure);
-    let stats = EvalStats {
-        plan_cache_hits: usize::from(hit),
-        strata: 1,
-        ..EvalStats::default()
-    };
-    Ok(run_seminaive(program, structure, &plans, stats))
 }
 
 fn program_fingerprint(program: &Program) -> u64 {
@@ -213,7 +172,6 @@ fn cardinality_shape(structure: &Structure) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
     use crate::parser::parse_program;
@@ -237,12 +195,12 @@ mod tests {
         let s = chain(6);
         let p = parse_program(TC, &s).unwrap();
         let cache = PlanCache::new();
-        let (_, first) = eval_seminaive_with_cache(&p, &s, &cache).unwrap();
-        let (_, second) = eval_seminaive_with_cache(&p, &s, &cache).unwrap();
-        assert_eq!(first.plan_cache_hits, 0);
-        assert_eq!(second.plan_cache_hits, 1);
+        let (first, first_hit) = cache.plans(&p, &s);
+        let (second, second_hit) = cache.plans(&p, &s);
+        assert!(!first_hit);
+        assert!(second_hit);
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
-        assert_eq!(first.facts, second.facts);
     }
 
     #[test]
@@ -329,21 +287,5 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert!(!cache.plans(&p, &s).1);
-    }
-
-    #[test]
-    fn global_eval_reports_hits() {
-        let s = chain(5);
-        let p = parse_program(
-            "walk(X, Y) :- e(X, Y).\nwalk(X, Z) :- walk(X, Y), e(Y, Z).",
-            &s,
-        )
-        .unwrap();
-        let (_, first) = crate::eval::eval_seminaive(&p, &s).unwrap();
-        let (_, second) = crate::eval::eval_seminaive(&p, &s).unwrap();
-        // The global cache persists across calls (first may itself hit if
-        // an earlier test evaluated this exact program+shape).
-        let _ = first;
-        assert_eq!(second.plan_cache_hits, 1);
     }
 }

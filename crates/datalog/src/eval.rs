@@ -1,11 +1,12 @@
 //! Bottom-up evaluation: naive and semi-naive least-fixpoint computation
-//! of semipositive datalog over a finite structure (paper §2.4).
+//! of semipositive datalog over a finite structure (paper §2.4). The
+//! entry point is an [`Evaluator`](crate::evaluator::Evaluator) session;
+//! its [`Engine`](crate::evaluator::Engine) picks one of the fixpoint
+//! loops here:
 //!
-//! Three engines live here:
-//!
-//! * [`eval_naive`] — the executable definition of the minimal-model
-//!   semantics (all rules, every round, no indexes). Ground truth.
-//! * [`eval_seminaive`] — the production engine: per-rule join plans
+//! * `Naive` — the executable definition of the minimal-model semantics
+//!   (all rules, every round, no indexes). Ground truth.
+//! * `SemiNaiveIndexed` — the production engine: per-rule join plans
 //!   (module [`plan`](crate::plan)) probe lazily built secondary indexes
 //!   ([`mdtw_structure::PosIndex`]) instead of scanning whole relations,
 //!   the frontier is a set of per-predicate delta relations, and rules
@@ -13,17 +14,22 @@
 //!   split — for the delta at body position *i*, positions before *i*
 //!   read the pre-round store and positions after read the updated
 //!   store — so no instantiation fires twice in a round.
-//! * [`eval_seminaive_scan`] — the pre-index engine (nested-loop joins,
-//!   one shared delta set, full store on non-delta positions), kept as a
+//! * `SemiNaiveScan` — the pre-index engine (nested-loop joins, one
+//!   shared delta set, full store on non-delta positions), kept as a
 //!   differential-testing oracle and scan baseline for the
 //!   `join_indexing` bench. It re-fires instantiations whose atoms match
 //!   several delta tuples; its fixpoint is nevertheless correct.
+//!
+//! The compiled-plan join loop is also the only join executor of
+//! incremental maintenance ([`incremental`](crate::incremental)): its
+//! leaf action is a statically dispatched sink, which stages derived
+//! facts during evaluation, collects DRed's overdeletions, or stops at
+//! the first re-derivation of a fact.
 //!
 //! The *linear-time* evaluation of quasi-guarded programs (Theorem 4.4)
 //! lives in the `ground` and `horn` modules.
 
 use crate::ast::{Atom, IdbId, PredRef, Program, Rule, Term, Var};
-use crate::evaluator::EvalError;
 use crate::limits::Governor;
 use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::profile::{LitCount, Profiler};
@@ -173,8 +179,7 @@ pub struct EvalStats {
     /// it actually ran).
     pub negative_checks: usize,
     /// Number of evaluation strata: 1 for the single-pass engines, the
-    /// stratification's stratum count for
-    /// [`eval_stratified`](crate::stratify::eval_stratified).
+    /// stratification's stratum count for the stratified pipeline.
     pub strata: usize,
     /// Amortized limit checkpoints the resource governor ran (0 when the
     /// evaluation carried no [`EvalLimits`](crate::limits::EvalLimits)).
@@ -209,20 +214,10 @@ impl EvalStats {
     }
 }
 
-/// The semipositive engines' input contract as a typed error. The parser
-/// accepts any *stratified* program, so a negated intensional literal
-/// could reach the one-shot engine entry points; without this check it
-/// would surface as a confusing `unreachable!` deep inside the join loop.
-pub(crate) fn check_semipositive(program: &Program) -> Result<(), EvalError> {
-    program
-        .check_semipositive()
-        .map_err(|message| EvalError::NotSemipositive { message })
-}
-
-/// The debug twin of [`check_semipositive`] for call sites where
-/// semipositivity is guaranteed by construction (an [`Evaluator`]
-/// (crate::evaluator::Evaluator) session rejects multi-stratum programs
-/// on semipositive-only engines before `evaluate` can run).
+/// Debug check for call sites where semipositivity is guaranteed by
+/// construction (an [`Evaluator`](crate::evaluator::Evaluator) session
+/// rejects multi-stratum programs on semipositive-only engines before
+/// `evaluate` can run).
 pub(crate) fn debug_assert_semipositive(program: &Program) {
     debug_assert!(
         program.check_semipositive().is_ok(),
@@ -230,35 +225,10 @@ pub(crate) fn debug_assert_semipositive(program: &Program) {
     );
 }
 
-/// Naive evaluation: apply all rules until nothing changes.
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session with `Engine::Naive` \
-            (`Evaluator::with_options(program, EvalOptions::new().engine(Engine::Naive))`)"
-)]
-pub fn eval_naive(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    Ok(naive_fixpoint(
-        program,
-        structure,
-        &mut Governor::new(None),
-        None,
-    ))
-}
-
-/// The naive engine proper (shared by the deprecated [`eval_naive`]
-/// wrapper and [`Engine::Naive`](crate::evaluator::Engine::Naive)
-/// sessions). The caller guarantees semipositivity. On a governor trip
-/// the store holds the facts derived so far — a sound subset of the
-/// least fixpoint.
+/// The naive engine behind
+/// [`Engine::Naive`](crate::evaluator::Engine::Naive) sessions. The
+/// caller guarantees semipositivity. On a governor trip the store holds
+/// the facts derived so far — a sound subset of the least fixpoint.
 pub(crate) fn naive_fixpoint(
     program: &Program,
     structure: &Structure,
@@ -404,6 +374,78 @@ impl FreshStore {
     }
 }
 
+/// What a plan execution does with each derived head fact: the leaf
+/// action of [`descend_plan`], statically dispatched so the evaluation
+/// hot path carries no per-firing branch on the caller's purpose.
+trait Sink {
+    /// Whether the pass checks the rule's negative literals. DRed's
+    /// overdeletion runs the positive projection of each rule and
+    /// ignores them.
+    const NEGATIVES: bool;
+
+    /// Handles the head fact `pred(args)` of one complete instantiation
+    /// (`store` is the store the pass reads); returns `true` to stop the
+    /// pass.
+    fn emit(
+        &mut self,
+        pred: IdbId,
+        args: &[ElemId],
+        store: &IdbStore,
+        stats: &mut EvalStats,
+    ) -> bool;
+}
+
+/// Evaluation stages each derived head not yet in the store for the
+/// round's merge.
+impl Sink for FreshStore {
+    const NEGATIVES: bool = true;
+
+    #[inline]
+    fn emit(
+        &mut self,
+        pred: IdbId,
+        args: &[ElemId],
+        store: &IdbStore,
+        stats: &mut EvalStats,
+    ) -> bool {
+        if store.holds(pred, args) || !self.insert(pred, args) {
+            stats.interned_hits += 1;
+        }
+        false
+    }
+}
+
+/// DRed's overdeletion: a derived head still in the store joins the
+/// overdeleted set and, the first time, the next round's frontier.
+struct Overdelete<'a> {
+    over: &'a mut [Relation],
+    next: &'a mut DeltaStore,
+}
+
+impl Sink for Overdelete<'_> {
+    const NEGATIVES: bool = false;
+
+    fn emit(&mut self, pred: IdbId, args: &[ElemId], store: &IdbStore, _: &mut EvalStats) -> bool {
+        if store.holds(pred, args) && self.over[pred.index()].insert(args) {
+            self.next.insert(pred, args);
+        }
+        false
+    }
+}
+
+/// The re-derivation check: the first derivation is a witness and stops
+/// the pass.
+struct Witness(bool);
+
+impl Sink for Witness {
+    const NEGATIVES: bool = true;
+
+    fn emit(&mut self, _: IdbId, _: &[ElemId], _: &IdbStore, _: &mut EvalStats) -> bool {
+        self.0 = true;
+        true
+    }
+}
+
 /// Everything a plan execution needs to look at (bundled so the recursion
 /// stays within clippy's argument budget).
 struct PlanCtx<'a> {
@@ -414,44 +456,17 @@ struct PlanCtx<'a> {
     delta: Option<(usize, &'a DeltaStore)>,
     /// `Some((body index, delta relation))` for an *extensional* delta
     /// pass — the incremental-maintenance seed pass, where one EDB body
-    /// literal enumerates the batch's inserted tuples instead of the full
-    /// base relation. `None` everywhere else.
+    /// literal (a negated one read flipped) enumerates a batch's changed
+    /// tuples instead of its relation. `None` everywhere else.
     edb_delta: Option<(usize, &'a Relation)>,
+    /// `Some(deleted tuples, by extensional predicate)` during DRed
+    /// overdeletion: the other extensional literals read their post-update
+    /// relation plus these tuples — a superset of the pre-update state
+    /// (the two are disjoint, so nothing is enumerated twice). `None`
+    /// everywhere else.
+    edb_overlay: Option<&'a [Relation]>,
     structure: &'a Structure,
     store: &'a IdbStore,
-}
-
-/// Semi-naive evaluation over indexed join plans: after the first round, a
-/// rule fires only with at least one body atom taken from the previous
-/// round's delta, and each body literal enumerates only the tuples
-/// matching its already-bound arguments (via [`Relation::index_on`]).
-///
-/// Compiled plans are memoized in the process-wide
-/// [`PlanCache`](crate::cache::PlanCache): repeated evaluations of the
-/// same program skip planning entirely and report it in
-/// [`EvalStats::plan_cache_hits`].
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session (`Evaluator::new(program)?.evaluate(&structure)`) \
-            so repeated evaluations reuse one analysis, plan cache and scratch buffers"
-)]
-pub fn eval_seminaive(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    let (plans, hit) = crate::cache::global_plan_cache().plans(program, structure);
-    let stats = EvalStats {
-        plan_cache_hits: usize::from(hit),
-        strata: 1,
-        ..EvalStats::default()
-    };
-    Ok(run_seminaive(program, structure, &plans, stats))
 }
 
 /// The recycled working set of the semi-naive round loop: the ping-ponged
@@ -489,26 +504,6 @@ impl SeminaiveScratch {
         self.fresh.clear();
         self.key.clear();
     }
-}
-
-/// The semi-naive round loop, parameterized by pre-compiled plans, with a
-/// one-shot scratch set and no governor (the deprecated-wrapper path).
-pub(crate) fn run_seminaive(
-    program: &Program,
-    structure: &Structure,
-    plans: &[RulePlans],
-    stats: EvalStats,
-) -> (IdbStore, EvalStats) {
-    let mut scratch = SeminaiveScratch::new(program);
-    run_seminaive_scratch(
-        program,
-        structure,
-        plans,
-        stats,
-        &mut scratch,
-        &mut Governor::new(None),
-        None,
-    )
 }
 
 /// The semi-naive round loop over caller-owned (session-recycled) scratch
@@ -551,6 +546,7 @@ pub(crate) fn run_seminaive_scratch(
             plan: &rp.base,
             delta: None,
             edb_delta: None,
+            edb_overlay: None,
             structure,
             store: &store,
         };
@@ -606,6 +602,7 @@ fn seminaive_rounds(
                     plan,
                     delta: Some((*dpos, &*delta)),
                     edb_delta: None,
+                    edb_overlay: None,
                     structure,
                     store,
                 };
@@ -620,20 +617,191 @@ fn seminaive_rounds(
     }
 }
 
+/// The extensional seed pass of incremental maintenance: every rule runs
+/// once per changed extensional body literal, with that literal reading
+/// the batch's changed tuples — `pos_delta` at a positive literal,
+/// `neg_delta` at a negated one (run flipped) — instead of its relation.
+/// Both delta vectors are indexed by extensional predicate; an empty
+/// relation means "unchanged". Returns `true` when the pass stopped
+/// early (a governor trip).
+#[allow(clippy::too_many_arguments)]
+fn edb_seed_pass<S: Sink>(
+    program: &Program,
+    structure: &Structure,
+    store: &IdbStore,
+    edb_plans: &[Vec<(usize, JoinPlan)>],
+    (pos_delta, neg_delta): (&[Relation], &[Relation]),
+    edb_overlay: Option<&[Relation]>,
+    stats: &mut EvalStats,
+    sink: &mut S,
+    key: &mut Vec<ElemId>,
+    gov: &mut Governor<'_>,
+) -> bool {
+    for (rule, rule_edb) in program.rules.iter().zip(edb_plans) {
+        for (pos, plan) in rule_edb {
+            let lit = &rule.body[*pos];
+            let PredRef::Edb(p) = lit.atom.pred else {
+                unreachable!("EDB delta plans target extensional literals")
+            };
+            let drel = if lit.positive {
+                &pos_delta[p.index()]
+            } else {
+                &neg_delta[p.index()]
+            };
+            if drel.is_empty() {
+                continue;
+            }
+            let ctx = PlanCtx {
+                rule,
+                plan,
+                delta: None,
+                edb_delta: Some((*pos, drel)),
+                edb_overlay,
+                structure,
+                store,
+            };
+            let bindings = vec![None; rule.var_count as usize];
+            if run_plan(&ctx, bindings, stats, sink, key, gov, None) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// DRed's overdeletion phase: collects in `over` every fact of `store`
+/// that some rule derives from a changed tuple, computed semi-naively
+/// over the rules' positive projections (negative literals are ignored,
+/// a sound over-approximation).
+///
+/// The seed pass reads the deleted tuples (`del`) at positive extensional
+/// literals and the inserted ones (`ins`) at negated literals — an
+/// insertion under a negation deletes. The delta rounds then use the
+/// ordinary per-rule delta plans with the newly overdeleted facts as the
+/// frontier. Extensional literals read `structure` (the post-update
+/// state) plus `del`, a superset of the pre-update state; intensional
+/// literals read the untouched pre-update `store`. All three choices
+/// over-approximate, which is exactly what DRed needs.
+///
+/// On a governor trip the pass unwinds early; the caller must treat the
+/// view as unmaintained.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_overdelete(
+    program: &Program,
+    structure: &Structure,
+    plans: &[RulePlans],
+    edb_plans: &[Vec<(usize, JoinPlan)>],
+    (ins, del): (&[Relation], &[Relation]),
+    store: &IdbStore,
+    scratch: &mut SeminaiveScratch,
+    gov: &mut Governor<'_>,
+    stats: &mut EvalStats,
+    over: &mut [Relation],
+) {
+    scratch.reset();
+    let SeminaiveScratch {
+        delta, next, key, ..
+    } = scratch;
+    if gov.round(stats.tuples_considered, stats.facts) {
+        return;
+    }
+    let mut sink = Overdelete { over, next };
+    if edb_seed_pass(
+        program,
+        structure,
+        store,
+        edb_plans,
+        (del, ins),
+        Some(del),
+        stats,
+        &mut sink,
+        key,
+        gov,
+    ) {
+        return;
+    }
+    loop {
+        std::mem::swap(delta, sink.next);
+        sink.next.clear();
+        if delta.count == 0 || gov.round(stats.tuples_considered, stats.facts) {
+            return;
+        }
+        for (rule, rp) in program.rules.iter().zip(plans) {
+            for (dpos, plan) in &rp.delta {
+                let ctx = PlanCtx {
+                    rule,
+                    plan,
+                    delta: Some((*dpos, &*delta)),
+                    edb_delta: None,
+                    edb_overlay: Some(del),
+                    structure,
+                    store,
+                };
+                let bindings = vec![None; rule.var_count as usize];
+                if run_plan(&ctx, bindings, stats, &mut sink, key, gov, None) {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// True if `rule` derives `fact` over `structure` and `store`: the
+/// rule's head-bound `plan` runs with the bindings the fact fixes and
+/// stops at the first witness. Negative literals are checked. DRed's
+/// re-derivation of overdeleted facts; on a governor trip the answer is
+/// `false` and the caller reads the trip off the governor.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn derives(
+    rule: &Rule,
+    plan: &JoinPlan,
+    fact: &[ElemId],
+    structure: &Structure,
+    store: &IdbStore,
+    scratch: &mut SeminaiveScratch,
+    gov: &mut Governor<'_>,
+    stats: &mut EvalStats,
+) -> bool {
+    let mut bindings = vec![None; rule.var_count as usize];
+    if !unify(&rule.head, fact, &mut bindings, &mut Vec::new()) {
+        return false;
+    }
+    let ctx = PlanCtx {
+        rule,
+        plan,
+        delta: None,
+        edb_delta: None,
+        edb_overlay: None,
+        structure,
+        store,
+    };
+    let mut witness = Witness(false);
+    run_plan(
+        &ctx,
+        bindings,
+        stats,
+        &mut witness,
+        &mut scratch.key,
+        gov,
+        None,
+    );
+    witness.0
+}
+
 /// One incremental re-derivation pass: semi-naive evaluation seeded from
 /// a *base-relation* delta instead of round 0's full rule sweep.
 ///
-/// The seed round runs each rule once per changed positive EDB body
-/// literal with that literal reading the batch's inserted tuples
-/// (`edb_delta`, indexed by extensional predicate; an empty relation
-/// means "unchanged"), on the already-updated `structure` — the textbook
-/// semi-naive insertion delta, sound because a rule instantiation with
-/// several inserted EDB tuples merely fires once per changed literal and
-/// the store deduplicates. `seeds` (DRed's rederived survivors and
-/// negation-driven insertions) are staged alongside. From there the
-/// ordinary delta rounds run to fixpoint. Every fact that enters the
-/// store is mirrored into `added`, the maintenance ledger the caller
-/// diffs against the overdeletion set.
+/// The seed pass runs each rule once per changed extensional body
+/// literal, on the already-updated `structure`: a positive literal reads
+/// the batch's inserted tuples (`ins`), a negated literal the deleted
+/// ones (`del`), since a deletion under a negation inserts. This is the
+/// textbook semi-naive insertion delta, sound because a rule
+/// instantiation with several changed tuples merely fires once per
+/// changed literal and the store deduplicates. `seeds` (DRed's rederived
+/// survivors) are staged alongside. From there the ordinary delta rounds
+/// run to fixpoint. Every fact that enters the store is mirrored into
+/// `added`, the maintenance ledger the caller diffs against the
+/// overdeletion set.
 ///
 /// On a governor trip the pass unwinds early; the caller must treat the
 /// view as unmaintained and fall back to full re-evaluation.
@@ -643,13 +811,14 @@ pub(crate) fn run_increment(
     structure: &Structure,
     plans: &[RulePlans],
     edb_plans: &[Vec<(usize, JoinPlan)>],
-    edb_delta: &[Relation],
+    (ins, del): (&[Relation], &[Relation]),
     seeds: &[(IdbId, Box<[ElemId]>)],
     store: &mut IdbStore,
     scratch: &mut SeminaiveScratch,
     gov: &mut Governor<'_>,
+    stats: &mut EvalStats,
     added: &mut [Relation],
-) -> EvalStats {
+) {
     scratch.reset();
     let SeminaiveScratch {
         delta,
@@ -657,42 +826,31 @@ pub(crate) fn run_increment(
         fresh,
         key,
     } = scratch;
-    let mut stats = EvalStats::default();
     if gov.round(stats.tuples_considered, stats.facts) {
-        return stats;
+        return;
     }
     stats.rounds += 1;
-    'rules: for (ri, (rule, rule_edb)) in program.rules.iter().zip(edb_plans).enumerate() {
-        for (pos, plan) in rule_edb {
-            let PredRef::Edb(p) = rule.body[*pos].atom.pred else {
-                unreachable!("EDB delta plans target extensional literals")
-            };
-            let drel = &edb_delta[p.index()];
-            if drel.is_empty() {
-                continue;
-            }
-            let ctx = PlanCtx {
-                rule,
-                plan,
-                delta: None,
-                edb_delta: Some((*pos, drel)),
-                structure,
-                store,
-            };
-            if profiled_apply(&ctx, ri, &mut stats, fresh, key, gov, &mut None) {
-                break 'rules;
-            }
-        }
-    }
+    edb_seed_pass(
+        program,
+        structure,
+        store,
+        edb_plans,
+        (ins, del),
+        None,
+        stats,
+        fresh,
+        key,
+        gov,
+    );
     for (id, args) in seeds {
         fresh.insert(*id, args);
     }
-    merge_round(store, delta, fresh, &mut stats, Some(added));
+    merge_round(store, delta, fresh, stats, Some(added));
     seminaive_rounds(
         program,
         structure,
         plans,
-        &mut stats,
+        stats,
         store,
         delta,
         next,
@@ -702,7 +860,6 @@ pub(crate) fn run_increment(
         &mut None,
         Some(added),
     );
-    stats
 }
 
 /// Folds a round's staged derivations into the store; survivors (genuinely
@@ -732,12 +889,13 @@ fn merge_round(
     fresh.clear();
 }
 
-/// [`apply_plan`] under the profiler: at `Rules` detail and above, the
-/// pass is timed (on the sampled passes [`Profiler::pass_timer`]
-/// selects) and its [`EvalStats`] delta (plus, at `Literals`, the
-/// per-literal trace) is folded into rule `ri`'s accumulator. With the
-/// profiler off (or at `Strata`) this is exactly one branch on top of
-/// the plain pass — the zero-cost-when-off fast path.
+/// An evaluation pass ([`run_plan`] into the round's staging store) under
+/// the profiler: at `Rules` detail and above, the pass is timed (on the
+/// sampled passes [`Profiler::pass_timer`] selects) and its
+/// [`EvalStats`] delta (plus, at `Literals`, the per-literal trace) is
+/// folded into rule `ri`'s accumulator. With the profiler off (or at
+/// `Strata`) this is exactly one branch on top of the plain pass — the
+/// zero-cost-when-off fast path.
 fn profiled_apply(
     ctx: &PlanCtx<'_>,
     ri: usize,
@@ -747,12 +905,13 @@ fn profiled_apply(
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
 ) -> bool {
+    let bindings = vec![None; ctx.rule.var_count as usize];
     match prof.as_deref_mut() {
         Some(p) if p.rules_on() => {
             let before = *stats;
             let timer = p.pass_timer(ri);
             p.begin_pass(ctx.rule.body.len());
-            let stop = apply_plan(ctx, stats, out, scratch, gov, p.trace());
+            let stop = run_plan(ctx, bindings, stats, out, scratch, gov, p.trace());
             p.end_pass(
                 ri,
                 &before,
@@ -761,25 +920,27 @@ fn profiled_apply(
             );
             stop
         }
-        _ => apply_plan(ctx, stats, out, scratch, gov, None),
+        _ => run_plan(ctx, bindings, stats, out, scratch, gov, None),
     }
 }
 
-/// Runs one rule pass; returns `true` when the governor tripped and the
-/// round loop should unwind.
-fn apply_plan(
+/// Runs one rule pass from `bindings` (all unbound, or pre-seeded from a
+/// head fact); returns `true` when the sink or the governor stopped it.
+fn run_plan<S: Sink>(
     ctx: &PlanCtx<'_>,
+    mut bindings: Vec<Option<ElemId>>,
     stats: &mut EvalStats,
-    out: &mut FreshStore,
+    sink: &mut S,
     scratch: &mut Vec<ElemId>,
     gov: &mut Governor<'_>,
     trace: Option<&mut [LitCount]>,
 ) -> bool {
-    let mut bindings: Vec<Option<ElemId>> = vec![None; ctx.rule.var_count as usize];
-    for &ni in &ctx.plan.ground_negatives {
-        stats.negative_checks += 1;
-        if negative_holds(ctx, ni, &bindings, scratch) {
-            return false;
+    if S::NEGATIVES {
+        for &ni in &ctx.plan.ground_negatives {
+            stats.negative_checks += 1;
+            if negative_holds(ctx, ni, &bindings, scratch) {
+                return false;
+            }
         }
     }
     let execs = resolve_steps(ctx);
@@ -789,7 +950,7 @@ fn apply_plan(
         0,
         &mut bindings,
         stats,
-        out,
+        sink,
         scratch,
         gov,
         trace,
@@ -809,22 +970,29 @@ fn negative_holds(
     match atom.pred {
         PredRef::Edb(p) => ctx.structure.holds(p, scratch),
         PredRef::Idb(_) => unreachable!(
-            "negated intensional literal in the semipositive engine; use eval_stratified"
+            "negated intensional literal in the semipositive engine; \
+             stratified programs run stratum by stratum"
         ),
     }
 }
 
+/// A relation a plan step enumerates, with the index its probe uses
+/// (`None` for scans and for probes on every position).
+type Source<'a> = (&'a Relation, Option<Arc<PosIndex>>);
+
 /// A plan step resolved against one pass's relations: the source
-/// relation, the delta exclusion (for pre-round reads), and the probe
-/// index. Resolved once per [`apply_plan`] call so the recursive join
-/// touches no locks and clones no `Arc`s.
+/// relation, the delta exclusion (for pre-round reads), the overlay (for
+/// overdeletion reads), and the probe indexes. Resolved once per
+/// [`run_plan`] call so the recursive join touches no locks and clones
+/// no `Arc`s.
 struct StepExec<'a> {
-    rel: &'a Relation,
+    source: Source<'a>,
     /// `Some(delta relation)` when the step reads the pre-round store
     /// (store minus delta).
     exclude: Option<&'a Relation>,
-    /// The secondary index probed by `Access::Probe` steps.
-    index: Option<Arc<PosIndex>>,
+    /// `Some(deleted tuples)` when the step also enumerates DRed's
+    /// overlay after its relation.
+    overlay: Option<Source<'a>>,
     /// True when the step enumerates the round's delta relation.
     from_delta: bool,
 }
@@ -836,15 +1004,22 @@ fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
         .map(|step| {
             let lit = &ctx.rule.body[step.literal];
             let mut from_delta = false;
+            let mut overlay = None;
             let (rel, exclude): (&Relation, Option<&Relation>) = match lit.atom.pred {
                 PredRef::Edb(p) => match ctx.edb_delta {
                     // The incremental seed pass: one EDB literal reads the
-                    // batch's inserted tuples instead of the base relation.
+                    // batch's changed tuples instead of the base relation.
                     Some((dpos, drel)) if step.literal == dpos => {
                         from_delta = true;
                         (drel, None)
                     }
-                    _ => (ctx.structure.relation(p), None),
+                    _ => {
+                        overlay = ctx
+                            .edb_overlay
+                            .map(|del| &del[p.index()])
+                            .filter(|r| !r.is_empty());
+                        (ctx.structure.relation(p), None)
+                    }
                 },
                 PredRef::Idb(id) => match ctx.delta {
                     None => (ctx.store.relation(id), None),
@@ -867,54 +1042,59 @@ fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
                     }
                 },
             };
-            let index = match &step.access {
-                Access::Scan => None,
-                Access::Probe { positions } => Some(rel.index_on(positions)),
+            // A probe on every position is a membership test: the key is
+            // the tuple, and the relation's own row table answers it.
+            let source = |rel: &'a Relation| -> Source<'a> {
+                match &step.access {
+                    Access::Probe { positions } if positions.len() < rel.arity() => {
+                        (rel, Some(rel.index_on(positions)))
+                    }
+                    _ => (rel, None),
+                }
             };
             StepExec {
-                rel,
+                source: source(rel),
                 exclude,
-                index,
+                overlay: overlay.map(source),
                 from_delta,
             }
         })
         .collect()
 }
 
-/// The recursive join; returns `true` when the governor tripped (the
-/// amortized per-tuple check fired) and the whole pass should unwind.
+/// The recursive join; returns `true` when the pass should unwind — the
+/// sink asked to stop, or the governor tripped (the amortized per-tuple
+/// check fired).
 #[allow(clippy::too_many_arguments)]
-fn descend_plan(
+fn descend_plan<S: Sink>(
     ctx: &PlanCtx<'_>,
     execs: &[StepExec<'_>],
     step_idx: usize,
     bindings: &mut Vec<Option<ElemId>>,
     stats: &mut EvalStats,
-    out: &mut FreshStore,
+    sink: &mut S,
     scratch: &mut Vec<ElemId>,
     gov: &mut Governor<'_>,
     mut trace: Option<&mut [LitCount]>,
 ) -> bool {
     if step_idx == ctx.plan.steps.len() {
         stats.firings += 1;
-        if let PredRef::Idb(id) = ctx.rule.head.pred {
-            instantiate_into(&ctx.rule.head, bindings, scratch);
-            if ctx.store.holds(id, scratch) || !out.insert(id, scratch) {
-                stats.interned_hits += 1;
-            }
-        }
-        return false;
+        let PredRef::Idb(id) = ctx.rule.head.pred else {
+            unreachable!("stratification rejects extensional heads")
+        };
+        instantiate_into(&ctx.rule.head, bindings, scratch);
+        return sink.emit(id, scratch, ctx.store, stats);
     }
 
     let step = &ctx.plan.steps[step_idx];
     let lit = &ctx.rule.body[step.literal];
     let exec = &execs[step_idx];
-    let (rel, exclude) = (exec.rel, exec.exclude);
+    let exclude = exec.exclude;
 
     let on_tuple = |tuple: &[ElemId],
                     bindings: &mut Vec<Option<ElemId>>,
                     stats: &mut EvalStats,
-                    out: &mut FreshStore,
+                    sink: &mut S,
                     scratch: &mut Vec<ElemId>,
                     gov: &mut Governor<'_>,
                     mut trace: Option<&mut [LitCount]>|
@@ -929,10 +1109,11 @@ fn descend_plan(
         let mut stop = false;
         let mut touched: Vec<Var> = Vec::new();
         if unify(&lit.atom, tuple, bindings, &mut touched) {
-            let negatives_ok = step.negatives_after.iter().all(|&ni| {
-                stats.negative_checks += 1;
-                !negative_holds(ctx, ni, bindings, scratch)
-            });
+            let negatives_ok = !S::NEGATIVES
+                || step.negatives_after.iter().all(|&ni| {
+                    stats.negative_checks += 1;
+                    !negative_holds(ctx, ni, bindings, scratch)
+                });
             if negatives_ok {
                 if let Some(t) = trace.as_deref_mut() {
                     t[step.literal].tuples_out += 1;
@@ -943,7 +1124,7 @@ fn descend_plan(
                     step_idx + 1,
                     bindings,
                     stats,
-                    out,
+                    sink,
                     scratch,
                     gov,
                     trace,
@@ -957,57 +1138,69 @@ fn descend_plan(
     };
 
     match &step.access {
-        Access::Scan => {
-            if !exec.from_delta {
-                stats.full_scans += 1;
-            }
-            for row in 0..rel.len() as u32 {
-                let tuple = rel.tuple(row);
-                if exclude.is_some_and(|d| d.contains(tuple)) {
-                    continue;
+        Access::Scan if !exec.from_delta => stats.full_scans += 1,
+        Access::Scan => {}
+        Access::Probe { .. } => stats.index_probes += 1,
+    }
+    // The step's relation, then (overdeletion only) its overlay of
+    // deleted tuples.
+    for (rel, index) in std::iter::once(&exec.source).chain(&exec.overlay) {
+        match &step.access {
+            Access::Scan => {
+                for row in 0..rel.len() as u32 {
+                    let tuple = rel.tuple(row);
+                    if exclude.is_some_and(|d| d.contains(tuple)) {
+                        continue;
+                    }
+                    if on_tuple(
+                        tuple,
+                        bindings,
+                        stats,
+                        sink,
+                        scratch,
+                        gov,
+                        trace.as_deref_mut(),
+                    ) {
+                        return true;
+                    }
                 }
-                if on_tuple(
-                    tuple,
-                    bindings,
-                    stats,
-                    out,
-                    scratch,
-                    gov,
-                    trace.as_deref_mut(),
-                ) {
-                    return true;
-                }
             }
-        }
-        Access::Probe { positions } => {
-            stats.index_probes += 1;
-            // Build the probe key in the shared scratch buffer: its use
-            // ends at `rows_matching` (the row slice borrows the index,
-            // not the key), so deeper recursion levels can reuse it.
-            scratch.clear();
-            for &p in positions {
-                scratch.push(match lit.atom.terms[p] {
-                    Term::Const(c) => c,
-                    Term::Var(v) => bindings[v.index()].expect("planner binds key positions"),
-                });
-            }
-            let index = exec.index.as_ref().expect("probe steps resolve an index");
-            let rows = rel.rows_matching(index, scratch);
-            for &row in rows {
-                let tuple = rel.tuple(row);
-                if exclude.is_some_and(|d| d.contains(tuple)) {
-                    continue;
+            Access::Probe { positions } => {
+                // Build the probe key in the shared scratch buffer: its
+                // use ends at `rows_matching` (the row slice borrows the
+                // index, not the key), so deeper recursion levels can
+                // reuse it.
+                scratch.clear();
+                for &p in positions {
+                    scratch.push(match lit.atom.terms[p] {
+                        Term::Const(c) => c,
+                        Term::Var(v) => bindings[v.index()].expect("planner binds key positions"),
+                    });
                 }
-                if on_tuple(
-                    tuple,
-                    bindings,
-                    stats,
-                    out,
-                    scratch,
-                    gov,
-                    trace.as_deref_mut(),
-                ) {
-                    return true;
+                let member;
+                let rows = match index {
+                    Some(index) => rel.rows_matching(index, scratch),
+                    None => {
+                        member = rel.row_of(scratch);
+                        member.as_slice()
+                    }
+                };
+                for &row in rows {
+                    let tuple = rel.tuple(row);
+                    if exclude.is_some_and(|d| d.contains(tuple)) {
+                        continue;
+                    }
+                    if on_tuple(
+                        tuple,
+                        bindings,
+                        stats,
+                        sink,
+                        scratch,
+                        gov,
+                        trace.as_deref_mut(),
+                    ) {
+                        return true;
+                    }
                 }
             }
         }
@@ -1024,39 +1217,13 @@ fn descend_plan(
 /// position with every other position reading the already-updated store.
 ///
 /// Kept verbatim as a differential-testing oracle (its least fixpoint is
-/// correct) and as the scan baseline of the `join_indexing` bench. Note
-/// its known inefficiency: an instantiation whose intensional atoms match
-/// several delta tuples fires once per delta pass, inflating
-/// [`EvalStats::firings`]; [`eval_seminaive`] fixes this with the proper
-/// rule split.
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session with `Engine::SemiNaiveScan` \
-            (`Evaluator::with_options(program, EvalOptions::new().engine(Engine::SemiNaiveScan))`)"
-)]
-pub fn eval_seminaive_scan(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    Ok(scan_fixpoint(
-        program,
-        structure,
-        &mut Governor::new(None),
-        None,
-    ))
-}
-
-/// The scan engine proper (shared by the deprecated
-/// [`eval_seminaive_scan`] wrapper and
+/// correct) and as the scan baseline of the `join_indexing` bench, behind
 /// [`Engine::SemiNaiveScan`](crate::evaluator::Engine::SemiNaiveScan)
-/// sessions). The caller guarantees semipositivity. On a governor trip
-/// the store holds a sound subset of the least fixpoint.
+/// sessions. Note its known inefficiency: an instantiation whose
+/// intensional atoms match several delta tuples fires once per delta
+/// pass, inflating [`EvalStats::firings`]; the indexed engine fixes this
+/// with the proper rule split. The caller guarantees semipositivity. On
+/// a governor trip the store holds a sound subset of the least fixpoint.
 pub(crate) fn scan_fixpoint(
     program: &Program,
     structure: &Structure,
@@ -1285,7 +1452,8 @@ fn descend(
             let holds = match lit.atom.pred {
                 PredRef::Edb(p) => structure.holds(p, &args),
                 PredRef::Idb(_) => unreachable!(
-                    "negated intensional literal in the semipositive engine; use eval_stratified"
+                    "negated intensional literal in the semipositive engine; \
+                     stratified programs run stratum by stratum"
                 ),
             };
             if holds {
@@ -1379,9 +1547,8 @@ fn descend(
 }
 
 /// Tries to unify `atom` with `tuple` under the current bindings;
-/// records newly bound variables in `touched`. Shared with the
-/// incremental-maintenance join executor.
-pub(crate) fn unify(
+/// records newly bound variables in `touched`.
+fn unify(
     atom: &Atom,
     tuple: &[ElemId],
     bindings: &mut [Option<ElemId>],
@@ -1446,9 +1613,9 @@ fn instantiate(atom: &Atom, bindings: &[Option<ElemId>]) -> Option<Box<[ElemId]>
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
+    use crate::evaluator::{Engine, EvalError, EvalOptions, Evaluator};
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, Signature};
     use std::sync::Arc;
@@ -1464,6 +1631,16 @@ mod tests {
         s
     }
 
+    /// One evaluation of `p` over `s` by a fresh session running `engine`.
+    fn eval(engine: Engine, p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+        let options = EvalOptions::new().engine(engine);
+        let result = Evaluator::with_options(p.clone(), options)
+            .unwrap()
+            .evaluate(s)
+            .unwrap();
+        (result.store, result.stats)
+    }
+
     const TC: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).";
     const TC_NONLINEAR: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).";
 
@@ -1471,7 +1648,7 @@ mod tests {
     fn transitive_closure_naive() {
         let s = chain(5);
         let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval_naive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::Naive, &p, &s);
         let path = p.idb("path").unwrap();
         assert_eq!(store.tuples(path).len(), 4 + 3 + 2 + 1);
         assert!(store.holds(path, &[ElemId(0), ElemId(4)]));
@@ -1482,8 +1659,8 @@ mod tests {
     fn seminaive_agrees_with_naive() {
         let s = chain(7);
         let p = parse_program(TC, &s).unwrap();
-        let (naive, _) = eval_naive(&p, &s).unwrap();
-        let (semi, _) = eval_seminaive(&p, &s).unwrap();
+        let (naive, _) = eval(Engine::Naive, &p, &s);
+        let (semi, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let path = p.idb("path").unwrap();
         assert_eq!(naive.tuples(path), semi.tuples(path));
     }
@@ -1492,8 +1669,8 @@ mod tests {
     fn scan_engine_agrees_with_naive() {
         let s = chain(7);
         let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
+        let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
+        let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
         let path = p.idb("path").unwrap();
         assert_eq!(naive.tuples(path), scan.tuples(path));
         assert_eq!(naive_stats.facts, scan_stats.facts);
@@ -1503,8 +1680,8 @@ mod tests {
     fn seminaive_fires_less_than_naive() {
         let s = chain(12);
         let p = parse_program(TC, &s).unwrap();
-        let (_, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (_, semi_stats) = eval_seminaive(&p, &s).unwrap();
+        let (_, naive_stats) = eval(Engine::Naive, &p, &s);
+        let (_, semi_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
         assert!(semi_stats.firings < naive_stats.firings);
         assert_eq!(semi_stats.facts, naive_stats.facts);
     }
@@ -1527,8 +1704,8 @@ mod tests {
     fn two_idb_atoms_fire_once_per_instantiation() {
         let s = chain(4);
         let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (indexed_store, indexed) = eval_seminaive(&p, &s).unwrap();
-        let (scan_store, scan) = eval_seminaive_scan(&p, &s).unwrap();
+        let (indexed_store, indexed) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (scan_store, scan) = eval(Engine::SemiNaiveScan, &p, &s);
         let path = p.idb("path").unwrap();
         assert_eq!(indexed_store.tuples(path), scan_store.tuples(path));
         assert_eq!(indexed.facts, 6);
@@ -1550,7 +1727,7 @@ mod tests {
     fn delta_passes_probe_instead_of_scanning() {
         let s = chain(50);
         let p = parse_program(TC, &s).unwrap();
-        let (_, stats) = eval_seminaive(&p, &s).unwrap();
+        let (_, stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
         assert_eq!(
             stats.full_scans, 2,
             "only the unconstrained round-0 scans remain"
@@ -1570,31 +1747,25 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let skip = p.idb("skip").unwrap();
         assert!(store.holds(skip, &[ElemId(0), ElemId(2)]));
         assert!(!store.holds(skip, &[ElemId(0), ElemId(1)]));
     }
 
-    /// The parser accepts stratified programs, so the semipositive
-    /// engines must reject a negated intensional atom at entry with a
-    /// typed [`EvalError::NotSemipositive`], not a panic (the seed
-    /// behavior) or an `unreachable!` mid-join.
+    /// The parser accepts stratified programs, so the semipositive-only
+    /// engines must reject a negated intensional atom at session
+    /// construction with a typed error, not a panic (the seed behavior)
+    /// or an `unreachable!` mid-join.
     #[test]
     fn semipositive_engine_rejects_stratified_programs_with_typed_error() {
         let s = chain(3);
         let p = parse_program("q(X) :- e(X, Y), !r(X). r(X) :- e(X, X).", &s).unwrap();
-        for result in [
-            eval_naive(&p, &s),
-            eval_seminaive(&p, &s),
-            eval_seminaive_scan(&p, &s),
-        ] {
-            let err = result.unwrap_err();
-            assert!(
-                matches!(&err, EvalError::NotSemipositive { message } if !message.is_empty()),
-                "{err:?}"
-            );
-            assert!(err.to_string().contains("semipositive engine"));
+        for engine in [Engine::Naive, Engine::SemiNaiveScan] {
+            let err =
+                Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap_err();
+            assert_eq!(err, EvalError::NeedsStratifiedEngine { engine, strata: 2 });
+            assert!(err.to_string().contains("semipositive programs only"));
         }
     }
 
@@ -1607,7 +1778,7 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let g = p.idb("reachable").unwrap();
         assert!(store.holds(g, &[]));
     }
@@ -1616,7 +1787,7 @@ mod tests {
     fn constants_in_rules() {
         let s = chain(4);
         let p = parse_program("from_start(Y) :- e(x0, Y).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let q = p.idb("from_start").unwrap();
         assert_eq!(store.unary(q), vec![ElemId(1)]);
     }
@@ -1625,7 +1796,7 @@ mod tests {
     fn facts_in_program() {
         let s = chain(3);
         let p = parse_program("mark(x1). marked2(X) :- mark(X), e(X, Y).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let m2 = p.idb("marked2").unwrap();
         assert_eq!(store.unary(m2), vec![ElemId(1)]);
     }
@@ -1639,7 +1810,7 @@ mod tests {
         s.insert(e, &[ElemId(0), ElemId(0)]);
         s.insert(e, &[ElemId(0), ElemId(1)]);
         let p = parse_program("loop(X) :- e(X, X).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         let l = p.idb("loop").unwrap();
         assert_eq!(store.unary(l), vec![ElemId(0)]);
     }
@@ -1650,7 +1821,7 @@ mod tests {
         let dom = Domain::anonymous(2);
         let s = Structure::new(sig, dom);
         let p = parse_program(TC, &s).unwrap();
-        let (store, stats) = eval_seminaive(&p, &s).unwrap();
+        let (store, stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
         assert_eq!(store.fact_count(), 0);
         assert_eq!(stats.facts, 0);
     }
@@ -1659,7 +1830,7 @@ mod tests {
     fn holds_named_uses_interned_names() {
         let s = chain(4);
         let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
         assert!(store.holds_named("path", &[ElemId(0), ElemId(3)]));
         assert!(!store.holds_named("path", &[ElemId(3), ElemId(0)]));
         assert!(!store.holds_named("no_such_predicate", &[ElemId(0)]));
@@ -1682,9 +1853,9 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (naive, _) = eval_naive(&p, &s).unwrap();
-        let (indexed, _) = eval_seminaive(&p, &s).unwrap();
-        let (scan, _) = eval_seminaive_scan(&p, &s).unwrap();
+        let (naive, _) = eval(Engine::Naive, &p, &s);
+        let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (scan, _) = eval(Engine::SemiNaiveScan, &p, &s);
         for name in ["even", "odd"] {
             let id = p.idb(name).unwrap();
             assert_eq!(naive.tuples(id), indexed.tuples(id), "{name}");

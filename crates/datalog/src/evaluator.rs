@@ -4,20 +4,18 @@
 //! Every workload built on this engine — the §5 per-candidate solvers,
 //! the Theorem 4.5 compilation (one program, many τ_td structures), the
 //! property-test oracles, the benches — is a *repeated-evaluation*
-//! workload. The historical free-function entry points (`eval_naive`,
-//! `eval_seminaive`, `eval_stratified`, `eval_quasi_guarded`, …)
-//! re-validated, re-stratified and re-planned on every call and threaded
-//! caching and statistics through ad-hoc parameters. An [`Evaluator`]
-//! does that analysis once at construction:
+//! workload. One-shot entry points would re-validate, re-stratify and
+//! re-plan on every call; an [`Evaluator`] does that analysis once at
+//! construction:
 //!
 //! * **parse-level validation** — safety (range restriction), head
 //!   checks, and stratification (the dependency graph + Tarjan SCC
 //!   pipeline of [`stratify`](crate::stratify::stratify())), so an
 //!   unevaluable program is rejected before any structure is seen;
 //! * **an owned [`PlanCache`]** — compiled join plans are memoized per
-//!   session (no process-global sharing unless you opt into the
-//!   deprecated wrappers), so the second [`evaluate`](Evaluator::evaluate)
-//!   of a per-candidate loop skips planning;
+//!   session (nothing is shared process-wide), so the second
+//!   [`evaluate`](Evaluator::evaluate) of a per-candidate loop skips
+//!   planning;
 //! * **recycled scratch buffers** — the semi-naive delta/staging
 //!   relations and probe-key buffers live in the session and are reused
 //!   across evaluations (and across the strata of one evaluation), so
@@ -306,13 +304,6 @@ pub enum EvalError {
     /// [`Engine::QuasiGuarded`] was selected without attaching an
     /// [`FdCatalog`] via [`EvalOptions::fd_catalog`].
     MissingFdCatalog,
-    /// A semipositive-only entry point received a program with intensional
-    /// negation; use the [`Evaluator`] session API (or
-    /// [`Engine::SemiNaiveIndexed`]), which evaluates stratified programs.
-    NotSemipositive {
-        /// What the semipositivity check rejected.
-        message: String,
-    },
     /// [`Evaluator::materialize`] was called on a session whose engine
     /// cannot drive incremental maintenance; only
     /// [`Engine::SemiNaiveIndexed`] compiles the delta-driven rule plans
@@ -353,10 +344,6 @@ impl PartialEq for EvalError {
             ) => engine == e2 && strata == s2,
             (EvalError::MissingFdCatalog, EvalError::MissingFdCatalog) => true,
             (
-                EvalError::NotSemipositive { message },
-                EvalError::NotSemipositive { message: m2 },
-            ) => message == m2,
-            (
                 EvalError::UnsupportedIncremental { engine },
                 EvalError::UnsupportedIncremental { engine: e2 },
             ) => engine == e2,
@@ -384,9 +371,6 @@ impl fmt::Display for EvalError {
                 f,
                 "Engine::QuasiGuarded needs an FdCatalog (EvalOptions::fd_catalog)"
             ),
-            EvalError::NotSemipositive { message } => {
-                write!(f, "semipositive engine: {message}")
-            }
             EvalError::UnsupportedIncremental { engine } => write!(
                 f,
                 "engine `{engine}` cannot drive incremental maintenance; materialize \

@@ -501,24 +501,9 @@ fn emit_ground_rule(
 }
 
 /// Full quasi-guarded evaluation: ground, run LTUR, decode into an
-/// [`IdbStore`]. Runs in `O(|P| · |𝒜|)` (Theorem 4.4).
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session with an attached `FdCatalog` \
-            (`Evaluator::with_options(program, EvalOptions::new().fd_catalog(catalog))`)"
-)]
-pub fn eval_quasi_guarded(
-    program: &Program,
-    structure: &Structure,
-    catalog: &FdCatalog,
-) -> Result<(IdbStore, QgStats), QgError> {
-    run_quasi_guarded(program, structure, catalog, &mut Governor::new(None))
-}
-
-/// The quasi-guarded pipeline proper (shared by the deprecated
-/// [`eval_quasi_guarded`] wrapper and
+/// [`IdbStore`]. Runs in `O(|P| · |𝒜|)` (Theorem 4.4). The engine behind
 /// [`Evaluator`](crate::evaluator::Evaluator) sessions with an attached
-/// [`FdCatalog`]). On a governor trip the grounding is incomplete, so the
+/// [`FdCatalog`]. On a governor trip the grounding is incomplete, so the
 /// LTUR solve is *skipped* — a least model of a partial grounding is not a
 /// subset of the real one — and an empty store is returned; the caller
 /// reads the trip off the governor and reports no partial result.
@@ -548,10 +533,9 @@ pub(crate) fn run_quasi_guarded(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
-    use crate::eval::eval_seminaive;
+    use crate::evaluator::{EvalOptions, Evaluator};
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, Signature};
     use std::sync::Arc;
@@ -568,6 +552,19 @@ mod tests {
             s.insert(next, &[ElemId(i as u32), ElemId(i as u32 + 1)]);
         }
         s
+    }
+
+    /// One quasi-guarded evaluation of `p` over `s` by a fresh session.
+    fn eval_qg(p: &Program, s: &Structure, cat: &FdCatalog) -> (IdbStore, QgStats) {
+        let options = EvalOptions::new().fd_catalog(cat.clone());
+        let result = Evaluator::with_options(p.clone(), options)
+            .unwrap()
+            .evaluate(s)
+            .unwrap();
+        (
+            result.store,
+            result.qg.expect("quasi-guarded sessions report QgStats"),
+        )
     }
 
     fn chain_catalog(s: &Structure) -> FdCatalog {
@@ -587,7 +584,7 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, stats) = eval_quasi_guarded(&p, &s, &cat).unwrap();
+        let (store, stats) = eval_qg(&p, &s, &cat);
         let reach = p.idb("reach").unwrap();
         assert_eq!(store.unary(reach).len(), 6);
         // Ground rules: one per `first` tuple + one per `next` tuple.
@@ -601,8 +598,12 @@ mod tests {
         let src = "reach(X) :- first(X).\nreach(Y) :- reach(X), next(X, Y).\n\
                    inner(X) :- reach(X), next(X, Y), !first(X).";
         let p = parse_program(src, &s).unwrap();
-        let (qg, _) = eval_quasi_guarded(&p, &s, &cat).unwrap();
-        let (sn, _) = eval_seminaive(&p, &s).unwrap();
+        let (qg, _) = eval_qg(&p, &s, &cat);
+        let sn = Evaluator::new(p.clone())
+            .unwrap()
+            .evaluate(&s)
+            .unwrap()
+            .store;
         for name in ["reach", "inner"] {
             let id = p.idb(name).unwrap();
             assert_eq!(qg.tuples(id), sn.tuples(id), "{name}");
@@ -628,7 +629,7 @@ mod tests {
         let s = chain_structure(3);
         let cat = chain_catalog(&s);
         let p = parse_program("flag :- next(x0, x1).\nflag2 :- flag.", &s).unwrap();
-        let (store, _) = eval_quasi_guarded(&p, &s, &cat).unwrap();
+        let (store, _) = eval_qg(&p, &s, &cat);
         assert!(store.holds(p.idb("flag2").unwrap(), &[]));
     }
 
@@ -638,7 +639,7 @@ mod tests {
         let cat = chain_catalog(&s);
         // The last element has no successor: rule must simply not fire.
         let p = parse_program("succ_of(Y) :- first(X), next(X, Y).", &s).unwrap();
-        let (store, _) = eval_quasi_guarded(&p, &s, &cat).unwrap();
+        let (store, _) = eval_qg(&p, &s, &cat);
         assert_eq!(store.unary(p.idb("succ_of").unwrap()), vec![ElemId(1)]);
     }
 
@@ -666,7 +667,7 @@ mod tests {
         let s = chain_structure(4);
         let cat = chain_catalog(&s);
         let p = parse_program("mid(Y) :- next(X, Y), !first(X).", &s).unwrap();
-        let (store, _) = eval_quasi_guarded(&p, &s, &cat).unwrap();
+        let (store, _) = eval_qg(&p, &s, &cat);
         assert_eq!(
             store.unary(p.idb("mid").unwrap()),
             vec![ElemId(2), ElemId(3)]

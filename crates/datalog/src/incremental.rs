@@ -9,10 +9,11 @@
 //! [`Update`] batches against the base (extensional) relations:
 //!
 //! * **Insertions** re-derive semi-naively from the delta: each rule
-//!   fires once per changed positive extensional body literal with that
-//!   literal reading only the batch's inserted tuples (compiled
-//!   extensional-delta plans), and the resulting frontier runs the
-//!   ordinary delta rounds through the existing per-rule join plans.
+//!   fires once per changed extensional body literal with that literal
+//!   reading only the batch's changed tuples (compiled
+//!   extensional-delta plans; a deletion under a negated literal counts
+//!   as an insertion), and the resulting frontier runs the ordinary
+//!   delta rounds through the existing per-rule join plans.
 //! * **Retractions** use classic *DRed* (delete and re-derive):
 //!   an over-deletion pass propagates the retracted tuples through the
 //!   rules to a fixpoint of *possibly* invalidated facts (negative
@@ -20,6 +21,23 @@
 //!   facts are removed, survivors with an alternative derivation in the
 //!   post state are re-derived, and the insertion frontier re-covers
 //!   everything derivable through them.
+//!
+//! Every phase runs through the one compiled-plan join executor of
+//! [`eval`](crate::eval), with plans compiled once per stratum at
+//! [`materialize`](crate::Evaluator::materialize) time:
+//!
+//! * *overdeletion* is semi-naive evaluation of each rule's positive
+//!   projection: the extensional-delta plans seed it (deleted tuples at
+//!   positive literals, inserted ones at negated literals, read flipped),
+//!   then the ordinary delta plans propagate it with the overdeleted
+//!   facts as the frontier. Extensional literals read the post-update
+//!   relations plus the deleted tuples, intensional literals the
+//!   pre-update store;
+//! * *re-derivation* runs one head-bound plan per rule, with the
+//!   variables bound from the overdeleted fact, and stops at the first
+//!   witness;
+//! * *insertion* is the extensional-delta seed pass plus the ordinary
+//!   delta rounds, as above.
 //!
 //! Both run **stratum by stratum**, so stratified negation stays sound:
 //! the net delta of a lower stratum becomes an extensional delta of the
@@ -34,11 +52,11 @@
 //! reported via [`UpdateProfile::fell_back`]. The view is never left in
 //! a partially maintained state.
 
-use crate::ast::{IdbId, PredRef, Program, Rule, Term, Var};
+use crate::ast::{IdbId, PredRef, Program};
 use crate::cache::{plans_for, PlanCache};
-use crate::eval::{instantiate_into, run_increment, unify, IdbStore, SeminaiveScratch};
+use crate::eval::{derives, run_increment, run_overdelete, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
-use crate::plan::{plan_edb_deltas, JoinPlan, RulePlans, StructureStats};
+use crate::plan::{plan_edb_deltas, plan_head_bound, JoinPlan, RulePlans, StructureStats};
 use crate::profile::{UpdateProfile, UpdateStratumProfile};
 use crate::stratify::{rewrite_stratum_rules, run_stratified, ExtensionMemo, Stratification};
 use mdtw_structure::{ElemId, PredId, Relation, Signature, Structure};
@@ -115,10 +133,11 @@ pub(crate) struct SessionParts {
 /// The view owns the post-update *extended* structure (base relations
 /// plus the lower-stratum relations higher strata read as extensional),
 /// the derived-fact store, and the per-stratum compiled artifacts:
-/// semipositive sub-programs, their semi-naive join plans, and the
-/// extensional-delta seed plans. Plans are compiled once against the
-/// cardinalities at materialization time; later updates reuse them
-/// (staleness can cost performance, never correctness).
+/// semipositive sub-programs, their semi-naive join plans, the
+/// extensional-delta seed plans, and the head-bound re-derivation
+/// plans. Plans are compiled once against the cardinalities at
+/// materialization time; later updates reuse them (staleness can cost
+/// performance, never correctness).
 #[derive(Debug)]
 pub struct MaterializedView {
     program: Program,
@@ -134,6 +153,7 @@ pub struct MaterializedView {
     subs: Vec<Program>,
     plans: Vec<Arc<Vec<RulePlans>>>,
     edb_plans: Vec<Vec<Vec<(usize, JoinPlan)>>>,
+    head_plans: Vec<Vec<JoinPlan>>,
     /// The extended structure in *post* state: base relations plus the
     /// materialized lower-stratum relations of `ext_pred`.
     ext: Structure,
@@ -173,6 +193,7 @@ impl MaterializedView {
         let mut subs = Vec::with_capacity(strat.stratum_count());
         let mut plans = Vec::with_capacity(strat.stratum_count());
         let mut edb_plans = Vec::with_capacity(strat.stratum_count());
+        let mut head_plans = Vec::with_capacity(strat.stratum_count());
         for (k, stratum_rules) in strat.strata().iter().enumerate() {
             let sub = Program {
                 rules: rewrite_stratum_rules(&program, &strat, stratum_rules, k, &ext_pred),
@@ -182,7 +203,9 @@ impl MaterializedView {
                 idb_by_name: program.idb_by_name.clone(),
             };
             let (p, _) = plans_for(&sub, &ext, cache_opt);
-            edb_plans.push(plan_edb_deltas(&sub, &StructureStats::new(&ext)));
+            let est = StructureStats::new(&ext);
+            edb_plans.push(plan_edb_deltas(&sub, &est));
+            head_plans.push(plan_head_bound(&sub, &est));
             plans.push(p);
             subs.push(sub);
         }
@@ -200,6 +223,7 @@ impl MaterializedView {
             subs,
             plans,
             edb_plans,
+            head_plans,
             ext,
             store,
             updates_applied: 0,
@@ -224,7 +248,6 @@ impl MaterializedView {
     pub fn apply(&mut self, update: &Update) -> UpdateProfile {
         let t0 = Instant::now();
         let mut profile = UpdateProfile::default();
-        self.updates_applied += 1;
         let nbase = self.base_sig.len();
         let next = self.ext_sig.len();
 
@@ -232,6 +255,7 @@ impl MaterializedView {
         // *raw* insert set — it suppresses retractions of tuples the
         // same batch re-inserts. The effective deltas live at extended
         // predicate ids so lower-stratum net changes can join them.
+        // Every tuple is validated here, before anything is mutated.
         let mut req_ins: Vec<Relation> = (0..nbase)
             .map(|p| Relation::new(self.base_sig.arity(PredId(p as u32))))
             .collect();
@@ -259,6 +283,7 @@ impl MaterializedView {
                 }
             }
         }
+        self.updates_applied += 1;
         profile.base_inserted = ins[..nbase].iter().map(Relation::len).sum();
         profile.base_retracted = del[..nbase].iter().map(Relation::len).sum();
         if profile.base_inserted == 0 && profile.base_retracted == 0 {
@@ -286,7 +311,8 @@ impl MaterializedView {
         profile
     }
 
-    /// Validates one staged mutation against the base signature.
+    /// Validates one staged mutation against the base signature and the
+    /// domain.
     fn check_target(&self, pred: PredId, tuple: &[ElemId]) {
         assert!(
             pred.index() < self.base_sig.len(),
@@ -299,6 +325,12 @@ impl MaterializedView {
             "update tuple arity mismatch for `{}`",
             self.base_sig.name(pred)
         );
+        for &e in tuple {
+            assert!(
+                self.ext.domain().contains(e),
+                "update tuple argument {e} outside the domain"
+            );
+        }
     }
 
     /// The stratum-by-stratum DRed pipeline over the already-applied
@@ -311,99 +343,32 @@ impl MaterializedView {
         limits: Option<&EvalLimits>,
         profile: &mut UpdateProfile,
     ) -> Option<LimitKind> {
-        let idb_count = self.program.idb_count();
-        // One governor with a single monotone work counter spans every
-        // custom phase of the whole update; `run_increment` gets a fresh
-        // governor per stratum because its internal counters restart.
+        // One governor over one monotone work counter
+        // (`stats.tuples_considered`) spans every phase of the update.
         let mut gov = Governor::new(limits);
-        let mut work = 0usize;
-        let mut bindings: Vec<Option<ElemId>> = Vec::new();
-        let mut key: Vec<ElemId> = Vec::new();
-        let mut head_buf: Vec<ElemId> = Vec::new();
+        let mut stats = EvalStats::default();
 
         for k in 0..self.subs.len() {
             let st0 = Instant::now();
             let sub = &self.subs[k];
-            let mut over: Vec<Relation> = self
-                .program
-                .idb_arities
-                .iter()
-                .map(|&a| Relation::new(a))
-                .collect();
-            let mut queue: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
 
-            // Phase 1 — overdelete. Seed every rule from the batch's
-            // deletions at positive extensional literals and insertions
-            // at negated ones (an insert *through* negation deletes),
-            // then propagate through in-stratum intensional literals to
-            // a fixpoint. Joins read post ∪ del on extensional atoms (a
-            // superset of the pre state) and the untouched pre store on
-            // intensional ones; negative literals are ignored. All three
-            // choices over-approximate, which is exactly what DRed needs.
-            for rule in &sub.rules {
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let PredRef::Edb(p) = lit.atom.pred else {
-                        continue;
-                    };
-                    let seed_rel = if lit.positive {
-                        &del[p.index()]
-                    } else {
-                        &ins[p.index()]
-                    };
-                    if seed_rel.is_empty() {
-                        continue;
-                    }
-                    for tuple in seed_rel.iter() {
-                        overdelete_from(
-                            rule,
-                            li,
-                            tuple,
-                            &self.ext,
-                            &self.store,
-                            del,
-                            &mut over,
-                            &mut queue,
-                            &mut bindings,
-                            &mut key,
-                            &mut head_buf,
-                            &mut gov,
-                            &mut work,
-                        );
-                    }
-                    if let Some(kind) = gov.tripped() {
-                        return Some(kind);
-                    }
-                }
-            }
-            let mut qi = 0;
-            while qi < queue.len() {
-                let (fid, fact) = (queue[qi].0, queue[qi].1.clone());
-                qi += 1;
-                for rule in &sub.rules {
-                    for (li, lit) in rule.body.iter().enumerate() {
-                        if !lit.positive || lit.atom.pred != PredRef::Idb(fid) {
-                            continue;
-                        }
-                        overdelete_from(
-                            rule,
-                            li,
-                            &fact,
-                            &self.ext,
-                            &self.store,
-                            del,
-                            &mut over,
-                            &mut queue,
-                            &mut bindings,
-                            &mut key,
-                            &mut head_buf,
-                            &mut gov,
-                            &mut work,
-                        );
-                    }
-                }
-                if let Some(kind) = gov.tripped() {
-                    return Some(kind);
-                }
+            // Phase 1 — overdelete: every stored fact some rule derives
+            // from a changed tuple, to a fixpoint (see `run_overdelete`).
+            let mut over = empty_relations(&self.program.idb_arities);
+            run_overdelete(
+                sub,
+                &self.ext,
+                &self.plans[k],
+                &self.edb_plans[k],
+                (ins, del),
+                &self.store,
+                &mut self.scratch,
+                &mut gov,
+                &mut stats,
+                &mut over,
+            );
+            if let Some(kind) = gov.tripped() {
+                return Some(kind);
             }
 
             // Phase 2 — physically remove the overdeleted facts.
@@ -420,100 +385,61 @@ impl MaterializedView {
             // read post only, intensional ones the post-removal store,
             // negatives checked against post) is seeded back. Facts
             // derivable only *through* another survivor are re-covered
-            // by the seed frontier's delta rounds in phase 5.
+            // by the seed frontier's delta rounds in phase 4.
             let mut seeds: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
             for (i, o) in over.iter().enumerate() {
-                if o.is_empty() {
-                    continue;
-                }
                 let id = IdbId(i as u32);
                 for fact in o.iter() {
-                    let survives = sub.rules.iter().any(|rule| {
-                        matches!(rule.head.pred, PredRef::Idb(h) if h == id)
-                            && rederivable(
-                                rule,
-                                fact,
-                                &self.ext,
-                                &self.store,
-                                &mut bindings,
-                                &mut key,
-                                &mut gov,
-                                &mut work,
-                            )
-                    });
+                    let survives = sub
+                        .rules
+                        .iter()
+                        .zip(&self.head_plans[k])
+                        .any(|(rule, plan)| {
+                            rule.head.pred == PredRef::Idb(id)
+                                && derives(
+                                    rule,
+                                    plan,
+                                    fact,
+                                    &self.ext,
+                                    &self.store,
+                                    &mut self.scratch,
+                                    &mut gov,
+                                    &mut stats,
+                                )
+                        });
+                    if let Some(kind) = gov.tripped() {
+                        return Some(kind);
+                    }
                     if survives {
                         seeds.push((id, fact.into()));
                     }
                 }
-                if let Some(kind) = gov.tripped() {
-                    return Some(kind);
-                }
             }
 
-            // Phase 4 — deletions *through* negation insert: a rule with
-            // a negated extensional literal matching a deleted tuple may
-            // fire now. Exact joins against the post state.
-            for rule in &sub.rules {
-                for (li, lit) in rule.body.iter().enumerate() {
-                    if lit.positive {
-                        continue;
-                    }
-                    let PredRef::Edb(p) = lit.atom.pred else {
-                        unreachable!("stratum sub-programs are semipositive")
-                    };
-                    if del[p.index()].is_empty() {
-                        continue;
-                    }
-                    for tuple in del[p.index()].iter() {
-                        negation_seeds_from(
-                            rule,
-                            li,
-                            tuple,
-                            &self.ext,
-                            &self.store,
-                            &mut seeds,
-                            &mut bindings,
-                            &mut key,
-                            &mut head_buf,
-                            &mut gov,
-                            &mut work,
-                        );
-                    }
-                    if let Some(kind) = gov.tripped() {
-                        return Some(kind);
-                    }
-                }
-            }
-
-            // Phase 5 — the insertion frontier: rules fire once per
-            // changed extensional literal reading the inserted tuples,
-            // the seeds join in, and ordinary semi-naive delta rounds
-            // run to fixpoint. `added` ledgers every fact that entered
-            // the store so the net change can be diffed against `over`.
-            let mut added: Vec<Relation> = self
-                .program
-                .idb_arities
-                .iter()
-                .map(|&a| Relation::new(a))
-                .collect();
-            let mut gov_k = Governor::new(limits);
+            // Phase 4 — the insertion frontier: rules fire once per
+            // changed extensional literal reading the changed tuples, the
+            // seeds join in, and ordinary semi-naive delta rounds run to
+            // fixpoint. `added` ledgers every fact that entered the store
+            // so the net change can be diffed against `over`.
+            let mut added = empty_relations(&self.program.idb_arities);
             run_increment(
                 sub,
                 &self.ext,
                 &self.plans[k],
                 &self.edb_plans[k],
-                ins,
+                (ins, del),
                 &seeds,
                 &mut self.store,
                 &mut self.scratch,
-                &mut gov_k,
+                &mut gov,
+                &mut stats,
                 &mut added,
             );
-            if let Some(kind) = gov_k.tripped() {
+            if let Some(kind) = gov.tripped() {
                 return Some(kind);
             }
 
-            // Phase 6 — net the stratum out: a fact overdeleted and not
+            // Phase 5 — net the stratum out: a fact overdeleted and not
             // re-added is a net deletion, a fact added and not
             // overdeleted a net insertion. Both are pushed into the
             // extended structure and recorded as *extensional* deltas at
@@ -523,7 +449,6 @@ impl MaterializedView {
                 stratum: k,
                 ..Default::default()
             };
-            debug_assert_eq!(over.len(), idb_count);
             for (i, (o, a)) in over.iter().zip(added.iter()).enumerate() {
                 let id = IdbId(i as u32);
                 sp.overdeleted += o.len();
@@ -624,352 +549,10 @@ impl MaterializedView {
     }
 }
 
-/// Resolves the primary relation (and the deleted-tuple overlay, in
-/// overdelete mode) a body literal reads during a maintenance join.
-fn dred_sources<'a>(
-    rule: &Rule,
-    li: usize,
-    structure: &'a Structure,
-    store: &'a IdbStore,
-    del: Option<&'a [Relation]>,
-) -> (&'a Relation, Option<&'a Relation>) {
-    match rule.body[li].atom.pred {
-        PredRef::Edb(p) => {
-            let over = del.map(|d| &d[p.index()]).filter(|r| !r.is_empty());
-            (structure.relation(p), over)
-        }
-        PredRef::Idb(id) => (store.relation(id), None),
-    }
-}
-
-/// The runtime-greedy join behind the custom DRed phases: among the
-/// remaining positive body literals, repeatedly picks the one with the
-/// most positions bound at runtime (ties to the smaller relation),
-/// probing the cached secondary indexes — a dynamic analogue of the
-/// compiled plans, which cannot anticipate which literal a maintenance
-/// pass binds first.
-///
-/// `seed` is the already-unified body literal; `del` switches positive
-/// extensional reads to post ∪ deleted (overdelete mode);
-/// `check_negatives` instantiates and tests negated literals against
-/// `structure` at each leaf (exact mode) or skips them entirely
-/// (overdelete mode). `emit` sees the complete bindings and returns
-/// `true` to stop the enumeration (first-witness checks). The return
-/// value is `true` if the enumeration stopped early — via `emit` or a
-/// governor trip, which the caller distinguishes with
-/// [`Governor::tripped`].
-#[allow(clippy::too_many_arguments)]
-fn dred_join(
-    rule: &Rule,
-    seed: Option<usize>,
-    bindings: &mut Vec<Option<ElemId>>,
-    structure: &Structure,
-    store: &IdbStore,
-    del: Option<&[Relation]>,
-    check_negatives: bool,
-    gov: &mut Governor<'_>,
-    work: &mut usize,
-    key: &mut Vec<ElemId>,
-    emit: &mut dyn FnMut(&[Option<ElemId>]) -> bool,
-) -> bool {
-    let mut remaining: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(i, l)| Some(*i) != seed && l.positive)
-        .map(|(i, _)| i)
-        .collect();
-    dred_descend(
-        rule,
-        &mut remaining,
-        bindings,
-        structure,
-        store,
-        del,
-        check_negatives,
-        gov,
-        work,
-        key,
-        emit,
-    )
-}
-
-/// One level of [`dred_join`]'s recursion: choose a literal, enumerate
-/// its matches (primary relation, then overlay), recurse.
-#[allow(clippy::too_many_arguments)]
-fn dred_descend(
-    rule: &Rule,
-    remaining: &mut Vec<usize>,
-    bindings: &mut Vec<Option<ElemId>>,
-    structure: &Structure,
-    store: &IdbStore,
-    del: Option<&[Relation]>,
-    check_negatives: bool,
-    gov: &mut Governor<'_>,
-    work: &mut usize,
-    key: &mut Vec<ElemId>,
-    emit: &mut dyn FnMut(&[Option<ElemId>]) -> bool,
-) -> bool {
-    if remaining.is_empty() {
-        if check_negatives {
-            for lit in rule.body.iter().filter(|l| !l.positive) {
-                let PredRef::Edb(p) = lit.atom.pred else {
-                    unreachable!("stratum sub-programs are semipositive")
-                };
-                instantiate_into(&lit.atom, bindings, key);
-                if structure.holds(p, key) {
-                    return false;
-                }
-            }
-        }
-        return emit(bindings);
-    }
-
-    let is_bound = |t: &Term, bindings: &[Option<ElemId>]| match t {
-        Term::Const(_) => true,
-        Term::Var(v) => bindings[v.index()].is_some(),
-    };
-    let (slot, li) = {
-        let best = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &li)| {
-                let atom = &rule.body[li].atom;
-                let bound = atom.terms.iter().filter(|t| is_bound(t, bindings)).count();
-                let (prim, over) = dred_sources(rule, li, structure, store, del);
-                let size = prim.len() + over.map_or(0, Relation::len);
-                (std::cmp::Reverse(bound), size)
-            })
-            .expect("remaining is non-empty");
-        (best.0, *best.1)
-    };
-    remaining.swap_remove(slot);
-
-    let lit = &rule.body[li];
-    let arity = lit.atom.terms.len();
-    let bound_pos: Vec<usize> = (0..arity)
-        .filter(|&p| is_bound(&lit.atom.terms[p], bindings))
-        .collect();
-    let (prim, over) = dred_sources(rule, li, structure, store, del);
-    let mut stop = false;
-    let mut touched: Vec<Var> = Vec::new();
-    'sources: for rel in [Some(prim), over].into_iter().flatten() {
-        if bound_pos.len() == arity {
-            // Fully bound: a membership check, no enumeration.
-            key.clear();
-            for &p in &bound_pos {
-                key.push(match lit.atom.terms[p] {
-                    Term::Const(c) => c,
-                    Term::Var(v) => bindings[v.index()].expect("position is bound"),
-                });
-            }
-            *work += 1;
-            if gov.work(*work, 0) {
-                stop = true;
-                break 'sources;
-            }
-            if rel.contains(key)
-                && dred_descend(
-                    rule,
-                    remaining,
-                    bindings,
-                    structure,
-                    store,
-                    del,
-                    check_negatives,
-                    gov,
-                    work,
-                    key,
-                    emit,
-                )
-            {
-                stop = true;
-                break 'sources;
-            }
-            continue;
-        }
-        let rows: Box<dyn Iterator<Item = u32>> = if bound_pos.is_empty() {
-            Box::new(0..rel.len() as u32)
-        } else {
-            key.clear();
-            for &p in &bound_pos {
-                key.push(match lit.atom.terms[p] {
-                    Term::Const(c) => c,
-                    Term::Var(v) => bindings[v.index()].expect("position is bound"),
-                });
-            }
-            let idx = rel.index_on(&bound_pos);
-            Box::new(rel.rows_matching(&idx, key).to_vec().into_iter())
-        };
-        for row in rows {
-            let tuple = rel.tuple(row);
-            *work += 1;
-            if gov.work(*work, 0) {
-                stop = true;
-                break 'sources;
-            }
-            touched.clear();
-            let descend = unify(&lit.atom, tuple, bindings, &mut touched)
-                && dred_descend(
-                    rule,
-                    remaining,
-                    bindings,
-                    structure,
-                    store,
-                    del,
-                    check_negatives,
-                    gov,
-                    work,
-                    key,
-                    emit,
-                );
-            for &v in &touched {
-                bindings[v.index()] = None;
-            }
-            if descend {
-                stop = true;
-                break 'sources;
-            }
-        }
-    }
-    remaining.push(li);
-    stop
-}
-
-/// Runs one overdeletion seed: unifies body literal `li` of `rule` with
-/// `tuple`, joins the rest over-approximately, and stages every head
-/// fact currently in the store into `over` and the propagation `queue`.
-#[allow(clippy::too_many_arguments)]
-fn overdelete_from(
-    rule: &Rule,
-    li: usize,
-    tuple: &[ElemId],
-    ext: &Structure,
-    store: &IdbStore,
-    del: &[Relation],
-    over: &mut [Relation],
-    queue: &mut Vec<(IdbId, Box<[ElemId]>)>,
-    bindings: &mut Vec<Option<ElemId>>,
-    key: &mut Vec<ElemId>,
-    head_buf: &mut Vec<ElemId>,
-    gov: &mut Governor<'_>,
-    work: &mut usize,
-) {
-    bindings.clear();
-    bindings.resize(rule.var_count as usize, None);
-    let mut touched: Vec<Var> = Vec::new();
-    if !unify(&rule.body[li].atom, tuple, bindings, &mut touched) {
-        return;
-    }
-    let PredRef::Idb(hid) = rule.head.pred else {
-        unreachable!("rule heads are intensional")
-    };
-    dred_join(
-        rule,
-        Some(li),
-        bindings,
-        ext,
-        store,
-        Some(del),
-        false,
-        gov,
-        work,
-        key,
-        &mut |b| {
-            instantiate_into(&rule.head, b, head_buf);
-            if store.holds(hid, head_buf) && over[hid.index()].insert(head_buf) {
-                queue.push((hid, head_buf.as_slice().into()));
-            }
-            false
-        },
-    );
-}
-
-/// True if `rule` re-derives `fact` in the post state (first witness
-/// wins): extensional atoms read post only, intensional atoms the
-/// post-removal store, negatives checked against post.
-#[allow(clippy::too_many_arguments)]
-fn rederivable(
-    rule: &Rule,
-    fact: &[ElemId],
-    ext: &Structure,
-    store: &IdbStore,
-    bindings: &mut Vec<Option<ElemId>>,
-    key: &mut Vec<ElemId>,
-    gov: &mut Governor<'_>,
-    work: &mut usize,
-) -> bool {
-    bindings.clear();
-    bindings.resize(rule.var_count as usize, None);
-    let mut touched: Vec<Var> = Vec::new();
-    if !unify(&rule.head, fact, bindings, &mut touched) {
-        return false;
-    }
-    let mut found = false;
-    dred_join(
-        rule,
-        None,
-        bindings,
-        ext,
-        store,
-        None,
-        true,
-        gov,
-        work,
-        key,
-        &mut |_| {
-            found = true;
-            true
-        },
-    );
-    found && gov.tripped().is_none()
-}
-
-/// Fires `rule` for one tuple deleted under its negated literal `li`
-/// (a deletion *through* negation is an insertion), staging head facts
-/// not yet in the store as seeds.
-#[allow(clippy::too_many_arguments)]
-fn negation_seeds_from(
-    rule: &Rule,
-    li: usize,
-    tuple: &[ElemId],
-    ext: &Structure,
-    store: &IdbStore,
-    seeds: &mut Vec<(IdbId, Box<[ElemId]>)>,
-    bindings: &mut Vec<Option<ElemId>>,
-    key: &mut Vec<ElemId>,
-    head_buf: &mut Vec<ElemId>,
-    gov: &mut Governor<'_>,
-    work: &mut usize,
-) {
-    bindings.clear();
-    bindings.resize(rule.var_count as usize, None);
-    let mut touched: Vec<Var> = Vec::new();
-    if !unify(&rule.body[li].atom, tuple, bindings, &mut touched) {
-        return;
-    }
-    let PredRef::Idb(hid) = rule.head.pred else {
-        unreachable!("rule heads are intensional")
-    };
-    dred_join(
-        rule,
-        Some(li),
-        bindings,
-        ext,
-        store,
-        None,
-        true,
-        gov,
-        work,
-        key,
-        &mut |b| {
-            instantiate_into(&rule.head, b, head_buf);
-            if !store.holds(hid, head_buf) {
-                seeds.push((hid, head_buf.as_slice().into()));
-            }
-            false
-        },
-    );
+/// One empty relation per arity (the per-stratum overdeletion set and
+/// insertion ledger).
+fn empty_relations(arities: &[usize]) -> Vec<Relation> {
+    arities.iter().map(|&a| Relation::new(a)).collect()
 }
 
 #[cfg(test)]
@@ -1156,6 +739,30 @@ mod tests {
         let prof = view.apply(&Update::new().insert(e, &[ElemId(10), ElemId(11)]));
         assert_eq!(prof.fell_back, Some(LimitKind::Cancelled));
         assert_matches_scratch(&view, "second post-fallback");
+    }
+
+    /// Every documented panic of `apply` fires before the view mutates:
+    /// a batch whose last insert names an element outside the domain
+    /// leaves base and store untouched, although its retraction was
+    /// staged first.
+    #[test]
+    fn out_of_domain_batch_panics_before_mutating() {
+        let s = chain(5);
+        let e = s.signature().lookup("e").unwrap();
+        let p = parse_program(TC, &s).unwrap();
+        let mut view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+        let base_before = view.base_structure().relation(e).len();
+        let store_before = view.store().tuples(IdbId(0));
+        let bad = Update::new()
+            .retract(e, &[ElemId(1), ElemId(2)])
+            .insert(e, &[ElemId(3), ElemId(99)]);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| view.apply(&bad)));
+        assert!(outcome.is_err(), "an out-of-domain element must panic");
+        assert_eq!(view.base_structure().relation(e).len(), base_before);
+        assert!(view.base_structure().holds(e, &[ElemId(1), ElemId(2)]));
+        assert_eq!(view.store().tuples(IdbId(0)), store_before);
+        assert_eq!(view.updates_applied(), 0);
+        assert_matches_scratch(&view, "after rejected batch");
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! construction — and call [`Evaluator::evaluate`] per structure; the
 //! session owns its [`PlanCache`] and recycles the engine scratch
 //! buffers, which is what makes the paper's per-candidate and
-//! per-structure workloads cheap. The historical `eval_*` free functions
-//! survive as deprecated one-shot wrappers. Under the session layer:
+//! per-structure workloads cheap. Under the session layer:
 //!
 //! * [`ast`] / [`parser`] — programs as data or text;
 //! * [`eval`] — naive and semi-naive least-fixpoint evaluation (the
@@ -44,8 +43,7 @@
 //!   predicate dependency graph (positive/negative edges), Tarjan SCC
 //!   condensation, stratum assignment with a precise
 //!   [`StratificationError`] when a negative edge closes a recursive
-//!   cycle, and [`eval_stratified`] — bottom-up multi-stratum evaluation
-//!   that materializes each stratum into the arena-backed relation layer
+//!   cycle, and the bottom-up multi-stratum evaluation that materializes each stratum into the arena-backed relation layer
 //!   so higher strata read it as EDB, reusing the indexed join loop and
 //!   the plan cache unchanged;
 //! * [`ground`](mod@crate::ground) — **quasi-guarded** datalog (Definition 4.3): guard
@@ -75,8 +73,9 @@
 //!   long-lived [`MaterializedView`] that absorbs batched base-relation
 //!   [`Update`]s (inserts *and* retracts) by semi-naive delta
 //!   re-derivation and stratum-by-stratum DRed instead of
-//!   re-evaluation, governed by the same [`EvalLimits`] budgets with a
-//!   sound full-recompute fallback;
+//!   re-evaluation (every maintenance join runs through the compiled-plan
+//!   executor of evaluation), governed by the same [`EvalLimits`]
+//!   budgets with a sound full-recompute fallback;
 //! * [`transform`](mod@crate::transform) — the semantic optimizer:
 //!   uniform-containment rule minimization, boundedness detection with
 //!   recursion elimination, and the magic-set demand transformation,
@@ -109,7 +108,7 @@ pub use analysis::{
     SemanticReport, Severity,
 };
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
-pub use cache::{global_plan_cache, PlanCache};
+pub use cache::PlanCache;
 pub use eval::{EvalStats, IdbStore};
 pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator, StatsDetail};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};
@@ -134,16 +133,3 @@ pub use transform::{
     optimize, optimize_with_limits, redundant_rules, redundant_rules_with_limits, BoundedScc,
     MagicOutcome, MinimizeReport, TransformSummary,
 };
-
-// The seven historical one-shot entry points, kept importable from the
-// crate root so the legacy-oracle test suites (and downstream pins) keep
-// compiling. Each is a thin deprecated wrapper over one Evaluator-shaped
-// evaluation.
-#[allow(deprecated)]
-pub use cache::eval_seminaive_with_cache;
-#[allow(deprecated)]
-pub use eval::{eval_naive, eval_seminaive, eval_seminaive_scan};
-#[allow(deprecated)]
-pub use ground::eval_quasi_guarded;
-#[allow(deprecated)]
-pub use stratify::{eval_stratified, eval_stratified_with_cache};

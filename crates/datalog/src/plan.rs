@@ -45,7 +45,9 @@ pub enum Access {
     /// whole relation.
     Scan,
     /// Probe the secondary index on `positions` (the argument positions
-    /// bound by constants or by variables of earlier steps).
+    /// bound by constants or by variables of earlier steps). When every
+    /// position is bound the evaluator answers the probe with a
+    /// membership test of the relation instead of building an index.
     Probe {
         /// Indexed argument positions, in key order.
         positions: Vec<usize>,
@@ -69,7 +71,9 @@ pub struct JoinStep {
 pub struct JoinPlan {
     /// Steps over the positive body literals, in execution order.
     pub steps: Vec<JoinStep>,
-    /// Negative body literals without variables, checked before any step.
+    /// Negative body literals bound before the first step (no variables,
+    /// or only variables the plan starts with bound), checked before any
+    /// step.
     pub ground_negatives: Vec<usize>,
 }
 
@@ -188,20 +192,23 @@ pub fn plan_rule_with(rule: &Rule, est: &dyn CardEstimator) -> RulePlans {
         .map(|(i, _)| i)
         .collect();
     RulePlans {
-        base: plan_with_first(rule, None, est),
+        base: plan_with_first(rule, None, false, est),
         delta: idb_positions
             .into_iter()
-            .map(|pos| (pos, plan_with_first(rule, Some(pos), est)))
+            .map(|pos| (pos, plan_with_first(rule, Some(pos), false, est)))
             .collect(),
     }
 }
 
 /// Plans the incremental seed passes of every rule: one
-/// `(body literal index, plan)` pair per positive *extensional* body
-/// literal, with that literal forced to the front of the join order —
-/// the EDB twin of [`RulePlans::delta`], used by incremental maintenance
-/// to join a batch's inserted base tuples first (the insertion delta is
-/// the smallest relation of the pass).
+/// `(body literal index, plan)` pair per *extensional* body literal,
+/// with that literal forced to the front of the join order — the EDB
+/// twin of [`RulePlans::delta`], used by incremental maintenance to join
+/// a batch's changed base tuples first (the delta is the smallest
+/// relation of the pass). A negated literal is planned *flipped*: it
+/// runs as a positive first step and is not checked as a negation, so
+/// the pass enumerates the rule instantiations a change under the
+/// negation affects.
 pub(crate) fn plan_edb_deltas(
     program: &Program,
     est: &dyn CardEstimator,
@@ -213,16 +220,28 @@ pub(crate) fn plan_edb_deltas(
             rule.body
                 .iter()
                 .enumerate()
-                .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Edb(_)))
-                .map(|(i, _)| (i, plan_with_first(rule, Some(i), est)))
+                .filter(|(_, l)| matches!(l.atom.pred, PredRef::Edb(_)))
+                .map(|(i, _)| (i, plan_with_first(rule, Some(i), false, est)))
                 .collect()
         })
         .collect()
 }
 
+/// Plans every rule with its head variables bound before the first step
+/// — the re-derivation check of incremental maintenance, which asks
+/// whether one given head fact still has a derivation.
+pub(crate) fn plan_head_bound(program: &Program, est: &dyn CardEstimator) -> Vec<JoinPlan> {
+    program
+        .rules
+        .iter()
+        .map(|rule| plan_with_first(rule, None, true, est))
+        .collect()
+}
+
 /// The estimated number of tuples enumerating literal `li` would yield
-/// with the positions in `bp` bound. In the base plan (`first` is
-/// `None`), intensional relations are empty by definition of round 0, so
+/// with the positions in `bp` bound. In the base plan (nothing forced
+/// first, nothing bound), intensional relations are empty by definition
+/// of round 0, so
 /// their cost is 0 regardless of the estimator; everywhere else unknown
 /// estimates sort last (`usize::MAX`).
 fn candidate_cost(
@@ -245,10 +264,22 @@ fn candidate_cost(
 }
 
 /// Greedy planner. `first`, if set, forces that body literal to the front
-/// (used for delta literals).
-fn plan_with_first(rule: &Rule, first: Option<usize>, est: &dyn CardEstimator) -> JoinPlan {
+/// (delta literals; a negated literal forced first runs flipped, as a
+/// positive step). `head_bound` binds the head's variables before the
+/// first step.
+fn plan_with_first(
+    rule: &Rule,
+    first: Option<usize>,
+    head_bound: bool,
+    est: &dyn CardEstimator,
+) -> JoinPlan {
     let nvars = rule.var_count as usize;
     let mut bound = vec![false; nvars];
+    if head_bound {
+        for v in rule.head.vars() {
+            bound[v.index()] = true;
+        }
+    }
 
     let mut remaining: Vec<usize> = rule
         .body
@@ -261,14 +292,14 @@ fn plan_with_first(rule: &Rule, first: Option<usize>, est: &dyn CardEstimator) -
         .body
         .iter()
         .enumerate()
-        .filter(|(_, l)| !l.positive)
+        .filter(|(i, l)| !l.positive && Some(*i) != first)
         .map(|(i, _)| i)
         .collect();
 
     let mut neg_emitted = vec![false; rule.body.len()];
     let mut ground_negatives = Vec::new();
     for &ni in &negatives {
-        if rule.body[ni].atom.vars().next().is_none() {
+        if rule.body[ni].atom.vars().all(|v| bound[v.index()]) {
             ground_negatives.push(ni);
             neg_emitted[ni] = true;
         }
@@ -295,7 +326,7 @@ fn plan_with_first(rule: &Rule, first: Option<usize>, est: &dyn CardEstimator) -
         });
     };
 
-    let base_plan = first.is_none();
+    let base_plan = first.is_none() && !head_bound;
     if let Some(li) = first {
         push_step(li, &mut bound, &mut neg_emitted);
     }
@@ -538,6 +569,32 @@ mod tests {
         };
         assert!(!rule.is_safe());
         let _ = plan_rule(&rule);
+    }
+
+    #[test]
+    fn maintenance_plans_flip_negations_and_bind_heads() {
+        let s = edge_structure();
+        let p = parse_program("q(X) :- e(X, Y), q(Y), !e(Y, X).", &s).unwrap();
+        // One seed plan per extensional literal; the negated one runs
+        // first as a positive step and is not also checked as a negation.
+        let seeds = plan_edb_deltas(&p, &NoEstimates);
+        let positions: Vec<usize> = seeds[0].iter().map(|(i, _)| *i).collect();
+        assert_eq!(positions, vec![0, 2]);
+        let (_, flipped) = &seeds[0][1];
+        assert_eq!(flipped.steps[0].literal, 2);
+        assert!(flipped.steps.iter().all(|st| st.negatives_after.is_empty()));
+        // Head-bound: X is bound before the first step, so `e(X, Y)` is
+        // probed on position 0 and the negation is checked once Y is bound.
+        let plan = &plan_head_bound(&p, &NoEstimates)[0];
+        assert_eq!(plan.steps[0].literal, 0);
+        assert_eq!(plan.steps[0].access, Access::Probe { positions: vec![0] });
+        assert_eq!(plan.steps[0].negatives_after, vec![2]);
+        // A negation over head variables only is checked before any step.
+        let p = parse_program("r(X, Y) :- e(X, Y), !e(Y, X).", &s).unwrap();
+        assert_eq!(
+            plan_head_bound(&p, &NoEstimates)[0].ground_negatives,
+            vec![1]
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!    [`StratificationError`] names the offending predicate cycle.
 //!    Safety (range restriction) and head checks run here too, so a
 //!    [`Stratification`] certifies the program is evaluable.
-//! 2. [`eval_stratified`] evaluates the strata bottom-up. Each stratum is
+//! 2. The stratified pipeline behind
+//!    [`Evaluator::evaluate`](crate::evaluator::Evaluator::evaluate)
+//!    evaluates the strata bottom-up. Each stratum is
 //!    turned into a semipositive sub-program by rewriting references to
 //!    lower-stratum predicates into *extensional* predicates of an
 //!    extended structure ([`Structure::extended`]) holding the lower
@@ -35,7 +37,7 @@
 //! join loop of [`eval`](crate::eval) is reused without modification.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::{global_plan_cache, plans_for, PlanCache};
+use crate::cache::{plans_for, PlanCache};
 use crate::eval::{run_seminaive_scratch, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::profile::Profiler;
@@ -374,72 +376,6 @@ fn tarjan_sccs(n: usize, edges: &[DepEdge], adj: &[Vec<usize>]) -> (Vec<usize>, 
     (scc_of, scc_count)
 }
 
-/// Evaluates a stratified program bottom-up over the process-wide
-/// [`PlanCache`]; see [`eval_stratified_with_cache`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session \
-            (`Evaluator::new(program)?.evaluate(&structure)`), which stratifies once \
-            and auto-dispatches semipositive vs. multi-stratum"
-)]
-pub fn eval_stratified(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), StratificationError> {
-    let strat = stratify(program)?;
-    let mut scratch = SeminaiveScratch::new(program);
-    let (store, stats, _) = run_stratified(
-        program,
-        &strat,
-        structure,
-        Some(global_plan_cache()),
-        &mut scratch,
-        &mut ExtensionMemo::default(),
-        None,
-        None,
-    );
-    Ok((store, stats))
-}
-
-/// Evaluates a stratified program bottom-up with an explicit plan cache.
-///
-/// Stratum 0 is semipositive as-is. For every higher stratum, references
-/// to lower-stratum predicates are rewritten to extensional predicates of
-/// an extended structure holding the lower strata's materialized
-/// relations, the rewritten sub-program is checked semipositive (the
-/// stratum-local invariant) and handed to the indexed semi-naive engine.
-/// On a semipositive input (a single stratum) this is exactly
-/// [`eval_seminaive_with_cache`](crate::cache::eval_seminaive_with_cache):
-/// same plans, same store, same statistics.
-///
-/// The returned [`EvalStats`] accumulates the per-stratum counters
-/// (`rounds` is the total across strata, `plan_cache_hits` counts per
-/// stratum) and reports the stratum count in [`EvalStats::strata`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session, which owns its `PlanCache` \
-            (`Evaluator::new(program)?.evaluate(&structure)`)"
-)]
-pub fn eval_stratified_with_cache(
-    program: &Program,
-    structure: &Structure,
-    cache: &PlanCache,
-) -> Result<(IdbStore, EvalStats), StratificationError> {
-    let strat = stratify(program)?;
-    let mut scratch = SeminaiveScratch::new(program);
-    let (store, stats, _) = run_stratified(
-        program,
-        &strat,
-        structure,
-        Some(cache),
-        &mut scratch,
-        &mut ExtensionMemo::default(),
-        None,
-        None,
-    );
-    Ok((store, stats))
-}
-
 /// Memoized per-signature extension setup for the stratified pipeline:
 /// which intensional predicates higher strata read, the extended
 /// [`Signature`] materializing them as fresh extensional predicates
@@ -522,12 +458,23 @@ impl ExtensionMemo {
     }
 }
 
-/// The stratified pipeline proper, over a *precomputed* stratification
-/// and session-recycled scratch buffers — the shared engine behind the
-/// deprecated [`eval_stratified`]/[`eval_stratified_with_cache`] wrappers
-/// and [`Evaluator`](crate::evaluator::Evaluator) sessions (which
-/// stratify once at construction and reuse the certificate across
-/// evaluations). `cache` is `None` when plan caching is disabled.
+/// The stratified pipeline, over a *precomputed* stratification and
+/// session-recycled scratch buffers — the engine behind
+/// [`Evaluator`](crate::evaluator::Evaluator) sessions, which stratify
+/// once at construction and reuse the certificate across evaluations.
+/// `cache` is `None` when plan caching is disabled.
+///
+/// Stratum 0 is semipositive as-is. For every higher stratum, references
+/// to lower-stratum predicates are rewritten to extensional predicates of
+/// an extended structure holding the lower strata's materialized
+/// relations, and the rewritten sub-program is handed to the indexed
+/// semi-naive engine. On a semipositive input (a single stratum) this is
+/// exactly one semi-naive evaluation: same plans, same store, same
+/// statistics.
+///
+/// The returned [`EvalStats`] accumulates the per-stratum counters
+/// (`rounds` is the total across strata, `plan_cache_hits` counts per
+/// stratum) and reports the stratum count in [`EvalStats::strata`].
 ///
 /// The third return element is the tripped [`LimitKind`], if `limits`
 /// governed the run and a limit tripped. On a trip the store holds every
@@ -712,11 +659,10 @@ pub(crate) fn rule_stratum(strat: &Stratification, program: &Program, rule: usiz
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
     use crate::ast::{Atom, Literal, Rule, Term, Var};
-    use crate::eval::eval_seminaive;
+    use crate::evaluator::Evaluator;
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, ElemId, Signature};
     use std::sync::Arc;
@@ -736,6 +682,12 @@ mod tests {
         }
         s.insert(first, &[ElemId(0)]);
         s
+    }
+
+    /// One evaluation of `p` over `s` by a fresh session.
+    fn evaluate(p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+        let result = Evaluator::new(p.clone()).unwrap().evaluate(s).unwrap();
+        (result.store, result.stats)
     }
 
     const UNREACH: &str = "reach(X) :- first(X).\n\
@@ -786,7 +738,7 @@ mod tests {
         s.insert(first, &[ElemId(0)]);
 
         let p = parse_program(UNREACH, &s).unwrap();
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = evaluate(&p, &s);
         let unreach = p.idb("unreach").unwrap();
         assert_eq!(store.unary(unreach), vec![ElemId(3), ElemId(4), ElemId(5)]);
         assert_eq!(stats.strata, 2);
@@ -804,7 +756,7 @@ mod tests {
         .unwrap();
         let strat = stratify(&p).unwrap();
         assert_eq!(strat.stratum_count(), 3);
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = evaluate(&p, &s);
         assert_eq!(stats.strata, 3);
         // Whole chain reachable from 0 → unreach empty → settled is
         // everything but the first node.
@@ -825,8 +777,18 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (semi, semi_stats) = eval_seminaive(&p, &s).unwrap();
-        let (strat, strat_stats) = eval_stratified(&p, &s).unwrap();
+        // The plain semi-naive loop, bypassing the stratified pipeline.
+        let plans = crate::plan::plan_program_with(&p, &crate::plan::StructureStats::new(&s));
+        let (semi, semi_stats) = crate::eval::run_seminaive_scratch(
+            &p,
+            &s,
+            &plans,
+            EvalStats::default(),
+            &mut SeminaiveScratch::new(&p),
+            &mut Governor::new(None),
+            None,
+        );
+        let (strat, strat_stats) = evaluate(&p, &s);
         for idb in 0..p.idb_count() {
             let id = IdbId(idb as u32);
             assert_eq!(semi.tuples(id), strat.tuples(id));
@@ -885,7 +847,7 @@ mod tests {
         }
         let rendered = err.to_string();
         assert!(rendered.contains('p') && rendered.contains('q'));
-        assert!(eval_stratified(&p, &chain(3)).is_err());
+        assert!(Evaluator::new(p).is_err());
     }
 
     /// `win(X) :- e(X, Y), !win(Y)` — negation through the predicate's own
@@ -947,7 +909,7 @@ mod tests {
         let strat = stratify(&p).unwrap();
         assert_eq!(strat.stratum_count(), 2);
         assert_eq!(strat.stratum_of(p.idb("island").unwrap()), 1);
-        let (store, _) = eval_stratified(&p, &s).unwrap();
+        let (store, _) = evaluate(&p, &s);
         // Fully reachable chain: no unreach facts, no islands.
         assert_eq!(store.unary(p.idb("unreach").unwrap()), vec![]);
         assert!(store.tuples(p.idb("island").unwrap()).is_empty());
@@ -1053,7 +1015,7 @@ mod tests {
             var_count: 1,
             var_names: vec!["X".into()],
         });
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = evaluate(&p, &s);
         assert_eq!(stats.strata, 2);
         // Elements 0..3 have out-edges; only the last element is lone.
         assert_eq!(store.unary(lone), vec![ElemId(3)]);
@@ -1063,10 +1025,10 @@ mod tests {
     fn stratified_hits_plan_cache_per_stratum() {
         let s = chain(8);
         let p = parse_program(UNREACH, &s).unwrap();
-        let cache = PlanCache::new();
-        let (_, first) = eval_stratified_with_cache(&p, &s, &cache).unwrap();
+        let mut session = Evaluator::new(p).unwrap();
+        let first = session.evaluate(&s).unwrap().stats;
         assert_eq!(first.plan_cache_hits, 0);
-        let (_, second) = eval_stratified_with_cache(&p, &s, &cache).unwrap();
+        let second = session.evaluate(&s).unwrap().stats;
         assert_eq!(
             second.plan_cache_hits, 2,
             "both strata reuse their compiled plans"

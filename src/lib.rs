@@ -36,9 +36,7 @@ pub use mdtw_structure as structure;
 /// The most common end-to-end entry points, re-exported flat.
 ///
 /// Datalog evaluation goes through the [`Evaluator`](mdtw_datalog::Evaluator)
-/// session API — construct once per program, evaluate per structure. The
-/// deprecated one-shot `eval_*` free functions are intentionally *not*
-/// re-exported here; they remain reachable via [`crate::datalog`].
+/// session API — construct once per program, evaluate per structure.
 pub mod prelude {
     pub use mdtw_core::{
         enumerate_primes, is_prime_fpt, is_prime_fpt_with_td, prime_attributes_fpt,

@@ -2,18 +2,13 @@
 //! minimal-model definition), the pre-index scan engine (kept as oracle),
 //! and the indexed semi-naive engine — compute identical least fixpoints
 //! and identical distinct-fact counts on randomly generated semipositive
-//! programs over randomly generated structures.
-//!
-//! This is the **legacy-oracle suite**: it deliberately keeps calling the
-//! deprecated `eval_*` one-shot wrappers so the `Evaluator` session API
-//! can be pinned bit-identical to them — every [`Engine`] variant of a
-//! *reused* session (cache cold and warm) must agree with the
-//! corresponding free function on the same random matrix.
-#![allow(deprecated)]
+//! programs over randomly generated structures. Every [`Engine`] variant
+//! of a *reused* session (cache cold and warm) must also agree with a
+//! fresh naive session on the same random matrix.
 
 use mdtw_datalog::{
-    eval_naive, eval_seminaive, eval_seminaive_scan, Atom, Engine, EvalOptions, Evaluator, IdbId,
-    Literal, PredRef, Program, Rule, Term, Var,
+    Atom, Engine, EvalOptions, EvalStats, Evaluator, IdbId, IdbStore, Literal, PredRef, Program,
+    Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
@@ -44,6 +39,15 @@ fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
         s.insert(m, &[ElemId(a as u32 % n as u32)]);
     }
     s
+}
+
+/// One evaluation of `p` over `s` by a fresh session running `engine`.
+fn eval(engine: Engine, p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+    let result = Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine))
+        .unwrap()
+        .evaluate(s)
+        .unwrap();
+    (result.store, result.stats)
 }
 
 fn var(i: u8) -> Term {
@@ -180,9 +184,9 @@ fn multi_position_keys_agree_across_engines_arity_3() {
     )
     .unwrap();
 
-    let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-    let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
-    let (indexed, indexed_stats) = eval_seminaive(&p, &s).unwrap();
+    let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
+    let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
+    let (indexed, indexed_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
 
     for name in ["tri", "pin"] {
         let id = p.idb(name).unwrap();
@@ -239,9 +243,9 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
-        let (indexed, indexed_stats) = eval_seminaive(&p, &s).unwrap();
+        let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
+        let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
+        let (indexed, indexed_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
 
         for idb in 0..p.idb_count() {
             let id = IdbId(idb as u32);
@@ -258,14 +262,14 @@ proptest! {
     /// The same random program/structure matrix through every semipositive
     /// `Engine` variant of ONE reused `Evaluator` each — cache cold
     /// (first call) *and* warm (second call) — asserting bit-identical
-    /// `IdbStore`s against the corresponding legacy free function, and
-    /// pinning that a reused indexed session's second evaluation reports
-    /// `plan_cache_hits > 0`. (`Engine::QuasiGuarded` needs declared
-    /// functional dependencies the random matrix does not have; its
-    /// deterministic equivalence pin is `quasi_guarded_session_matches`
-    /// below.)
+    /// `IdbStore`s against a fresh naive session, identical work counters
+    /// cold and warm, and that a reused indexed session's second
+    /// evaluation reports `plan_cache_hits > 0`. (`Engine::QuasiGuarded`
+    /// needs declared functional dependencies the random matrix does not
+    /// have; its deterministic pin is
+    /// `quasi_guarded_session_matches_indexed_session` below.)
     #[test]
-    fn evaluator_sessions_bit_identical_to_free_functions(
+    fn reused_sessions_bit_identical_cold_and_warm(
         n in 2usize..6,
         edges in vec((0u8..8, 0u8..8), 0..10),
         marks in vec(0u8..8, 0..4),
@@ -281,20 +285,8 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        type FreeFn = fn(
-            &Program,
-            &Structure,
-        ) -> Result<
-            (mdtw_datalog::IdbStore, mdtw_datalog::EvalStats),
-            mdtw_datalog::EvalError,
-        >;
-        let legacy: [(Engine, FreeFn); 3] = [
-            (Engine::Naive, eval_naive),
-            (Engine::SemiNaiveScan, eval_seminaive_scan),
-            (Engine::SemiNaiveIndexed, eval_seminaive),
-        ];
-        for (engine, free_fn) in legacy {
-            let (free_store, free_stats) = free_fn(&p, &s).unwrap();
+        let (oracle, oracle_stats) = eval(Engine::Naive, &p, &s);
+        for engine in [Engine::Naive, Engine::SemiNaiveScan, Engine::SemiNaiveIndexed] {
             let mut session =
                 Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap();
             let cold = session.evaluate(&s).unwrap();
@@ -302,18 +294,17 @@ proptest! {
             for idb in 0..p.idb_count() {
                 let id = IdbId(idb as u32);
                 prop_assert_eq!(
-                    free_store.tuples(id), cold.store.tuples(id),
-                    "{} cold vs free fn, idb {}", engine, idb
+                    oracle.tuples(id), cold.store.tuples(id),
+                    "{} cold vs naive, idb {}", engine, idb
                 );
                 prop_assert_eq!(
-                    free_store.tuples(id), warm.store.tuples(id),
-                    "{} warm vs free fn, idb {}", engine, idb
+                    oracle.tuples(id), warm.store.tuples(id),
+                    "{} warm vs naive, idb {}", engine, idb
                 );
             }
-            prop_assert_eq!(free_stats.facts, cold.stats.facts, "{}", engine);
-            prop_assert_eq!(free_stats.facts, warm.stats.facts, "{}", engine);
-            prop_assert_eq!(free_stats.firings, cold.stats.firings, "{}", engine);
-            prop_assert_eq!(free_stats.firings, warm.stats.firings, "{}", engine);
+            prop_assert_eq!(oracle_stats.facts, cold.stats.facts, "{}", engine);
+            prop_assert_eq!(cold.stats.facts, warm.stats.facts, "{}", engine);
+            prop_assert_eq!(cold.stats.firings, warm.stats.firings, "{}", engine);
             if engine == Engine::SemiNaiveIndexed {
                 prop_assert_eq!(cold.stats.plan_cache_hits, 0, "session cache starts cold");
                 prop_assert!(
@@ -325,13 +316,14 @@ proptest! {
     }
 }
 
-/// Deterministic `Engine::QuasiGuarded` leg of the session-vs-free-function
-/// matrix: the random generator cannot produce quasi-guarded programs (it
-/// declares no functional dependencies), so the equivalence is pinned on
-/// the chain-reachability workload of Theorem 4.4, cache cold and warm.
+/// Deterministic `Engine::QuasiGuarded` leg of the reused-session matrix:
+/// the random generator cannot produce quasi-guarded programs (it
+/// declares no functional dependencies), so the equivalence with the
+/// indexed engine is pinned on the chain-reachability workload of
+/// Theorem 4.4, cache cold and warm.
 #[test]
-fn quasi_guarded_session_matches_free_function() {
-    use mdtw_datalog::{eval_quasi_guarded, parse_program, FdCatalog};
+fn quasi_guarded_session_matches_indexed_session() {
+    use mdtw_datalog::{parse_program, FdCatalog};
 
     let sig = Arc::new(Signature::from_pairs([("next", 2), ("first", 1)]));
     let n = 40usize;
@@ -353,7 +345,7 @@ fn quasi_guarded_session_matches_free_function() {
     catalog.declare(next, vec![0], vec![1]);
     catalog.declare(next, vec![1], vec![0]);
 
-    let (free_store, free_qg) = eval_quasi_guarded(&p, &s, &catalog).unwrap();
+    let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
     let mut session =
         Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
     assert_eq!(session.engine(), Engine::QuasiGuarded);
@@ -361,12 +353,11 @@ fn quasi_guarded_session_matches_free_function() {
     let warm = session.evaluate(&s).unwrap();
     for name in ["reach", "inner"] {
         let id = p.idb(name).unwrap();
-        assert_eq!(free_store.tuples(id), cold.store.tuples(id), "{name} cold");
-        assert_eq!(free_store.tuples(id), warm.store.tuples(id), "{name} warm");
+        assert_eq!(indexed.tuples(id), cold.store.tuples(id), "{name} cold");
+        assert_eq!(indexed.tuples(id), warm.store.tuples(id), "{name} warm");
     }
-    for r in [&cold, &warm] {
-        let qg = r.qg.expect("quasi-guarded sessions report QgStats");
-        assert_eq!(qg.ground_rules, free_qg.ground_rules);
-        assert_eq!(qg.ground_atoms, free_qg.ground_atoms);
-    }
+    let (cold_qg, warm_qg) = (cold.qg.unwrap(), warm.qg.unwrap());
+    assert!(cold_qg.ground_rules > 0);
+    assert_eq!(cold_qg.ground_rules, warm_qg.ground_rules);
+    assert_eq!(cold_qg.ground_atoms, warm_qg.ground_atoms);
 }

@@ -2,11 +2,17 @@
 //! [`MaterializedView`] fed random interleaved insert/retract batches
 //! must stay **bit-identical** to a from-scratch `evaluate()` of the
 //! mutated base structure — for a semipositive program (recursion plus
-//! negated extensional atoms in one stratum) and a three-stratum
-//! program whose deltas must cross two negation boundaries. Pinned
-//! edge cases cover the empty-delta no-op and retract-everything.
+//! negated extensional atoms in one stratum), a three-stratum program
+//! whose deltas must cross two negation boundaries, and a nonlinear
+//! program whose rules join two intensional literals and carry
+//! constants and repeated variables. Pinned edge cases cover the
+//! empty-delta no-op, retract-everything, and a fault-injection sweep
+//! over governed maintenance.
 
-use mdtw_datalog::{parse_program, Evaluator, IdbId, MaterializedView, Update};
+use mdtw_datalog::{
+    parse_program, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, LimitKind,
+    MaterializedView, Update,
+};
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -26,6 +32,18 @@ const STRATIFIED: &str = "r(X) :- m(X).\n\
                           u(X, Y) :- e(X, Y), !r(Y).\n\
                           uu(X) :- u(X, Y).\n\
                           z(X) :- m(X), !uu(X).";
+
+/// Two intensional literals per rule body: overdeletion propagates
+/// through delta plans whose other literal reads the pre-update store,
+/// and re-derivation runs head-bound plans over two store relations.
+/// `hub` adds a constant, a repeated body variable and a negation;
+/// `twin` repeats a head variable and `top` puts a constant in the head,
+/// so re-derivation must unify those against the fact.
+const NONLINEAR: &str = "t(X, Y) :- e(X, Y).\n\
+                         t(X, Z) :- t(X, Y), t(Y, Z).\n\
+                         hub(X) :- t(x0, X), t(X, X), !m(X).\n\
+                         twin(X, X) :- m(X), t(X, Y).\n\
+                         top(x1, Y) :- t(Y, x1).";
 
 fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
     let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
@@ -154,6 +172,16 @@ proptest! {
     ) {
         run_case(STRATIFIED, n, &edges, &marks, &batches);
     }
+
+    #[test]
+    fn nonlinear_view_matches_scratch(
+        n in 3usize..=7,
+        edges in vec((0u8..16, 0u8..16), 0..12),
+        marks in vec(0u8..16, 0..5),
+        batches in vec(vec((0u8..2, 0u8..2, 0u8..16, 0u8..16), 0..6), 1..5),
+    ) {
+        run_case(NONLINEAR, n, &edges, &marks, &batches);
+    }
 }
 
 #[test]
@@ -203,5 +231,61 @@ fn retract_everything_for_both_shapes() {
         assert_view_matches(&view, &expected, "retract everything");
         // With an empty base, positive-bodied predicates must be empty.
         assert!(view.store().tuples(IdbId(0)).is_empty());
+    }
+}
+
+/// Fault injection over governed maintenance: for every checkpoint `k`,
+/// one mixed batch under `trip_after_checks(k)` either completes or
+/// falls back to recomputation with `LimitKind::Injected`, and either
+/// way the view matches a from-scratch evaluation. The base is a short
+/// chain (cheap to materialize) and the batch cuts it and appends a
+/// long tail, so maintenance passes more checkpoints than
+/// materialization and both outcomes occur.
+#[test]
+fn governed_maintenance_sweep_falls_back_soundly() {
+    let n = 32u8;
+    let chain: Vec<(u8, u8)> = (0..8).map(|i| (i, i + 1)).collect();
+    for source in [SEMIPOSITIVE, STRATIFIED, NONLINEAR] {
+        let (mut completed, mut fell_back) = (0, 0);
+        for k in 1..=120u64 {
+            let mut expected = build_structure(usize::from(n), &chain, &[0, 3]);
+            let e = expected.signature().lookup("e").unwrap();
+            let m = expected.signature().lookup("m").unwrap();
+            let program = parse_program(source, &expected).unwrap();
+            let options = EvalOptions::new().limits(EvalLimits::new().trip_after_checks(k));
+            let mut view = match Evaluator::with_options(program, options)
+                .unwrap()
+                .materialize(&expected)
+            {
+                Ok(view) => view,
+                // The checkpoint lies inside materialization.
+                Err(EvalError::LimitExceeded { .. }) => continue,
+                Err(err) => panic!("k={k}: {err}"),
+            };
+            let mut update = Update::new()
+                .retract(e, &[ElemId(4), ElemId(5)])
+                .retract(m, &[ElemId(3)])
+                .insert(m, &[ElemId(9)]);
+            for i in 8..n - 1 {
+                update.push_insert(e, &[ElemId(u32::from(i)), ElemId(u32::from(i) + 1)]);
+            }
+            expected.retract(e, &[ElemId(4), ElemId(5)]);
+            expected.retract(m, &[ElemId(3)]);
+            expected.insert(m, &[ElemId(9)]);
+            for i in 8..n - 1 {
+                expected.insert(e, &[ElemId(u32::from(i)), ElemId(u32::from(i) + 1)]);
+            }
+            let profile = view.apply(&update);
+            match profile.fell_back {
+                None => completed += 1,
+                Some(kind) => {
+                    assert_eq!(kind, LimitKind::Injected, "k={k}");
+                    fell_back += 1;
+                }
+            }
+            assert_view_matches(&view, &expected, &format!("trip after {k} checks"));
+        }
+        assert!(completed > 0, "no sweep point completed maintenance");
+        assert!(fell_back > 0, "no sweep point tripped inside maintenance");
     }
 }
