@@ -29,50 +29,6 @@ pub struct Table1Row {
     /// budget (the stand-in for the paper's 512 MB) was exhausted — the
     /// "–" entries of the paper.
     pub mona_micros: Option<f64>,
-    /// Governor checkpoints run by the row's governed datalog
-    /// cross-check (see [`fd_component_readbacks`]).
-    pub limit_checks: usize,
-    /// Fuel the cross-check consumed against its budget.
-    pub fuel_spent: u64,
-}
-
-/// The governed datalog cross-check run per Table 1 row: the connected
-/// component of the queried attribute in the FD incidence graph of the
-/// row's τ-structure encoding (`lh`/`rh` edges between attribute and FD
-/// elements). Attributes outside this component can never influence the
-/// target's primality, so a full-domain component certifies the
-/// generated instance exercises the whole schema — and, since the
-/// evaluation runs under an [`EvalLimits`](mdtw_datalog::EvalLimits)
-/// budget, its meter readbacks give Table 1 rows real
-/// `limit_checks` / `fuel_spent` observability data that scales with the
-/// encoded instance.
-pub const FD_COMPONENT_PROGRAM: &str = "touched(A) :- target(A).\n\
-     touched(F) :- touched(A), lh(F, A).\n\
-     touched(F) :- touched(A), rh(F, A).\n\
-     touched(A) :- touched(F), lh(F, A).\n\
-     touched(A) :- touched(F), rh(F, A).";
-
-/// Evaluates [`FD_COMPONENT_PROGRAM`] (governed, effectively unlimited
-/// fuel) over `structure` extended with a `target/1` relation holding
-/// `target`, and returns `(component_size, limit_checks, fuel_spent)`.
-pub fn fd_component_readbacks(
-    structure: &mdtw_structure::Structure,
-    target: mdtw_structure::ElemId,
-) -> (usize, usize, u64) {
-    use mdtw_datalog::{EvalLimits, EvalOptions, Evaluator};
-    let (mut s, _) = structure.extended([("target", 1)]);
-    let target_p = s.signature().lookup("target").expect("just declared");
-    s.insert(target_p, &[target]);
-    let program = mdtw_datalog::parse_program(FD_COMPONENT_PROGRAM, &s).expect("inline program");
-    let budget = EvalLimits::new().fuel(u64::MAX >> 1);
-    let mut session = Evaluator::with_options(program, EvalOptions::new().limits(budget))
-        .expect("semipositive program");
-    let r = session.evaluate(&s).expect("budget never trips");
-    (
-        r.store.fact_count(),
-        r.stats.limit_checks,
-        r.stats.fuel_spent,
-    )
 }
 
 /// The step budget granted to the MSO baseline per query. Calibrated so
@@ -121,9 +77,6 @@ pub fn measure_row(k: usize, with_mona: bool) -> Table1Row {
         None
     };
 
-    let (_, limit_checks, fuel_spent) =
-        fd_component_readbacks(&inst.encoding.structure, inst.encoding.elem_of_attr(target));
-
     Table1Row {
         tw,
         n_att: inst.schema.attr_count(),
@@ -131,8 +84,6 @@ pub fn measure_row(k: usize, with_mona: bool) -> Table1Row {
         n_tn,
         md_micros,
         mona_micros,
-        limit_checks,
-        fuel_spent,
     }
 }
 
@@ -180,9 +131,8 @@ pub fn render_table1_json(rows: &[Table1Row]) -> String {
         };
         out.push_str(&format!(
             "\n  {{\"tw\": {}, \"n_att\": {}, \"n_fd\": {}, \"n_tn\": {}, \
-             \"md_us\": {:.1}, \"mona_us\": {}, \
-             \"limit_checks\": {}, \"fuel_spent\": {}}}",
-            r.tw, r.n_att, r.n_fd, r.n_tn, r.md_micros, mona, r.limit_checks, r.fuel_spent
+             \"md_us\": {:.1}, \"mona_us\": {}}}",
+            r.tw, r.n_att, r.n_fd, r.n_tn, r.md_micros, mona
         ));
     }
     out.push_str("\n]");
@@ -829,8 +779,6 @@ mod tests {
             n_tn: 10,
             md_micros: 42.0,
             mona_micros: None,
-            limit_checks: 2,
-            fuel_spent: 11,
         }];
         let s = render_table1(&rows);
         assert!(s.contains("MD(us)"));
@@ -978,8 +926,6 @@ mod tests {
                 n_tn: 10,
                 md_micros: 42.25,
                 mona_micros: Some(7.5),
-                limit_checks: 2,
-                fuel_spent: 11,
             },
             Table1Row {
                 tw: 3,
@@ -988,8 +934,6 @@ mod tests {
                 n_tn: 20,
                 md_micros: 84.0,
                 mona_micros: None,
-                limit_checks: 3,
-                fuel_spent: 23,
             },
         ];
         let s = render_table1_json(&rows);
@@ -997,27 +941,8 @@ mod tests {
         assert!(s.contains("\"md_us\": 42.2") || s.contains("\"md_us\": 42.3"));
         assert!(s.contains("\"mona_us\": 7.5"));
         assert!(s.contains("\"mona_us\": null"));
-        assert!(s.contains("\"limit_checks\": 2"));
-        assert!(s.contains("\"fuel_spent\": 23"));
+        assert!(!s.contains("limit_checks") && !s.contains("fuel_spent"));
         assert_eq!(s.matches("{\"tw\"").count(), 2);
-    }
-
-    #[test]
-    fn fd_component_covers_block_tree_instances() {
-        // The generated block-tree schemas are FD-connected from the
-        // queried attribute, and the governed cross-check really spends
-        // fuel and runs checkpoints.
-        let inst = row_instance(2);
-        let target = inst.schema.attr("u0").expect("u0 exists");
-        let (component, limit_checks, fuel_spent) =
-            fd_component_readbacks(&inst.encoding.structure, inst.encoding.elem_of_attr(target));
-        assert_eq!(
-            component,
-            inst.schema.attr_count() + inst.schema.fd_count(),
-            "every attribute and FD element is FD-connected to u0"
-        );
-        assert!(limit_checks > 0);
-        assert!(fuel_spent > 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::cache::PlanCache;
 use crate::eval::{
     debug_assert_semipositive, naive_fixpoint, scan_fixpoint, EvalStats, IdbStore, SeminaiveScratch,
 };
-use crate::ground::{check_quasi_guarded, run_quasi_guarded, FdCatalog, QgError, QgStats};
+use crate::ground::{FdCatalog, QgError, QgPlan, QgStats};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_program_with, StructureStats};
 use crate::profile::{EvalProfile, Explanation, ProfileDetail, Profiler};
@@ -444,6 +444,8 @@ pub struct Evaluator {
     cache_enabled: bool,
     stats_detail: StatsDetail,
     fd_catalog: Option<FdCatalog>,
+    /// The compiled grounding plan ([`Engine::QuasiGuarded`] sessions).
+    qg_plan: Option<QgPlan>,
     outputs: Option<Vec<String>>,
     pruned_rules: usize,
     transforms: TransformSummary,
@@ -465,7 +467,8 @@ impl Evaluator {
     /// A session with explicit [`EvalOptions`]. All program-level
     /// analysis happens here: safety and head checks, stratification,
     /// engine resolution, and (for the quasi-guarded engine) the
-    /// structure-independent guard analysis — so every later
+    /// structure-independent guard analysis, compiled into a grounding
+    /// plan grouped by extensional skeleton — so every later
     /// [`evaluate`](Self::evaluate) starts from a validated program.
     pub fn with_options(mut program: Program, options: EvalOptions) -> Result<Self, EvalError> {
         let mut pruned_rules = 0;
@@ -530,10 +533,12 @@ impl Evaluator {
             });
         }
         let fd_catalog = options.fd_catalog;
-        if engine == Engine::QuasiGuarded {
+        let qg_plan = if engine == Engine::QuasiGuarded {
             let catalog = fd_catalog.as_ref().ok_or(EvalError::MissingFdCatalog)?;
-            check_quasi_guarded(&program, catalog)?;
-        }
+            Some(QgPlan::compile(&program, catalog)?)
+        } else {
+            None
+        };
         let scratch = SeminaiveScratch::new(&program);
         Ok(Self {
             program,
@@ -541,6 +546,7 @@ impl Evaluator {
             cache_enabled: !options.no_cache,
             stats_detail: options.stats_detail,
             fd_catalog,
+            qg_plan,
             outputs: options.outputs,
             pruned_rules,
             transforms,
@@ -601,17 +607,17 @@ impl Evaluator {
                 (store, stats, None, trip)
             }
             Engine::QuasiGuarded => {
-                let catalog = self
-                    .fd_catalog
+                let plan = self
+                    .qg_plan
                     .as_ref()
-                    .expect("QuasiGuarded sessions carry a catalog (checked at construction)");
+                    .expect("QuasiGuarded sessions compile a plan at construction");
                 let mut gov = Governor::new(limits.as_ref());
                 // The quasi-guarded pipeline has no per-rule pass
                 // structure; the profiler records the timeline only.
                 if let Some(p) = profiler.as_mut() {
                     p.begin_stratum_bare(0);
                 }
-                let (store, qg) = run_quasi_guarded(&self.program, structure, catalog, &mut gov)?;
+                let (store, qg) = plan.evaluate(&self.program, structure, &mut gov)?;
                 let stats = EvalStats {
                     facts: store.fact_count(),
                     rounds: 1,

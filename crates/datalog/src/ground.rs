@@ -10,18 +10,39 @@
 //! is functional in both directions (a node has at most one first child
 //! and at most one parent).
 //!
-//! Evaluation follows the proof of Theorem 4.4 literally: instantiate each
-//! rule once per guard tuple (≤ |𝒜| instantiations), resolve the remaining
-//! variables through unique-index lookups, check the residual extensional
-//! literals, and hand the resulting ground program `P′` (of size
-//! `O(|P|·|𝒜|)`) to the LTUR solver of the [`horn`](mod@crate::horn) module.
+//! Evaluation follows the proof of Theorem 4.4: instantiate each rule once
+//! per guard tuple (≤ |𝒜| instantiations), resolve the remaining variables
+//! through unique-index lookups, check the residual extensional literals,
+//! and hand the resulting ground program `P′` (of size `O(|P|·|𝒜|)`) to
+//! the LTUR solver of the [`horn`](mod@crate::horn) module.
+//!
+//! # Skeleton groups
+//!
+//! Everything extensional about an instantiation — binding the guard,
+//! the lookups, the residual checks — depends only on the rule's
+//! *extensional skeleton*: its variable count plus its ordered list of
+//! extensional literals. The Theorem 4.5 construction emits one rule per
+//! (type, transition), so its programs have few skeletons and many rules
+//! per skeleton (812 rules over 16 skeletons for `has_neighbor` at width
+//! 1); the rules differ only in their intensional atoms. `QgPlan`, built
+//! once per session, groups the rules by skeleton and analyzes each group
+//! once. Grounding then does the extensional work once per (group, guard
+//! tuple) and, when it succeeds, instantiates every member rule's
+//! intensional atoms under the shared bindings.
+//!
+//! The `O(|P|·|𝒜|)` bound is unchanged: a group has at most `|𝒜|` guard
+//! tuples and emits at most one ground rule per member and guard tuple.
+//! But the extensional part now costs `O(#groups·|𝒜|)` instead of
+//! `O(|P|·|𝒜|)`; only the emission of `P′` itself still scales with the
+//! rule count.
 
-use crate::ast::{Literal, PredRef, Program, Rule, Term};
+use crate::ast::{Atom, IdbId, Literal, PredRef, Program, Term};
 use crate::eval::IdbStore;
 use crate::horn::{HornProgram, HornRule};
 use crate::limits::Governor;
 use mdtw_structure::fx::FxHashMap;
-use mdtw_structure::{ElemId, PosIndex, PredId, Structure};
+use mdtw_structure::{ElemId, PosIndex, PredId, Relation, Structure};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// A declared functional dependency on an extensional predicate: the
@@ -34,6 +55,22 @@ pub struct FuncDep {
     pub determinant: Vec<usize>,
     /// Determined argument positions.
     pub determined: Vec<usize>,
+}
+
+impl FuncDep {
+    /// True if the guard analysis may use this dependency on a predicate
+    /// of `arity`: the determinant is non-empty, every position is in
+    /// range, and `determinant ∪ determined` covers `0..arity`.
+    fn usable(&self, arity: usize) -> bool {
+        let mut covered = vec![false; arity];
+        for &pos in self.determinant.iter().chain(&self.determined) {
+            match covered.get_mut(pos) {
+                Some(c) => *c = true,
+                None => return false,
+            }
+        }
+        !self.determinant.is_empty() && covered.iter().all(|&c| c)
+    }
 }
 
 /// A catalog of functional dependencies per extensional predicate.
@@ -50,9 +87,12 @@ impl FdCatalog {
 
     /// Declares a functional dependency.
     ///
-    /// # Panics
-    /// Panics if `determinant ∪ determined` does not cover `0..arity` of
-    /// intended use (checked lazily during grounding).
+    /// Every declaration is accepted, but the guard analysis uses only
+    /// those that can serve as a unique index: a non-empty determinant,
+    /// every position within the predicate's arity, and
+    /// `determinant ∪ determined` covering the whole arity. Any other
+    /// declaration is ignored, so a rule that would need it is rejected
+    /// with [`QgError::NotQuasiGuarded`] when the session is built.
     pub fn declare(&mut self, pred: PredId, determinant: Vec<usize>, determined: Vec<usize>) {
         self.deps.entry(pred).or_default().push(FuncDep {
             determinant,
@@ -127,98 +167,320 @@ impl std::fmt::Display for QgError {
 impl std::error::Error for QgError {}
 
 /// Statistics from quasi-guarded evaluation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QgStats {
     /// Number of ground rules produced (`|P′| ≤ |P|·|𝒜|`).
     pub ground_rules: usize,
-    /// Number of guard instantiations attempted.
+    /// Number of (skeleton group, guard tuple) pairs visited — one per
+    /// group for a variable-free group. Each pair is one unit of governed
+    /// work, so the fuel a governed evaluation charges follows this count.
     pub guard_instantiations: usize,
     /// Number of distinct ground atoms.
     pub ground_atoms: usize,
 }
 
-/// One step of a rule's variable-resolution plan.
-#[derive(Debug, Clone)]
-struct PlanStep {
-    /// Body literal index supplying the lookup.
+/// One step of a skeleton's variable-resolution plan: fetch the tuple of
+/// extensional literal `literal` through the unique index on
+/// `determinant`, binding the variables it determines.
+#[derive(Debug)]
+struct Lookup {
+    /// Index into [`Skeleton::edb`].
     literal: usize,
-    /// Functional dependency used.
-    fd: FuncDep,
+    /// The literal's predicate.
+    pred: PredId,
+    /// Determinant positions of the dependency used.
+    determinant: Vec<usize>,
+    /// Index into [`QgPlan::unique_keys`]: the index this step probes.
+    key: usize,
 }
 
-/// The grounding plan of one rule.
-#[derive(Debug, Clone)]
-struct RulePlan {
-    /// Guard literal index (`None` for variable-free rules).
+/// An intensional atom of a member rule.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct IdbAtom {
+    pred: IdbId,
+    terms: Box<[Term]>,
+}
+
+/// The intensional part of one rule of a skeleton group, as indexes into
+/// [`Skeleton::atoms`].
+#[derive(Debug)]
+struct Member {
+    head: u32,
+    body: Box<[u32]>,
+}
+
+/// Rules sharing one extensional skeleton, with the skeleton's grounding
+/// plan.
+#[derive(Debug)]
+struct Skeleton {
+    var_count: usize,
+    /// The shared extensional literals, in body order.
+    edb: Vec<Literal>,
+    /// Guard literal (index into `edb`); `None` for variable-free rules.
     guard: Option<usize>,
     /// Lookup steps executed after binding the guard.
-    steps: Vec<PlanStep>,
+    lookups: Vec<Lookup>,
+    /// The extensional literals neither the guard nor a lookup verifies.
+    residual: Vec<usize>,
+    /// The distinct intensional atoms of the members: each is interned at
+    /// most once per guard tuple, however many members share it.
+    atoms: Vec<IdbAtom>,
+    members: Vec<Member>,
+}
+
+/// The compiled quasi-guarded grounding plan of a program: its rules
+/// grouped by extensional skeleton (see the [module docs](self)), each
+/// group analyzed once. Structure-independent, so an
+/// [`Evaluator`](crate::evaluator::Evaluator) session builds it once at
+/// construction and every evaluation reuses it.
+#[derive(Debug)]
+pub(crate) struct QgPlan {
+    groups: Vec<Skeleton>,
+    /// The distinct `(predicate, determinant)` unique indexes the lookups
+    /// probe; each is validated once per grounding.
+    unique_keys: Vec<(PredId, Vec<usize>)>,
+    idb_arities: Vec<usize>,
 }
 
 /// Verifies that every rule of `program` is quasi-guarded under `catalog`
-/// (structure-independent, so an [`Evaluator`](crate::evaluator::Evaluator)
-/// session can validate once at construction).
+/// (structure-independent; the linter's MD030 pass).
 pub(crate) fn check_quasi_guarded(program: &Program, catalog: &FdCatalog) -> Result<(), QgError> {
-    analyze(program, catalog).map(|_| ())
+    QgPlan::analyze(program, catalog).map(|_| ())
 }
 
-/// Verifies that every rule of `program` is quasi-guarded under `catalog`
-/// and returns the per-rule plans.
-fn analyze(program: &Program, catalog: &FdCatalog) -> Result<Vec<RulePlan>, QgError> {
-    let mut plans = Vec::with_capacity(program.rules.len());
-    for (ri, rule) in program.rules.iter().enumerate() {
-        plans.push(analyze_rule(rule, catalog).ok_or(QgError::NotQuasiGuarded { rule: ri })?);
+fn edb_pred(literal: &Literal) -> PredId {
+    match literal.atom.pred {
+        PredRef::Edb(p) => p,
+        PredRef::Idb(_) => unreachable!("skeletons hold extensional literals only"),
     }
-    Ok(plans)
 }
 
-fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
-    let nvars = rule.var_count as usize;
-    if nvars == 0 {
-        return Some(RulePlan {
-            guard: None,
-            steps: Vec::new(),
-        });
+impl QgPlan {
+    /// Compiles the grounding plan of a semipositive program.
+    ///
+    /// # Errors
+    /// [`QgError::NotSemipositive`] if the program negates an intensional
+    /// atom, [`QgError::NotQuasiGuarded`] naming the first rule without a
+    /// quasi-guard under `catalog`.
+    pub(crate) fn compile(program: &Program, catalog: &FdCatalog) -> Result<Self, QgError> {
+        program
+            .check_semipositive()
+            .map_err(|message| QgError::NotSemipositive { message })?;
+        Self::analyze(program, catalog)
     }
-    let edb_literals: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Edb(_)))
-        .map(|(i, _)| i)
-        .collect();
-    'guards: for &gi in &edb_literals {
-        let mut bound = vec![false; nvars];
-        for v in rule.body[gi].atom.vars() {
+
+    /// Groups the rules by skeleton and finds each group's quasi-guard.
+    fn analyze(program: &Program, catalog: &FdCatalog) -> Result<Self, QgError> {
+        let mut plan = Self {
+            groups: Vec::new(),
+            unique_keys: Vec::new(),
+            idb_arities: program.idb_arities.clone(),
+        };
+        let mut by_skeleton: FxHashMap<(u32, Vec<Literal>), usize> = FxHashMap::default();
+        let mut atom_index: FxHashMap<(usize, IdbAtom), u32> = FxHashMap::default();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            let edb: Vec<Literal> = rule
+                .body
+                .iter()
+                .filter(|l| matches!(l.atom.pred, PredRef::Edb(_)))
+                .cloned()
+                .collect();
+            let group = match by_skeleton.entry((rule.var_count, edb)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let skeleton = plan
+                        .skeleton(rule.var_count as usize, e.key().1.clone(), catalog)
+                        .ok_or(QgError::NotQuasiGuarded { rule: ri })?;
+                    plan.groups.push(skeleton);
+                    *e.insert(plan.groups.len() - 1)
+                }
+            };
+            let skeleton = &mut plan.groups[group];
+            let mut index = |atom: &Atom| -> Option<u32> {
+                let PredRef::Idb(pred) = atom.pred else {
+                    return None;
+                };
+                let atom = IdbAtom {
+                    pred,
+                    terms: atom.terms.as_slice().into(),
+                };
+                Some(
+                    *atom_index
+                        .entry((group, atom))
+                        .or_insert_with_key(|(_, atom)| {
+                            skeleton.atoms.push(atom.clone());
+                            skeleton.atoms.len() as u32 - 1
+                        }),
+                )
+            };
+            let member = Member {
+                head: index(&rule.head).expect("extensional heads rejected earlier"),
+                body: rule.body.iter().filter_map(|l| index(&l.atom)).collect(),
+            };
+            skeleton.members.push(member);
+        }
+        Ok(plan)
+    }
+
+    /// Finds a quasi-guard for the skeleton `(var_count, edb)` and its
+    /// lookup plan, or `None` if no positive extensional literal is one.
+    fn skeleton(
+        &mut self,
+        var_count: usize,
+        edb: Vec<Literal>,
+        catalog: &FdCatalog,
+    ) -> Option<Skeleton> {
+        let (guard, mut lookups) = if var_count == 0 {
+            (None, Vec::new())
+        } else {
+            let (gi, lookups) = find_guard(var_count, &edb, catalog)?;
+            (Some(gi), lookups)
+        };
+        for step in &mut lookups {
+            let key = (step.pred, step.determinant.clone());
+            step.key = match self.unique_keys.iter().position(|k| *k == key) {
+                Some(k) => k,
+                None => {
+                    self.unique_keys.push(key);
+                    self.unique_keys.len() - 1
+                }
+            };
+        }
+        let residual = (0..edb.len())
+            .filter(|&i| guard != Some(i) && lookups.iter().all(|l| l.literal != i))
+            .collect();
+        Some(Skeleton {
+            var_count,
+            edb,
+            guard,
+            lookups,
+            residual,
+            atoms: Vec::new(),
+            members: Vec::new(),
+        })
+    }
+
+    /// Grounds the program over `structure` (the construction in the proof
+    /// of Theorem 4.4, one skeleton group at a time). The guard loop is the
+    /// pipeline's only data-proportional loop, so it carries the work
+    /// checkpoints (one unit per group and guard tuple). On a trip the
+    /// grounding is *incomplete* — the caller must not solve it for a
+    /// model (an incomplete grounding under-constrains nothing but proves
+    /// nothing).
+    ///
+    /// # Errors
+    /// [`QgError::FdViolated`] if the data violates a dependency a lookup
+    /// relies on.
+    fn ground(&self, structure: &Structure, gov: &mut Governor<'_>) -> Result<Grounding, QgError> {
+        let indexes = self
+            .unique_keys
+            .iter()
+            .map(|(pred, determinant)| unique_index(structure, *pred, determinant))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut atoms = AtomTable::new(&self.idb_arities);
+        let mut horn = HornProgram::default();
+        let mut stats = QgStats::default();
+        let mut bindings: Vec<Option<ElemId>> = Vec::new();
+        let mut args: Vec<ElemId> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
+        'groups: for group in &self.groups {
+            bindings.clear();
+            bindings.resize(group.var_count, None);
+            let Some(gi) = group.guard else {
+                stats.guard_instantiations += 1;
+                if group.residual_holds(structure, &bindings, &mut args) {
+                    group.emit(&bindings, &mut atoms, &mut horn, &mut args, &mut ids);
+                }
+                continue;
+            };
+            let guard = &group.edb[gi].atom.terms;
+            for tuple in structure.relation(edb_pred(&group.edb[gi])).iter() {
+                stats.guard_instantiations += 1;
+                if gov.work(stats.guard_instantiations, 0) {
+                    break 'groups;
+                }
+                bindings.fill(None);
+                if bind(guard, tuple, &mut bindings)
+                    && group.resolve(structure, &indexes, &mut bindings, &mut args)
+                    && group.residual_holds(structure, &bindings, &mut args)
+                {
+                    group.emit(&bindings, &mut atoms, &mut horn, &mut args, &mut ids);
+                }
+            }
+        }
+        horn.n_atoms = atoms.len as usize;
+        stats.ground_atoms = horn.n_atoms;
+        stats.ground_rules = horn.rules.len();
+        Ok(Grounding { horn, atoms, stats })
+    }
+
+    /// Full quasi-guarded evaluation: ground, run LTUR, decode into an
+    /// [`IdbStore`] shaped for `program` (the program this plan was
+    /// compiled from). Runs in `O(|P| · |𝒜|)` (Theorem 4.4). On a governor
+    /// trip the grounding is incomplete, so the LTUR solve is *skipped* — a
+    /// least model of a partial grounding is not a subset of the real one
+    /// — and an empty store is returned; the caller reads the trip off the
+    /// governor and reports no partial result.
+    pub(crate) fn evaluate(
+        &self,
+        program: &Program,
+        structure: &Structure,
+        gov: &mut Governor<'_>,
+    ) -> Result<(IdbStore, QgStats), QgError> {
+        let grounding = self.ground(structure, gov)?;
+        // Stage checkpoint at the grounding → solve boundary: guarantees
+        // every governed QG run passes at least one checkpoint, however
+        // small the structure (the amortized work checks inside the
+        // grounding loop only fire every few thousand guard
+        // instantiations).
+        gov.round(grounding.stats.guard_instantiations, 0);
+        let mut store = IdbStore::new_for(program);
+        if gov.tripped().is_some() {
+            return Ok((store, grounding.stats));
+        }
+        let model = grounding.horn.least_model();
+        let atoms = &grounding.atoms;
+        for (p, (rel, ids)) in atoms.rels.iter().zip(&atoms.ids).enumerate() {
+            for (tuple, &id) in rel.iter().zip(ids) {
+                if model[id as usize] {
+                    store.insert_raw(IdbId(p as u32), tuple);
+                }
+            }
+        }
+        Ok((store, grounding.stats))
+    }
+}
+
+/// Searches the positive literals of `edb` for a quasi-guard: returns its
+/// index and the lookups that bind the remaining variables, in execution
+/// order (their [`Lookup::key`]s are not assigned yet).
+fn find_guard(
+    var_count: usize,
+    edb: &[Literal],
+    catalog: &FdCatalog,
+) -> Option<(usize, Vec<Lookup>)> {
+    let positive: Vec<usize> = (0..edb.len()).filter(|&i| edb[i].positive).collect();
+    'guards: for &gi in &positive {
+        let mut bound = vec![false; var_count];
+        for v in edb[gi].atom.vars() {
             bound[v.index()] = true;
         }
         let mut steps = Vec::new();
         loop {
             if bound.iter().all(|&b| b) {
-                return Some(RulePlan {
-                    guard: Some(gi),
-                    steps,
-                });
+                return Some((gi, steps));
             }
             // Find a literal+FD whose determinant is fully bound and which
             // binds at least one new variable.
             let mut progressed = false;
-            for &li in &edb_literals {
-                let lit = &rule.body[li];
-                let pred = match lit.atom.pred {
-                    PredRef::Edb(p) => p,
-                    PredRef::Idb(_) => unreachable!(),
-                };
+            for &li in &positive {
+                let terms = &edb[li].atom.terms;
+                let pred = edb_pred(&edb[li]);
                 for fd in catalog.of(pred) {
-                    if fd
-                        .determinant
-                        .iter()
-                        .chain(&fd.determined)
-                        .any(|&pos| pos >= lit.atom.terms.len())
-                    {
-                        continue; // malformed declaration for this arity
+                    if !fd.usable(terms.len()) {
+                        continue;
                     }
-                    let det_bound = fd.determinant.iter().all(|&pos| match lit.atom.terms[pos] {
+                    let det_bound = fd.determinant.iter().all(|&pos| match terms[pos] {
                         Term::Const(_) => true,
                         Term::Var(v) => bound[v.index()],
                     });
@@ -227,17 +489,16 @@ fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
                     }
                     let mut news = false;
                     for &pos in &fd.determined {
-                        if let Term::Var(v) = lit.atom.terms[pos] {
-                            if !bound[v.index()] {
-                                bound[v.index()] = true;
-                                news = true;
-                            }
+                        if let Term::Var(v) = terms[pos] {
+                            news |= !std::mem::replace(&mut bound[v.index()], true);
                         }
                     }
                     if news {
-                        steps.push(PlanStep {
+                        steps.push(Lookup {
                             literal: li,
-                            fd: fd.clone(),
+                            pred,
+                            determinant: fd.determinant.clone(),
+                            key: 0,
                         });
                         progressed = true;
                     }
@@ -249,6 +510,136 @@ fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
         }
     }
     None
+}
+
+/// The value of `term` under `bindings`.
+#[inline]
+fn value(term: &Term, bindings: &[Option<ElemId>]) -> ElemId {
+    match *term {
+        Term::Const(c) => c,
+        Term::Var(v) => bindings[v.index()].expect("plan bound the variable"),
+    }
+}
+
+/// Unifies `terms` with `tuple`, extending `bindings`; false on a clash
+/// with a constant or an earlier binding.
+#[inline]
+fn bind(terms: &[Term], tuple: &[ElemId], bindings: &mut [Option<ElemId>]) -> bool {
+    terms.iter().zip(tuple).all(|(term, &value)| match *term {
+        Term::Const(c) => c == value,
+        Term::Var(v) => *bindings[v.index()].get_or_insert(value) == value,
+    })
+}
+
+impl Skeleton {
+    /// Runs the lookup steps after the guard is bound; false if a lookup
+    /// finds no tuple or its tuple clashes with the bindings.
+    fn resolve(
+        &self,
+        structure: &Structure,
+        indexes: &[Arc<PosIndex>],
+        bindings: &mut [Option<ElemId>],
+        key: &mut Vec<ElemId>,
+    ) -> bool {
+        self.lookups.iter().all(|step| {
+            let terms = &self.edb[step.literal].atom.terms;
+            key.clear();
+            key.extend(
+                step.determinant
+                    .iter()
+                    .map(|&pos| value(&terms[pos], bindings)),
+            );
+            let rel = structure.relation(step.pred);
+            // FD validation made every bucket a singleton.
+            match rel.rows_matching(&indexes[step.key], key).first() {
+                Some(&row) => bind(terms, rel.tuple(row), bindings),
+                None => false,
+            }
+        })
+    }
+
+    /// Checks the residual extensional literals under full bindings.
+    fn residual_holds(
+        &self,
+        structure: &Structure,
+        bindings: &[Option<ElemId>],
+        args: &mut Vec<ElemId>,
+    ) -> bool {
+        self.residual.iter().all(|&i| {
+            let Literal { atom, positive } = &self.edb[i];
+            args.clear();
+            args.extend(atom.terms.iter().map(|t| value(t, bindings)));
+            structure.holds(edb_pred(&self.edb[i]), args) == *positive
+        })
+    }
+
+    /// Adds one ground rule per member under `bindings` (`ids` caches
+    /// the atom id of each of [`Skeleton::atoms`] for this instantiation).
+    fn emit(
+        &self,
+        bindings: &[Option<ElemId>],
+        table: &mut AtomTable,
+        horn: &mut HornProgram,
+        args: &mut Vec<ElemId>,
+        ids: &mut Vec<u32>,
+    ) {
+        ids.clear();
+        ids.resize(self.atoms.len(), u32::MAX);
+        let mut id = |i: u32| {
+            let slot = &mut ids[i as usize];
+            if *slot == u32::MAX {
+                *slot = table.intern(&self.atoms[i as usize], bindings, args);
+            }
+            *slot
+        };
+        for member in &self.members {
+            let body = member.body.iter().map(|&i| id(i)).collect();
+            horn.rules.push(HornRule {
+                head: id(member.head),
+                body,
+            });
+        }
+    }
+}
+
+/// The ground-atom interner: one relation per intensional predicate holds
+/// the interned tuples, and `ids[pred][row]` is the atom id of that row.
+/// Interning a seen atom is a hash probe into the relation's arena; nothing
+/// is allocated per lookup.
+#[derive(Debug)]
+struct AtomTable {
+    rels: Vec<Relation>,
+    ids: Vec<Vec<u32>>,
+    len: u32,
+}
+
+impl AtomTable {
+    fn new(arities: &[usize]) -> Self {
+        Self {
+            rels: arities.iter().map(|&a| Relation::new(a)).collect(),
+            ids: vec![Vec::new(); arities.len()],
+            len: 0,
+        }
+    }
+
+    /// The atom id of `atom` under `bindings`, interning it if new
+    /// (`args` is scratch space).
+    fn intern(
+        &mut self,
+        atom: &IdbAtom,
+        bindings: &[Option<ElemId>],
+        args: &mut Vec<ElemId>,
+    ) -> u32 {
+        args.clear();
+        args.extend(atom.terms.iter().map(|t| value(t, bindings)));
+        let p = atom.pred.index();
+        let (row, new) = self.rels[p].insert_row(args);
+        if new {
+            self.ids[p].push(self.len);
+            self.len += 1;
+        }
+        self.ids[p][row as usize]
+    }
 }
 
 /// Builds (through the relation's shared index cache) the secondary index
@@ -275,21 +666,28 @@ fn unique_index(
 pub struct Grounding {
     /// The propositional Horn program `P′`.
     pub horn: HornProgram,
-    /// Ground atom interner: `(IdbId index, args) → atom id`.
-    atom_ids: FxHashMap<(u32, Box<[ElemId]>), u32>,
+    /// Ground atom interner.
+    atoms: AtomTable,
     /// Statistics.
     pub stats: QgStats,
 }
 
 impl Grounding {
     /// The atom id of `pred(args)` if it occurs in the grounding.
-    pub fn atom_id(&self, pred: crate::ast::IdbId, args: &[ElemId]) -> Option<u32> {
-        self.atom_ids.get(&(pred.0, args.into())).copied()
+    pub fn atom_id(&self, pred: IdbId, args: &[ElemId]) -> Option<u32> {
+        let rel = self.atoms.rels.get(pred.index())?;
+        if rel.arity() != args.len() {
+            return None;
+        }
+        rel.row_of(args)
+            .map(|row| self.atoms.ids[pred.index()][row as usize])
     }
 }
 
 /// Grounds a quasi-guarded program over a structure (the construction in
-/// the proof of Theorem 4.4).
+/// the proof of Theorem 4.4). A one-shot entry point: it compiles the
+/// `QgPlan` an [`Evaluator`](crate::evaluator::Evaluator) session would
+/// build once, and grounds with it.
 ///
 /// # Errors
 /// [`QgError::NotSemipositive`] if the program negates an intensional
@@ -300,242 +698,13 @@ pub fn ground(
     structure: &Structure,
     catalog: &FdCatalog,
 ) -> Result<Grounding, QgError> {
-    ground_governed(program, structure, catalog, &mut Governor::new(None))
-}
-
-/// [`ground`] with a resource governor: the guard-instantiation loop is
-/// the pipeline's only data-proportional loop, so it carries the work
-/// checkpoints (1 fuel unit per guard instantiation). On a trip the
-/// grounding is *incomplete* — the caller must not solve it for a model
-/// (an incomplete grounding under-constrains nothing but proves nothing).
-pub(crate) fn ground_governed(
-    program: &Program,
-    structure: &Structure,
-    catalog: &FdCatalog,
-    gov: &mut Governor<'_>,
-) -> Result<Grounding, QgError> {
-    program
-        .check_semipositive()
-        .map_err(|message| QgError::NotSemipositive { message })?;
-    let plans = analyze(program, catalog)?;
-
-    // Resolve each rule's lookup steps to (predicate, unique index) pairs
-    // up front, validating the declared FDs once per distinct index.
-    let mut validated: FxHashMap<(PredId, Box<[usize]>), Arc<PosIndex>> = FxHashMap::default();
-    let mut step_indexes: Vec<Vec<(PredId, Arc<PosIndex>)>> = Vec::with_capacity(plans.len());
-    for (rule, plan) in program.rules.iter().zip(&plans) {
-        let mut resolved = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let pred = match rule.body[step.literal].atom.pred {
-                PredRef::Edb(p) => p,
-                PredRef::Idb(_) => unreachable!(),
-            };
-            let key = (pred, step.fd.determinant.clone().into_boxed_slice());
-            let idx = match validated.get(&key) {
-                Some(idx) => Arc::clone(idx),
-                None => {
-                    let idx = unique_index(structure, pred, &step.fd.determinant)?;
-                    validated.insert(key, Arc::clone(&idx));
-                    idx
-                }
-            };
-            resolved.push((pred, idx));
-        }
-        step_indexes.push(resolved);
-    }
-
-    let mut atom_ids: FxHashMap<(u32, Box<[ElemId]>), u32> = FxHashMap::default();
-    let mut horn = HornProgram::default();
-    let mut stats = QgStats::default();
-
-    let mut intern = |atom_ids: &mut FxHashMap<(u32, Box<[ElemId]>), u32>,
-                      pred: u32,
-                      args: Box<[ElemId]>|
-     -> u32 {
-        let next = atom_ids.len() as u32;
-        *atom_ids.entry((pred, args)).or_insert(next)
-    };
-
-    let mut key_buf: Vec<ElemId> = Vec::new();
-    'rules: for ((rule, plan), rule_indexes) in program.rules.iter().zip(&plans).zip(&step_indexes)
-    {
-        let mut bindings: Vec<Option<ElemId>> = vec![None; rule.var_count as usize];
-        match plan.guard {
-            None => {
-                // Variable-free rule: single instantiation.
-                stats.guard_instantiations += 1;
-                emit_ground_rule(
-                    rule,
-                    &bindings,
-                    structure,
-                    &mut horn,
-                    &mut atom_ids,
-                    &mut intern,
-                    &mut stats,
-                );
-            }
-            Some(gi) => {
-                let guard_pred = match rule.body[gi].atom.pred {
-                    PredRef::Edb(p) => p,
-                    PredRef::Idb(_) => unreachable!(),
-                };
-                let guard_atom = &rule.body[gi].atom;
-                'tuples: for tuple in structure.relation(guard_pred).iter() {
-                    stats.guard_instantiations += 1;
-                    if gov.work(stats.guard_instantiations, 0) {
-                        break 'rules;
-                    }
-                    bindings.fill(None);
-                    // Bind the guard.
-                    for (term, &value) in guard_atom.terms.iter().zip(tuple) {
-                        match term {
-                            Term::Const(c) => {
-                                if *c != value {
-                                    continue 'tuples;
-                                }
-                            }
-                            Term::Var(v) => match bindings[v.index()] {
-                                Some(prev) if prev != value => continue 'tuples,
-                                _ => bindings[v.index()] = Some(value),
-                            },
-                        }
-                    }
-                    // Execute the lookup plan.
-                    for (step, (pred, idx)) in plan.steps.iter().zip(rule_indexes) {
-                        let lit = &rule.body[step.literal];
-                        key_buf.clear();
-                        for &pos in &step.fd.determinant {
-                            key_buf.push(match lit.atom.terms[pos] {
-                                Term::Const(c) => c,
-                                Term::Var(v) => {
-                                    bindings[v.index()].expect("determinant bound by plan")
-                                }
-                            });
-                        }
-                        let rel = structure.relation(*pred);
-                        // FD validation made every bucket a singleton.
-                        let Some(&row) = rel.rows_matching(idx, &key_buf).first() else {
-                            continue 'tuples; // no matching tuple: rule body unsatisfiable
-                        };
-                        let found = rel.tuple(row);
-                        for (pos, &value) in found.iter().enumerate() {
-                            match lit.atom.terms[pos] {
-                                Term::Const(c) => {
-                                    if c != value {
-                                        continue 'tuples;
-                                    }
-                                }
-                                Term::Var(v) => match bindings[v.index()] {
-                                    Some(prev) if prev != value => continue 'tuples,
-                                    _ => bindings[v.index()] = Some(value),
-                                },
-                            }
-                        }
-                    }
-                    emit_ground_rule(
-                        rule,
-                        &bindings,
-                        structure,
-                        &mut horn,
-                        &mut atom_ids,
-                        &mut intern,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-    }
-    horn.n_atoms = atom_ids.len();
-    stats.ground_atoms = atom_ids.len();
-    stats.ground_rules = horn.rules.len();
-    Ok(Grounding {
-        horn,
-        atom_ids,
-        stats,
-    })
-}
-
-/// Checks residual extensional literals under full bindings and, if they
-/// pass, adds the instantiated rule to the Horn program.
-#[allow(clippy::too_many_arguments)]
-fn emit_ground_rule(
-    rule: &Rule,
-    bindings: &[Option<ElemId>],
-    structure: &Structure,
-    horn: &mut HornProgram,
-    atom_ids: &mut FxHashMap<(u32, Box<[ElemId]>), u32>,
-    intern: &mut impl FnMut(&mut FxHashMap<(u32, Box<[ElemId]>), u32>, u32, Box<[ElemId]>) -> u32,
-    stats: &mut QgStats,
-) {
-    let value = |t: &Term| -> ElemId {
-        match t {
-            Term::Const(c) => *c,
-            Term::Var(v) => bindings[v.index()].expect("plan bound all variables"),
-        }
-    };
-    let mut body_atoms: Vec<u32> = Vec::new();
-    for Literal { atom, positive } in &rule.body {
-        let args: Box<[ElemId]> = atom.terms.iter().map(value).collect();
-        match atom.pred {
-            PredRef::Edb(p) => {
-                if structure.holds(p, &args) != *positive {
-                    return; // extensional literal fails: drop instantiation
-                }
-            }
-            PredRef::Idb(id) => {
-                debug_assert!(*positive, "semipositive program");
-                body_atoms.push(intern(atom_ids, id.0, args));
-            }
-        }
-    }
-    let head_args: Box<[ElemId]> = rule.head.terms.iter().map(value).collect();
-    let head = match rule.head.pred {
-        PredRef::Idb(id) => intern(atom_ids, id.0, head_args),
-        PredRef::Edb(_) => unreachable!("extensional heads rejected earlier"),
-    };
-    horn.rules.push(HornRule {
-        head,
-        body: body_atoms,
-    });
-    let _ = stats;
-}
-
-/// Full quasi-guarded evaluation: ground, run LTUR, decode into an
-/// [`IdbStore`]. Runs in `O(|P| · |𝒜|)` (Theorem 4.4). The engine behind
-/// [`Evaluator`](crate::evaluator::Evaluator) sessions with an attached
-/// [`FdCatalog`]. On a governor trip the grounding is incomplete, so the
-/// LTUR solve is *skipped* — a least model of a partial grounding is not a
-/// subset of the real one — and an empty store is returned; the caller
-/// reads the trip off the governor and reports no partial result.
-pub(crate) fn run_quasi_guarded(
-    program: &Program,
-    structure: &Structure,
-    catalog: &FdCatalog,
-    gov: &mut Governor<'_>,
-) -> Result<(IdbStore, QgStats), QgError> {
-    let grounding = ground_governed(program, structure, catalog, gov)?;
-    // Stage checkpoint at the grounding → solve boundary: guarantees every
-    // governed QG run passes at least one checkpoint, however small the
-    // structure (the amortized work checks inside the grounding loop only
-    // fire every few thousand guard instantiations).
-    gov.round(grounding.stats.guard_instantiations, 0);
-    if gov.tripped().is_some() {
-        return Ok((IdbStore::new_for(program), grounding.stats));
-    }
-    let model = grounding.horn.least_model();
-    let mut store = IdbStore::new_for(program);
-    for ((pred, args), id) in &grounding.atom_ids {
-        if model[*id as usize] {
-            store.insert_raw(crate::ast::IdbId(*pred), args);
-        }
-    }
-    Ok((store, grounding.stats))
+    QgPlan::compile(program, catalog)?.ground(structure, &mut Governor::new(None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{EvalOptions, Evaluator};
+    use crate::evaluator::{EvalError, EvalOptions, Evaluator};
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, Signature};
     use std::sync::Arc;
@@ -592,6 +761,33 @@ mod tests {
     }
 
     #[test]
+    fn rules_sharing_a_skeleton_share_guard_work() {
+        let s = chain_structure(6);
+        let cat = chain_catalog(&s);
+        // Two skeletons: `first(X)` (rules 0, 1) and `next(X, Y)` (rules
+        // 2, 3); the intensional atoms differ per rule.
+        let p = parse_program(
+            "a(X) :- first(X).\nb(X) :- first(X).\n\
+             reach(Y) :- a(X), next(X, Y).\nreach(Y) :- reach(X), next(X, Y).",
+            &s,
+        )
+        .unwrap();
+        let grounding = ground(&p, &s, &cat).unwrap();
+        let stats = grounding.stats;
+        assert_eq!(stats.guard_instantiations, 1 + 5, "one pass per skeleton");
+        assert_eq!(stats.ground_rules, 2 + 2 * 5, "one rule per member");
+        // a(0..5) (as heads and bodies), b(0) and reach(0..6), each
+        // interned once.
+        assert_eq!(stats.ground_atoms, 5 + 1 + 6);
+        let reach = p.idb("reach").unwrap();
+        assert!(grounding.atom_id(reach, &[ElemId(5)]).is_some());
+        assert_eq!(grounding.atom_id(reach, &[ElemId(0), ElemId(1)]), None);
+        assert_eq!(grounding.atom_id(IdbId(99), &[ElemId(0)]), None);
+        let (store, _) = eval_qg(&p, &s, &cat);
+        assert_eq!(store.unary(reach).len(), 5);
+    }
+
+    #[test]
     fn agrees_with_seminaive() {
         let s = chain_structure(9);
         let cat = chain_catalog(&s);
@@ -614,12 +810,9 @@ mod tests {
     fn rejects_unguarded_rule() {
         let s = chain_structure(4);
         let cat = FdCatalog::new(); // no FDs declared
-                                    // Y is not functionally dependent on any single EDB atom's vars.
+                                    // first(X) binds X only and first(Y) binds Y only: without FDs
+                                    // neither literal can bind the other's variable.
         let p = parse_program("pair(X, Y) :- first(X), first(Y).", &s).unwrap();
-        // first(X) binds X only; first(Y) binds Y only; neither atom alone
-        // covers both and no FDs help... but wait: both are EDB candidates
-        // and the *other* literal is also extensional. Without FDs the
-        // analysis cannot bind the other variable.
         let err = ground(&p, &s, &cat).unwrap_err();
         assert_eq!(err, QgError::NotQuasiGuarded { rule: 0 });
     }
@@ -660,6 +853,48 @@ mod tests {
             ground(&p, &s, &cat).unwrap_err(),
             QgError::FdViolated { pred: next }
         );
+    }
+
+    #[test]
+    fn unusable_dependencies_are_ignored_by_the_analysis() {
+        // t(n, a, b) and t(n, a, c) satisfy {0}→{1}, but that dependency
+        // does not cover position 2, so it cannot serve as a unique index:
+        // using it would report a spurious FdViolated at evaluation.
+        let sig = Arc::new(Signature::from_pairs([("u", 2), ("t", 3)]));
+        let mut s = Structure::new(sig, Domain::from_names(["n", "a", "b", "c", "w"]));
+        let (u, t) = (
+            s.signature().lookup("u").unwrap(),
+            s.signature().lookup("t").unwrap(),
+        );
+        let e = |name| s.domain().lookup(name).unwrap();
+        let (n, a, b, c, w) = (e("n"), e("a"), e("b"), e("c"), e("w"));
+        s.insert(t, &[n, a, b]);
+        s.insert(t, &[n, a, c]);
+        s.insert(u, &[n, w]);
+        // Y is reachable from the guard u(X, W) only through {0}→{1}.
+        let p = parse_program("r(Y, W) :- u(X, W), t(X, Y, c).", &s).unwrap();
+        let malformed = [
+            (vec![0], vec![1]),       // does not cover position 2
+            (vec![0], vec![1, 2, 3]), // position 3 out of range
+            (vec![], vec![0, 1, 2]),  // empty determinant
+        ];
+        for (determinant, determined) in malformed {
+            let mut cat = FdCatalog::new();
+            cat.declare(t, determinant.clone(), determined);
+            let err =
+                Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(cat)).unwrap_err();
+            assert_eq!(
+                err,
+                EvalError::QuasiGuarded(QgError::NotQuasiGuarded { rule: 0 }),
+                "determinant {determinant:?}"
+            );
+        }
+        // A covering dependency the data satisfies is usable: Y resolves
+        // through {0, 2}→{1}.
+        let mut cat = FdCatalog::new();
+        cat.declare(t, vec![0, 2], vec![1]);
+        let (store, _) = eval_qg(&p, &s, &cat);
+        assert!(store.holds(p.idb("r").unwrap(), &[a, w]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 3. the MSO-to-FTA baseline with its determinization blow-up.
 //!
 //! ```text
-//! cargo run -p mdtw-examples --bin mso_pipeline
+//! cargo run --release --example mso_pipeline
 //! ```
 
 use mdtw_datalog::{EvalOptions, Evaluator, FdCatalog};
@@ -16,7 +16,7 @@ use mdtw_graph::{encode_graph, partial_k_tree, Graph};
 use mdtw_mso::{
     compile::compile_unary_filtered, eval_unary, has_neighbor, Budget, CompileLimits, IndVar,
 };
-use mdtw_structure::Structure;
+use mdtw_structure::{ElemId, Structure};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -40,12 +40,14 @@ fn main() {
     let forest = Graph::from_edges(7, &[(0, 1), (1, 2), (3, 4), (2, 5)]);
     let structure = encode_graph(&forest);
 
-    print!("naive MSO evaluation:       ");
-    for v in structure.domain().elems() {
-        let holds = eval_unary(&phi, IndVar(0), &structure, v, &mut Budget::unlimited()).unwrap();
-        print!("{}", if holds { '1' } else { '0' });
-    }
-    println!("   (vertex 6 is isolated)");
+    // One character per vertex: '1' where the query holds.
+    let answers = |holds: &dyn Fn(ElemId) -> bool| -> String {
+        let bit = |v| if holds(v) { '1' } else { '0' };
+        structure.domain().elems().map(bit).collect()
+    };
+    let naive =
+        answers(&|v| eval_unary(&phi, IndVar(0), &structure, v, &mut Budget::unlimited()).unwrap());
+    println!("naive MSO evaluation:       {naive}   (vertex 6 is isolated)");
 
     // --- 2. Theorem 4.5: compile ϕ to monadic datalog over τ_td. --------
     let sig = Arc::new(mdtw_graph::graph_signature());
@@ -77,18 +79,15 @@ fn main() {
     )
     .unwrap();
     let result = session.evaluate(&enc.structure).unwrap();
-    print!("compiled datalog (linear):  ");
-    for v in structure.domain().elems() {
-        let holds = result.store.holds(compiled.phi, &[v]);
-        print!("{}", if holds { '1' } else { '0' });
-    }
+    let linear = answers(&|v| result.store.holds(compiled.phi, &[v]));
     let qg = result
         .qg
         .expect("quasi-guarded run reports grounding stats");
     println!(
-        "   ({} ground rules, {} ground atoms)",
+        "compiled datalog (linear):  {linear}   ({} ground rules, {} ground atoms)",
         qg.ground_rules, qg.ground_atoms
     );
+    assert_eq!(linear, naive, "Theorem 4.5 compilation disagrees with MSO");
 
     // --- 3. The MSO-to-FTA baseline on 3-Colorability. -------------------
     println!("\nMSO-to-FTA baseline (3-Colorability):");

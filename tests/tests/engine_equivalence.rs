@@ -4,7 +4,10 @@
 //! and identical distinct-fact counts on randomly generated semipositive
 //! programs over randomly generated structures. Every [`Engine`] variant
 //! of a *reused* session (cache cold and warm) must also agree with a
-//! fresh naive session on the same random matrix.
+//! fresh naive session on the same random matrix. Random quasi-guarded
+//! programs whose rules share extensional skeletons pin the grouped
+//! quasi-guarded grounding to the indexed engine and to a brute-force
+//! count of its ground program.
 
 use mdtw_datalog::{
     Atom, Engine, EvalOptions, EvalStats, Evaluator, IdbId, IdbStore, Literal, PredRef, Program,
@@ -266,8 +269,8 @@ proptest! {
     /// cold and warm, and that a reused indexed session's second
     /// evaluation reports `plan_cache_hits > 0`. (`Engine::QuasiGuarded`
     /// needs declared functional dependencies the random matrix does not
-    /// have; its deterministic pin is
-    /// `quasi_guarded_session_matches_indexed_session` below.)
+    /// have; it is pinned by `quasi_guarded_session_matches_indexed_session`
+    /// and by the grouping differential at the end of this file.)
     #[test]
     fn reused_sessions_bit_identical_cold_and_warm(
         n in 2usize..6,
@@ -360,4 +363,299 @@ fn quasi_guarded_session_matches_indexed_session() {
     assert!(cold_qg.ground_rules > 0);
     assert_eq!(cold_qg.ground_rules, warm_qg.ground_rules);
     assert_eq!(cold_qg.ground_atoms, warm_qg.ground_atoms);
+}
+
+// ---------------------------------------------------------------------------
+// Quasi-guarded grouping differential
+// ---------------------------------------------------------------------------
+
+/// Raw material for one extensional skeleton: `(guard kind, lookup steps
+/// (kind, from), residual literals (kind, arg, arg))`.
+type RawSkeleton = (u8, Vec<(u8, u8)>, Vec<(u8, u8, u8)>);
+/// Raw material for one rule over a skeleton: `(skeleton pick, (head
+/// kind, arg, arg), intensional body literals (kind, arg, arg))`.
+type RawMember = (u8, (u8, u8, u8), Vec<(u8, u8, u8)>);
+
+/// A structure over `f/2` (a partial injection: functional both ways),
+/// `g/2` (a partial function) and `m/1`, plus the catalog declaring those
+/// dependencies. Pairs that would break a dependency are dropped.
+fn fd_structure(
+    n: usize,
+    f_pairs: &[(u8, u8)],
+    g_pairs: &[(u8, u8)],
+    marks: &[u8],
+) -> (Structure, mdtw_datalog::FdCatalog) {
+    let sig = Arc::new(Signature::from_pairs([("f", 2), ("g", 2), ("m", 1)]));
+    let mut s = Structure::new(sig, Domain::anonymous(n));
+    let [f, g, m] = ["f", "g", "m"].map(|p| s.signature().lookup(p).unwrap());
+    let elem = |a: u8| ElemId(a as u32 % n as u32);
+    for &(a, b) in f_pairs {
+        let (a, b) = (elem(a), elem(b));
+        if s.relation(f).iter().all(|t| t[0] != a && t[1] != b) {
+            s.insert(f, &[a, b]);
+        }
+    }
+    for &(a, b) in g_pairs {
+        let (a, b) = (elem(a), elem(b));
+        if s.relation(g).iter().all(|t| t[0] != a) {
+            s.insert(g, &[a, b]);
+        }
+    }
+    for &a in marks {
+        s.insert(m, &[elem(a)]);
+    }
+    let mut catalog = mdtw_datalog::FdCatalog::new();
+    catalog.declare(f, vec![0], vec![1]);
+    catalog.declare(f, vec![1], vec![0]);
+    catalog.declare(g, vec![0], vec![1]);
+    (s, catalog)
+}
+
+fn literal(pred: PredRef, terms: Vec<Term>, positive: bool) -> Literal {
+    Literal {
+        atom: Atom { pred, terms },
+        positive,
+    }
+}
+
+/// A quasi-guarded skeleton `(var_count, extensional literals)`: a guard
+/// binding `X0` (and `X1` for binary guards; with a repeated variable or
+/// a constant for some kinds), a chain of lookups each binding one new
+/// variable through a declared dependency from a bound one, and residual
+/// literals — positive or negated, over bound variables and constants.
+fn build_skeleton(raw: &RawSkeleton, s: &Structure) -> (u32, Vec<Literal>) {
+    let [f, g, m] = ["f", "g", "m"].map(|p| PredRef::Edb(s.signature().lookup(p).unwrap()));
+    let n = s.domain().len() as u32;
+    let c = |k: u8| Term::Const(ElemId(k as u32 % n));
+    let v = |i: u32| Term::Var(Var(i));
+    let (guard, steps, residual) = raw;
+    let mut edb = Vec::new();
+    let mut vars = match guard % 5 {
+        0 => {
+            edb.push(literal(m, vec![v(0)], true));
+            1
+        }
+        1 => {
+            edb.push(literal(f, vec![v(0), v(1)], true));
+            2
+        }
+        2 => {
+            edb.push(literal(g, vec![v(0), v(1)], true));
+            2
+        }
+        3 => {
+            edb.push(literal(f, vec![v(0), v(0)], true));
+            1
+        }
+        _ => {
+            edb.push(literal(g, vec![v(0), c(guard / 5)], true));
+            1
+        }
+    };
+    for &(kind, from) in steps {
+        let (bound, new) = (v(from as u32 % vars), v(vars));
+        edb.push(match kind % 3 {
+            0 => literal(f, vec![bound, new], true),
+            1 => literal(f, vec![new, bound], true),
+            _ => literal(g, vec![bound, new], true),
+        });
+        vars += 1;
+    }
+    let term = |x: u8| {
+        if x % 4 == 3 {
+            c(x / 4)
+        } else {
+            v(x as u32 % vars)
+        }
+    };
+    for &(kind, a, b) in residual {
+        let (pred, terms) = match kind % 3 {
+            0 => (m, vec![term(a)]),
+            1 => (f, vec![term(a), term(b)]),
+            _ => (g, vec![term(a), term(b)]),
+        };
+        edb.push(literal(pred, terms, kind % 2 == 0));
+    }
+    (vars, edb)
+}
+
+/// An intensional atom over `p0/1`, `p1/1`, `p2/2` or the 0-ary `z`;
+/// `term` maps a raw argument to a variable or a constant.
+fn idb_atom(kind: u8, a: u8, b: u8, term: &dyn Fn(u8) -> Term) -> Atom {
+    let (pred, terms) = match kind % 4 {
+        0 => (0, vec![term(a)]),
+        1 => (1, vec![term(a)]),
+        2 => (2, vec![term(a), term(b)]),
+        _ => (3, vec![]),
+    };
+    Atom {
+        pred: PredRef::Idb(IdbId(pred)),
+        terms,
+    }
+}
+
+/// Several rules per skeleton, differing only in intensional body atoms
+/// and heads, plus one variable-free rule.
+fn build_grouped_program(
+    skeletons: &[RawSkeleton],
+    members: &[RawMember],
+    var_free: (u8, u8, u8),
+    s: &Structure,
+) -> Program {
+    let mut program = Program::default();
+    for (name, arity) in [("p0", 1), ("p1", 1), ("p2", 2), ("z", 0)] {
+        program.intern_idb(name, arity).unwrap();
+    }
+    let n = s.domain().len() as u32;
+    let c = |k: u8| Term::Const(ElemId(k as u32 % n));
+    let skeletons: Vec<_> = skeletons.iter().map(|r| build_skeleton(r, s)).collect();
+    for (pick, (hk, ha, hb), body_raw) in members {
+        let (vars, edb) = &skeletons[*pick as usize % skeletons.len()];
+        let term = |x: u8| {
+            if x % 5 == 4 {
+                c(x / 5)
+            } else {
+                Term::Var(Var(x as u32 % vars))
+            }
+        };
+        let idb: Vec<Literal> = body_raw
+            .iter()
+            .map(|&(k, a, b)| Literal {
+                atom: idb_atom(k, a, b, &term),
+                positive: true,
+            })
+            .collect();
+        // Where the intensional literals sit must not matter.
+        let body = if hk / 4 % 2 == 0 {
+            [idb, edb.clone()].concat()
+        } else {
+            [edb.clone(), idb].concat()
+        };
+        program.rules.push(Rule {
+            head: idb_atom(*hk, *ha, *hb, &term),
+            body,
+            var_count: *vars,
+            var_names: (0..*vars).map(|i| format!("X{i}")).collect(),
+        });
+    }
+    let (kind, a, b) = var_free;
+    let m = PredRef::Edb(s.signature().lookup("m").unwrap());
+    let f = PredRef::Edb(s.signature().lookup("f").unwrap());
+    program.rules.push(Rule {
+        head: idb_atom(kind / 2, b, a, &c),
+        body: vec![
+            literal(m, vec![c(a)], kind % 2 == 0),
+            literal(f, vec![c(a), c(b)], kind % 3 != 0),
+            Literal {
+                atom: idb_atom(kind, b, a, &c),
+                positive: true,
+            },
+        ],
+        var_count: 0,
+        var_names: Vec::new(),
+    });
+    for rule in &program.rules {
+        assert!(rule.is_safe(), "generator must only build safe rules");
+    }
+    program
+}
+
+/// The size of `P′` by brute force: every variable assignment of a rule
+/// satisfying all its extensional literals is one ground rule, and the
+/// distinct intensional atoms those assignments instantiate are the
+/// ground atoms.
+fn brute_force_grounding(p: &Program, s: &Structure) -> (usize, usize) {
+    let n = s.domain().len();
+    let mut rules = 0;
+    let mut atoms = std::collections::HashSet::new();
+    for rule in &p.rules {
+        let k = rule.var_count;
+        for code in 0..n.pow(k) {
+            let value = |t: &Term| match *t {
+                Term::Const(e) => e,
+                Term::Var(v) => ElemId((code / n.pow(v.0) % n) as u32),
+            };
+            let args = |a: &Atom| a.terms.iter().map(value).collect::<Vec<_>>();
+            let holds = rule.body.iter().all(|l| match l.atom.pred {
+                PredRef::Edb(pred) => s.holds(pred, &args(&l.atom)) == l.positive,
+                PredRef::Idb(_) => true,
+            });
+            if !holds {
+                continue;
+            }
+            rules += 1;
+            let idb_atoms = std::iter::once(&rule.head).chain(
+                rule.body
+                    .iter()
+                    .map(|l| &l.atom)
+                    .filter(|a| matches!(a.pred, PredRef::Idb(_))),
+            );
+            for a in idb_atoms {
+                atoms.insert((a.pred, args(a)));
+            }
+        }
+    }
+    (rules, atoms.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Rules sharing extensional skeletons, grounded group by group by the
+    /// quasi-guarded session: the store is bit-identical to the indexed
+    /// engine's (cold and warm), and `|P′|` — ground rules and ground
+    /// atoms — equals the brute-force count, so the grouping changes how
+    /// `P′` is built, not `P′` itself.
+    #[test]
+    fn quasi_guarded_grouping_matches_indexed_and_brute_force_counts(
+        n in 2usize..6,
+        f_pairs in vec((0u8..8, 0u8..8), 0..8),
+        g_pairs in vec((0u8..8, 0u8..8), 0..8),
+        marks in vec(0u8..8, 0..5),
+        (skeletons, members, var_free) in (
+            vec(
+                (
+                    0u8..10,
+                    vec((0u8..3, 0u8..4), 0..3),
+                    vec((0u8..6, 0u8..16, 0u8..16), 0..3),
+                ),
+                1..4,
+            ),
+            vec(
+                (0u8..8, (0u8..8, 0u8..16, 0u8..16), vec((0u8..4, 0u8..16, 0u8..16), 0..3)),
+                2..9,
+            ),
+            (0u8..6, 0u8..8, 0u8..8),
+        ),
+    ) {
+        let (s, catalog) = fd_structure(n, &f_pairs, &g_pairs, &marks);
+        let p = build_grouped_program(&skeletons, &members, var_free, &s);
+        let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let mut session =
+            Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
+        prop_assert_eq!(session.engine(), Engine::QuasiGuarded);
+        let cold = session.evaluate(&s).unwrap();
+        let warm = session.evaluate(&s).unwrap();
+        for idb in 0..p.idb_count() {
+            let id = IdbId(idb as u32);
+            prop_assert_eq!(indexed.tuples(id), cold.store.tuples(id), "cold, idb {}", idb);
+            prop_assert_eq!(indexed.tuples(id), warm.store.tuples(id), "warm, idb {}", idb);
+        }
+        let stats = cold.qg.unwrap();
+        prop_assert_eq!(Some(stats), warm.qg);
+        let (rules, atoms) = brute_force_grounding(&p, &s);
+        prop_assert_eq!(stats.ground_rules, rules, "ground rules");
+        prop_assert_eq!(stats.ground_atoms, atoms, "ground atoms");
+        // One guard pass per distinct skeleton, not per rule.
+        let distinct: std::collections::HashSet<_> = p
+            .rules
+            .iter()
+            .map(|r| {
+                let edb: Vec<&Literal> =
+                    r.body.iter().filter(|l| matches!(l.atom.pred, PredRef::Edb(_))).collect();
+                (r.var_count, edb)
+            })
+            .collect();
+        let largest = s.signature().preds().map(|p| s.relation(p).len()).max().unwrap_or(0);
+        prop_assert!(stats.guard_instantiations <= distinct.len() * largest.max(1));
+    }
 }

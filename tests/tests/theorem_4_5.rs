@@ -3,7 +3,7 @@
 //! linear-time evaluation, cross-checked against the naive model checker
 //! on randomized bounded-treewidth inputs.
 
-use mdtw_datalog::{EvalOptions, Evaluator, FdCatalog};
+use mdtw_datalog::{EvalOptions, Evaluator, FdCatalog, IdbId};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, TupleTd};
 use mdtw_graph::{encode_graph, Graph};
 use mdtw_mso::{
@@ -106,6 +106,77 @@ fn compiled_isolated_matches_naive_mso() {
     // ¬∃y (e(x,y) ∨ e(y,x)) — same depth, negated: exercises the type
     // partitioning (a type set and its complement feed `phi`).
     check_query_on_forests(&isolated(), 13);
+}
+
+/// One forest at the benchmark's size (150 vertices): the quasi-guarded
+/// session, the indexed session and the MSO model checker agree, and a
+/// second evaluation of the quasi-guarded session reproduces the first
+/// store and the same grounding statistics.
+fn check_query_at_scale(phi: &Mso, seed: u64) {
+    let sig = Arc::new(mdtw_graph::graph_signature());
+    let compiled = compile_unary_filtered(
+        phi,
+        IndVar(0),
+        &sig,
+        1,
+        CompileLimits::default(),
+        &undirected,
+    )
+    .expect("width-1 compilation fits the limits");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let g = random_forest(&mut rng, 150);
+    let s = encode_graph(&g);
+    let td = decompose(&s, Heuristic::MinDegree);
+    let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
+    let enc = encode_tuple_td(&s, &tuple_td);
+
+    let catalog = FdCatalog::for_td_signature(&enc.structure);
+    let mut qg = Evaluator::with_options(
+        compiled.program.clone(),
+        EvalOptions::new().fd_catalog(catalog),
+    )
+    .expect("compiled programs are quasi-guarded");
+    let first = qg.evaluate(&enc.structure).unwrap();
+    let second = qg.evaluate(&enc.structure).unwrap();
+    let indexed = Evaluator::new(compiled.program.clone())
+        .unwrap()
+        .evaluate(&enc.structure)
+        .unwrap();
+    for idb in 0..compiled.program.idb_count() {
+        let id = IdbId(idb as u32);
+        let name = &compiled.program.idb_names[idb];
+        assert_eq!(
+            first.store.tuples(id),
+            indexed.store.tuples(id),
+            "{name}: quasi-guarded vs indexed"
+        );
+        assert_eq!(
+            first.store.tuples(id),
+            second.store.tuples(id),
+            "{name}: first vs second evaluation"
+        );
+    }
+    let stats = first.qg.expect("quasi-guarded runs report QgStats");
+    assert_eq!(Some(stats), second.qg, "QgStats differ between evaluations");
+    assert!(stats.ground_rules <= compiled.program.rules.len() * enc.structure.size());
+    for v in s.domain().elems() {
+        let expected = eval_unary(phi, IndVar(0), &s, v, &mut Budget::unlimited()).unwrap();
+        assert_eq!(
+            first.store.holds(compiled.phi, &[v]),
+            expected,
+            "vertex {v}"
+        );
+    }
+}
+
+#[test]
+fn has_neighbor_at_benchmark_scale() {
+    check_query_at_scale(&has_neighbor(), 17);
+}
+
+#[test]
+fn isolated_at_benchmark_scale() {
+    check_query_at_scale(&isolated(), 19);
 }
 
 #[test]
