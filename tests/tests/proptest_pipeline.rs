@@ -3,10 +3,16 @@
 //! `SmallRng` workloads elsewhere).
 
 use mdtw_core::{prime_attributes_fpt, ThreeColSolver};
-use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd, TupleTd};
-use mdtw_graph::{encode_graph, is_three_colorable_exact, Graph};
+use mdtw_decomp::{
+    decompose, decompose_with_order, elimination_order, Heuristic, NiceOptions, NiceTd,
+    PrimalGraph, TupleTd,
+};
+use mdtw_graph::{complete, encode_graph, is_three_colorable_exact, partial_k_tree, Graph};
 use mdtw_schema::Schema;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Arbitrary small graphs as edge lists over `n ≤ 9` vertices.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -21,6 +27,88 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             g
         })
     })
+}
+
+/// Graphs for the elimination differential, up to 80 vertices: empty
+/// graphs, mostly isolated vertices, disconnected unions, cliques, dense
+/// random graphs and partial k-trees.
+fn arb_elimination_graph() -> impl Strategy<Value = Graph> {
+    (0u32..6, 0u64..u64::MAX).prop_map(|(family, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Edges with probability `p`, only between vertices on the same
+        // side of `split`.
+        let random = |rng: &mut SmallRng, n: usize, p: f64, split: usize| {
+            let mut g = Graph::new(n);
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if ((a as usize) < split) == ((b as usize) < split) && rng.random_bool(p) {
+                        g.add_edge(a, b);
+                    }
+                }
+            }
+            g
+        };
+        match family {
+            0 => Graph::new(rng.random_range(0..=12)),
+            1 => {
+                let n = rng.random_range(1..=60);
+                random(&mut rng, n, 0.02, n)
+            }
+            2 => {
+                let n = rng.random_range(2..=60);
+                let split = rng.random_range(1..n);
+                random(&mut rng, n, 0.3, split)
+            }
+            3 => complete(rng.random_range(1..=14)),
+            4 => {
+                let n = rng.random_range(2..=30);
+                let p = rng.random_range(0.5..0.95);
+                random(&mut rng, n, p, n)
+            }
+            _ => {
+                let k = rng.random_range(1..=4);
+                let n = rng.random_range(k + 1..=80);
+                let keep = rng.random_range(0.5..1.0);
+                partial_k_tree(&mut rng, n, k, keep).0
+            }
+        }
+    })
+}
+
+/// Reference elimination order: every step rescans all remaining vertices
+/// and recomputes each one's degree or fill-in from scratch, keeping the
+/// least `(score, vertex)`.
+fn reference_elimination_order(g: &PrimalGraph, h: Heuristic) -> Vec<u32> {
+    let n = g.len();
+    let mut adj: Vec<BTreeSet<u32>> = (0..n as u32)
+        .map(|v| g.neighbors(v).iter().copied().collect())
+        .collect();
+    let mut remaining: BTreeSet<u32> = (0..n as u32).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(v) = remaining.iter().copied().min_by_key(|&v| {
+        let ns = &adj[v as usize];
+        let score = match h {
+            Heuristic::MinDegree => ns.len(),
+            Heuristic::MinFill => ns
+                .iter()
+                .map(|&a| {
+                    ns.iter()
+                        .filter(|&&b| a < b && !adj[a as usize].contains(&b))
+                        .count()
+                })
+                .sum(),
+        };
+        (score, v)
+    }) {
+        let ns = std::mem::take(&mut adj[v as usize]);
+        for &a in &ns {
+            adj[a as usize].remove(&v);
+            adj[a as usize].extend(ns.iter().copied().filter(|&b| b != a));
+        }
+        remaining.remove(&v);
+        order.push(v);
+    }
+    order
 }
 
 /// Arbitrary small schemas: `n ≤ 6` attributes, up to 5 FDs.
@@ -98,6 +186,25 @@ proptest! {
             prop_assert_eq!(&c1, &c2);
             let bigger = schema.closure(&all[..(k + 1).min(all.len())]);
             prop_assert!(c1.iter().all(|a| bigger.contains(a)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn elimination_matches_the_rescanning_reference(g in arb_elimination_graph()) {
+        let s = encode_graph(&g);
+        let pg = PrimalGraph::of(&s);
+        for h in [Heuristic::MinDegree, Heuristic::MinFill] {
+            let order = elimination_order(&pg, h);
+            prop_assert_eq!(&order, &reference_elimination_order(&pg, h), "{:?}", h);
+            let td = decompose(&s, h);
+            // Bag for bag and node for node, root included.
+            let by_order = decompose_with_order(&pg, &order);
+            prop_assert_eq!(format!("{td:?}"), format!("{by_order:?}"), "{:?}", h);
+            prop_assert_eq!(td.validate(&s), Ok(()));
         }
     }
 }
