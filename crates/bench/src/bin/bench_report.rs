@@ -6,7 +6,7 @@
 //!     [--fuel N] [--timeout-ms N] [--profiler-overhead] [--profile FILE.json]
 //! ```
 //!
-//! Runs the `join_indexing`/`engine_linearity` workloads, the 3-stratum
+//! Runs the linear-TC and `engine_linearity` workloads, the 3-stratum
 //! `stratified_reach` negation chain and the `magic_point_query`
 //! full-vs-demand ablation at fixed chain sizes through the semi-naive
 //! and stratified engines and writes one labelled
@@ -63,9 +63,6 @@ fn io_error(message: &str) -> ExitCode {
     eprintln!("bench_report: {message}");
     ExitCode::from(2)
 }
-
-/// The scan engine is superlinear; cap the sizes it is attempted on.
-const SCAN_CAP: usize = 1000;
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_joins.json");
@@ -174,8 +171,8 @@ fn main() -> ExitCode {
         eprintln!("bench_report: measuring profiler-overhead ablation at sizes {sizes:?}…");
         mdtw_bench::profiler_overhead_report(&sizes)
     } else {
-        eprintln!("bench_report: measuring sizes {sizes:?} (scan baseline capped at {SCAN_CAP})…");
-        mdtw_bench::join_report_with_limits(&sizes, SCAN_CAP, limits.as_ref())
+        eprintln!("bench_report: measuring sizes {sizes:?}…");
+        mdtw_bench::join_report(&sizes, limits.as_ref())
     };
     let record = mdtw_bench::render_join_record_json(&label, &rows);
 

@@ -152,7 +152,7 @@ pub struct JoinBenchRow {
     /// Workload name (`linear_tc`, `budgeted_tc`, `reach_linearity`,
     /// `stratified_reach`, `magic_point_query` or `per_candidate`).
     pub workload: String,
-    /// Engine name (`indexed`, `scan`, `governed`, `stratified`, `full`,
+    /// Engine name (`indexed`, `governed`, `stratified`, `full`,
     /// `magic`, `session` or `per_call`).
     pub engine: String,
     /// Structure size (chain length).
@@ -445,29 +445,21 @@ fn add_stats(total: &mut mdtw_datalog::EvalStats, part: &mdtw_datalog::EvalStats
 /// Measures the join/linearity workloads at the given chain sizes, each
 /// through a reused [`Evaluator`](mdtw_datalog::Evaluator) session.
 ///
-/// The indexed engine runs at every size; the scan baseline only at sizes
-/// ≤ `scan_cap` (it is superlinear and would dominate the wall-clock).
+/// `limits` budgets the `budgeted_tc` row's governor (from
+/// `bench_report --fuel` / `--timeout-ms`). `None` grants an effectively
+/// unlimited fuel budget, so every checkpoint runs but never trips — the
+/// row then measures the pure overhead of governance against the
+/// ungoverned `linear_tc`/`indexed` row. A budget that *does* trip records
+/// the partial result's fact count instead (each size gets a fresh meter).
 /// The `per_candidate` workload contrasts one session reused across
 /// [`PER_CANDIDATE_K`] candidate structures (`session`) with a fresh
 /// session per candidate (`per_call`) — the setup cost the session API
 /// amortizes.
-pub fn join_report(sizes: &[usize], scan_cap: usize) -> Vec<JoinBenchRow> {
-    join_report_with_limits(sizes, scan_cap, None)
-}
-
-/// [`join_report`] with an explicit budget for the `budgeted_tc` row's
-/// governor (from `bench_report --fuel` / `--timeout-ms`). `None` grants
-/// an effectively unlimited fuel budget, so every checkpoint runs but
-/// never trips — the row then measures the pure overhead of governance
-/// against the ungoverned `linear_tc`/`indexed` row. A budget that *does*
-/// trip records the partial result's fact count instead (each size gets a
-/// fresh meter).
-pub fn join_report_with_limits(
+pub fn join_report(
     sizes: &[usize],
-    scan_cap: usize,
     limits: Option<&mdtw_datalog::EvalLimits>,
 ) -> Vec<JoinBenchRow> {
-    use mdtw_datalog::{Engine, EvalError, EvalLimits, EvalOptions, EvalStats, Evaluator};
+    use mdtw_datalog::{EvalError, EvalLimits, EvalOptions, EvalStats, Evaluator};
     let mut rows = Vec::new();
     let measure = |workload: &str,
                    engine: &str,
@@ -491,21 +483,11 @@ pub fn join_report_with_limits(
     };
     for &n in sizes {
         let (s, p) = linear_tc_workload(n);
-        let scan_program = (n <= scan_cap).then(|| p.clone());
         let mut session = Evaluator::new(p).expect("semipositive");
         measure("linear_tc", "indexed", n, &mut rows, &mut || {
             let r = session.evaluate(&s).expect("semipositive");
             (r.store.fact_count(), r.stats)
         });
-        if let Some(p) = scan_program {
-            let mut session =
-                Evaluator::with_options(p, EvalOptions::new().engine(Engine::SemiNaiveScan))
-                    .expect("semipositive");
-            measure("linear_tc", "scan", n, &mut rows, &mut || {
-                let r = session.evaluate(&s).expect("semipositive");
-                (r.store.fact_count(), r.stats)
-            });
-        }
 
         // Governor-overhead ablation: the same linear TC under an
         // evaluation budget. The default (no --fuel/--timeout-ms) budget
@@ -787,12 +769,12 @@ mod tests {
 
     #[test]
     fn join_report_smoke_and_json_shape() {
-        let rows = join_report(&[40], 40);
-        // indexed + scan on linear_tc, governed on budgeted_tc, indexed
+        let rows = join_report(&[40], None);
+        // indexed on linear_tc, governed on budgeted_tc, indexed
         // on reach_linearity, stratified on stratified_reach, full +
         // magic on magic_point_query, maintain + recompute on
         // incremental_tc, session + per_call on per_candidate.
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.facts > 0);
             assert!(r.ns_per_fact > 0.0);
@@ -866,7 +848,7 @@ mod tests {
         let hostile = render_join_record_json("a\"b\\c\n", &rows);
         assert!(hostile.starts_with("{\"label\": \"a\\\"b\\\\c\\u000a\""));
         assert!(json.ends_with("]}"));
-        assert_eq!(json.matches("\"workload\"").count(), 11);
+        assert_eq!(json.matches("\"workload\"").count(), 10);
         // The governed row derives the same fixpoint as the ungoverned
         // linear TC — an unlimited budget never changes the answer.
         let tc = rows

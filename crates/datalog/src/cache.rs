@@ -136,23 +136,6 @@ impl PlanCache {
     }
 }
 
-/// Resolves the compiled plans of `program` for `structure`: through
-/// `cache` when one is supplied (reporting whether it hit), or by
-/// planning fresh when caching is disabled.
-pub(crate) fn plans_for(
-    program: &Program,
-    structure: &Structure,
-    cache: Option<&PlanCache>,
-) -> (Arc<Vec<RulePlans>>, bool) {
-    match cache {
-        Some(cache) => cache.plans(program, structure),
-        None => (
-            Arc::new(plan_program_with(program, &StructureStats::new(structure))),
-            false,
-        ),
-    }
-}
-
 fn program_fingerprint(program: &Program) -> u64 {
     let mut h = FxHasher::default();
     program.rules.hash(&mut h);

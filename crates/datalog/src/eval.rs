@@ -1,24 +1,14 @@
-//! Bottom-up evaluation: naive and semi-naive least-fixpoint computation
-//! of semipositive datalog over a finite structure (paper §2.4). The
-//! entry point is an [`Evaluator`](crate::evaluator::Evaluator) session;
-//! its [`Engine`](crate::evaluator::Engine) picks one of the fixpoint
-//! loops here:
-//!
-//! * `Naive` — the executable definition of the minimal-model semantics
-//!   (all rules, every round, no indexes). Ground truth.
-//! * `SemiNaiveIndexed` — the production engine: per-rule join plans
-//!   (module [`plan`](crate::plan)) probe lazily built secondary indexes
-//!   ([`mdtw_structure::PosIndex`]) instead of scanning whole relations,
-//!   the frontier is a set of per-predicate delta relations, and rules
-//!   with several intensional body atoms use the textbook semi-naive
-//!   split — for the delta at body position *i*, positions before *i*
-//!   read the pre-round store and positions after read the updated
-//!   store — so no instantiation fires twice in a round.
-//! * `SemiNaiveScan` — the pre-index engine (nested-loop joins, one
-//!   shared delta set, full store on non-delta positions), kept as a
-//!   differential-testing oracle and scan baseline for the
-//!   `join_indexing` bench. It re-fires instantiations whose atoms match
-//!   several delta tuples; its fixpoint is nevertheless correct.
+//! Bottom-up evaluation: the semi-naive least-fixpoint computation of
+//! semipositive datalog over a finite structure (paper §2.4). The entry
+//! point is an [`Evaluator`](crate::evaluator::Evaluator) session running
+//! [`Engine::SemiNaiveIndexed`](crate::evaluator::Engine::SemiNaiveIndexed):
+//! per-rule join plans (module [`plan`](crate::plan)) probe lazily built
+//! secondary indexes ([`mdtw_structure::PosIndex`]) instead of scanning
+//! whole relations, the frontier is a set of per-predicate delta
+//! relations, and rules with several intensional body atoms use the
+//! textbook semi-naive split — for the delta at body position *i*,
+//! positions before *i* read the pre-round store and positions after read
+//! the updated store — so every rule instantiation fires exactly once.
 //!
 //! The compiled-plan join loop is also the only join executor of
 //! incremental maintenance ([`incremental`](crate::incremental)): its
@@ -33,13 +23,9 @@ use crate::ast::{Atom, IdbId, PredRef, Program, Rule, Term, Var};
 use crate::limits::Governor;
 use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::profile::{LitCount, Profiler};
-use mdtw_structure::fx::{FxHashMap, FxHashSet};
+use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, PosIndex, Relation, Structure};
 use std::sync::Arc;
-
-/// The scan engine's semi-naive frontier: the set of IDB facts derived in
-/// the previous iteration, keyed by predicate.
-type DeltaSet = FxHashSet<(IdbId, Box<[ElemId]>)>;
 
 /// The computed least fixpoint: one indexed relation per intensional
 /// predicate. The relations expose the same secondary-index layer as the
@@ -74,11 +60,13 @@ impl IdbStore {
 
     /// Looks a predicate up by name and tests membership. The name map is
     /// built once at store construction, so this is a hash lookup, not a
-    /// scan over the predicate table.
+    /// scan over the predicate table. An unknown name, or a tuple of the
+    /// wrong arity, is simply not in the model.
     pub fn holds_named(&self, name: &str, args: &[ElemId]) -> bool {
-        self.by_name
-            .get(name)
-            .is_some_and(|id| self.rels[id.index()].contains(args))
+        self.by_name.get(name).is_some_and(|id| {
+            let rel = &self.rels[id.index()];
+            rel.arity() == args.len() && rel.contains(args)
+        })
     }
 
     /// All tuples of `pred`, sorted for determinism.
@@ -119,10 +107,6 @@ impl IdbStore {
         &self.rels[pred.index()]
     }
 
-    fn insert(&mut self, pred: IdbId, args: &[ElemId]) -> bool {
-        self.rels[pred.index()].insert(args)
-    }
-
     /// Creates an empty store shaped for `program` (used by the
     /// quasi-guarded evaluator to decode LTUR models).
     pub(crate) fn new_for(program: &Program) -> Self {
@@ -147,38 +131,36 @@ impl IdbStore {
 /// `bench_report` perf trajectory).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Number of successful rule instantiations considered (including
-    /// re-derivations).
+    /// Number of successful rule instantiations. The semi-naive engine
+    /// fires each instantiation whose body the model satisfies exactly
+    /// once, whether or not its head fact is new.
     pub firings: usize,
     /// Number of distinct facts derived.
     pub facts: usize,
     /// Number of fixpoint rounds.
     pub rounds: usize,
-    /// Secondary-index probes performed (always 0 for the naive and scan
-    /// engines, which never probe).
+    /// Secondary-index probes performed.
     pub index_probes: usize,
-    /// Unindexed enumerations of an EDB relation or the IDB store,
-    /// counted by all three engines (enumerating a round's delta — the
-    /// point of semi-naive evaluation — is not counted).
+    /// Unindexed enumerations of an EDB relation or the IDB store
+    /// (enumerating a round's delta — the point of semi-naive evaluation
+    /// — is not counted).
     pub full_scans: usize,
-    /// Candidate tuples enumerated across all literal accesses, counted
-    /// by all three engines.
+    /// Candidate tuples enumerated across all literal accesses.
     pub tuples_considered: usize,
     /// Derivations that resolved to an already-interned tuple (in the
     /// store or the round's staging relation) instead of allocating new
     /// storage: `interned_hits + facts` equals the number of firings with
-    /// an intensional head. Indexed engine only.
+    /// an intensional head.
     pub interned_hits: usize,
     /// 1 if this evaluation reused compiled rule plans from a
-    /// [`PlanCache`](crate::cache::PlanCache), 0 if it had to plan.
-    /// Indexed engine only (the stratified pipeline reports one potential
-    /// hit per stratum).
+    /// [`PlanCache`](crate::cache::PlanCache), 0 if it had to plan (the
+    /// stratified pipeline reports one potential hit per stratum).
     pub plan_cache_hits: usize,
-    /// Number of negative-literal membership checks performed, counted by
-    /// all engines (a short-circuited conjunction counts only the checks
-    /// it actually ran).
+    /// Number of negative-literal membership checks performed (a
+    /// short-circuited conjunction counts only the checks it actually
+    /// ran).
     pub negative_checks: usize,
-    /// Number of evaluation strata: 1 for the single-pass engines, the
+    /// Number of evaluation strata: 1 for semipositive programs, the
     /// stratification's stratum count for the stratified pipeline.
     pub strata: usize,
     /// Amortized limit checkpoints the resource governor ran (0 when the
@@ -223,75 +205,6 @@ pub(crate) fn debug_assert_semipositive(program: &Program) {
         program.check_semipositive().is_ok(),
         "caller must guarantee semipositivity"
     );
-}
-
-/// The naive engine behind
-/// [`Engine::Naive`](crate::evaluator::Engine::Naive) sessions. The
-/// caller guarantees semipositivity. On a governor trip the store holds
-/// the facts derived so far — a sound subset of the least fixpoint.
-pub(crate) fn naive_fixpoint(
-    program: &Program,
-    structure: &Structure,
-    gov: &mut Governor<'_>,
-    mut prof: Option<&mut Profiler>,
-) -> (IdbStore, EvalStats) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.begin_stratum(0, program, None);
-    }
-    let mut store = IdbStore::new(program);
-    let mut stats = EvalStats {
-        strata: 1,
-        ..EvalStats::default()
-    };
-    loop {
-        if gov.round(stats.tuples_considered, stats.facts) {
-            break;
-        }
-        stats.rounds += 1;
-        let mut new_facts: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-        let mut stopped = false;
-        for (ri, rule) in program.rules.iter().enumerate() {
-            stopped = profiled_match(
-                rule,
-                ri,
-                structure,
-                &store,
-                None,
-                &mut stats,
-                gov,
-                &mut prof,
-                &mut |head_args| {
-                    if let PredRef::Idb(id) = rule.head.pred {
-                        if !store.holds(id, &head_args) {
-                            new_facts.push((id, head_args));
-                        }
-                    }
-                },
-            );
-            if stopped {
-                break;
-            }
-        }
-        // Facts staged before a trip are still derivable, so folding them
-        // in keeps the partial store a subset of the fixpoint.
-        let mut changed = false;
-        for (id, args) in new_facts {
-            if store.insert(id, &args) {
-                changed = true;
-                stats.facts += 1;
-            }
-        }
-        if stopped || !changed {
-            break;
-        }
-    }
-    if let Some(p) = prof {
-        if gov.tripped().is_some() {
-            p.mark_trip(0);
-        }
-        p.end_stratum(stats.rounds, stats.facts);
-    }
-    (store, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -1208,344 +1121,6 @@ fn descend_plan<S: Sink>(
     false
 }
 
-// ---------------------------------------------------------------------------
-// Scan engine (pre-index oracle and baseline)
-// ---------------------------------------------------------------------------
-
-/// The pre-index semi-naive engine: nested-loop joins over full relation
-/// scans, one shared delta set, and one delta pass per intensional body
-/// position with every other position reading the already-updated store.
-///
-/// Kept verbatim as a differential-testing oracle (its least fixpoint is
-/// correct) and as the scan baseline of the `join_indexing` bench, behind
-/// [`Engine::SemiNaiveScan`](crate::evaluator::Engine::SemiNaiveScan)
-/// sessions. Note its known inefficiency: an instantiation whose
-/// intensional atoms match several delta tuples fires once per delta
-/// pass, inflating [`EvalStats::firings`]; the indexed engine fixes this
-/// with the proper rule split. The caller guarantees semipositivity. On
-/// a governor trip the store holds a sound subset of the least fixpoint.
-pub(crate) fn scan_fixpoint(
-    program: &Program,
-    structure: &Structure,
-    gov: &mut Governor<'_>,
-    mut prof: Option<&mut Profiler>,
-) -> (IdbStore, EvalStats) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.begin_stratum(0, program, None);
-    }
-    let mut store = IdbStore::new(program);
-    let mut stats = EvalStats {
-        strata: 1,
-        ..EvalStats::default()
-    };
-
-    if gov.round(stats.tuples_considered, stats.facts) {
-        if let Some(p) = prof {
-            p.mark_trip(0);
-            p.end_stratum(stats.rounds, stats.facts);
-        }
-        return (store, stats);
-    }
-
-    // Round 0: all rules, unconstrained.
-    stats.rounds += 1;
-    let mut delta: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-    for (ri, rule) in program.rules.iter().enumerate() {
-        let stopped = profiled_match(
-            rule,
-            ri,
-            structure,
-            &store,
-            None,
-            &mut stats,
-            gov,
-            &mut prof,
-            &mut |head_args| {
-                if let PredRef::Idb(id) = rule.head.pred {
-                    if !store.holds(id, &head_args) {
-                        delta.push((id, head_args));
-                    }
-                }
-            },
-        );
-        if stopped {
-            break;
-        }
-    }
-    let mut frontier: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-    for (id, args) in delta {
-        if store.insert(id, &args) {
-            stats.facts += 1;
-            frontier.push((id, args));
-        }
-    }
-
-    while !frontier.is_empty() {
-        if gov.round(stats.tuples_considered, stats.facts) {
-            break;
-        }
-        stats.rounds += 1;
-        let delta_set: DeltaSet = frontier.drain(..).collect();
-        let mut new_facts: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-        let mut stopped = false;
-        'rules: for (ri, rule) in program.rules.iter().enumerate() {
-            // One pass per IDB body position: that position must match the
-            // delta; other positions use the full store.
-            let idb_positions: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Idb(_)))
-                .map(|(i, _)| i)
-                .collect();
-            for &pos in &idb_positions {
-                stopped = profiled_match(
-                    rule,
-                    ri,
-                    structure,
-                    &store,
-                    Some((pos, &delta_set)),
-                    &mut stats,
-                    gov,
-                    &mut prof,
-                    &mut |head_args| {
-                        if let PredRef::Idb(id) = rule.head.pred {
-                            if !store.holds(id, &head_args) {
-                                new_facts.push((id, head_args));
-                            }
-                        }
-                    },
-                );
-                if stopped {
-                    break 'rules;
-                }
-            }
-        }
-        for (id, args) in new_facts {
-            if store.insert(id, &args) {
-                stats.facts += 1;
-                frontier.push((id, args));
-            }
-        }
-        if stopped {
-            break;
-        }
-    }
-    if let Some(p) = prof {
-        if gov.tripped().is_some() {
-            p.mark_trip(0);
-        }
-        p.end_stratum(stats.rounds, stats.facts);
-    }
-    (store, stats)
-}
-
-/// [`for_each_match`] under the profiler — the scan/naive twin of
-/// [`profiled_apply`]: one branch when off, sampled-timed pass + stats
-/// delta (and per-literal trace at `Literals`) folded into rule `ri`'s
-/// accumulator when on.
-#[allow(clippy::too_many_arguments)]
-fn profiled_match(
-    rule: &Rule,
-    ri: usize,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    prof: &mut Option<&mut Profiler>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    match prof.as_deref_mut() {
-        Some(p) if p.rules_on() => {
-            let before = *stats;
-            let timer = p.pass_timer(ri);
-            p.begin_pass(rule.body.len());
-            let stop = for_each_match(rule, structure, store, delta, stats, gov, p.trace(), emit);
-            p.end_pass(
-                ri,
-                &before,
-                stats,
-                timer.map(|t| t.elapsed().as_nanos() as u64),
-            );
-            stop
-        }
-        _ => for_each_match(rule, structure, store, delta, stats, gov, None, emit),
-    }
-}
-
-/// Enumerates all substitutions satisfying `rule`'s body and yields the
-/// instantiated head arguments. Returns `true` when the governor tripped
-/// and the caller should unwind.
-///
-/// `delta`: if `Some((pos, set))`, the body literal at `pos` must match a
-/// tuple in `set` (semi-naive restriction).
-#[allow(clippy::too_many_arguments)]
-fn for_each_match(
-    rule: &Rule,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    trace: Option<&mut [LitCount]>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    let mut bindings: Vec<Option<ElemId>> = vec![None; rule.var_count as usize];
-
-    // Literal processing order: positives in body order (no reordering —
-    // this is the scan oracle), negatives once all positives are matched.
-    let positives: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.positive)
-        .map(|(i, _)| i)
-        .collect();
-    let negatives: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.positive)
-        .map(|(i, _)| i)
-        .collect();
-
-    descend(
-        rule,
-        structure,
-        store,
-        delta,
-        &positives,
-        0,
-        &negatives,
-        &mut bindings,
-        stats,
-        gov,
-        trace,
-        emit,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    rule: &Rule,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    positives: &[usize],
-    next: usize,
-    negatives: &[usize],
-    bindings: &mut Vec<Option<ElemId>>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    mut trace: Option<&mut [LitCount]>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    if next == positives.len() {
-        // All positives matched; check negatives (safety guarantees all
-        // their variables are bound) and emit.
-        for &ni in negatives {
-            let lit = &rule.body[ni];
-            stats.negative_checks += 1;
-            let args =
-                instantiate(&lit.atom, bindings).expect("safe rule: negative literal fully bound");
-            let holds = match lit.atom.pred {
-                PredRef::Edb(p) => structure.holds(p, &args),
-                PredRef::Idb(_) => unreachable!(
-                    "negated intensional literal in the semipositive engine; \
-                     stratified programs run stratum by stratum"
-                ),
-            };
-            if holds {
-                return false;
-            }
-        }
-        stats.firings += 1;
-        let head_args = instantiate(&rule.head, bindings).expect("safe rule: head bound");
-        emit(head_args);
-        return false;
-    }
-
-    let li = positives[next];
-    let lit = &rule.body[li];
-    let is_delta_pos = delta.is_some_and(|(pos, _)| pos == li);
-
-    // Enumerate candidate tuples for this literal.
-    let try_tuple = |tuple: &[ElemId],
-                     bindings: &mut Vec<Option<ElemId>>,
-                     stats: &mut EvalStats,
-                     gov: &mut Governor<'_>,
-                     mut trace: Option<&mut [LitCount]>,
-                     emit: &mut dyn FnMut(Box<[ElemId]>)|
-     -> bool {
-        stats.tuples_considered += 1;
-        if let Some(t) = trace.as_deref_mut() {
-            t[li].tuples_in += 1;
-        }
-        if gov.work(stats.tuples_considered, stats.facts) {
-            return true;
-        }
-        let mut stop = false;
-        let mut touched: Vec<Var> = Vec::new();
-        if unify(&lit.atom, tuple, bindings, &mut touched) {
-            if let Some(t) = trace.as_deref_mut() {
-                t[li].tuples_out += 1;
-            }
-            stop = descend(
-                rule,
-                structure,
-                store,
-                delta,
-                positives,
-                next + 1,
-                negatives,
-                bindings,
-                stats,
-                gov,
-                trace,
-                emit,
-            );
-        }
-        for v in touched {
-            bindings[v.index()] = None;
-        }
-        stop
-    };
-
-    // The scan engines enumerate whole relations on every non-delta
-    // literal — that is the point of the ablation. Count those scans so
-    // the three engines report comparable [`EvalStats`]; enumerating the
-    // delta (the semi-naive frontier) is not a full scan.
-    match (lit.atom.pred, is_delta_pos) {
-        (PredRef::Edb(p), _) => {
-            stats.full_scans += 1;
-            for tuple in structure.relation(p).iter() {
-                if try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit) {
-                    return true;
-                }
-            }
-        }
-        (PredRef::Idb(id), false) => {
-            stats.full_scans += 1;
-            for tuple in store.rels[id.index()].iter() {
-                if try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit) {
-                    return true;
-                }
-            }
-        }
-        (PredRef::Idb(id), true) => {
-            let (_, set) = delta.expect("delta position implies delta set");
-            for (tid, tuple) in set {
-                if *tid == id && try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit)
-                {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Tries to unify `atom` with `tuple` under the current bindings;
 /// records newly bound variables in `touched`.
 fn unify(
@@ -1601,21 +1176,11 @@ pub(crate) fn instantiate_into(atom: &Atom, bindings: &[Option<ElemId>], out: &m
     }
 }
 
-/// Instantiates an atom under complete bindings.
-fn instantiate(atom: &Atom, bindings: &[Option<ElemId>]) -> Option<Box<[ElemId]>> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(*c),
-            Term::Var(v) => bindings[v.index()],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::{Engine, EvalError, EvalOptions, Evaluator};
+    use crate::ground::FdCatalog;
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, Signature};
     use std::sync::Arc;
@@ -1631,14 +1196,17 @@ mod tests {
         s
     }
 
-    /// One evaluation of `p` over `s` by a fresh session running `engine`.
-    fn eval(engine: Engine, p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
-        let options = EvalOptions::new().engine(engine);
-        let result = Evaluator::with_options(p.clone(), options)
-            .unwrap()
-            .evaluate(s)
-            .unwrap();
+    /// One evaluation of `p` over `s` by a fresh default session.
+    fn eval(p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+        let result = Evaluator::new(p.clone()).unwrap().evaluate(s).unwrap();
         (result.store, result.stats)
+    }
+
+    /// The test-support oracle's least model of `src` over `s` (parsed
+    /// again by the oracle's own build of this crate).
+    fn oracle(src: &str, s: &Structure) -> mdtw_tests::NaiveModel {
+        let p = mdtw_tests::mdtw_datalog::parse_program(src, s).unwrap();
+        mdtw_tests::naive_model(&p, s)
     }
 
     const TC: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).";
@@ -1647,77 +1215,64 @@ mod tests {
     #[test]
     fn transitive_closure_naive() {
         let s = chain(5);
-        let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval(Engine::Naive, &p, &s);
-        let path = p.idb("path").unwrap();
-        assert_eq!(store.tuples(path).len(), 4 + 3 + 2 + 1);
-        assert!(store.holds(path, &[ElemId(0), ElemId(4)]));
-        assert!(!store.holds(path, &[ElemId(4), ElemId(0)]));
+        let path = parse_program(TC, &s).unwrap().idb("path").unwrap();
+        let model = &oracle(TC, &s).relations[path.index()];
+        assert_eq!(model.len(), 4 + 3 + 2 + 1);
+        assert!(model.contains(&vec![ElemId(0), ElemId(4)]));
+        assert!(!model.contains(&vec![ElemId(4), ElemId(0)]));
     }
 
     #[test]
     fn seminaive_agrees_with_naive() {
         let s = chain(7);
         let p = parse_program(TC, &s).unwrap();
-        let (naive, _) = eval(Engine::Naive, &p, &s);
-        let (semi, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (semi, stats) = eval(&p, &s);
         let path = p.idb("path").unwrap();
-        assert_eq!(naive.tuples(path), semi.tuples(path));
+        let model = &oracle(TC, &s).relations[path.index()];
+        assert_eq!(&semi.tuples(path), model);
+        assert_eq!(stats.facts, model.len());
     }
 
-    #[test]
-    fn scan_engine_agrees_with_naive() {
-        let s = chain(7);
-        let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
-        let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
-        let path = p.idb("path").unwrap();
-        assert_eq!(naive.tuples(path), scan.tuples(path));
-        assert_eq!(naive_stats.facts, scan_stats.facts);
-    }
-
+    /// Naive evaluation re-fires every satisfied instantiation in every
+    /// round; semi-naive evaluation fires each exactly once, so its firing
+    /// count is the oracle's instantiation count.
     #[test]
     fn seminaive_fires_less_than_naive() {
         let s = chain(12);
         let p = parse_program(TC, &s).unwrap();
-        let (_, naive_stats) = eval(Engine::Naive, &p, &s);
-        let (_, semi_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
-        assert!(semi_stats.firings < naive_stats.firings);
-        assert_eq!(semi_stats.facts, naive_stats.facts);
+        let (_, semi_stats) = eval(&p, &s);
+        let model = oracle(TC, &s);
+        assert_eq!(semi_stats.firings, model.instantiations);
+        assert_eq!(semi_stats.facts, model.relations.iter().map(Vec::len).sum());
     }
 
     /// Regression test for the semi-naive double-firing bug: with a rule
-    /// carrying two intensional body atoms, the scan engine runs one delta
-    /// pass per position against the already-updated store, so an
-    /// instantiation whose atoms both match delta tuples fires once per
-    /// pass. The rule split in the indexed engine fires it exactly once.
+    /// carrying two intensional body atoms, running one delta pass per
+    /// position against the already-updated store fires an instantiation
+    /// whose atoms both match delta tuples once per pass. The rule split
+    /// fires it exactly once.
     ///
     /// On the 4-chain with nonlinear transitive closure the counts are
     /// small enough to pin exactly. Round 0 fires the base rule 3 times;
     /// round 1 joins the delta {p01,p12,p23} with itself — instantiations
-    /// (p01,p12) and (p12,p23) are all-delta, so the split engine fires
-    /// them once (2 firings) while the scan engine fires them in both
-    /// passes (4 firings); round 2 has two genuinely distinct derivations
-    /// of p03 (via p02⋈p23 and p01⋈p13) in both engines; round 3 fires
-    /// nothing. Totals: 3+2+2 = 7 indexed, 3+4+2 = 9 scan.
+    /// (p01,p12) and (p12,p23) are all-delta and fire once each (2
+    /// firings); round 2 has two genuinely distinct derivations of p03
+    /// (via p02⋈p23 and p01⋈p13); round 3 fires nothing. Total 3+2+2 = 7,
+    /// the oracle's instantiation count.
     #[test]
     fn two_idb_atoms_fire_once_per_instantiation() {
         let s = chain(4);
         let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (indexed_store, indexed) = eval(Engine::SemiNaiveIndexed, &p, &s);
-        let (scan_store, scan) = eval(Engine::SemiNaiveScan, &p, &s);
+        let (store, indexed) = eval(&p, &s);
+        let model = oracle(TC_NONLINEAR, &s);
         let path = p.idb("path").unwrap();
-        assert_eq!(indexed_store.tuples(path), scan_store.tuples(path));
+        assert_eq!(store.tuples(path), model.relations[path.index()]);
         assert_eq!(indexed.facts, 6);
-        assert_eq!(scan.facts, 6);
         assert_eq!(
             indexed.firings, 7,
             "rule split must fire all-delta instantiations once"
         );
-        assert_eq!(
-            scan.firings, 9,
-            "scan oracle keeps the seed double-firing behavior"
-        );
+        assert_eq!(indexed.firings, model.instantiations);
     }
 
     /// On delta-bound literals the indexed engine must probe, not scan:
@@ -1727,7 +1282,7 @@ mod tests {
     fn delta_passes_probe_instead_of_scanning() {
         let s = chain(50);
         let p = parse_program(TC, &s).unwrap();
-        let (_, stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (_, stats) = eval(&p, &s);
         assert_eq!(
             stats.full_scans, 2,
             "only the unconstrained round-0 scans remain"
@@ -1747,26 +1302,25 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         let skip = p.idb("skip").unwrap();
         assert!(store.holds(skip, &[ElemId(0), ElemId(2)]));
         assert!(!store.holds(skip, &[ElemId(0), ElemId(1)]));
     }
 
     /// The parser accepts stratified programs, so the semipositive-only
-    /// engines must reject a negated intensional atom at session
-    /// construction with a typed error, not a panic (the seed behavior)
-    /// or an `unreachable!` mid-join.
+    /// quasi-guarded engine must reject a negated intensional atom at
+    /// session construction with a typed error, not a panic or an
+    /// `unreachable!` mid-evaluation.
     #[test]
     fn semipositive_engine_rejects_stratified_programs_with_typed_error() {
         let s = chain(3);
         let p = parse_program("q(X) :- e(X, Y), !r(X). r(X) :- e(X, X).", &s).unwrap();
-        for engine in [Engine::Naive, Engine::SemiNaiveScan] {
-            let err =
-                Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap_err();
-            assert_eq!(err, EvalError::NeedsStratifiedEngine { engine, strata: 2 });
-            assert!(err.to_string().contains("semipositive programs only"));
-        }
+        let options = EvalOptions::new().fd_catalog(FdCatalog::new());
+        let err = Evaluator::with_options(p, options).unwrap_err();
+        let engine = Engine::QuasiGuarded;
+        assert_eq!(err, EvalError::NeedsStratifiedEngine { engine, strata: 2 });
+        assert!(err.to_string().contains("semipositive programs only"));
     }
 
     #[test]
@@ -1778,7 +1332,7 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         let g = p.idb("reachable").unwrap();
         assert!(store.holds(g, &[]));
     }
@@ -1787,7 +1341,7 @@ mod tests {
     fn constants_in_rules() {
         let s = chain(4);
         let p = parse_program("from_start(Y) :- e(x0, Y).", &s).unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         let q = p.idb("from_start").unwrap();
         assert_eq!(store.unary(q), vec![ElemId(1)]);
     }
@@ -1796,7 +1350,7 @@ mod tests {
     fn facts_in_program() {
         let s = chain(3);
         let p = parse_program("mark(x1). marked2(X) :- mark(X), e(X, Y).", &s).unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         let m2 = p.idb("marked2").unwrap();
         assert_eq!(store.unary(m2), vec![ElemId(1)]);
     }
@@ -1810,7 +1364,7 @@ mod tests {
         s.insert(e, &[ElemId(0), ElemId(0)]);
         s.insert(e, &[ElemId(0), ElemId(1)]);
         let p = parse_program("loop(X) :- e(X, X).", &s).unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         let l = p.idb("loop").unwrap();
         assert_eq!(store.unary(l), vec![ElemId(0)]);
     }
@@ -1821,7 +1375,7 @@ mod tests {
         let dom = Domain::anonymous(2);
         let s = Structure::new(sig, dom);
         let p = parse_program(TC, &s).unwrap();
-        let (store, stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, stats) = eval(&p, &s);
         assert_eq!(store.fact_count(), 0);
         assert_eq!(stats.facts, 0);
     }
@@ -1830,10 +1384,26 @@ mod tests {
     fn holds_named_uses_interned_names() {
         let s = chain(4);
         let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (store, _) = eval(&p, &s);
         assert!(store.holds_named("path", &[ElemId(0), ElemId(3)]));
         assert!(!store.holds_named("path", &[ElemId(3), ElemId(0)]));
         assert!(!store.holds_named("no_such_predicate", &[ElemId(0)]));
+    }
+
+    /// A tuple of the wrong arity is not in the model, in debug and
+    /// release builds alike, through the store and through a maintained
+    /// view.
+    #[test]
+    fn holds_named_is_false_for_wrong_arity() {
+        let s = chain(4);
+        let p = parse_program(TC, &s).unwrap();
+        let (store, _) = eval(&p, &s);
+        let view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+        for args in [&[ElemId(0)][..], &[], &[ElemId(0), ElemId(1), ElemId(2)]] {
+            assert!(!store.holds_named("path", args), "{args:?}");
+            assert!(!view.holds("path", args), "{args:?}");
+        }
+        assert!(view.holds("path", &[ElemId(0), ElemId(1)]));
     }
 
     #[test]
@@ -1847,19 +1417,28 @@ mod tests {
         for i in 0..7u32 {
             s.insert(succ, &[ElemId(i), ElemId(i + 1)]);
         }
-        let p = parse_program(
-            "even(X) :- zero(X).\nodd(Y) :- even(X), succ(X, Y).\n\
-             even(Y) :- odd(X), succ(X, Y).",
-            &s,
-        )
-        .unwrap();
-        let (naive, _) = eval(Engine::Naive, &p, &s);
-        let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
-        let (scan, _) = eval(Engine::SemiNaiveScan, &p, &s);
+        let src = "even(X) :- zero(X).\nodd(Y) :- even(X), succ(X, Y).\n\
+                   even(Y) :- odd(X), succ(X, Y).";
+        let p = parse_program(src, &s).unwrap();
+        let model = oracle(src, &s);
+        let (indexed, _) = eval(&p, &s);
+        let mut catalog = FdCatalog::new();
+        catalog.declare(succ, vec![0], vec![1]);
+        catalog.declare(succ, vec![1], vec![0]);
+        let quasi_guarded =
+            Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog))
+                .unwrap()
+                .evaluate(&s)
+                .unwrap()
+                .store;
         for name in ["even", "odd"] {
             let id = p.idb(name).unwrap();
-            assert_eq!(naive.tuples(id), indexed.tuples(id), "{name}");
-            assert_eq!(naive.tuples(id), scan.tuples(id), "{name}");
+            assert_eq!(indexed.tuples(id), model.relations[id.index()], "{name}");
+            assert_eq!(
+                quasi_guarded.tuples(id),
+                model.relations[id.index()],
+                "{name}"
+            );
         }
     }
 }

@@ -27,9 +27,7 @@
 //! [`Structure::extended`](mdtw_structure::Structure::extended)
 //! materialization is copy-on-write, so extension costs O(#materialized
 //! predicates)), and a session with an attached [`FdCatalog`] runs the
-//! linear-time quasi-guarded pipeline of Theorem 4.4. The oracle engines
-//! ([`Engine::Naive`], [`Engine::SemiNaiveScan`]) remain selectable for
-//! differential testing.
+//! linear-time quasi-guarded pipeline of Theorem 4.4.
 //!
 //! ```
 //! use mdtw_datalog::{parse_program, Evaluator};
@@ -55,9 +53,7 @@
 use crate::analysis::{analyze, relevant_rules, AnalysisOptions, ProgramReport};
 use crate::ast::Program;
 use crate::cache::PlanCache;
-use crate::eval::{
-    debug_assert_semipositive, naive_fixpoint, scan_fixpoint, EvalStats, IdbStore, SeminaiveScratch,
-};
+use crate::eval::{EvalStats, IdbStore, SeminaiveScratch};
 use crate::ground::{FdCatalog, QgError, QgPlan, QgStats};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_program_with, StructureStats};
@@ -75,15 +71,7 @@ use std::sync::Arc;
 /// or [`Engine::QuasiGuarded`] when an [`FdCatalog`] is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// The executable definition of the minimal-model semantics: all
-    /// rules, every round, no indexes. Ground truth for differential
-    /// testing; semipositive programs only.
-    Naive,
-    /// The pre-index semi-naive engine (nested-loop joins, full relation
-    /// scans, one shared delta set). Kept as an oracle and scan baseline;
-    /// semipositive programs only.
-    SemiNaiveScan,
-    /// The production engine: per-rule join plans probing lazily built
+    /// The semi-naive engine: per-rule join plans probing lazily built
     /// secondary indexes, per-predicate delta relations, the textbook
     /// rule split. Multi-stratum programs run the bottom-up stratified
     /// pipeline over the same engine.
@@ -97,44 +85,25 @@ pub enum Engine {
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Engine::Naive => "naive",
-            Engine::SemiNaiveScan => "seminaive-scan",
             Engine::SemiNaiveIndexed => "seminaive-indexed",
             Engine::QuasiGuarded => "quasi-guarded",
         })
     }
 }
 
-/// How much of [`EvalStats`] a session reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsDetail {
-    /// Every counter the engines maintain (the default).
-    #[default]
-    Full,
-    /// Only the outcome counters — `facts`, `rounds`, `strata`,
-    /// `plan_cache_hits`; the per-access work counters (`firings`,
-    /// `index_probes`, `full_scans`, `tuples_considered`,
-    /// `interned_hits`, `negative_checks`, `limit_checks`, `fuel_spent`)
-    /// are reported as zero. Useful when results are serialized and the
-    /// work counters would be noise.
-    Outcome,
-}
-
 /// Configuration for an [`Evaluator`] session, built fluently:
 ///
 /// ```
-/// use mdtw_datalog::{Engine, EvalOptions, StatsDetail};
+/// use mdtw_datalog::{Engine, EvalOptions, ProfileDetail};
 /// let opts = EvalOptions::new()
-///     .engine(Engine::SemiNaiveScan)
-///     .cache(false)
-///     .stats_detail(StatsDetail::Outcome);
+///     .engine(Engine::SemiNaiveIndexed)
+///     .outputs(["path"])
+///     .profile(ProfileDetail::Rules);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EvalOptions {
     engine: Option<Engine>,
-    no_cache: bool,
-    stats_detail: StatsDetail,
     fd_catalog: Option<FdCatalog>,
     outputs: Option<Vec<String>>,
     prune_dead_rules: bool,
@@ -148,7 +117,7 @@ pub struct EvalOptions {
 impl EvalOptions {
     /// The defaults: engine auto-selected ([`Engine::SemiNaiveIndexed`],
     /// or [`Engine::QuasiGuarded`] once [`fd_catalog`](Self::fd_catalog)
-    /// is attached), plan caching on, full statistics.
+    /// is attached), no transforms, no limits, profiling off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -156,20 +125,6 @@ impl EvalOptions {
     /// Forces a specific engine instead of the auto-selection.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Enables or disables the session's plan cache. With caching off,
-    /// every evaluation re-plans against the structure's statistics (and
-    /// [`EvalStats::plan_cache_hits`] stays 0).
-    pub fn cache(mut self, on: bool) -> Self {
-        self.no_cache = !on;
-        self
-    }
-
-    /// Selects how much of [`EvalStats`] evaluations report.
-    pub fn stats_detail(mut self, detail: StatsDetail) -> Self {
-        self.stats_detail = detail;
         self
     }
 
@@ -417,7 +372,7 @@ impl From<QgError> for EvalError {
 pub struct EvalResult {
     /// The computed model, one indexed relation per intensional predicate.
     pub store: IdbStore,
-    /// Work counters (subject to the session's [`StatsDetail`]).
+    /// Work counters.
     pub stats: EvalStats,
     /// The stratification the session computed at construction (1 stratum
     /// for semipositive programs). Shared with the session — an `Arc`
@@ -441,8 +396,6 @@ pub struct EvalResult {
 pub struct Evaluator {
     program: Program,
     engine: Engine,
-    cache_enabled: bool,
-    stats_detail: StatsDetail,
     fd_catalog: Option<FdCatalog>,
     /// The compiled grounding plan ([`Engine::QuasiGuarded`] sessions).
     qg_plan: Option<QgPlan>,
@@ -458,8 +411,8 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// A session with default options: auto-selected engine, plan caching
-    /// on, full statistics. Validates and stratifies the program once.
+    /// A session with default options (see [`EvalOptions::new`]).
+    /// Validates and stratifies the program once.
     pub fn new(program: Program) -> Result<Self, EvalError> {
         Self::with_options(program, EvalOptions::new())
     }
@@ -543,8 +496,6 @@ impl Evaluator {
         Ok(Self {
             program,
             engine,
-            cache_enabled: !options.no_cache,
-            stats_detail: options.stats_detail,
             fd_catalog,
             qg_plan,
             outputs: options.outputs,
@@ -578,27 +529,12 @@ impl Evaluator {
         let mut profiler =
             (self.profile_detail != ProfileDetail::Off).then(|| Profiler::new(self.profile_detail));
         let (store, mut stats, qg, trip) = match self.engine {
-            Engine::Naive => {
-                debug_assert_semipositive(&self.program);
-                let mut gov = Governor::new(limits.as_ref());
-                let (store, stats) =
-                    naive_fixpoint(&self.program, structure, &mut gov, profiler.as_mut());
-                (store, stats, None, gov.tripped())
-            }
-            Engine::SemiNaiveScan => {
-                debug_assert_semipositive(&self.program);
-                let mut gov = Governor::new(limits.as_ref());
-                let (store, stats) =
-                    scan_fixpoint(&self.program, structure, &mut gov, profiler.as_mut());
-                (store, stats, None, gov.tripped())
-            }
             Engine::SemiNaiveIndexed => {
-                let cache = self.cache_enabled.then_some(&self.cache);
                 let (store, stats, trip) = run_stratified(
                     &self.program,
                     &self.stratification,
                     structure,
-                    cache,
+                    &self.cache,
                     &mut self.scratch,
                     &mut self.ext_memo,
                     limits.as_ref(),
@@ -640,12 +576,11 @@ impl Evaluator {
         }
         let profile = profiler.map(|p| Box::new(p.finish()));
         if let Some(kind) = trip {
-            if self.engine != Engine::SemiNaiveIndexed {
-                // Single-stratum engines complete no stratum on a trip;
+            if self.engine == Engine::QuasiGuarded {
+                // The quasi-guarded engine completes no stratum on a trip;
                 // the stratified driver already set the completed count.
                 stats.strata = 0;
             }
-            let stats = self.filter_stats(stats);
             // The quasi-guarded engine cannot certify a partial grounding,
             // so it degrades without a partial result (and, since the
             // profile rides on the partial, without a profile).
@@ -666,7 +601,7 @@ impl Evaluator {
         }
         Ok(EvalResult {
             store,
-            stats: self.filter_stats(stats),
+            stats,
             stratification: Arc::clone(&self.stratification),
             qg,
             profile,
@@ -700,7 +635,6 @@ impl Evaluator {
             program: self.program,
             stratification: self.stratification,
             cache: self.cache,
-            cache_enabled: self.cache_enabled,
             scratch: self.scratch,
             ext_memo: self.ext_memo,
             limits: self.limits,
@@ -735,20 +669,6 @@ impl Evaluator {
             &plans,
             self.engine.to_string(),
         )
-    }
-
-    /// Applies the session's [`StatsDetail`] to raw engine counters.
-    fn filter_stats(&self, stats: EvalStats) -> EvalStats {
-        match self.stats_detail {
-            StatsDetail::Full => stats,
-            StatsDetail::Outcome => EvalStats {
-                facts: stats.facts,
-                rounds: stats.rounds,
-                strata: stats.strata,
-                plan_cache_hits: stats.plan_cache_hits,
-                ..EvalStats::default()
-            },
-        }
     }
 
     /// Runs the full static-analysis battery of
@@ -808,7 +728,7 @@ impl Evaluator {
     }
 
     /// The session-owned plan cache (one entry per stratum sub-program
-    /// and structure cardinality shape; empty when caching is disabled).
+    /// and structure cardinality shape).
     #[inline]
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
@@ -861,19 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_off_replans_every_time() {
-        let s = chain(6);
-        let p = parse_program(TC, &s).unwrap();
-        let mut session = Evaluator::with_options(p, EvalOptions::new().cache(false)).unwrap();
-        let first = session.evaluate(&s).unwrap();
-        let second = session.evaluate(&s).unwrap();
-        assert_eq!(first.stats.plan_cache_hits, 0);
-        assert_eq!(second.stats.plan_cache_hits, 0);
-        assert!(session.plan_cache().is_empty());
-        assert_eq!(first.stats.facts, second.stats.facts);
-    }
-
-    #[test]
     fn multi_stratum_auto_dispatch() {
         let s = chain(5);
         let p = parse_program(UNREACH, &s).unwrap();
@@ -892,41 +799,37 @@ mod tests {
         assert_eq!(warm.stats.plan_cache_hits, 2);
     }
 
+    /// Forcing the semipositive-only quasi-guarded engine on a
+    /// multi-stratum program fails at construction, before the guard
+    /// analysis runs.
     #[test]
     fn oracle_engines_reject_multi_stratum_at_construction() {
         let s = chain(4);
         let p = parse_program(UNREACH, &s).unwrap();
-        for engine in [Engine::Naive, Engine::SemiNaiveScan, Engine::QuasiGuarded] {
-            let mut opts = EvalOptions::new().engine(engine);
-            if engine == Engine::QuasiGuarded {
-                opts = opts.fd_catalog(FdCatalog::new());
-            }
-            let err = Evaluator::with_options(p.clone(), opts).unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::NeedsStratifiedEngine { engine, strata: 2 },
-                "{engine}"
-            );
-            assert!(err.to_string().contains("strata"));
-        }
+        let engine = Engine::QuasiGuarded;
+        let opts = EvalOptions::new()
+            .engine(engine)
+            .fd_catalog(FdCatalog::new());
+        let err = Evaluator::with_options(p, opts).unwrap_err();
+        assert_eq!(err, EvalError::NeedsStratifiedEngine { engine, strata: 2 });
+        assert!(err.to_string().contains("strata"));
     }
 
+    /// A reused session agrees with the naive oracle, cold and warm.
     #[test]
     fn oracle_engines_agree_with_indexed() {
         let s = chain(7);
         let p = parse_program(TC, &s).unwrap();
-        let indexed = Evaluator::new(p.clone()).unwrap().evaluate(&s).unwrap();
-        for engine in [Engine::Naive, Engine::SemiNaiveScan] {
-            let mut session =
-                Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap();
+        let path = p.idb("path").unwrap();
+        let oracle = mdtw_tests::naive_model(
+            &mdtw_tests::mdtw_datalog::parse_program(TC, &s).unwrap(),
+            &s,
+        );
+        let mut session = Evaluator::new(p).unwrap();
+        for _ in 0..2 {
             let result = session.evaluate(&s).unwrap();
-            let path = session.program().idb("path").unwrap();
-            assert_eq!(
-                result.store.tuples(path),
-                indexed.store.tuples(path),
-                "{engine}"
-            );
-            assert_eq!(result.stats.facts, indexed.stats.facts, "{engine}");
+            assert_eq!(result.store.tuples(path), oracle.relations[path.index()]);
+            assert_eq!(result.stats.firings, oracle.instantiations);
         }
     }
 
@@ -1009,22 +912,6 @@ mod tests {
             err,
             EvalError::Stratification(StratificationError::NegativeCycle { .. })
         ));
-    }
-
-    #[test]
-    fn outcome_stats_detail_zeroes_work_counters() {
-        let s = chain(6);
-        let p = parse_program(TC, &s).unwrap();
-        let mut session =
-            Evaluator::with_options(p, EvalOptions::new().stats_detail(StatsDetail::Outcome))
-                .unwrap();
-        let result = session.evaluate(&s).unwrap();
-        assert!(result.stats.facts > 0);
-        assert!(result.stats.rounds > 0);
-        assert_eq!(result.stats.strata, 1);
-        assert_eq!(result.stats.firings, 0);
-        assert_eq!(result.stats.index_probes, 0);
-        assert_eq!(result.stats.tuples_considered, 0);
     }
 
     const WITH_DEAD: &str = "reach(X) :- first(X).\n\

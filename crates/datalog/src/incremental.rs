@@ -53,7 +53,7 @@
 //! a partially maintained state.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::{plans_for, PlanCache};
+use crate::cache::PlanCache;
 use crate::eval::{derives, run_increment, run_overdelete, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_edb_deltas, plan_head_bound, JoinPlan, RulePlans, StructureStats};
@@ -121,7 +121,6 @@ pub(crate) struct SessionParts {
     pub(crate) program: Program,
     pub(crate) stratification: Arc<Stratification>,
     pub(crate) cache: PlanCache,
-    pub(crate) cache_enabled: bool,
     pub(crate) scratch: SeminaiveScratch,
     pub(crate) ext_memo: ExtensionMemo,
     pub(crate) limits: Option<EvalLimits>,
@@ -143,7 +142,6 @@ pub struct MaterializedView {
     program: Program,
     strat: Arc<Stratification>,
     cache: PlanCache,
-    cache_enabled: bool,
     scratch: SeminaiveScratch,
     limits: Option<EvalLimits>,
     memo: ExtensionMemo,
@@ -171,7 +169,6 @@ impl MaterializedView {
             program,
             stratification: strat,
             cache,
-            cache_enabled,
             scratch,
             mut ext_memo,
             limits,
@@ -189,7 +186,6 @@ impl MaterializedView {
                 }
             }
         }
-        let cache_opt = cache_enabled.then_some(&cache);
         let mut subs = Vec::with_capacity(strat.stratum_count());
         let mut plans = Vec::with_capacity(strat.stratum_count());
         let mut edb_plans = Vec::with_capacity(strat.stratum_count());
@@ -202,7 +198,7 @@ impl MaterializedView {
                 spans: Vec::new(),
                 idb_by_name: program.idb_by_name.clone(),
             };
-            let (p, _) = plans_for(&sub, &ext, cache_opt);
+            let (p, _) = cache.plans(&sub, &ext);
             let est = StructureStats::new(&ext);
             edb_plans.push(plan_edb_deltas(&sub, &est));
             head_plans.push(plan_head_bound(&sub, &est));
@@ -213,7 +209,6 @@ impl MaterializedView {
             program,
             strat,
             cache,
-            cache_enabled,
             scratch,
             limits,
             memo: ext_memo,
@@ -487,12 +482,11 @@ impl MaterializedView {
     /// re-evaluate the post-update base from scratch, ungoverned.
     fn fall_back(&mut self, kind: LimitKind, profile: &mut UpdateProfile) {
         let base_post = self.ext.restricted(&self.base_sig);
-        let cache_opt = self.cache_enabled.then_some(&self.cache);
         let (store, _stats, trip) = run_stratified(
             &self.program,
             &self.strat,
             &base_post,
-            cache_opt,
+            &self.cache,
             &mut self.scratch,
             &mut self.memo,
             None,
@@ -559,6 +553,7 @@ fn empty_relations(arities: &[usize]) -> Vec<Relation> {
 mod tests {
     use super::*;
     use crate::evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
+    use crate::ground::FdCatalog;
     use crate::parser::parse_program;
     use mdtw_structure::Domain;
 
@@ -768,15 +763,15 @@ mod tests {
     #[test]
     fn non_indexed_engines_are_rejected() {
         let s = chain(4);
-        let p = parse_program(TC, &s).unwrap();
-        let err = Evaluator::with_options(p, EvalOptions::new().engine(Engine::Naive))
+        let p = parse_program("reach(X) :- first(X).\nreach(Y) :- reach(X), e(X, Y).", &s).unwrap();
+        let err = Evaluator::with_options(p, EvalOptions::new().fd_catalog(FdCatalog::new()))
             .unwrap()
             .materialize(&s)
             .unwrap_err();
         assert_eq!(
             err,
             EvalError::UnsupportedIncremental {
-                engine: Engine::Naive
+                engine: Engine::QuasiGuarded
             }
         );
     }

@@ -6,8 +6,8 @@
 //!
 //! The engine evaluates **stratified** datalog — negation over derived
 //! predicates, as long as no predicate depends on its own negation — over
-//! the finite structures of [`mdtw_structure`]. The core fixpoint engines
-//! are *semipositive* (negation only on extensional atoms — the fragment
+//! the finite structures of [`mdtw_structure`]. The core fixpoint engine
+//! is *semipositive* (negation only on extensional atoms — the fragment
 //! produced by the paper's MSO-to-datalog construction); the
 //! [`stratify`](mod@crate::stratify) pipeline reduces stratified programs
 //! to a bottom-up sequence of semipositive ones.
@@ -21,8 +21,9 @@
 //! per-structure workloads cheap. Under the session layer:
 //!
 //! * [`ast`] / [`parser`] — programs as data or text;
-//! * [`eval`] — naive and semi-naive least-fixpoint evaluation (the
-//!   reference semantics of §2.4). The semi-naive engine executes per-rule
+//! * [`eval`] — semi-naive least-fixpoint evaluation (the semantics of
+//!   §2.4; the naive oracle it is tested against lives in the
+//!   `mdtw-tests` support library). The engine executes per-rule
 //!   join plans over the arena-backed secondary-index layer of
 //!   [`mdtw_structure`]: body literals probe argument-position hash
 //!   indexes instead of scanning relations, the frontier is a set of
@@ -61,7 +62,7 @@
 //! * [`span`](mod@crate::span) — byte-span + line/column source
 //!   locations, recorded by the parser for every rule, head and literal;
 //! * [`profile`](mod@crate::profile) — the observability layer: a
-//!   zero-cost-when-off profiler threaded through every engine
+//!   zero-cost-when-off profiler threaded through both engines
 //!   ([`EvalOptions::profile`] → [`ProfileDetail`]), collecting a
 //!   structured [`EvalProfile`] (per-stratum timeline, per-rule
 //!   breakdown, per-literal observed selectivities) returned on
@@ -110,7 +111,7 @@ pub use analysis::{
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
 pub use cache::PlanCache;
 pub use eval::{EvalStats, IdbStore};
-pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator, StatsDetail};
+pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};
 pub use horn::{HornProgram, HornRule};
 pub use incremental::{MaterializedView, Update};

@@ -37,7 +37,7 @@
 //! join loop of [`eval`](crate::eval) is reused without modification.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::{plans_for, PlanCache};
+use crate::cache::PlanCache;
 use crate::eval::{run_seminaive_scratch, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::profile::Profiler;
@@ -462,7 +462,6 @@ impl ExtensionMemo {
 /// session-recycled scratch buffers — the engine behind
 /// [`Evaluator`](crate::evaluator::Evaluator) sessions, which stratify
 /// once at construction and reuse the certificate across evaluations.
-/// `cache` is `None` when plan caching is disabled.
 ///
 /// Stratum 0 is semipositive as-is. For every higher stratum, references
 /// to lower-stratum predicates are rewritten to extensional predicates of
@@ -486,7 +485,7 @@ pub(crate) fn run_stratified(
     program: &Program,
     strat: &Stratification,
     structure: &Structure,
-    cache: Option<&PlanCache>,
+    cache: &PlanCache,
     scratch: &mut SeminaiveScratch,
     memo: &mut ExtensionMemo,
     limits: Option<&EvalLimits>,
@@ -495,7 +494,7 @@ pub(crate) fn run_stratified(
     if strat.stratum_count() <= 1 {
         // Semipositive fast path: no rewriting, no structure extension.
         crate::eval::debug_assert_semipositive(program);
-        let (plans, hit) = plans_for(program, structure, cache);
+        let (plans, hit) = cache.plans(program, structure);
         let stats = EvalStats {
             plan_cache_hits: usize::from(hit),
             strata: strat.stratum_count(),
@@ -562,7 +561,7 @@ pub(crate) fn run_stratified(
                 "stratum rewrite must produce a semipositive sub-program"
             );
 
-            let (plans, hit) = plans_for(&sub, &ext_structure, cache);
+            let (plans, hit) = cache.plans(&sub, &ext_structure);
             let stats = EvalStats {
                 plan_cache_hits: usize::from(hit),
                 ..EvalStats::default()

@@ -3,8 +3,9 @@
 //! same-generation, negation — each checked against hand-computed
 //! results and across evaluation strategies.
 
-use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator};
+use mdtw_datalog::{parse_program, Evaluator};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use mdtw_tests::naive_model;
 use std::sync::Arc;
 
 /// A small directed graph with a parent relation for same-generation.
@@ -143,19 +144,12 @@ fn naive_and_seminaive_agree_on_corpus() {
     ];
     for (i, src) in programs.iter().enumerate() {
         let p = parse_program(src, &s).unwrap();
-        let a = Evaluator::with_options(p.clone(), EvalOptions::new().engine(Engine::Naive))
-            .unwrap()
-            .evaluate(&s)
-            .unwrap()
-            .store;
-        let b = Evaluator::new(p.clone())
-            .unwrap()
-            .evaluate(&s)
-            .unwrap()
-            .store;
-        for idb in 0..p.idb_count() {
+        let naive = naive_model(&p, &s);
+        let result = Evaluator::new(p.clone()).unwrap().evaluate(&s).unwrap();
+        for (idb, model) in naive.relations.iter().enumerate() {
             let id = mdtw_datalog::IdbId(idb as u32);
-            assert_eq!(a.tuples(id), b.tuples(id), "program {i}, idb {idb}");
+            assert_eq!(&result.store.tuples(id), model, "program {i}, idb {idb}");
         }
+        assert_eq!(result.stats.firings, naive.instantiations, "program {i}");
     }
 }

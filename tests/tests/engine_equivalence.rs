@@ -1,19 +1,19 @@
-//! Property test: the three evaluation engines — naive (the executable
-//! minimal-model definition), the pre-index scan engine (kept as oracle),
-//! and the indexed semi-naive engine — compute identical least fixpoints
-//! and identical distinct-fact counts on randomly generated semipositive
-//! programs over randomly generated structures. Every [`Engine`] variant
-//! of a *reused* session (cache cold and warm) must also agree with a
-//! fresh naive session on the same random matrix. Random quasi-guarded
-//! programs whose rules share extensional skeletons pin the grouped
-//! quasi-guarded grounding to the indexed engine and to a brute-force
-//! count of its ground program.
+//! Property tests pinning the production engines to ground truth. The
+//! indexed semi-naive engine computes the least fixpoint of the naive
+//! oracle ([`mdtw_tests::naive_model`]) on randomly generated
+//! semipositive programs over randomly generated structures, and fires
+//! each rule instantiation exactly once: its firing count equals the
+//! oracle's instantiation count. A *reused* session agrees with the oracle
+//! cache cold and warm. Random quasi-guarded programs whose rules share
+//! extensional skeletons pin the grouped quasi-guarded grounding to the
+//! indexed engine and to a brute-force count of its ground program.
 
 use mdtw_datalog::{
     Atom, Engine, EvalOptions, EvalStats, Evaluator, IdbId, IdbStore, Literal, PredRef, Program,
     Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
+use mdtw_tests::naive_model;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,12 +44,9 @@ fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
     s
 }
 
-/// One evaluation of `p` over `s` by a fresh session running `engine`.
-fn eval(engine: Engine, p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
-    let result = Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine))
-        .unwrap()
-        .evaluate(s)
-        .unwrap();
+/// One evaluation of `p` over `s` by a fresh default session.
+fn eval(p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+    let result = Evaluator::new(p.clone()).unwrap().evaluate(s).unwrap();
     (result.store, result.stats)
 }
 
@@ -160,12 +157,12 @@ fn build_program(raw_rules: &[RawRule], structure: &Structure) -> Program {
     program
 }
 
-/// Deterministic pin of indexed-vs-scan-vs-naive agreement on a program
-/// whose joins carry multi-position index keys over a ternary relation:
-/// the recursive rule binds two of `t`'s argument positions before the
-/// probe, and the projection rule probes `t` on all three. Exercises the
-/// packed multi-`ElemId` key path of [`mdtw_structure::PosIndex`], which
-/// the random generator above (arities ≤ 2) cannot reach.
+/// Deterministic pin of indexed-vs-oracle agreement on a program whose
+/// joins carry multi-position index keys over a ternary relation: the
+/// recursive rule binds two of `t`'s argument positions before the probe,
+/// and the projection rule probes `t` on all three. Exercises the packed
+/// multi-`ElemId` key path of [`mdtw_structure::PosIndex`], which the
+/// random generator above (arities ≤ 2) cannot reach.
 #[test]
 fn multi_position_keys_agree_across_engines_arity_3() {
     use mdtw_datalog::parse_program;
@@ -187,48 +184,27 @@ fn multi_position_keys_agree_across_engines_arity_3() {
     )
     .unwrap();
 
-    let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
-    let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
-    let (indexed, indexed_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
-
+    let naive = naive_model(&p, &s);
+    let (indexed, stats) = eval(&p, &s);
     for name in ["tri", "pin"] {
         let id = p.idb(name).unwrap();
-        assert!(!naive.tuples(id).is_empty(), "{name} must derive facts");
-        assert_eq!(naive.tuples(id), scan.tuples(id), "scan vs naive: {name}");
-        assert_eq!(
-            naive.tuples(id),
-            indexed.tuples(id),
-            "indexed vs naive: {name}"
-        );
+        let model = &naive.relations[id.index()];
+        assert!(!model.is_empty(), "{name} must derive facts");
+        assert_eq!(model, &indexed.tuples(id), "indexed vs oracle: {name}");
     }
-    assert_eq!(naive_stats.facts, scan_stats.facts);
-    assert_eq!(naive_stats.facts, indexed_stats.facts);
-    assert!(indexed_stats.firings <= scan_stats.firings);
+    assert_eq!(stats.facts, indexed.fact_count());
+    assert_eq!(stats.firings, naive.instantiations);
     assert!(
-        indexed_stats.index_probes > 0,
+        stats.index_probes > 0,
         "multi-position joins must probe, not scan"
-    );
-
-    // All three engines now populate the work counters, so their access
-    // patterns are directly comparable: the scan engines enumerate whole
-    // relations where the indexed engine probes.
-    for (label, st) in [("naive", &naive_stats), ("scan", &scan_stats)] {
-        assert!(st.full_scans > 0, "{label} engine counts its scans");
-        assert!(
-            st.tuples_considered > 0,
-            "{label} engine counts candidate tuples"
-        );
-        assert_eq!(st.index_probes, 0, "{label} engine never probes");
-    }
-    assert!(indexed_stats.tuples_considered > 0);
-    assert!(
-        indexed_stats.tuples_considered < scan_stats.tuples_considered,
-        "probing must consider strictly fewer candidates than scanning"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+    /// The indexed store equals the oracle model, and the rule split fires
+    /// each instantiation exactly once: `firings` equals the oracle's
+    /// instantiation count.
     #[test]
     fn engines_compute_identical_fixpoints(
         n in 2usize..6,
@@ -246,31 +222,24 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        let (naive, naive_stats) = eval(Engine::Naive, &p, &s);
-        let (scan, scan_stats) = eval(Engine::SemiNaiveScan, &p, &s);
-        let (indexed, indexed_stats) = eval(Engine::SemiNaiveIndexed, &p, &s);
-
-        for idb in 0..p.idb_count() {
+        let naive = naive_model(&p, &s);
+        let (indexed, stats) = eval(&p, &s);
+        for (idb, model) in naive.relations.iter().enumerate() {
             let id = IdbId(idb as u32);
-            prop_assert_eq!(naive.tuples(id), scan.tuples(id), "scan vs naive, idb {}", idb);
-            prop_assert_eq!(naive.tuples(id), indexed.tuples(id), "indexed vs naive, idb {}", idb);
+            prop_assert_eq!(model, &indexed.tuples(id), "indexed vs oracle, idb {}", idb);
         }
-        prop_assert_eq!(naive.fact_count(), indexed.fact_count());
-        prop_assert_eq!(naive_stats.facts, scan_stats.facts);
-        prop_assert_eq!(naive_stats.facts, indexed_stats.facts);
-        // The rule split may only save work, never add it.
-        prop_assert!(indexed_stats.firings <= scan_stats.firings);
+        prop_assert_eq!(stats.facts, indexed.fact_count());
+        prop_assert_eq!(stats.firings, naive.instantiations);
     }
 
-    /// The same random program/structure matrix through every semipositive
-    /// `Engine` variant of ONE reused `Evaluator` each — cache cold
-    /// (first call) *and* warm (second call) — asserting bit-identical
-    /// `IdbStore`s against a fresh naive session, identical work counters
-    /// cold and warm, and that a reused indexed session's second
-    /// evaluation reports `plan_cache_hits > 0`. (`Engine::QuasiGuarded`
-    /// needs declared functional dependencies the random matrix does not
-    /// have; it is pinned by `quasi_guarded_session_matches_indexed_session`
-    /// and by the grouping differential at the end of this file.)
+    /// The same random program/structure matrix through ONE reused
+    /// `Evaluator` — cache cold (first call) *and* warm (second call) —
+    /// asserting bit-identical `IdbStore`s against the oracle, identical
+    /// work counters cold and warm, and `plan_cache_hits > 0` on the
+    /// second evaluation. (`Engine::QuasiGuarded` needs declared
+    /// functional dependencies the random matrix does not have; it is
+    /// pinned by `quasi_guarded_session_matches_indexed_session` and by
+    /// the grouping differential at the end of this file.)
     #[test]
     fn reused_sessions_bit_identical_cold_and_warm(
         n in 2usize..6,
@@ -288,34 +257,22 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        let (oracle, oracle_stats) = eval(Engine::Naive, &p, &s);
-        for engine in [Engine::Naive, Engine::SemiNaiveScan, Engine::SemiNaiveIndexed] {
-            let mut session =
-                Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap();
-            let cold = session.evaluate(&s).unwrap();
-            let warm = session.evaluate(&s).unwrap();
-            for idb in 0..p.idb_count() {
-                let id = IdbId(idb as u32);
-                prop_assert_eq!(
-                    oracle.tuples(id), cold.store.tuples(id),
-                    "{} cold vs naive, idb {}", engine, idb
-                );
-                prop_assert_eq!(
-                    oracle.tuples(id), warm.store.tuples(id),
-                    "{} warm vs naive, idb {}", engine, idb
-                );
-            }
-            prop_assert_eq!(oracle_stats.facts, cold.stats.facts, "{}", engine);
-            prop_assert_eq!(cold.stats.facts, warm.stats.facts, "{}", engine);
-            prop_assert_eq!(cold.stats.firings, warm.stats.firings, "{}", engine);
-            if engine == Engine::SemiNaiveIndexed {
-                prop_assert_eq!(cold.stats.plan_cache_hits, 0, "session cache starts cold");
-                prop_assert!(
-                    warm.stats.plan_cache_hits > 0,
-                    "reused session must reuse compiled plans"
-                );
-            }
+        let naive = naive_model(&p, &s);
+        let mut session = Evaluator::new(p.clone()).unwrap();
+        let cold = session.evaluate(&s).unwrap();
+        let warm = session.evaluate(&s).unwrap();
+        for (idb, model) in naive.relations.iter().enumerate() {
+            let id = IdbId(idb as u32);
+            prop_assert_eq!(model, &cold.store.tuples(id), "cold vs oracle, idb {}", idb);
+            prop_assert_eq!(model, &warm.store.tuples(id), "warm vs oracle, idb {}", idb);
         }
+        prop_assert_eq!(cold.stats.facts, warm.stats.facts);
+        prop_assert_eq!(cold.stats.firings, warm.stats.firings);
+        prop_assert_eq!(cold.stats.plan_cache_hits, 0, "session cache starts cold");
+        prop_assert!(
+            warm.stats.plan_cache_hits > 0,
+            "reused session must reuse compiled plans"
+        );
     }
 }
 
@@ -348,7 +305,7 @@ fn quasi_guarded_session_matches_indexed_session() {
     catalog.declare(next, vec![0], vec![1]);
     catalog.declare(next, vec![1], vec![0]);
 
-    let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+    let (indexed, _) = eval(&p, &s);
     let mut session =
         Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
     assert_eq!(session.engine(), Engine::QuasiGuarded);
@@ -629,7 +586,7 @@ proptest! {
     ) {
         let (s, catalog) = fd_structure(n, &f_pairs, &g_pairs, &marks);
         let p = build_grouped_program(&skeletons, &members, var_free, &s);
-        let (indexed, _) = eval(Engine::SemiNaiveIndexed, &p, &s);
+        let (indexed, _) = eval(&p, &s);
         let mut session =
             Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
         prop_assert_eq!(session.engine(), Engine::QuasiGuarded);

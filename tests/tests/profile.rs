@@ -1,8 +1,8 @@
 //! Observability-layer pins: profiling must *observe* evaluation, never
 //! change it.
 //!
-//! * Property test (96 random semipositive programs × structures ×
-//!   engines): every [`ProfileDetail`] level produces a store and
+//! * Property test (96 random semipositive programs × structures):
+//!   every [`ProfileDetail`] level produces a store and
 //!   [`EvalStats`] bit-identical to `ProfileDetail::Off`.
 //! * Fixture pins on the 3-stratum negation chain: per-rule firing
 //!   counts in the profile sum to `EvalStats::firings`, every positive
@@ -12,7 +12,7 @@
 //!   in its `Display`, and serializes it in the JSON error shape.
 
 use mdtw_datalog::{
-    eval_error_json, parse_program, Atom, Engine, EvalError, EvalLimits, EvalOptions, EvalProfile,
+    eval_error_json, parse_program, Atom, EvalError, EvalLimits, EvalOptions, EvalProfile,
     Evaluator, IdbId, Literal, PredRef, ProfileDetail, Program, Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
@@ -174,22 +174,18 @@ fn stratified_fixture(n: usize) -> (Structure, Program) {
 fn evaluate_at(
     program: &Program,
     structure: &Structure,
-    engine: Engine,
     detail: ProfileDetail,
 ) -> mdtw_datalog::EvalResult {
-    let mut session = Evaluator::with_options(
-        program.clone(),
-        EvalOptions::new().engine(engine).profile(detail),
-    )
-    .expect("semipositive program");
+    let mut session = Evaluator::with_options(program.clone(), EvalOptions::new().profile(detail))
+        .expect("stratifiable program");
     session.evaluate(structure).expect("no limits, cannot trip")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Profiling is observation only: for every engine and every
-    /// `ProfileDetail` level, the store and the work counters are
+    /// Profiling is observation only: at every `ProfileDetail` level,
+    /// the store and the work counters are
     /// bit-identical to a `ProfileDetail::Off` evaluation.
     #[test]
     fn profiling_never_changes_store_or_stats(
@@ -208,34 +204,25 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        for engine in [Engine::Naive, Engine::SemiNaiveScan, Engine::SemiNaiveIndexed] {
-            let off = evaluate_at(&p, &s, engine, ProfileDetail::Off);
-            prop_assert!(off.profile.is_none(), "Off must not allocate a profile");
-            for detail in [ProfileDetail::Strata, ProfileDetail::Rules, ProfileDetail::Literals] {
-                let on = evaluate_at(&p, &s, engine, detail);
-                for idb in 0..p.idb_count() {
-                    let id = IdbId(idb as u32);
-                    prop_assert_eq!(
-                        off.store.tuples(id),
-                        on.store.tuples(id),
-                        "store must be bit-identical ({:?}, {:?}, idb {})",
-                        engine,
-                        detail,
-                        idb
-                    );
-                }
-                prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
+        let off = evaluate_at(&p, &s, ProfileDetail::Off);
+        prop_assert!(off.profile.is_none(), "Off must not allocate a profile");
+        for detail in [ProfileDetail::Strata, ProfileDetail::Rules, ProfileDetail::Literals] {
+            let on = evaluate_at(&p, &s, detail);
+            for idb in 0..p.idb_count() {
+                let id = IdbId(idb as u32);
                 prop_assert_eq!(
-                    off.stats,
-                    on.stats,
-                    "stats must be bit-identical ({:?}, {:?})",
-                    engine,
-                    detail
+                    off.store.tuples(id),
+                    on.store.tuples(id),
+                    "store must be bit-identical ({:?}, idb {})",
+                    detail,
+                    idb
                 );
-                let profile = on.profile.expect("profiling enabled");
-                prop_assert_eq!(profile.detail, detail);
-                prop_assert!(profile.trip_stratum.is_none());
             }
+            prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
+            prop_assert_eq!(off.stats, on.stats, "stats must be bit-identical ({:?})", detail);
+            let profile = on.profile.expect("profiling enabled");
+            prop_assert_eq!(profile.detail, detail);
+            prop_assert!(profile.trip_stratum.is_none());
         }
     }
 }
@@ -243,7 +230,7 @@ proptest! {
 #[test]
 fn per_rule_firings_sum_to_eval_stats() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, ProfileDetail::Rules);
+    let result = evaluate_at(&p, &s, ProfileDetail::Rules);
     let profile = result.profile.expect("profiling enabled");
     assert_eq!(profile.strata.len(), result.stats.strata);
     assert_eq!(profile.strata.len(), 3, "the fixture has three strata");
@@ -288,7 +275,7 @@ fn per_rule_firings_sum_to_eval_stats() {
 #[test]
 fn literal_detail_observes_every_positive_literal_of_fired_rules() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, ProfileDetail::Literals);
+    let result = evaluate_at(&p, &s, ProfileDetail::Literals);
     let profile = result.profile.expect("profiling enabled");
 
     let mut observed_rules = 0usize;
@@ -334,7 +321,7 @@ fn profiles_round_trip_through_json() {
         ProfileDetail::Rules,
         ProfileDetail::Literals,
     ] {
-        let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, detail);
+        let result = evaluate_at(&p, &s, detail);
         let profile = result.profile.expect("profiling enabled");
         let json = profile.to_json();
         let rendered = json.render();
