@@ -250,6 +250,17 @@ impl DeltaStore {
     fn rel(&self, pred: IdbId) -> &Relation {
         &self.rels[pred.index()]
     }
+
+    /// True when the delta of `rule`'s intensional body literal `pos` is
+    /// empty: that literal's delta pass cannot match anything, so the
+    /// round skips it without resolving steps or taking index locks.
+    #[inline]
+    fn is_empty_at(&self, rule: &Rule, pos: usize) -> bool {
+        let PredRef::Idb(id) = rule.body[pos].atom.pred else {
+            unreachable!("delta plans target intensional literals")
+        };
+        self.rel(id).is_empty()
+    }
 }
 
 /// Per-predicate staging relations collecting one round's derivations
@@ -510,6 +521,9 @@ fn seminaive_rounds(
         stats.rounds += 1;
         'rules: for (ri, (rule, rp)) in program.rules.iter().zip(plans).enumerate() {
             for (dpos, plan) in &rp.delta {
+                if delta.is_empty_at(rule, *dpos) {
+                    continue;
+                }
                 let ctx = PlanCtx {
                     rule,
                     plan,
@@ -573,8 +587,7 @@ fn edb_seed_pass<S: Sink>(
                 structure,
                 store,
             };
-            let bindings = vec![None; rule.var_count as usize];
-            if run_plan(&ctx, bindings, stats, sink, key, gov, None) {
+            if run_plan(&ctx, Bindings::new(rule), stats, sink, key, gov, None) {
                 return true;
             }
         }
@@ -641,6 +654,9 @@ pub(crate) fn run_overdelete(
         }
         for (rule, rp) in program.rules.iter().zip(plans) {
             for (dpos, plan) in &rp.delta {
+                if delta.is_empty_at(rule, *dpos) {
+                    continue;
+                }
                 let ctx = PlanCtx {
                     rule,
                     plan,
@@ -650,8 +666,7 @@ pub(crate) fn run_overdelete(
                     structure,
                     store,
                 };
-                let bindings = vec![None; rule.var_count as usize];
-                if run_plan(&ctx, bindings, stats, &mut sink, key, gov, None) {
+                if run_plan(&ctx, Bindings::new(rule), stats, &mut sink, key, gov, None) {
                     return;
                 }
             }
@@ -675,8 +690,8 @@ pub(crate) fn derives(
     gov: &mut Governor<'_>,
     stats: &mut EvalStats,
 ) -> bool {
-    let mut bindings = vec![None; rule.var_count as usize];
-    if !unify(&rule.head, fact, &mut bindings, &mut Vec::new()) {
+    let mut bindings = Bindings::new(rule);
+    if !bindings.unify(&rule.head, fact) {
         return false;
     }
     let ctx = PlanCtx {
@@ -818,7 +833,7 @@ fn profiled_apply(
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
 ) -> bool {
-    let bindings = vec![None; ctx.rule.var_count as usize];
+    let bindings = Bindings::new(ctx.rule);
     match prof.as_deref_mut() {
         Some(p) if p.rules_on() => {
             let before = *stats;
@@ -841,7 +856,7 @@ fn profiled_apply(
 /// head fact); returns `true` when the sink or the governor stopped it.
 fn run_plan<S: Sink>(
     ctx: &PlanCtx<'_>,
-    mut bindings: Vec<Option<ElemId>>,
+    mut bindings: Bindings,
     stats: &mut EvalStats,
     sink: &mut S,
     scratch: &mut Vec<ElemId>,
@@ -851,7 +866,7 @@ fn run_plan<S: Sink>(
     if S::NEGATIVES {
         for &ni in &ctx.plan.ground_negatives {
             stats.negative_checks += 1;
-            if negative_holds(ctx, ni, &bindings, scratch) {
+            if negative_holds(ctx, ni, &bindings.vals, scratch) {
                 return false;
             }
         }
@@ -983,7 +998,7 @@ fn descend_plan<S: Sink>(
     ctx: &PlanCtx<'_>,
     execs: &[StepExec<'_>],
     step_idx: usize,
-    bindings: &mut Vec<Option<ElemId>>,
+    bindings: &mut Bindings,
     stats: &mut EvalStats,
     sink: &mut S,
     scratch: &mut Vec<ElemId>,
@@ -995,7 +1010,7 @@ fn descend_plan<S: Sink>(
         let PredRef::Idb(id) = ctx.rule.head.pred else {
             unreachable!("stratification rejects extensional heads")
         };
-        instantiate_into(&ctx.rule.head, bindings, scratch);
+        instantiate_into(&ctx.rule.head, &bindings.vals, scratch);
         return sink.emit(id, scratch, ctx.store, stats);
     }
 
@@ -1005,7 +1020,7 @@ fn descend_plan<S: Sink>(
     let exclude = exec.exclude;
 
     let on_tuple = |tuple: &[ElemId],
-                    bindings: &mut Vec<Option<ElemId>>,
+                    bindings: &mut Bindings,
                     stats: &mut EvalStats,
                     sink: &mut S,
                     scratch: &mut Vec<ElemId>,
@@ -1020,12 +1035,12 @@ fn descend_plan<S: Sink>(
             return true;
         }
         let mut stop = false;
-        let mut touched: Vec<Var> = Vec::new();
-        if unify(&lit.atom, tuple, bindings, &mut touched) {
+        let mark = bindings.trail.len();
+        if bindings.unify(&lit.atom, tuple) {
             let negatives_ok = !S::NEGATIVES
                 || step.negatives_after.iter().all(|&ni| {
                     stats.negative_checks += 1;
-                    !negative_holds(ctx, ni, bindings, scratch)
+                    !negative_holds(ctx, ni, &bindings.vals, scratch)
                 });
             if negatives_ok {
                 if let Some(t) = trace.as_deref_mut() {
@@ -1044,9 +1059,7 @@ fn descend_plan<S: Sink>(
                 );
             }
         }
-        for v in touched {
-            bindings[v.index()] = None;
-        }
+        bindings.undo_to(mark);
         stop
     };
 
@@ -1087,7 +1100,9 @@ fn descend_plan<S: Sink>(
                 for &p in positions {
                     scratch.push(match lit.atom.terms[p] {
                         Term::Const(c) => c,
-                        Term::Var(v) => bindings[v.index()].expect("planner binds key positions"),
+                        Term::Var(v) => {
+                            bindings.vals[v.index()].expect("planner binds key positions")
+                        }
                     });
                 }
                 let member;
@@ -1121,41 +1136,58 @@ fn descend_plan<S: Sink>(
     false
 }
 
-/// Tries to unify `atom` with `tuple` under the current bindings;
-/// records newly bound variables in `touched`.
-fn unify(
-    atom: &Atom,
-    tuple: &[ElemId],
-    bindings: &mut [Option<ElemId>],
-    touched: &mut Vec<Var>,
-) -> bool {
-    debug_assert_eq!(atom.terms.len(), tuple.len());
-    for (term, &value) in atom.terms.iter().zip(tuple) {
-        match term {
-            Term::Const(c) => {
-                if *c != value {
-                    for v in touched.drain(..) {
-                        bindings[v.index()] = None;
-                    }
-                    return false;
-                }
-            }
-            Term::Var(v) => match bindings[v.index()] {
-                Some(bound) if bound != value => {
-                    for v in touched.drain(..) {
-                        bindings[v.index()] = None;
-                    }
-                    return false;
-                }
-                Some(_) => {}
-                None => {
-                    bindings[v.index()] = Some(value);
-                    touched.push(*v);
-                }
-            },
+/// One pass's variable bindings, plus the trail of the variables the
+/// current join prefix bound, in binding order. Backtracking truncates
+/// the trail back to a mark, so matching a candidate tuple allocates
+/// nothing (the trail never outgrows the rule's variable count).
+struct Bindings {
+    vals: Vec<Option<ElemId>>,
+    trail: Vec<Var>,
+}
+
+impl Bindings {
+    /// All of `rule`'s variables unbound.
+    fn new(rule: &Rule) -> Self {
+        let n = rule.var_count as usize;
+        Self {
+            vals: vec![None; n],
+            trail: Vec::with_capacity(n),
         }
     }
-    true
+
+    /// Tries to unify `atom` with `tuple` under the current bindings,
+    /// binding (and trailing) its unbound variables. On failure only this
+    /// call's bindings are undone.
+    fn unify(&mut self, atom: &Atom, tuple: &[ElemId]) -> bool {
+        debug_assert_eq!(atom.terms.len(), tuple.len());
+        let mark = self.trail.len();
+        for (term, &value) in atom.terms.iter().zip(tuple) {
+            let ok = match term {
+                Term::Const(c) => *c == value,
+                Term::Var(v) => match self.vals[v.index()] {
+                    Some(bound) => bound == value,
+                    None => {
+                        self.vals[v.index()] = Some(value);
+                        self.trail.push(*v);
+                        true
+                    }
+                },
+            };
+            if !ok {
+                self.undo_to(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Unbinds every variable trailed after `mark`.
+    #[inline]
+    fn undo_to(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.vals[v.index()] = None;
+        }
+    }
 }
 
 /// Instantiates an atom under complete bindings into a reusable buffer

@@ -1,25 +1,30 @@
 //! Join planning for the indexed evaluation engine.
 //!
-//! Per rule, the planner orders the positive body literals greedily by
-//! bound-argument count and records, for every literal, which secondary
-//! index ([`mdtw_structure::PosIndex`]) it probes: the key positions are
+//! Per rule, the planner orders the positive body literals greedily and
+//! records, for every literal, which secondary index
+//! ([`mdtw_structure::PosIndex`]) it probes: the key positions are
 //! exactly the argument positions held by a constant or by a variable
 //! bound at an earlier step. Negative literals are scheduled at the first
 //! step after which all their variables are bound, so failing branches are
 //! pruned as early as possible.
 //!
-//! Ties on bound-argument count are broken by cardinality: a
-//! [`CardEstimator`] supplies relation sizes ([`Relation::len`]) and probe
-//! selectivities (relation size over [`PosIndex::key_count`]), and among
-//! equally bound literals the planner picks the one expected to enumerate
-//! the fewest tuples. [`plan_program`] plans without statistics
-//! ([`NoEstimates`] — ties fall back to body order);
-//! [`plan_program_with`] takes real statistics, usually
-//! [`StructureStats`] wrapping the structure under evaluation. In the
-//! *base* plan (executed only in round 0, where every intensional
-//! relation is still empty) intensional literals cost 0 by definition, so
-//! recursive rules short-circuit on an empty scan instead of enumerating
-//! their extensional atoms first.
+//! The next literal is the one expected to enumerate the fewest rows.
+//! Probes come before full scans, whatever their estimates, so a join
+//! never starts a cross product while a bound literal is left. Among
+//! probes (and, failing those, among scans) the estimated rows decide:
+//! a [`CardEstimator`] supplies relation sizes ([`Relation::len`]) and
+//! probe selectivities (relation size over [`PosIndex::key_count`]). A
+//! probe whose key covers every position is a membership test and costs
+//! 0. In the *base* plan (executed only in round 0, where every
+//! intensional relation is still empty) intensional literals cost 0 as
+//! well, so recursive rules short-circuit on an empty relation instead of
+//! enumerating their extensional atoms first. Unknown estimates sort
+//! last; the bound-argument count breaks ties, then body order.
+//! [`plan_program`] plans without statistics ([`NoEstimates`]: after the
+//! zero-cost literals, most bound first, then body order);
+//! [`plan_program_with`] takes real statistics,
+//! usually [`StructureStats`] wrapping the structure under evaluation,
+//! and memoizes its probe estimates for the one call.
 //!
 //! For semi-naive evaluation the planner additionally produces one *delta
 //! plan* per positive intensional body literal: that literal is forced to
@@ -35,7 +40,9 @@
 //! [`PosIndex::key_count`]: mdtw_structure::PosIndex::key_count
 
 use crate::ast::{PredRef, Program, Rule, Term};
+use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::Structure;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 
 /// How a positive body literal is matched at its step of the join order.
@@ -55,7 +62,7 @@ pub enum Access {
 }
 
 /// One step of a rule's join order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinStep {
     /// Index of the positive literal in the rule body.
     pub literal: usize,
@@ -67,7 +74,7 @@ pub struct JoinStep {
 }
 
 /// A compiled join plan for one rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPlan {
     /// Steps over the positive body literals, in execution order.
     pub steps: Vec<JoinStep>,
@@ -78,7 +85,7 @@ pub struct JoinPlan {
 }
 
 /// All plans of one rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RulePlans {
     /// The unconstrained plan (round 0 of semi-naive evaluation).
     pub base: JoinPlan,
@@ -88,9 +95,9 @@ pub struct RulePlans {
     pub delta: Vec<(usize, JoinPlan)>,
 }
 
-/// Cardinality and selectivity estimates feeding the planner's
-/// tie-breaks. `None` means "unknown"; unknown literals sort after every
-/// literal with a known estimate and tie among themselves by body order.
+/// Cardinality and selectivity estimates ranking the planner's
+/// candidates. `None` means "unknown"; an unknown literal sorts after
+/// every literal of its kind (probe or scan) with a known estimate.
 pub trait CardEstimator {
     /// Estimated number of tuples of `pred`'s relation.
     fn relation_len(&self, pred: PredRef) -> Option<usize>;
@@ -100,8 +107,9 @@ pub trait CardEstimator {
     fn probe_len(&self, pred: PredRef, positions: &[usize]) -> Option<usize>;
 }
 
-/// The statistics-free estimator: everything is unknown, so greedy ties
-/// are broken by body order alone (the pre-cost-model behavior, and the
+/// The statistics-free estimator: everything is unknown, so after the
+/// zero-cost literals (membership tests, and intensional literals in the
+/// base plan) the greedy order is most bound first, then body order (the
 /// deterministic default of [`plan_program`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoEstimates;
@@ -167,13 +175,54 @@ pub fn plan_program(program: &Program) -> Vec<RulePlans> {
     plan_program_with(program, &NoEstimates)
 }
 
-/// Plans every rule of `program`, breaking greedy ties with `est`.
+/// Plans every rule of `program`, ranking join steps by `est`'s
+/// estimates. Probe estimates are memoized per `(pred, positions)` for
+/// the call.
 pub fn plan_program_with(program: &Program, est: &dyn CardEstimator) -> Vec<RulePlans> {
+    let est = Memo::new(est);
     program
         .rules
         .iter()
-        .map(|r| plan_rule_with(r, est))
+        .map(|r| plan_rule_with(r, &est))
         .collect()
+}
+
+/// Per predicate: `(positions, estimate)` for every probe asked so far.
+type ProbeMemo = FxHashMap<PredRef, Vec<(Vec<usize>, Option<usize>)>>;
+
+/// Memoizes an estimator's probe estimates for one planning call. The
+/// greedy loop asks for the same probes at every step of every rule, and
+/// [`StructureStats`] answers a probe on positions without a cached index
+/// with a full pass over the relation.
+struct Memo<'a> {
+    est: &'a dyn CardEstimator,
+    probes: RefCell<ProbeMemo>,
+}
+
+impl<'a> Memo<'a> {
+    fn new(est: &'a dyn CardEstimator) -> Self {
+        Self {
+            est,
+            probes: RefCell::default(),
+        }
+    }
+}
+
+impl CardEstimator for Memo<'_> {
+    fn relation_len(&self, pred: PredRef) -> Option<usize> {
+        self.est.relation_len(pred)
+    }
+
+    fn probe_len(&self, pred: PredRef, positions: &[usize]) -> Option<usize> {
+        let mut probes = self.probes.borrow_mut();
+        let known = probes.entry(pred).or_default();
+        if let Some((_, len)) = known.iter().find(|(p, _)| p == positions) {
+            return *len;
+        }
+        let len = self.est.probe_len(pred, positions);
+        known.push((positions.to_vec(), len));
+        len
+    }
 }
 
 /// Plans a single rule without cardinality statistics.
@@ -213,6 +262,7 @@ pub(crate) fn plan_edb_deltas(
     program: &Program,
     est: &dyn CardEstimator,
 ) -> Vec<Vec<(usize, JoinPlan)>> {
+    let est = &Memo::new(est);
     program
         .rules
         .iter()
@@ -231,6 +281,7 @@ pub(crate) fn plan_edb_deltas(
 /// — the re-derivation check of incremental maintenance, which asks
 /// whether one given head fact still has a derivation.
 pub(crate) fn plan_head_bound(program: &Program, est: &dyn CardEstimator) -> Vec<JoinPlan> {
+    let est = &Memo::new(est);
     program
         .rules
         .iter()
@@ -239,11 +290,11 @@ pub(crate) fn plan_head_bound(program: &Program, est: &dyn CardEstimator) -> Vec
 }
 
 /// The estimated number of tuples enumerating literal `li` would yield
-/// with the positions in `bp` bound. In the base plan (nothing forced
-/// first, nothing bound), intensional relations are empty by definition
-/// of round 0, so
-/// their cost is 0 regardless of the estimator; everywhere else unknown
-/// estimates sort last (`usize::MAX`).
+/// with the positions in `bp` bound. A probe on every position is a
+/// membership test and costs 0. In the base plan (nothing forced first,
+/// nothing bound), intensional relations are empty by definition of
+/// round 0, so their cost is 0 regardless of the estimator; everywhere
+/// else unknown estimates sort last (`usize::MAX`).
 fn candidate_cost(
     rule: &Rule,
     li: usize,
@@ -251,10 +302,12 @@ fn candidate_cost(
     base_plan: bool,
     est: &dyn CardEstimator,
 ) -> usize {
-    let pred = rule.body[li].atom.pred;
-    if base_plan && matches!(pred, PredRef::Idb(_)) {
+    let atom = &rule.body[li].atom;
+    let membership = !bp.is_empty() && bp.len() == atom.terms.len();
+    if membership || (base_plan && matches!(atom.pred, PredRef::Idb(_))) {
         return 0;
     }
+    let pred = atom.pred;
     let cost = if bp.is_empty() {
         est.relation_len(pred)
     } else {
@@ -331,8 +384,8 @@ fn plan_with_first(
         push_step(li, &mut bound, &mut neg_emitted);
     }
     while !remaining.is_empty() {
-        // Greedy: the literal with the most bound argument positions
-        // next; ties broken by estimated enumeration cost, then by body
+        // Greedy: probes before scans, then the fewest estimated rows;
+        // ties broken by the most bound argument positions, then by body
         // order (stable ordering for reproducibility).
         let (slot, _) = remaining
             .iter()
@@ -340,7 +393,7 @@ fn plan_with_first(
             .min_by_key(|&(slot, &li)| {
                 let bp = bound_positions(rule, li, &bound);
                 let cost = candidate_cost(rule, li, &bp, base_plan, est);
-                (Reverse(bp.len()), cost, slot)
+                (bp.is_empty(), cost, Reverse(bp.len()), slot)
             })
             .expect("remaining non-empty");
         let li = remaining.remove(slot);
@@ -499,6 +552,157 @@ mod tests {
         let plans = plan_rule_with(&p.rules[0], &StructureStats::new(&s));
         let order: Vec<usize> = plans.base.steps.iter().map(|st| st.literal).collect();
         assert_eq!(order, vec![0, 2, 1], "selective probe scheduled first");
+    }
+
+    /// The literal order of `plan`.
+    fn order(plan: &JoinPlan) -> Vec<usize> {
+        plan.steps.iter().map(|st| st.literal).collect()
+    }
+
+    #[test]
+    fn tau_td_delta_plan_probes_child_before_repeated_bag() {
+        // τ_td-shaped: every node's bag holds the same two elements, so
+        // `bag` probed on its element positions returns every node, while
+        // `child2` probed on the child returns its one parent. With V, X0
+        // and X1 bound, the parent is found through `child2` first; its
+        // bag is then a membership test.
+        let sig = Arc::new(Signature::from_pairs([("bag", 3), ("child2", 2)]));
+        let mut s = Structure::new(sig, Domain::anonymous(32));
+        let bag = s.signature().lookup("bag").unwrap();
+        let child2 = s.signature().lookup("child2").unwrap();
+        for v in 0..30u32 {
+            s.insert(bag, &[ElemId(v), ElemId(30), ElemId(31)]);
+            if v > 0 {
+                s.insert(child2, &[ElemId(v - 1), ElemId(v)]);
+            }
+        }
+        let p = parse_program(
+            "q(V) :- bag(V, X0, X1).\n\
+             q(V2) :- q(V), bag(V, X0, X1), child2(V2, V), bag(V2, X0, X1).",
+            &s,
+        )
+        .unwrap();
+        let plans = plan_rule_with(&p.rules[1], &StructureStats::new(&s));
+        let (pos, plan) = &plans.delta[0];
+        assert_eq!(*pos, 0);
+        assert_eq!(order(plan), vec![0, 1, 2, 3]);
+        assert_eq!(plan.steps[2].access, Access::Probe { positions: vec![1] });
+        assert_eq!(
+            plan.steps[3].access,
+            Access::Probe {
+                positions: vec![0, 1, 2]
+            }
+        );
+    }
+
+    #[test]
+    fn unknown_probe_precedes_known_full_scan() {
+        // After the delta literal `d(X)`, the intensional `r(X, Y)` is a
+        // probe of unknown size and `one(Z)` a scan of one tuple: the
+        // probe still runs first, so no cross product starts early.
+        let sig = Arc::new(Signature::from_pairs([("e", 2), ("one", 1)]));
+        let mut s = Structure::new(sig, Domain::anonymous(4));
+        let e = s.signature().lookup("e").unwrap();
+        let one = s.signature().lookup("one").unwrap();
+        s.insert(e, &[ElemId(0), ElemId(1)]);
+        s.insert(one, &[ElemId(2)]);
+        let p = parse_program(
+            "d(X) :- e(X, Y).\nr(X, Y) :- e(X, Y).\n\
+             out(Y, Z) :- d(X), one(Z), r(X, Y).",
+            &s,
+        )
+        .unwrap();
+        let plans = plan_rule_with(&p.rules[2], &StructureStats::new(&s));
+        let (_, plan) = &plans.delta[0];
+        assert_eq!(order(plan), vec![0, 2, 1]);
+        assert_eq!(plan.steps[1].access, Access::Probe { positions: vec![0] });
+        assert_eq!(plan.steps[2].access, Access::Scan);
+    }
+
+    #[test]
+    fn membership_test_is_the_first_probe() {
+        // After `s(X, Y, W)`, `t(X, Y, Z)` is probed on two positions and
+        // returns one row; `m(X)` is fully bound, a membership test that
+        // costs nothing, and runs first although fewer positions are bound.
+        let sig = Arc::new(Signature::from_pairs([("s", 3), ("t", 3), ("m", 1)]));
+        let mut st = Structure::new(sig, Domain::anonymous(8));
+        let s_rel = st.signature().lookup("s").unwrap();
+        let t = st.signature().lookup("t").unwrap();
+        let m = st.signature().lookup("m").unwrap();
+        st.insert(s_rel, &[ElemId(0), ElemId(1), ElemId(2)]);
+        for i in 0..4u32 {
+            st.insert(t, &[ElemId(i), ElemId(i + 1), ElemId(i + 2)]);
+            st.insert(m, &[ElemId(i)]);
+        }
+        let p = parse_program("q(Z) :- s(X, Y, W), t(X, Y, Z), m(X).", &st).unwrap();
+        let plan = plan_rule_with(&p.rules[0], &StructureStats::new(&st)).base;
+        assert_eq!(order(&plan), vec![0, 2, 1]);
+        assert_eq!(plan.steps[1].access, Access::Probe { positions: vec![0] });
+        assert_eq!(
+            plan.steps[2].access,
+            Access::Probe {
+                positions: vec![0, 1]
+            }
+        );
+    }
+
+    /// Counts the probe estimates asked of the wrapped estimator.
+    struct CountingStats<'a> {
+        stats: StructureStats<'a>,
+        probes: std::cell::Cell<usize>,
+    }
+
+    impl CardEstimator for CountingStats<'_> {
+        fn relation_len(&self, pred: PredRef) -> Option<usize> {
+            self.stats.relation_len(pred)
+        }
+        fn probe_len(&self, pred: PredRef, positions: &[usize]) -> Option<usize> {
+            self.probes.set(self.probes.get() + 1);
+            self.stats.probe_len(pred, positions)
+        }
+    }
+
+    #[test]
+    fn memoized_planning_matches_unmemoized_plans() {
+        // `plan_program_with` asks each distinct probe once; planning rule
+        // by rule through the bare estimator asks again at every step and
+        // must still produce the same plans.
+        let sig = Arc::new(Signature::from_pairs([("e", 2), ("f", 2), ("u", 1)]));
+        let mut s = Structure::new(sig, Domain::anonymous(12));
+        let e = s.signature().lookup("e").unwrap();
+        let f = s.signature().lookup("f").unwrap();
+        let u = s.signature().lookup("u").unwrap();
+        for i in 0..11u32 {
+            s.insert(e, &[ElemId(i), ElemId(i + 1)]);
+            s.insert(f, &[ElemId(i % 3), ElemId(i)]);
+        }
+        s.insert(u, &[ElemId(0)]);
+        let p = parse_program(
+            "path(X, Y) :- e(X, Y).\n\
+             path(X, Z) :- path(X, Y), e(Y, Z), f(W, Z).\n\
+             path(X, Z) :- path(X, Y), path(Y, Z), !f(X, Z).\n\
+             q(X) :- u(X), f(X, Y), e(Y, Z), f(W, Z), path(Z, W).\n\
+             r(X) :- q(X), e(X, Y), f(Z, Y), u(Z).",
+            &s,
+        )
+        .unwrap();
+        let memoized = CountingStats {
+            stats: StructureStats::new(&s),
+            probes: Default::default(),
+        };
+        let bare = CountingStats {
+            stats: StructureStats::new(&s),
+            probes: Default::default(),
+        };
+        let plans = plan_program_with(&p, &memoized);
+        let reference: Vec<RulePlans> = p.rules.iter().map(|r| plan_rule_with(r, &bare)).collect();
+        assert_eq!(plans, reference);
+        assert!(
+            memoized.probes.get() < bare.probes.get(),
+            "{} memoized vs {} bare probe estimates",
+            memoized.probes.get(),
+            bare.probes.get()
+        );
     }
 
     #[test]

@@ -1,0 +1,111 @@
+//! The indexed join allocates nothing per candidate tuple: a warm
+//! evaluation of a single non-recursive pass that enumerates tens of
+//! thousands of candidates but derives only a handful of facts makes a
+//! number of heap allocations bounded by its passes and relations, far
+//! below one per hundred tuples considered.
+
+use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator};
+use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The system allocator, counting the allocations of threads that
+/// switched counting on.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread counts. The flag is a
+/// const-initialized `Cell` without a destructor, so reading it never
+/// allocates.
+fn note() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counter is a plain
+// statistic and publishes no other data (hence `Relaxed`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator, i.e. by `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// The complete bipartite digraph between `0..side` and `side..2·side`
+/// (edges both ways, so no triangle), plus one directed triangle on
+/// three further vertices.
+fn bipartite_plus_triangle(side: u32) -> Structure {
+    let sig = Arc::new(Signature::from_pairs([("e", 2)]));
+    let mut s = Structure::new(sig, Domain::anonymous(2 * side as usize + 3));
+    let e = s.signature().lookup("e").unwrap();
+    for a in 0..side {
+        for b in side..2 * side {
+            s.insert(e, &[ElemId(a), ElemId(b)]);
+            s.insert(e, &[ElemId(b), ElemId(a)]);
+        }
+    }
+    let t = 2 * side;
+    for (x, y) in [(t, t + 1), (t + 1, t + 2), (t + 2, t)] {
+        s.insert(e, &[ElemId(x), ElemId(y)]);
+    }
+    s
+}
+
+#[test]
+fn warm_triangle_join_allocates_nothing_per_candidate() {
+    let s = bipartite_plus_triangle(30);
+    let p = parse_program("tri(X) :- e(X, Y), e(Y, Z), e(Z, X).", &s).unwrap();
+    let tri = p.idb("tri").unwrap();
+    let mut session =
+        Evaluator::with_options(p, EvalOptions::new().engine(Engine::SemiNaiveIndexed)).unwrap();
+    // The first evaluation builds the probe indexes and plans the rule.
+    session.evaluate(&s).unwrap();
+    let (result, allocs) = allocations(|| session.evaluate(&s).unwrap());
+    assert_eq!(result.store.unary(tri).len(), 3);
+    let considered = result.stats.tuples_considered;
+    assert!(considered > 50_000, "{considered} candidates");
+    assert!(
+        allocs < considered / 100,
+        "{allocs} allocations for {considered} candidate tuples"
+    );
+}

@@ -1,14 +1,19 @@
-//! Empirical linearity checks (Theorem 4.4 / Theorem 5.3 / Theorem 5.4)
-//! using deterministic *work counts* rather than wall-clock time: the
-//! number of solve facts and ground rules per decomposition node must
-//! stay bounded as instances grow.
+//! Empirical linearity checks (Theorem 4.4 / Theorem 4.5 / Theorem 5.3 /
+//! Theorem 5.4) using deterministic *work counts* rather than wall-clock
+//! time: the number of solve facts and ground rules per decomposition
+//! node, and the join work per derived fact of the indexed engine on
+//! τ_td, must stay bounded as instances grow.
 
 use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext, ThreeColSolver};
-use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd};
-use mdtw_graph::{encode_graph, partial_k_tree};
+use mdtw_datalog::{Engine, EvalOptions, Evaluator};
+use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
+use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
+use mdtw_mso::{compile::compile_unary_filtered, has_neighbor, CompileLimits, IndVar};
 use mdtw_schema::{block_tree_instance, encode_schema};
+use mdtw_structure::Structure;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 #[test]
 fn primality_solve_facts_scale_linearly() {
@@ -94,4 +99,63 @@ fn enumeration_pass_visits_each_node_a_constant_number_of_times() {
     let down = ctx.run_down(&up);
     assert_eq!(up.len(), ctx.nice.len());
     assert_eq!(down.len(), ctx.nice.len());
+}
+
+/// The symmetric irreflexive edge relations `has_neighbor` is compiled for.
+fn undirected(s: &Structure) -> bool {
+    let e = s.signature().lookup("e").expect("graph signature has e");
+    s.relation(e)
+        .iter()
+        .all(|t| t[0] != t[1] && s.holds(e, &[t[1], t[0]]))
+}
+
+/// The τ_td encoding (tuple normal form, width 1) of a random forest on
+/// `n` vertices.
+fn tau_td_forest(rng: &mut SmallRng, n: usize) -> Structure {
+    let mut g = Graph::new(n);
+    for v in 1..n as u32 {
+        if rng.random::<f64>() < 0.7 {
+            g.add_edge(rng.random_range(0..v), v);
+        }
+    }
+    let s = encode_graph(&g);
+    let td = decompose(&s, Heuristic::MinDegree);
+    let tuple_td = TupleTd::from_td_with_width(&td, n, 1).expect("forests have width 1");
+    encode_tuple_td(&s, &tuple_td).structure
+}
+
+#[test]
+fn indexed_engine_join_work_per_fact_is_flat_on_tau_td() {
+    // Theorem 4.5's programs are monadic and quasi-guarded, so evaluating
+    // them is linear in the data. The indexed engine's candidate tuples per
+    // derived fact must then stay flat while the forest grows fourfold; a
+    // join order that probes a repeated bag before the child edge that
+    // pins it grows with the number of bags.
+    let sig = Arc::new(graph_signature());
+    let compiled = compile_unary_filtered(
+        &has_neighbor(),
+        IndVar(0),
+        &sig,
+        1,
+        CompileLimits::default(),
+        &undirected,
+    )
+    .expect("width-1 compilation fits the limits");
+    let mut session = Evaluator::with_options(
+        compiled.program,
+        EvalOptions::new().engine(Engine::SemiNaiveIndexed),
+    )
+    .unwrap();
+    let mut rng = SmallRng::seed_from_u64(45);
+    let per_fact: Vec<f64> = [150usize, 600]
+        .into_iter()
+        .map(|n| {
+            let stats = session.evaluate(&tau_td_forest(&mut rng, n)).unwrap().stats;
+            stats.tuples_considered as f64 / stats.facts as f64
+        })
+        .collect();
+    assert!(
+        per_fact[1] <= 1.25 * per_fact[0],
+        "tuples considered per fact must stay flat: {per_fact:?}"
+    );
 }
