@@ -20,6 +20,12 @@
 //! The decomposition must satisfy the §5.2 convention that every bag
 //! containing an FD also contains its right-hand-side attribute
 //! ([`PrimalityContext`] enforces it via bag augmentation).
+//!
+//! A node's table is a sorted, deduplicated `Vec<PrimState>`: each
+//! transition pushes the states it derives and sorts once at the end, and
+//! [`PrimalityContext::accepts`] reads the table as a slice. A table holds
+//! about twenty 16-byte states on the Table 1 workloads, so a flat vector
+//! beats a hash set on both time and memory.
 
 use mdtw_decomp::{
     augment_bags, decompose, Heuristic, NiceKind, NiceOptions, NiceTd, NodeId, TreeDecomposition,
@@ -33,7 +39,7 @@ use mdtw_structure::ElemId;
 /// the sorted *FD positions*. `co` stores the ordering of the complement
 /// `C°` as 4-bit attribute positions (lowest nibble first); its length is
 /// `#bag-attrs − popcount(y)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PrimState {
     /// Bag attributes in `Y`.
     pub y: u16,
@@ -158,6 +164,10 @@ pub struct PrimStats {
 impl PrimalityContext {
     /// Builds a context from a schema: encode, decompose (min-fill),
     /// augment bags with rhs attributes, convert to the nice form.
+    ///
+    /// # Panics
+    /// Panics if a bag of the augmented decomposition holds more than 16
+    /// attributes or more than 16 FDs (the packed [`PrimState`] limit).
     pub fn new(schema: &Schema) -> Self {
         let encoding = encode_schema(schema);
         let td = decompose(&encoding.structure, Heuristic::MinFill);
@@ -166,6 +176,10 @@ impl PrimalityContext {
 
     /// Builds a context from an existing decomposition (e.g. the generated
     /// workloads of §6). The decomposition is rerooted/augmented as needed.
+    ///
+    /// # Panics
+    /// Panics if a bag of the augmented decomposition holds more than 16
+    /// attributes or more than 16 FDs (the packed [`PrimState`] limit).
     pub fn from_parts(encoding: SchemaEncoding, mut td: TreeDecomposition) -> Self {
         let info = Self::classify(&encoding);
         // §5.2: every bag containing an FD must contain its rhs attribute.
@@ -191,6 +205,11 @@ impl PrimalityContext {
     /// Like [`from_parts`](Self::from_parts) but reroots the decomposition
     /// at a bag containing `target` first (the decision problem of §5.2
     /// requires the queried attribute in the root bag).
+    ///
+    /// # Panics
+    /// Panics if no bag of `td` contains `target`, or if a bag of the
+    /// augmented decomposition holds more than 16 attributes or more than
+    /// 16 FDs (the packed [`PrimState`] limit).
     pub fn for_decision(
         encoding: SchemaEncoding,
         mut td: TreeDecomposition,
@@ -245,6 +264,9 @@ impl PrimalityContext {
         info
     }
 
+    /// Splits every bag into attributes and FDs. `PrimState` packs each
+    /// component into a `u16` mask and `C°` into 16 nibbles, hence the
+    /// 16-attribute / 16-FD cap per bag, checked here.
     fn assemble(encoding: SchemaEncoding, nice: NiceTd, info: Vec<ElemInfo>) -> Self {
         let bags: Vec<BagCtx> = nice
             .node_ids()
@@ -352,23 +374,25 @@ impl PrimalityContext {
 
     /// All `solve` facts at a bag treated as a leaf (also the `solve↓`
     /// initialization at the root, whose envelope is the root alone).
-    fn leaf_table(&self, bag: &BagCtx) -> FxHashSet<PrimState> {
+    fn leaf_table(&self, bag: &BagCtx) -> Vec<PrimState> {
         let na = bag.attrs.len();
         let nf = bag.fds.len();
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
+        let mut comp: Vec<u8> = Vec::with_capacity(na);
         let full: u16 = if na == 16 { u16::MAX } else { (1 << na) - 1 };
         for y in 0..=full {
             if na == 0 && y > 0 {
                 break;
             }
-            let comp: Vec<u8> = (0..na as u8).filter(|&p| y >> p & 1 == 0).collect();
-            permutations(&comp, &mut |order| {
+            comp.clear();
+            comp.extend((0..na as u8).filter(|&p| y >> p & 1 == 0));
+            let fy = self.outside_mask(bag, y);
+            permutations(&mut comp, 0, &mut |order| {
                 let co_len = order.len();
                 let mut co = 0u64;
                 for (i, &p) in order.iter().enumerate() {
                     co |= (p as u64) << (4 * i);
                 }
-                let fy = self.outside_mask(bag, y);
                 // Enumerate FC ⊆ Fd with consistent FDs and distinct rhs.
                 for fc_bits in 0u32..(1u32 << nf) {
                     let fc = fc_bits as u16;
@@ -391,7 +415,7 @@ impl PrimalityContext {
                         dc |= 1 << rhs_pos;
                     }
                     if ok {
-                        out.insert(PrimState { y, dc, fy, fc, co });
+                        out.push(PrimState { y, dc, fy, fc, co });
                     }
                 }
             });
@@ -399,22 +423,17 @@ impl PrimalityContext {
                 break; // avoid overflow when na == 16
             }
         }
-        out
+        into_table(out)
     }
 
     // --- introduction rules ---------------------------------------------------
 
     /// Attribute introduction (two rules of Figure 6): the destination bag
     /// adds attribute `b` to the source bag.
-    fn intro_attr(
-        &self,
-        src: &FxHashSet<PrimState>,
-        dst_bag: &BagCtx,
-        b: ElemId,
-    ) -> FxHashSet<PrimState> {
+    fn intro_attr(&self, src: &[PrimState], dst_bag: &BagCtx, b: ElemId) -> Vec<PrimState> {
         let bpos = dst_bag.attr_pos(b).expect("introduced attr in bag");
         let na = dst_bag.attrs.len();
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for s in src {
             let co_len = na - 1 - (s.y.count_ones() as usize);
             let lifted_co = co_map(
@@ -425,7 +444,7 @@ impl PrimalityContext {
             let y = mask_lift(s.y, bpos);
             let dc = mask_lift(s.dc, bpos);
             // Rule: b joins Y.
-            out.insert(PrimState {
+            out.push(PrimState {
                 y: y | 1 << bpos,
                 dc,
                 fy: s.fy,
@@ -451,7 +470,7 @@ impl PrimalityContext {
                     continue;
                 }
                 let fy = s.fy | self.outside_mask(dst_bag, y);
-                out.insert(PrimState {
+                out.push(PrimState {
                     y,
                     dc,
                     fy,
@@ -460,30 +479,25 @@ impl PrimalityContext {
                 });
             }
         }
-        out
+        into_table(out)
     }
 
     /// FD introduction (three rules of Figure 6): the destination bag adds
     /// FD `f`.
-    fn intro_fd(
-        &self,
-        src: &FxHashSet<PrimState>,
-        dst_bag: &BagCtx,
-        f: ElemId,
-    ) -> FxHashSet<PrimState> {
+    fn intro_fd(&self, src: &[PrimState], dst_bag: &BagCtx, f: ElemId) -> Vec<PrimState> {
         let fpos = dst_bag.fd_pos(f).expect("introduced FD in bag");
         let rhs_pos = dst_bag
             .attr_pos(self.fd_rhs(f))
             .expect("rhs accompanies FD") as u8;
         let na = dst_bag.attrs.len();
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for s in src {
             let fy = mask_lift(s.fy, fpos);
             let fc = mask_lift(s.fc, fpos);
             let co_len = na - s.y.count_ones() as usize;
             if s.y >> rhs_pos & 1 == 1 {
                 // Case 1: rhs(f) ∈ Y — carry over.
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: s.y,
                     dc: s.dc,
                     fy,
@@ -498,7 +512,7 @@ impl PrimalityContext {
                 0
             };
             // Case 3: rhs(f) ∈ C°, f unused.
-            out.insert(PrimState {
+            out.push(PrimState {
                 y: s.y,
                 dc: s.dc,
                 fy: fy | witnessed,
@@ -508,7 +522,7 @@ impl PrimalityContext {
             // Case 2: rhs(f) ∈ C°, f used — rhs joins ΔC (⊎: must be new),
             // and f must be consistent with the order.
             if s.dc >> rhs_pos & 1 == 0 && self.fd_consistent(dst_bag, s.y, s.co, co_len, f) {
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: s.y,
                     dc: s.dc | 1 << rhs_pos,
                     fy: fy | witnessed,
@@ -517,27 +531,22 @@ impl PrimalityContext {
                 });
             }
         }
-        out
+        into_table(out)
     }
 
     // --- removal rules ----------------------------------------------------------
 
     /// Attribute removal (two rules): the destination bag lacks attribute
     /// `b`, which sits at position `bpos` of the source bag.
-    fn remove_attr(
-        &self,
-        src: &FxHashSet<PrimState>,
-        src_bag: &BagCtx,
-        b: ElemId,
-    ) -> FxHashSet<PrimState> {
+    fn remove_attr(&self, src: &[PrimState], src_bag: &BagCtx, b: ElemId) -> Vec<PrimState> {
         let bpos = src_bag.attr_pos(b).expect("removed attr in source bag");
         let na = src_bag.attrs.len();
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for s in src {
             let co_len = na - s.y.count_ones() as usize;
             if s.y >> bpos & 1 == 1 {
                 // b was in Y.
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: mask_drop(s.y, bpos),
                     dc: mask_drop(s.dc, bpos),
                     fy: s.fy,
@@ -555,7 +564,7 @@ impl PrimalityContext {
                 }
                 let k = co_index_of(s.co, co_len, bpos as u8).expect("b in C°");
                 let co = co_remove(s.co, k);
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: mask_drop(s.y, bpos),
                     dc: mask_drop(s.dc, bpos),
                     fy: s.fy,
@@ -568,27 +577,22 @@ impl PrimalityContext {
                 });
             }
         }
-        out
+        into_table(out)
     }
 
     /// FD removal (three rules): the destination bag lacks FD `f`.
-    fn remove_fd(
-        &self,
-        src: &FxHashSet<PrimState>,
-        src_bag: &BagCtx,
-        f: ElemId,
-    ) -> FxHashSet<PrimState> {
+    fn remove_fd(&self, src: &[PrimState], src_bag: &BagCtx, f: ElemId) -> Vec<PrimState> {
         let fpos = src_bag.fd_pos(f).expect("removed FD in source bag");
         let rhs_pos = src_bag
             .attr_pos(self.fd_rhs(f))
             .expect("rhs accompanies FD");
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for s in src {
             if s.y >> rhs_pos & 1 == 1 {
                 // Case 1: rhs ∈ Y. Invariant: f ∉ FY, f ∉ FC.
                 debug_assert_eq!(s.fy >> fpos & 1, 0);
                 debug_assert_eq!(s.fc >> fpos & 1, 0);
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: s.y,
                     dc: s.dc,
                     fy: mask_drop(s.fy, fpos),
@@ -600,7 +604,7 @@ impl PrimalityContext {
                 if s.fy >> fpos & 1 == 0 {
                     continue;
                 }
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: s.y,
                     dc: s.dc,
                     fy: mask_drop(s.fy, fpos),
@@ -609,7 +613,7 @@ impl PrimalityContext {
                 });
             }
         }
-        out
+        into_table(out)
     }
 
     // --- branch rule ---------------------------------------------------------------
@@ -619,10 +623,10 @@ impl PrimalityContext {
     /// from being derived in both subtrees by different FDs.
     fn branch_combine(
         &self,
-        left: &FxHashSet<PrimState>,
-        right: &FxHashSet<PrimState>,
+        left: &[PrimState],
+        right: &[PrimState],
         bag: &BagCtx,
-    ) -> FxHashSet<PrimState> {
+    ) -> Vec<PrimState> {
         let mut by_key: FxHashMap<(u16, u64, u16), Vec<(u16, u16)>> = FxHashMap::default();
         for s in right {
             by_key
@@ -630,7 +634,7 @@ impl PrimalityContext {
                 .or_default()
                 .push((s.fy, s.dc));
         }
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for s in left {
             let Some(partners) = by_key.get(&(s.y, s.co, s.fc)) else {
                 continue;
@@ -640,7 +644,7 @@ impl PrimalityContext {
                 if s.dc & dc2 != shared {
                     continue; // unique(ΔC₁, ΔC₂, FC) violated
                 }
-                out.insert(PrimState {
+                out.push(PrimState {
                     y: s.y,
                     dc: s.dc | dc2,
                     fy: s.fy | fy2,
@@ -649,14 +653,14 @@ impl PrimalityContext {
                 });
             }
         }
-        out
+        into_table(out)
     }
 
     // --- passes ----------------------------------------------------------------------
 
     /// The bottom-up pass: `solve` tables for every node (Figure 6).
-    pub fn run_up(&self) -> Vec<FxHashSet<PrimState>> {
-        let mut tables: Vec<FxHashSet<PrimState>> = vec![FxHashSet::default(); self.nice.len()];
+    pub fn run_up(&self) -> Vec<Vec<PrimState>> {
+        let mut tables: Vec<Vec<PrimState>> = vec![Vec::new(); self.nice.len()];
         for node in self.nice.post_order() {
             let bag = &self.bags[node.index()];
             let table = match self.nice.kind(node) {
@@ -699,8 +703,8 @@ impl PrimalityContext {
     /// table is the leaf rule; every step down inverts the parent's kind
     /// (an introduction becomes a removal and vice versa; a branch merges
     /// the parent's envelope with the sibling's bottom-up table).
-    pub fn run_down(&self, up: &[FxHashSet<PrimState>]) -> Vec<FxHashSet<PrimState>> {
-        let mut down: Vec<FxHashSet<PrimState>> = vec![FxHashSet::default(); self.nice.len()];
+    pub fn run_down(&self, up: &[Vec<PrimState>]) -> Vec<Vec<PrimState>> {
+        let mut down: Vec<Vec<PrimState>> = vec![Vec::new(); self.nice.len()];
         for node in self.nice.pre_order() {
             if node == self.nice.root() {
                 down[node.index()] = self.leaf_table(&self.bags[node.index()]);
@@ -746,7 +750,7 @@ impl PrimalityContext {
     /// The acceptance test of the `success` / `prime()` rules: some state
     /// at `node` has `a ∉ Y`, `FY = {f ∈ Fd | rhs(f) ∉ Y}` and
     /// `ΔC = C° ∖ {a}`.
-    pub fn accepts(&self, node: NodeId, table: &FxHashSet<PrimState>, a: ElemId) -> bool {
+    pub fn accepts(&self, node: NodeId, table: &[PrimState], a: ElemId) -> bool {
         let bag = &self.bags[node.index()];
         let Some(apos) = bag.attr_pos(a) else {
             return false;
@@ -778,20 +782,24 @@ impl PrimalityContext {
     }
 }
 
-/// Enumerates permutations of `items`, invoking `f` on each.
-fn permutations(items: &[u8], f: &mut impl FnMut(&[u8])) {
-    let mut buf: Vec<u8> = items.to_vec();
-    permute_rec(&mut buf, 0, f);
+/// Sorts and deduplicates the states a transition pushed: the table form
+/// every pass stores and [`PrimalityContext::accepts`] reads.
+fn into_table(mut states: Vec<PrimState>) -> Vec<PrimState> {
+    states.sort_unstable();
+    states.dedup();
+    states
 }
 
-fn permute_rec(buf: &mut Vec<u8>, k: usize, f: &mut impl FnMut(&[u8])) {
+/// Invokes `f` on every permutation of `buf[k..]` (after `buf[..k]`),
+/// leaving `buf` as it found it.
+fn permutations(buf: &mut [u8], k: usize, f: &mut impl FnMut(&[u8])) {
     if k == buf.len() {
         f(buf);
         return;
     }
     for i in k..buf.len() {
         buf.swap(k, i);
-        permute_rec(buf, k + 1, f);
+        permutations(buf, k + 1, f);
         buf.swap(k, i);
     }
 }
@@ -807,6 +815,10 @@ pub fn is_prime_fpt(schema: &Schema, attr: AttrId) -> bool {
 }
 
 /// Decision variant reusing a caller-supplied decomposition.
+///
+/// # Panics
+/// Panics if no bag of `td` contains `attr`, or on the bag cap of
+/// [`PrimalityContext::for_decision`].
 pub fn is_prime_fpt_with_td(encoding: SchemaEncoding, td: TreeDecomposition, attr: AttrId) -> bool {
     let ctx = PrimalityContext::for_decision(encoding, td, attr);
     let up = ctx.run_up();
@@ -832,9 +844,9 @@ pub fn prime_attributes_fpt(schema: &Schema) -> Vec<AttrId> {
 pub fn enumerate_primes(ctx: &PrimalityContext) -> (Vec<ElemId>, PrimStats) {
     let up = ctx.run_up();
     let down = ctx.run_down(&up);
-    let mut stats = PrimStats {
-        up_facts: up.iter().map(FxHashSet::len).sum(),
-        down_facts: down.iter().map(FxHashSet::len).sum(),
+    let stats = PrimStats {
+        up_facts: up.iter().map(Vec::len).sum(),
+        down_facts: down.iter().map(Vec::len).sum(),
         nodes: ctx.nice.len(),
         width: ctx.nice.width(),
     };
@@ -849,7 +861,6 @@ pub fn enumerate_primes(ctx: &PrimalityContext) -> (Vec<ElemId>, PrimStats) {
     }
     let mut out: Vec<ElemId> = primes.into_iter().collect();
     out.sort_unstable();
-    stats.nodes = ctx.nice.len();
     (out, stats)
 }
 

@@ -291,34 +291,41 @@ impl NiceTd {
         nice
     }
 
-    /// §5.3: for every element that occurs in no leaf bag, pick a node `t`
-    /// containing it and splice a fresh branch node above `t` whose second
-    /// child is a new leaf carrying `bag(t)`.
+    /// §5.3: for every element that occurs in no leaf bag, splice a fresh
+    /// branch node above its *host* `t` whose second child is a new leaf
+    /// carrying `bag(t)`.
+    ///
+    /// Elements are handled in ascending order; one already covered by an
+    /// earlier splice's leaf is skipped. The host is the first node in node
+    /// order whose bag contains the element. Spliced nodes are appended
+    /// after the original ones and copy an original bag, so that node is
+    /// always an original one and is found by a single pass made before
+    /// any splice. The whole routine costs `O(Σ |bag|)`.
     fn ensure_leaf_coverage(&mut self) {
-        use std::collections::BTreeSet;
-        let mut in_leaf: BTreeSet<ElemId> = BTreeSet::new();
-        let mut everywhere: BTreeSet<ElemId> = BTreeSet::new();
-        for id in self.node_ids() {
-            let node = self.node(id);
-            everywhere.extend(node.bag.iter().copied());
-            if node.children.is_empty() {
-                in_leaf.extend(node.bag.iter().copied());
+        let elems = self
+            .nodes
+            .iter()
+            .flat_map(|n| n.bag.last())
+            .map(|e| e.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut in_leaf = vec![false; elems];
+        let mut host: Vec<Option<NodeId>> = vec![None; elems];
+        for (id, node) in self.node_ids().zip(&self.nodes) {
+            for &e in &node.bag {
+                host[e.index()].get_or_insert(id);
+                in_leaf[e.index()] |= node.children.is_empty();
             }
         }
-        let missing: Vec<ElemId> = everywhere.difference(&in_leaf).copied().collect();
-        for e in missing {
-            // Re-check: a previous splice may have created a leaf with e.
-            let covered = self
-                .node_ids()
-                .any(|id| self.node(id).children.is_empty() && self.bag_contains(id, e));
-            if covered {
+        for e in 0..elems {
+            let Some(t) = host[e] else { continue };
+            if in_leaf[e] {
                 continue;
             }
-            let host = self
-                .node_ids()
-                .find(|&id| self.bag_contains(id, e))
-                .expect("element occurs somewhere");
-            self.splice_leaf_above(host);
+            self.splice_leaf_above(t);
+            for &x in &self.nodes[t.index()].bag {
+                in_leaf[x.index()] = true;
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! relevance problem as a primality problem in disguise.
 //!
 //! ```text
-//! cargo run -p mdtw-examples --bin abduction
+//! cargo run --example abduction
 //! ```
 
 use mdtw_core::instance_from_clauses;

@@ -2,7 +2,7 @@
 //! running example 2.1 and on generated workloads.
 //!
 //! ```text
-//! cargo run -p mdtw-examples --bin primality
+//! cargo run --example primality
 //! ```
 
 use mdtw_core::{enumerate_primes, is_prime_fpt, prime_attributes_fpt, PrimalityContext};

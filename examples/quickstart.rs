@@ -2,7 +2,7 @@
 //! decomposition (paper §5.1, Figure 5).
 //!
 //! ```text
-//! cargo run -p mdtw-examples --bin quickstart
+//! cargo run --example quickstart
 //! ```
 
 use mdtw_core::{three_coloring_fpt, ThreeColSolver};

@@ -1,5 +1,7 @@
 //! Test support shared by the integration tests in `tests/` and by the
-//! unit tests of `mdtw-datalog`: the naive least-model oracle.
+//! unit tests of `mdtw-datalog`: the naive least-model oracle and the
+//! rescanning reference for the §5.3 leaf coverage of nice
+//! decompositions.
 //!
 //! `mdtw-datalog` dev-depends on this crate, so its unit tests link a
 //! second build of the engine through this one. Their programs are
@@ -9,6 +11,7 @@
 pub use mdtw_datalog;
 
 use mdtw_datalog::{Atom, PredRef, Program, Rule, Term};
+use mdtw_decomp::{NiceKind, NiceNode, NiceTd, NodeId};
 use mdtw_structure::{ElemId, Structure};
 use std::collections::BTreeSet;
 
@@ -111,4 +114,64 @@ fn satisfy(
         }
         bindings.clone_from(&saved);
     }
+}
+
+/// §5.3 leaf coverage done by rescanning: for every element, in ascending
+/// order, that occurs in no leaf bag of the current tree, splice
+/// `branch(bag(t)) -> [t, leaf(bag(t))]` above the first node `t` whose bag
+/// contains it. Every element rescans all nodes twice, so the cost is
+/// quadratic; `NiceTd::from_td` with `every_elem_in_leaf` must build the
+/// same nodes, node for node.
+///
+/// `nice` is the decomposition built without leaf coverage. Returns the
+/// covered nodes and root.
+pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<NiceNode>, NodeId) {
+    let mut nodes: Vec<NiceNode> = nice.node_ids().map(|id| nice.node(id).clone()).collect();
+    let mut root = nice.root();
+    let is_leaf = |n: &NiceNode| n.children.is_empty();
+    let mut in_leaf = BTreeSet::new();
+    let mut everywhere = BTreeSet::new();
+    for n in &nodes {
+        everywhere.extend(n.bag.iter().copied());
+        if is_leaf(n) {
+            in_leaf.extend(n.bag.iter().copied());
+        }
+    }
+    for e in everywhere.difference(&in_leaf) {
+        if nodes.iter().any(|n| is_leaf(n) && n.bag.contains(e)) {
+            continue;
+        }
+        let t = nodes
+            .iter()
+            .position(|n| n.bag.contains(e))
+            .expect("element occurs somewhere");
+        let bag = nodes[t].bag.clone();
+        let parent = nodes[t].parent;
+        let leaf = NodeId(nodes.len() as u32);
+        let branch = NodeId(leaf.0 + 1);
+        nodes.push(NiceNode {
+            bag: bag.clone(),
+            children: Vec::new(),
+            parent: Some(branch),
+            kind: NiceKind::Leaf,
+        });
+        nodes.push(NiceNode {
+            bag,
+            children: vec![NodeId(t as u32), leaf],
+            parent,
+            kind: NiceKind::Branch,
+        });
+        nodes[t].parent = Some(branch);
+        match parent {
+            Some(p) => {
+                for c in &mut nodes[p.index()].children {
+                    if c.index() == t {
+                        *c = branch;
+                    }
+                }
+            }
+            None => root = branch,
+        }
+    }
+    (nodes, root)
 }

@@ -2,13 +2,18 @@
 //! randomized inputs generated by proptest (as opposed to the seeded
 //! `SmallRng` workloads elsewhere).
 
-use mdtw_core::{prime_attributes_fpt, ThreeColSolver};
+use mdtw_core::{
+    enumerate_primes, is_prime_fpt_with_td, prime_attributes_fpt, PrimState, PrimalityContext,
+    ThreeColSolver,
+};
 use mdtw_decomp::{
-    decompose, decompose_with_order, elimination_order, Heuristic, NiceOptions, NiceTd,
-    PrimalGraph, TupleTd,
+    augment_bags, decompose, decompose_with_order, elimination_order, Heuristic, NiceOptions,
+    NiceTd, PrimalGraph, TreeDecomposition, TupleTd,
 };
 use mdtw_graph::{complete, encode_graph, is_three_colorable_exact, partial_k_tree, Graph};
-use mdtw_schema::Schema;
+use mdtw_schema::{encode_schema, random_schema, seeded_rng, Schema, SchemaEncoding};
+use mdtw_structure::ElemId;
+use mdtw_tests::leaf_coverage_reference;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -136,6 +141,46 @@ fn arb_schema() -> impl Strategy<Value = Schema> {
     })
 }
 
+/// Schemas for the leaf-coverage differential: up to 12 attributes and
+/// 10 FDs, so min-fill decompositions have many bags.
+fn arb_larger_schema() -> impl Strategy<Value = Schema> {
+    (2usize..=12, 0usize..=10, 1usize..=3, 0u64..u64::MAX)
+        .prop_map(|(n, m, lhs, seed)| random_schema(&mut seeded_rng(seed), n, m, lhs.min(n - 1)))
+}
+
+/// Asserts that `nice` equals the rescanning reference's nodes and root,
+/// node for node.
+fn assert_matches_reference(nice: &NiceTd, uncovered: &NiceTd) {
+    let (nodes, root) = leaf_coverage_reference(uncovered);
+    assert_eq!(nice.root(), root);
+    assert_eq!(nice.len(), nodes.len());
+    for (id, expect) in nice.node_ids().zip(&nodes) {
+        let got = nice.node(id);
+        assert_eq!(got.bag, expect.bag, "bag of {id}");
+        assert_eq!(got.kind, expect.kind, "kind of {id}");
+        assert_eq!(got.children, expect.children, "children of {id}");
+        assert_eq!(got.parent, expect.parent, "parent of {id}");
+    }
+}
+
+/// The nice decomposition `PrimalityContext::from_parts` builds from `td`,
+/// but without leaf coverage: bags augmented with FD right-hand sides, FDs
+/// ranked above attributes.
+fn uncovered_primality_nice(
+    encoding: &SchemaEncoding,
+    schema: &Schema,
+    mut td: TreeDecomposition,
+) -> NiceTd {
+    let rhs = |e: ElemId| {
+        encoding
+            .fd_of_elem(e)
+            .map(|f| encoding.elem_of_attr(schema.fds()[f].rhs))
+    };
+    augment_bags(&mut td, |e| rhs(e).into_iter().collect());
+    let rank = |e: ElemId| u8::from(rhs(e).is_some());
+    NiceTd::from_td_with_rank(&td, NiceOptions::default(), &rank)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -175,6 +220,30 @@ proptest! {
     }
 
     #[test]
+    fn primality_tables_are_sorted_sets_and_agree_with_oracles(schema in arb_schema()) {
+        let encoding = encode_schema(&schema);
+        let td = decompose(&encoding.structure, Heuristic::MinFill);
+        let ctx = PrimalityContext::from_parts(encode_schema(&schema), td.clone());
+        let up = ctx.run_up();
+        let down = ctx.run_down(&up);
+        let strictly_increasing = |t: &[PrimState]| t.windows(2).all(|w| w[0] < w[1]);
+        for id in ctx.nice.node_ids() {
+            prop_assert!(strictly_increasing(&up[id.index()]), "up table of {}", id);
+            prop_assert!(strictly_increasing(&down[id.index()]), "down table of {}", id);
+        }
+        let primes: Vec<_> = enumerate_primes(&ctx)
+            .0
+            .into_iter()
+            .map(|e| encoding.attr_of_elem(e).expect("attribute element"))
+            .collect();
+        prop_assert_eq!(&primes, &schema.prime_attributes_exact());
+        for attr in schema.attrs() {
+            let decided = is_prime_fpt_with_td(encode_schema(&schema), td.clone(), attr);
+            prop_assert_eq!(primes.contains(&attr), decided, "{:?}", attr);
+        }
+    }
+
+    #[test]
     fn closure_laws(schema in arb_schema()) {
         // Extensivity, monotonicity (on a chain), idempotence.
         let all: Vec<_> = schema.attrs().collect();
@@ -206,5 +275,26 @@ proptest! {
             prop_assert_eq!(format!("{td:?}"), format!("{by_order:?}"), "{:?}", h);
             prop_assert_eq!(td.validate(&s), Ok(()));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn primality_leaf_coverage_matches_the_rescanning_reference(schema in arb_larger_schema()) {
+        let encoding = encode_schema(&schema);
+        let td = decompose(&encoding.structure, Heuristic::MinFill);
+        let uncovered = uncovered_primality_nice(&encoding, &schema, td.clone());
+        let ctx = PrimalityContext::from_parts(encoding, td);
+        assert_matches_reference(&ctx.nice, &uncovered);
+    }
+
+    #[test]
+    fn graph_leaf_coverage_matches_the_rescanning_reference(g in arb_elimination_graph()) {
+        let s = encode_graph(&g);
+        let td = decompose(&s, Heuristic::MinFill);
+        let covered = NiceTd::from_td(&td, NiceOptions { every_elem_in_leaf: true });
+        assert_matches_reference(&covered, &NiceTd::from_td(&td, NiceOptions::default()));
     }
 }
