@@ -14,26 +14,43 @@
 //! optimization (1) of the paper's §6 ("the vast majority of possible
 //! instantiations is never computed since they are not reachable along
 //! the bottom-up computation"); the `width_sweep` bench plots it.
+//!
+//! # Atom ids
+//!
+//! Atom ids are dense and computed, not interned. Atom 0 is `success`.
+//! Every node `s` of the nice decomposition owns the contiguous block
+//! `base[s] .. base[s] + 3^|bag(s)|`, with blocks laid out in post-order.
+//! The colouring that gives the `i`-th bag element colour `cᵢ` (0 red,
+//! 1 green, 2 blue) is atom `base[s] + Σ cᵢ·3ⁱ`. Each node's states are
+//! enumerated in that order, so a state's position *is* its offset, and
+//! the parent-side offsets of Figure 5's transitions are digit
+//! arithmetic: introducing the element at bag position `p` with colour
+//! `c` maps offset `k` to `k mod 3ᵖ + c·3ᵖ + (k div 3ᵖ)·3ᵖ⁺¹`, and
+//! forgetting it maps `k` to `k mod 3ᵖ + (k div 3ᵖ⁺¹)·3ᵖ`. A parent
+//! enumerates all of its child's states and `success` all root states, so
+//! every id stands for a state the grounding considers; only a child
+//! colouring none of whose introduce extensions is proper occurs in no
+//! rule body.
 
 use mdtw_datalog::{HornProgram, HornRule};
-use mdtw_decomp::{NiceKind, NiceTd, NodeId};
+use mdtw_decomp::{NiceKind, NiceTd};
 use mdtw_graph::Graph;
-use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::ElemId;
 
-/// The materialized ground program plus bookkeeping.
+/// The materialized ground program.
+///
+/// Atom 0 is `success`; node `s` owns atoms `base[s] .. base[s] +
+/// 3^|bag(s)|`, one per bag colouring (see the [module docs](self)).
 #[derive(Debug)]
 pub struct GroundThreeCol {
     /// The propositional program.
     pub horn: HornProgram,
-    /// Atom 0 is `success`; the map stores (node, r, g) → atom id.
-    atoms: FxHashMap<(u32, u64, u64), u32>,
 }
 
 impl GroundThreeCol {
     /// The number of ground atoms (materialized `solve⟨r,g,b⟩(s)` facts).
     pub fn atom_count(&self) -> usize {
-        self.atoms.len() + 1
+        self.horn.n_atoms
     }
 
     /// The number of ground rules.
@@ -47,23 +64,23 @@ impl GroundThreeCol {
     }
 }
 
-/// All `(r, g)` partitions of an `n`-element bag.
+/// All `(r, g)` partitions of an `n`-element bag, in atom-offset order:
+/// position `k` holds the colouring whose base-3 digits (least
+/// significant first) are `k`'s, with digit 0 red, 1 green and 2 blue.
 fn all_states(n: usize) -> Vec<(u64, u64)> {
-    let full: u64 = (1u64 << n) - 1;
-    let mut out = Vec::new();
-    for r in 0..=full {
-        let rest = full & !r;
-        let mut g = rest;
-        loop {
-            out.push((r, g));
-            if g == 0 {
-                break;
+    let count = 3usize.pow(n as u32);
+    let mut out = Vec::with_capacity(count);
+    for k in 0..count {
+        let (mut r, mut g, mut rest) = (0u64, 0u64, k);
+        for i in 0..n {
+            match rest % 3 {
+                0 => r |= 1 << i,
+                1 => g |= 1 << i,
+                _ => {}
             }
-            g = (g - 1) & rest;
+            rest /= 3;
         }
-        if r == full {
-            break;
-        }
+        out.push((r, g));
     }
     out
 }
@@ -102,43 +119,66 @@ fn lift(mask: u64, at: usize) -> u64 {
 /// datalog. Size is `O(3^{w+1} · |td|)` — linear in the data for fixed
 /// width, as Theorem 4.4 requires, but with the full `f(w)` constant paid
 /// up front.
+///
+/// # Panics
+/// Panics if the atom count `1 + Σ_s 3^|bag(s)|` does not fit in `u32`
+/// (a bag of 21 or more elements, or very many large bags).
 pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
-    let mut atoms: FxHashMap<(u32, u64, u64), u32> = FxHashMap::default();
-    let mut horn = HornProgram::default();
-    // Atom 0 = success.
-    let intern = |atoms: &mut FxHashMap<(u32, u64, u64), u32>, node: NodeId, r: u64, g: u64| {
-        let next = atoms.len() as u32 + 1;
-        *atoms.entry((node.0, r, g)).or_insert(next)
-    };
+    let order = td.post_order();
+    // Atom 0 = success; then one block of 3^|bag| atoms per node.
+    let mut base = vec![0u32; td.len()];
+    let mut next = 1u32;
+    let mut max_bag = 0;
+    for &node in &order {
+        let n = td.bag(node).len();
+        max_bag = max_bag.max(n);
+        base[node.index()] = next;
+        next = 3u32
+            .checked_pow(n as u32)
+            .and_then(|block| next.checked_add(block))
+            .expect("the Figure 5 grounding has more than u32::MAX atoms");
+    }
+    let pow3: Vec<u32> = (0..=max_bag as u32).map(|i| 3u32.pow(i)).collect();
+    // The states of every bag size, built once per call.
+    let states: Vec<Vec<(u64, u64)>> = (0..=max_bag).map(all_states).collect();
 
-    for node in td.post_order() {
+    let mut horn = HornProgram {
+        n_atoms: next as usize,
+        rules: Vec::new(),
+    };
+    for &node in &order {
         let bag = td.bag(node);
         let n = bag.len();
+        let at = base[node.index()];
         match td.kind(node) {
             NiceKind::Leaf => {
-                for (r, g) in all_states(n) {
+                for (k, &(r, g)) in states[n].iter().enumerate() {
                     if allowed(graph, bag, n, r, g) {
-                        let head = intern(&mut atoms, node, r, g);
-                        horn.rules.push(HornRule { head, body: vec![] });
+                        horn.rules.push(HornRule {
+                            head: at + k as u32,
+                            body: vec![],
+                        });
                     }
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = td.node(node).children[0];
+                let child = base[td.node(node).children[0].index()];
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
-                for (r, g) in all_states(n - 1) {
-                    let body_atom = intern(&mut atoms, child, r, g);
+                let p = pow3[vpos];
+                for (k, &(r, g)) in states[n - 1].iter().enumerate() {
+                    let k = k as u32;
+                    let body_atom = child + k;
                     let (lr, lg) = (lift(r, vpos), lift(g, vpos));
-                    for color in 0..3u8 {
+                    let spread = at + k % p + k / p * 3 * p;
+                    for color in 0..3u32 {
                         let (nr, ng) = match color {
                             0 => (lr | 1 << vpos, lg),
                             1 => (lr, lg | 1 << vpos),
                             _ => (lr, lg),
                         };
                         if allowed(graph, bag, n, nr, ng) {
-                            let head = intern(&mut atoms, node, nr, ng);
                             horn.rules.push(HornRule {
-                                head,
+                                head: spread + color * p,
                                 body: vec![body_atom],
                             });
                         }
@@ -146,33 +186,27 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Forget(v) => {
-                let child = td.node(node).children[0];
-                let child_bag = td.bag(child);
-                let vpos = child_bag.binary_search(&v).expect("forgotten in child");
-                let drop = |mask: u64| -> u64 {
-                    let low = mask & ((1u64 << vpos) - 1);
-                    let high = (mask >> (vpos + 1)) << vpos;
-                    low | high
-                };
-                for (r, g) in all_states(n + 1) {
-                    let body_atom = intern(&mut atoms, child, r, g);
-                    let head = intern(&mut atoms, node, drop(r), drop(g));
+                let child_node = td.node(node).children[0];
+                let child = base[child_node.index()];
+                let vpos = td
+                    .bag(child_node)
+                    .binary_search(&v)
+                    .expect("forgotten in child");
+                let p = pow3[vpos];
+                for k in 0..pow3[n + 1] {
                     horn.rules.push(HornRule {
-                        head,
-                        body: vec![body_atom],
+                        head: at + k % p + k / (3 * p) * p,
+                        body: vec![child + k],
                     });
                 }
             }
             NiceKind::Branch => {
                 let children = &td.node(node).children;
-                let (c1, c2) = (children[0], children[1]);
-                for (r, g) in all_states(n) {
-                    let b1 = intern(&mut atoms, c1, r, g);
-                    let b2 = intern(&mut atoms, c2, r, g);
-                    let head = intern(&mut atoms, node, r, g);
+                let (c1, c2) = (base[children[0].index()], base[children[1].index()]);
+                for k in 0..pow3[n] {
                     horn.rules.push(HornRule {
-                        head,
-                        body: vec![b1, b2],
+                        head: at + k,
+                        body: vec![c1 + k, c2 + k],
                     });
                 }
             }
@@ -180,15 +214,14 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
     }
     // success ← solve(root, R, G, B) for every root state.
     let root = td.root();
-    for (r, g) in all_states(td.bag(root).len()) {
-        let body_atom = intern(&mut atoms, root, r, g);
+    let at = base[root.index()];
+    for k in 0..pow3[td.bag(root).len()] {
         horn.rules.push(HornRule {
             head: 0,
-            body: vec![body_atom],
+            body: vec![at + k],
         });
     }
-    horn.n_atoms = atoms.len() + 1;
-    GroundThreeCol { horn, atoms }
+    GroundThreeCol { horn }
 }
 
 #[cfg(test)]
@@ -254,5 +287,34 @@ mod tests {
         assert_eq!(all_states(1).len(), 3);
         assert_eq!(all_states(2).len(), 9);
         assert_eq!(all_states(3).len(), 27);
+    }
+
+    #[test]
+    fn state_position_is_its_base_three_offset() {
+        for n in 0..=4 {
+            for (k, &(r, g)) in all_states(n).iter().enumerate() {
+                assert_eq!(r & g, 0);
+                let offset: usize = (0..n)
+                    .map(|i| {
+                        let digit = if r >> i & 1 == 1 {
+                            0
+                        } else if g >> i & 1 == 1 {
+                            1
+                        } else {
+                            2
+                        };
+                        digit * 3usize.pow(i as u32)
+                    })
+                    .sum();
+                assert_eq!(offset, k, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the Figure 5 grounding has more than u32::MAX atoms")]
+    fn atom_ids_beyond_u32_panic_before_grounding() {
+        // K21's full bag has 3^21 > u32::MAX colourings.
+        ground_three_col(&complete(21), &nice_of(&complete(21)));
     }
 }

@@ -7,6 +7,13 @@
 //! body atoms; deriving an atom decrements the counters of all rules
 //! watching it; a counter hitting zero derives the rule's head. Every rule
 //! and every body occurrence is touched O(1) times.
+//!
+//! The watch lists live in one flat index, in compressed-row form: the
+//! rules watching atom `a` are `watch[wstart[a]..wstart[a + 1]]`, one entry
+//! per body occurrence (so `h ← a, a` is decremented twice). Counting the
+//! occurrences per atom, prefix-summing them into `wstart` and filling
+//! `watch` takes a fixed handful of allocations, however many atoms the
+//! program has.
 
 /// A ground Horn rule `head ← body` over interned atom ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,19 +42,49 @@ impl HornProgram {
 
     /// Computes the least model in time linear in [`size`](Self::size).
     /// Returns one boolean per atom id.
+    ///
+    /// # Panics
+    /// Panics, before any solving, if a rule's head or body names an atom
+    /// id `≥ n_atoms`; the message names the rule and the atom.
     pub fn least_model(&self) -> Vec<bool> {
-        let mut truth = vec![false; self.n_atoms];
-        // counter[r]: number of body atoms of rule r not yet derived.
-        let mut counter: Vec<u32> = self.rules.iter().map(|r| r.body.len() as u32).collect();
-        // watch[a]: indices of rules with a in the body (one entry per
-        // occurrence, so duplicate body atoms decrement correctly).
-        let mut watch: Vec<Vec<u32>> = vec![Vec::new(); self.n_atoms];
+        let n = self.n_atoms;
+        // wstart[a] counts atom a's body occurrences; prefix-summed, it is
+        // where a's watch segment ends.
+        let mut wstart = vec![0u32; n + 1];
         for (ri, rule) in self.rules.iter().enumerate() {
+            for &a in std::iter::once(&rule.head).chain(&rule.body) {
+                assert!(
+                    (a as usize) < n,
+                    "Horn rule {ri} names atom {a}, but the program has only {n} atoms"
+                );
+            }
             for &a in &rule.body {
-                watch[a as usize].push(ri as u32);
+                wstart[a as usize] += 1;
             }
         }
-        let mut queue: Vec<u32> = Vec::new();
+        let mut total = 0u32;
+        for w in &mut wstart[..n] {
+            total = total
+                .checked_add(*w)
+                .expect("a Horn program has fewer than 2^32 body occurrences");
+            *w = total;
+        }
+        wstart[n] = total;
+        // Fill each segment from its end; afterwards wstart[a] is where it
+        // starts.
+        let mut watch = vec![0u32; total as usize];
+        for (ri, rule) in self.rules.iter().enumerate() {
+            for &a in &rule.body {
+                let w = &mut wstart[a as usize];
+                *w -= 1;
+                watch[*w as usize] = ri as u32;
+            }
+        }
+        let mut truth = vec![false; n];
+        // counter[r]: number of body atoms of rule r not yet derived.
+        let mut counter: Vec<u32> = self.rules.iter().map(|r| r.body.len() as u32).collect();
+        // Every atom enters the queue at most once.
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
         for (ri, rule) in self.rules.iter().enumerate() {
             if counter[ri] == 0 && !truth[rule.head as usize] {
                 truth[rule.head as usize] = true;
@@ -55,7 +92,8 @@ impl HornProgram {
             }
         }
         while let Some(a) = queue.pop() {
-            for &ri in &watch[a as usize] {
+            let a = a as usize;
+            for &ri in &watch[wstart[a] as usize..wstart[a + 1] as usize] {
                 let ri = ri as usize;
                 counter[ri] -= 1;
                 if counter[ri] == 0 {
@@ -132,6 +170,26 @@ mod tests {
             rules: vec![rule(0, &[1]), rule(1, &[0])],
         };
         assert_eq!(p.least_model(), vec![false, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Horn rule 1 names atom 3, but the program has only 3 atoms")]
+    fn out_of_range_body_atom_is_named() {
+        let p = HornProgram {
+            n_atoms: 3,
+            rules: vec![rule(0, &[]), rule(1, &[0, 3])],
+        };
+        p.least_model();
+    }
+
+    #[test]
+    #[should_panic(expected = "Horn rule 0 names atom 2, but the program has only 2 atoms")]
+    fn out_of_range_head_atom_is_named() {
+        let p = HornProgram {
+            n_atoms: 2,
+            rules: vec![rule(2, &[])],
+        };
+        p.least_model();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Test support shared by the integration tests in `tests/` and by the
-//! unit tests of `mdtw-datalog`: the naive least-model oracle and the
+//! unit tests of `mdtw-datalog`: the naive least-model oracle, the
 //! rescanning reference for the §5.3 leaf coverage of nice
-//! decompositions.
+//! decompositions and the hash-interning reference grounder of the
+//! Figure 5 Horn program.
 //!
 //! `mdtw-datalog` dev-depends on this crate, so its unit tests link a
 //! second build of the engine through this one. Their programs are
@@ -10,8 +11,10 @@
 
 pub use mdtw_datalog;
 
-use mdtw_datalog::{Atom, PredRef, Program, Rule, Term};
+use mdtw_datalog::{Atom, HornProgram, HornRule, PredRef, Program, Rule, Term};
 use mdtw_decomp::{NiceKind, NiceNode, NiceTd, NodeId};
+use mdtw_graph::Graph;
+use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, Structure};
 use std::collections::BTreeSet;
 
@@ -174,4 +177,152 @@ pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<NiceNode>, NodeId) {
         }
     }
     (nodes, root)
+}
+
+/// All `(r, g)` partitions of an `n`-element bag, by subset enumeration.
+fn all_states(n: usize) -> Vec<(u64, u64)> {
+    let full: u64 = (1u64 << n) - 1;
+    let mut out = Vec::new();
+    for r in 0..=full {
+        let rest = full & !r;
+        let mut g = rest;
+        loop {
+            out.push((r, g));
+            if g == 0 {
+                break;
+            }
+            g = (g - 1) & rest;
+        }
+        if r == full {
+            break;
+        }
+    }
+    out
+}
+
+/// No two elements of colour class `class` are adjacent.
+fn proper_class(graph: &Graph, bag: &[ElemId], class: u64) -> bool {
+    let mut bits = class;
+    while bits != 0 {
+        let i = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let mut rest = bits;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if graph.has_edge(bag[i].0, bag[j].0) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// The colouring `(r, g, rest blue)` of `bag` is proper.
+fn allowed(graph: &Graph, bag: &[ElemId], n: usize, r: u64, g: u64) -> bool {
+    let full = (1u64 << n) - 1;
+    let b = full & !(r | g);
+    proper_class(graph, bag, r) && proper_class(graph, bag, g) && proper_class(graph, bag, b)
+}
+
+/// Opens a zero bit at position `at` of `mask`.
+fn lift(mask: u64, at: usize) -> u64 {
+    let low = mask & ((1u64 << at) - 1);
+    let high = (mask >> at) << (at + 1);
+    low | high
+}
+
+/// The Figure 5 ground Horn program of `mdtw_core::ground_three_col`,
+/// built the straightforward way: every atom `solve⟨r,g⟩(s)` is interned
+/// in a hash map keyed by `(node, r, g)` on first reference, in rule
+/// order. Atom 0 is `success`.
+///
+/// The production grounder computes dense atom ids instead; it must
+/// produce the same numbers of atoms and rules, and least models with the
+/// same number of true atoms and the same `success`.
+pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
+    let mut atoms: FxHashMap<(u32, u64, u64), u32> = FxHashMap::default();
+    let mut horn = HornProgram::default();
+    let intern = |atoms: &mut FxHashMap<(u32, u64, u64), u32>, node: NodeId, r: u64, g: u64| {
+        let next = atoms.len() as u32 + 1;
+        *atoms.entry((node.0, r, g)).or_insert(next)
+    };
+
+    for node in td.post_order() {
+        let bag = td.bag(node);
+        let n = bag.len();
+        match td.kind(node) {
+            NiceKind::Leaf => {
+                for (r, g) in all_states(n) {
+                    if allowed(graph, bag, n, r, g) {
+                        let head = intern(&mut atoms, node, r, g);
+                        horn.rules.push(HornRule { head, body: vec![] });
+                    }
+                }
+            }
+            NiceKind::Introduce(v) => {
+                let child = td.node(node).children[0];
+                let vpos = bag.binary_search(&v).expect("introduced in bag");
+                for (r, g) in all_states(n - 1) {
+                    let body_atom = intern(&mut atoms, child, r, g);
+                    let (lr, lg) = (lift(r, vpos), lift(g, vpos));
+                    for color in 0..3u8 {
+                        let (nr, ng) = match color {
+                            0 => (lr | 1 << vpos, lg),
+                            1 => (lr, lg | 1 << vpos),
+                            _ => (lr, lg),
+                        };
+                        if allowed(graph, bag, n, nr, ng) {
+                            let head = intern(&mut atoms, node, nr, ng);
+                            horn.rules.push(HornRule {
+                                head,
+                                body: vec![body_atom],
+                            });
+                        }
+                    }
+                }
+            }
+            NiceKind::Forget(v) => {
+                let child = td.node(node).children[0];
+                let vpos = td.bag(child).binary_search(&v).expect("forgotten in child");
+                let drop = |mask: u64| -> u64 {
+                    let low = mask & ((1u64 << vpos) - 1);
+                    let high = (mask >> (vpos + 1)) << vpos;
+                    low | high
+                };
+                for (r, g) in all_states(n + 1) {
+                    let body_atom = intern(&mut atoms, child, r, g);
+                    let head = intern(&mut atoms, node, drop(r), drop(g));
+                    horn.rules.push(HornRule {
+                        head,
+                        body: vec![body_atom],
+                    });
+                }
+            }
+            NiceKind::Branch => {
+                let children = &td.node(node).children;
+                let (c1, c2) = (children[0], children[1]);
+                for (r, g) in all_states(n) {
+                    let b1 = intern(&mut atoms, c1, r, g);
+                    let b2 = intern(&mut atoms, c2, r, g);
+                    let head = intern(&mut atoms, node, r, g);
+                    horn.rules.push(HornRule {
+                        head,
+                        body: vec![b1, b2],
+                    });
+                }
+            }
+        }
+    }
+    // success ← solve(root, R, G, B) for every root state.
+    let root = td.root();
+    for (r, g) in all_states(td.bag(root).len()) {
+        let body_atom = intern(&mut atoms, root, r, g);
+        horn.rules.push(HornRule {
+            head: 0,
+            body: vec![body_atom],
+        });
+    }
+    horn.n_atoms = atoms.len() + 1;
+    horn
 }

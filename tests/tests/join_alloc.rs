@@ -1,38 +1,51 @@
-//! The indexed join allocates nothing per candidate tuple: a warm
-//! evaluation of a single non-recursive pass that enumerates tens of
-//! thousands of candidates but derives only a handful of facts makes a
-//! number of heap allocations bounded by its passes and relations, far
-//! below one per hundred tuples considered.
+//! Allocation guards, read from a counting global allocator instead of a
+//! clock:
+//!
+//! - The indexed join allocates nothing per candidate tuple: a warm
+//!   evaluation of a single non-recursive pass that enumerates tens of
+//!   thousands of candidates but derives only a handful of facts makes a
+//!   number of heap allocations bounded by its passes and relations, far
+//!   below one per hundred tuples considered.
+//! - LTUR allocates nothing per atom: `HornProgram::least_model` on a
+//!   grounded Figure 5 program of over 100 000 atoms makes a constant
+//!   number of allocations.
 
+use mdtw_core::ground_three_col;
 use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator};
+use mdtw_decomp::{NiceOptions, NiceTd};
+use mdtw_graph::partial_k_tree;
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The system allocator, counting the allocations of threads that
 /// switched counting on.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations since it switched counting on, or `None`
+    /// while it does not count. Per thread, so tests running in parallel
+    /// do not see each other's allocations.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Counts one allocation if this thread counts. The flag is a
-/// const-initialized `Cell` without a destructor, so reading it never
+/// Counts one allocation if this thread counts. The counter is a
+/// const-initialized `Cell` without a destructor, so touching it never
 /// allocates.
 fn note() {
-    if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    ALLOCATIONS.with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees carry over; the counter is a plain
-// statistic and publishes no other data (hence `Relaxed`).
+// statistic and publishes no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
@@ -64,11 +77,10 @@ static GLOBAL: Counting = Counting;
 
 /// The allocations `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    ALLOCATIONS.with(|c| c.set(Some(0)));
     let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    let n = ALLOCATIONS.with(Cell::take).expect("counting was on");
+    (out, n)
 }
 
 /// The complete bipartite digraph between `0..side` and `side..2·side`
@@ -107,5 +119,22 @@ fn warm_triangle_join_allocates_nothing_per_candidate() {
     assert!(
         allocs < considered / 100,
         "{allocs} allocations for {considered} candidate tuples"
+    );
+}
+
+#[test]
+fn least_model_allocates_a_constant_number_of_times() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let (g, td) = partial_k_tree(&mut rng, 700, 3, 0.8);
+    let nice = NiceTd::from_td(&td, NiceOptions::default());
+    let ground = ground_three_col(&g, &nice);
+    let atoms = ground.atom_count();
+    assert!(atoms > 100_000, "{atoms} atoms");
+    let (model, allocs) = allocations(|| ground.horn.least_model());
+    assert_eq!(model.len(), atoms);
+    assert!(
+        allocs <= 8,
+        "{allocs} allocations to solve {atoms} atoms and {} rules",
+        ground.rule_count()
     );
 }

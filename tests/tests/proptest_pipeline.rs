@@ -3,9 +3,10 @@
 //! `SmallRng` workloads elsewhere).
 
 use mdtw_core::{
-    enumerate_primes, is_prime_fpt_with_td, prime_attributes_fpt, PrimState, PrimalityContext,
-    ThreeColSolver,
+    enumerate_primes, ground_three_col, is_prime_fpt_with_td, prime_attributes_fpt, PrimState,
+    PrimalityContext, ThreeColSolver,
 };
+use mdtw_datalog::{HornProgram, HornRule};
 use mdtw_decomp::{
     augment_bags, decompose, decompose_with_order, elimination_order, Heuristic, NiceOptions,
     NiceTd, PrimalGraph, TreeDecomposition, TupleTd,
@@ -13,7 +14,7 @@ use mdtw_decomp::{
 use mdtw_graph::{complete, encode_graph, is_three_colorable_exact, partial_k_tree, Graph};
 use mdtw_schema::{encode_schema, random_schema, seeded_rng, Schema, SchemaEncoding};
 use mdtw_structure::ElemId;
-use mdtw_tests::leaf_coverage_reference;
+use mdtw_tests::{ground_three_col_reference, leaf_coverage_reference};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -181,8 +182,82 @@ fn uncovered_primality_nice(
     NiceTd::from_td_with_rank(&td, NiceOptions::default(), &rank)
 }
 
+/// Ground Horn programs over at most 12 atoms: facts, rules with
+/// duplicate body atoms, cycles and atoms no rule mentions all occur.
+fn arb_horn_program() -> impl Strategy<Value = HornProgram> {
+    let rules = proptest::collection::vec(
+        (0u32..64, proptest::collection::vec(0u32..64, 0..=4)),
+        0..=24,
+    );
+    (0u32..=12, rules).prop_map(|(n, rules)| HornProgram {
+        n_atoms: n as usize,
+        rules: if n == 0 {
+            Vec::new()
+        } else {
+            rules
+                .into_iter()
+                .map(|(head, body)| HornRule {
+                    head: head % n,
+                    body: body.into_iter().map(|a| a % n).collect(),
+                })
+                .collect()
+        },
+    })
+}
+
+/// The least model by firing every rule until a round changes nothing.
+fn naive_least_model(p: &HornProgram) -> Vec<bool> {
+    let mut truth = vec![false; p.n_atoms];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for r in &p.rules {
+            if !truth[r.head as usize] && r.body.iter().all(|&a| truth[a as usize]) {
+                truth[r.head as usize] = true;
+                changed = true;
+            }
+        }
+    }
+    truth
+}
+
+/// A random partial k-tree of width 1–4 with at most `k + 14` vertices,
+/// its nice decomposition (from the generator's own decomposition, with
+/// or without leaf coverage) and its width.
+fn arb_partial_k_tree() -> impl Strategy<Value = (Graph, NiceTd, usize)> {
+    (1usize..=4, 1usize..=14, 0u32..=6, 0u32..2, 0u64..u64::MAX).prop_map(
+        |(k, extra, keep, cover, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (g, td) = partial_k_tree(&mut rng, k + extra, k, 0.4 + 0.1 * f64::from(keep));
+            let every_elem_in_leaf = cover == 1;
+            let nice = NiceTd::from_td(&td, NiceOptions { every_elem_in_leaf });
+            (g, nice, k)
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn least_model_matches_the_naive_fixpoint(p in arb_horn_program()) {
+        prop_assert_eq!(p.least_model(), naive_least_model(&p));
+    }
+
+    #[test]
+    fn horn_lowering_matches_the_interning_reference((g, nice, k) in arb_partial_k_tree()) {
+        let ground = ground_three_col(&g, &nice);
+        let reference = ground_three_col_reference(&g, &nice);
+        prop_assert_eq!(ground.atom_count(), reference.n_atoms, "width {}", k);
+        prop_assert_eq!(ground.rule_count(), reference.rules.len(), "width {}", k);
+        let model = ground.horn.least_model();
+        let reference_model = reference.least_model();
+        let count = |m: &[bool]| m.iter().filter(|&&b| b).count();
+        prop_assert_eq!(count(&model), count(&reference_model), "width {}", k);
+        prop_assert_eq!(ground.succeeds(), reference_model[0], "width {}", k);
+        prop_assert_eq!(ground.succeeds(), ThreeColSolver::run(&g, &nice).is_colorable());
+        prop_assert_eq!(ground.succeeds(), is_three_colorable_exact(&g));
+    }
 
     #[test]
     fn decomposition_pipeline_is_always_valid(g in arb_graph()) {
