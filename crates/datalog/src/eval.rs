@@ -107,6 +107,24 @@ impl IdbStore {
         &self.rels[pred.index()]
     }
 
+    /// An empty store shaped for `program` whose relations for the
+    /// predicates `program`'s rules define start with room for
+    /// `sizes[pred]` facts ([`Relation::with_capacity`]); the others start
+    /// empty. Presizing changes no result, only how often the store grows.
+    fn presized(program: &Program, sizes: &[usize]) -> Self {
+        let mut defined = vec![false; program.idb_count()];
+        for id in defined_idbs(program) {
+            defined[id.index()] = true;
+        }
+        let mut store = Self::new(program);
+        for (i, rel) in store.rels.iter_mut().enumerate() {
+            if defined[i] {
+                *rel = Relation::with_capacity(rel.arity(), sizes[i]);
+            }
+        }
+        store
+    }
+
     /// Creates an empty store shaped for `program` (used by the
     /// quasi-guarded evaluator to decode LTUR models).
     pub(crate) fn new_for(program: &Program) -> Self {
@@ -147,10 +165,11 @@ pub struct EvalStats {
     pub full_scans: usize,
     /// Candidate tuples enumerated across all literal accesses.
     pub tuples_considered: usize,
-    /// Derivations that resolved to an already-interned tuple (in the
-    /// store or the round's staging relation) instead of allocating new
-    /// storage: `interned_hits + facts` equals the number of firings with
-    /// an intensional head.
+    /// Derivations that resolved to an already-interned tuple instead of
+    /// allocating new storage: a head staged twice in one round is counted
+    /// when it is staged again, and a staged head already in the store
+    /// when the round's staged facts are merged into it. `interned_hits +
+    /// facts` equals the number of firings with an intensional head.
     pub interned_hits: usize,
     /// 1 if this evaluation reused compiled rule plans from a
     /// [`PlanCache`](crate::cache::PlanCache), 0 if it had to plan (the
@@ -194,6 +213,15 @@ impl EvalStats {
         self.limit_checks += part.limit_checks;
         self.fuel_spent += part.fuel_spent;
     }
+}
+
+/// The intensional predicates `program`'s rules define (their heads), once
+/// per rule.
+fn defined_idbs(program: &Program) -> impl Iterator<Item = IdbId> + '_ {
+    program.rules.iter().map(|rule| match rule.head.pred {
+        PredRef::Idb(id) => id,
+        PredRef::Edb(_) => unreachable!("stratification rejects extensional heads"),
+    })
 }
 
 /// Debug check for call sites where semipositivity is guaranteed by
@@ -265,9 +293,12 @@ impl DeltaStore {
 
 /// Per-predicate staging relations collecting one round's derivations
 /// before they are folded into the store (facts derived in round *i*
-/// become visible in round *i+1*). Arena-backed like everything else, so
-/// the derive path stages tuples without boxing them; recycled across
-/// rounds.
+/// become visible in round *i+1*). Staging does not consult the store: it
+/// only dedups within the round, and [`merge_round`] sorts the staged
+/// facts into new ones and duplicates of stored facts with the store
+/// insert it makes anyway — one store lookup per staged fact. Arena-backed
+/// like everything else, so the derive path stages tuples without boxing
+/// them; recycled across rounds.
 #[derive(Debug)]
 struct FreshStore {
     rels: Vec<Relation>,
@@ -285,7 +316,7 @@ impl FreshStore {
     }
 
     /// Stages a derivation; returns `false` if it was already staged this
-    /// round (an interned-duplicate hit).
+    /// round.
     #[inline]
     fn insert(&mut self, pred: IdbId, args: &[ElemId]) -> bool {
         self.rels[pred.index()].insert(args)
@@ -308,8 +339,8 @@ trait Sink {
     const NEGATIVES: bool;
 
     /// Handles the head fact `pred(args)` of one complete instantiation
-    /// (`store` is the store the pass reads); returns `true` to stop the
-    /// pass.
+    /// (`store` is the store the pass reads, for sinks that filter against
+    /// it); returns `true` to stop the pass.
     fn emit(
         &mut self,
         pred: IdbId,
@@ -319,20 +350,15 @@ trait Sink {
     ) -> bool;
 }
 
-/// Evaluation stages each derived head not yet in the store for the
-/// round's merge.
+/// Evaluation stages each derived head for the round's merge without
+/// probing the store: a head already staged this round is an interned
+/// hit here, and one already in the store is counted by [`merge_round`].
 impl Sink for FreshStore {
     const NEGATIVES: bool = true;
 
     #[inline]
-    fn emit(
-        &mut self,
-        pred: IdbId,
-        args: &[ElemId],
-        store: &IdbStore,
-        stats: &mut EvalStats,
-    ) -> bool {
-        if store.holds(pred, args) || !self.insert(pred, args) {
+    fn emit(&mut self, pred: IdbId, args: &[ElemId], _: &IdbStore, stats: &mut EvalStats) -> bool {
+        if !self.insert(pred, args) {
             stats.interned_hits += 1;
         }
         false
@@ -394,8 +420,9 @@ struct PlanCtx<'a> {
 }
 
 /// The recycled working set of the semi-naive round loop: the ping-ponged
-/// per-predicate delta relations, the per-round staging relations, and
-/// the probe-key/head scratch buffer. One instance per
+/// per-predicate delta relations, the per-round staging relations, the
+/// probe-key/head scratch buffer, and the store sizes of the last run.
+/// One instance per
 /// [`Evaluator`](crate::evaluator::Evaluator) session, reused across
 /// evaluations (and across the strata of one stratified evaluation —
 /// every stratum sub-program shares the session program's predicate
@@ -407,6 +434,12 @@ pub(crate) struct SeminaiveScratch {
     next: DeltaStore,
     fresh: FreshStore,
     key: Vec<ElemId>,
+    /// Facts per intensional predicate in the store of the last run that
+    /// defined it: the next run presizes its store to these counts
+    /// ([`IdbStore::presized`]), so a warm session's store does not grow
+    /// from empty every evaluation. Per predicate, so the strata of a
+    /// stratified evaluation each record and presize their own.
+    store_sizes: Vec<usize>,
 }
 
 impl SeminaiveScratch {
@@ -417,11 +450,13 @@ impl SeminaiveScratch {
             next: DeltaStore::new(program),
             fresh: FreshStore::new(program),
             key: Vec::new(),
+            store_sizes: vec![0; program.idb_count()],
         }
     }
 
     /// Empties every buffer (arena capacity is retained) so a new
-    /// evaluation starts from a clean slate.
+    /// evaluation starts from a clean slate. The recorded store sizes
+    /// stay.
     fn reset(&mut self) {
         self.delta.clear();
         self.next.clear();
@@ -455,8 +490,9 @@ pub(crate) fn run_seminaive_scratch(
         next,
         fresh,
         key,
+        store_sizes,
     } = scratch;
-    let mut store = IdbStore::new(program);
+    let mut store = IdbStore::presized(program, store_sizes);
 
     if gov.round(stats.tuples_considered, stats.facts) {
         return (store, stats);
@@ -487,6 +523,9 @@ pub(crate) fn run_seminaive_scratch(
         program, structure, plans, &mut stats, &mut store, delta, next, fresh, key, gov, &mut prof,
         None,
     );
+    for id in defined_idbs(program) {
+        store_sizes[id.index()] = store.rels[id.index()].len();
+    }
     (store, stats)
 }
 
@@ -753,6 +792,7 @@ pub(crate) fn run_increment(
         next,
         fresh,
         key,
+        ..
     } = scratch;
     if gov.round(stats.tuples_considered, stats.facts) {
         return;
@@ -791,10 +831,13 @@ pub(crate) fn run_increment(
 }
 
 /// Folds a round's staged derivations into the store; survivors (genuinely
-/// new facts) become the next round's delta. Drains the staging store.
-/// When `added` is `Some`, every genuinely new fact is mirrored into the
-/// per-predicate sink relations (incremental maintenance's ledger of
-/// facts added by a re-derivation pass).
+/// new facts) become the next round's delta. The store insert is the only
+/// store lookup a staged fact costs: it either adds the fact (counted in
+/// [`EvalStats::facts`]) or finds it already there (an interned hit, see
+/// [`EvalStats::interned_hits`]). Drains the staging store. When `added`
+/// is `Some`, every genuinely new fact is mirrored into the per-predicate
+/// sink relations (incremental maintenance's ledger of facts added by a
+/// re-derivation pass).
 fn merge_round(
     store: &mut IdbStore,
     delta: &mut DeltaStore,
@@ -811,6 +854,8 @@ fn merge_round(
                 if let Some(sink) = added.as_deref_mut() {
                     sink[idx].insert(args);
                 }
+            } else {
+                stats.interned_hits += 1;
             }
         }
     }

@@ -643,6 +643,7 @@ impl Evaluator {
             parts,
             structure,
             result.store,
+            result.stats,
         ))
     }
 

@@ -156,6 +156,9 @@ pub struct MaterializedView {
     /// materialized lower-stratum relations of `ext_pred`.
     ext: Structure,
     store: IdbStore,
+    /// The statistics of the last from-scratch evaluation (see
+    /// [`MaterializedView::eval_stats`]).
+    eval_stats: EvalStats,
     updates_applied: u64,
 }
 
@@ -164,6 +167,7 @@ impl MaterializedView {
         parts: SessionParts,
         structure: &Structure,
         store: IdbStore,
+        eval_stats: EvalStats,
     ) -> Self {
         let SessionParts {
             program,
@@ -221,6 +225,7 @@ impl MaterializedView {
             head_plans,
             ext,
             store,
+            eval_stats,
             updates_applied: 0,
         }
     }
@@ -482,7 +487,7 @@ impl MaterializedView {
     /// re-evaluate the post-update base from scratch, ungoverned.
     fn fall_back(&mut self, kind: LimitKind, profile: &mut UpdateProfile) {
         let base_post = self.ext.restricted(&self.base_sig);
-        let (store, _stats, trip) = run_stratified(
+        let (store, stats, trip) = run_stratified(
             &self.program,
             &self.strat,
             &base_post,
@@ -494,6 +499,7 @@ impl MaterializedView {
         );
         debug_assert!(trip.is_none(), "ungoverned evaluation cannot trip");
         self.store = store;
+        self.eval_stats = stats;
         self.ext = base_post.extended_shared(&self.ext_sig);
         for (i, slot) in self.ext_pred.iter().enumerate() {
             if let Some(p) = *slot {
@@ -508,6 +514,13 @@ impl MaterializedView {
     /// The maintained fixpoint (the serving read path).
     pub fn store(&self) -> &IdbStore {
         &self.store
+    }
+
+    /// The [`EvalStats`] of the view's last from-scratch evaluation: the
+    /// one [`Evaluator::materialize`](crate::Evaluator::materialize) ran,
+    /// or the latest fall-back re-evaluation of [`apply`](Self::apply).
+    pub fn eval_stats(&self) -> EvalStats {
+        self.eval_stats
     }
 
     /// True if the named intensional predicate holds `args` in the

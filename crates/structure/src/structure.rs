@@ -9,7 +9,11 @@
 //!
 //! * deduplication uses an open-addressing [`RowTable`] whose slots hold
 //!   row ids — membership hashes the probe tuple's `u32` element ids and
-//!   compares against the arena in place, allocating nothing;
+//!   compares against the arena in place, allocating nothing. Each slot
+//!   carries a one-byte tag from its row's hash, so a probe reads the
+//!   arena only at slots whose tag matches; an insert finds a duplicate or
+//!   claims a free slot in the same single probe, and growth rebuilds the
+//!   table from the dense row ids `0..len` in arena order;
 //! * a secondary index ([`PosIndex`]) maps the values at fixed argument
 //!   positions to row buckets. Keys are not materialized either: a
 //!   single-position key hashes the `ElemId` directly, a multi-position
@@ -76,111 +80,209 @@ fn hash_elems(elems: impl IntoIterator<Item = ElemId>) -> u64 {
     h.finish()
 }
 
+/// A dense id for the `n`-th value of a [`RowTable`] user (a row of a
+/// relation, a key bucket of an index). Ids are `u32` and stay below
+/// `u32::MAX`, so that a count of them fits a `u32` as well.
+///
+/// # Panics
+/// Panics if `n ≥ u32::MAX`, with a message naming the limit and `what`
+/// was counted.
+#[inline]
+fn dense_id(n: usize, what: &str) -> u32 {
+    match u32::try_from(n) {
+        Ok(id) if id != u32::MAX => id,
+        _ => panic!("more than u32::MAX − 1 = {} {what}", u32::MAX - 1),
+    }
+}
+
 /// An open-addressing hash table whose slots hold bare `u32` values (row
 /// ids, or bucket ids for [`PosIndex`]). The table stores no keys: callers
 /// supply the hash and an equality predicate that compares against the
 /// owning relation's arena, so probes and inserts allocate nothing.
+///
+/// Next to each slot the table keeps a one-byte *tag*: the top byte of
+/// the stored value's hash (never 0), or 0 for a free slot. A probe walks
+/// the tag bytes and calls the caller's equality only where the tag
+/// matches, so the occupied slots it passes cost no read of the arena
+/// unless their tag agrees (about one in 255 of them). The key comparison
+/// itself is never skipped.
+///
+/// Both users keep their values *dense*: a relation's row ids and an
+/// index's bucket ids are always `0..len`. The table relies on that: a new
+/// value is `len` ([`RowTable::find_or_insert`]), and growth re-places the
+/// values `0..len` in order, so rehashing reads the arena front to back
+/// instead of in slot order.
 #[derive(Debug, Clone, Default)]
 struct RowTable {
-    /// Power-of-two slot array; `EMPTY` marks a free slot.
+    /// Power-of-two slot array; a slot's value is meaningful only where
+    /// its tag is not [`RowTable::FREE`].
     slots: Vec<u32>,
+    /// One tag per slot.
+    tags: Vec<u8>,
     len: usize,
 }
 
 impl RowTable {
-    const EMPTY: u32 = u32::MAX;
+    /// The tag of a free slot.
+    const FREE: u8 = 0;
+
+    /// A table that holds `n` values without growing: the capacity that
+    /// inserting them one by one would reach.
+    fn with_capacity(n: usize) -> Self {
+        if n == 0 {
+            return Self::default();
+        }
+        let mut cap = 8;
+        while Self::full(n - 1, cap) {
+            cap *= 2;
+        }
+        Self {
+            slots: vec![0; cap],
+            tags: vec![Self::FREE; cap],
+            len: 0,
+        }
+    }
+
+    /// True when a table of `cap` slots holding `len` values must grow
+    /// before the next insert: the load limit is 7/8, so a free slot
+    /// always ends a probe. Covers the empty table (0 ≥ 0).
+    #[inline]
+    fn full(len: usize, cap: usize) -> bool {
+        len * 8 >= cap * 7
+    }
+
+    /// The tag of `hash`: its top byte, with 0 (free) folded into 1.
+    #[inline]
+    fn tag(hash: u64) -> u8 {
+        ((hash >> 56) as u8).max(1)
+    }
+
+    /// Walks `hash`'s probe chain in a table with slots: `Ok(slot)` for
+    /// the first slot whose tag matches and whose value satisfies `eq`,
+    /// `Err(slot)` for the free slot that ends the chain (the load limit
+    /// guarantees one).
+    #[inline]
+    fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<usize, usize> {
+        let mask = self.tags.len() - 1;
+        let tag = Self::tag(hash);
+        let mut i = (hash as usize) & mask;
+        loop {
+            let t = self.tags[i];
+            if t == Self::FREE {
+                return Err(i);
+            }
+            if t == tag && eq(self.slots[i]) {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
 
     /// Finds the stored value matching `hash` + `eq` via linear probing.
     #[inline]
-    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.slots.is_empty() {
+    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.tags.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let v = self.slots[i];
-            if v == Self::EMPTY {
-                return None;
-            }
-            if eq(v) {
-                return Some(v);
-            }
-            i = (i + 1) & mask;
-        }
+        self.probe(hash, eq).ok().map(|i| self.slots[i])
     }
 
-    /// Inserts a value the caller knows is absent. `rehash` recomputes the
-    /// hash of a stored value when the table has to grow.
-    fn insert_new(&mut self, hash: u64, value: u32, mut rehash: impl FnMut(u32) -> u64) {
-        debug_assert_ne!(value, Self::EMPTY, "u32::MAX is the empty-slot sentinel");
-        // Grow at 7/8 occupancy (covers the empty-table case: 0 ≥ 0).
-        if self.len * 8 >= self.slots.len() * 7 {
-            let new_cap = (self.slots.len() * 2).max(8);
-            let mut slots = vec![Self::EMPTY; new_cap];
-            for &v in self.slots.iter().filter(|&&v| v != Self::EMPTY) {
-                Self::place(&mut slots, rehash(v), v);
+    /// Finds the stored value matching `hash` + `eq`, or else stores the
+    /// next dense value `len` in the free slot that ended the probe: one
+    /// probe chain either way. Returns the value and whether it is new.
+    /// `rehash` recomputes the hash of a stored value when the table has
+    /// to grow; it is called for the values `0..len` only, so the caller
+    /// need not have stored the new value's key yet.
+    ///
+    /// # Panics
+    /// Panics if the table already holds `u32::MAX` values (see
+    /// [`dense_id`]; `what` names them).
+    #[inline]
+    fn find_or_insert(
+        &mut self,
+        hash: u64,
+        eq: impl FnMut(u32) -> bool,
+        rehash: impl FnMut(u32) -> u64,
+        what: &str,
+    ) -> (u32, bool) {
+        let free = if self.tags.is_empty() {
+            None
+        } else {
+            match self.probe(hash, eq) {
+                Ok(i) => return (self.slots[i], false),
+                Err(i) => Some(i),
             }
-            self.slots = slots;
-        }
-        Self::place(&mut self.slots, hash, value);
+        };
+        let value = dense_id(self.len, what);
+        let i = match free {
+            Some(i) if !Self::full(self.len, self.tags.len()) => i,
+            _ => {
+                self.grow(rehash);
+                self.free_slot(hash)
+            }
+        };
+        self.slots[i] = value;
+        self.tags[i] = Self::tag(hash);
         self.len += 1;
+        (value, true)
     }
 
-    fn place(slots: &mut [u32], hash: u64, value: u32) {
-        let mask = slots.len() - 1;
+    /// Doubles the slot array (to 8 slots at least) and re-places the
+    /// dense values `0..len`.
+    fn grow(&mut self, mut rehash: impl FnMut(u32) -> u64) {
+        let cap = (self.tags.len() * 2).max(8);
+        self.slots = vec![0; cap];
+        self.tags = vec![Self::FREE; cap];
+        for v in 0..self.len as u32 {
+            let hash = rehash(v);
+            let i = self.free_slot(hash);
+            self.slots[i] = v;
+            self.tags[i] = Self::tag(hash);
+        }
+    }
+
+    /// The first free slot of `hash`'s probe chain.
+    fn free_slot(&self, hash: u64) -> usize {
+        let mask = self.tags.len() - 1;
         let mut i = (hash as usize) & mask;
-        while slots[i] != Self::EMPTY {
+        while self.tags[i] != Self::FREE {
             i = (i + 1) & mask;
         }
-        slots[i] = value;
+        i
     }
 
     /// Removes the stored value matching `hash` + `eq`, compacting its
     /// probe chain by backward-shift deletion (no tombstones: each
-    /// following value moves into the hole iff the hole lies cyclically
-    /// between the value's ideal slot and its current slot, which is
-    /// exactly the invariant linear probing needs). `rehash` recomputes
-    /// the hash of a stored value during the shift. Returns the removed
-    /// value, or `None` if no value matched.
+    /// following value moves, with its tag, into the hole iff the hole
+    /// lies cyclically between the value's ideal slot and its current
+    /// slot, which is exactly the invariant linear probing needs).
+    /// `rehash` recomputes the hash of a stored value during the shift.
+    /// Returns the removed value, or `None` if no value matched.
     fn remove(
         &mut self,
         hash: u64,
-        mut eq: impl FnMut(u32) -> bool,
+        eq: impl FnMut(u32) -> bool,
         mut rehash: impl FnMut(u32) -> u64,
     ) -> Option<u32> {
-        if self.slots.is_empty() {
+        if self.tags.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut hole = (hash as usize) & mask;
-        loop {
-            let v = self.slots[hole];
-            if v == Self::EMPTY {
-                return None;
-            }
-            if eq(v) {
-                break;
-            }
-            hole = (hole + 1) & mask;
-        }
+        let mut hole = self.probe(hash, eq).ok()?;
         let removed = self.slots[hole];
-        // The table grows at 7/8 occupancy, so an EMPTY slot always
-        // terminates the walk.
+        let mask = self.tags.len() - 1;
+        // The load limit leaves a free slot, which terminates the walk.
         let mut j = (hole + 1) & mask;
-        loop {
+        while self.tags[j] != Self::FREE {
             let v = self.slots[j];
-            if v == Self::EMPTY {
-                break;
-            }
             let ideal = (rehash(v) as usize) & mask;
             if hole.wrapping_sub(ideal) & mask <= j.wrapping_sub(ideal) & mask {
                 self.slots[hole] = v;
+                self.tags[hole] = self.tags[j];
                 hole = j;
             }
             j = (j + 1) & mask;
         }
-        self.slots[hole] = Self::EMPTY;
+        self.tags[hole] = Self::FREE;
         self.len -= 1;
         Some(removed)
     }
@@ -188,34 +290,71 @@ impl RowTable {
     /// Rewrites the stored value `old` to `new` in place. The caller
     /// guarantees `old` is present and that `new` has the same content —
     /// and therefore the same `hash` — as `old` (the swap-remove row/bucket
-    /// renumbering protocol), so the slot itself does not move.
+    /// renumbering protocol), so neither the slot nor its tag moves.
     fn replace(&mut self, hash: u64, old: u32, new: u32) {
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let v = self.slots[i];
-            assert_ne!(
-                v,
-                Self::EMPTY,
-                "renumbered value must be in its probe chain"
-            );
-            if v == old {
-                self.slots[i] = new;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
+        let i = self
+            .probe(hash, |v| v == old)
+            .expect("renumbered value must be in its probe chain");
+        self.slots[i] = new;
     }
 
     fn clear(&mut self) {
         // An empty table may still have a large retained capacity (e.g. a
         // recycled delta relation after a round that filled it): skip the
-        // slot memset entirely so clearing an already-empty table is O(1)
+        // tag memset entirely so clearing an already-empty table is O(1)
         // no matter its high-water mark.
         if self.len > 0 {
-            self.slots.fill(Self::EMPTY);
+            self.tags.fill(Self::FREE);
             self.len = 0;
         }
+    }
+
+    /// Checks that the table holds exactly the dense values `0..n`, each
+    /// found by a probe for its own hash (`hash_of`) under its own tag,
+    /// with `same(a, b)` the content equality probes use: so no two values
+    /// share content either. Also checks the slot arrays' shape and the
+    /// load limit. Returns the first violation found.
+    fn check_dense(
+        &self,
+        n: usize,
+        hash_of: impl Fn(u32) -> u64,
+        same: impl Fn(u32, u32) -> bool,
+    ) -> Result<(), String> {
+        let cap = self.tags.len();
+        if self.slots.len() != cap || !(cap == 0 || cap.is_power_of_two() && cap >= 8) {
+            return Err(format!(
+                "{} slots and {cap} tags (want equal powers of two ≥ 8)",
+                self.slots.len()
+            ));
+        }
+        let occupied = self.tags.iter().filter(|&&t| t != Self::FREE).count();
+        if occupied != self.len || self.len != n {
+            return Err(format!(
+                "{occupied} occupied slots, len {}, {n} values",
+                self.len
+            ));
+        }
+        if let Some(i) =
+            (0..cap).find(|&i| self.tags[i] != Self::FREE && self.slots[i] as usize >= n)
+        {
+            return Err(format!(
+                "slot {i} holds value {}, not below {n}",
+                self.slots[i]
+            ));
+        }
+        if n > 0 && n * 8 > cap * 7 {
+            return Err(format!(
+                "{n} values in {cap} slots exceed the 7/8 load limit"
+            ));
+        }
+        for v in 0..n as u32 {
+            match self.find(hash_of(v), |w| same(w, v)) {
+                Some(w) if w == v => {}
+                Some(w) => return Err(format!("values {w} and {v} have the same content")),
+                None => return Err(format!("value {v} is not found under its hash and tag")),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -286,27 +425,64 @@ impl PosIndex {
     }
 
     /// Registers `row` (whose tuple lives at `row·arity` in `arena`).
+    ///
+    /// # Panics
+    /// Panics if a new key would be the index's `u32::MAX`-th (which
+    /// cannot happen while its relation stays below that many rows).
     fn add(&mut self, arena: &[ElemId], arity: usize, row: u32) {
         let hash = hash_elems(self.key_of_row(arena, arity, row));
         let row_base = row as usize * arity;
-        let found = self.table.find(hash, |b| {
-            let base = self.buckets[b as usize][0] as usize * arity;
-            self.positions
-                .iter()
-                .all(|&p| arena[base + p] == arena[row_base + p])
-        });
-        match found {
-            Some(b) => self.buckets[b as usize].push(row),
-            None => {
-                let b = self.buckets.len() as u32;
-                self.buckets.push(vec![row]);
-                let (buckets, positions) = (&self.buckets, &self.positions);
-                self.table.insert_new(hash, b, |bb| {
-                    let base = buckets[bb as usize][0] as usize * arity;
-                    hash_elems(positions.iter().map(|&p| arena[base + p]))
-                });
+        let (buckets, positions) = (&self.buckets, &self.positions);
+        let key_cell = |b: u32, p: usize| arena[buckets[b as usize][0] as usize * arity + p];
+        let (b, new) = self.table.find_or_insert(
+            hash,
+            |b| {
+                positions
+                    .iter()
+                    .all(|&p| key_cell(b, p) == arena[row_base + p])
+            },
+            |b| hash_elems(positions.iter().map(|&p| key_cell(b, p))),
+            "distinct keys in one index",
+        );
+        if new {
+            self.buckets.push(vec![row]);
+        } else {
+            self.buckets[b as usize].push(row);
+        }
+    }
+
+    /// Checks the index against its relation's `arena` of `rows` rows:
+    /// the key table holds exactly the dense bucket ids, each under its
+    /// key's hash and tag, and every row lies in exactly one bucket, whose
+    /// key it carries. Returns the first violation found.
+    fn check(&self, arena: &[ElemId], arity: usize, rows: usize) -> Result<(), String> {
+        if let Some(b) = self.buckets.iter().position(Vec::is_empty) {
+            return Err(format!("bucket {b} is empty"));
+        }
+        let rep = |b: u32| self.buckets[b as usize][0];
+        let same_key = |r: u32, s: u32| {
+            self.key_of_row(arena, arity, r)
+                .eq(self.key_of_row(arena, arity, s))
+        };
+        let mut seen = vec![false; rows];
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            for &r in bucket {
+                if r as usize >= rows || std::mem::replace(&mut seen[r as usize], true) {
+                    return Err(format!("row {r} is out of range or in two buckets"));
+                }
+                if !same_key(r, bucket[0]) {
+                    return Err(format!("row {r} does not carry the key of bucket {b}"));
+                }
             }
         }
+        if let Some(r) = seen.iter().position(|&s| !s) {
+            return Err(format!("row {r} is in no bucket"));
+        }
+        self.table.check_dense(
+            self.buckets.len(),
+            |b| hash_elems(self.key_of_row(arena, arity, rep(b))),
+            |a, b| same_key(rep(a), rep(b)),
+        )
     }
 
     /// Unregisters `row` and renumbers `last` to `row` — the arena
@@ -429,6 +605,59 @@ impl Relation {
         }
     }
 
+    /// Creates an empty relation of the given arity with room for `rows`
+    /// tuples: its arena and row table start at the capacities that
+    /// inserting `rows` tuples one by one would grow them to, so filling
+    /// it to that size reallocates and rehashes nothing. Secondary indexes
+    /// are not presized.
+    pub fn with_capacity(arity: usize, rows: usize) -> Self {
+        let cells = rows * arity;
+        Self {
+            arity,
+            arena: Vec::with_capacity(if cells == 0 {
+                0
+            } else {
+                cells.next_power_of_two().max(4)
+            }),
+            table: RowTable::with_capacity(rows),
+            ..Self::default()
+        }
+    }
+
+    /// Checks the relation's storage invariants: the arena holds
+    /// `rows × arity` cells; the row table holds exactly the row ids
+    /// `0..len`, each found by a probe for its own tuple's hash under that
+    /// hash's tag (so no tuple is stored twice); and every cached
+    /// secondary index has dense bucket ids, each found under its key's
+    /// hash and tag, with every row in exactly one bucket whose key
+    /// matches the row. Costs a pass over the relation and its indexes;
+    /// meant for tests and debugging.
+    ///
+    /// # Panics
+    /// Panics with a description of the first violated invariant.
+    pub fn check_invariants(&self) {
+        let (arena, arity, rows) = (&self.arena, self.arity, self.rows);
+        assert_eq!(
+            arena.len(),
+            rows * arity,
+            "relation invariant: the arena holds {} cells for {rows} rows of arity {arity}",
+            arena.len()
+        );
+        let row_cells = |r: u32| &arena[r as usize * arity..][..arity];
+        if let Err(e) = self.table.check_dense(
+            rows,
+            |r| hash_elems(row_cells(r).iter().copied()),
+            |a, b| row_cells(a) == row_cells(b),
+        ) {
+            panic!("relation invariant: row table: {e}");
+        }
+        for (positions, idx) in self.secondary.read().expect("index cache lock").iter() {
+            if let Err(e) = idx.check(arena, arity, rows) {
+                panic!("relation invariant: index on {positions:?}: {e}");
+            }
+        }
+    }
+
     /// The arity of the relation.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -460,16 +689,20 @@ impl Relation {
     /// Inserts a tuple; returns `true` if it was new.
     ///
     /// # Panics
-    /// Panics if the tuple length differs from the relation arity.
+    /// Panics as [`Relation::insert_row`] does.
     #[inline]
     pub fn insert(&mut self, tuple: &[ElemId]) -> bool {
         self.insert_row(tuple).1
     }
 
-    /// Inserts a tuple, returning its row id and whether it was new.
+    /// Inserts a tuple, returning its row id and whether it was new. One
+    /// probe of the row table answers both: a duplicate returns its row,
+    /// and a new tuple takes the free slot that ended the probe.
     ///
     /// # Panics
-    /// Panics if the tuple length differs from the relation arity.
+    /// Panics if the tuple length differs from the relation arity, or if
+    /// a new tuple would be the relation's `u32::MAX`-th: row ids are
+    /// `u32`, and the row count must fit one too.
     pub fn insert_row(&mut self, tuple: &[ElemId]) -> (u32, bool) {
         assert_eq!(
             tuple.len(),
@@ -480,19 +713,19 @@ impl Relation {
         );
         let hash = hash_elems(tuple.iter().copied());
         let (arena, arity) = (&self.arena, self.arity);
-        if let Some(row) = self
-            .table
-            .find(hash, |r| &arena[r as usize * arity..][..arity] == tuple)
-        {
+        let row_cells = |r: u32| &arena[r as usize * arity..][..arity];
+        let (row, new) = self.table.find_or_insert(
+            hash,
+            |r| row_cells(r) == tuple,
+            |r| hash_elems(row_cells(r).iter().copied()),
+            "rows in one relation",
+        );
+        if !new {
             return (row, false);
         }
-        let row = self.rows as u32;
         self.arena.extend_from_slice(tuple);
         self.rows += 1;
-        let (arena, arity) = (&self.arena, self.arity);
-        self.table.insert_new(hash, row, |r| {
-            hash_elems(arena[r as usize * arity..][..arity].iter().copied())
-        });
+        let arena = &self.arena;
         // Keep cached secondary indexes current so they never have to be
         // rebuilt. `make_mut` copies only if a prober still holds the Arc
         // (it then keeps a consistent snapshot of the pre-insert relation).
@@ -1494,6 +1727,103 @@ mod tests {
             assert_eq!(rel.insert(&tuple), i % 2 == 0, "reinsert {i}");
         }
         assert_eq!(rel.len(), 2_000);
+    }
+
+    /// Three distinct tuples whose hashes share both the home slot of an
+    /// 8-slot table and the tag: the worst case for the tag filter, where
+    /// only the arena comparison tells them apart.
+    fn same_home_and_tag() -> [[ElemId; 2]; 3] {
+        let mut bins: FxHashMap<(u64, u8), Vec<[ElemId; 2]>> = FxHashMap::default();
+        for a in 0..64u32 {
+            for b in 0..64u32 {
+                let t = [ElemId(a), ElemId(b)];
+                let h = hash_elems(t);
+                let bin = bins.entry((h & 7, RowTable::tag(h))).or_default();
+                bin.push(t);
+                if let [x, y, z] = bin[..] {
+                    return [x, y, z];
+                }
+            }
+        }
+        panic!("no three tuples share a home slot and a tag");
+    }
+
+    #[test]
+    fn tuples_sharing_home_slot_and_tag_stay_distinct() {
+        let [x, y, z] = same_home_and_tag();
+        let mut rel = Relation::new(2);
+        assert!(rel.insert(&x) && rel.insert(&y));
+        assert_eq!(rel.table.tags.len(), 8, "both share one 8-slot probe chain");
+        let idx = rel.index_on(&[0, 1]);
+        rel.check_invariants();
+        assert!(rel.contains(&x) && rel.contains(&y) && !rel.contains(&z));
+        assert_eq!(rel.row_of(&x), Some(0));
+        assert_eq!(rel.row_of(&y), Some(1));
+        assert_eq!(rel.rows_matching(&idx, &x), &[0]);
+        assert_eq!(rel.rows_matching(&idx, &y), &[1]);
+        assert_eq!(rel.rows_matching(&idx, &z), &[] as &[u32]);
+        drop(idx);
+        // Retracting the absent third tuple must not hit either stored one.
+        assert!(!rel.retract(&z));
+        assert_eq!(rel.len(), 2);
+        // Retracting the first moves the second into row 0.
+        assert!(rel.retract(&x));
+        rel.check_invariants();
+        assert!(!rel.contains(&x) && rel.contains(&y));
+        let idx = rel.index_on(&[0, 1]);
+        assert_eq!(rel.rows_matching(&idx, &y), &[0]);
+        assert_eq!(rel.rows_matching(&idx, &x), &[] as &[u32]);
+        assert!(rel.insert(&z) && !rel.insert(&y));
+        rel.check_invariants();
+        assert_eq!(
+            rel.rows_matching(&idx, &z),
+            &[] as &[u32],
+            "a held snapshot"
+        );
+        let idx = rel.index_on(&[0, 1]);
+        assert_eq!(rel.rows_matching(&idx, &z), &[1]);
+    }
+
+    #[test]
+    fn with_capacity_fills_without_growing() {
+        for n in [0usize, 1, 7, 8, 100, 1_000] {
+            let mut rel = Relation::with_capacity(3, n);
+            let (slots, cells) = (rel.table.tags.len(), rel.arena.capacity());
+            for i in 0..n as u32 {
+                assert!(rel.insert(&[ElemId(i), ElemId(i / 3), ElemId(7)]));
+            }
+            rel.check_invariants();
+            assert_eq!(rel.table.tags.len(), slots, "{n} rows grew the row table");
+            assert_eq!(rel.arena.capacity(), cells, "{n} rows grew the arena");
+            // The same capacity growth reaches: one more row than fits
+            // (or the first row of an empty table) grows.
+            let mut grown = Relation::new(3);
+            for i in 0..n as u32 {
+                grown.insert(&[ElemId(i), ElemId(i / 3), ElemId(7)]);
+            }
+            assert_eq!(grown.table.tags.len(), slots, "{n} rows");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "relation invariant: row table")]
+    fn check_invariants_detects_a_lost_tag() {
+        let mut rel = Relation::new(1);
+        rel.insert(&[ElemId(5)]);
+        let slot = rel
+            .table
+            .tags
+            .iter()
+            .position(|&t| t != RowTable::FREE)
+            .unwrap();
+        rel.table.tags[slot] = rel.table.tags[slot].wrapping_add(1).max(1);
+        rel.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX − 1")]
+    fn dense_ids_stop_below_u32_max() {
+        dense_id(u32::MAX as usize, "rows");
     }
 
     #[test]

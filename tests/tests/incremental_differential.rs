@@ -7,7 +7,8 @@
 //! program whose rules join two intensional literals and carry
 //! constants and repeated variables. Pinned edge cases cover the
 //! empty-delta no-op, retract-everything, and a fault-injection sweep
-//! over governed maintenance.
+//! over governed maintenance. After every batch, every relation of the
+//! view must also pass [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
 
 use mdtw_datalog::{
     parse_program, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, LimitKind,
@@ -147,6 +148,21 @@ fn run_case(source: &str, n: usize, edges: &[(u8, u8)], marks: &[u8], batches: &
         }
         view.apply(&update);
         assert_view_matches(&view, &expected, &format!("after batch {bi}"));
+        check_storage(&view);
+    }
+}
+
+/// Checks the storage invariants of every relation the view holds: its
+/// base relations and its derived store (swap-remove retraction,
+/// backward-shift deletion and index bucket patching must leave arena,
+/// row table and cached indexes coherent).
+fn check_storage(view: &MaterializedView) {
+    let base = view.base_structure();
+    for p in base.signature().preds() {
+        base.relation(p).check_invariants();
+    }
+    for i in 0..view.program().idb_count() {
+        view.store().relation(IdbId(i as u32)).check_invariants();
     }
 }
 
@@ -229,6 +245,7 @@ fn retract_everything_for_both_shapes() {
         }
         view.apply(&update);
         assert_view_matches(&view, &expected, "retract everything");
+        check_storage(&view);
         // With an empty base, positive-bodied predicates must be empty.
         assert!(view.store().tuples(IdbId(0)).is_empty());
     }
@@ -284,6 +301,7 @@ fn governed_maintenance_sweep_falls_back_soundly() {
                 }
             }
             assert_view_matches(&view, &expected, &format!("trip after {k} checks"));
+            check_storage(&view);
         }
         assert!(completed > 0, "no sweep point completed maintenance");
         assert!(fell_back > 0, "no sweep point tripped inside maintenance");

@@ -6,6 +6,10 @@
 //!   thousands of candidates but derives only a handful of facts makes a
 //!   number of heap allocations bounded by its passes and relations, far
 //!   below one per hundred tuples considered.
+//! - A warm session's linear-TC evaluation allocates nothing per fact:
+//!   the store is presized from the previous evaluation and the round
+//!   buffers are recycled, so segmented chains with four times the facts
+//!   (and as many rounds) make exactly as many allocations.
 //! - LTUR allocates nothing per atom: `HornProgram::least_model` on a
 //!   grounded Figure 5 program of over 100 000 atoms makes a constant
 //!   number of allocations.
@@ -136,5 +140,42 @@ fn least_model_allocates_a_constant_number_of_times() {
         allocs <= 8,
         "{allocs} allocations to solve {atoms} atoms and {} rules",
         ground.rule_count()
+    );
+}
+
+/// `segments` disjoint chains of `len` vertices each: linear TC runs the
+/// same number of rounds whatever the number of segments.
+fn segmented_chains(segments: u32, len: u32) -> Structure {
+    let sig = Arc::new(Signature::from_pairs([("e", 2)]));
+    let mut s = Structure::new(sig, Domain::anonymous((segments * len) as usize));
+    let e = s.signature().lookup("e").unwrap();
+    for seg in 0..segments {
+        for off in 0..len - 1 {
+            let v = seg * len + off;
+            s.insert(e, &[ElemId(v), ElemId(v + 1)]);
+        }
+    }
+    s
+}
+
+#[test]
+fn warm_linear_tc_allocations_do_not_grow_with_the_facts() {
+    let warm_allocations = |segments: u32| {
+        let s = segmented_chains(segments, 20);
+        let p = parse_program(
+            "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).",
+            &s,
+        )
+        .unwrap();
+        let mut session = Evaluator::new(p).unwrap();
+        session.evaluate(&s).unwrap();
+        let (result, allocs) = allocations(|| session.evaluate(&s).unwrap());
+        assert_eq!(result.stats.facts, segments as usize * 20 * 19 / 2);
+        allocs
+    };
+    let (small, large) = (warm_allocations(25), warm_allocations(100));
+    assert_eq!(
+        small, large,
+        "a warm evaluation of 4× the facts makes {large} allocations instead of {small}"
     );
 }

@@ -5,7 +5,7 @@
 //! on a delta-bound literal — after round 0, every store- or EDB-side
 //! literal of a delta pass is an index probe.
 
-use mdtw_datalog::{parse_program, EvalStats, Evaluator, IdbStore, Program};
+use mdtw_datalog::{parse_program, EvalStats, Evaluator, IdbId, IdbStore, Program};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use mdtw_tests::naive_model;
 use std::sync::Arc;
@@ -132,26 +132,86 @@ fn repeated_evaluations_hit_the_session_plan_cache() {
     assert_eq!(cold.stats.plan_cache_hits, 0);
 }
 
+/// Linear transitive closure: one derivation per fact on a chain.
+const LINEAR_TC: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).";
+
+/// Nonlinear transitive closure derives `path(x, z)` once per
+/// intermediate vertex, so duplicates are plentiful.
+const NONLINEAR_TC: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).";
+
+/// Two strata: `node` is derived once per incident edge, and `apart`
+/// negates the lower stratum's `path`.
+const STRATIFIED: &str = "path(X, Y) :- e(X, Y).\n\
+                          path(X, Z) :- path(X, Y), e(Y, Z).\n\
+                          node(X) :- e(X, Y).\n\
+                          node(Y) :- e(X, Y).\n\
+                          apart(X, Y) :- node(X), node(Y), !path(X, Y).";
+
 /// The derive path interns: every firing with an intensional head either
-/// creates a new fact or resolves to an already-interned tuple, and the
-/// accounting must add up exactly. Nonlinear transitive closure derives
-/// `path(x, z)` once per intermediate vertex, so duplicates are plentiful.
+/// creates a new fact or resolves to an already-interned tuple — staged
+/// twice in one round, or already in the store when the round merges —
+/// and the accounting must add up exactly, through `evaluate` and through
+/// the evaluation `materialize` runs alike.
 #[test]
 fn interning_accounts_for_every_firing() {
     let s = chain(40);
-    let p = parse_program(
-        "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).",
-        &s,
-    )
-    .unwrap();
-    let (_, stats) = run(&p, &s);
-    assert_eq!(
-        stats.interned_hits + stats.facts,
-        stats.firings,
-        "each firing is a new fact or an interned duplicate"
-    );
-    assert!(
-        stats.interned_hits > 0,
-        "re-derivations through different midpoints are interned"
-    );
+    for (name, src, duplicates) in [
+        ("linear TC", LINEAR_TC, false),
+        ("nonlinear TC", NONLINEAR_TC, true),
+        ("stratified", STRATIFIED, true),
+    ] {
+        let p = parse_program(src, &s).unwrap();
+        let (_, evaluated) = run(&p, &s);
+        let view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+        let materialized = view.eval_stats();
+        assert_eq!(evaluated, materialized, "{name}: materialize evaluates");
+        assert_eq!(
+            evaluated.interned_hits + evaluated.facts,
+            evaluated.firings,
+            "{name}: each firing is a new fact or an interned duplicate"
+        );
+        assert_eq!(
+            evaluated.interned_hits > 0,
+            duplicates,
+            "{name}: {} interned hits",
+            evaluated.interned_hits
+        );
+    }
+}
+
+/// A session presizes each store from the previous evaluation's fact
+/// counts. Presizing must change no result: evaluating a large chain, a
+/// small one and the large one again through one session returns the
+/// oracle's model and the statistics of a fresh session every time (plan
+/// cache hits aside), for a semipositive and a stratified program.
+#[test]
+fn presized_stores_change_no_result() {
+    for (name, src) in [("nonlinear TC", NONLINEAR_TC), ("stratified", STRATIFIED)] {
+        let mut session = Evaluator::new(parse_program(src, &chain(60)).unwrap()).unwrap();
+        for n in [60, 8, 60] {
+            let s = chain(n);
+            let p = parse_program(src, &s).unwrap();
+            let warm = session.evaluate(&s).unwrap();
+            let (cold_store, cold_stats) = run(&p, &s);
+            let work = |stats: EvalStats| EvalStats {
+                plan_cache_hits: 0,
+                ..stats
+            };
+            assert_eq!(work(warm.stats), work(cold_stats), "{name}, chain {n}");
+            for i in 0..p.idb_count() {
+                let id = IdbId(i as u32);
+                assert_eq!(
+                    warm.store.tuples(id),
+                    cold_store.tuples(id),
+                    "{name}, chain {n}"
+                );
+            }
+            if src == NONLINEAR_TC {
+                let naive = naive_model(&p, &s);
+                let path = p.idb("path").unwrap();
+                assert_eq!(warm.store.tuples(path), naive.relations[path.index()]);
+                assert_eq!(warm.stats.firings, naive.instantiations);
+            }
+        }
+    }
 }
