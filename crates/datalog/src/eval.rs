@@ -171,9 +171,10 @@ pub struct EvalStats {
     /// when the round's staged facts are merged into it. `interned_hits +
     /// facts` equals the number of firings with an intensional head.
     pub interned_hits: usize,
-    /// 1 if this evaluation reused compiled rule plans from a
-    /// [`PlanCache`](crate::cache::PlanCache), 0 if it had to plan (the
-    /// stratified pipeline reports one potential hit per stratum).
+    /// 1 if this evaluation reused the rule plans its session compiled
+    /// for an earlier structure of the same power-of-two cardinality
+    /// shape, 0 if it had to plan (the stratified pipeline reports one
+    /// potential hit per stratum).
     pub plan_cache_hits: usize,
     /// Number of negative-literal membership checks performed (a
     /// short-circuited conjunction counts only the checks it actually

@@ -12,8 +12,10 @@
 //!   checks, and stratification (the dependency graph + Tarjan SCC
 //!   pipeline of [`stratify`](crate::stratify::stratify())), so an
 //!   unevaluable program is rejected before any structure is seen;
-//! * **an owned [`PlanCache`]** — compiled join plans are memoized per
-//!   session (nothing is shared process-wide), so the second
+//! * **compiled strata** — each stratum's semipositive sub-program is
+//!   built once per input signature, and its compiled join plans are
+//!   kept per session (nothing is shared process-wide), keyed by the
+//!   structure's power-of-two cardinality shape, so the second
 //!   [`evaluate`](Evaluator::evaluate) of a per-candidate loop skips
 //!   planning;
 //! * **recycled scratch buffers** — the semi-naive delta/staging
@@ -44,23 +46,20 @@
 //! let mut session = Evaluator::new(p).unwrap();
 //! let first = session.evaluate(&s).unwrap();
 //! assert!(first.store.holds_named("path", &[ElemId(0), ElemId(2)]));
-//! // The session reuses its analysis: the second evaluation hits the
-//! // owned plan cache instead of re-planning.
+//! // The session reuses its analysis: the second evaluation reuses the
+//! // compiled plans instead of re-planning.
 //! let second = session.evaluate(&s).unwrap();
 //! assert_eq!(second.stats.plan_cache_hits, 1);
 //! ```
 
 use crate::analysis::{analyze, relevant_rules, AnalysisOptions, ProgramReport};
 use crate::ast::Program;
-use crate::cache::PlanCache;
 use crate::eval::{EvalStats, IdbStore, SeminaiveScratch};
 use crate::ground::{FdCatalog, QgError, QgPlan, QgStats};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_program_with, StructureStats};
 use crate::profile::{EvalProfile, Explanation, ProfileDetail, Profiler};
-use crate::stratify::{
-    run_stratified, stratify, ExtensionMemo, Stratification, StratificationError,
-};
+use crate::stratify::{stratify, Strata, Stratification, StratificationError};
 use crate::transform::{self, TransformSummary};
 use mdtw_structure::Structure;
 use std::fmt;
@@ -394,7 +393,6 @@ pub struct EvalResult {
 /// or [`Evaluator::with_options`].
 #[derive(Debug)]
 pub struct Evaluator {
-    program: Program,
     engine: Engine,
     fd_catalog: Option<FdCatalog>,
     /// The compiled grounding plan ([`Engine::QuasiGuarded`] sessions).
@@ -404,10 +402,8 @@ pub struct Evaluator {
     transforms: TransformSummary,
     limits: Option<EvalLimits>,
     profile_detail: ProfileDetail,
-    stratification: Arc<Stratification>,
-    cache: PlanCache,
+    strata: Strata,
     scratch: SeminaiveScratch,
-    ext_memo: ExtensionMemo,
 }
 
 impl Evaluator {
@@ -473,7 +469,7 @@ impl Evaluator {
                 }
             }
         }
-        let stratification = Arc::new(stratify(&program)?);
+        let stratification = stratify(&program)?;
         let engine = options.engine.unwrap_or(if options.fd_catalog.is_some() {
             Engine::QuasiGuarded
         } else {
@@ -494,7 +490,6 @@ impl Evaluator {
         };
         let scratch = SeminaiveScratch::new(&program);
         Ok(Self {
-            program,
             engine,
             fd_catalog,
             qg_plan,
@@ -503,10 +498,8 @@ impl Evaluator {
             transforms,
             limits: options.limits,
             profile_detail: options.profile,
-            stratification,
-            cache: PlanCache::new(),
+            strata: Strata::new(program, stratification),
             scratch,
-            ext_memo: ExtensionMemo::default(),
         })
     }
 
@@ -530,13 +523,9 @@ impl Evaluator {
             (self.profile_detail != ProfileDetail::Off).then(|| Profiler::new(self.profile_detail));
         let (store, mut stats, qg, trip) = match self.engine {
             Engine::SemiNaiveIndexed => {
-                let (store, stats, trip) = run_stratified(
-                    &self.program,
-                    &self.stratification,
+                let (store, stats, trip) = self.strata.run(
                     structure,
-                    &self.cache,
                     &mut self.scratch,
-                    &mut self.ext_memo,
                     limits.as_ref(),
                     profiler.as_mut(),
                 );
@@ -553,7 +542,7 @@ impl Evaluator {
                 if let Some(p) = profiler.as_mut() {
                     p.begin_stratum_bare(0);
                 }
-                let (store, qg) = plan.evaluate(&self.program, structure, &mut gov)?;
+                let (store, qg) = plan.evaluate(self.strata.program(), structure, &mut gov)?;
                 let stats = EvalStats {
                     facts: store.fact_count(),
                     rounds: 1,
@@ -588,7 +577,7 @@ impl Evaluator {
                 Box::new(EvalResult {
                     store,
                     stats,
-                    stratification: Arc::clone(&self.stratification),
+                    stratification: Arc::clone(self.strata.stratification()),
                     qg: None,
                     profile,
                 })
@@ -602,7 +591,7 @@ impl Evaluator {
         Ok(EvalResult {
             store,
             stats,
-            stratification: Arc::clone(&self.stratification),
+            stratification: Arc::clone(self.strata.stratification()),
             qg,
             profile,
         })
@@ -610,14 +599,22 @@ impl Evaluator {
 
     /// Consumes the session into a long-lived
     /// [`MaterializedView`](crate::incremental::MaterializedView) over
-    /// `structure`: evaluates to fixpoint once, then hands the program,
-    /// stratification, plan cache, and scratch arenas to the incremental
-    /// maintenance pipeline so subsequent base-relation updates are
-    /// absorbed by delta re-derivation instead of re-evaluation.
+    /// `structure`: evaluates to fixpoint once, then hands the compiled
+    /// strata (program, stratification, stratum sub-programs and plans)
+    /// and the scratch arenas to the incremental maintenance pipeline so
+    /// subsequent base-relation updates are absorbed by delta
+    /// re-derivation instead of re-evaluation.
     ///
-    /// Only [`Engine::SemiNaiveIndexed`] compiles the per-rule join
-    /// plans the maintenance passes replay; any other engine choice is
-    /// rejected up front with [`EvalError::UnsupportedIncremental`].
+    /// Every construction option carries over: the view maintains the
+    /// session's program as pruned and rewritten by
+    /// [`EvalOptions::prune_dead_rules`], [`EvalOptions::minimize`],
+    /// [`EvalOptions::eliminate_bounded_recursion`] and
+    /// [`EvalOptions::magic_sets`], so its declared
+    /// [`outputs`](EvalOptions::outputs) agree with a default session over
+    /// the original program. Only [`Engine::SemiNaiveIndexed`] compiles
+    /// the per-rule join plans the maintenance passes replay; any other
+    /// engine choice is rejected up front with
+    /// [`EvalError::UnsupportedIncremental`].
     /// Errors from the initial evaluation (including
     /// [`EvalError::LimitExceeded`] when the session carries a budget)
     /// propagate unchanged.
@@ -631,16 +628,10 @@ impl Evaluator {
             });
         }
         let result = self.evaluate(structure)?;
-        let parts = crate::incremental::SessionParts {
-            program: self.program,
-            stratification: self.stratification,
-            cache: self.cache,
-            scratch: self.scratch,
-            ext_memo: self.ext_memo,
-            limits: self.limits,
-        };
         Ok(crate::incremental::MaterializedView::from_session(
-            parts,
+            self.strata,
+            self.scratch,
+            self.limits,
             structure,
             result.store,
             result.stats,
@@ -662,10 +653,10 @@ impl Evaluator {
     /// planner's greedy tie-breaks — the explanation shows the
     /// base-structure baseline.
     pub fn explain(&self, structure: &Structure) -> Explanation {
-        let plans = plan_program_with(&self.program, &StructureStats::new(structure));
+        let plans = plan_program_with(self.strata.program(), &StructureStats::new(structure));
         crate::profile::explain_plans(
-            &self.program,
-            &self.stratification,
+            self.strata.program(),
+            self.strata.stratification(),
             structure,
             &plans,
             self.engine.to_string(),
@@ -688,7 +679,7 @@ impl Evaluator {
         if let Some(catalog) = &self.fd_catalog {
             options = options.fd_catalog(catalog.clone());
         }
-        analyze(&self.program, &options)
+        analyze(self.strata.program(), &options)
     }
 
     /// How many rules [`EvalOptions::prune_dead_rules`] dropped at
@@ -713,7 +704,7 @@ impl Evaluator {
     /// program.
     #[inline]
     pub fn program(&self) -> &Program {
-        &self.program
+        self.strata.program()
     }
 
     /// The engine this session dispatches to.
@@ -725,14 +716,7 @@ impl Evaluator {
     /// The stratification computed at construction.
     #[inline]
     pub fn stratification(&self) -> &Stratification {
-        &self.stratification
-    }
-
-    /// The session-owned plan cache (one entry per stratum sub-program
-    /// and structure cardinality shape).
-    #[inline]
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
+        self.strata.stratification()
     }
 }
 
@@ -740,6 +724,7 @@ impl Evaluator {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::stratify::PLAN_SHAPES;
     use mdtw_structure::{Domain, ElemId, Signature};
     use std::sync::Arc;
 
@@ -776,9 +761,24 @@ mod tests {
         let second = session.evaluate(&s).unwrap();
         assert_eq!(second.stats.plan_cache_hits, 1, "warm session reuses plans");
         assert_eq!(first.stats.facts, second.stats.facts);
-        assert_eq!(session.plan_cache().len(), 1);
+        let third = session.evaluate(&s).unwrap();
+        assert_eq!(
+            third.stats.plan_cache_hits, 1,
+            "one plan set serves every call"
+        );
         let path = session.program().idb("path").unwrap();
         assert_eq!(first.store.tuples(path), second.store.tuples(path));
+    }
+
+    #[test]
+    fn second_evaluation_hits() {
+        let s = chain(6);
+        let mut session = Evaluator::new(parse_program(TC, &s).unwrap()).unwrap();
+        let first = session.evaluate(&s).unwrap();
+        let second = session.evaluate(&s).unwrap();
+        assert_eq!(first.stats.plan_cache_hits, 0);
+        assert_eq!(second.stats.plan_cache_hits, 1);
+        assert_eq!(session.strata.plan_shapes(0), 1, "one plan set cached");
     }
 
     #[test]
@@ -1001,18 +1001,79 @@ mod tests {
         let p = parse_program(UNREACH, &s).unwrap();
         let mut session = Evaluator::new(p).unwrap();
         session.evaluate(&s).unwrap();
-        assert_eq!(session.ext_memo.rebuilds, 1, "cold session builds once");
+        assert_eq!(session.strata.rebuilds, 1, "cold session builds once");
         session.evaluate(&s).unwrap();
         session.evaluate(&s).unwrap();
         assert_eq!(
-            session.ext_memo.rebuilds, 1,
+            session.strata.rebuilds, 1,
             "same signature: extension setup reused"
         );
         // A structure over a different Signature allocation forces a
         // rebuild.
         let other = chain(9);
         session.evaluate(&other).unwrap();
-        assert_eq!(session.ext_memo.rebuilds, 2);
+        assert_eq!(session.strata.rebuilds, 2);
+    }
+
+    #[test]
+    fn same_bucket_structure_hits() {
+        // chain(5) and chain(6) put every relation in the same
+        // power-of-two bucket (e: 4 and 5 tuples, node: 5 and 6, first: 1).
+        let mut session = Evaluator::new(parse_program(TC, &chain(5)).unwrap()).unwrap();
+        assert_eq!(
+            session.evaluate(&chain(5)).unwrap().stats.plan_cache_hits,
+            0
+        );
+        let warm = session.evaluate(&chain(6)).unwrap();
+        assert_eq!(warm.stats.plan_cache_hits, 1);
+        assert_eq!(warm.stats.facts, 6 * 5 / 2, "reused plans, exact answers");
+        assert_eq!(session.strata.plan_shapes(0), 1);
+    }
+
+    #[test]
+    fn bucket_crossing_misses() {
+        let mut session = Evaluator::new(parse_program(TC, &chain(5)).unwrap()).unwrap();
+        session.evaluate(&chain(5)).unwrap();
+        // 63 edges: a different bucket, so the planner sees the new
+        // statistics; the old shape stays cached beside the new one.
+        let long = session.evaluate(&chain(64)).unwrap();
+        assert_eq!(long.stats.plan_cache_hits, 0);
+        assert_eq!(long.stats.facts, 64 * 63 / 2);
+        assert_eq!(session.strata.plan_shapes(0), 2);
+        assert_eq!(
+            session.evaluate(&chain(5)).unwrap().stats.plan_cache_hits,
+            1
+        );
+    }
+
+    #[test]
+    fn plan_shapes_stay_bounded() {
+        // Three unary relations over 16 elements, each with 0, 1, 3, 7 or
+        // 15 tuples: 125 distinct shapes, the first PLAN_SHAPES + 1 used.
+        let sig = Arc::new(Signature::from_pairs([("a", 1), ("b", 1), ("c", 1)]));
+        let structure = |shape: usize| {
+            let mut s = Structure::new(Arc::clone(&sig), Domain::anonymous(16));
+            for (k, p) in sig.preds().enumerate() {
+                let bucket = shape / 5usize.pow(k as u32) % 5;
+                for i in 0..(1u32 << bucket) - 1 {
+                    s.insert(p, &[ElemId(i)]);
+                }
+            }
+            s
+        };
+        let p = parse_program("q(X) :- a(X), b(X), c(X).", &structure(0)).unwrap();
+        let mut session = Evaluator::new(p).unwrap();
+        for shape in 0..=PLAN_SHAPES {
+            let r = session.evaluate(&structure(shape)).unwrap();
+            assert_eq!(r.stats.plan_cache_hits, 0, "shape {shape}");
+        }
+        assert_eq!(session.strata.plan_shapes(0), PLAN_SHAPES);
+        // The newest shape is still cached, the oldest was evicted.
+        let newest = session.evaluate(&structure(PLAN_SHAPES)).unwrap();
+        assert_eq!(newest.stats.plan_cache_hits, 1);
+        let oldest = session.evaluate(&structure(0)).unwrap();
+        assert_eq!(oldest.stats.plan_cache_hits, 0);
+        assert_eq!(session.strata.plan_shapes(0), PLAN_SHAPES);
     }
 
     #[test]

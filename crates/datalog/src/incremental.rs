@@ -4,9 +4,10 @@
 //!
 //! [`Evaluator::materialize`](crate::Evaluator::materialize) evaluates a
 //! program to fixpoint once, then hands its compiled state — the
-//! stratification, per-stratum semipositive sub-programs, plan cache,
-//! and scratch arenas — to a view that serves reads while accepting
-//! [`Update`] batches against the base (extensional) relations:
+//! session's compiled strata (stratification, per-stratum semipositive
+//! sub-programs and plans) and scratch arenas — to a view that serves
+//! reads while accepting [`Update`] batches against the base
+//! (extensional) relations:
 //!
 //! * **Insertions** re-derive semi-naively from the delta: each rule
 //!   fires once per changed extensional body literal with that literal
@@ -53,12 +54,11 @@
 //! a partially maintained state.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::PlanCache;
 use crate::eval::{derives, run_increment, run_overdelete, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_edb_deltas, plan_head_bound, JoinPlan, RulePlans, StructureStats};
 use crate::profile::{UpdateProfile, UpdateStratumProfile};
-use crate::stratify::{rewrite_stratum_rules, run_stratified, ExtensionMemo, Stratification};
+use crate::stratify::{Strata, Stratification};
 use mdtw_structure::{ElemId, PredId, Relation, Signature, Structure};
 use std::sync::Arc;
 use std::time::Instant;
@@ -115,45 +115,28 @@ impl Update {
     }
 }
 
-/// The compiled session state [`Evaluator::materialize`]
-/// (crate::Evaluator::materialize) hands off to the view.
-pub(crate) struct SessionParts {
-    pub(crate) program: Program,
-    pub(crate) stratification: Arc<Stratification>,
-    pub(crate) cache: PlanCache,
-    pub(crate) scratch: SeminaiveScratch,
-    pub(crate) ext_memo: ExtensionMemo,
-    pub(crate) limits: Option<EvalLimits>,
-}
-
 /// A materialized fixpoint kept consistent under batched base-relation
 /// updates; created by [`Evaluator::materialize`](crate::Evaluator::materialize).
 ///
 /// The view owns the post-update *extended* structure (base relations
 /// plus the lower-stratum relations higher strata read as extensional),
-/// the derived-fact store, and the per-stratum compiled artifacts:
-/// semipositive sub-programs, their semi-naive join plans, the
-/// extensional-delta seed plans, and the head-bound re-derivation
+/// the derived-fact store, the session's compiled strata (semipositive
+/// sub-programs and their semi-naive join plans), and per stratum the
+/// extensional-delta seed plans and the head-bound re-derivation
 /// plans. Plans are compiled once against the cardinalities at
 /// materialization time; later updates reuse them (staleness can cost
 /// performance, never correctness).
 #[derive(Debug)]
 pub struct MaterializedView {
-    program: Program,
-    strat: Arc<Stratification>,
-    cache: PlanCache,
+    strata: Strata,
     scratch: SeminaiveScratch,
     limits: Option<EvalLimits>,
-    memo: ExtensionMemo,
-    base_sig: Arc<Signature>,
-    ext_sig: Arc<Signature>,
-    ext_pred: Vec<Option<PredId>>,
-    subs: Vec<Program>,
     plans: Vec<Arc<Vec<RulePlans>>>,
     edb_plans: Vec<Vec<Vec<(usize, JoinPlan)>>>,
     head_plans: Vec<Vec<JoinPlan>>,
     /// The extended structure in *post* state: base relations plus the
-    /// materialized lower-stratum relations of `ext_pred`.
+    /// materialized lower-stratum relations of the strata's extension
+    /// predicates.
     ext: Structure,
     store: IdbStore,
     /// The statistics of the last from-scratch evaluation (see
@@ -164,62 +147,29 @@ pub struct MaterializedView {
 
 impl MaterializedView {
     pub(crate) fn from_session(
-        parts: SessionParts,
+        mut strata: Strata,
+        scratch: SeminaiveScratch,
+        limits: Option<EvalLimits>,
         structure: &Structure,
         store: IdbStore,
         eval_stats: EvalStats,
     ) -> Self {
-        let SessionParts {
-            program,
-            stratification: strat,
-            cache,
-            scratch,
-            mut ext_memo,
-            limits,
-        } = parts;
-        let base_sig = Arc::clone(structure.signature());
-        let (ext_sig, ext_pred) = {
-            let (sig, preds) = ext_memo.setup(&program, &strat, structure);
-            (sig, preds.to_vec())
-        };
-        let mut ext = structure.extended_shared(&ext_sig);
-        for (i, slot) in ext_pred.iter().enumerate() {
-            if let Some(p) = *slot {
-                for tuple in store.relation(IdbId(i as u32)).iter() {
-                    ext.insert(p, tuple);
-                }
-            }
-        }
-        let mut subs = Vec::with_capacity(strat.stratum_count());
-        let mut plans = Vec::with_capacity(strat.stratum_count());
-        let mut edb_plans = Vec::with_capacity(strat.stratum_count());
-        let mut head_plans = Vec::with_capacity(strat.stratum_count());
-        for (k, stratum_rules) in strat.strata().iter().enumerate() {
-            let sub = Program {
-                rules: rewrite_stratum_rules(&program, &strat, stratum_rules, k, &ext_pred),
-                idb_names: program.idb_names.clone(),
-                idb_arities: program.idb_arities.clone(),
-                spans: Vec::new(),
-                idb_by_name: program.idb_by_name.clone(),
-            };
-            let (p, _) = cache.plans(&sub, &ext);
+        strata.prepare(structure.signature());
+        let ext = materialized(structure, &strata, &store);
+        let strata_count = strata.stratification().stratum_count();
+        let mut plans = Vec::with_capacity(strata_count);
+        let mut edb_plans = Vec::with_capacity(strata_count);
+        let mut head_plans = Vec::with_capacity(strata_count);
+        for k in 0..strata_count {
+            plans.push(strata.plans(k, &ext).0);
             let est = StructureStats::new(&ext);
-            edb_plans.push(plan_edb_deltas(&sub, &est));
-            head_plans.push(plan_head_bound(&sub, &est));
-            plans.push(p);
-            subs.push(sub);
+            edb_plans.push(plan_edb_deltas(strata.sub(k), &est));
+            head_plans.push(plan_head_bound(strata.sub(k), &est));
         }
         Self {
-            program,
-            strat,
-            cache,
+            strata,
             scratch,
             limits,
-            memo: ext_memo,
-            base_sig,
-            ext_sig,
-            ext_pred,
-            subs,
             plans,
             edb_plans,
             head_plans,
@@ -248,8 +198,8 @@ impl MaterializedView {
     pub fn apply(&mut self, update: &Update) -> UpdateProfile {
         let t0 = Instant::now();
         let mut profile = UpdateProfile::default();
-        let nbase = self.base_sig.len();
-        let next = self.ext_sig.len();
+        let (base_sig, ext_sig) = (self.strata.base_sig(), self.strata.ext_sig());
+        let (nbase, next) = (base_sig.len(), ext_sig.len());
 
         // Normalize the batch: `new = (old \ R) ∪ I`. `req_ins` is the
         // *raw* insert set — it suppresses retractions of tuples the
@@ -257,13 +207,13 @@ impl MaterializedView {
         // predicate ids so lower-stratum net changes can join them.
         // Every tuple is validated here, before anything is mutated.
         let mut req_ins: Vec<Relation> = (0..nbase)
-            .map(|p| Relation::new(self.base_sig.arity(PredId(p as u32))))
+            .map(|p| Relation::new(base_sig.arity(PredId(p as u32))))
             .collect();
         let mut ins: Vec<Relation> = (0..next)
-            .map(|p| Relation::new(self.ext_sig.arity(PredId(p as u32))))
+            .map(|p| Relation::new(ext_sig.arity(PredId(p as u32))))
             .collect();
         let mut del: Vec<Relation> = (0..next)
-            .map(|p| Relation::new(self.ext_sig.arity(PredId(p as u32))))
+            .map(|p| Relation::new(ext_sig.arity(PredId(p as u32))))
             .collect();
         for (pred, tuple) in &update.inserts {
             self.check_target(*pred, tuple);
@@ -314,16 +264,17 @@ impl MaterializedView {
     /// Validates one staged mutation against the base signature and the
     /// domain.
     fn check_target(&self, pred: PredId, tuple: &[ElemId]) {
+        let base_sig = self.strata.base_sig();
         assert!(
-            pred.index() < self.base_sig.len(),
+            pred.index() < base_sig.len(),
             "update targets predicate {} outside the base signature",
             pred.index()
         );
         assert_eq!(
             tuple.len(),
-            self.base_sig.arity(pred),
+            base_sig.arity(pred),
             "update tuple arity mismatch for `{}`",
-            self.base_sig.name(pred)
+            base_sig.name(pred)
         );
         for &e in tuple {
             assert!(
@@ -348,13 +299,14 @@ impl MaterializedView {
         let mut gov = Governor::new(limits);
         let mut stats = EvalStats::default();
 
-        for k in 0..self.subs.len() {
+        let idb_arities = &self.strata.program().idb_arities;
+        for k in 0..self.strata.stratification().stratum_count() {
             let st0 = Instant::now();
-            let sub = &self.subs[k];
+            let sub = self.strata.sub(k);
 
             // Phase 1 — overdelete: every stored fact some rule derives
             // from a changed tuple, to a fixpoint (see `run_overdelete`).
-            let mut over = empty_relations(&self.program.idb_arities);
+            let mut over = empty_relations(idb_arities);
             run_overdelete(
                 sub,
                 &self.ext,
@@ -421,7 +373,7 @@ impl MaterializedView {
             // seeds join in, and ordinary semi-naive delta rounds run to
             // fixpoint. `added` ledgers every fact that entered the store
             // so the net change can be diffed against `over`.
-            let mut added = empty_relations(&self.program.idb_arities);
+            let mut added = empty_relations(idb_arities);
             run_increment(
                 sub,
                 &self.ext,
@@ -449,6 +401,7 @@ impl MaterializedView {
                 stratum: k,
                 ..Default::default()
             };
+            let ext_pred = self.strata.ext_pred();
             for (i, (o, a)) in over.iter().zip(added.iter()).enumerate() {
                 let id = IdbId(i as u32);
                 sp.overdeleted += o.len();
@@ -457,7 +410,7 @@ impl MaterializedView {
                         sp.rederived += 1;
                     } else {
                         sp.deleted += 1;
-                        if let Some(p) = self.ext_pred[i] {
+                        if let Some(p) = ext_pred[i] {
                             self.ext.retract(p, fact);
                             del[p.index()].insert(fact);
                         }
@@ -466,7 +419,7 @@ impl MaterializedView {
                 for fact in a.iter() {
                     if !o.contains(fact) {
                         sp.inserted += 1;
-                        if let Some(p) = self.ext_pred[i] {
+                        if let Some(p) = ext_pred[i] {
                             self.ext.insert(p, fact);
                             ins[p.index()].insert(fact);
                         }
@@ -486,28 +439,12 @@ impl MaterializedView {
     /// The sound escape hatch: throw the maintenance state away and
     /// re-evaluate the post-update base from scratch, ungoverned.
     fn fall_back(&mut self, kind: LimitKind, profile: &mut UpdateProfile) {
-        let base_post = self.ext.restricted(&self.base_sig);
-        let (store, stats, trip) = run_stratified(
-            &self.program,
-            &self.strat,
-            &base_post,
-            &self.cache,
-            &mut self.scratch,
-            &mut self.memo,
-            None,
-            None,
-        );
+        let base_post = self.base_structure();
+        let (store, stats, trip) = self.strata.run(&base_post, &mut self.scratch, None, None);
         debug_assert!(trip.is_none(), "ungoverned evaluation cannot trip");
+        self.ext = materialized(&base_post, &self.strata, &store);
         self.store = store;
         self.eval_stats = stats;
-        self.ext = base_post.extended_shared(&self.ext_sig);
-        for (i, slot) in self.ext_pred.iter().enumerate() {
-            if let Some(p) = *slot {
-                for tuple in self.store.relation(IdbId(i as u32)).iter() {
-                    self.ext.insert(p, tuple);
-                }
-            }
-        }
         profile.fell_back = Some(kind);
     }
 
@@ -531,29 +468,43 @@ impl MaterializedView {
 
     /// The program the view maintains.
     pub fn program(&self) -> &Program {
-        &self.program
+        self.strata.program()
     }
 
     /// The program's stratification.
     pub fn stratification(&self) -> &Stratification {
-        &self.strat
+        self.strata.stratification()
     }
 
     /// The base signature updates are validated against.
     pub fn base_signature(&self) -> &Arc<Signature> {
-        &self.base_sig
+        self.strata.base_sig()
     }
 
     /// A snapshot of the current (post-update) base structure. Cheap:
     /// relations are copy-on-write behind [`Arc`]s.
     pub fn base_structure(&self) -> Structure {
-        self.ext.restricted(&self.base_sig)
+        self.ext.restricted(self.strata.base_sig())
     }
 
     /// Number of [`apply`](Self::apply) calls so far (no-ops included).
     pub fn updates_applied(&self) -> u64 {
         self.updates_applied
     }
+}
+
+/// `base` extended by the strata's extension predicates, each holding
+/// its intensional predicate's facts in `store`.
+fn materialized(base: &Structure, strata: &Strata, store: &IdbStore) -> Structure {
+    let mut ext = base.extended_shared(strata.ext_sig());
+    for (i, slot) in strata.ext_pred().iter().enumerate() {
+        if let Some(p) = *slot {
+            for tuple in store.relation(IdbId(i as u32)).iter() {
+                ext.insert(p, tuple);
+            }
+        }
+    }
+    ext
 }
 
 /// One empty relation per arity (the per-stratum overdeletion set and

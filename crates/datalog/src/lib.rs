@@ -16,9 +16,10 @@
 //! ([`evaluator`](mod@crate::evaluator)): construct it once per program —
 //! validation, stratification and dependency analysis happen at
 //! construction — and call [`Evaluator::evaluate`] per structure; the
-//! session owns its [`PlanCache`] and recycles the engine scratch
-//! buffers, which is what makes the paper's per-candidate and
-//! per-structure workloads cheap. Under the session layer:
+//! session compiles its strata once (stratum sub-programs per input
+//! signature, join plans per structure cardinality shape) and recycles
+//! the engine scratch buffers, which is what makes the paper's
+//! per-candidate and per-structure workloads cheap. Under the session layer:
 //!
 //! * [`ast`] / [`parser`] — programs as data or text;
 //! * [`eval`] — semi-naive least-fixpoint evaluation (the semantics of
@@ -32,21 +33,20 @@
 //!   membership — is keyed by interned integer ids, so deriving a fact
 //!   allocates nothing beyond amortized arena growth;
 //! * [`plan`](mod@crate::plan) — the join planner: access-path selection
-//!   (scan vs. index probe), greedy ordering by bound-variable count with
-//!   cardinality/selectivity tie-breaks from relation statistics,
-//!   delta-plan generation for the semi-naive rule split, early
-//!   scheduling of negative literals;
-//! * [`cache`](mod@crate::cache) — the cross-evaluation [`PlanCache`]:
-//!   compiled rule plans memoized by program identity and structure
-//!   cardinality shape, so workloads that re-evaluate the same program
-//!   (enumeration solvers, per-candidate pipelines) skip planning;
+//!   (scan vs. index probe), greedy ordering by the estimated rows each
+//!   literal enumerates (relation sizes and probe selectivities from
+//!   relation statistics; probes before scans), delta-plan generation
+//!   for the semi-naive rule split, early scheduling of negative
+//!   literals;
 //! * [`stratify`](mod@crate::stratify) — stratified negation: the
 //!   predicate dependency graph (positive/negative edges), Tarjan SCC
 //!   condensation, stratum assignment with a precise
 //!   [`StratificationError`] when a negative edge closes a recursive
-//!   cycle, and the bottom-up multi-stratum evaluation that materializes each stratum into the arena-backed relation layer
-//!   so higher strata read it as EDB, reusing the indexed join loop and
-//!   the plan cache unchanged;
+//!   cycle, and the bottom-up multi-stratum evaluation that materializes
+//!   each stratum into the arena-backed relation layer so higher strata
+//!   read it as EDB, reusing the indexed join loop unchanged; a session
+//!   compiles its strata once (stratum sub-programs and their join
+//!   plans), and evaluations and materialized views share them;
 //! * [`ground`](mod@crate::ground) — **quasi-guarded** datalog (Definition 4.3): guard
 //!   analysis with declared functional dependencies, grounding in
 //!   `O(|P|·|𝒜|)`, and the linear-time evaluation of Theorem 4.4;
@@ -89,7 +89,6 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod cache;
 pub mod eval;
 pub mod evaluator;
 pub mod ground;
@@ -109,7 +108,6 @@ pub use analysis::{
     SemanticReport, Severity,
 };
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
-pub use cache::PlanCache;
 pub use eval::{EvalStats, IdbStore};
 pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};

@@ -28,20 +28,26 @@
 //! [`Relation`](mdtw_structure::Relation) layer, higher strata treat them
 //! like any other EDB relation: positive occurrences are probed through
 //! the cached [`PosIndex`](mdtw_structure::PosIndex) access paths (and
-//! now carry real cardinality estimates for the planner), negated
+//! carry real cardinality estimates for the planner), negated
 //! occurrences go through the existing constant-time negative-literal
-//! membership checks, and compiled plans flow through the
-//! [`PlanCache`] — whose cardinality-shape key
-//! covers the materialized extensions, since they are ordinary signature
-//! relations of the structure each stratum is planned against. The inner
-//! join loop of [`eval`](crate::eval) is reused without modification.
+//! membership checks, and the inner join loop of [`eval`](crate::eval)
+//! is reused without modification.
+//!
+//! A session compiles its program once into a crate-private `Strata`
+//! object: the extended signature, the rewritten sub-programs (built
+//! once per input signature, not once per evaluation) and each stratum's
+//! compiled join plans, keyed by the exact power-of-two cardinality
+//! shape of the structure the stratum is planned against. The
+//! [`MaterializedView`](crate::incremental::MaterializedView) a session
+//! turns into keeps reading the same object.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::PlanCache;
 use crate::eval::{run_seminaive_scratch, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
+use crate::plan::{plan_program_with, RulePlans, StructureStats};
 use crate::profile::Profiler;
 use mdtw_structure::{PredId, Signature, Structure};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -376,263 +382,347 @@ fn tarjan_sccs(n: usize, edges: &[DepEdge], adj: &[Vec<usize>]) -> (Vec<usize>, 
     (scc_of, scc_count)
 }
 
-/// Memoized per-signature extension setup for the stratified pipeline:
-/// which intensional predicates higher strata read, the extended
-/// [`Signature`] materializing them as fresh extensional predicates
-/// (names uniquified against the base signature), and the IDB →
-/// extension-predicate mapping.
+/// Most plan sets one stratum keeps, one per cardinality shape; the
+/// oldest is evicted beyond this.
+pub(crate) const PLAN_SHAPES: usize = 64;
+
+/// One stratum's compiled plan sets as `(shape, plans)` pairs, oldest
+/// first.
+type ShapedPlans = VecDeque<(Box<[u8]>, Arc<Vec<RulePlans>>)>;
+
+/// A session's compiled strata: one program and its stratification,
+/// plus everything about evaluating them that does not depend on a
+/// structure's relations. [`Evaluator`](crate::evaluator::Evaluator)
+/// sessions and the [`MaterializedView`](crate::incremental::MaterializedView)
+/// they turn into own exactly one.
 ///
-/// The setup depends only on the program + stratification (fixed for the
-/// lifetime of an [`Evaluator`](crate::evaluator::Evaluator) session) and
-/// the input structure's *signature* — not its relations — so a session
-/// computes it on the first `evaluate()` and reuses it for every later
-/// structure sharing the same signature `Arc`. A structure with a
-/// different signature pointer triggers a rebuild (pointer identity is
-/// the validity key: it is exact for the dominant reuse pattern and never
-/// unsound, merely conservative for structurally-equal signatures).
-#[derive(Debug, Default)]
-pub(crate) struct ExtensionMemo {
+/// * **The extension**, built for one input signature: which
+///   intensional predicates higher strata read, the extended
+///   [`Signature`] materializing them as fresh extensional predicates
+///   (names uniquified against the base signature), the IDB →
+///   extension-predicate map, and each stratum's semipositive
+///   sub-program — its rules with lower-stratum references rewritten to
+///   those predicates. It is rebuilt when a structure arrives over a
+///   different signature `Arc` (pointer identity is exact for the
+///   dominant reuse pattern and never unsound, merely conservative for
+///   structurally equal signatures). A single-stratum program needs no
+///   rewrite: its one sub-program is the program itself.
+/// * **Compiled join plans**, per stratum, keyed by the cardinality
+///   shape of the structure the stratum is planned against: one byte per
+///   predicate, its relation size bucketed by powers of two (the
+///   granularity at which the planner's estimates can plausibly change
+///   its join order). The key's length pins the predicate-id layout the
+///   sub-program was rewritten to, so plans survive a signature rebuild
+///   that keeps the layout, and no rule comparison is needed. Within a
+///   bucket, plans may be mildly stale relative to the exact statistics;
+///   staleness never affects correctness — every join order computes the
+///   same fixpoint.
+#[derive(Debug)]
+pub(crate) struct Strata {
+    program: Program,
+    strat: Arc<Stratification>,
+    /// The input signature the extension was built for (`None` before
+    /// the first build).
     base_sig: Option<Arc<Signature>>,
     ext_sig: Option<Arc<Signature>>,
     ext_pred: Vec<Option<PredId>>,
-    /// How many times the setup actually ran (pinned by session tests).
+    /// Stratum `k`'s semipositive sub-program at index `k`; empty for a
+    /// single-stratum program, whose sub-program is `program`.
+    subs: Vec<Program>,
+    plans: Vec<ShapedPlans>,
+    /// Reused buffer for the shape of the structure being planned.
+    shape: Vec<u8>,
+    /// How many times the extension was built (pinned by session tests).
     pub(crate) rebuilds: usize,
 }
 
-impl ExtensionMemo {
-    /// Returns the extended signature and the per-IDB extension mapping
-    /// for `structure`'s signature, recomputing only when the signature
-    /// changed since the previous call.
-    pub(crate) fn setup(
-        &mut self,
-        program: &Program,
-        strat: &Stratification,
-        structure: &Structure,
-    ) -> (Arc<Signature>, &[Option<PredId>]) {
-        let base = structure.signature();
-        let cached = self.base_sig.as_ref().is_some_and(|s| Arc::ptr_eq(s, base));
-        if !cached {
-            self.rebuilds += 1;
-            // Which predicates higher strata actually read: only those are
-            // materialized into the extended structure.
-            let mut needed = vec![false; program.idb_count()];
-            for (rule_idx, rule) in program.rules.iter().enumerate() {
-                let rule_stratum = rule_stratum(strat, program, rule_idx);
-                for lit in &rule.body {
-                    if let PredRef::Idb(id) = lit.atom.pred {
-                        if strat.stratum_of(id) < rule_stratum {
-                            needed[id.index()] = true;
-                        }
-                    }
-                }
-            }
-            // One fresh extensional predicate per needed intensional
-            // predicate (names uniquified against the signature — IDB
-            // names can collide with EDB names in hand-built programs).
-            let mut ext_pairs: Vec<(String, usize)> = Vec::new();
-            let mut owners: Vec<IdbId> = Vec::new();
-            for (i, need) in needed.iter().enumerate() {
-                if *need {
-                    let mut name = program.idb_names[i].clone();
-                    while base.lookup(&name).is_some() || ext_pairs.iter().any(|(n, _)| n == &name)
-                    {
-                        name.push('\'');
-                    }
-                    ext_pairs.push((name, program.idb_arities[i]));
-                    owners.push(IdbId(i as u32));
-                }
-            }
-            let ext_sig = Arc::new(base.extend_with(ext_pairs));
-            let mut ext_pred: Vec<Option<PredId>> = vec![None; program.idb_count()];
-            for (slot, owner) in owners.iter().enumerate() {
-                ext_pred[owner.index()] = Some(PredId((base.len() + slot) as u32));
-            }
-            self.base_sig = Some(Arc::clone(base));
-            self.ext_sig = Some(ext_sig);
-            self.ext_pred = ext_pred;
-        }
-        (
-            Arc::clone(self.ext_sig.as_ref().expect("setup ran")),
-            &self.ext_pred,
-        )
-    }
-}
-
-/// The stratified pipeline, over a *precomputed* stratification and
-/// session-recycled scratch buffers — the engine behind
-/// [`Evaluator`](crate::evaluator::Evaluator) sessions, which stratify
-/// once at construction and reuse the certificate across evaluations.
-///
-/// Stratum 0 is semipositive as-is. For every higher stratum, references
-/// to lower-stratum predicates are rewritten to extensional predicates of
-/// an extended structure holding the lower strata's materialized
-/// relations, and the rewritten sub-program is handed to the indexed
-/// semi-naive engine. On a semipositive input (a single stratum) this is
-/// exactly one semi-naive evaluation: same plans, same store, same
-/// statistics.
-///
-/// The returned [`EvalStats`] accumulates the per-stratum counters
-/// (`rounds` is the total across strata, `plan_cache_hits` counts per
-/// stratum) and reports the stratum count in [`EvalStats::strata`].
-///
-/// The third return element is the tripped [`LimitKind`], if `limits`
-/// governed the run and a limit tripped. On a trip the store holds every
-/// completed stratum plus the partial output of the stratum that tripped
-/// (a sound subset of the fixpoint), and `stats.strata` is rewritten to
-/// the *completed*-stratum count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_stratified(
-    program: &Program,
-    strat: &Stratification,
-    structure: &Structure,
-    cache: &PlanCache,
-    scratch: &mut SeminaiveScratch,
-    memo: &mut ExtensionMemo,
-    limits: Option<&EvalLimits>,
-    mut prof: Option<&mut Profiler>,
-) -> (IdbStore, EvalStats, Option<LimitKind>) {
-    if strat.stratum_count() <= 1 {
-        // Semipositive fast path: no rewriting, no structure extension.
-        crate::eval::debug_assert_semipositive(program);
-        let (plans, hit) = cache.plans(program, structure);
-        let stats = EvalStats {
-            plan_cache_hits: usize::from(hit),
-            strata: strat.stratum_count(),
-            ..EvalStats::default()
-        };
-        let mut gov = Governor::new(limits);
-        if let Some(p) = prof.as_deref_mut() {
-            p.begin_stratum(0, program, None);
-        }
-        let (store, mut stats) = run_seminaive_scratch(
+impl Strata {
+    /// The compiled strata of `program` under `strat`; nothing is built
+    /// until a structure arrives.
+    pub(crate) fn new(program: Program, strat: Stratification) -> Self {
+        let plans = (0..strat.stratum_count().max(1))
+            .map(|_| VecDeque::new())
+            .collect();
+        Self {
             program,
-            structure,
-            &plans,
-            stats,
-            scratch,
-            &mut gov,
-            prof.as_deref_mut(),
-        );
-        if let Some(p) = prof {
-            if gov.tripped().is_some() {
-                p.mark_trip(0);
-            }
-            p.end_stratum(stats.rounds, stats.facts);
+            strat: Arc::new(strat),
+            base_sig: None,
+            ext_sig: None,
+            ext_pred: Vec::new(),
+            subs: Vec::new(),
+            plans,
+            shape: Vec::new(),
+            rebuilds: 0,
         }
-        if gov.tripped().is_some() {
-            stats.strata = 0;
-        }
-        return (store, stats, gov.tripped());
     }
 
-    // Extension setup (which predicates to materialize, extended
-    // signature, IDB → extension mapping) is memoized per signature in
-    // the session; only the relation snapshot is rebuilt per evaluate.
-    let (ext_sig, ext_pred) = memo.setup(program, strat, structure);
-    let mut ext_structure = structure.extended_shared(&ext_sig);
+    /// The program.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
 
-    let mut final_store = IdbStore::new_for(program);
-    let mut total = EvalStats {
-        strata: strat.stratum_count(),
-        ..EvalStats::default()
-    };
+    /// The stratification certificate, shared with every result.
+    pub(crate) fn stratification(&self) -> &Arc<Stratification> {
+        &self.strat
+    }
 
-    // One sub-program shell reused across strata: the IDB tables (which
-    // fix the predicate id space) are cloned once, only the rule vector
-    // changes per stratum.
-    let mut sub = Program {
-        rules: Vec::new(),
-        idb_names: program.idb_names.clone(),
-        idb_arities: program.idb_arities.clone(),
-        spans: Vec::new(),
-        idb_by_name: program.idb_by_name.clone(),
-    };
+    /// The signature the extension was last built for.
+    pub(crate) fn base_sig(&self) -> &Arc<Signature> {
+        self.base_sig.as_ref().expect("extension built")
+    }
 
-    let mut completed = 0usize;
-    let mut trip: Option<LimitKind> = None;
-    for (k, stratum_rules) in strat.strata().iter().enumerate() {
-        if !stratum_rules.is_empty() {
-            // The stratum's semipositive sub-program: this stratum's rules
-            // with lower-stratum references rewritten to the materialized
-            // extensional predicates.
-            sub.rules = rewrite_stratum_rules(program, strat, stratum_rules, k, ext_pred);
-            debug_assert!(
-                sub.check_semipositive().is_ok(),
-                "stratum rewrite must produce a semipositive sub-program"
-            );
+    /// The extended signature: the base plus one predicate per
+    /// intensional predicate a higher stratum reads.
+    pub(crate) fn ext_sig(&self) -> &Arc<Signature> {
+        self.ext_sig.as_ref().expect("extension built")
+    }
 
-            let (plans, hit) = cache.plans(&sub, &ext_structure);
+    /// The extension predicate of each intensional predicate, if a higher
+    /// stratum reads it.
+    pub(crate) fn ext_pred(&self) -> &[Option<PredId>] {
+        &self.ext_pred
+    }
+
+    /// Stratum `k`'s semipositive sub-program (the extension must be
+    /// built for a multi-stratum program).
+    pub(crate) fn sub(&self, k: usize) -> &Program {
+        if self.strat.stratum_count() <= 1 {
+            &self.program
+        } else {
+            &self.subs[k]
+        }
+    }
+
+    /// Builds the extension and the stratum sub-programs for `base`,
+    /// unless they were built for this signature already.
+    pub(crate) fn prepare(&mut self, base: &Arc<Signature>) {
+        if self.base_sig.as_ref().is_some_and(|s| Arc::ptr_eq(s, base)) {
+            return;
+        }
+        self.rebuilds += 1;
+        let (program, strat) = (&self.program, &*self.strat);
+        // Which predicates higher strata actually read: only those are
+        // materialized into the extended structure.
+        let mut needed = vec![false; program.idb_count()];
+        for rule in &program.rules {
+            let PredRef::Idb(head) = rule.head.pred else {
+                unreachable!("stratify rejects EDB heads");
+            };
+            for lit in &rule.body {
+                if let PredRef::Idb(id) = lit.atom.pred {
+                    if strat.stratum_of(id) < strat.stratum_of(head) {
+                        needed[id.index()] = true;
+                    }
+                }
+            }
+        }
+        // One fresh extensional predicate per needed intensional
+        // predicate (names uniquified against the signature — IDB names
+        // can collide with EDB names in hand-built programs).
+        let mut ext_pairs: Vec<(String, usize)> = Vec::new();
+        let mut ext_pred: Vec<Option<PredId>> = vec![None; program.idb_count()];
+        for (i, need) in needed.iter().enumerate() {
+            if *need {
+                let mut name = program.idb_names[i].clone();
+                while base.lookup(&name).is_some() || ext_pairs.iter().any(|(n, _)| n == &name) {
+                    name.push('\'');
+                }
+                ext_pred[i] = Some(PredId((base.len() + ext_pairs.len()) as u32));
+                ext_pairs.push((name, program.idb_arities[i]));
+            }
+        }
+        if strat.stratum_count() > 1 {
+            self.subs = strat
+                .strata()
+                .iter()
+                .enumerate()
+                .map(|(k, rules)| stratum_sub_program(program, strat, rules, k, &ext_pred))
+                .collect();
+        }
+        self.ext_sig = Some(Arc::new(base.extend_with(ext_pairs)));
+        self.ext_pred = ext_pred;
+        self.base_sig = Some(Arc::clone(base));
+    }
+
+    /// Stratum `k`'s compiled plans for structures shaped like
+    /// `structure`, and whether they were compiled before (`true`) or by
+    /// this call (`false`).
+    pub(crate) fn plans(&mut self, k: usize, structure: &Structure) -> (Arc<Vec<RulePlans>>, bool) {
+        self.shape.clear();
+        self.shape.extend(
+            structure
+                .signature()
+                .preds()
+                .map(|p| (structure.relation(p).len() as u64 + 1).ilog2() as u8),
+        );
+        let slots = &mut self.plans[k];
+        if let Some((_, plans)) = slots.iter().find(|(shape, _)| **shape == *self.shape) {
+            return (Arc::clone(plans), true);
+        }
+        let sub = if self.strat.stratum_count() <= 1 {
+            &self.program
+        } else {
+            &self.subs[k]
+        };
+        let plans = Arc::new(plan_program_with(sub, &StructureStats::new(structure)));
+        if slots.len() >= PLAN_SHAPES {
+            slots.pop_front();
+        }
+        slots.push_back((self.shape.as_slice().into(), Arc::clone(&plans)));
+        (plans, false)
+    }
+
+    /// Number of plan sets stratum `k` holds.
+    #[cfg(test)]
+    pub(crate) fn plan_shapes(&self, k: usize) -> usize {
+        self.plans[k].len()
+    }
+
+    /// Evaluates the program over `structure` with session-recycled
+    /// scratch buffers — the engine behind
+    /// [`Evaluator`](crate::evaluator::Evaluator) sessions.
+    ///
+    /// A single stratum is semipositive as-is: exactly one semi-naive
+    /// evaluation over `structure`, whose store is handed back as is.
+    /// Otherwise the strata run bottom-up over the extended structure,
+    /// each stratum's output materialized into it for the strata above,
+    /// each sub-program handed to the indexed semi-naive engine.
+    ///
+    /// The returned [`EvalStats`] accumulates the per-stratum counters
+    /// (`rounds` is the total across strata, `plan_cache_hits` counts per
+    /// stratum) and reports the stratum count in [`EvalStats::strata`].
+    ///
+    /// The third return element is the tripped [`LimitKind`], if `limits`
+    /// governed the run and a limit tripped. On a trip the store holds
+    /// every completed stratum plus the partial output of the stratum that
+    /// tripped (a sound subset of the fixpoint), and `stats.strata` is
+    /// rewritten to the *completed*-stratum count.
+    pub(crate) fn run(
+        &mut self,
+        structure: &Structure,
+        scratch: &mut SeminaiveScratch,
+        limits: Option<&EvalLimits>,
+        mut prof: Option<&mut Profiler>,
+    ) -> (IdbStore, EvalStats, Option<LimitKind>) {
+        if self.strat.stratum_count() <= 1 {
+            crate::eval::debug_assert_semipositive(&self.program);
+            let (plans, hit) = self.plans(0, structure);
             let stats = EvalStats {
                 plan_cache_hits: usize::from(hit),
+                strata: self.strat.stratum_count(),
                 ..EvalStats::default()
             };
-            // A fresh governor per stratum (the per-stratum stats reset
-            // breaks the work counter's monotonicity); the shared meter
-            // keeps the budget cumulative across strata.
             let mut gov = Governor::new(limits);
             if let Some(p) = prof.as_deref_mut() {
-                p.begin_stratum(k, &sub, Some(stratum_rules.as_slice()));
+                p.begin_stratum(0, &self.program, None);
             }
-            let (sub_store, stats) = run_seminaive_scratch(
-                &sub,
-                &ext_structure,
+            let (store, mut stats) = run_seminaive_scratch(
+                &self.program,
+                structure,
                 &plans,
                 stats,
                 scratch,
                 &mut gov,
                 prof.as_deref_mut(),
             );
-            total.merge_counters(&stats);
-            trip = gov.tripped();
-            if let Some(p) = prof.as_deref_mut() {
-                if trip.is_some() {
-                    p.mark_trip(k);
+            if let Some(p) = prof {
+                if gov.tripped().is_some() {
+                    p.mark_trip(0);
                 }
                 p.end_stratum(stats.rounds, stats.facts);
             }
+            if gov.tripped().is_some() {
+                stats.strata = 0;
+            }
+            return (store, stats, gov.tripped());
+        }
 
-            // Materialize this stratum's output: into the final store, and
-            // into the extended structure for the strata above. A tripped
-            // stratum's partial output is still materialized — every fact
-            // in it is truly derivable (graceful degradation).
-            for pred in (0..program.idb_count() as u32).map(IdbId) {
-                if strat.stratum_of(pred) != k {
-                    continue;
+        self.prepare(structure.signature());
+        let mut ext_structure = structure.extended_shared(self.ext_sig());
+        let mut final_store = IdbStore::new_for(&self.program);
+        let mut total = EvalStats {
+            strata: self.strat.stratum_count(),
+            ..EvalStats::default()
+        };
+        let mut completed = 0usize;
+        let mut trip: Option<LimitKind> = None;
+        let strat = Arc::clone(&self.strat);
+        for (k, stratum_rules) in strat.strata().iter().enumerate() {
+            if !stratum_rules.is_empty() {
+                let (plans, hit) = self.plans(k, &ext_structure);
+                let sub = &self.subs[k];
+                let stats = EvalStats {
+                    plan_cache_hits: usize::from(hit),
+                    ..EvalStats::default()
+                };
+                // A fresh governor per stratum (the per-stratum stats
+                // reset breaks the work counter's monotonicity); the
+                // shared meter keeps the budget cumulative across strata.
+                let mut gov = Governor::new(limits);
+                if let Some(p) = prof.as_deref_mut() {
+                    p.begin_stratum(k, sub, Some(stratum_rules.as_slice()));
                 }
-                for tuple in sub_store.relation(pred).iter() {
-                    final_store.insert_raw(pred, tuple);
-                    if let Some(p) = ext_pred[pred.index()] {
-                        ext_structure.insert(p, tuple);
+                let (sub_store, stats) = run_seminaive_scratch(
+                    sub,
+                    &ext_structure,
+                    &plans,
+                    stats,
+                    scratch,
+                    &mut gov,
+                    prof.as_deref_mut(),
+                );
+                total.merge_counters(&stats);
+                trip = gov.tripped();
+                if let Some(p) = prof.as_deref_mut() {
+                    if trip.is_some() {
+                        p.mark_trip(k);
+                    }
+                    p.end_stratum(stats.rounds, stats.facts);
+                }
+
+                // Materialize this stratum's output: into the final store,
+                // and into the extended structure for the strata above. A
+                // tripped stratum's partial output is still materialized —
+                // every fact in it is truly derivable (graceful
+                // degradation).
+                for pred in (0..self.program.idb_count() as u32).map(IdbId) {
+                    if strat.stratum_of(pred) != k {
+                        continue;
+                    }
+                    for tuple in sub_store.relation(pred).iter() {
+                        final_store.insert_raw(pred, tuple);
+                        if let Some(p) = self.ext_pred[pred.index()] {
+                            ext_structure.insert(p, tuple);
+                        }
                     }
                 }
+                if trip.is_some() {
+                    break;
+                }
             }
-            if trip.is_some() {
-                break;
-            }
+            completed = k + 1;
         }
-        completed = k + 1;
-    }
 
-    if trip.is_some() {
-        total.strata = completed;
+        if trip.is_some() {
+            total.strata = completed;
+        }
+        (final_store, total, trip)
     }
-    (final_store, total, trip)
 }
 
-/// Rewrites stratum `k`'s rules into a semipositive sub-program: every
-/// body reference to a lower-stratum predicate becomes the extensional
-/// predicate materializing it in the extended structure. Shared between
-/// [`run_stratified`] and the incremental-maintenance pipeline (which
-/// fixes the per-stratum sub-programs once at
-/// [`materialize`](crate::evaluator::Evaluator::materialize) time).
-pub(crate) fn rewrite_stratum_rules(
+/// Stratum `k`'s semipositive sub-program: its rules, with every body
+/// reference to a lower-stratum predicate rewritten to the extensional
+/// predicate materializing it. [`Program::check_semipositive`] is
+/// exactly the stratum-local invariant this rewrite establishes. The
+/// IDB tables are kept whole: they fix the predicate-id space.
+fn stratum_sub_program(
     program: &Program,
     strat: &Stratification,
     stratum_rules: &[usize],
     k: usize,
     ext_pred: &[Option<PredId>],
-) -> Vec<crate::ast::Rule> {
-    stratum_rules
+) -> Program {
+    let rules = stratum_rules
         .iter()
         .map(|&ri| {
             let mut rule = program.rules[ri].clone();
@@ -646,15 +736,19 @@ pub(crate) fn rewrite_stratum_rules(
             }
             rule
         })
-        .collect()
-}
-
-/// The stratum a rule evaluates in: the stratum of its head predicate.
-pub(crate) fn rule_stratum(strat: &Stratification, program: &Program, rule: usize) -> usize {
-    match program.rules[rule].head.pred {
-        PredRef::Idb(id) => strat.stratum_of(id),
-        PredRef::Edb(_) => unreachable!("stratify rejects EDB heads"),
-    }
+        .collect();
+    let sub = Program {
+        rules,
+        idb_names: program.idb_names.clone(),
+        idb_arities: program.idb_arities.clone(),
+        spans: Vec::new(),
+        idb_by_name: program.idb_by_name.clone(),
+    };
+    debug_assert!(
+        sub.check_semipositive().is_ok(),
+        "stratum rewrite must produce a semipositive sub-program"
+    );
+    sub
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ pub mod prelude {
     pub use mdtw_datalog::{
         analyze, parse_program, stratify, AnalysisOptions, CancelToken, Diagnostic, Engine,
         EvalError, EvalLimits, EvalOptions, EvalProfile, EvalResult, Evaluator, Explanation,
-        LimitKind, LintCode, MaterializedView, PlanCache, ProfileDetail, ProgramReport, Severity,
-        Span, Stratification, StratificationError, Update,
+        LimitKind, LintCode, MaterializedView, ProfileDetail, ProgramReport, Severity, Span,
+        Stratification, StratificationError, Update,
     };
     pub use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd, TreeDecomposition, TupleTd};
     pub use mdtw_graph::{encode_graph, Graph};

@@ -9,6 +9,11 @@
 //! empty-delta no-op, retract-everything, and a fault-injection sweep
 //! over governed maintenance. After every batch, every relation of the
 //! view must also pass [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
+//! A fourth program feeds the construction-time transforms, and a sweep
+//! over all sixteen combinations of `prune_dead_rules`, `minimize`,
+//! `eliminate_bounded_recursion` and `magic_sets` (each with `outputs`)
+//! checks that a materialized view's outputs agree with a default
+//! session over the original program after every batch.
 
 use mdtw_datalog::{
     parse_program, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, LimitKind,
@@ -45,6 +50,19 @@ const NONLINEAR: &str = "t(X, Y) :- e(X, Y).\n\
                          hub(X) :- t(x0, X), t(X, X), !m(X).\n\
                          twin(X, X) :- m(X), t(X, Y).\n\
                          top(x1, Y) :- t(Y, x1).";
+
+/// Rules the construction-time transforms act on: `p`'s second rule is
+/// contained in its first and `q` repeats a literal (`minimize`), `b`'s
+/// recursive rule adds nothing (`eliminate_bounded_recursion`), `w`
+/// negates a derived predicate, and `dead` feeds no output
+/// (`prune_dead_rules`).
+const REDUNDANT: &str = "p(X) :- m(X).\n\
+                         p(X) :- m(X), e(X, Y).\n\
+                         q(X, Y) :- e(X, Y), e(X, Y).\n\
+                         b(X) :- m(X).\n\
+                         b(X) :- b(X), e(X, X).\n\
+                         w(X) :- q(X, Y), p(Y), !b(X).\n\
+                         dead(X) :- e(X, Y), !w(Y).";
 
 fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
     let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
@@ -101,12 +119,46 @@ fn assert_view_matches(view: &MaterializedView, expected: &Structure, ctx: &str)
     }
 }
 
+/// Turns one batch into an [`Update`] and mirrors its normalized set
+/// semantics (retracts first, inserts win) on `expected`.
+fn stage(batch: &[Mutation], n: usize, expected: &mut Structure) -> Update {
+    let e = expected.signature().lookup("e").unwrap();
+    let m = expected.signature().lookup("m").unwrap();
+    let mutation = |&(_, is_edge, a, b): &Mutation| {
+        let a = ElemId(a as u32 % n as u32);
+        let b = ElemId(b as u32 % n as u32);
+        if is_edge % 2 == 1 {
+            (e, vec![a, b])
+        } else {
+            (m, vec![a])
+        }
+    };
+    let mut update = Update::new();
+    for step in batch {
+        let (pred, tuple) = mutation(step);
+        if step.0 % 2 == 1 {
+            update.push_insert(pred, &tuple);
+        } else {
+            update.push_retract(pred, &tuple);
+        }
+    }
+    for pass in [0u8, 1] {
+        for step in batch.iter().filter(|step| step.0 % 2 == pass) {
+            let (pred, tuple) = mutation(step);
+            if pass == 0 {
+                expected.retract(pred, &tuple);
+            } else {
+                expected.insert(pred, &tuple);
+            }
+        }
+    }
+    update
+}
+
 /// Applies the batches to a view and, in lockstep, to a plain mutable
 /// structure; checks the invariant after every batch.
 fn run_case(source: &str, n: usize, edges: &[(u8, u8)], marks: &[u8], batches: &[Vec<Mutation>]) {
     let mut expected = build_structure(n, edges, marks);
-    let e = expected.signature().lookup("e").unwrap();
-    let m = expected.signature().lookup("m").unwrap();
     let program = parse_program(source, &expected).unwrap();
     let mut view = Evaluator::new(program)
         .unwrap()
@@ -114,41 +166,67 @@ fn run_case(source: &str, n: usize, edges: &[(u8, u8)], marks: &[u8], batches: &
         .unwrap();
     assert_view_matches(&view, &expected, "initial materialization");
     for (bi, batch) in batches.iter().enumerate() {
-        let mut update = Update::new();
-        for &(insert, is_edge, a, b) in batch {
-            let a = ElemId(a as u32 % n as u32);
-            let b = ElemId(b as u32 % n as u32);
-            let (pred, tuple) = if is_edge % 2 == 1 {
-                (e, vec![a, b])
-            } else {
-                (m, vec![a])
-            };
-            if insert % 2 == 1 {
-                update.push_insert(pred, &tuple);
-            } else {
-                update.push_retract(pred, &tuple);
-            }
-        }
-        // Mirror the batch's normalized set semantics on the oracle
-        // structure: retracts first, inserts win.
-        for pass in [0u8, 1] {
-            for &(insert, is_edge, a, b) in batch {
-                if insert % 2 != pass {
-                    continue;
-                }
-                let a = ElemId(a as u32 % n as u32);
-                let b = ElemId(b as u32 % n as u32);
-                match (pass, is_edge % 2 == 1) {
-                    (0, true) => expected.retract(e, &[a, b]),
-                    (0, false) => expected.retract(m, &[a]),
-                    (_, true) => expected.insert(e, &[a, b]),
-                    (_, false) => expected.insert(m, &[a]),
-                };
-            }
-        }
-        view.apply(&update);
+        view.apply(&stage(batch, n, &mut expected));
         assert_view_matches(&view, &expected, &format!("after batch {bi}"));
         check_storage(&view);
+    }
+}
+
+/// Every combination of the construction options `materialize` carries
+/// over — `prune_dead_rules`, `minimize`, `eliminate_bounded_recursion`,
+/// `magic_sets` — each with `outputs` declared: after materialization
+/// and after every batch, the view's output predicates equal a default
+/// session's over the original program and the mutated structure.
+fn run_options_case(
+    source: &str,
+    outputs: &[&str],
+    n: usize,
+    edges: &[(u8, u8)],
+    marks: &[u8],
+    batches: &[Vec<Mutation>],
+) {
+    let initial = build_structure(n, edges, marks);
+    let original = parse_program(source, &initial).unwrap();
+    let assert_outputs = |view: &MaterializedView, expected: &Structure, ctx: &str| {
+        let oracle = Evaluator::new(original.clone())
+            .unwrap()
+            .evaluate(expected)
+            .unwrap();
+        for name in outputs {
+            let in_view = view.program().idb(name).expect("outputs keep their names");
+            assert_eq!(
+                view.store().tuples(in_view),
+                oracle.store.tuples(original.idb(name).unwrap()),
+                "{ctx}: output `{name}` diverged from a default session"
+            );
+        }
+    };
+    for combo in 0..16u8 {
+        let options = EvalOptions::new()
+            .outputs(outputs.iter().copied())
+            .prune_dead_rules(combo & 1 != 0)
+            .minimize(combo & 2 != 0)
+            .eliminate_bounded_recursion(combo & 4 != 0)
+            .magic_sets(combo & 8 != 0);
+        let mut expected = initial.clone();
+        let mut view = Evaluator::with_options(original.clone(), options)
+            .unwrap()
+            .materialize(&expected)
+            .unwrap();
+        assert_outputs(
+            &view,
+            &expected,
+            &format!("options {combo:04b}, materialized"),
+        );
+        for (bi, batch) in batches.iter().enumerate() {
+            view.apply(&stage(batch, n, &mut expected));
+            assert_outputs(
+                &view,
+                &expected,
+                &format!("options {combo:04b}, batch {bi}"),
+            );
+            check_storage(&view);
+        }
     }
 }
 
@@ -197,6 +275,27 @@ proptest! {
         batches in vec(vec((0u8..2, 0u8..2, 0u8..16, 0u8..16), 0..6), 1..5),
     ) {
         run_case(NONLINEAR, n, &edges, &marks, &batches);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    #[test]
+    fn every_option_combination_agrees_under_materialize(
+        n in 3usize..=7,
+        edges in vec((0u8..16, 0u8..16), 0..12),
+        marks in vec(0u8..16, 0..5),
+        batches in vec(vec((0u8..2, 0u8..2, 0u8..16, 0u8..16), 0..6), 1..4),
+    ) {
+        for (source, outputs) in [
+            (SEMIPOSITIVE, &["nl"][..]),
+            (STRATIFIED, &["uu"][..]),
+            (NONLINEAR, &["hub", "top"][..]),
+            (REDUNDANT, &["w"][..]),
+        ] {
+            run_options_case(source, outputs, n, &edges, &marks, &batches);
+        }
     }
 }
 
@@ -306,4 +405,31 @@ fn governed_maintenance_sweep_falls_back_soundly() {
         assert!(completed > 0, "no sweep point completed maintenance");
         assert!(fell_back > 0, "no sweep point tripped inside maintenance");
     }
+}
+
+/// The option sweep is only as strong as its programs: each transform
+/// must change at least one of them.
+#[test]
+fn option_sweep_programs_exercise_every_transform() {
+    let s = build_structure(5, &[(0, 1), (1, 1), (1, 2)], &[0, 1]);
+    let session = |source: &str, output: &str, options: EvalOptions| {
+        let program = parse_program(source, &s).unwrap();
+        Evaluator::with_options(program, options.outputs([output])).unwrap()
+    };
+    let pruned = session(
+        SEMIPOSITIVE,
+        "nl",
+        EvalOptions::new().prune_dead_rules(true),
+    );
+    assert_eq!(pruned.pruned_rule_count(), 2);
+    let minimized = session(REDUNDANT, "w", EvalOptions::new().minimize(true)).transforms();
+    assert!(minimized.removed_rules > 0 && minimized.condensed_literals > 0);
+    let unfolded = session(
+        REDUNDANT,
+        "w",
+        EvalOptions::new().eliminate_bounded_recursion(true),
+    );
+    assert_eq!(unfolded.transforms().bounded_sccs, 1);
+    let magic = session(NONLINEAR, "hub", EvalOptions::new().magic_sets(true));
+    assert!(magic.transforms().magic_applied);
 }

@@ -124,7 +124,12 @@ fn repeated_evaluations_hit_the_session_plan_cache() {
     }
     assert!(hits > 0, "repeated evaluations must reuse compiled plans");
     assert_eq!(hits, 3, "every re-evaluation hits");
-    assert_eq!(session.plan_cache().len(), 1);
+    // A structure in another power-of-two size bucket is planned afresh,
+    // and the first shape's plans are still kept beside its own.
+    let long = chain(300);
+    assert_eq!(session.evaluate(&long).unwrap().stats.plan_cache_hits, 0);
+    assert_eq!(session.evaluate(&long).unwrap().stats.plan_cache_hits, 1);
+    assert_eq!(session.evaluate(&s).unwrap().stats.plan_cache_hits, 1);
 
     // A fresh session starts cold — per-session isolation.
     let p = parse_program(EVEN_PAIRS, &s).unwrap();

@@ -230,6 +230,55 @@ fn recursion_above_a_negation_matches_oracle() {
     assert_store_matches_oracle(&p, &s);
 }
 
+/// One multi-stratum session over three signatures: {e, m}, then
+/// {e, m, x, y} with the same prefix, then a fresh but equal {e, m}.
+/// Every answer equals a fresh session's. The extension is rebuilt for
+/// each new signature, but plans compiled for a predicate layout serve
+/// it again: the third call reuses all three strata's plans.
+#[test]
+fn signature_change_keeps_answers_and_plans() {
+    let wide = || {
+        let sig = Arc::new(Signature::from_pairs([
+            ("e", 2),
+            ("m", 1),
+            ("x", 1),
+            ("y", 2),
+        ]));
+        let mut s = Structure::new(Arc::clone(&sig), Domain::anonymous(5));
+        let narrow = fixture_structure();
+        for p in narrow.signature().preds() {
+            for tuple in narrow.relation(p).iter() {
+                s.insert(p, tuple);
+            }
+        }
+        s.insert(sig.lookup("x").unwrap(), &[ElemId(2)]);
+        s.insert(sig.lookup("y").unwrap(), &[ElemId(1), ElemId(4)]);
+        s
+    };
+    let p = parse_program(
+        "reach(X) :- m(X).\n\
+         reach(Y) :- reach(X), e(X, Y).\n\
+         dark(X) :- e(X, Y), !reach(X).\n\
+         calm(X) :- m(X), !dark(X), !e(X, X).",
+        &fixture_structure(),
+    )
+    .unwrap();
+    let mut session = Evaluator::new(p.clone()).unwrap();
+    let mut hits = Vec::new();
+    for s in [fixture_structure(), wide(), fixture_structure()] {
+        let got = session.evaluate(&s).unwrap();
+        let fresh = Evaluator::new(p.clone()).unwrap().evaluate(&s).unwrap();
+        for i in 0..p.idb_count() {
+            let id = IdbId(i as u32);
+            assert_eq!(got.store.tuples(id), fresh.store.tuples(id));
+        }
+        assert_eq!(got.stats.facts, fresh.stats.facts);
+        assert_eq!(got.stats.firings, fresh.stats.firings);
+        hits.push(got.stats.plan_cache_hits);
+    }
+    assert_eq!(hits, [0, 0, 3]);
+}
+
 #[test]
 fn negation_in_scc_fails_with_named_cycle() {
     // win-move over `e`, hand-built (the parser already rejects it).
