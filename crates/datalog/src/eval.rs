@@ -4,17 +4,39 @@
 //! [`Engine::SemiNaiveIndexed`](crate::evaluator::Engine::SemiNaiveIndexed):
 //! per-rule join plans (module [`plan`](crate::plan)) probe lazily built
 //! secondary indexes ([`mdtw_structure::PosIndex`]) instead of scanning
-//! whole relations, the frontier is a set of per-predicate delta
-//! relations, and rules with several intensional body atoms use the
+//! whole relations, and rules with several intensional body atoms use the
 //! textbook semi-naive split — for the delta at body position *i*,
 //! positions before *i* read the pre-round store and positions after read
 //! the updated store — so every rule instantiation fires exactly once.
 //!
+//! # A round's delta is a row range of the store
+//!
+//! Store rows are dense ids in insertion order, and a fixpoint only
+//! inserts, so a predicate's delta is the rows `[lo, hi)` the previous
+//! round appended (timestamped semi-naive evaluation). A round's heads go
+//! into one flat, unhashed buffer, and the store insert that merges them
+//! is their only deduplication: one hash lookup per derived fact. In a
+//! delta pass the delta literal reads rows `≥ lo`, intensional literals
+//! before it read rows `< lo` (an integer compare per row), and every
+//! other literal reads all rows. A scan iterates its range, an index
+//! probe cuts its bucket once with `partition_point`, and a probe on
+//! every position compares the row id it finds.
+//!
+//! The cut is exact after retracts too. A retract swap-removes, which
+//! reorders rows that already exist, and incremental maintenance retracts
+//! before its insertion fixpoint starts. From then on the old rows all
+//! keep ids `< lo`, in whatever order a [`PosIndex`] bucket lists them,
+//! and each new row gets an id `≥ lo` and is appended to its bucket. So
+//! every bucket is partitioned at `lo`, and at each later round boundary.
+//! DRed's overdeletion only appends to the overdeleted set: its frontier
+//! is a row range of that set, and the literals before the delta position
+//! skip a store tuple whose row there lies in the frontier.
+//!
 //! The compiled-plan join loop is also the only join executor of
 //! incremental maintenance ([`incremental`](crate::incremental)): its
-//! leaf action is a statically dispatched sink, which stages derived
-//! facts during evaluation, collects DRed's overdeletions, or stops at
-//! the first re-derivation of a fact.
+//! leaf action is a statically dispatched sink, which buffers derived
+//! heads during evaluation and overdeletion, or stops at the first
+//! re-derivation of a fact.
 //!
 //! The *linear-time* evaluation of quasi-guarded programs (Theorem 4.4)
 //! lives in the `ground` and `horn` modules.
@@ -25,6 +47,7 @@ use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::profile::{LitCount, Profiler};
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, PosIndex, Relation, Structure};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The computed least fixpoint: one indexed relation per intensional
@@ -166,10 +189,10 @@ pub struct EvalStats {
     /// Candidate tuples enumerated across all literal accesses.
     pub tuples_considered: usize,
     /// Derivations that resolved to an already-interned tuple instead of
-    /// allocating new storage: a head staged twice in one round is counted
-    /// when it is staged again, and a staged head already in the store
-    /// when the round's staged facts are merged into it. `interned_hits +
-    /// facts` equals the number of firings with an intensional head.
+    /// allocating new storage. Every duplicate is counted when the round's
+    /// heads are merged into the store: a head already stored, and a head
+    /// derived earlier in the same round. `interned_hits + facts` equals
+    /// the number of firings with an intensional head.
     pub interned_hits: usize,
     /// 1 if this evaluation reused the rule plans its session compiled
     /// for an earlier structure of the same power-of-two cardinality
@@ -240,93 +263,54 @@ pub(crate) fn debug_assert_semipositive(program: &Program) {
 // Indexed semi-naive engine
 // ---------------------------------------------------------------------------
 
-/// The per-predicate delta relations of one semi-naive round. Plugged into
-/// the same index layer as the store, so delta atoms with bound arguments
-/// are probed rather than scanned. Recycled across rounds ([`Self::clear`])
-/// so round turnover reallocates nothing.
-#[derive(Debug)]
-struct DeltaStore {
-    rels: Vec<Relation>,
-    count: usize,
+/// One round's derived heads in derivation order: a flat buffer the derive
+/// sink appends to without hashing. The round's merge inserts them into
+/// the store ([`Heads::drain_into`]), and that insert is the only
+/// deduplication a head costs. Recycled across rounds.
+#[derive(Debug, Default)]
+struct Heads {
+    preds: Vec<IdbId>,
+    /// The heads' argument cells, back to back (a head of `pred` takes
+    /// `pred`'s arity of them).
+    cells: Vec<ElemId>,
 }
 
-impl DeltaStore {
-    fn new(program: &Program) -> Self {
-        Self {
-            rels: program
-                .idb_arities
-                .iter()
-                .map(|&a| Relation::new(a))
-                .collect(),
-            count: 0,
-        }
-    }
-
-    fn insert(&mut self, pred: IdbId, args: &[ElemId]) {
-        if self.rels[pred.index()].insert(args) {
-            self.count += 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        for rel in &mut self.rels {
-            rel.clear();
-        }
-        self.count = 0;
-    }
-
+impl Heads {
     #[inline]
-    fn rel(&self, pred: IdbId) -> &Relation {
-        &self.rels[pred.index()]
+    fn push(&mut self, pred: IdbId, args: &[ElemId]) {
+        self.preds.push(pred);
+        self.cells.extend_from_slice(args);
     }
 
-    /// True when the delta of `rule`'s intensional body literal `pos` is
-    /// empty: that literal's delta pass cannot match anything, so the
-    /// round skips it without resolving steps or taking index locks.
-    #[inline]
-    fn is_empty_at(&self, rule: &Rule, pos: usize) -> bool {
-        let PredRef::Idb(id) = rule.body[pos].atom.pred else {
-            unreachable!("delta plans target intensional literals")
-        };
-        self.rel(id).is_empty()
+    /// Inserts the buffered heads into `rels` (indexed by intensional
+    /// predicate) in derivation order, telling `inserted` for each whether
+    /// it was new, and empties the buffer.
+    fn drain_into(&mut self, rels: &mut [Relation], mut inserted: impl FnMut(bool)) {
+        let mut at = 0;
+        for id in &self.preds {
+            let rel = &mut rels[id.index()];
+            let end = at + rel.arity();
+            inserted(rel.insert(&self.cells[at..end]));
+            at = end;
+        }
+        self.preds.clear();
+        self.cells.clear();
     }
 }
 
-/// Per-predicate staging relations collecting one round's derivations
-/// before they are folded into the store (facts derived in round *i*
-/// become visible in round *i+1*). Staging does not consult the store: it
-/// only dedups within the round, and [`merge_round`] sorts the staged
-/// facts into new ones and duplicates of stored facts with the store
-/// insert it makes anyway — one store lookup per staged fact. Arena-backed
-/// like everything else, so the derive path stages tuples without boxing
-/// them; recycled across rounds.
-#[derive(Debug)]
-struct FreshStore {
-    rels: Vec<Relation>,
+/// Starts each predicate's frontier at the end of its relation in `rels`:
+/// only rows added from now on can enter it.
+fn open_frontier(frontier: &mut Vec<Range<u32>>, rels: &[Relation]) {
+    frontier.clear();
+    frontier.extend(rels.iter().map(|rel| rel.len() as u32..rel.len() as u32));
 }
 
-impl FreshStore {
-    fn new(program: &Program) -> Self {
-        Self {
-            rels: program
-                .idb_arities
-                .iter()
-                .map(|&a| Relation::new(a))
-                .collect(),
-        }
-    }
-
-    /// Stages a derivation; returns `false` if it was already staged this
-    /// round.
-    #[inline]
-    fn insert(&mut self, pred: IdbId, args: &[ElemId]) -> bool {
-        self.rels[pred.index()].insert(args)
-    }
-
-    fn clear(&mut self) {
-        for rel in &mut self.rels {
-            rel.clear();
-        }
+/// Moves each predicate's frontier past the rows it covered, onto the rows
+/// its relation in `rels` gained since: after a merge, exactly the facts
+/// the round added.
+fn advance(frontier: &mut [Range<u32>], rels: &[Relation]) {
+    for (range, rel) in frontier.iter_mut().zip(rels) {
+        *range = range.end..rel.len() as u32;
     }
 }
 
@@ -342,43 +326,32 @@ trait Sink {
     /// Handles the head fact `pred(args)` of one complete instantiation
     /// (`store` is the store the pass reads, for sinks that filter against
     /// it); returns `true` to stop the pass.
-    fn emit(
-        &mut self,
-        pred: IdbId,
-        args: &[ElemId],
-        store: &IdbStore,
-        stats: &mut EvalStats,
-    ) -> bool;
+    fn emit(&mut self, pred: IdbId, args: &[ElemId], store: &IdbStore) -> bool;
 }
 
-/// Evaluation stages each derived head for the round's merge without
-/// probing the store: a head already staged this round is an interned
-/// hit here, and one already in the store is counted by [`merge_round`].
-impl Sink for FreshStore {
+/// Evaluation buffers each derived head for the round's merge, which
+/// counts it as a new fact or a duplicate.
+impl Sink for Heads {
     const NEGATIVES: bool = true;
 
     #[inline]
-    fn emit(&mut self, pred: IdbId, args: &[ElemId], _: &IdbStore, stats: &mut EvalStats) -> bool {
-        if !self.insert(pred, args) {
-            stats.interned_hits += 1;
-        }
+    fn emit(&mut self, pred: IdbId, args: &[ElemId], _: &IdbStore) -> bool {
+        self.push(pred, args);
         false
     }
 }
 
-/// DRed's overdeletion: a derived head still in the store joins the
-/// overdeleted set and, the first time, the next round's frontier.
-struct Overdelete<'a> {
-    over: &'a mut [Relation],
-    next: &'a mut DeltaStore,
-}
+/// DRed's overdeletion: a derived head still in the store is buffered for
+/// the overdeleted set; the merge adds it there, and the first time, to
+/// the next round's frontier.
+struct Overdelete<'a>(&'a mut Heads);
 
 impl Sink for Overdelete<'_> {
     const NEGATIVES: bool = false;
 
-    fn emit(&mut self, pred: IdbId, args: &[ElemId], store: &IdbStore, _: &mut EvalStats) -> bool {
-        if store.holds(pred, args) && self.over[pred.index()].insert(args) {
-            self.next.insert(pred, args);
+    fn emit(&mut self, pred: IdbId, args: &[ElemId], store: &IdbStore) -> bool {
+        if store.holds(pred, args) {
+            self.0.push(pred, args);
         }
         false
     }
@@ -391,10 +364,21 @@ struct Witness(bool);
 impl Sink for Witness {
     const NEGATIVES: bool = true;
 
-    fn emit(&mut self, _: IdbId, _: &[ElemId], _: &IdbStore, _: &mut EvalStats) -> bool {
+    fn emit(&mut self, _: IdbId, _: &[ElemId], _: &IdbStore) -> bool {
         self.0 = true;
         true
     }
+}
+
+/// The frontier a delta pass reads: per intensional predicate, the rows
+/// `[lo, hi)` the previous round added.
+#[derive(Clone, Copy)]
+struct Frontier<'a> {
+    ranges: &'a [Range<u32>],
+    /// `None` when the frontier rows are rows of the store (evaluation and
+    /// DRed's insertion phase); `Some(overdeleted)` for DRed's
+    /// overdeletion, whose frontier rows are rows of the overdeleted set.
+    over: Option<&'a [Relation]>,
 }
 
 /// Everything a plan execution needs to look at (bundled so the recursion
@@ -402,9 +386,9 @@ impl Sink for Witness {
 struct PlanCtx<'a> {
     rule: &'a Rule,
     plan: &'a JoinPlan,
-    /// `Some((body index of the delta literal, delta store))` for delta
+    /// `Some((body index of the delta literal, frontier))` for delta
     /// passes, `None` for the unconstrained round-0 pass.
-    delta: Option<(usize, &'a DeltaStore)>,
+    delta: Option<(usize, Frontier<'a>)>,
     /// `Some((body index, delta relation))` for an *extensional* delta
     /// pass — the incremental-maintenance seed pass, where one EDB body
     /// literal (a negated one read flipped) enumerates a batch's changed
@@ -420,20 +404,20 @@ struct PlanCtx<'a> {
     store: &'a IdbStore,
 }
 
-/// The recycled working set of the semi-naive round loop: the ping-ponged
-/// per-predicate delta relations, the per-round staging relations, the
-/// probe-key/head scratch buffer, and the store sizes of the last run.
+/// The recycled working set of the semi-naive round loop: the round's
+/// head buffer (every run drains it, also when a governor trip cuts a
+/// pass short), the per-predicate frontier row ranges, the probe-key/head
+/// scratch buffer, and the store sizes of the last run.
 /// One instance per
 /// [`Evaluator`](crate::evaluator::Evaluator) session, reused across
 /// evaluations (and across the strata of one stratified evaluation —
 /// every stratum sub-program shares the session program's predicate
 /// table, so the shapes always match), so round turnover and session
-/// reuse reallocate nothing beyond amortized arena growth.
+/// reuse reallocate nothing beyond amortized store growth.
 #[derive(Debug)]
 pub(crate) struct SeminaiveScratch {
-    delta: DeltaStore,
-    next: DeltaStore,
-    fresh: FreshStore,
+    heads: Heads,
+    frontier: Vec<Range<u32>>,
     key: Vec<ElemId>,
     /// Facts per intensional predicate in the store of the last run that
     /// defined it: the next run presizes its store to these counts
@@ -447,28 +431,17 @@ impl SeminaiveScratch {
     /// A scratch set shaped for `program`'s intensional predicates.
     pub(crate) fn new(program: &Program) -> Self {
         Self {
-            delta: DeltaStore::new(program),
-            next: DeltaStore::new(program),
-            fresh: FreshStore::new(program),
+            heads: Heads::default(),
+            frontier: Vec::new(),
             key: Vec::new(),
             store_sizes: vec![0; program.idb_count()],
         }
     }
-
-    /// Empties every buffer (arena capacity is retained) so a new
-    /// evaluation starts from a clean slate. The recorded store sizes
-    /// stay.
-    fn reset(&mut self) {
-        self.delta.clear();
-        self.next.clear();
-        self.fresh.clear();
-        self.key.clear();
-    }
 }
 
 /// The semi-naive round loop over caller-owned (session-recycled) scratch
-/// buffers. On a governor trip the loop unwinds after folding the staged
-/// derivations in, so the returned store is a sound subset of the least
+/// buffers. On a governor trip the loop unwinds after merging the heads
+/// derived so far, so the returned store is a sound subset of the least
 /// fixpoint; the caller reads the trip off the governor.
 ///
 /// Profiling: the caller opens/closes the stratum
@@ -485,11 +458,9 @@ pub(crate) fn run_seminaive_scratch(
     gov: &mut Governor<'_>,
     mut prof: Option<&mut Profiler>,
 ) -> (IdbStore, EvalStats) {
-    scratch.reset();
     let SeminaiveScratch {
-        delta,
-        next,
-        fresh,
+        heads,
+        frontier,
         key,
         store_sizes,
     } = scratch;
@@ -511,18 +482,16 @@ pub(crate) fn run_seminaive_scratch(
             structure,
             store: &store,
         };
-        if profiled_apply(&ctx, ri, &mut stats, fresh, key, gov, &mut prof) {
+        if profiled_apply(&ctx, ri, &mut stats, heads, key, gov, &mut prof) {
             break;
         }
     }
-    // Two delta stores ping-pong across rounds: `delta` is read by the
-    // round while `next` collects the survivors, then they swap and the
-    // stale one is cleared (arena capacity is retained).
-    merge_round(&mut store, delta, fresh, &mut stats, None);
+    open_frontier(frontier, &store.rels);
+    merge_round(&mut store, heads, &mut stats);
+    advance(frontier, &store.rels);
 
     seminaive_rounds(
-        program, structure, plans, &mut stats, &mut store, delta, next, fresh, key, gov, &mut prof,
-        None,
+        program, structure, plans, &mut stats, &mut store, frontier, heads, key, gov, &mut prof,
     );
     for id in defined_idbs(program) {
         store_sizes[id.index()] = store.rels[id.index()].len();
@@ -531,14 +500,11 @@ pub(crate) fn run_seminaive_scratch(
 }
 
 /// The delta-driven rounds of semi-naive evaluation: while the frontier
-/// is non-empty, run every rule's delta passes, fold the staged
-/// derivations in, and swap the frontier buffers. Shared between
-/// from-scratch evaluation ([`run_seminaive_scratch`], which seeds the
-/// frontier with round 0's output) and incremental maintenance
-/// ([`run_increment`], which seeds it from a base-relation delta). When
-/// `added` is `Some`, every fact that enters the store is also recorded
-/// in the corresponding sink relation (the maintenance path's net-change
-/// ledger).
+/// holds a row, run every rule's delta passes, merge the round's heads
+/// into the store, and move the frontier onto the rows they added. Shared
+/// between from-scratch evaluation ([`run_seminaive_scratch`], whose
+/// frontier is round 0's output) and incremental maintenance
+/// ([`run_increment`], whose frontier is the seed pass's output).
 #[allow(clippy::too_many_arguments)]
 fn seminaive_rounds(
     program: &Program,
@@ -546,42 +512,69 @@ fn seminaive_rounds(
     plans: &[RulePlans],
     stats: &mut EvalStats,
     store: &mut IdbStore,
-    delta: &mut DeltaStore,
-    next: &mut DeltaStore,
-    fresh: &mut FreshStore,
+    frontier: &mut [Range<u32>],
+    heads: &mut Heads,
     key: &mut Vec<ElemId>,
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
-    mut added: Option<&mut [Relation]>,
 ) {
-    while delta.count > 0 {
+    while !frontier.iter().all(Range::is_empty) {
         if gov.round(stats.tuples_considered, stats.facts) {
             break;
         }
         stats.rounds += 1;
-        'rules: for (ri, (rule, rp)) in program.rules.iter().zip(plans).enumerate() {
-            for (dpos, plan) in &rp.delta {
-                if delta.is_empty_at(rule, *dpos) {
-                    continue;
-                }
-                let ctx = PlanCtx {
-                    rule,
-                    plan,
-                    delta: Some((*dpos, &*delta)),
-                    edb_delta: None,
-                    edb_overlay: None,
-                    structure,
-                    store,
-                };
-                if profiled_apply(&ctx, ri, stats, fresh, key, gov, prof) {
-                    break 'rules;
-                }
+        let rows = Frontier {
+            ranges: frontier,
+            over: None,
+        };
+        delta_passes(
+            program, structure, plans, store, rows, None, stats, heads, key, gov, prof,
+        );
+        merge_round(store, heads, stats);
+        advance(frontier, &store.rels);
+    }
+}
+
+/// One round's delta passes: every rule's delta plans whose literal's
+/// frontier holds a row, with `sink` taking the derived heads. Returns
+/// `true` when a pass stopped early (a governor trip).
+#[allow(clippy::too_many_arguments)]
+fn delta_passes<S: Sink>(
+    program: &Program,
+    structure: &Structure,
+    plans: &[RulePlans],
+    store: &IdbStore,
+    frontier: Frontier<'_>,
+    edb_overlay: Option<&[Relation]>,
+    stats: &mut EvalStats,
+    sink: &mut S,
+    key: &mut Vec<ElemId>,
+    gov: &mut Governor<'_>,
+    prof: &mut Option<&mut Profiler>,
+) -> bool {
+    for (ri, (rule, rp)) in program.rules.iter().zip(plans).enumerate() {
+        for (dpos, plan) in &rp.delta {
+            let PredRef::Idb(id) = rule.body[*dpos].atom.pred else {
+                unreachable!("delta plans target intensional literals")
+            };
+            if frontier.ranges[id.index()].is_empty() {
+                continue;
+            }
+            let ctx = PlanCtx {
+                rule,
+                plan,
+                delta: Some((*dpos, frontier)),
+                edb_delta: None,
+                edb_overlay,
+                structure,
+                store,
+            };
+            if profiled_apply(&ctx, ri, stats, sink, key, gov, prof) {
+                return true;
             }
         }
-        next.clear();
-        merge_round(store, next, fresh, stats, added.as_deref_mut());
-        std::mem::swap(delta, next);
     }
+    false
 }
 
 /// The extensional seed pass of incremental maintenance: every rule runs
@@ -644,10 +637,13 @@ fn edb_seed_pass<S: Sink>(
 /// literals and the inserted ones (`ins`) at negated literals — an
 /// insertion under a negation deletes. The delta rounds then use the
 /// ordinary per-rule delta plans with the newly overdeleted facts as the
-/// frontier. Extensional literals read `structure` (the post-update
-/// state) plus `del`, a superset of the pre-update state; intensional
-/// literals read the untouched pre-update `store`. All three choices
-/// over-approximate, which is exactly what DRed needs.
+/// frontier. `over` only grows, so that frontier is a row range of
+/// `over`, and the intensional literals before the delta position skip a
+/// store tuple whose row in `over` lies in it. Extensional literals read
+/// `structure` (the post-update state) plus `del`, a superset of the
+/// pre-update state; intensional literals read the untouched pre-update
+/// `store`. All three choices over-approximate, which is exactly what
+/// DRed needs.
 ///
 /// On a governor trip the pass unwinds early; the caller must treat the
 /// view as unmaintained.
@@ -664,15 +660,18 @@ pub(crate) fn run_overdelete(
     stats: &mut EvalStats,
     over: &mut [Relation],
 ) {
-    scratch.reset();
     let SeminaiveScratch {
-        delta, next, key, ..
+        heads,
+        frontier,
+        key,
+        ..
     } = scratch;
     if gov.round(stats.tuples_considered, stats.facts) {
         return;
     }
-    let mut sink = Overdelete { over, next };
-    if edb_seed_pass(
+    open_frontier(frontier, over);
+    let mut sink = Overdelete(heads);
+    let mut stopped = edb_seed_pass(
         program,
         structure,
         store,
@@ -683,34 +682,33 @@ pub(crate) fn run_overdelete(
         &mut sink,
         key,
         gov,
-    ) {
-        return;
-    }
+    );
     loop {
-        std::mem::swap(delta, sink.next);
-        sink.next.clear();
-        if delta.count == 0 || gov.round(stats.tuples_considered, stats.facts) {
+        sink.0.drain_into(over, |_| ());
+        advance(frontier, over);
+        if stopped
+            || frontier.iter().all(Range::is_empty)
+            || gov.round(stats.tuples_considered, stats.facts)
+        {
             return;
         }
-        for (rule, rp) in program.rules.iter().zip(plans) {
-            for (dpos, plan) in &rp.delta {
-                if delta.is_empty_at(rule, *dpos) {
-                    continue;
-                }
-                let ctx = PlanCtx {
-                    rule,
-                    plan,
-                    delta: Some((*dpos, &*delta)),
-                    edb_delta: None,
-                    edb_overlay: Some(del),
-                    structure,
-                    store,
-                };
-                if run_plan(&ctx, Bindings::new(rule), stats, &mut sink, key, gov, None) {
-                    return;
-                }
-            }
-        }
+        let rows = Frontier {
+            ranges: frontier,
+            over: Some(over),
+        };
+        stopped = delta_passes(
+            program,
+            structure,
+            plans,
+            store,
+            rows,
+            Some(del),
+            stats,
+            &mut sink,
+            key,
+            gov,
+            &mut None,
+        );
     }
 }
 
@@ -766,10 +764,11 @@ pub(crate) fn derives(
 /// textbook semi-naive insertion delta, sound because a rule
 /// instantiation with several changed tuples merely fires once per
 /// changed literal and the store deduplicates. `seeds` (DRed's rederived
-/// survivors) are staged alongside. From there the ordinary delta rounds
-/// run to fixpoint. Every fact that enters the store is mirrored into
-/// `added`, the maintenance ledger the caller diffs against the
-/// overdeletion set.
+/// survivors) join the store after the pass's heads. From there the
+/// ordinary delta rounds run to fixpoint. The pass only appends to
+/// `store`, so the facts it added are exactly each relation's rows from
+/// its length at the call on: the maintenance ledger the caller diffs
+/// against the overdeletion set.
 ///
 /// On a governor trip the pass unwinds early; the caller must treat the
 /// view as unmaintained and fall back to full re-evaluation.
@@ -785,13 +784,10 @@ pub(crate) fn run_increment(
     scratch: &mut SeminaiveScratch,
     gov: &mut Governor<'_>,
     stats: &mut EvalStats,
-    added: &mut [Relation],
 ) {
-    scratch.reset();
     let SeminaiveScratch {
-        delta,
-        next,
-        fresh,
+        heads,
+        frontier,
         key,
         ..
     } = scratch;
@@ -807,74 +803,53 @@ pub(crate) fn run_increment(
         (ins, del),
         None,
         stats,
-        fresh,
+        heads,
         key,
         gov,
     );
+    open_frontier(frontier, &store.rels);
+    merge_round(store, heads, stats);
+    // A seed the pass derived as well is already in; it fired no rule, so
+    // it is no duplicate either.
     for (id, args) in seeds {
-        fresh.insert(*id, args);
-    }
-    merge_round(store, delta, fresh, stats, Some(added));
-    seminaive_rounds(
-        program,
-        structure,
-        plans,
-        stats,
-        store,
-        delta,
-        next,
-        fresh,
-        key,
-        gov,
-        &mut None,
-        Some(added),
-    );
-}
-
-/// Folds a round's staged derivations into the store; survivors (genuinely
-/// new facts) become the next round's delta. The store insert is the only
-/// store lookup a staged fact costs: it either adds the fact (counted in
-/// [`EvalStats::facts`]) or finds it already there (an interned hit, see
-/// [`EvalStats::interned_hits`]). Drains the staging store. When `added`
-/// is `Some`, every genuinely new fact is mirrored into the per-predicate
-/// sink relations (incremental maintenance's ledger of facts added by a
-/// re-derivation pass).
-fn merge_round(
-    store: &mut IdbStore,
-    delta: &mut DeltaStore,
-    fresh: &mut FreshStore,
-    stats: &mut EvalStats,
-    mut added: Option<&mut [Relation]>,
-) {
-    for (idx, staged) in fresh.rels.iter().enumerate() {
-        let id = IdbId(idx as u32);
-        for args in staged.iter() {
-            if store.rels[idx].insert(args) {
-                stats.facts += 1;
-                delta.insert(id, args);
-                if let Some(sink) = added.as_deref_mut() {
-                    sink[idx].insert(args);
-                }
-            } else {
-                stats.interned_hits += 1;
-            }
+        if store.rels[id.index()].insert(args) {
+            stats.facts += 1;
         }
     }
-    fresh.clear();
+    advance(frontier, &store.rels);
+    seminaive_rounds(
+        program, structure, plans, stats, store, frontier, heads, key, gov, &mut None,
+    );
 }
 
-/// An evaluation pass ([`run_plan`] into the round's staging store) under
+/// Inserts a round's heads into the store in derivation order. The
+/// insert is the only store lookup a head costs: it adds a new fact
+/// (counted in [`EvalStats::facts`]) or finds a duplicate — of a fact
+/// stored earlier or of an earlier head of the same round — counted in
+/// [`EvalStats::interned_hits`]. Only appends, so the facts a round adds
+/// are each relation's rows past its length before the merge.
+fn merge_round(store: &mut IdbStore, heads: &mut Heads, stats: &mut EvalStats) {
+    heads.drain_into(&mut store.rels, |new| {
+        if new {
+            stats.facts += 1;
+        } else {
+            stats.interned_hits += 1;
+        }
+    });
+}
+
+/// An evaluation pass ([`run_plan`] into `out`) under
 /// the profiler: at `Rules` detail and above, the pass is timed (on the
 /// sampled passes [`Profiler::pass_timer`] selects) and its
 /// [`EvalStats`] delta (plus, at `Literals`, the per-literal trace) is
 /// folded into rule `ri`'s accumulator. With the profiler off (or at
 /// `Strata`) this is exactly one branch on top of the plain pass — the
 /// zero-cost-when-off fast path.
-fn profiled_apply(
+fn profiled_apply<S: Sink>(
     ctx: &PlanCtx<'_>,
     ri: usize,
     stats: &mut EvalStats,
-    out: &mut FreshStore,
+    out: &mut S,
     scratch: &mut Vec<ElemId>,
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
@@ -950,28 +925,48 @@ fn negative_holds(
     }
 }
 
+/// The row bound of a step that reads to its relation's end. A relation
+/// does not grow during a pass, so a delta `[lo, hi)` is read as
+/// `lo..END`, and resolving a step reads no relation's length.
+const END: u32 = u32::MAX;
+
 /// A relation a plan step enumerates, with the index its probe uses
 /// (`None` for scans and for probes on every position).
 type Source<'a> = (&'a Relation, Option<Arc<PosIndex>>);
 
 /// A plan step resolved against one pass's relations: the source
-/// relation, the delta exclusion (for pre-round reads), the overlay (for
+/// relation and the rows of it the step reads, the overlay (for
 /// overdeletion reads), and the probe indexes. Resolved once per
 /// [`run_plan`] call so the recursive join touches no locks and clones
 /// no `Arc`s.
 struct StepExec<'a> {
     source: Source<'a>,
-    /// `Some(delta relation)` when the step reads the pre-round store
-    /// (store minus delta).
-    exclude: Option<&'a Relation>,
+    /// All rows (`0..END`), the delta (`lo..END`) or the pre-round rows
+    /// (`0..lo`), cut at a round boundary (see the module docs).
+    rows: Range<u32>,
     /// `Some(deleted tuples)` when the step also enumerates DRed's
-    /// overlay after its relation.
+    /// overlay (all of it) after its relation.
     overlay: Option<Source<'a>>,
-    /// True when the step enumerates the round's delta relation.
+    /// True when the step enumerates the round's delta.
     from_delta: bool,
 }
 
+/// The entries of `bucket`, a bucket of an index of the step's relation,
+/// that lie in `rows`. Every bound is a round boundary, where the bucket
+/// is partitioned (see the module docs), so a bound costs one
+/// `partition_point`, and none at either end of the relation.
+#[inline]
+fn cut<'b>(bucket: &'b [u32], rows: &Range<u32>) -> &'b [u32] {
+    let at = |bound: u32| match bound {
+        0 => 0,
+        END => bucket.len(),
+        b => bucket.partition_point(|&r| r < b),
+    };
+    &bucket[at(rows.start)..at(rows.end)]
+}
+
 fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
+    use std::cmp::Ordering;
     ctx.plan
         .steps
         .iter()
@@ -979,42 +974,46 @@ fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
             let lit = &ctx.rule.body[step.literal];
             let mut from_delta = false;
             let mut overlay = None;
-            let (rel, exclude): (&Relation, Option<&Relation>) = match lit.atom.pred {
+            let (rel, rows) = match lit.atom.pred {
                 PredRef::Edb(p) => match ctx.edb_delta {
                     // The incremental seed pass: one EDB literal reads the
                     // batch's changed tuples instead of the base relation.
                     Some((dpos, drel)) if step.literal == dpos => {
                         from_delta = true;
-                        (drel, None)
+                        (drel, 0..END)
                     }
                     _ => {
                         overlay = ctx
                             .edb_overlay
                             .map(|del| &del[p.index()])
                             .filter(|r| !r.is_empty());
-                        (ctx.structure.relation(p), None)
+                        (ctx.structure.relation(p), 0..END)
                     }
                 },
-                PredRef::Idb(id) => match ctx.delta {
-                    None => (ctx.store.relation(id), None),
-                    Some((dpos, ds)) => {
-                        use std::cmp::Ordering;
-                        match step.literal.cmp(&dpos) {
-                            // The delta literal itself reads the frontier.
-                            Ordering::Equal => {
-                                from_delta = true;
-                                (ds.rel(id), None)
+                PredRef::Idb(id) => {
+                    let store = ctx.store.relation(id);
+                    match ctx.delta {
+                        None => (store, 0..END),
+                        Some((dpos, frontier)) => {
+                            let lo = frontier.ranges[id.index()].start;
+                            // The delta literal reads the frontier. Body
+                            // positions before it read the pre-round store,
+                            // positions after it the whole store: an
+                            // instantiation with several delta atoms fires
+                            // exactly once, in the pass of its first delta
+                            // position. DRed's pre-round reads skip the
+                            // frontier instead (see `descend_plan`).
+                            match (step.literal.cmp(&dpos), frontier.over) {
+                                (Ordering::Equal, over) => {
+                                    from_delta = true;
+                                    (over.map_or(store, |over| &over[id.index()]), lo..END)
+                                }
+                                (Ordering::Less, None) => (store, 0..lo),
+                                _ => (store, 0..END),
                             }
-                            // Body positions before the delta read the
-                            // pre-round store, positions after read the
-                            // updated store: an instantiation with several
-                            // delta atoms fires exactly once, in the pass
-                            // of its first delta position.
-                            Ordering::Less => (ctx.store.relation(id), Some(ds.rel(id))),
-                            Ordering::Greater => (ctx.store.relation(id), None),
                         }
                     }
-                },
+                }
             };
             // A probe on every position is a membership test: the key is
             // the tuple, and the relation's own row table answers it.
@@ -1028,7 +1027,7 @@ fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
             };
             StepExec {
                 source: source(rel),
-                exclude,
+                rows,
                 overlay: overlay.map(source),
                 from_delta,
             }
@@ -1057,13 +1056,28 @@ fn descend_plan<S: Sink>(
             unreachable!("stratification rejects extensional heads")
         };
         instantiate_into(&ctx.rule.head, &bindings.vals, scratch);
-        return sink.emit(id, scratch, ctx.store, stats);
+        return sink.emit(id, scratch, ctx.store);
     }
 
     let step = &ctx.plan.steps[step_idx];
     let lit = &ctx.rule.body[step.literal];
     let exec = &execs[step_idx];
-    let exclude = exec.exclude;
+    // DRed's overdeletion reads the untouched store before the delta
+    // position, minus the store tuples whose row in the overdeleted set
+    // lies in the frontier.
+    let exclude = match (ctx.delta, lit.atom.pred) {
+        (
+            Some((
+                dpos,
+                Frontier {
+                    ranges,
+                    over: Some(over),
+                },
+            )),
+            PredRef::Idb(id),
+        ) if step.literal < dpos => Some((&over[id.index()], ranges[id.index()].start)),
+        _ => None,
+    };
 
     let on_tuple = |tuple: &[ElemId],
                     bindings: &mut Bindings,
@@ -1114,14 +1128,16 @@ fn descend_plan<S: Sink>(
         Access::Scan => {}
         Access::Probe { .. } => stats.index_probes += 1,
     }
-    // The step's relation, then (overdeletion only) its overlay of
-    // deleted tuples.
-    for (rel, index) in std::iter::once(&exec.source).chain(&exec.overlay) {
+    // The step's rows of its relation, then (overdeletion only) its
+    // overlay of deleted tuples.
+    let overlay = exec.overlay.as_ref().map(|o| (o, 0..END));
+    for ((rel, index), rows) in std::iter::once((&exec.source, exec.rows.clone())).chain(overlay) {
         match &step.access {
             Access::Scan => {
-                for row in 0..rel.len() as u32 {
+                for row in rows.start..rows.end.min(rel.len() as u32) {
                     let tuple = rel.tuple(row);
-                    if exclude.is_some_and(|d| d.contains(tuple)) {
+                    if exclude.is_some_and(|(over, lo)| over.row_of(tuple).is_some_and(|r| r >= lo))
+                    {
                         continue;
                     }
                     if on_tuple(
@@ -1152,16 +1168,17 @@ fn descend_plan<S: Sink>(
                     });
                 }
                 let member;
-                let rows = match index {
-                    Some(index) => rel.rows_matching(index, scratch),
+                let matched = match index {
+                    Some(index) => cut(rel.rows_matching(index, scratch), &rows),
                     None => {
-                        member = rel.row_of(scratch);
+                        member = rel.row_of(scratch).filter(|r| rows.contains(r));
                         member.as_slice()
                     }
                 };
-                for &row in rows {
+                for &row in matched {
                     let tuple = rel.tuple(row);
-                    if exclude.is_some_and(|d| d.contains(tuple)) {
+                    if exclude.is_some_and(|(over, lo)| over.row_of(tuple).is_some_and(|r| r >= lo))
+                    {
                         continue;
                     }
                     if on_tuple(

@@ -18,8 +18,8 @@
 //!   structure's power-of-two cardinality shape, so the second
 //!   [`evaluate`](Evaluator::evaluate) of a per-candidate loop skips
 //!   planning;
-//! * **recycled scratch buffers** — the semi-naive delta/staging
-//!   relations and probe-key buffers live in the session and are reused
+//! * **recycled scratch buffers** — the semi-naive head buffer, frontier
+//!   row ranges and probe-key buffer live in the session and are reused
 //!   across evaluations (and across the strata of one evaluation), so
 //!   steady-state evaluation allocates nothing beyond arena growth.
 //!
@@ -71,8 +71,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The semi-naive engine: per-rule join plans probing lazily built
-    /// secondary indexes, per-predicate delta relations, the textbook
-    /// rule split. Multi-stratum programs run the bottom-up stratified
+    /// secondary indexes, each round's delta read as a row range of the
+    /// store, the textbook rule split. Multi-stratum programs run the bottom-up stratified
     /// pipeline over the same engine.
     SemiNaiveIndexed,
     /// The linear-time quasi-guarded pipeline of Theorem 4.4 (ground to

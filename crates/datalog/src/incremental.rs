@@ -306,7 +306,7 @@ impl MaterializedView {
 
             // Phase 1 — overdelete: every stored fact some rule derives
             // from a changed tuple, to a fixpoint (see `run_overdelete`).
-            let mut over = empty_relations(idb_arities);
+            let mut over: Vec<Relation> = idb_arities.iter().map(|&a| Relation::new(a)).collect();
             run_overdelete(
                 sub,
                 &self.ext,
@@ -371,9 +371,12 @@ impl MaterializedView {
             // Phase 4 — the insertion frontier: rules fire once per
             // changed extensional literal reading the changed tuples, the
             // seeds join in, and ordinary semi-naive delta rounds run to
-            // fixpoint. `added` ledgers every fact that entered the store
-            // so the net change can be diffed against `over`.
-            let mut added = empty_relations(idb_arities);
+            // fixpoint. The phase only appends, so the facts it adds are
+            // each relation's rows from `start` on; phase 5 diffs them
+            // against `over`.
+            let start: Vec<u32> = (0..idb_arities.len())
+                .map(|i| self.store.relation(IdbId(i as u32)).len() as u32)
+                .collect();
             run_increment(
                 sub,
                 &self.ext,
@@ -385,7 +388,6 @@ impl MaterializedView {
                 &mut self.scratch,
                 &mut gov,
                 &mut stats,
-                &mut added,
             );
             if let Some(kind) = gov.tripped() {
                 return Some(kind);
@@ -402,8 +404,9 @@ impl MaterializedView {
                 ..Default::default()
             };
             let ext_pred = self.strata.ext_pred();
-            for (i, (o, a)) in over.iter().zip(added.iter()).enumerate() {
+            for (i, (o, &from)) in over.iter().zip(&start).enumerate() {
                 let id = IdbId(i as u32);
+                let stored = self.store.relation(id);
                 sp.overdeleted += o.len();
                 for fact in o.iter() {
                     if self.store.holds(id, fact) {
@@ -416,7 +419,7 @@ impl MaterializedView {
                         }
                     }
                 }
-                for fact in a.iter() {
+                for fact in (from..stored.len() as u32).map(|r| stored.tuple(r)) {
                     if !o.contains(fact) {
                         sp.inserted += 1;
                         if let Some(p) = ext_pred[i] {
@@ -505,12 +508,6 @@ fn materialized(base: &Structure, strata: &Strata, store: &IdbStore) -> Structur
         }
     }
     ext
-}
-
-/// One empty relation per arity (the per-stratum overdeletion set and
-/// insertion ledger).
-fn empty_relations(arities: &[usize]) -> Vec<Relation> {
-    arities.iter().map(|&a| Relation::new(a)).collect()
 }
 
 #[cfg(test)]
@@ -738,6 +735,42 @@ mod tests {
                 engine: Engine::QuasiGuarded
             }
         );
+    }
+
+    /// Phase 4's frontier is the store rows appended since it began, and
+    /// `top`'s delta literal, which carries a constant, reads it through an
+    /// index probe cut at that boundary. Each batch's retracts swap-remove
+    /// `t` rows first, reordering the probed bucket's older entries. After
+    /// every batch the view must equal a from-scratch evaluation, with
+    /// every store relation coherent.
+    #[test]
+    fn dred_probes_reordered_buckets() {
+        let n = 14u32;
+        let mut s = chain(n as usize);
+        let e = s.signature().lookup("e").unwrap();
+        let hop = |i: u32| [ElemId(i % n), ElemId((i * 5 + 3) % n)];
+        let step = |i: u32| [ElemId(i % n), ElemId((i + 1) % n)];
+        for i in 0..n {
+            s.insert(e, &hop(i));
+        }
+        let src = "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\ntop(Y) :- t(Y, x1).";
+        let p = parse_program(src, &s).unwrap();
+        let mut view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+        let (mut overdeleted, mut inserted) = (0, 0);
+        for i in 0..12 {
+            let batch = Update::new()
+                .retract(e, &step(i))
+                .retract(e, &hop(i + 5))
+                .insert(e, &step(i + n - 3))
+                .insert(e, &hop(i));
+            let prof = view.apply(&batch);
+            (overdeleted, inserted) = (overdeleted + prof.overdeleted, inserted + prof.inserted);
+            for k in 0..view.program().idb_count() {
+                view.store().relation(IdbId(k as u32)).check_invariants();
+            }
+            assert_matches_scratch(&view, &format!("batch {i}"));
+        }
+        assert!(overdeleted > 0 && inserted > 0, "{overdeleted} {inserted}");
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //!   `mdtw-tests` support library). The engine executes per-rule
 //!   join plans over the arena-backed secondary-index layer of
 //!   [`mdtw_structure`]: body literals probe argument-position hash
-//!   indexes instead of scanning relations, the frontier is a set of
-//!   per-predicate delta relations plugged into the same index layer, and
-//!   the whole probe/insert path — delta sets, index keys, staging, IDB
+//!   indexes instead of scanning relations, a round's delta is the row
+//!   range of the store the previous round appended, derived heads are
+//!   buffered flat and deduplicated by the store insert that merges them,
+//!   and the whole probe/insert path — row ranges, index keys, IDB
 //!   membership — is keyed by interned integer ids, so deriving a fact
-//!   allocates nothing beyond amortized arena growth;
+//!   costs one hash lookup and allocates nothing beyond amortized arena
+//!   growth;
 //! * [`plan`](mod@crate::plan) — the join planner: access-path selection
 //!   (scan vs. index probe), greedy ordering by the estimated rows each
 //!   literal enumerates (relation sizes and probe selectivities from

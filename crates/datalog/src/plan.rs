@@ -29,7 +29,8 @@
 //! For semi-naive evaluation the planner additionally produces one *delta
 //! plan* per positive intensional body literal: that literal is forced to
 //! the front of the join order (the delta is the smallest relation in the
-//! round) and the evaluator reads it from the per-predicate delta store.
+//! round) and the evaluator reads it as the store rows the previous round
+//! appended; a probe step cuts its key's bucket at the round boundary.
 //!
 //! The stratified pipeline plans each stratum after rewriting
 //! lower-stratum predicates to materialized extensional relations, so
@@ -90,8 +91,8 @@ pub struct RulePlans {
     /// The unconstrained plan (round 0 of semi-naive evaluation).
     pub base: JoinPlan,
     /// One `(body literal index, plan)` pair per positive intensional body
-    /// literal; the plan joins that literal first, reading it from the
-    /// delta store.
+    /// literal; the plan joins that literal first, reading only its
+    /// delta rows.
     pub delta: Vec<(usize, JoinPlan)>,
 }
 

@@ -38,8 +38,8 @@
 //! never un-share, and the first genuine write deep-copies only the
 //! written relation. This makes `Structure::extended` (the stratified
 //! evaluator's materialization substrate) linear in the number of *new*
-//! predicates — while a bare [`Relation`] (the evaluators' delta/staging
-//! stores) stays a plain value with no per-insert atomics.
+//! predicates — while a bare [`Relation`] (an evaluator's store of
+//! derived facts) stays a plain value with no per-insert atomics.
 
 use crate::domain::{Domain, ElemId};
 use crate::fx::{FxHashMap, FxHasher};
@@ -300,7 +300,7 @@ impl RowTable {
 
     fn clear(&mut self) {
         // An empty table may still have a large retained capacity (e.g. a
-        // recycled delta relation after a round that filled it): skip the
+        // recycled relation that was once large): skip the
         // tag memset entirely so clearing an already-empty table is O(1)
         // no matter its high-water mark.
         if self.len > 0 {
@@ -370,6 +370,14 @@ impl RowTable {
 /// representative row in the relation's arena. Because the comparison
 /// needs the arena, lookups go through [`Relation::rows_matching`] /
 /// [`Relation::matching`] rather than the index alone.
+///
+/// A bucket lists its rows in insertion order until a retract
+/// swap-removes one, which moves rows that already exist. A row inserted
+/// later gets the next row id and is appended. So if the relation has
+/// only grown since its length was `lo`, the entries `≥ lo` of every
+/// bucket are the rows inserted since, at the bucket's end and in
+/// ascending order: semi-naive evaluation reads a round's delta through
+/// a probe as that suffix.
 #[derive(Debug, Clone, Default)]
 pub struct PosIndex {
     positions: Box<[usize]>,
@@ -558,7 +566,7 @@ impl PosIndex {
 /// Tuples live in a flat arena addressed by `u32` row ids (see the module
 /// docs); no per-tuple heap allocation happens on insert, membership
 /// tests, or index probes. A `Relation` is a plain value — the
-/// evaluators' delta/staging/IDB stores own theirs outright, so the hot
+/// evaluators' IDB stores own theirs outright, so the hot
 /// derive path performs no atomic operations. Sharing happens one level
 /// up: a [`Structure`] holds `Arc<Relation>`s and copies a relation only
 /// on its first write ([`Structure::extended`], `Structure::clone`).
@@ -841,8 +849,7 @@ impl Relation {
 
     /// Removes all tuples and drops every cached secondary index (their
     /// row ids would dangle). Capacity is retained, so a cleared relation
-    /// can be refilled without reallocating — the semi-naive evaluator
-    /// recycles its per-round delta relations this way (and clearing an
+    /// can be refilled without reallocating (and clearing an
     /// already-empty relation is O(1) regardless of retained capacity).
     pub fn clear(&mut self) {
         if self.rows > 0 {

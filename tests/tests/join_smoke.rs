@@ -93,7 +93,7 @@ fn no_full_scans_on_delta_bound_literals_at_chain_1000() {
     assert_eq!(store.fact_count(), 999 * 1000 / 2);
     // The only unindexed enumerations are the two unconstrained round-0
     // scans (one per rule's first body literal); every literal of every
-    // delta pass either enumerates the delta relation or probes an index.
+    // delta pass either enumerates the delta rows or probes an index.
     assert_eq!(
         stats.full_scans, 2,
         "delta-bound literals must probe indexes, not scan relations"
@@ -153,7 +153,7 @@ const STRATIFIED: &str = "path(X, Y) :- e(X, Y).\n\
                           apart(X, Y) :- node(X), node(Y), !path(X, Y).";
 
 /// The derive path interns: every firing with an intensional head either
-/// creates a new fact or resolves to an already-interned tuple — staged
+/// creates a new fact or resolves to an already-interned tuple — derived
 /// twice in one round, or already in the store when the round merges —
 /// and the accounting must add up exactly, through `evaluate` and through
 /// the evaluation `materialize` runs alike.
