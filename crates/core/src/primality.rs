@@ -31,26 +31,30 @@ use mdtw_decomp::{
     augment_bags, decompose, Heuristic, NiceKind, NiceOptions, NiceTd, NodeId, TreeDecomposition,
 };
 use mdtw_schema::{encode_schema, AttrId, Schema, SchemaEncoding};
-use mdtw_structure::fx::{FxHashMap, FxHashSet};
 use mdtw_structure::ElemId;
+use std::cmp::Ordering;
 
 /// One `solve` fact, packed bag-locally. Attribute components are bitmasks
 /// over the sorted *attribute positions* of the bag; FD components over
 /// the sorted *FD positions*. `co` stores the ordering of the complement
 /// `C°` as 4-bit attribute positions (lowest nibble first); its length is
 /// `#bag-attrs − popcount(y)`.
+///
+/// The field order is the sort order of a table: `(Y, FC, C°)` first, the
+/// key on which a branch node joins its two children's tables, so the
+/// branch rule merges them without sorting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PrimState {
     /// Bag attributes in `Y`.
     pub y: u16,
-    /// Bag attributes with a witnessed derivation (`ΔC ⊆ C°`).
-    pub dc: u16,
-    /// Bag FDs verified non-contradicting (`FY`).
-    pub fy: u16,
     /// Bag FDs used in the derivation (`FC`).
     pub fc: u16,
     /// The order of `C°`, packed in nibbles.
     pub co: u64,
+    /// Bag attributes with a witnessed derivation (`ΔC ⊆ C°`).
+    pub dc: u16,
+    /// Bag FDs verified non-contradicting (`FY`).
+    pub fy: u16,
 }
 
 // --- nibble-sequence helpers for the C° ordering ---------------------------
@@ -242,20 +246,20 @@ impl PrimalityContext {
         let lh = s.signature().lookup("lh").expect("lh");
         let rh = s.signature().lookup("rh").expect("rh");
         let fd = s.signature().lookup("fd").expect("fd");
-        let mut rhs_of: FxHashMap<ElemId, ElemId> = FxHashMap::default();
+        let mut rhs_of: Vec<Option<ElemId>> = vec![None; n];
         for t in s.relation(rh).iter() {
-            rhs_of.insert(t[1], t[0]);
+            rhs_of[t[1].index()] = Some(t[0]);
         }
-        let mut lhs_of: FxHashMap<ElemId, Vec<ElemId>> = FxHashMap::default();
+        let mut lhs_of: Vec<Vec<ElemId>> = vec![Vec::new(); n];
         for t in s.relation(lh).iter() {
-            lhs_of.entry(t[1]).or_default().push(t[0]);
+            lhs_of[t[1].index()].push(t[0]);
         }
         let mut info = Vec::with_capacity(n);
         for e in s.domain().elems() {
             if s.holds(fd, &[e]) {
                 info.push(ElemInfo::Fd {
-                    rhs: *rhs_of.get(&e).expect("FD has an rhs"),
-                    lhs: lhs_of.remove(&e).unwrap_or_default(),
+                    rhs: rhs_of[e.index()].expect("FD has an rhs"),
+                    lhs: std::mem::take(&mut lhs_of[e.index()]),
                 });
             } else {
                 info.push(ElemInfo::Attr);
@@ -621,36 +625,45 @@ impl PrimalityContext {
     /// Branch combination: same `Y`, same `C°` order, same `FC`; `FY` and
     /// `ΔC` are united, with `unique(ΔC₁, ΔC₂, FC)` forbidding an attribute
     /// from being derived in both subtrees by different FDs.
+    ///
+    /// A sort-merge join on `(Y, FC, C°)`: both tables are sorted on that
+    /// key already (it leads [`PrimState`]'s field order), so one merge
+    /// pass pairs every run of equal keys on the left with the matching
+    /// run on the right.
     fn branch_combine(
         &self,
         left: &[PrimState],
         right: &[PrimState],
         bag: &BagCtx,
     ) -> Vec<PrimState> {
-        let mut by_key: FxHashMap<(u16, u64, u16), Vec<(u16, u16)>> = FxHashMap::default();
-        for s in right {
-            by_key
-                .entry((s.y, s.co, s.fc))
-                .or_default()
-                .push((s.fy, s.dc));
-        }
+        let key = |s: &PrimState| (s.y, s.fc, s.co);
+        let run_end = |t: &[PrimState], at: usize| {
+            let k = key(&t[at]);
+            at + t[at..].partition_point(|s| key(s) == k)
+        };
         let mut out = Vec::new();
-        for s in left {
-            let Some(partners) = by_key.get(&(s.y, s.co, s.fc)) else {
-                continue;
-            };
-            let shared = self.rhs_mask(bag, s.fc);
-            for &(fy2, dc2) in partners {
-                if s.dc & dc2 != shared {
-                    continue; // unique(ΔC₁, ΔC₂, FC) violated
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            match key(&left[i]).cmp(&key(&right[j])) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let (i_end, j_end) = (run_end(left, i), run_end(right, j));
+                    let shared = self.rhs_mask(bag, left[i].fc);
+                    for l in &left[i..i_end] {
+                        for r in &right[j..j_end] {
+                            if l.dc & r.dc != shared {
+                                continue; // unique(ΔC₁, ΔC₂, FC) violated
+                            }
+                            out.push(PrimState {
+                                dc: l.dc | r.dc,
+                                fy: l.fy | r.fy,
+                                ..*l
+                            });
+                        }
+                    }
+                    (i, j) = (i_end, j_end);
                 }
-                out.push(PrimState {
-                    y: s.y,
-                    dc: s.dc | dc2,
-                    fy: s.fy | fy2,
-                    fc: s.fc,
-                    co: s.co,
-                });
             }
         }
         into_table(out)
@@ -850,17 +863,21 @@ pub fn enumerate_primes(ctx: &PrimalityContext) -> (Vec<ElemId>, PrimStats) {
         nodes: ctx.nice.len(),
         width: ctx.nice.width(),
     };
-    let mut primes: FxHashSet<ElemId> = FxHashSet::default();
+    let mut prime = vec![false; ctx.info.len()];
     for leaf in ctx.nice.leaves() {
         let table = &down[leaf.index()];
         for &e in ctx.nice.bag(leaf) {
-            if ctx.is_attr(e) && !primes.contains(&e) && ctx.accepts(leaf, table, e) {
-                primes.insert(e);
+            if ctx.is_attr(e) && !prime[e.index()] && ctx.accepts(leaf, table, e) {
+                prime[e.index()] = true;
             }
         }
     }
-    let mut out: Vec<ElemId> = primes.into_iter().collect();
-    out.sort_unstable();
+    let out = prime
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| p)
+        .map(|(e, _)| ElemId(e as u32))
+        .collect();
     (out, stats)
 }
 
@@ -973,6 +990,127 @@ mod tests {
         schema.add_fd(&[x], y);
         schema.add_fd(&[y], x);
         assert_eq!(prime_attributes_fpt(&schema), vec![x, y, z]);
+    }
+
+    /// The branch rule by nested loops over both tables, with the shared
+    /// `rhs(FC)` mask recomputed per pair.
+    fn branch_combine_reference(
+        ctx: &PrimalityContext,
+        left: &[PrimState],
+        right: &[PrimState],
+        bag: &BagCtx,
+    ) -> Vec<PrimState> {
+        let mut out = std::collections::BTreeSet::new();
+        for l in left {
+            for r in right {
+                if (l.y, l.co, l.fc) != (r.y, r.co, r.fc) {
+                    continue;
+                }
+                let shared = (0..bag.fds.len())
+                    .filter(|&j| l.fc >> j & 1 == 1)
+                    .map(|j| 1u16 << bag.attr_pos(ctx.fd_rhs(bag.fds[j])).unwrap())
+                    .fold(0, |m, b| m | b);
+                if l.dc & r.dc == shared {
+                    out.insert(PrimState {
+                        dc: l.dc | r.dc,
+                        fy: l.fy | r.fy,
+                        ..*l
+                    });
+                }
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    /// Checks every branch node's `run_up` table and its children's
+    /// `run_down` tables against the reference, then joins sub-tables of
+    /// the same inputs (every other state of one side, so the two sides'
+    /// key sets differ) and every key-matching pair on its own; returns the
+    /// number of table joins whose result is not empty.
+    fn check_branch_joins(ctx: &PrimalityContext, what: &str) -> usize {
+        let halve = |t: &[PrimState], parity: usize| -> Vec<PrimState> {
+            t.iter().skip(parity).step_by(2).copied().collect()
+        };
+        let up = ctx.run_up();
+        let down = ctx.run_down(&up);
+        let mut non_empty = 0;
+        for node in ctx.nice.node_ids() {
+            if ctx.nice.kind(node) != NiceKind::Branch {
+                continue;
+            }
+            let bag = &ctx.bags[node.index()];
+            let [a, b] = ctx.nice.node(node).children[..] else {
+                panic!("{what}: branch {node} has two children");
+            };
+            let joins = [
+                (&up[a.index()], &up[b.index()], &up[node.index()]),
+                (&down[node.index()], &up[b.index()], &down[a.index()]),
+                (&down[node.index()], &up[a.index()], &down[b.index()]),
+            ];
+            for (left, right, got) in joins {
+                let expect = branch_combine_reference(ctx, left, right, bag);
+                assert_eq!(got, &expect, "{what}: table at or below {node}");
+                let sub_joins = [
+                    (left.clone(), right.clone()),
+                    (halve(left, 0), right.clone()),
+                    (left.clone(), halve(right, 1)),
+                ];
+                for (l, r) in sub_joins {
+                    let expect = branch_combine_reference(ctx, &l, &r, bag);
+                    assert_eq!(ctx.branch_combine(&l, &r, bag), expect, "{what}: {node}");
+                    non_empty += usize::from(!expect.is_empty());
+                }
+                // One state a side: a pair the full tables reject can share
+                // its union with a pair they accept.
+                for l in left {
+                    for r in right
+                        .iter()
+                        .filter(|r| (r.y, r.fc, r.co) == (l.y, l.fc, l.co))
+                    {
+                        let (l, r) = (&[*l][..], &[*r][..]);
+                        let expect = branch_combine_reference(ctx, l, r, bag);
+                        assert_eq!(ctx.branch_combine(l, r, bag), expect, "{what}: {node}");
+                    }
+                }
+            }
+        }
+        non_empty
+    }
+
+    #[test]
+    fn branch_combine_matches_the_nested_loop_reference() {
+        let mut rng = seeded_rng(5);
+        let mut non_empty = 0;
+        for i in 0..20 {
+            let schema = random_schema(&mut rng, 4 + i % 3, 2 + i % 4, 3);
+            non_empty += check_branch_joins(&PrimalityContext::new(&schema), &format!("{schema}"));
+        }
+        for k in 1..=8 {
+            let inst = block_tree_instance(k);
+            let ctx = PrimalityContext::from_parts(inst.encoding, inst.td);
+            non_empty += check_branch_joins(&ctx, &format!("block tree {k}"));
+        }
+        // `a → x` and `b → x` forgotten in sibling subtrees below a bag
+        // holding `x`: the only shape in which `unique(ΔC₁, ΔC₂, FC)`
+        // rejects a pair (min-fill keeps such FDs together on the small
+        // random schemas above).
+        let mut schema = Schema::new();
+        let [x, a, b] = ["x", "a", "b"].map(|n| schema.add_attr(n));
+        let (fa, fb) = (schema.add_fd(&[a], x), schema.add_fd(&[b], x));
+        let encoding = encode_schema(&schema);
+        let (ex, ea, eb) = (
+            encoding.elem_of_attr(x),
+            encoding.elem_of_attr(a),
+            encoding.elem_of_attr(b),
+        );
+        let mut td = TreeDecomposition::singleton(vec![ex, ea, eb]);
+        let root = td.root();
+        td.add_child(root, vec![ex, ea, encoding.elem_of_fd(fa)]);
+        td.add_child(root, vec![ex, eb, encoding.elem_of_fd(fb)]);
+        let ctx = PrimalityContext::from_parts(encoding, td);
+        non_empty += check_branch_joins(&ctx, "sibling FDs with one rhs");
+        assert_eq!(enumerate_primes(&ctx).0.len(), 2);
+        assert!(non_empty > 100, "only {non_empty} non-empty joins");
     }
 
     #[test]

@@ -54,7 +54,11 @@ pub struct NiceNode {
 pub struct NiceOptions {
     /// §5.3: guarantee every element covered by the decomposition occurs in
     /// the bag of at least one leaf (needed by the leaf-based `prime()`
-    /// rule of the enumeration program).
+    /// rule of the enumeration program). An element in no leaf gets a new
+    /// leaf copying the largest bag that contains it (the first in node
+    /// order on ties), so one spliced leaf covers every element a nice
+    /// chain introduces on its way to that bag: at most one splice per
+    /// original bag.
     pub every_elem_in_leaf: bool,
 }
 
@@ -296,11 +300,18 @@ impl NiceTd {
     /// carrying `bag(t)`.
     ///
     /// Elements are handled in ascending order; one already covered by an
-    /// earlier splice's leaf is skipped. The host is the first node in node
-    /// order whose bag contains the element. Spliced nodes are appended
-    /// after the original ones and copy an original bag, so that node is
-    /// always an original one and is found by a single pass made before
-    /// any splice. The whole routine costs `O(Σ |bag|)`.
+    /// earlier splice's leaf is skipped. The host is the node with the
+    /// largest bag containing the element, the first in node order among
+    /// equal sizes. A forget/introduce chain node's bag is a subset of the
+    /// decomposition bag at one end of its chain, so the host carries a
+    /// decomposition bag, and once one copy of a bag is a leaf every element
+    /// in it is covered: at most one splice per decomposition bag. (The
+    /// first node holding an element is usually the chain node introducing
+    /// it, which would cost one splice per element.) Spliced nodes are
+    /// appended after the nodes built from the decomposition and copy one
+    /// of their bags, so a spliced node is never the first among equal
+    /// sizes and every host is found by a single pass made before any
+    /// splice. The whole routine costs `O(Σ |bag|)`.
     fn ensure_leaf_coverage(&mut self) {
         let elems = self
             .nodes
@@ -313,7 +324,10 @@ impl NiceTd {
         let mut host: Vec<Option<NodeId>> = vec![None; elems];
         for (id, node) in self.node_ids().zip(&self.nodes) {
             for &e in &node.bag {
-                host[e.index()].get_or_insert(id);
+                let h = &mut host[e.index()];
+                if h.is_none_or(|h| self.nodes[h.index()].bag.len() < node.bag.len()) {
+                    *h = Some(id);
+                }
                 in_leaf[e.index()] |= node.children.is_empty();
             }
         }

@@ -16,6 +16,7 @@ use mdtw_decomp::{NiceKind, NiceNode, NiceTd, NodeId};
 use mdtw_graph::Graph;
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, Structure};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 /// The least model of a semipositive program, computed by
@@ -121,10 +122,11 @@ fn satisfy(
 
 /// §5.3 leaf coverage done by rescanning: for every element, in ascending
 /// order, that occurs in no leaf bag of the current tree, splice
-/// `branch(bag(t)) -> [t, leaf(bag(t))]` above the first node `t` whose bag
-/// contains it. Every element rescans all nodes twice, so the cost is
-/// quadratic; `NiceTd::from_td` with `every_elem_in_leaf` must build the
-/// same nodes, node for node.
+/// `branch(bag(t)) -> [t, leaf(bag(t))]` above the node `t` with the
+/// largest bag containing it, the first in node order among equal sizes.
+/// Every element rescans all nodes twice, so the cost is quadratic;
+/// `NiceTd::from_td` with `every_elem_in_leaf` must build the same nodes,
+/// node for node.
 ///
 /// `nice` is the decomposition built without leaf coverage. Returns the
 /// covered nodes and root.
@@ -144,9 +146,11 @@ pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<NiceNode>, NodeId) {
         if nodes.iter().any(|n| is_leaf(n) && n.bag.contains(e)) {
             continue;
         }
-        let t = nodes
+        let (t, _) = nodes
             .iter()
-            .position(|n| n.bag.contains(e))
+            .enumerate()
+            .filter(|(_, n)| n.bag.contains(e))
+            .max_by_key(|&(i, n)| (n.bag.len(), Reverse(i)))
             .expect("element occurs somewhere");
         let bag = nodes[t].bag.clone();
         let parent = nodes[t].parent;

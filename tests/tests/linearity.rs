@@ -98,16 +98,25 @@ fn enumeration_scales_linearly_to_twenty_thousand_fds() {
     // over a minute at 20 000 FDs in a release build (2-vCPU VM), against
     // under a second for this whole test; a quadratic regression shows as
     // a run that does not finish. The nice tree and the facts per node
-    // must stay bounded as the instance grows eightfold.
+    // must stay bounded as the instance grows eightfold. Each block's
+    // elements not in a leaf all lie in its mid bag {f_i, w_i, u_i, v_i},
+    // the largest bag holding them, so leaf coverage splices exactly one
+    // leaf per block and the nice tree has 11 · fds − 4 nodes.
     let per_node: Vec<f64> = [2_500usize, 20_000]
         .into_iter()
         .map(|fds| {
             let inst = block_tree_instance(fds);
+            let td_leaves = inst.td.leaves().len();
             let ctx = PrimalityContext::from_parts(inst.encoding, inst.td);
             assert!(
-                ctx.nice.len() <= 16 * fds,
+                ctx.nice.len() <= 11 * fds,
                 "{fds} FDs: {} nice nodes",
                 ctx.nice.len()
+            );
+            assert_eq!(
+                ctx.nice.leaves().len(),
+                td_leaves + fds,
+                "{fds} FDs: one spliced leaf per block"
             );
             let (primes, stats) = enumerate_primes(&ctx);
             let expected: Vec<_> = inst
