@@ -31,8 +31,20 @@
 //! every id stands for a state the grounding considers; only a child
 //! colouring none of whose introduce extensions is proper occurs in no
 //! rule body.
+//!
+//! # Rule storage
+//!
+//! The rules go into the flat arrays of [`HornProgram`] — heads, body end
+//! offsets and one arena of body atoms — which are allocated once, before
+//! the first rule: per node, a leaf has at most `3ⁿ` rules with no body
+//! atom, an introduce node at most `3ⁿ` with one, a forget node exactly
+//! `3ⁿ⁺¹` with one, a branch node exactly `3ⁿ` with two, and `success`
+//! one rule per root state (`n` the node's bag size). Leaves and
+//! introduce nodes drop the improper colourings, so the reservation
+//! exceeds the rules actually pushed; grounding itself allocates nothing
+//! per rule.
 
-use mdtw_datalog::{HornProgram, HornRule};
+use mdtw_datalog::HornProgram;
 use mdtw_decomp::{NiceKind, NiceTd};
 use mdtw_graph::Graph;
 use mdtw_structure::ElemId;
@@ -40,7 +52,9 @@ use mdtw_structure::ElemId;
 /// The materialized ground program.
 ///
 /// Atom 0 is `success`; node `s` owns atoms `base[s] .. base[s] +
-/// 3^|bag(s)|`, one per bag colouring (see the [module docs](self)).
+/// 3^|bag(s)|`, one per bag colouring. The rules share one body arena,
+/// reserved up front from the per-node bounds of the
+/// [module docs](self#rule-storage).
 #[derive(Debug)]
 pub struct GroundThreeCol {
     /// The propositional program.
@@ -55,7 +69,7 @@ impl GroundThreeCol {
 
     /// The number of ground rules.
     pub fn rule_count(&self) -> usize {
-        self.horn.rules.len()
+        self.horn.rule_count()
     }
 
     /// Evaluates the program; true iff `success` is in the least model.
@@ -129,6 +143,9 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
     let mut base = vec![0u32; td.len()];
     let mut next = 1u32;
     let mut max_bag = 0;
+    // Upper bounds on the rules and body occurrences, so the program's
+    // arrays are allocated once (module docs, "Rule storage").
+    let (mut rules, mut body_atoms) = (0usize, 0usize);
     for &node in &order {
         let n = td.bag(node).len();
         max_bag = max_bag.max(n);
@@ -137,15 +154,24 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
             .checked_pow(n as u32)
             .and_then(|block| next.checked_add(block))
             .expect("the Figure 5 grounding has more than u32::MAX atoms");
+        let block = 3usize.pow(n as u32);
+        let (node_rules, per_rule) = match td.kind(node) {
+            NiceKind::Leaf => (block, 0),
+            NiceKind::Introduce(_) => (block, 1),
+            NiceKind::Forget(_) => (3 * block, 1),
+            NiceKind::Branch => (block, 2),
+        };
+        rules += node_rules;
+        body_atoms += node_rules * per_rule;
     }
     let pow3: Vec<u32> = (0..=max_bag as u32).map(|i| 3u32.pow(i)).collect();
     // The states of every bag size, built once per call.
     let states: Vec<Vec<(u64, u64)>> = (0..=max_bag).map(all_states).collect();
+    let root = td.root();
+    let root_states = pow3[td.bag(root).len()] as usize;
 
-    let mut horn = HornProgram {
-        n_atoms: next as usize,
-        rules: Vec::new(),
-    };
+    let mut horn =
+        HornProgram::with_capacity(next as usize, rules + root_states, body_atoms + root_states);
     for &node in &order {
         let bag = td.bag(node);
         let n = bag.len();
@@ -154,10 +180,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
             NiceKind::Leaf => {
                 for (k, &(r, g)) in states[n].iter().enumerate() {
                     if allowed(graph, bag, n, r, g) {
-                        horn.rules.push(HornRule {
-                            head: at + k as u32,
-                            body: vec![],
-                        });
+                        horn.push(at + k as u32, []);
                     }
                 }
             }
@@ -177,10 +200,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                             _ => (lr, lg),
                         };
                         if allowed(graph, bag, n, nr, ng) {
-                            horn.rules.push(HornRule {
-                                head: spread + color * p,
-                                body: vec![body_atom],
-                            });
+                            horn.push(spread + color * p, [body_atom]);
                         }
                     }
                 }
@@ -194,32 +214,22 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                     .expect("forgotten in child");
                 let p = pow3[vpos];
                 for k in 0..pow3[n + 1] {
-                    horn.rules.push(HornRule {
-                        head: at + k % p + k / (3 * p) * p,
-                        body: vec![child + k],
-                    });
+                    horn.push(at + k % p + k / (3 * p) * p, [child + k]);
                 }
             }
             NiceKind::Branch => {
                 let children = &td.node(node).children;
                 let (c1, c2) = (base[children[0].index()], base[children[1].index()]);
                 for k in 0..pow3[n] {
-                    horn.rules.push(HornRule {
-                        head: at + k,
-                        body: vec![c1 + k, c2 + k],
-                    });
+                    horn.push(at + k, [c1 + k, c2 + k]);
                 }
             }
         }
     }
     // success ← solve(root, R, G, B) for every root state.
-    let root = td.root();
     let at = base[root.index()];
-    for k in 0..pow3[td.bag(root).len()] {
-        horn.rules.push(HornRule {
-            head: 0,
-            body: vec![at + k],
-        });
+    for k in 0..root_states as u32 {
+        horn.push(0, [at + k]);
     }
     GroundThreeCol { horn }
 }

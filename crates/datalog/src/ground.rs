@@ -38,7 +38,7 @@
 
 use crate::ast::{Atom, IdbId, Literal, PredRef, Program, Term};
 use crate::eval::IdbStore;
-use crate::horn::{HornProgram, HornRule};
+use crate::horn::HornProgram;
 use crate::limits::Governor;
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, PosIndex, PredId, Relation, Structure};
@@ -410,7 +410,7 @@ impl QgPlan {
         }
         horn.n_atoms = atoms.len as usize;
         stats.ground_atoms = horn.n_atoms;
-        stats.ground_rules = horn.rules.len();
+        stats.ground_rules = horn.rule_count();
         Ok(Grounding { horn, atoms, stats })
     }
 
@@ -573,8 +573,9 @@ impl Skeleton {
         })
     }
 
-    /// Adds one ground rule per member under `bindings` (`ids` caches
-    /// the atom id of each of [`Skeleton::atoms`] for this instantiation).
+    /// Pushes one ground rule per member under `bindings` straight into
+    /// `horn`'s arena (`ids` caches the atom id of each of
+    /// [`Skeleton::atoms`] for this instantiation).
     fn emit(
         &self,
         bindings: &[Option<ElemId>],
@@ -593,11 +594,7 @@ impl Skeleton {
             *slot
         };
         for member in &self.members {
-            let body = member.body.iter().map(|&i| id(i)).collect();
-            horn.rules.push(HornRule {
-                head: id(member.head),
-                body,
-            });
+            horn.push(id(member.head), member.body.iter().map(|&i| id(i)));
         }
     }
 }
@@ -664,7 +661,10 @@ fn unique_index(
 /// The ground program plus the atom interner used to decode the model.
 #[derive(Debug)]
 pub struct Grounding {
-    /// The propositional Horn program `P′`.
+    /// The propositional Horn program `P′`, one rule per member and
+    /// successful guard instantiation, stored flat: the heads, the body
+    /// end offsets and one arena of every body's atom ids, each grown by
+    /// doubling as rules are pushed (no allocation per ground rule).
     pub horn: HornProgram,
     /// Ground atom interner.
     atoms: AtomTable,

@@ -113,7 +113,7 @@ pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
 pub use eval::{EvalStats, IdbStore};
 pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};
-pub use horn::{HornProgram, HornRule};
+pub use horn::HornProgram;
 pub use incremental::{MaterializedView, Update};
 pub use limits::{CancelToken, EvalLimits, LimitKind};
 pub use parser::{parse_program, parse_program_lenient, ParseError, ParseErrorKind};

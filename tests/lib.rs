@@ -11,7 +11,7 @@
 
 pub use mdtw_datalog;
 
-use mdtw_datalog::{Atom, HornProgram, HornRule, PredRef, Program, Rule, Term};
+use mdtw_datalog::{Atom, HornProgram, PredRef, Program, Rule, Term};
 use mdtw_decomp::{NiceKind, NiceNode, NiceTd, NodeId};
 use mdtw_graph::Graph;
 use mdtw_structure::fx::FxHashMap;
@@ -260,7 +260,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 for (r, g) in all_states(n) {
                     if allowed(graph, bag, n, r, g) {
                         let head = intern(&mut atoms, node, r, g);
-                        horn.rules.push(HornRule { head, body: vec![] });
+                        horn.push(head, []);
                     }
                 }
             }
@@ -278,10 +278,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                         };
                         if allowed(graph, bag, n, nr, ng) {
                             let head = intern(&mut atoms, node, nr, ng);
-                            horn.rules.push(HornRule {
-                                head,
-                                body: vec![body_atom],
-                            });
+                            horn.push(head, [body_atom]);
                         }
                     }
                 }
@@ -297,10 +294,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 for (r, g) in all_states(n + 1) {
                     let body_atom = intern(&mut atoms, child, r, g);
                     let head = intern(&mut atoms, node, drop(r), drop(g));
-                    horn.rules.push(HornRule {
-                        head,
-                        body: vec![body_atom],
-                    });
+                    horn.push(head, [body_atom]);
                 }
             }
             NiceKind::Branch => {
@@ -310,10 +304,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                     let b1 = intern(&mut atoms, c1, r, g);
                     let b2 = intern(&mut atoms, c2, r, g);
                     let head = intern(&mut atoms, node, r, g);
-                    horn.rules.push(HornRule {
-                        head,
-                        body: vec![b1, b2],
-                    });
+                    horn.push(head, [b1, b2]);
                 }
             }
         }
@@ -322,10 +313,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
     let root = td.root();
     for (r, g) in all_states(td.bag(root).len()) {
         let body_atom = intern(&mut atoms, root, r, g);
-        horn.rules.push(HornRule {
-            head: 0,
-            body: vec![body_atom],
-        });
+        horn.push(0, [body_atom]);
     }
     horn.n_atoms = atoms.len() + 1;
     horn

@@ -13,14 +13,21 @@
 //! - LTUR allocates nothing per atom: `HornProgram::least_model` on a
 //!   grounded Figure 5 program of over 100 000 atoms makes a constant
 //!   number of allocations.
+//! - Grounding allocates nothing per ground rule: the rules live in one
+//!   flat arena, so the Figure 5 lowering of that program and a warm
+//!   quasi-guarded evaluation of the Theorem 4.5 program on a τ_td forest
+//!   make a number of allocations bounded by their arrays, not their
+//!   rules.
 
 use mdtw_core::ground_three_col;
-use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator};
-use mdtw_decomp::{NiceOptions, NiceTd};
-use mdtw_graph::partial_k_tree;
+use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog};
+use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
+use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
+use mdtw_mso::compile::compile_unary_filtered;
+use mdtw_mso::{has_neighbor, CompileLimits, IndVar};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -126,11 +133,29 @@ fn warm_triangle_join_allocates_nothing_per_candidate() {
     );
 }
 
-#[test]
-fn least_model_allocates_a_constant_number_of_times() {
+/// The Figure 5 program's input: a 700-vertex partial 3-tree, whose
+/// grounding has over 100 000 atoms.
+fn figure_5_input() -> (Graph, NiceTd) {
     let mut rng = SmallRng::seed_from_u64(7);
     let (g, td) = partial_k_tree(&mut rng, 700, 3, 0.8);
-    let nice = NiceTd::from_td(&td, NiceOptions::default());
+    (g, NiceTd::from_td(&td, NiceOptions::default()))
+}
+
+#[test]
+fn figure_5_grounding_allocates_nothing_per_rule() {
+    let (g, nice) = figure_5_input();
+    let (ground, allocs) = allocations(|| ground_three_col(&g, &nice));
+    let rules = ground.rule_count();
+    assert!(rules > 50_000, "{rules} rules");
+    assert!(
+        allocs <= 128,
+        "{allocs} allocations to ground {rules} rules"
+    );
+}
+
+#[test]
+fn least_model_allocates_a_constant_number_of_times() {
+    let (g, nice) = figure_5_input();
     let ground = ground_three_col(&g, &nice);
     let atoms = ground.atom_count();
     assert!(atoms > 100_000, "{atoms} atoms");
@@ -140,6 +165,55 @@ fn least_model_allocates_a_constant_number_of_times() {
         allocs <= 8,
         "{allocs} allocations to solve {atoms} atoms and {} rules",
         ground.rule_count()
+    );
+}
+
+/// A random forest on `n` vertices (treewidth ≤ 1).
+fn random_forest(rng: &mut SmallRng, n: usize) -> Graph {
+    let mut g = Graph::new(n);
+    for v in 1..n as u32 {
+        if rng.random::<f64>() < 0.7 {
+            let parent = rng.random_range(0..v);
+            g.add_edge(parent, v);
+        }
+    }
+    g
+}
+
+#[test]
+fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
+    let sig = Arc::new(graph_signature());
+    let undirected = |s: &Structure| {
+        let e = s.signature().lookup("e").expect("e");
+        s.relation(e)
+            .iter()
+            .all(|t| t[0] != t[1] && s.holds(e, &[t[1], t[0]]))
+    };
+    let compiled = compile_unary_filtered(
+        &has_neighbor(),
+        IndVar(0),
+        &sig,
+        1,
+        CompileLimits::default(),
+        &undirected,
+    )
+    .expect("width-1 compilation fits the limits");
+    let g = random_forest(&mut SmallRng::seed_from_u64(23), 1200);
+    let s = encode_graph(&g);
+    let td = decompose(&s, Heuristic::MinDegree);
+    let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
+    let enc = encode_tuple_td(&s, &tuple_td);
+    let catalog = FdCatalog::for_td_signature(&enc.structure);
+    let mut session =
+        Evaluator::with_options(compiled.program, EvalOptions::new().fd_catalog(catalog)).unwrap();
+    // The first evaluation builds the structure's unique indexes.
+    session.evaluate(&enc.structure).unwrap();
+    let (result, allocs) = allocations(|| session.evaluate(&enc.structure).unwrap());
+    let rules = result.qg.expect("a quasi-guarded run").ground_rules;
+    assert!(rules > 500_000, "{rules} ground rules");
+    assert!(
+        allocs < rules / 100,
+        "{allocs} allocations for {rules} ground rules"
     );
 }
 

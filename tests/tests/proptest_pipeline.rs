@@ -6,7 +6,7 @@ use mdtw_core::{
     enumerate_primes, ground_three_col, is_prime_fpt_with_td, prime_attributes_fpt, PrimState,
     PrimalityContext, ThreeColSolver,
 };
-use mdtw_datalog::{HornProgram, HornRule};
+use mdtw_datalog::HornProgram;
 use mdtw_decomp::{
     augment_bags, decompose, decompose_with_order, elimination_order, Heuristic, NiceOptions,
     NiceTd, PrimalGraph, TreeDecomposition, TupleTd,
@@ -182,38 +182,50 @@ fn uncovered_primality_nice(
     NiceTd::from_td_with_rank(&td, NiceOptions::default(), &rank)
 }
 
-/// Ground Horn programs over at most 12 atoms: facts, rules with
-/// duplicate body atoms, cycles and atoms no rule mentions all occur.
-fn arb_horn_program() -> impl Strategy<Value = HornProgram> {
+/// A ground Horn rule list, kept apart from [`HornProgram`]'s layout so
+/// the oracles below do not read the program they check.
+type PlainRules = Vec<(u32, Vec<u32>)>;
+
+/// `rules` pushed, in order, into a program over `n_atoms` atoms.
+fn horn_program(n_atoms: usize, rules: &PlainRules) -> HornProgram {
+    let mut p = HornProgram::new(n_atoms);
+    for (head, body) in rules {
+        p.push(*head, body.iter().copied());
+    }
+    p
+}
+
+/// Ground Horn programs over at most 12 atoms, as a plain rule list and
+/// the program built from it: facts, rules with duplicate body atoms,
+/// cycles and atoms no rule mentions all occur.
+fn arb_horn_program() -> impl Strategy<Value = (HornProgram, PlainRules)> {
     let rules = proptest::collection::vec(
         (0u32..64, proptest::collection::vec(0u32..64, 0..=4)),
         0..=24,
     );
-    (0u32..=12, rules).prop_map(|(n, rules)| HornProgram {
-        n_atoms: n as usize,
-        rules: if n == 0 {
+    (0u32..=12, rules).prop_map(|(n, rules)| {
+        let rules: PlainRules = if n == 0 {
             Vec::new()
         } else {
             rules
                 .into_iter()
-                .map(|(head, body)| HornRule {
-                    head: head % n,
-                    body: body.into_iter().map(|a| a % n).collect(),
-                })
+                .map(|(head, body)| (head % n, body.into_iter().map(|a| a % n).collect()))
                 .collect()
-        },
+        };
+        (horn_program(n as usize, &rules), rules)
     })
 }
 
-/// The least model by firing every rule until a round changes nothing.
-fn naive_least_model(p: &HornProgram) -> Vec<bool> {
-    let mut truth = vec![false; p.n_atoms];
+/// The least model over `n_atoms` atoms by firing every rule until a
+/// round changes nothing.
+fn naive_least_model(n_atoms: usize, rules: &PlainRules) -> Vec<bool> {
+    let mut truth = vec![false; n_atoms];
     let mut changed = true;
     while changed {
         changed = false;
-        for r in &p.rules {
-            if !truth[r.head as usize] && r.body.iter().all(|&a| truth[a as usize]) {
-                truth[r.head as usize] = true;
+        for (head, body) in rules {
+            if !truth[*head as usize] && body.iter().all(|&a| truth[a as usize]) {
+                truth[*head as usize] = true;
                 changed = true;
             }
         }
@@ -240,8 +252,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn least_model_matches_the_naive_fixpoint(p in arb_horn_program()) {
-        prop_assert_eq!(p.least_model(), naive_least_model(&p));
+    fn least_model_matches_the_naive_fixpoint((p, rules) in arb_horn_program()) {
+        prop_assert_eq!(p.least_model(), naive_least_model(p.n_atoms, &rules));
+    }
+
+    #[test]
+    fn rules_returns_the_pushed_sequence((_, rules) in arb_horn_program(), a in 0u32..64) {
+        // Empty bodies in the first and last rule, and a body repeating
+        // one atom, around the random ones.
+        let mut rules = rules;
+        rules.insert(0, (a, vec![]));
+        rules.push((a, vec![a, a, a]));
+        rules.push((a, vec![]));
+        let p = horn_program(64, &rules);
+        prop_assert_eq!(p.rule_count(), rules.len());
+        prop_assert_eq!(p.rules().len(), rules.len());
+        let size: usize = rules.iter().map(|(_, body)| 1 + body.len()).sum();
+        prop_assert_eq!(p.size(), size);
+        let back: PlainRules = p.rules().map(|(head, body)| (head, body.to_vec())).collect();
+        prop_assert_eq!(back, rules);
     }
 
     #[test]
@@ -249,7 +278,7 @@ proptest! {
         let ground = ground_three_col(&g, &nice);
         let reference = ground_three_col_reference(&g, &nice);
         prop_assert_eq!(ground.atom_count(), reference.n_atoms, "width {}", k);
-        prop_assert_eq!(ground.rule_count(), reference.rules.len(), "width {}", k);
+        prop_assert_eq!(ground.rule_count(), reference.rule_count(), "width {}", k);
         let model = ground.horn.least_model();
         let reference_model = reference.least_model();
         let count = |m: &[bool]| m.iter().filter(|&&b| b).count();

@@ -201,5 +201,5 @@ fn compiled_program_is_quasi_guarded_by_construction() {
     let catalog = FdCatalog::for_td_signature(&enc.structure);
     let grounding = mdtw_datalog::ground(&compiled.program, &enc.structure, &catalog).unwrap();
     // |P′| ≤ |P| · |𝒜| (Theorem 4.4's bound).
-    assert!(grounding.horn.rules.len() <= compiled.program.rules.len() * enc.structure.size());
+    assert!(grounding.horn.rule_count() <= compiled.program.rules.len() * enc.structure.size());
 }
