@@ -36,7 +36,22 @@
 //! incremental maintenance ([`incremental`](crate::incremental)): its
 //! leaf action is a statically dispatched sink, which buffers derived
 //! heads during evaluation and overdeletion, or stops at the first
-//! re-derivation of a fact.
+//! re-derivation of a fact. Only overdeletion's sink reads DRed's
+//! overlay of deleted tuples; every other pass walks one row source per
+//! step.
+//!
+//! # A plan is resolved once per phase
+//!
+//! Before a join runs, each step of its plan is resolved against the
+//! relations it reads: the relation, the row range, the probe's index.
+//! That happens once per pass of a semi-naive round, and once per rule
+//! for all the overdeleted facts DRed re-derives, never once per fact.
+//! A pass takes its bindings and its step buffer from the session's
+//! scratch buffers, so it allocates nothing once the buffers have
+//! grown. The index handles of extensional probes are looked up once per
+//! phase (an evaluation, or a maintenance phase) and borrowed by every
+//! pass after; only probes of relations that change between passes (the
+//! store, the overdeleted set, a batch's delta) look theirs up per pass.
 //!
 //! The *linear-time* evaluation of quasi-guarded programs (Theorem 4.4)
 //! lives in the `ground` and `horn` modules.
@@ -263,10 +278,11 @@ pub(crate) fn debug_assert_semipositive(program: &Program) {
 // Indexed semi-naive engine
 // ---------------------------------------------------------------------------
 
-/// One round's derived heads in derivation order: a flat buffer the derive
-/// sink appends to without hashing. The round's merge inserts them into
-/// the store ([`Heads::drain_into`]), and that insert is the only
-/// deduplication a head costs. Recycled across rounds.
+/// Derived heads in derivation order: a flat buffer the derive sink
+/// appends to without hashing. The round's merge inserts them into the
+/// store ([`Heads::drain_into`]), and that insert is the only
+/// deduplication a head costs. DRed's re-derivation collects its
+/// survivors in one as well. Recycled across rounds.
 #[derive(Debug, Default)]
 struct Heads {
     preds: Vec<IdbId>,
@@ -282,6 +298,11 @@ impl Heads {
         self.cells.extend_from_slice(args);
     }
 
+    fn clear(&mut self) {
+        self.preds.clear();
+        self.cells.clear();
+    }
+
     /// Inserts the buffered heads into `rels` (indexed by intensional
     /// predicate) in derivation order, telling `inserted` for each whether
     /// it was new, and empties the buffer.
@@ -293,8 +314,7 @@ impl Heads {
             inserted(rel.insert(&self.cells[at..end]));
             at = end;
         }
-        self.preds.clear();
-        self.cells.clear();
+        self.clear();
     }
 }
 
@@ -323,6 +343,13 @@ trait Sink {
     /// ignores them.
     const NEGATIVES: bool;
 
+    /// Whether the pass reads DRed's pre-update state: extensional steps
+    /// also enumerate the overlay of deleted tuples, and intensional
+    /// steps before the delta position skip the overdeletion frontier.
+    /// Only overdeletion does; every other pass walks one row source per
+    /// step and tests nothing per tuple for it.
+    const OVERLAY: bool;
+
     /// Handles the head fact `pred(args)` of one complete instantiation
     /// (`store` is the store the pass reads, for sinks that filter against
     /// it); returns `true` to stop the pass.
@@ -333,6 +360,7 @@ trait Sink {
 /// counts it as a new fact or a duplicate.
 impl Sink for Heads {
     const NEGATIVES: bool = true;
+    const OVERLAY: bool = false;
 
     #[inline]
     fn emit(&mut self, pred: IdbId, args: &[ElemId], _: &IdbStore) -> bool {
@@ -348,6 +376,7 @@ struct Overdelete<'a>(&'a mut Heads);
 
 impl Sink for Overdelete<'_> {
     const NEGATIVES: bool = false;
+    const OVERLAY: bool = true;
 
     fn emit(&mut self, pred: IdbId, args: &[ElemId], store: &IdbStore) -> bool {
         if store.holds(pred, args) {
@@ -357,12 +386,14 @@ impl Sink for Overdelete<'_> {
     }
 }
 
-/// The re-derivation check: the first derivation is a witness and stops
-/// the pass.
+/// DRed's re-derivation check of one overdeleted fact, whose values the
+/// head-bound plan starts with bound: the first derivation is a witness
+/// and stops the search for that fact.
 struct Witness(bool);
 
 impl Sink for Witness {
     const NEGATIVES: bool = true;
+    const OVERLAY: bool = false;
 
     fn emit(&mut self, _: IdbId, _: &[ElemId], _: &IdbStore) -> bool {
         self.0 = true;
@@ -404,10 +435,46 @@ struct PlanCtx<'a> {
     store: &'a IdbStore,
 }
 
+/// The buffers a plan pass works in, recycled across passes so a pass
+/// allocates nothing once they have grown to the largest rule.
+#[derive(Debug, Default)]
+struct PassBuffers {
+    /// Probe keys, negative-literal instances and derived heads.
+    key: Vec<ElemId>,
+    bindings: Bindings,
+    /// The running pass's resolved steps; empty between passes.
+    steps: Vec<StepExec<'static>>,
+    /// Index handles the running pass took from relations that change
+    /// between its passes (the store, the overdeleted set, a batch's
+    /// delta, DRed's overlay); dropped when it ends.
+    pins: Vec<Arc<PosIndex>>,
+    /// The phase's extensional index handles: one slot per step of every
+    /// delta plan of the phase's plan set ([`open_edb_table`]), filled on
+    /// first use and dropped when the phase ends, so the structure's
+    /// indexes are looked up once per phase rather than once per pass. A
+    /// pass outside the table (round 0, a seed pass, a re-derivation)
+    /// resolves into slots past its end, dropped when the pass ends.
+    edb: Vec<Option<Arc<PosIndex>>>,
+}
+
+/// Lays out `edb` for the delta plans of `plans`: per rule, each delta
+/// plan's steps in turn, every slot empty. [`delta_passes`] walks it in
+/// the same order.
+fn open_edb_table(edb: &mut Vec<Option<Arc<PosIndex>>>, plans: &[RulePlans]) {
+    let slots = plans
+        .iter()
+        .flat_map(|rp| &rp.delta)
+        .map(|(_, plan)| plan.steps.len())
+        .sum();
+    edb.clear();
+    edb.resize(slots, None);
+}
+
 /// The recycled working set of the semi-naive round loop: the round's
 /// head buffer (every run drains it, also when a governor trip cuts a
-/// pass short), the per-predicate frontier row ranges, the probe-key/head
-/// scratch buffer, and the store sizes of the last run.
+/// pass short), the per-predicate frontier row ranges, the pass buffers,
+/// DRed's re-derived survivors with their per-fact marks, and the store
+/// sizes of the last run.
 /// One instance per
 /// [`Evaluator`](crate::evaluator::Evaluator) session, reused across
 /// evaluations (and across the strata of one stratified evaluation —
@@ -418,7 +485,14 @@ struct PlanCtx<'a> {
 pub(crate) struct SeminaiveScratch {
     heads: Heads,
     frontier: Vec<Range<u32>>,
-    key: Vec<ElemId>,
+    pass: PassBuffers,
+    /// The overdeleted facts re-derivation found a witness for, in
+    /// predicate and row order of the overdeleted set: the seeds of the
+    /// insertion phase.
+    seeds: Heads,
+    /// Per overdeleted fact of the predicate being re-derived: whether an
+    /// earlier rule already re-derived it.
+    rederived: Vec<bool>,
     /// Facts per intensional predicate in the store of the last run that
     /// defined it: the next run presizes its store to these counts
     /// ([`IdbStore::presized`]), so a warm session's store does not grow
@@ -433,7 +507,9 @@ impl SeminaiveScratch {
         Self {
             heads: Heads::default(),
             frontier: Vec::new(),
-            key: Vec::new(),
+            pass: PassBuffers::default(),
+            seeds: Heads::default(),
+            rederived: Vec::new(),
             store_sizes: vec![0; program.idb_count()],
         }
     }
@@ -461,8 +537,9 @@ pub(crate) fn run_seminaive_scratch(
     let SeminaiveScratch {
         heads,
         frontier,
-        key,
+        pass,
         store_sizes,
+        ..
     } = scratch;
     let mut store = IdbStore::presized(program, store_sizes);
 
@@ -482,7 +559,7 @@ pub(crate) fn run_seminaive_scratch(
             structure,
             store: &store,
         };
-        if profiled_apply(&ctx, ri, &mut stats, heads, key, gov, &mut prof) {
+        if profiled_apply(&ctx, None, ri, &mut stats, heads, pass, gov, &mut prof) {
             break;
         }
     }
@@ -490,9 +567,11 @@ pub(crate) fn run_seminaive_scratch(
     merge_round(&mut store, heads, &mut stats);
     advance(frontier, &store.rels);
 
+    open_edb_table(&mut pass.edb, plans);
     seminaive_rounds(
-        program, structure, plans, &mut stats, &mut store, frontier, heads, key, gov, &mut prof,
+        program, structure, plans, &mut stats, &mut store, frontier, heads, pass, gov, &mut prof,
     );
+    pass.edb.clear();
     for id in defined_idbs(program) {
         store_sizes[id.index()] = store.rels[id.index()].len();
     }
@@ -504,7 +583,8 @@ pub(crate) fn run_seminaive_scratch(
 /// into the store, and move the frontier onto the rows they added. Shared
 /// between from-scratch evaluation ([`run_seminaive_scratch`], whose
 /// frontier is round 0's output) and incremental maintenance
-/// ([`run_increment`], whose frontier is the seed pass's output).
+/// ([`run_increment`], whose frontier is the seed pass's output). The
+/// caller lays out the extensional index table for `plans`.
 #[allow(clippy::too_many_arguments)]
 fn seminaive_rounds(
     program: &Program,
@@ -514,7 +594,7 @@ fn seminaive_rounds(
     store: &mut IdbStore,
     frontier: &mut [Range<u32>],
     heads: &mut Heads,
-    key: &mut Vec<ElemId>,
+    pass: &mut PassBuffers,
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
 ) {
@@ -528,7 +608,7 @@ fn seminaive_rounds(
             over: None,
         };
         delta_passes(
-            program, structure, plans, store, rows, None, stats, heads, key, gov, prof,
+            program, structure, plans, store, rows, None, stats, heads, pass, gov, prof,
         );
         merge_round(store, heads, stats);
         advance(frontier, &store.rels);
@@ -536,8 +616,10 @@ fn seminaive_rounds(
 }
 
 /// One round's delta passes: every rule's delta plans whose literal's
-/// frontier holds a row, with `sink` taking the derived heads. Returns
-/// `true` when a pass stopped early (a governor trip).
+/// frontier holds a row, with `sink` taking the derived heads. Each pass
+/// reads its extensional index handles from the table [`open_edb_table`]
+/// laid out for `plans`. Returns `true` when a pass stopped early (a
+/// governor trip).
 #[allow(clippy::too_many_arguments)]
 fn delta_passes<S: Sink>(
     program: &Program,
@@ -548,12 +630,15 @@ fn delta_passes<S: Sink>(
     edb_overlay: Option<&[Relation]>,
     stats: &mut EvalStats,
     sink: &mut S,
-    key: &mut Vec<ElemId>,
+    pass: &mut PassBuffers,
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
 ) -> bool {
+    let mut at = 0;
     for (ri, (rule, rp)) in program.rules.iter().zip(plans).enumerate() {
         for (dpos, plan) in &rp.delta {
+            let slots = at;
+            at += plan.steps.len();
             let PredRef::Idb(id) = rule.body[*dpos].atom.pred else {
                 unreachable!("delta plans target intensional literals")
             };
@@ -569,7 +654,7 @@ fn delta_passes<S: Sink>(
                 structure,
                 store,
             };
-            if profiled_apply(&ctx, ri, stats, sink, key, gov, prof) {
+            if profiled_apply(&ctx, Some(slots), ri, stats, sink, pass, gov, prof) {
                 return true;
             }
         }
@@ -594,7 +679,7 @@ fn edb_seed_pass<S: Sink>(
     edb_overlay: Option<&[Relation]>,
     stats: &mut EvalStats,
     sink: &mut S,
-    key: &mut Vec<ElemId>,
+    pass: &mut PassBuffers,
     gov: &mut Governor<'_>,
 ) -> bool {
     for (rule, rule_edb) in program.rules.iter().zip(edb_plans) {
@@ -620,7 +705,7 @@ fn edb_seed_pass<S: Sink>(
                 structure,
                 store,
             };
-            if run_plan(&ctx, Bindings::new(rule), stats, sink, key, gov, None) {
+            if run_plan(&ctx, None, stats, sink, pass, gov, None) {
                 return true;
             }
         }
@@ -663,7 +748,7 @@ pub(crate) fn run_overdelete(
     let SeminaiveScratch {
         heads,
         frontier,
-        key,
+        pass,
         ..
     } = scratch;
     if gov.round(stats.tuples_considered, stats.facts) {
@@ -680,9 +765,10 @@ pub(crate) fn run_overdelete(
         Some(del),
         stats,
         &mut sink,
-        key,
+        pass,
         gov,
     );
+    open_edb_table(&mut pass.edb, plans);
     loop {
         sink.0.drain_into(over, |_| ());
         advance(frontier, over);
@@ -690,7 +776,7 @@ pub(crate) fn run_overdelete(
             || frontier.iter().all(Range::is_empty)
             || gov.round(stats.tuples_considered, stats.facts)
         {
-            return;
+            break;
         }
         let rows = Frontier {
             ranges: frontier,
@@ -705,53 +791,97 @@ pub(crate) fn run_overdelete(
             Some(del),
             stats,
             &mut sink,
-            key,
+            pass,
             gov,
             &mut None,
         );
     }
+    pass.edb.clear();
 }
 
-/// True if `rule` derives `fact` over `structure` and `store`: the
-/// rule's head-bound `plan` runs with the bindings the fact fixes and
-/// stops at the first witness. Negative literals are checked. DRed's
-/// re-derivation of overdeleted facts; on a governor trip the answer is
-/// `false` and the caller reads the trip off the governor.
+/// DRed's re-derivation phase: collects in the scratch's seeds every fact
+/// of the overdeleted set `over` that some rule derives over `structure`
+/// (post-update) and `store` (overdeleted facts removed), negative
+/// literals checked. Rule at a time: each rule's head-bound plan is
+/// resolved once and runs over every overdeleted fact of its head
+/// predicate that no earlier rule re-derived, with the bindings reset to
+/// the fact's values and the search stopped at the first witness. Every
+/// (fact, rule) pair is tried exactly when a fact-at-a-time search over
+/// the rules in order would try it, and the seeds come out in predicate
+/// and row order of `over`.
+///
+/// On a governor trip the phase unwinds early; the caller must treat the
+/// view as unmaintained.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn derives(
-    rule: &Rule,
-    plan: &JoinPlan,
-    fact: &[ElemId],
+pub(crate) fn run_rederive(
+    program: &Program,
     structure: &Structure,
+    head_plans: &[JoinPlan],
+    over: &[Relation],
     store: &IdbStore,
     scratch: &mut SeminaiveScratch,
     gov: &mut Governor<'_>,
     stats: &mut EvalStats,
-) -> bool {
-    let mut bindings = Bindings::new(rule);
-    if !bindings.unify(&rule.head, fact) {
-        return false;
+) {
+    let SeminaiveScratch {
+        pass,
+        seeds,
+        rederived,
+        ..
+    } = scratch;
+    seeds.clear();
+    for (i, facts) in over.iter().enumerate() {
+        let id = IdbId(i as u32);
+        rederived.clear();
+        rederived.resize(facts.len(), false);
+        for (rule, plan) in program.rules.iter().zip(head_plans) {
+            if rule.head.pred != PredRef::Idb(id) || rederived.iter().all(|&done| done) {
+                continue;
+            }
+            let ctx = PlanCtx {
+                rule,
+                plan,
+                delta: None,
+                edb_delta: None,
+                edb_overlay: None,
+                structure,
+                store,
+            };
+            pass.bindings.reset(rule);
+            let tripped = with_resolved(&ctx, None, pass, |execs, bindings, key| {
+                for (row, done) in rederived.iter_mut().enumerate() {
+                    if *done || !bindings.unify(&rule.head, facts.tuple(row as u32)) {
+                        continue;
+                    }
+                    let mut witness = Witness(false);
+                    let stop = !negatives_fail(&ctx, &plan.ground_negatives, bindings, stats, key)
+                        && descend_plan(
+                            &ctx,
+                            execs,
+                            0,
+                            bindings,
+                            stats,
+                            &mut witness,
+                            key,
+                            gov,
+                            None,
+                        );
+                    bindings.undo_to(0);
+                    if stop && !witness.0 {
+                        return true;
+                    }
+                    *done = witness.0;
+                }
+                false
+            });
+            if tripped {
+                return;
+            }
+        }
+        for (row, _) in rederived.iter().enumerate().filter(|(_, &done)| done) {
+            seeds.push(id, facts.tuple(row as u32));
+        }
     }
-    let ctx = PlanCtx {
-        rule,
-        plan,
-        delta: None,
-        edb_delta: None,
-        edb_overlay: None,
-        structure,
-        store,
-    };
-    let mut witness = Witness(false);
-    run_plan(
-        &ctx,
-        bindings,
-        stats,
-        &mut witness,
-        &mut scratch.key,
-        gov,
-        None,
-    );
-    witness.0
 }
 
 /// One incremental re-derivation pass: semi-naive evaluation seeded from
@@ -763,12 +893,13 @@ pub(crate) fn derives(
 /// ones (`del`), since a deletion under a negation inserts. This is the
 /// textbook semi-naive insertion delta, sound because a rule
 /// instantiation with several changed tuples merely fires once per
-/// changed literal and the store deduplicates. `seeds` (DRed's rederived
-/// survivors) join the store after the pass's heads. From there the
-/// ordinary delta rounds run to fixpoint. The pass only appends to
-/// `store`, so the facts it added are exactly each relation's rows from
-/// its length at the call on: the maintenance ledger the caller diffs
-/// against the overdeletion set.
+/// changed literal and the store deduplicates. The seeds
+/// [`run_rederive`] left in the scratch (DRed's rederived survivors) join
+/// the store after the pass's heads. From there the ordinary delta
+/// rounds run to fixpoint. The pass only appends to `store`, so the facts
+/// it added are exactly each relation's rows from its length at the call
+/// on: the maintenance ledger the caller diffs against the overdeletion
+/// set.
 ///
 /// On a governor trip the pass unwinds early; the caller must treat the
 /// view as unmaintained and fall back to full re-evaluation.
@@ -779,7 +910,6 @@ pub(crate) fn run_increment(
     plans: &[RulePlans],
     edb_plans: &[Vec<(usize, JoinPlan)>],
     (ins, del): (&[Relation], &[Relation]),
-    seeds: &[(IdbId, Box<[ElemId]>)],
     store: &mut IdbStore,
     scratch: &mut SeminaiveScratch,
     gov: &mut Governor<'_>,
@@ -788,7 +918,8 @@ pub(crate) fn run_increment(
     let SeminaiveScratch {
         heads,
         frontier,
-        key,
+        pass,
+        seeds,
         ..
     } = scratch;
     if gov.round(stats.tuples_considered, stats.facts) {
@@ -804,22 +935,24 @@ pub(crate) fn run_increment(
         None,
         stats,
         heads,
-        key,
+        pass,
         gov,
     );
     open_frontier(frontier, &store.rels);
     merge_round(store, heads, stats);
     // A seed the pass derived as well is already in; it fired no rule, so
     // it is no duplicate either.
-    for (id, args) in seeds {
-        if store.rels[id.index()].insert(args) {
+    seeds.drain_into(&mut store.rels, |new| {
+        if new {
             stats.facts += 1;
         }
-    }
+    });
     advance(frontier, &store.rels);
+    open_edb_table(&mut pass.edb, plans);
     seminaive_rounds(
-        program, structure, plans, stats, store, frontier, heads, key, gov, &mut None,
+        program, structure, plans, stats, store, frontier, heads, pass, gov, &mut None,
     );
+    pass.edb.clear();
 }
 
 /// Inserts a round's heads into the store in derivation order. The
@@ -845,22 +978,23 @@ fn merge_round(store: &mut IdbStore, heads: &mut Heads, stats: &mut EvalStats) {
 /// folded into rule `ri`'s accumulator. With the profiler off (or at
 /// `Strata`) this is exactly one branch on top of the plain pass — the
 /// zero-cost-when-off fast path.
+#[allow(clippy::too_many_arguments)]
 fn profiled_apply<S: Sink>(
     ctx: &PlanCtx<'_>,
+    slots: Option<usize>,
     ri: usize,
     stats: &mut EvalStats,
     out: &mut S,
-    scratch: &mut Vec<ElemId>,
+    pass: &mut PassBuffers,
     gov: &mut Governor<'_>,
     prof: &mut Option<&mut Profiler>,
 ) -> bool {
-    let bindings = Bindings::new(ctx.rule);
     match prof.as_deref_mut() {
         Some(p) if p.rules_on() => {
             let before = *stats;
             let timer = p.pass_timer(ri);
             p.begin_pass(ctx.rule.body.len());
-            let stop = run_plan(ctx, bindings, stats, out, scratch, gov, p.trace());
+            let stop = run_plan(ctx, slots, stats, out, pass, gov, p.trace());
             p.end_pass(
                 ri,
                 &before,
@@ -869,41 +1003,53 @@ fn profiled_apply<S: Sink>(
             );
             stop
         }
-        _ => run_plan(ctx, bindings, stats, out, scratch, gov, None),
+        _ => run_plan(ctx, slots, stats, out, pass, gov, None),
     }
 }
 
-/// Runs one rule pass from `bindings` (all unbound, or pre-seeded from a
-/// head fact); returns `true` when the sink or the governor stopped it.
+/// Runs one rule pass from unbound variables; returns `true` when the
+/// sink or the governor stopped it. `slots` is where the pass's steps
+/// start in the phase's extensional index table, `None` for a pass
+/// outside it.
 fn run_plan<S: Sink>(
     ctx: &PlanCtx<'_>,
-    mut bindings: Bindings,
+    slots: Option<usize>,
     stats: &mut EvalStats,
     sink: &mut S,
-    scratch: &mut Vec<ElemId>,
+    pass: &mut PassBuffers,
     gov: &mut Governor<'_>,
     trace: Option<&mut [LitCount]>,
 ) -> bool {
-    if S::NEGATIVES {
-        for &ni in &ctx.plan.ground_negatives {
-            stats.negative_checks += 1;
-            if negative_holds(ctx, ni, &bindings.vals, scratch) {
-                return false;
-            }
-        }
+    pass.bindings.reset(ctx.rule);
+    if S::NEGATIVES
+        && negatives_fail(
+            ctx,
+            &ctx.plan.ground_negatives,
+            &pass.bindings,
+            stats,
+            &mut pass.key,
+        )
+    {
+        return false;
     }
-    let execs = resolve_steps(ctx);
-    descend_plan(
-        ctx,
-        &execs,
-        0,
-        &mut bindings,
-        stats,
-        sink,
-        scratch,
-        gov,
-        trace,
-    )
+    with_resolved(ctx, slots, pass, |execs, bindings, key| {
+        descend_plan(ctx, execs, 0, bindings, stats, sink, key, gov, trace)
+    })
+}
+
+/// True if one of the negative literals `negatives`, all bound under
+/// `bindings`, fails (its atom holds); counts the checks it runs.
+fn negatives_fail(
+    ctx: &PlanCtx<'_>,
+    negatives: &[usize],
+    bindings: &Bindings,
+    stats: &mut EvalStats,
+    scratch: &mut Vec<ElemId>,
+) -> bool {
+    negatives.iter().any(|&ni| {
+        stats.negative_checks += 1;
+        negative_holds(ctx, ni, &bindings.vals, scratch)
+    })
 }
 
 /// True if the *atom* of negative literal `ni` holds in the structure
@@ -932,24 +1078,31 @@ const END: u32 = u32::MAX;
 
 /// A relation a plan step enumerates, with the index its probe uses
 /// (`None` for scans and for probes on every position).
-type Source<'a> = (&'a Relation, Option<Arc<PosIndex>>);
+type Source<'a> = (&'a Relation, Option<&'a PosIndex>);
 
 /// A plan step resolved against one pass's relations: the source
 /// relation and the rows of it the step reads, the overlay (for
-/// overdeletion reads), and the probe indexes. Resolved once per
-/// [`run_plan`] call so the recursive join touches no locks and clones
-/// no `Arc`s.
+/// overdeletion reads), and the probe indexes. Resolved once per pass
+/// (once per rule for a re-derivation phase), so the recursive join
+/// touches no locks and clones no `Arc`s.
+#[derive(Debug)]
 struct StepExec<'a> {
     source: Source<'a>,
     /// All rows (`0..END`), the delta (`lo..END`) or the pre-round rows
     /// (`0..lo`), cut at a round boundary (see the module docs).
     rows: Range<u32>,
     /// `Some(deleted tuples)` when the step also enumerates DRed's
-    /// overlay (all of it) after its relation.
+    /// overlay (all of it) after its relation; only read by
+    /// [`Sink::OVERLAY`] passes.
     overlay: Option<Source<'a>>,
     /// True when the step enumerates the round's delta.
     from_delta: bool,
 }
+
+// The join's hot loop reads one step per candidate; a larger step costs
+// measurably on the τ_td evaluation.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<StepExec<'static>>() == 48);
 
 /// The entries of `bucket`, a bucket of an index of the step's relation,
 /// that lie in `rows`. Every bound is a round boundary, where the bucket
@@ -965,74 +1118,164 @@ fn cut<'b>(bucket: &'b [u32], rows: &Range<u32>) -> &'b [u32] {
     &bucket[at(rows.start)..at(rows.end)]
 }
 
-fn resolve_steps<'a>(ctx: &PlanCtx<'a>) -> Vec<StepExec<'a>> {
+/// Gives an emptied step buffer the lifetime of another pass's relations.
+/// Collecting an empty `Vec` into one of the same layout reuses its
+/// allocation, so the buffer is recycled rather than reallocated.
+fn recycle<'b>(mut steps: Vec<StepExec<'_>>) -> Vec<StepExec<'b>> {
+    steps.clear();
+    steps.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// Resolves `ctx`'s plan into the recycled step buffer of `pass` and runs
+/// `f` over the steps with the pass's bindings and key buffer. `slots` is
+/// where the plan's steps start in the phase's extensional index table;
+/// `None` resolves into slots past the table's end, dropped afterwards
+/// with the pass's pins.
+fn with_resolved<R>(
+    ctx: &PlanCtx<'_>,
+    slots: Option<usize>,
+    pass: &mut PassBuffers,
+    f: impl FnOnce(&[StepExec<'_>], &mut Bindings, &mut Vec<ElemId>) -> R,
+) -> R {
+    let PassBuffers {
+        key,
+        bindings,
+        steps,
+        pins,
+        edb,
+    } = pass;
+    let n = ctx.plan.steps.len();
+    let start = slots.unwrap_or_else(|| {
+        edb.resize(edb.len() + n, None);
+        edb.len() - n
+    });
+    let mut execs = recycle(std::mem::take(steps));
+    resolve_steps(ctx, &mut edb[start..start + n], pins, &mut execs);
+    let out = f(&execs, bindings, key);
+    *steps = recycle(execs);
+    pins.clear();
+    if slots.is_none() {
+        edb.truncate(start);
+    }
+    out
+}
+
+/// Where a plan step reads: its relation, the rows of it, whether those
+/// are the delta, DRed's overlay relation, and whether the relation is the
+/// structure's own (unchanged for a whole phase).
+struct StepRead<'a> {
+    rel: &'a Relation,
+    rows: Range<u32>,
+    from_delta: bool,
+    overlay: Option<&'a Relation>,
+    stable: bool,
+}
+
+/// Where the plan step on body literal `literal` reads in `ctx`'s pass.
+fn step_read<'a>(ctx: &PlanCtx<'a>, literal: usize) -> StepRead<'a> {
     use std::cmp::Ordering;
-    ctx.plan
-        .steps
-        .iter()
-        .map(|step| {
-            let lit = &ctx.rule.body[step.literal];
-            let mut from_delta = false;
-            let mut overlay = None;
-            let (rel, rows) = match lit.atom.pred {
-                PredRef::Edb(p) => match ctx.edb_delta {
-                    // The incremental seed pass: one EDB literal reads the
-                    // batch's changed tuples instead of the base relation.
-                    Some((dpos, drel)) if step.literal == dpos => {
-                        from_delta = true;
-                        (drel, 0..END)
-                    }
-                    _ => {
-                        overlay = ctx
-                            .edb_overlay
-                            .map(|del| &del[p.index()])
-                            .filter(|r| !r.is_empty());
-                        (ctx.structure.relation(p), 0..END)
-                    }
-                },
-                PredRef::Idb(id) => {
-                    let store = ctx.store.relation(id);
-                    match ctx.delta {
-                        None => (store, 0..END),
-                        Some((dpos, frontier)) => {
-                            let lo = frontier.ranges[id.index()].start;
-                            // The delta literal reads the frontier. Body
-                            // positions before it read the pre-round store,
-                            // positions after it the whole store: an
-                            // instantiation with several delta atoms fires
-                            // exactly once, in the pass of its first delta
-                            // position. DRed's pre-round reads skip the
-                            // frontier instead (see `descend_plan`).
-                            match (step.literal.cmp(&dpos), frontier.over) {
-                                (Ordering::Equal, over) => {
-                                    from_delta = true;
-                                    (over.map_or(store, |over| &over[id.index()]), lo..END)
-                                }
-                                (Ordering::Less, None) => (store, 0..lo),
-                                _ => (store, 0..END),
-                            }
-                        }
+    let read = |rel, rows| StepRead {
+        rel,
+        rows,
+        from_delta: false,
+        overlay: None,
+        stable: false,
+    };
+    match ctx.rule.body[literal].atom.pred {
+        PredRef::Edb(p) => match ctx.edb_delta {
+            // The incremental seed pass: one EDB literal reads the
+            // batch's changed tuples instead of the base relation.
+            Some((dpos, drel)) if literal == dpos => StepRead {
+                from_delta: true,
+                ..read(drel, 0..END)
+            },
+            _ => StepRead {
+                overlay: ctx
+                    .edb_overlay
+                    .map(|del| &del[p.index()])
+                    .filter(|r| !r.is_empty()),
+                stable: true,
+                ..read(ctx.structure.relation(p), 0..END)
+            },
+        },
+        PredRef::Idb(id) => {
+            let store = ctx.store.relation(id);
+            match ctx.delta {
+                None => read(store, 0..END),
+                Some((dpos, frontier)) => {
+                    let lo = frontier.ranges[id.index()].start;
+                    // The delta literal reads the frontier. Body positions
+                    // before it read the pre-round store, positions after
+                    // it the whole store: an instantiation with several
+                    // delta atoms fires exactly once, in the pass of its
+                    // first delta position. DRed's pre-round reads skip the
+                    // frontier instead (see `descend_plan`).
+                    match (literal.cmp(&dpos), frontier.over) {
+                        (Ordering::Equal, over) => StepRead {
+                            from_delta: true,
+                            ..read(over.map_or(store, |over| &over[id.index()]), lo..END)
+                        },
+                        (Ordering::Less, None) => read(store, 0..lo),
+                        _ => read(store, 0..END),
                     }
                 }
-            };
-            // A probe on every position is a membership test: the key is
-            // the tuple, and the relation's own row table answers it.
-            let source = |rel: &'a Relation| -> Source<'a> {
-                match &step.access {
-                    Access::Probe { positions } if positions.len() < rel.arity() => {
-                        (rel, Some(rel.index_on(positions)))
-                    }
-                    _ => (rel, None),
-                }
-            };
-            StepExec {
-                source: source(rel),
-                rows,
-                overlay: overlay.map(source),
-                from_delta,
             }
-        })
-        .collect()
+        }
+    }
+}
+
+/// Resolves `ctx`'s plan steps into `out`. A probe of the structure's
+/// relation takes its index handle from the step's slot in `edb`, looked
+/// up on first use; every other probe's handle is looked up here and held
+/// in `pins` for the pass. A probe on every position is a membership
+/// test: the key is the tuple, and the relation's own row table answers
+/// it without an index.
+fn resolve_steps<'p>(
+    ctx: &PlanCtx<'p>,
+    edb: &'p mut [Option<Arc<PosIndex>>],
+    pins: &'p mut Vec<Arc<PosIndex>>,
+    out: &mut Vec<StepExec<'p>>,
+) {
+    // Take every handle first: the resolved steps borrow them.
+    pins.clear();
+    for (step, slot) in ctx.plan.steps.iter().zip(edb.iter_mut()) {
+        let Access::Probe { positions } = &step.access else {
+            continue;
+        };
+        let read = step_read(ctx, step.literal);
+        if positions.len() < read.rel.arity() {
+            if !read.stable {
+                pins.push(read.rel.index_on(positions));
+            } else if slot.is_none() {
+                *slot = Some(read.rel.index_on(positions));
+            }
+            if let Some(overlay) = read.overlay {
+                pins.push(overlay.index_on(positions));
+            }
+        }
+    }
+    let mut pins = pins.iter().map(|pin| &**pin);
+    for (step, slot) in ctx.plan.steps.iter().zip(&*edb) {
+        let read = step_read(ctx, step.literal);
+        let probe = match &step.access {
+            Access::Probe { positions } => positions.len() < read.rel.arity(),
+            Access::Scan => false,
+        };
+        let index = match (probe, read.stable) {
+            (false, _) => None,
+            (true, true) => slot.as_deref(),
+            (true, false) => pins.next(),
+        };
+        let overlay = read
+            .overlay
+            .map(|rel| (rel, if probe { pins.next() } else { None }));
+        out.push(StepExec {
+            source: (read.rel, index),
+            rows: read.rows,
+            overlay,
+            from_delta: read.from_delta,
+        });
+    }
 }
 
 /// The recursive join; returns `true` when the pass should unwind — the
@@ -1065,8 +1308,9 @@ fn descend_plan<S: Sink>(
     // DRed's overdeletion reads the untouched store before the delta
     // position, minus the store tuples whose row in the overdeleted set
     // lies in the frontier.
-    let exclude = match (ctx.delta, lit.atom.pred) {
+    let exclude = match (S::OVERLAY, ctx.delta, lit.atom.pred) {
         (
+            true,
             Some((
                 dpos,
                 Frontier {
@@ -1123,32 +1367,36 @@ fn descend_plan<S: Sink>(
         stop
     };
 
-    match &step.access {
-        Access::Scan if !exec.from_delta => stats.full_scans += 1,
-        Access::Scan => {}
-        Access::Probe { .. } => stats.index_probes += 1,
-    }
-    // The step's rows of its relation, then (overdeletion only) its
-    // overlay of deleted tuples.
-    let overlay = exec.overlay.as_ref().map(|o| (o, 0..END));
-    for ((rel, index), rows) in std::iter::once((&exec.source, exec.rows.clone())).chain(overlay) {
+    // Enumerates the rows `rows` of one source, skipping excluded tuples.
+    let walk = |(rel, index): &Source<'_>,
+                rows: &Range<u32>,
+                bindings: &mut Bindings,
+                stats: &mut EvalStats,
+                sink: &mut S,
+                scratch: &mut Vec<ElemId>,
+                gov: &mut Governor<'_>,
+                trace: &mut Option<&mut [LitCount]>|
+     -> bool {
+        let excluded = |tuple: &[ElemId]| {
+            exclude.is_some_and(|(over, lo): (&Relation, u32)| {
+                over.row_of(tuple).is_some_and(|r| r >= lo)
+            })
+        };
         match &step.access {
             Access::Scan => {
                 for row in rows.start..rows.end.min(rel.len() as u32) {
                     let tuple = rel.tuple(row);
-                    if exclude.is_some_and(|(over, lo)| over.row_of(tuple).is_some_and(|r| r >= lo))
+                    if !excluded(tuple)
+                        && on_tuple(
+                            tuple,
+                            bindings,
+                            stats,
+                            sink,
+                            scratch,
+                            gov,
+                            trace.as_deref_mut(),
+                        )
                     {
-                        continue;
-                    }
-                    if on_tuple(
-                        tuple,
-                        bindings,
-                        stats,
-                        sink,
-                        scratch,
-                        gov,
-                        trace.as_deref_mut(),
-                    ) {
                         return true;
                     }
                 }
@@ -1169,7 +1417,7 @@ fn descend_plan<S: Sink>(
                 }
                 let member;
                 let matched = match index {
-                    Some(index) => cut(rel.rows_matching(index, scratch), &rows),
+                    Some(index) => cut(rel.rows_matching(index, scratch), rows),
                     None => {
                         member = rel.row_of(scratch).filter(|r| rows.contains(r));
                         member.as_slice()
@@ -1177,23 +1425,56 @@ fn descend_plan<S: Sink>(
                 };
                 for &row in matched {
                     let tuple = rel.tuple(row);
-                    if exclude.is_some_and(|(over, lo)| over.row_of(tuple).is_some_and(|r| r >= lo))
+                    if !excluded(tuple)
+                        && on_tuple(
+                            tuple,
+                            bindings,
+                            stats,
+                            sink,
+                            scratch,
+                            gov,
+                            trace.as_deref_mut(),
+                        )
                     {
-                        continue;
-                    }
-                    if on_tuple(
-                        tuple,
-                        bindings,
-                        stats,
-                        sink,
-                        scratch,
-                        gov,
-                        trace.as_deref_mut(),
-                    ) {
                         return true;
                     }
                 }
             }
+        }
+        false
+    };
+
+    match &step.access {
+        Access::Scan if !exec.from_delta => stats.full_scans += 1,
+        Access::Scan => {}
+        Access::Probe { .. } => stats.index_probes += 1,
+    }
+    // The step's rows of its relation, then (overdeletion only) its
+    // overlay of deleted tuples.
+    if walk(
+        &exec.source,
+        &exec.rows,
+        bindings,
+        stats,
+        sink,
+        scratch,
+        gov,
+        &mut trace,
+    ) {
+        return true;
+    }
+    if S::OVERLAY {
+        if let Some(overlay) = &exec.overlay {
+            return walk(
+                overlay,
+                &(0..END),
+                bindings,
+                stats,
+                sink,
+                scratch,
+                gov,
+                &mut trace,
+            );
         }
     }
     false
@@ -1202,20 +1483,20 @@ fn descend_plan<S: Sink>(
 /// One pass's variable bindings, plus the trail of the variables the
 /// current join prefix bound, in binding order. Backtracking truncates
 /// the trail back to a mark, so matching a candidate tuple allocates
-/// nothing (the trail never outgrows the rule's variable count).
+/// nothing (the trail never outgrows the rule's variable count). Kept in
+/// the pass buffers and reset per pass, so a pass allocates none either.
+#[derive(Debug, Default)]
 struct Bindings {
     vals: Vec<Option<ElemId>>,
     trail: Vec<Var>,
 }
 
 impl Bindings {
-    /// All of `rule`'s variables unbound.
-    fn new(rule: &Rule) -> Self {
-        let n = rule.var_count as usize;
-        Self {
-            vals: vec![None; n],
-            trail: Vec::with_capacity(n),
-        }
+    /// Makes all of `rule`'s variables unbound.
+    fn reset(&mut self, rule: &Rule) {
+        self.vals.clear();
+        self.vals.resize(rule.var_count as usize, None);
+        self.trail.clear();
     }
 
     /// Tries to unify `atom` with `tuple` under the current bindings,

@@ -34,11 +34,18 @@
 //!   facts as the frontier. Extensional literals read the post-update
 //!   relations plus the deleted tuples, intensional literals the
 //!   pre-update store;
-//! * *re-derivation* runs one head-bound plan per rule, with the
-//!   variables bound from the overdeleted fact, and stops at the first
-//!   witness;
+//! * *re-derivation* goes rule by rule: each rule's head-bound plan is
+//!   resolved once and runs over every overdeleted fact of its head
+//!   predicate that no earlier rule re-derived, with the variables reset
+//!   to the fact's values, and stops at each fact's first witness. The
+//!   survivors collect in a flat buffer, in the overdeleted set's order;
 //! * *insertion* is the extensional-delta seed pass plus the ordinary
 //!   delta rounds, as above.
+//!
+//! A phase resolves each plan against its relations once (per pass in
+//! the semi-naive rounds, per rule in re-derivation), never once per
+//! fact, and takes its buffers from the session's recycled scratch, so
+//! maintenance allocates per relation and stratum, not per fact.
 //!
 //! Both run **stratum by stratum**, so stratified negation stays sound:
 //! the net delta of a lower stratum becomes an extensional delta of the
@@ -53,8 +60,10 @@
 //! reported via [`UpdateProfile::fell_back`]. The view is never left in
 //! a partially maintained state.
 
-use crate::ast::{IdbId, PredRef, Program};
-use crate::eval::{derives, run_increment, run_overdelete, EvalStats, IdbStore, SeminaiveScratch};
+use crate::ast::{IdbId, Program};
+use crate::eval::{
+    run_increment, run_overdelete, run_rederive, EvalStats, IdbStore, SeminaiveScratch,
+};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_edb_deltas, plan_head_bound, JoinPlan, RulePlans, StructureStats};
 use crate::profile::{UpdateProfile, UpdateStratumProfile};
@@ -335,37 +344,24 @@ impl MaterializedView {
             // Phase 3 — re-derive survivors: an overdeleted fact with an
             // alternative derivation in the post state (extensional atoms
             // read post only, intensional ones the post-removal store,
-            // negatives checked against post) is seeded back. Facts
-            // derivable only *through* another survivor are re-covered
-            // by the seed frontier's delta rounds in phase 4.
-            let mut seeds: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-            for (i, o) in over.iter().enumerate() {
-                let id = IdbId(i as u32);
-                for fact in o.iter() {
-                    let survives = sub
-                        .rules
-                        .iter()
-                        .zip(&self.head_plans[k])
-                        .any(|(rule, plan)| {
-                            rule.head.pred == PredRef::Idb(id)
-                                && derives(
-                                    rule,
-                                    plan,
-                                    fact,
-                                    &self.ext,
-                                    &self.store,
-                                    &mut self.scratch,
-                                    &mut gov,
-                                    &mut stats,
-                                )
-                        });
-                    if let Some(kind) = gov.tripped() {
-                        return Some(kind);
-                    }
-                    if survives {
-                        seeds.push((id, fact.into()));
-                    }
-                }
+            // negatives checked against post) is seeded back. Rule at a
+            // time: each head-bound plan is resolved once and runs over
+            // all overdeleted facts of its head predicate that no earlier
+            // rule re-derived (see `run_rederive`). Facts derivable only
+            // *through* another survivor are re-covered by the seed
+            // frontier's delta rounds in phase 4.
+            run_rederive(
+                sub,
+                &self.ext,
+                &self.head_plans[k],
+                &over,
+                &self.store,
+                &mut self.scratch,
+                &mut gov,
+                &mut stats,
+            );
+            if let Some(kind) = gov.tripped() {
+                return Some(kind);
             }
 
             // Phase 4 — the insertion frontier: rules fire once per
@@ -383,7 +379,6 @@ impl MaterializedView {
                 &self.plans[k],
                 &self.edb_plans[k],
                 (ins, del),
-                &seeds,
                 &mut self.store,
                 &mut self.scratch,
                 &mut gov,

@@ -15,8 +15,18 @@
 //! DAG, where every vertex past the first layer is derived once per
 //! predecessor in the same round, and a rule whose delta literal carries
 //! a constant, so its delta is read through an index probe.
+//!
+//! Maintenance is pinned the same way: for fixed `apply` sequences on
+//! linear TC over segmented chains, reachability on a layered diamond
+//! (where re-derivation restores most overdeleted facts) and a
+//! three-stratum negation program, each batch's overdeleted, rederived,
+//! inserted and deleted counts, in total and per stratum, and a hash of
+//! every store relation in row order.
 
-use mdtw_datalog::{parse_program, Engine, EvalOptions, EvalStats, Evaluator, Program};
+use mdtw_datalog::{
+    parse_program, Engine, EvalOptions, EvalStats, Evaluator, IdbId, MaterializedView, Program,
+    Update,
+};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, TupleTd};
 use mdtw_graph::{encode_graph, graph_signature, Graph};
 use mdtw_mso::{compile::compile_unary_filtered, has_neighbor, CompileLimits, IndVar};
@@ -192,4 +202,263 @@ fn reach_on_a_layered_diamond_dag() {
     let s = layered_diamond(6, 4);
     let p = parse_program("reach(X) :- src(X).\nreach(Y) :- reach(X), e(X, Y).", &s).unwrap();
     assert_stats(p, EvalOptions::new(), &s, [85, 25, 60, 8, 110, 25, 2, 0]);
+}
+
+// ---------------------------------------------------------------------------
+// Maintenance pins
+// ---------------------------------------------------------------------------
+
+/// One maintained batch: the totals `[overdeleted, rederived, inserted,
+/// deleted]` of its [`UpdateProfile`](mdtw_datalog::UpdateProfile), the
+/// same four per stratum, bottom-up, and a hash of every store relation in
+/// row order (so a change to the order in which maintenance re-adds facts
+/// shows up too).
+type PinnedBatch = ([usize; 4], &'static [[usize; 4]], u64);
+
+/// FNV-1a over every store relation of `view`, in predicate and row order.
+fn store_hash(view: &MaterializedView) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u32| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for i in 0..view.program().idb_count() {
+        let rel = view.store().relation(IdbId(i as u32));
+        eat(rel.len() as u32);
+        for tuple in rel.iter() {
+            for e in tuple {
+                eat(e.0);
+            }
+        }
+    }
+    hash
+}
+
+/// Materializes `src` over `s`, applies `batches` in turn and checks each
+/// batch's counters and store hash against `expected`. A mismatch prints
+/// the whole observed table.
+fn assert_maintenance(src: &str, s: &Structure, batches: &[Update], expected: &[PinnedBatch]) {
+    let program = parse_program(src, s).unwrap();
+    let mut view = Evaluator::new(program).unwrap().materialize(s).unwrap();
+    let observed: Vec<([usize; 4], Vec<[usize; 4]>, u64)> = batches
+        .iter()
+        .map(|batch| {
+            let p = view.apply(batch);
+            assert_eq!(p.fell_back, None, "an ungoverned view maintains");
+            let strata = p
+                .strata
+                .iter()
+                .map(|sp| [sp.overdeleted, sp.rederived, sp.inserted, sp.deleted])
+                .collect();
+            let totals = [p.overdeleted, p.rederived, p.inserted, p.deleted];
+            (totals, strata, store_hash(&view))
+        })
+        .collect();
+    let matches = observed.len() == expected.len()
+        && observed
+            .iter()
+            .zip(expected)
+            .all(|((t, s, h), (et, es, eh))| t == et && s.as_slice() == *es && h == eh);
+    assert!(
+        matches,
+        "[overdeleted, rederived, inserted, deleted], per stratum, store hash:\n{}",
+        observed
+            .iter()
+            .map(|(t, s, h)| format!("({t:?}, &{s:?}, {h:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Linear TC over 40 chains of 15 vertices. Each batch retracts three
+/// chain edges, re-inserts the edges the previous batch retracted and adds
+/// two shortcuts `i → i+2`, so later retracts leave some paths a second
+/// derivation.
+#[test]
+fn maintained_linear_tc_on_segmented_chains() {
+    let (segments, len) = (40u32, 15u32);
+    let sig = Arc::new(Signature::from_pairs([("e", 2)]));
+    let mut s = Structure::new(sig, Domain::anonymous((segments * len) as usize));
+    let e = s.signature().lookup("e").unwrap();
+    for seg in 0..segments {
+        for off in 0..len - 1 {
+            let v = seg * len + off;
+            s.insert(e, &[ElemId(v), ElemId(v + 1)]);
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(2401);
+    let chain_edge = |rng: &mut SmallRng, hop: u32| {
+        let seg = rng.random_range(0..segments);
+        let off = rng.random_range(0..len - hop);
+        let v = seg * len + off;
+        [ElemId(v), ElemId(v + hop)]
+    };
+    let mut retracted: Vec<[ElemId; 2]> = Vec::new();
+    let batches: Vec<Update> = (0..6)
+        .map(|_| {
+            let mut batch = Update::new();
+            for t in retracted.drain(..) {
+                batch.push_insert(e, &t);
+            }
+            for _ in 0..2 {
+                batch.push_insert(e, &chain_edge(&mut rng, 2));
+            }
+            for _ in 0..3 {
+                let t = chain_edge(&mut rng, 1);
+                batch.push_retract(e, &t);
+                retracted.push(t);
+            }
+            batch
+        })
+        .collect();
+    assert_maintenance(
+        "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).",
+        &s,
+        &batches,
+        &[
+            ([146, 0, 0, 146], &[[146, 0, 0, 146]], 0x463c_e102_f2a0_43c3),
+            ([78, 0, 146, 78], &[[78, 0, 146, 78]], 0x947f_c7e4_a3cb_a50c),
+            (
+                [126, 0, 44, 126],
+                &[[126, 0, 44, 126]],
+                0xae17_5b76_fe64_2c50,
+            ),
+            (
+                [124, 0, 160, 124],
+                &[[124, 0, 160, 124]],
+                0xa84a_3707_9ad1_8898,
+            ),
+            (
+                [142, 0, 124, 142],
+                &[[142, 0, 124, 142]],
+                0x50a3_64a6_be51_0b81,
+            ),
+            (
+                [94, 53, 142, 41],
+                &[[94, 53, 142, 41]],
+                0xe431_8500_cf92_cd5b,
+            ),
+        ],
+    );
+}
+
+/// Reachability on a layered diamond: every vertex past the first layer
+/// has four predecessors, so retracting one of its in-edges overdeletes it
+/// and everything after it, and re-derivation restores almost all of it.
+#[test]
+fn maintained_reach_on_a_layered_diamond() {
+    let s = layered_diamond(6, 4);
+    let e = s.signature().lookup("e").unwrap();
+    let v = |l: u32, i: u32| ElemId(1 + l * 4 + i);
+    let batches = [
+        Update::new().retract(e, &[v(0, 0), v(1, 0)]),
+        Update::new()
+            .retract(e, &[v(1, 1), v(2, 2)])
+            .retract(e, &[v(2, 3), v(3, 1)])
+            .retract(e, &[v(3, 0), v(4, 0)]),
+        Update::new().retract(e, &[ElemId(0), v(0, 1)]),
+        Update::new()
+            .insert(e, &[v(0, 0), v(1, 0)])
+            .retract(e, &[ElemId(0), v(0, 2)])
+            .retract(e, &[v(4, 3), v(5, 3)]),
+        Update::new()
+            .retract(e, &[ElemId(0), v(0, 0)])
+            .retract(e, &[ElemId(0), v(0, 3)]),
+        Update::new().insert(e, &[ElemId(0), v(0, 3)]),
+    ];
+    assert_maintenance(
+        "reach(X) :- src(X).\nreach(Y) :- reach(X), e(X, Y).",
+        &s,
+        &batches,
+        &[
+            ([17, 17, 0, 0], &[[17, 17, 0, 0]], 0x373e_700a_f8e7_b4b4),
+            ([13, 13, 0, 0], &[[13, 13, 0, 0]], 0x2ea3_7bed_75b3_22b4),
+            ([21, 20, 0, 1], &[[21, 20, 0, 1]], 0x0ac1_4540_c661_e2c7),
+            ([21, 20, 0, 1], &[[21, 20, 0, 1]], 0x8c07_9aaf_b37e_edbb),
+            ([22, 0, 0, 22], &[[22, 0, 0, 22]], 0x89cd_3129_1d2a_efa4),
+            ([0, 0, 21, 0], &[[0, 0, 21, 0]], 0x4bd4_2085_32b7_d40b),
+        ],
+    );
+}
+
+/// Three strata over a seeded random digraph with marks: reachability from
+/// the marks, edges into unreached vertices, and marks without such an
+/// edge. Mixed batches of edges and marks cross both negations.
+#[test]
+fn maintained_stratified_negation() {
+    let n = 30u32;
+    let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
+    let mut s = Structure::new(sig, Domain::anonymous(n as usize));
+    let e = s.signature().lookup("e").unwrap();
+    let m = s.signature().lookup("m").unwrap();
+    let mut rng = SmallRng::seed_from_u64(2402);
+    let edge = |rng: &mut SmallRng| {
+        [
+            ElemId(rng.random_range(0..n)),
+            ElemId(rng.random_range(0..n)),
+        ]
+    };
+    for _ in 0..45 {
+        let t = edge(&mut rng);
+        s.insert(e, &t);
+    }
+    for x in [0, 7, 19] {
+        s.insert(m, &[ElemId(x)]);
+    }
+    let batches: Vec<Update> = (0..6)
+        .map(|b| {
+            let mut batch = Update::new();
+            for _ in 0..4 {
+                batch.push_insert(e, &edge(&mut rng));
+                batch.push_retract(e, &edge(&mut rng));
+            }
+            let mark = [ElemId(rng.random_range(0..n))];
+            if b % 2 == 0 {
+                batch.push_insert(m, &mark);
+            } else {
+                batch.push_retract(m, &mark);
+            }
+            batch
+        })
+        .collect();
+    assert_maintenance(
+        "r(X) :- m(X).\nr(Y) :- r(X), e(X, Y).\nu(X, Y) :- e(X, Y), !r(Y).\n\
+         uu(X) :- u(X, Y).\nz(X) :- m(X), !uu(X).",
+        &s,
+        &batches,
+        &[
+            (
+                [0, 0, 2, 0],
+                &[[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+                0xf783_988e_f2fd_d0f6,
+            ),
+            (
+                [4, 0, 1, 4],
+                &[[0, 0, 1, 0], [4, 0, 0, 4], [0, 0, 0, 0]],
+                0x453e_86ed_f15c_a4c6,
+            ),
+            (
+                [2, 0, 4, 2],
+                &[[0, 0, 3, 0], [2, 0, 0, 2], [0, 0, 1, 0]],
+                0x1ac4_43be_acc8_1e67,
+            ),
+            (
+                [0, 0, 0, 0],
+                &[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                0x1ac4_43be_acc8_1e67,
+            ),
+            (
+                [25, 25, 2, 0],
+                &[[25, 25, 1, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                0xa165_4a24_73ee_e167,
+            ),
+            (
+                [0, 0, 1, 0],
+                &[[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                0xdccf_452a_f803_31c3,
+            ),
+        ],
+    );
 }

@@ -3,13 +3,15 @@
 //! must stay **bit-identical** to a from-scratch `evaluate()` of the
 //! mutated base structure — for a semipositive program (recursion plus
 //! negated extensional atoms in one stratum), a three-stratum program
-//! whose deltas must cross two negation boundaries, and a nonlinear
-//! program whose rules join two intensional literals and carry
-//! constants and repeated variables. Pinned edge cases cover the
-//! empty-delta no-op, retract-everything, and a fault-injection sweep
-//! over governed maintenance. After every batch, every relation of the
-//! view must also pass [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
-//! A fourth program feeds the construction-time transforms, and a sweep
+//! whose deltas must cross two negation boundaries, a nonlinear program
+//! whose rules join two intensional literals and carry constants and
+//! repeated variables, and a program whose head predicate has three
+//! rules that each re-derive different overdeleted facts. Pinned edge
+//! cases cover the empty-delta no-op, retract-everything, the three-rule
+//! re-derivation, and a fault-injection sweep over governed maintenance.
+//! After every batch, every relation of the view must also pass
+//! [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
+//! A fifth program feeds the construction-time transforms, and a sweep
 //! over all sixteen combinations of `prune_dead_rules`, `minimize`,
 //! `eliminate_bounded_recursion` and `magic_sets` (each with `outputs`)
 //! checks that a materialized view's outputs agree with a default
@@ -50,6 +52,18 @@ const NONLINEAR: &str = "t(X, Y) :- e(X, Y).\n\
                          hub(X) :- t(x0, X), t(X, X), !m(X).\n\
                          twin(X, X) :- m(X), t(X, Y).\n\
                          top(x1, Y) :- t(Y, x1).";
+
+/// One head predicate, `c`, defined by three rules: a mark, a marked or
+/// reached predecessor, and an unmarked vertex on a cycle. An overdeleted
+/// `c` fact can survive through any of them, so re-derivation, which runs
+/// rule by rule over all overdeleted facts of the head predicate, must
+/// skip the facts an earlier rule already re-derived and find the others
+/// through later rules.
+const MULTI_RULE: &str = "t(X, Y) :- e(X, Y).\n\
+                          t(X, Z) :- t(X, Y), e(Y, Z).\n\
+                          c(X) :- m(X).\n\
+                          c(Y) :- c(X), e(X, Y).\n\
+                          c(X) :- t(X, X), !m(X).";
 
 /// Rules the construction-time transforms act on: `p`'s second rule is
 /// contained in its first and `q` repeats a literal (`minimize`), `b`'s
@@ -268,6 +282,16 @@ proptest! {
     }
 
     #[test]
+    fn multi_rule_view_matches_scratch(
+        n in 3usize..=7,
+        edges in vec((0u8..16, 0u8..16), 0..12),
+        marks in vec(0u8..16, 0..5),
+        batches in vec(vec((0u8..2, 0u8..2, 0u8..16, 0u8..16), 0..6), 1..5),
+    ) {
+        run_case(MULTI_RULE, n, &edges, &marks, &batches);
+    }
+
+    #[test]
     fn nonlinear_view_matches_scratch(
         n in 3usize..=7,
         edges in vec((0u8..16, 0u8..16), 0..12),
@@ -361,7 +385,7 @@ fn retract_everything_for_both_shapes() {
 fn governed_maintenance_sweep_falls_back_soundly() {
     let n = 32u8;
     let chain: Vec<(u8, u8)> = (0..8).map(|i| (i, i + 1)).collect();
-    for source in [SEMIPOSITIVE, STRATIFIED, NONLINEAR] {
+    for source in [SEMIPOSITIVE, STRATIFIED, NONLINEAR, MULTI_RULE] {
         let (mut completed, mut fell_back) = (0, 0);
         for k in 1..=120u64 {
             let mut expected = build_structure(usize::from(n), &chain, &[0, 3]);
@@ -405,6 +429,46 @@ fn governed_maintenance_sweep_falls_back_soundly() {
         assert!(completed > 0, "no sweep point completed maintenance");
         assert!(fell_back > 0, "no sweep point tripped inside maintenance");
     }
+}
+
+/// Each of `c`'s three rules re-derives a different overdeleted fact.
+/// Retracting `0 → 1` overdeletes `c` of everything reached through `1`
+/// and the paths `t(0, ·)`. Then `c(5)` survives through its mark (rule
+/// 1; rule 2 also derives it, from `c(7)`, and must skip it), `c(6)`
+/// through the marked predecessor `7` (rule 2), and `c(8)`, `c(9)`
+/// through their cycle (rule 3). Only `c(1)` and the five paths die.
+#[test]
+fn three_rules_rederive_different_facts() {
+    let edges = [
+        (0, 1),
+        (1, 5),
+        (1, 6),
+        (7, 6),
+        (7, 5),
+        (1, 8),
+        (8, 9),
+        (9, 8),
+    ];
+    let mut expected = build_structure(10, &edges, &[0, 5, 7]);
+    let e = expected.signature().lookup("e").unwrap();
+    let program = parse_program(MULTI_RULE, &expected).unwrap();
+    let mut view = Evaluator::new(program)
+        .unwrap()
+        .materialize(&expected)
+        .unwrap();
+    expected.retract(e, &[ElemId(0), ElemId(1)]);
+    let profile = view.apply(&Update::new().retract(e, &[ElemId(0), ElemId(1)]));
+    assert_eq!(
+        [profile.overdeleted, profile.rederived, profile.deleted],
+        [10, 4, 6],
+        "overdeleted, rederived, deleted"
+    );
+    for x in [5, 6, 8, 9] {
+        assert!(view.holds("c", &[ElemId(x)]), "c({x}) survives");
+    }
+    assert!(!view.holds("c", &[ElemId(1)]));
+    assert_view_matches(&view, &expected, "three-rule re-derivation");
+    check_storage(&view);
 }
 
 /// The option sweep is only as strong as its programs: each transform

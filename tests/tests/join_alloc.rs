@@ -6,6 +6,12 @@
 //!   thousands of candidates but derives only a handful of facts makes a
 //!   number of heap allocations bounded by its passes and relations, far
 //!   below one per hundred tuples considered.
+//! - An indexed delta pass allocates nothing: a warm evaluation of the
+//!   Theorem 4.5 program on a 1200-vertex τ_td forest, tens of thousands
+//!   of passes, makes fewer allocations than one per hundred candidates.
+//! - DRed allocates nothing per overdeleted fact: a warm `apply` that
+//!   overdeletes over 20 000 facts makes fewer than one allocation per
+//!   ten of them.
 //! - A warm session's linear-TC evaluation allocates nothing per fact:
 //!   the store is presized from the previous evaluation and the round
 //!   buffers are recycled, so segmented chains with four times the facts
@@ -20,7 +26,7 @@
 //!   rules.
 
 use mdtw_core::ground_three_col;
-use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog};
+use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog, Update};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
 use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
 use mdtw_mso::compile::compile_unary_filtered;
@@ -180,8 +186,9 @@ fn random_forest(rng: &mut SmallRng, n: usize) -> Graph {
     g
 }
 
-#[test]
-fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
+/// The Theorem 4.5 `has_neighbor` program compiled at width 1, and the
+/// τ_td encoding of a seeded 1200-vertex random forest.
+fn tau_td_forest_1200() -> (mdtw_datalog::Program, Structure) {
     let sig = Arc::new(graph_signature());
     let undirected = |s: &Structure| {
         let e = s.signature().lookup("e").expect("e");
@@ -202,18 +209,43 @@ fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
     let s = encode_graph(&g);
     let td = decompose(&s, Heuristic::MinDegree);
     let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
-    let enc = encode_tuple_td(&s, &tuple_td);
-    let catalog = FdCatalog::for_td_signature(&enc.structure);
+    (compiled.program, encode_tuple_td(&s, &tuple_td).structure)
+}
+
+#[test]
+fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
+    let (program, s) = tau_td_forest_1200();
+    let catalog = FdCatalog::for_td_signature(&s);
     let mut session =
-        Evaluator::with_options(compiled.program, EvalOptions::new().fd_catalog(catalog)).unwrap();
+        Evaluator::with_options(program, EvalOptions::new().fd_catalog(catalog)).unwrap();
     // The first evaluation builds the structure's unique indexes.
-    session.evaluate(&enc.structure).unwrap();
-    let (result, allocs) = allocations(|| session.evaluate(&enc.structure).unwrap());
+    session.evaluate(&s).unwrap();
+    let (result, allocs) = allocations(|| session.evaluate(&s).unwrap());
     let rules = result.qg.expect("a quasi-guarded run").ground_rules;
     assert!(rules > 500_000, "{rules} ground rules");
     assert!(
         allocs < rules / 100,
         "{allocs} allocations for {rules} ground rules"
+    );
+}
+
+/// A warm indexed evaluation of the same program and forest: no delta
+/// pass allocates, because each takes its bindings and step buffer from
+/// the session's scratch and its extensional index handles from a table
+/// resolved once per evaluation.
+#[test]
+fn warm_indexed_evaluation_allocates_nothing_per_pass() {
+    let (program, s) = tau_td_forest_1200();
+    let mut session =
+        Evaluator::with_options(program, EvalOptions::new().engine(Engine::SemiNaiveIndexed))
+            .unwrap();
+    session.evaluate(&s).unwrap();
+    let (result, allocs) = allocations(|| session.evaluate(&s).unwrap());
+    let considered = result.stats.tuples_considered;
+    assert!(considered > 500_000, "{considered} candidate tuples");
+    assert!(
+        allocs < considered / 100,
+        "{allocs} allocations for {considered} candidate tuples"
     );
 }
 
@@ -251,5 +283,39 @@ fn warm_linear_tc_allocations_do_not_grow_with_the_facts() {
     assert_eq!(
         small, large,
         "a warm evaluation of 4× the facts makes {large} allocations instead of {small}"
+    );
+}
+
+/// One warm `apply` that overdeletes tens of thousands of facts allocates
+/// nothing per fact: re-derivation resolves each rule's head-bound plan
+/// once for all overdeleted facts of its head predicate, so the batch
+/// makes a number of allocations bounded by its relations and strata.
+#[test]
+fn warm_apply_allocates_nothing_per_overdeleted_fact() {
+    let (segments, len) = (24u32, 70u32);
+    let s = segmented_chains(segments, len);
+    let e = s.signature().lookup("e").unwrap();
+    let p = parse_program(
+        "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).",
+        &s,
+    )
+    .unwrap();
+    let mut view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+    // Cutting a chain in the middle overdeletes every path across the cut.
+    let (mut cut, mut heal) = (Update::new(), Update::new());
+    for seg in 0..segments {
+        let v = seg * len + len / 2;
+        cut.push_retract(e, &[ElemId(v), ElemId(v + 1)]);
+        heal.push_insert(e, &[ElemId(v), ElemId(v + 1)]);
+    }
+    view.apply(&cut);
+    view.apply(&heal);
+    let (profile, allocs) = allocations(|| view.apply(&cut));
+    let overdeleted = profile.overdeleted;
+    assert!(overdeleted >= 20_000, "{overdeleted} overdeleted facts");
+    assert_eq!(profile.deleted, overdeleted);
+    assert!(
+        allocs < overdeleted / 10,
+        "{allocs} allocations for {overdeleted} overdeleted facts"
     );
 }
