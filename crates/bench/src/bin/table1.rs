@@ -58,20 +58,6 @@ fn main() -> ExitCode {
         },
     };
 
-    // Fail fast if any inline workload program regressed: spanned MD0xx
-    // diagnostics beat a panic (or a silently wrong fixpoint) mid-run.
-    match mdtw_bench::preflight() {
-        Err(diagnostics) => {
-            eprintln!("table1: workload program rejected by static analysis\n\n{diagnostics}");
-            return ExitCode::from(2);
-        }
-        Ok(warnings) => {
-            for w in warnings {
-                eprintln!("{w}\n");
-            }
-        }
-    }
-
     eprintln!("regenerating Table 1 (PRIMALITY, tw = 3); this runs the");
     eprintln!("exponential MSO baseline on the first {mona_rows} rows…");
     let rows = mdtw_bench::table1(mona_rows);

@@ -1,6 +1,6 @@
-//! Smoke coverage for the §6 harness: `cargo test` (not only `cargo
-//! bench`) exercises [`mdtw_bench::measure_row`] on the first two Table 1
-//! rows and re-checks the decision they time.
+//! Smoke coverage for the §6 harness: `cargo test` exercises
+//! [`mdtw_bench::measure_row`] on the first two Table 1 rows and
+//! re-checks the decision they time.
 
 use mdtw_bench::measure_row;
 use mdtw_core::is_prime_fpt_with_td;
