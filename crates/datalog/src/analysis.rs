@@ -23,7 +23,6 @@
 
 use crate::ast::{IdbId, Literal, PredRef, Program, Rule, Term};
 use crate::ground::{check_quasi_guarded, FdCatalog, QgError};
-use crate::limits::EvalLimits;
 use crate::span::Span;
 use crate::stratify::{stratify, StratificationError};
 use mdtw_structure::fx::FxHashMap;
@@ -84,19 +83,10 @@ impl fmt::Display for Severity {
 /// | MD014 | warning  | intensional predicate shadows an extensional one |
 /// | MD015 | warning  | rule duplicates an earlier rule |
 /// | MD016 | warning  | rule subsumed by an earlier rule with fewer body literals |
-/// | MD017 | warning  | rule uniformly contained in the rest of the program (semantic) |
 /// | MD020 | note     | program is not monadic |
 /// | MD021 | note     | nonlinear recursion (≥ 2 recursive body literals) |
 /// | MD022 | note     | linear recursion provably bounded |
-/// | MD023 | note     | recursive component proven bounded (rewrites nonrecursive) |
 /// | MD030 | warning  | rule has no quasi-guard under the declared FDs |
-/// | MD040 | note     | magic-set demand transformation applies to the outputs |
-/// | MD041 | note     | predicates need full materialization under the demand rewrite |
-///
-/// The MD017/MD023/MD040-series codes come from the *semantic* tier
-/// (opt-in via [`AnalysisOptions::semantic`], skipped when error-level
-/// diagnostics are present) — they run the actual containment and
-/// transformation machinery of [`transform`](crate::transform).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LintCode {
     /// `MD001`: the rule violates the safety (range restriction)
@@ -130,12 +120,6 @@ pub enum LintCode {
     /// `MD016`: the rule is subsumed by an earlier rule with the same
     /// head whose body literals form a strict subset of this rule's.
     SubsumedRule,
-    /// `MD017`: the rest of the program *uniformly contains* the rule —
-    /// semantic redundancy, decided by Sagiv's canonical-database test
-    /// ([`transform::redundant_rules`](crate::transform::redundant_rules));
-    /// [`EvalOptions::minimize`](crate::evaluator::EvalOptions::minimize)
-    /// removes it.
-    SemanticallySubsumedRule,
     /// `MD020`: the program is not monadic — some intensional predicate
     /// has arity ≠ 1 (the paper's tractability results are for the
     /// monadic fragment).
@@ -147,29 +131,14 @@ pub enum LintCode {
     /// bounded — its recursive literal repeats the head, so it derives
     /// nothing new.
     BoundedRecursion,
-    /// `MD023`: a recursive component is *proven* bounded by the iterated
-    /// unfolding-containment test
-    /// ([`transform::bounded_sccs`](crate::transform::bounded_sccs)) and
-    /// can be rewritten nonrecursive
-    /// ([`EvalOptions::eliminate_bounded_recursion`](crate::evaluator::EvalOptions::eliminate_bounded_recursion)).
-    ProvablyBoundedScc,
     /// `MD030`: a rule has no quasi-guard under the declared functional
     /// dependencies (the Theorem 4.4 pipeline would reject it).
     NoQuasiGuard,
-    /// `MD040`: the magic-set demand transformation applies to the
-    /// declared outputs
-    /// ([`EvalOptions::magic_sets`](crate::evaluator::EvalOptions::magic_sets)
-    /// would specialize evaluation).
-    MagicApplicable,
-    /// `MD041`: the demand transformation is limited — either negation
-    /// forces predicates to stay fully materialized, or no output admits
-    /// a bound adornment at all.
-    MagicFullMaterialization,
 }
 
 impl LintCode {
     /// Every code, in numeric order.
-    pub const ALL: [LintCode; 18] = [
+    pub const ALL: [LintCode; 14] = [
         LintCode::UnsafeRule,
         LintCode::ExtensionalHead,
         LintCode::NegativeCycle,
@@ -180,14 +149,10 @@ impl LintCode {
         LintCode::ShadowedPredicate,
         LintCode::DuplicateRule,
         LintCode::SubsumedRule,
-        LintCode::SemanticallySubsumedRule,
         LintCode::NonMonadic,
         LintCode::NonLinearRecursion,
         LintCode::BoundedRecursion,
-        LintCode::ProvablyBoundedScc,
         LintCode::NoQuasiGuard,
-        LintCode::MagicApplicable,
-        LintCode::MagicFullMaterialization,
     ];
 
     /// The stable code string, e.g. `"MD001"`.
@@ -203,14 +168,10 @@ impl LintCode {
             LintCode::ShadowedPredicate => "MD014",
             LintCode::DuplicateRule => "MD015",
             LintCode::SubsumedRule => "MD016",
-            LintCode::SemanticallySubsumedRule => "MD017",
             LintCode::NonMonadic => "MD020",
             LintCode::NonLinearRecursion => "MD021",
             LintCode::BoundedRecursion => "MD022",
-            LintCode::ProvablyBoundedScc => "MD023",
             LintCode::NoQuasiGuard => "MD030",
-            LintCode::MagicApplicable => "MD040",
-            LintCode::MagicFullMaterialization => "MD041",
         }
     }
 
@@ -232,14 +193,10 @@ impl LintCode {
             | LintCode::ShadowedPredicate
             | LintCode::DuplicateRule
             | LintCode::SubsumedRule
-            | LintCode::SemanticallySubsumedRule
             | LintCode::NoQuasiGuard => Severity::Warning,
-            LintCode::NonMonadic
-            | LintCode::NonLinearRecursion
-            | LintCode::BoundedRecursion
-            | LintCode::ProvablyBoundedScc
-            | LintCode::MagicApplicable
-            | LintCode::MagicFullMaterialization => Severity::Note,
+            LintCode::NonMonadic | LintCode::NonLinearRecursion | LintCode::BoundedRecursion => {
+                Severity::Note
+            }
         }
     }
 
@@ -256,18 +213,10 @@ impl LintCode {
             LintCode::ShadowedPredicate => "intensional predicate shadows an extensional one",
             LintCode::DuplicateRule => "rule duplicates an earlier rule",
             LintCode::SubsumedRule => "rule subsumed by an earlier rule",
-            LintCode::SemanticallySubsumedRule => {
-                "rule uniformly contained in the rest of the program"
-            }
             LintCode::NonMonadic => "program is not monadic",
             LintCode::NonLinearRecursion => "nonlinear recursion",
             LintCode::BoundedRecursion => "linear recursion provably bounded",
-            LintCode::ProvablyBoundedScc => "recursive component proven bounded (unfolds away)",
             LintCode::NoQuasiGuard => "rule has no quasi-guard under the declared FDs",
-            LintCode::MagicApplicable => "magic-set demand transformation applies to the outputs",
-            LintCode::MagicFullMaterialization => {
-                "predicate(s) require full materialization under the demand transformation"
-            }
         }
     }
 }
@@ -370,15 +319,7 @@ pub struct AnalysisOptions {
     outputs: Option<Vec<String>>,
     edb_signature: Option<Arc<Signature>>,
     fd_catalog: Option<FdCatalog>,
-    semantic: bool,
-    limits: Option<EvalLimits>,
 }
-
-/// Default fuel budget for the semantic tier's containment probes when
-/// [`AnalysisOptions::limits`] is not set: generous enough for every
-/// reasonable program, small enough that linting can never hang on an
-/// adversarial one.
-pub const DEFAULT_SEMANTIC_FUEL: u64 = 5_000_000;
 
 impl AnalysisOptions {
     /// No outputs, no signature, no FD catalog: relevance (`MD010`/
@@ -414,60 +355,6 @@ impl AnalysisOptions {
         self.fd_catalog = Some(catalog);
         self
     }
-
-    /// Enables the *semantic* tier (`MD017` uniform containment, `MD023`
-    /// proven boundedness, `MD040`/`MD041` magic-set applicability) —
-    /// off by default because it evaluates canonical databases through
-    /// the engine rather than just walking the AST. Skipped whenever
-    /// error-level diagnostics are present, since the containment tests
-    /// assume an evaluable program.
-    pub fn semantic(mut self, on: bool) -> Self {
-        self.semantic = on;
-        self
-    }
-
-    /// Budgets the semantic tier's containment probes. When unset, a
-    /// default fuel budget of [`DEFAULT_SEMANTIC_FUEL`] applies, so
-    /// analysis terminates even on adversarial programs whose canonical
-    /// databases explode. A tripped budget surfaces as
-    /// [`SemanticReport::budget_tripped`] — affected transforms are
-    /// reported as "not proven", never misreported.
-    pub fn limits(mut self, limits: EvalLimits) -> Self {
-        self.limits = Some(limits);
-        self
-    }
-}
-
-/// What the semantic tier learned (see [`AnalysisOptions::semantic`]).
-#[derive(Debug, Clone, Default)]
-pub struct SemanticReport {
-    /// Per-rule verdict of the uniform-containment test (`true` = the
-    /// rest of the program makes the rule redundant).
-    pub redundant_rules: Vec<bool>,
-    /// Recursive components proven bounded, with their nonrecursive
-    /// replacements.
-    pub bounded_sccs: Vec<crate::transform::BoundedScc>,
-    /// What the magic-set transformation would do, when outputs were
-    /// declared.
-    pub magic: Option<MagicSummary>,
-    /// Whether a containment probe ran out of budget (see
-    /// [`AnalysisOptions::limits`]). Tripped probes degrade to "not
-    /// proven": redundancy flags stay `false` and SCCs stay unproven.
-    pub budget_tripped: bool,
-}
-
-/// Magic-set applicability for the declared outputs.
-#[derive(Debug, Clone, Default)]
-pub struct MagicSummary {
-    /// True when some output admits a bound adornment (the rewrite would
-    /// change evaluation).
-    pub applicable: bool,
-    /// Adorned predicate versions the rewrite would create.
-    pub adorned: usize,
-    /// Magic (demand) rules the rewrite would emit.
-    pub magic_rules: usize,
-    /// Predicates negation forces to stay fully materialized.
-    pub full_preds: Vec<String>,
 }
 
 /// Everything [`analyze`] learned about a program: the diagnostics plus
@@ -497,10 +384,6 @@ pub struct ProgramReport {
     /// Per-IDB-predicate verdict of the emptiness fixpoint: `false`
     /// means the predicate provably derives no fact on any structure.
     pub possibly_nonempty: Vec<bool>,
-    /// The semantic tier's findings — `None` unless
-    /// [`AnalysisOptions::semantic`] was requested *and* the program has
-    /// no error-level diagnostics.
-    pub semantic: Option<SemanticReport>,
 }
 
 impl ProgramReport {
@@ -1015,109 +898,6 @@ pub fn analyze(program: &Program, options: &AnalysisOptions) -> ProgramReport {
         }
     }
 
-    // --- semantic tier: MD017 / MD023 / MD040-series ---------------------
-    // Opt-in, and skipped when errors are present: the containment tests
-    // evaluate canonical databases through the engine, which assumes an
-    // evaluable program.
-    let mut semantic = None;
-    if options.semantic && !diags.iter().any(|d| d.severity == Severity::Error) {
-        let syntactic: Vec<usize> = diags
-            .iter()
-            .filter(|d| matches!(d.code, LintCode::DuplicateRule | LintCode::SubsumedRule))
-            .filter_map(|d| d.rule)
-            .collect();
-        // One shared budget meter across every probe of the tier: either
-        // the caller's, or the default fuel budget so linting terminates
-        // even when a canonical database explodes.
-        let budget = options
-            .limits
-            .clone()
-            .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_SEMANTIC_FUEL));
-        let (redundant, min_tripped) =
-            crate::transform::redundant_rules_with_limits(program, Some(&budget));
-        for (i, &r) in redundant.iter().enumerate() {
-            // Rules already flagged by the syntactic MD015/MD016 passes
-            // are not re-reported — MD017 is the semantic upgrade.
-            if r && !syntactic.contains(&i) {
-                diags.push(Diagnostic::new(
-                    LintCode::SemanticallySubsumedRule,
-                    "the rest of the program uniformly contains this rule — removing \
-                     it never loses a derivable fact (EvalOptions::minimize drops it)"
-                        .into(),
-                    rule_span(program, i),
-                    Some(i),
-                ));
-            }
-        }
-        let (bounded_sccs, scc_tripped) =
-            crate::transform::bounded_sccs_with_limits(program, Some(&budget));
-        for scc in &bounded_sccs {
-            let anchor = scc.rules.first().copied();
-            diags.push(Diagnostic::new(
-                LintCode::ProvablyBoundedScc,
-                format!(
-                    "recursive component {{{}}} is proven bounded at stage {}: {} \
-                     nonrecursive rule(s) replace it \
-                     (EvalOptions::eliminate_bounded_recursion)",
-                    scc.preds.join(", "),
-                    scc.stage,
-                    scc.replacement.len()
-                ),
-                anchor.map_or(Span::DUMMY, |r| rule_span(program, r)),
-                anchor,
-            ));
-        }
-        let magic = (!output_ids.is_empty()).then(|| {
-            let outcome = crate::transform::magic_program(program, &output_ids);
-            let applicable = outcome.program.is_some();
-            if applicable {
-                diags.push(Diagnostic::new(
-                    LintCode::MagicApplicable,
-                    format!(
-                        "magic-set demand transformation applies to the declared \
-                         outputs: {} adorned predicate version(s), {} demand rule(s) \
-                         (EvalOptions::magic_sets)",
-                        outcome.adorned, outcome.magic_rules
-                    ),
-                    Span::DUMMY,
-                    None,
-                ));
-                if !outcome.full_preds.is_empty() {
-                    diags.push(Diagnostic::new(
-                        LintCode::MagicFullMaterialization,
-                        format!(
-                            "negation forces full materialization of: {}",
-                            outcome.full_preds.join(", ")
-                        ),
-                        Span::DUMMY,
-                        None,
-                    ));
-                }
-            } else {
-                diags.push(Diagnostic::new(
-                    LintCode::MagicFullMaterialization,
-                    "the declared outputs admit no bound adornment — the demand \
-                     transformation would not restrict evaluation"
-                        .into(),
-                    Span::DUMMY,
-                    None,
-                ));
-            }
-            MagicSummary {
-                applicable,
-                adorned: outcome.adorned,
-                magic_rules: outcome.magic_rules,
-                full_preds: outcome.full_preds,
-            }
-        });
-        semantic = Some(SemanticReport {
-            redundant_rules: redundant,
-            bounded_sccs,
-            magic,
-            budget_tripped: min_tripped || scc_tripped,
-        });
-    }
-
     // Source order, unknown spans last; ties broken by code then rule.
     diags.sort_by_key(|d| {
         (
@@ -1139,7 +919,6 @@ pub fn analyze(program: &Program, options: &AnalysisOptions) -> ProgramReport {
         strata,
         relevant_rules: relevant,
         possibly_nonempty: nonempty,
-        semantic,
     }
 }
 
@@ -1281,7 +1060,7 @@ fn is_sub_multiset(a: &[LitKey], b: &[LitKey]) -> bool {
 
 /// SCC ids of the intensional predicates over the (positive and negative)
 /// dependency graph; iterative Tarjan, ids arbitrary but consistent.
-pub(crate) fn idb_sccs(program: &Program) -> Vec<usize> {
+fn idb_sccs(program: &Program) -> Vec<usize> {
     let n = program.idb_count();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for rule in &program.rules {
@@ -1370,81 +1149,6 @@ mod tests {
 
     fn codes(report: &ProgramReport) -> Vec<&'static str> {
         report.diagnostics.iter().map(|d| d.code.code()).collect()
-    }
-
-    #[test]
-    fn semantic_tier_is_opt_in_and_reports_all_three_passes() {
-        let s = tiny_structure();
-        // Rule 1 is semantically (not syntactically) subsumed by rule 0;
-        // {q} is a bounded SCC; `answer` admits a magic rewrite.
-        let src = "q(X, Y) :- e(X, Y).\n\
-                   q(X, Y) :- q(Y, X).\n\
-                   answer(Y) :- node(X), q(X, Y).";
-        let p = parse_program(src, &s).unwrap();
-        let plain = analyze(&p, &AnalysisOptions::new().outputs(["answer"]));
-        assert!(plain.semantic.is_none(), "semantic tier is opt-in");
-        let report = analyze(
-            &p,
-            &AnalysisOptions::new().outputs(["answer"]).semantic(true),
-        );
-        let semantic = report.semantic.as_ref().expect("semantic tier ran");
-        assert_eq!(semantic.redundant_rules, vec![false, false, false]);
-        assert_eq!(semantic.bounded_sccs.len(), 1);
-        assert_eq!(semantic.bounded_sccs[0].preds, vec!["q".to_owned()]);
-        let magic = semantic.magic.as_ref().expect("outputs declared");
-        assert!(magic.applicable);
-        assert!(magic.magic_rules >= 1);
-        assert!(magic.full_preds.is_empty());
-        assert_eq!(report.with_code(LintCode::ProvablyBoundedScc).count(), 1);
-        assert_eq!(report.with_code(LintCode::MagicApplicable).count(), 1);
-    }
-
-    #[test]
-    fn semantic_containment_upgrades_md016_without_double_reporting() {
-        let s = tiny_structure();
-        // Rule 1 is a homomorphic instance of rule 0 (map Y to X) but not
-        // a syntactic superset, so MD016 stays silent and MD017 fires;
-        // rule 2 *is* a syntactic superset, so MD016 fires and MD017
-        // stays silent on it.
-        let src = "p(X) :- e(X, Y).\n\
-                   p(X) :- e(X, X).\n\
-                   p(X) :- e(X, Y), node(X).";
-        let p = parse_program(src, &s).unwrap();
-        let report = analyze(&p, &AnalysisOptions::new().semantic(true));
-        let md017: Vec<Option<usize>> = report
-            .with_code(LintCode::SemanticallySubsumedRule)
-            .map(|d| d.rule)
-            .collect();
-        assert_eq!(md017, vec![Some(1)]);
-        let md016: Vec<Option<usize>> = report
-            .with_code(LintCode::SubsumedRule)
-            .map(|d| d.rule)
-            .collect();
-        assert_eq!(md016, vec![Some(2)]);
-        let semantic = report.semantic.as_ref().unwrap();
-        assert_eq!(semantic.redundant_rules, vec![false, true, true]);
-    }
-
-    #[test]
-    fn semantic_tier_skipped_on_errors_and_reports_inert_magic() {
-        let s = tiny_structure();
-        // Unsafe rule: error-level diagnostics suppress the semantic tier
-        // even when requested.
-        let broken = parse_program_lenient("p(X) :- !node(X).", &s).unwrap();
-        let report = analyze(&broken, &AnalysisOptions::new().semantic(true));
-        assert!(report.has_errors());
-        assert!(report.semantic.is_none());
-
-        // A query shape with no bound adornment anywhere: MD041 explains
-        // why magic sets would not help.
-        let p = parse_program("p(X) :- node(X).", &s).unwrap();
-        let report = analyze(&p, &AnalysisOptions::new().outputs(["p"]).semantic(true));
-        let magic = report.semantic.as_ref().unwrap().magic.as_ref().unwrap();
-        assert!(!magic.applicable);
-        assert_eq!(
-            report.with_code(LintCode::MagicFullMaterialization).count(),
-            1
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `mdtw-lint` — lint `.dl` datalog programs.
 //!
 //! ```text
-//! usage: mdtw-lint [--json] [--deny-warnings] [--optimize]
+//! usage: mdtw-lint [--json] [--deny-warnings] [--explain] [--profile OUT.json]
 //!                  [--fuel N] [--timeout-ms N] [--version] FILE.dl...
 //! ```
 //!
@@ -13,14 +13,9 @@
 //! Parses each file leniently against a synthetic structure (extensional
 //! predicates and output predicates come from `%! edb name/arity` and
 //! `%! output name` pragmas, or are inferred — see the `lint` module of
-//! `mdtw-datalog`), runs the full static-analysis battery — including the
-//! semantic tier (containment-based redundancy, provable boundedness,
-//! magic-set applicability) — and reports the `MD0xx` diagnostics with
-//! rustc-style carets (or as JSON with `--json`).
-//!
-//! `--optimize` adds a dry-run of the semantic optimizer pipeline
-//! (minimize → eliminate bounded recursion → magic sets) and prints the
-//! rewritten program; with `--json` it lands in an `optimize` field.
+//! `mdtw-datalog`), runs the full static-analysis battery, and reports
+//! the `MD0xx` diagnostics with rustc-style carets (or as JSON with
+//! `--json`). Linting walks the program and never evaluates it.
 //!
 //! `--explain` renders each file's compiled join plans — join order,
 //! scan-vs-probe access paths, delta splits, and index key positions —
@@ -28,17 +23,18 @@
 //! in an `explain` field.
 //!
 //! `--profile FILE.json` runs a profiled dry-run evaluation of each
-//! input (full literal-level detail, under the same per-file budget as
-//! the semantic tier), prints the hottest rules and the per-stratum
+//! input (full literal-level detail, under a per-file budget), prints
+//! the hottest rules and the per-stratum
 //! timeline, and writes the collected profiles to `FILE.json` after
 //! validating that they round-trip through the JSON layer; with
 //! `--json` the same data also lands in a `profile` field.
 //!
-//! `--fuel N` and `--timeout-ms N` budget the semantic tier's containment
-//! probes (per file — each file gets a fresh meter). Without them a
-//! built-in fuel ceiling applies, so linting terminates even on
-//! adversarial programs; a tripped budget degrades the affected semantic
-//! findings to "not proven" and never changes the exit status by itself.
+//! `--fuel N` and `--timeout-ms N` budget the `--profile` dry-run
+//! evaluation (per file — each file gets a fresh meter). Without them a
+//! built-in fuel ceiling applies, so profiling terminates even on
+//! adversarial programs; a tripped budget is reported in the profile
+//! (which then covers the partial run) and never changes the exit status
+//! by itself.
 //!
 //! Exit status — the contract scripts can rely on:
 //! * `0` — every file is clean (warnings allowed unless `--deny-warnings`);
@@ -48,16 +44,15 @@
 
 use mdtw_datalog::analysis::Severity;
 use mdtw_datalog::lint::{
-    explain_outcome_json, explain_source, file_json, json, json::Json, lint_source_with_limits,
-    optimize_source_with_limits, profile_outcome_json, profile_source_with_limits,
-    render_parse_error, render_pragma_error, ExplainOutcome, LintOutcome, OptimizeOutcome,
-    ProfileOutcome, JSON_SCHEMA_VERSION,
+    explain_outcome_json, explain_source, file_json, json, json::Json, lint_source,
+    profile_outcome_json, profile_source_with_limits, render_parse_error, render_pragma_error,
+    ExplainOutcome, LintOutcome, ProfileOutcome, JSON_SCHEMA_VERSION,
 };
 use mdtw_datalog::{EvalLimits, EvalProfile, ProfileDetail};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: mdtw-lint [--json] [--deny-warnings] [--optimize] [--explain] \
+const USAGE: &str = "usage: mdtw-lint [--json] [--deny-warnings] [--explain] \
                      [--profile OUT.json] [--fuel N] [--timeout-ms N] [--version] FILE.dl...";
 
 fn print_help() {
@@ -65,11 +60,10 @@ fn print_help() {
     println!();
     println!("  --json            machine-readable output (one object per file)");
     println!("  --deny-warnings   treat warning-level findings as errors (exit 1)");
-    println!("  --optimize        dry-run the semantic optimizer and print the result");
     println!("  --explain         render each file's compiled join plans");
     println!("  --profile OUT     profile a dry-run evaluation, write profiles to OUT (JSON)");
-    println!("  --fuel N          budget the semantic probes to N units of work per file");
-    println!("  --timeout-ms N    deadline for the semantic probes, per file");
+    println!("  --fuel N          budget the --profile evaluation to N units of work per file");
+    println!("  --timeout-ms N    deadline for the --profile evaluation, per file");
     println!("  --version         print the tool version and JSON schema version");
     println!();
     println!("exit status:");
@@ -81,7 +75,6 @@ fn print_help() {
 fn main() -> ExitCode {
     let mut json_mode = false;
     let mut deny_warnings = false;
-    let mut optimize = false;
     let mut explain = false;
     let mut profile_out: Option<String> = None;
     let mut fuel: Option<u64> = None;
@@ -92,7 +85,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json_mode = true,
             "--deny-warnings" => deny_warnings = true,
-            "--optimize" => optimize = true,
             "--explain" => explain = true,
             "--profile" => {
                 let Some(value) = args.next() else {
@@ -163,8 +155,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let limits = file_limits();
-        let outcome = match lint_source_with_limits(&source, limits.as_ref()) {
+        let outcome = match lint_source(&source) {
             Ok(o) => o,
             Err(pragma) => {
                 eprintln!("{}", render_pragma_error(&pragma, &source, path));
@@ -178,12 +169,7 @@ fn main() -> ExitCode {
                 .as_ref()
                 .is_some_and(|r| r.warning_count() > 0);
         }
-        // Pragmas already validated above, so optimize_source cannot fail.
-        // A fresh meter keeps the dry-run's budget independent of lint's.
-        let optimized = optimize.then(|| {
-            optimize_source_with_limits(&source, file_limits().as_ref())
-                .expect("pragmas validated by lint_source")
-        });
+        // Pragmas already validated above, so the dry-runs cannot fail.
         let explained =
             explain.then(|| explain_source(&source).expect("pragmas validated by lint_source"));
         let profiled = profile_out.is_some().then(|| {
@@ -191,7 +177,7 @@ fn main() -> ExitCode {
                 .expect("pragmas validated by lint_source")
         });
         if json_mode {
-            let mut obj = file_json(path, &outcome, optimized.as_ref());
+            let mut obj = file_json(path, &outcome);
             if let Json::Obj(fields) = &mut obj {
                 if let Some(exp) = &explained {
                     fields.push(("explain".into(), explain_outcome_json(exp)));
@@ -203,9 +189,6 @@ fn main() -> ExitCode {
             json_files.push(obj);
         } else {
             render_human(path, &source, &outcome);
-            if let Some(opt) = &optimized {
-                render_optimized(path, opt);
-            }
             if let Some(exp) = &explained {
                 render_explained(path, exp);
             }
@@ -353,38 +336,4 @@ fn write_profiles(out_path: &str, entries: &[(String, ProfileOutcome)]) -> Resul
         }
     }
     std::fs::write(out_path, rendered + "\n").map_err(|e| e.to_string())
-}
-
-fn render_optimized(path: &str, outcome: &OptimizeOutcome) {
-    match outcome {
-        OptimizeOutcome::Skipped(reason) => {
-            println!("\n{path}: optimizer skipped: {reason}");
-        }
-        OptimizeOutcome::Optimized(dump) => {
-            let s = &dump.summary;
-            println!(
-                "\n{path}: optimized {} -> {} rules \
-                 ({} removed, {} literals condensed, {} bounded SCCs, magic: {})",
-                dump.rules_before,
-                dump.rules.len(),
-                s.removed_rules,
-                s.condensed_literals,
-                s.bounded_sccs,
-                if s.magic_applied {
-                    format!("{} demand rules", s.magic_rules)
-                } else {
-                    "not applied".to_owned()
-                },
-            );
-            if s.budget_tripped {
-                println!(
-                    "  (budget tripped: some containment probes ran out of fuel or time, \
-                     the affected transforms were skipped)"
-                );
-            }
-            for rule in &dump.rules {
-                println!("  {rule}");
-            }
-        }
-    }
 }

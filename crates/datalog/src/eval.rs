@@ -183,8 +183,8 @@ impl IdbStore {
     }
 }
 
-/// Evaluation statistics (for the linearity experiments and the
-/// `bench_report` perf trajectory).
+/// Evaluation statistics (for the linearity experiments, the pinned
+/// work counters of `eval_stats_pin` and the `perfbench` layer split).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of successful rule instantiations. The semi-naive engine

@@ -60,7 +60,6 @@ use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_program_with, StructureStats};
 use crate::profile::{EvalProfile, Explanation, ProfileDetail, Profiler};
 use crate::stratify::{stratify, Strata, Stratification, StratificationError};
-use crate::transform::{self, TransformSummary};
 use mdtw_structure::Structure;
 use std::fmt;
 use std::sync::Arc;
@@ -106,9 +105,6 @@ pub struct EvalOptions {
     fd_catalog: Option<FdCatalog>,
     outputs: Option<Vec<String>>,
     prune_dead_rules: bool,
-    minimize: bool,
-    eliminate_bounded: bool,
-    magic_sets: bool,
     limits: Option<EvalLimits>,
     profile: ProfileDetail,
 }
@@ -116,7 +112,7 @@ pub struct EvalOptions {
 impl EvalOptions {
     /// The defaults: engine auto-selected ([`Engine::SemiNaiveIndexed`],
     /// or [`Engine::QuasiGuarded`] once [`fd_catalog`](Self::fd_catalog)
-    /// is attached), no transforms, no limits, profiling off.
+    /// is attached), no pruning, no limits, profiling off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -160,47 +156,10 @@ impl EvalOptions {
         self
     }
 
-    /// Minimizes the program at construction:
-    /// [`transform::minimize`] condenses rule
-    /// bodies by homomorphism and drops rules the rest of the program
-    /// uniformly contains. Semantics on every intensional predicate are
-    /// preserved (property-tested); see
-    /// [`transforms`](Evaluator::transforms) for what was done.
-    pub fn minimize(mut self, on: bool) -> Self {
-        self.minimize = on;
-        self
-    }
-
-    /// Rewrites recursive SCCs proven *bounded* (by the iterated
-    /// uniform-containment test of
-    /// [`transform::bounded_sccs`]) into
-    /// their nonrecursive unfoldings at construction.
-    pub fn eliminate_bounded_recursion(mut self, on: bool) -> Self {
-        self.eliminate_bounded = on;
-        self
-    }
-
-    /// Applies the magic-set demand transformation keyed by the declared
-    /// [`outputs`](Self::outputs) at construction
-    /// ([`transform::magic_program`]).
-    /// No-op when no output admits a bound adornment, when outputs were
-    /// not declared, or when the rewritten program would not stratify.
-    /// Output predicates keep their names, so
-    /// [`IdbStore`] lookups keep working; other
-    /// predicates may be replaced by adorned versions (`p[bf]`) and
-    /// demand predicates (`m_p[bf]`).
-    pub fn magic_sets(mut self, on: bool) -> Self {
-        self.magic_sets = on;
-        self
-    }
-
     /// Attaches resource limits ([`EvalLimits`]) to the session. Every
-    /// evaluation — and every nested evaluation the construction-time
-    /// transforms spawn — draws from the limits' shared meter; a trip
-    /// surfaces as [`EvalError::LimitExceeded`] (with a partial result
-    /// where the engine can guarantee soundness), except in the
-    /// construction-time transforms, which degrade to "not applied" (see
-    /// [`TransformSummary::budget_tripped`]).
+    /// evaluation draws from the limits' shared meter; a trip surfaces as
+    /// [`EvalError::LimitExceeded`] (with a partial result where the
+    /// engine can guarantee soundness).
     ///
     /// ```
     /// use mdtw_datalog::{EvalLimits, EvalOptions};
@@ -399,7 +358,6 @@ pub struct Evaluator {
     qg_plan: Option<QgPlan>,
     outputs: Option<Vec<String>>,
     pruned_rules: usize,
-    transforms: TransformSummary,
     limits: Option<EvalLimits>,
     profile_detail: ProfileDetail,
     strata: Strata,
@@ -436,39 +394,6 @@ impl Evaluator {
                 }
             }
         }
-        let mut transforms = TransformSummary::default();
-        if options.minimize {
-            let (report, tripped) =
-                transform::minimize_with_limits(&mut program, options.limits.as_ref());
-            transforms.removed_rules = report.removed_rules;
-            transforms.condensed_literals = report.condensed_literals;
-            transforms.budget_tripped |= tripped;
-        }
-        if options.eliminate_bounded {
-            let (sccs, tripped) = transform::eliminate_bounded_recursion_with_limits(
-                &mut program,
-                options.limits.as_ref(),
-            );
-            transforms.bounded_sccs = sccs.len();
-            transforms.budget_tripped |= tripped;
-        }
-        if options.magic_sets {
-            if let Some(outputs) = &options.outputs {
-                let ids: Vec<_> = outputs.iter().filter_map(|s| program.idb(s)).collect();
-                let outcome = transform::magic_program(&program, &ids);
-                transforms.magic_adorned = outcome.adorned;
-                transforms.magic_rules = outcome.magic_rules;
-                if let Some(rewritten) = outcome.program {
-                    // The demand rewrite is argued stratifiable whenever
-                    // the input is, but fall back rather than fail if a
-                    // corner case defeats that.
-                    if stratify(&rewritten).is_ok() {
-                        transforms.magic_applied = true;
-                        program = rewritten;
-                    }
-                }
-            }
-        }
         let stratification = stratify(&program)?;
         let engine = options.engine.unwrap_or(if options.fd_catalog.is_some() {
             Engine::QuasiGuarded
@@ -495,7 +420,6 @@ impl Evaluator {
             qg_plan,
             outputs: options.outputs,
             pruned_rules,
-            transforms,
             limits: options.limits,
             profile_detail: options.profile,
             strata: Strata::new(program, stratification),
@@ -516,8 +440,8 @@ impl Evaluator {
     pub fn evaluate(&mut self, structure: &Structure) -> Result<EvalResult, EvalError> {
         let limits = self.limits.clone();
         // Per-evaluation deltas of the shared meter (the meter is
-        // cumulative across a session's evaluations and the transforms'
-        // nested probes, so absolute readings would mislead).
+        // cumulative across every evaluation sharing it, so absolute
+        // readings would mislead).
         let meter_before = limits.as_ref().map(|l| (l.checks_spent(), l.fuel_spent()));
         let mut profiler =
             (self.profile_detail != ProfileDetail::Off).then(|| Profiler::new(self.profile_detail));
@@ -606,10 +530,8 @@ impl Evaluator {
     /// re-derivation instead of re-evaluation.
     ///
     /// Every construction option carries over: the view maintains the
-    /// session's program as pruned and rewritten by
-    /// [`EvalOptions::prune_dead_rules`], [`EvalOptions::minimize`],
-    /// [`EvalOptions::eliminate_bounded_recursion`] and
-    /// [`EvalOptions::magic_sets`], so its declared
+    /// session's program as pruned by
+    /// [`EvalOptions::prune_dead_rules`], so its declared
     /// [`outputs`](EvalOptions::outputs) agree with a default session over
     /// the original program. Only [`Engine::SemiNaiveIndexed`] compiles
     /// the per-rule join plans the maintenance passes replay; any other
@@ -687,15 +609,6 @@ impl Evaluator {
     #[inline]
     pub fn pruned_rule_count(&self) -> usize {
         self.pruned_rules
-    }
-
-    /// What the semantic transformations ([`EvalOptions::minimize`],
-    /// [`EvalOptions::eliminate_bounded_recursion`],
-    /// [`EvalOptions::magic_sets`]) did at construction; all-zero when
-    /// none was requested.
-    #[inline]
-    pub fn transforms(&self) -> TransformSummary {
-        self.transforms
     }
 
     /// The session's program (the session owns it; call sites that need
@@ -965,34 +878,6 @@ mod tests {
         let report = pruned.analyze();
         assert_eq!(report.relevant_rules, vec![true, true]);
         assert_eq!(report.warning_count(), 0, "{:?}", report.diagnostics);
-    }
-
-    #[test]
-    fn transform_options_rewrite_at_construction() {
-        let s = chain(12);
-        let src = "path(X, Y) :- e(X, Y).\n\
-                   path(X, Z) :- path(X, Y), e(Y, Z).\n\
-                   answer(Y) :- first(X), path(X, Y).";
-        let p = parse_program(src, &s).unwrap();
-        let mut full =
-            Evaluator::with_options(p.clone(), EvalOptions::new().outputs(["answer"])).unwrap();
-        assert_eq!(full.transforms(), TransformSummary::default());
-        let mut magic =
-            Evaluator::with_options(p, EvalOptions::new().outputs(["answer"]).magic_sets(true))
-                .unwrap();
-        let t = magic.transforms();
-        assert!(t.magic_applied);
-        assert!(t.magic_rules >= 1);
-        let a = full.evaluate(&s).unwrap();
-        let b = magic.evaluate(&s).unwrap();
-        let fa = full.program().idb("answer").unwrap();
-        let fb = magic.program().idb("answer").unwrap();
-        assert_eq!(a.store.tuples(fa), b.store.tuples(fb));
-        assert!(!b.store.tuples(fb).is_empty());
-        assert!(
-            b.stats.facts < a.stats.facts,
-            "demand evaluation avoids the full path materialization"
-        );
     }
 
     #[test]

@@ -78,13 +78,7 @@
 //!   re-derivation and stratum-by-stratum DRed instead of
 //!   re-evaluation (every maintenance join runs through the compiled-plan
 //!   executor of evaluation), governed by the same [`EvalLimits`]
-//!   budgets with a sound full-recompute fallback;
-//! * [`transform`](mod@crate::transform) — the semantic optimizer:
-//!   uniform-containment rule minimization, boundedness detection with
-//!   recursion elimination, and the magic-set demand transformation,
-//!   wired into [`EvalOptions`] (`minimize`, `eliminate_bounded_recursion`,
-//!   `magic_sets`) and reported by the semantic tier of the analysis
-//!   pass (MD017 / MD023 / MD040-series).
+//!   budgets with a sound full-recompute fallback.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,11 +97,9 @@ pub mod plan;
 pub mod profile;
 pub mod span;
 pub mod stratify;
-pub mod transform;
 
 pub use analysis::{
-    analyze, AnalysisOptions, Diagnostic, LintCode, MagicSummary, ProgramReport, RecursionClass,
-    SemanticReport, Severity,
+    analyze, AnalysisOptions, Diagnostic, LintCode, ProgramReport, RecursionClass, Severity,
 };
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
 pub use eval::{EvalStats, IdbStore};
@@ -127,10 +119,4 @@ pub use profile::{
     UpdateProfile, UpdateStratumProfile,
 };
 pub use span::{RuleSpans, Span};
-pub use stratify::{recursive_idb_scc_count, stratify, Stratification, StratificationError};
-pub use transform::{
-    bounded_sccs, bounded_sccs_with_limits, eliminate_bounded_recursion,
-    eliminate_bounded_recursion_with_limits, magic_program, minimize, minimize_with_limits,
-    optimize, optimize_with_limits, redundant_rules, redundant_rules_with_limits, BoundedScc,
-    MagicOutcome, MinimizeReport, TransformSummary,
-};
+pub use stratify::{stratify, Stratification, StratificationError};

@@ -3,10 +3,10 @@
 //! Every fixpoint loop in the engine is potentially unbounded in the size
 //! of its output — a hostile (or merely large) program can spin
 //! [`Evaluator::evaluate`](crate::evaluator::Evaluator::evaluate) for
-//! arbitrarily long, and the semantic-optimizer paths of
-//! [`transform`](crate::transform) run *nested* evaluations whose worst
-//! case is exponential. [`EvalLimits`] puts an enforced ceiling on all of
-//! them: attach limits via
+//! arbitrarily long, and so can the maintenance passes of a
+//! [`MaterializedView`](crate::incremental::MaterializedView).
+//! [`EvalLimits`] puts an enforced ceiling on all of them: attach limits
+//! via
 //! [`EvalOptions::limits`](crate::evaluator::EvalOptions::limits) and the
 //! engines check them at amortized checkpoints (every few thousand
 //! tuples considered, every fixpoint round, every stratum). A tripped limit surfaces as
@@ -20,10 +20,9 @@
 //! An `EvalLimits` value owns a **meter**: the running totals of fuel
 //! spent, facts derived, rounds executed and checkpoints passed. Clones
 //! share the meter, so handing clones of one `EvalLimits` to several
-//! evaluations makes them draw from a single budget — this is how the
-//! optimizer's nested containment probes are governed by the same fuel as
-//! the session that spawned them. [`EvalLimits::fresh`] copies the
-//! configuration with a new, zeroed meter.
+//! sessions makes all their evaluations draw from a single budget.
+//! [`EvalLimits::fresh`] copies the configuration with a new, zeroed
+//! meter.
 //!
 //! ```
 //! use mdtw_datalog::{EvalLimits, EvalError, EvalOptions, Evaluator, parse_program};
@@ -153,7 +152,7 @@ struct MeterState {
 ///
 /// Limits are **cumulative across everything sharing the meter**: all
 /// strata of one evaluation, repeated `evaluate` calls on the same
-/// session, and every nested evaluation the optimizer spawns. Use
+/// session, and every session handed a clone of the same limits. Use
 /// [`EvalLimits::fresh`] to reuse a configuration with a zeroed meter.
 #[derive(Debug, Clone, Default)]
 pub struct EvalLimits {

@@ -28,7 +28,6 @@ use crate::limits::EvalLimits;
 use crate::parser::{is_variable, parse_program, parse_program_lenient, ParseError};
 use crate::profile::{EvalProfile, Explanation, ProfileDetail};
 use crate::span::Span;
-use crate::transform::{optimize_with_limits, TransformSummary};
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use std::fmt;
@@ -282,18 +281,6 @@ pub fn synthetic_structure(source: &str, decls: &LintDecls) -> Structure {
 /// extensional heads and negative cycles as spanned `MD0xx` diagnostics
 /// instead of dying on the first), and runs [`analyze`].
 pub fn lint_source(source: &str) -> Result<LintOutcome, PragmaError> {
-    lint_source_with_limits(source, None)
-}
-
-/// [`lint_source`] with an explicit budget for the semantic tier's
-/// containment probes (e.g. from `mdtw-lint --fuel` / `--timeout-ms`).
-/// `None` falls back to the analysis layer's default fuel budget
-/// ([`crate::analysis::DEFAULT_SEMANTIC_FUEL`]), so linting terminates
-/// even on adversarial programs.
-pub fn lint_source_with_limits(
-    source: &str,
-    limits: Option<&EvalLimits>,
-) -> Result<LintOutcome, PragmaError> {
     let decls = scan_pragmas(source)?;
     let structure = synthetic_structure(source, &decls);
     match parse_program_lenient(source, &structure) {
@@ -303,12 +290,8 @@ pub fn lint_source_with_limits(
             decls,
         }),
         Ok(program) => {
-            let mut options = AnalysisOptions::new()
-                .edb_signature(Arc::clone(structure.signature()))
-                .semantic(true);
-            if let Some(l) = limits {
-                options = options.limits(l.clone());
-            }
+            let mut options =
+                AnalysisOptions::new().edb_signature(Arc::clone(structure.signature()));
             if !decls.outputs.is_empty() {
                 options = options.outputs(decls.outputs.iter().cloned());
             }
@@ -340,87 +323,6 @@ pub fn render_pragma_error(err: &PragmaError, source: &str, path: &str) -> Strin
         err.message,
         crate::span::caret_snippet(err.span, Some(source), path)
     )
-}
-
-/// What `mdtw-lint --optimize` produced for one file: either the
-/// optimized program dump or the reason the dry-run was skipped.
-#[derive(Debug)]
-pub enum OptimizeOutcome {
-    /// The program parsed strictly and the optimizer pipeline ran.
-    Optimized(OptimizeDump),
-    /// The dry-run could not (or had no reason to) run: parse failure or
-    /// error-level diagnostics. Carries a human-readable reason.
-    Skipped(String),
-}
-
-/// The result of running the full [`optimize_with_limits`] pipeline on a file, for
-/// display: the surviving rules re-rendered as text, plus the summary.
-#[derive(Debug)]
-pub struct OptimizeDump {
-    /// The optimized program's rules, rendered back to datalog text.
-    pub rules: Vec<String>,
-    /// Rule count before the pipeline ran.
-    pub rules_before: usize,
-    /// What each transform did.
-    pub summary: TransformSummary,
-}
-
-/// Runs the semantic-optimizer dry-run for `mdtw-lint --optimize`:
-/// minimization, bounded-recursion elimination and (when `%! output`
-/// pragmas declare a query) the magic-set rewrite, then renders the
-/// resulting program. Never evaluates over real data — the only
-/// evaluation is the containment test's canonical databases.
-pub fn optimize_source(source: &str) -> Result<OptimizeOutcome, PragmaError> {
-    optimize_source_with_limits(source, None)
-}
-
-/// Default fuel budget for the `--optimize` dry-run's containment probes
-/// when no explicit limits are given: the pipeline runs more probes than
-/// a lint pass, so its ceiling is higher, but it still guarantees
-/// termination on adversarial inputs.
-pub const DEFAULT_OPTIMIZE_FUEL: u64 = 20_000_000;
-
-/// [`optimize_source`] with an explicit budget for the pipeline's
-/// containment probes. `None` falls back to [`DEFAULT_OPTIMIZE_FUEL`];
-/// a tripped budget is visible as
-/// [`TransformSummary::budget_tripped`](crate::transform::TransformSummary::budget_tripped)
-/// on the returned dump — the affected transforms degrade to "not
-/// applied" instead of hanging.
-pub fn optimize_source_with_limits(
-    source: &str,
-    limits: Option<&EvalLimits>,
-) -> Result<OptimizeOutcome, PragmaError> {
-    let decls = scan_pragmas(source)?;
-    let structure = synthetic_structure(source, &decls);
-    let mut program = match parse_program(source, &structure) {
-        Ok(p) => p,
-        Err(e) => {
-            return Ok(OptimizeOutcome::Skipped(format!(
-                "parse error at {}: {}",
-                e.span, e.message
-            )))
-        }
-    };
-    let rules_before = program.rules.len();
-    let outputs: Vec<_> = decls
-        .outputs
-        .iter()
-        .filter_map(|name| program.idb(name))
-        .collect();
-    let budget = limits
-        .cloned()
-        .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_OPTIMIZE_FUEL));
-    let summary = optimize_with_limits(&mut program, &outputs, Some(&budget));
-    let rules = program
-        .rules
-        .iter()
-        .map(|r| program.render_rule(r, &structure))
-        .collect();
-    Ok(OptimizeOutcome::Optimized(OptimizeDump {
-        rules,
-        rules_before,
-        summary,
-    }))
 }
 
 /// What `mdtw-lint --explain` produced for one file: either the
@@ -465,6 +367,11 @@ pub fn explain_source(source: &str) -> Result<ExplainOutcome, PragmaError> {
     )))
 }
 
+/// Default fuel budget for the `--profile` dry-run evaluation when no
+/// explicit limits are given: generous for every reasonable program, but
+/// it still guarantees termination on adversarial inputs.
+const DEFAULT_PROFILE_FUEL: u64 = 20_000_000;
+
 /// What `mdtw-lint --profile` produced for one file.
 #[derive(Debug)]
 pub enum ProfileOutcome {
@@ -490,10 +397,10 @@ pub struct ProfileDump {
 
 /// Runs a profiled dry-run evaluation of a `.dl` file for
 /// `mdtw-lint --profile`: the program is evaluated at `detail` over the
-/// seeded [`dry_run_structure`] under a fuel budget (`limits`, or
-/// [`DEFAULT_OPTIMIZE_FUEL`]), and the profile — per-stratum timeline,
-/// per-rule breakdown, per-literal selectivities — is returned for
-/// rendering. The dry-run data is synthetic; the numbers show *where* the
+/// seeded [`dry_run_structure`] under a fuel budget (`limits`, or a
+/// built-in default of 20 million units), and the profile — per-stratum
+/// timeline, per-rule breakdown, per-literal selectivities — is returned
+/// for rendering. The dry-run data is synthetic; the numbers show *where* the
 /// program burns work on cyclic EDB data, not production magnitudes.
 ///
 /// # Errors
@@ -517,7 +424,7 @@ pub fn profile_source_with_limits(
     };
     let budget = limits
         .cloned()
-        .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_OPTIMIZE_FUEL));
+        .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_PROFILE_FUEL));
     let mut options = EvalOptions::new().profile(detail).limits(budget);
     if !decls.outputs.is_empty() {
         options = options.outputs(decls.outputs.iter().cloned());
@@ -939,9 +846,8 @@ pub const JSON_SCHEMA_VERSION: u64 = 1;
 /// The per-file object of `mdtw-lint --json`: `schema_version`
 /// ([`JSON_SCHEMA_VERSION`]), `file`, `diagnostics` (via
 /// [`diagnostic_to_json`]), and either a `parse_error` object or a
-/// `summary` object; with `--optimize`, an `optimize` field built by
-/// [`optimize_json`].
-pub fn file_json(path: &str, outcome: &LintOutcome, optimized: Option<&OptimizeOutcome>) -> Json {
+/// `summary` object.
+pub fn file_json(path: &str, outcome: &LintOutcome) -> Json {
     let mut fields: Vec<(String, Json)> = vec![
         (
             "schema_version".into(),
@@ -979,46 +885,7 @@ pub fn file_json(path: &str, outcome: &LintOutcome, optimized: Option<&OptimizeO
             ),
         ]),
     ));
-    if let Some(opt) = optimized {
-        fields.push(("optimize".into(), optimize_json(opt)));
-    }
     Json::Obj(fields)
-}
-
-/// Serializes an [`OptimizeOutcome`] for `--json --optimize` output.
-pub fn optimize_json(outcome: &OptimizeOutcome) -> Json {
-    match outcome {
-        OptimizeOutcome::Skipped(reason) => {
-            Json::Obj(vec![("skipped".into(), Json::Str(reason.clone()))])
-        }
-        OptimizeOutcome::Optimized(dump) => Json::Obj(vec![
-            (
-                "rules".into(),
-                Json::Arr(dump.rules.iter().map(|r| Json::Str(r.clone())).collect()),
-            ),
-            ("rules_before".into(), Json::Num(dump.rules_before as f64)),
-            (
-                "removed_rules".into(),
-                Json::Num(dump.summary.removed_rules as f64),
-            ),
-            (
-                "condensed_literals".into(),
-                Json::Num(dump.summary.condensed_literals as f64),
-            ),
-            (
-                "bounded_sccs".into(),
-                Json::Num(dump.summary.bounded_sccs as f64),
-            ),
-            (
-                "magic_applied".into(),
-                Json::Bool(dump.summary.magic_applied),
-            ),
-            (
-                "magic_rules".into(),
-                Json::Num(dump.summary.magic_rules as f64),
-            ),
-        ]),
-    }
 }
 
 /// Serializes an [`EvalStats`] counter block for `--json` output; the
@@ -1188,35 +1055,6 @@ mod tests {
         // carry the `\r`.
         assert!(rendered.contains("2 | %! output\n"), "{rendered}");
         assert!(rendered.ends_with("| ^^^^^^^^^"), "{rendered}");
-    }
-
-    #[test]
-    fn optimize_source_dry_runs_the_pipeline() {
-        let out = optimize_source(
-            "%! edb e/2\n%! edb source/1\n%! output answer\n\
-             q(X, Y) :- e(X, Y).\n\
-             q(X, Y) :- q(Y, X).\n\
-             answer(Y) :- source(X), q(X, Y).",
-        )
-        .unwrap();
-        let OptimizeOutcome::Optimized(dump) = out else {
-            panic!("should optimize: {out:?}");
-        };
-        assert_eq!(dump.rules_before, 3);
-        assert_eq!(dump.summary.bounded_sccs, 1);
-        assert!(dump.summary.magic_applied);
-        assert!(!dump.rules.is_empty());
-        assert!(
-            dump.rules.iter().any(|r| r.contains("m_")),
-            "magic predicates visible in the dump: {:?}",
-            dump.rules
-        );
-    }
-
-    #[test]
-    fn optimize_source_skips_unparsable_files() {
-        let out = optimize_source("q(X :- e(X, Y).").unwrap();
-        assert!(matches!(out, OptimizeOutcome::Skipped(_)));
     }
 
     #[test]

@@ -901,8 +901,8 @@ impl UpdateProfile {
 }
 
 /// Serializes an [`EvalError`] as a machine-readable JSON object — the
-/// error twin of [`EvalProfile::to_json`], used by the `--profile` flags
-/// of `mdtw-lint` and `bench_report`. A
+/// error twin of [`EvalProfile::to_json`], for exporting a failed
+/// evaluation next to the profiles of successful ones. A
 /// [`EvalError::LimitExceeded`] names the limit kind, the tripping
 /// stratum, the counters at the trip and whether a partial result was
 /// attached; other errors carry their display rendering.

@@ -231,41 +231,6 @@ pub fn stratify(program: &Program) -> Result<Stratification, StratificationError
     })
 }
 
-/// Number of *recursive* SCCs of the predicate dependency graph: SCCs
-/// carrying at least one internal edge (a multi-predicate component, or a
-/// self-loop). A program is nonrecursive iff this is 0 — the property the
-/// bounded-recursion rewrite of [`transform`](crate::transform)
-/// establishes for proven-bounded components.
-pub fn recursive_idb_scc_count(program: &Program) -> usize {
-    let n = program.idb_count();
-    let mut edges: Vec<DepEdge> = Vec::new();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (rule_idx, rule) in program.rules.iter().enumerate() {
-        let PredRef::Idb(head) = rule.head.pred else {
-            continue;
-        };
-        for lit in &rule.body {
-            if let PredRef::Idb(body) = lit.atom.pred {
-                adj[body.index()].push(edges.len());
-                edges.push(DepEdge {
-                    from: body,
-                    to: head,
-                    negative: !lit.positive,
-                    rule: rule_idx,
-                });
-            }
-        }
-    }
-    let (scc_of, scc_count) = tarjan_sccs(n, &edges, &adj);
-    let mut recursive = vec![false; scc_count];
-    for edge in &edges {
-        if scc_of[edge.from.index()] == scc_of[edge.to.index()] {
-            recursive[scc_of[edge.from.index()]] = true;
-        }
-    }
-    recursive.iter().filter(|&&r| r).count()
-}
-
 /// Builds the [`StratificationError::NegativeCycle`] for a negative edge
 /// `bad` inside an SCC: recovers an explicit predicate cycle by BFS from
 /// the edge's head back to its (negated) body predicate, inside the SCC.

@@ -117,8 +117,8 @@ fn main() {
     );
 
     // Clones of one EvalLimits share a meter: the spend is cumulative
-    // across evaluations, so a session budget covers *all* the work it
-    // spawns (the optimizer's nested containment probes included).
+    // across evaluations, so a session budget covers *all* the work its
+    // evaluations do, not just one of them.
     let budget = EvalLimits::new().fuel(100_000);
     let program = mdtw::datalog::parse_program(TC, &s).unwrap();
     let mut session =

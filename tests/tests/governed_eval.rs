@@ -362,74 +362,6 @@ fn budget_is_cumulative_across_evaluations_sharing_a_meter() {
 }
 
 #[test]
-fn optimizer_probes_share_the_evaluation_budget() {
-    // With minimization on and a meter that trips instantly, the nested
-    // containment evaluations trip, the transform degrades to "not
-    // applied" (the redundant rule survives), and the *outer* evaluation
-    // still runs to completion — construction never fails.
-    let s = chain(8);
-    let src = "q(X) :- e(X, Y).\nq(X) :- e(X, Y), node(Y).";
-    let p = parse_program(src, &s).unwrap();
-
-    let plain = Evaluator::with_options(p.clone(), EvalOptions::new().minimize(true)).unwrap();
-    assert_eq!(
-        plain.program().rules.len(),
-        1,
-        "ungoverned minimize drops the instance"
-    );
-    assert!(!plain.transforms().budget_tripped);
-
-    let token = CancelToken::new();
-    token.cancel();
-    let limits = EvalLimits::new().cancel_token(token.clone());
-    let governed_session =
-        Evaluator::with_options(p.clone(), EvalOptions::new().minimize(true).limits(limits))
-            .unwrap();
-    assert_eq!(
-        governed_session.program().rules.len(),
-        2,
-        "tripped probes must conservatively keep every rule"
-    );
-    assert!(governed_session.transforms().budget_tripped);
-
-    // Un-cancel is impossible (tokens are one-way), so evaluation under
-    // the same limits trips too — but with a fresh, untripped budget the
-    // conservatively-kept program evaluates to the same fixpoint.
-    let mut fresh = Evaluator::with_options(p.clone(), EvalOptions::new().minimize(true)).unwrap();
-    let mut kept = Evaluator::new(p).unwrap();
-    let a = fresh.evaluate(&s).unwrap();
-    let b = kept.evaluate(&s).unwrap();
-    assert_eq!(a.store.tuples(IdbId(0)), b.store.tuples(IdbId(0)));
-}
-
-#[test]
-fn analysis_semantic_tier_is_budgeted_by_default() {
-    use mdtw_datalog::{analyze, AnalysisOptions};
-    let s = chain(6);
-    let src = "q(X) :- e(X, Y).\nq(X) :- e(X, Y), node(Y).";
-    let p = parse_program(src, &s).unwrap();
-    // Default budget: generous, so the probes complete on a small program.
-    let report = analyze(&p, &AnalysisOptions::new().semantic(true));
-    let semantic = report.semantic.expect("semantic tier ran");
-    assert!(!semantic.budget_tripped);
-    assert_eq!(semantic.redundant_rules, vec![false, true]);
-    // Starved budget: the tier still returns — degraded, flagged.
-    let report = analyze(
-        &p,
-        &AnalysisOptions::new()
-            .semantic(true)
-            .limits(EvalLimits::new().fuel(0)),
-    );
-    let semantic = report.semantic.expect("semantic tier still runs");
-    assert!(semantic.budget_tripped);
-    assert_eq!(
-        semantic.redundant_rules,
-        vec![false, false],
-        "degrades to not-proven"
-    );
-}
-
-#[test]
 fn limit_error_display_names_the_tripped_limit() {
     let s = chain(64);
     let p = parse_program(TC, &s).unwrap();

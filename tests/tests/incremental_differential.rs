@@ -11,15 +11,16 @@
 //! re-derivation, and a fault-injection sweep over governed maintenance.
 //! After every batch, every relation of the view must also pass
 //! [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
-//! A fifth program feeds the construction-time transforms, and a sweep
-//! over all sixteen combinations of `prune_dead_rules`, `minimize`,
-//! `eliminate_bounded_recursion` and `magic_sets` (each with `outputs`)
-//! checks that a materialized view's outputs agree with a default
-//! session over the original program after every batch.
+//! A fifth program carries redundant rules and a dead rule, and a sweep
+//! over all eight combinations of `prune_dead_rules`,
+//! `profile(Off | Rules)` and `limits(none | a generous fresh budget)`
+//! (each with `outputs`) checks that a materialized view's outputs agree
+//! with a default session over the original program after
+//! materialization and after every batch.
 
 use mdtw_datalog::{
     parse_program, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, LimitKind,
-    MaterializedView, Update,
+    MaterializedView, ProfileDetail, Update,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
@@ -65,11 +66,10 @@ const MULTI_RULE: &str = "t(X, Y) :- e(X, Y).\n\
                           c(Y) :- c(X), e(X, Y).\n\
                           c(X) :- t(X, X), !m(X).";
 
-/// Rules the construction-time transforms act on: `p`'s second rule is
-/// contained in its first and `q` repeats a literal (`minimize`), `b`'s
-/// recursive rule adds nothing (`eliminate_bounded_recursion`), `w`
+/// Redundant rules and a dead one: `p`'s second rule is contained in its
+/// first, `q` repeats a literal, `b`'s recursive rule adds nothing, `w`
 /// negates a derived predicate, and `dead` feeds no output
-/// (`prune_dead_rules`).
+/// (`prune_dead_rules` drops it).
 const REDUNDANT: &str = "p(X) :- m(X).\n\
                          p(X) :- m(X), e(X, Y).\n\
                          q(X, Y) :- e(X, Y), e(X, Y).\n\
@@ -186,11 +186,15 @@ fn run_case(source: &str, n: usize, edges: &[(u8, u8)], marks: &[u8], batches: &
     }
 }
 
-/// Every combination of the construction options `materialize` carries
-/// over — `prune_dead_rules`, `minimize`, `eliminate_bounded_recursion`,
-/// `magic_sets` — each with `outputs` declared: after materialization
-/// and after every batch, the view's output predicates equal a default
-/// session's over the original program and the mutated structure.
+/// A fuel budget no sweep case comes near: the governed path runs, but
+/// never trips.
+const GENEROUS_FUEL: u64 = 1 << 40;
+
+/// Every combination of `prune_dead_rules`, `profile(Off | Rules)` and
+/// `limits(none | a fresh generous budget)`, each with `outputs`
+/// declared: after materialization and after every batch, the view's
+/// output predicates equal a default session's over the original
+/// program and the mutated structure, and no batch falls back.
 fn run_options_case(
     source: &str,
     outputs: &[&str],
@@ -215,13 +219,18 @@ fn run_options_case(
             );
         }
     };
-    for combo in 0..16u8 {
-        let options = EvalOptions::new()
+    for combo in 0..8u8 {
+        let mut options = EvalOptions::new()
             .outputs(outputs.iter().copied())
             .prune_dead_rules(combo & 1 != 0)
-            .minimize(combo & 2 != 0)
-            .eliminate_bounded_recursion(combo & 4 != 0)
-            .magic_sets(combo & 8 != 0);
+            .profile(if combo & 2 != 0 {
+                ProfileDetail::Rules
+            } else {
+                ProfileDetail::Off
+            });
+        if combo & 4 != 0 {
+            options = options.limits(EvalLimits::new().fuel(GENEROUS_FUEL));
+        }
         let mut expected = initial.clone();
         let mut view = Evaluator::with_options(original.clone(), options)
             .unwrap()
@@ -230,15 +239,13 @@ fn run_options_case(
         assert_outputs(
             &view,
             &expected,
-            &format!("options {combo:04b}, materialized"),
+            &format!("options {combo:03b}, materialized"),
         );
         for (bi, batch) in batches.iter().enumerate() {
-            view.apply(&stage(batch, n, &mut expected));
-            assert_outputs(
-                &view,
-                &expected,
-                &format!("options {combo:04b}, batch {bi}"),
-            );
+            let profile = view.apply(&stage(batch, n, &mut expected));
+            let ctx = format!("options {combo:03b}, batch {bi}");
+            assert_eq!(profile.fell_back, None, "{ctx}: generous budget tripped");
+            assert_outputs(&view, &expected, &ctx);
             check_storage(&view);
         }
     }
@@ -471,29 +478,31 @@ fn three_rules_rederive_different_facts() {
     check_storage(&view);
 }
 
-/// The option sweep is only as strong as its programs: each transform
-/// must change at least one of them.
+/// The option sweep is only as strong as its programs and options:
+/// pruning must drop rules from the programs that have dead ones,
+/// profiling must attach a profile, and the generous budget must meter
+/// the governed evaluation.
 #[test]
-fn option_sweep_programs_exercise_every_transform() {
+fn option_sweep_programs_exercise_every_option() {
     let s = build_structure(5, &[(0, 1), (1, 1), (1, 2)], &[0, 1]);
     let session = |source: &str, output: &str, options: EvalOptions| {
         let program = parse_program(source, &s).unwrap();
         Evaluator::with_options(program, options.outputs([output])).unwrap()
     };
-    let pruned = session(
-        SEMIPOSITIVE,
-        "nl",
-        EvalOptions::new().prune_dead_rules(true),
+    let pruned = |source: &str, output: &str| {
+        session(source, output, EvalOptions::new().prune_dead_rules(true)).pruned_rule_count()
+    };
+    assert_eq!(pruned(SEMIPOSITIVE, "nl"), 2);
+    assert_eq!(pruned(REDUNDANT, "w"), 1);
+    let mut profiled = session(
+        NONLINEAR,
+        "hub",
+        EvalOptions::new().profile(ProfileDetail::Rules),
     );
-    assert_eq!(pruned.pruned_rule_count(), 2);
-    let minimized = session(REDUNDANT, "w", EvalOptions::new().minimize(true)).transforms();
-    assert!(minimized.removed_rules > 0 && minimized.condensed_literals > 0);
-    let unfolded = session(
-        REDUNDANT,
-        "w",
-        EvalOptions::new().eliminate_bounded_recursion(true),
-    );
-    assert_eq!(unfolded.transforms().bounded_sccs, 1);
-    let magic = session(NONLINEAR, "hub", EvalOptions::new().magic_sets(true));
-    assert!(magic.transforms().magic_applied);
+    assert!(profiled.evaluate(&s).unwrap().profile.is_some());
+    let limits = EvalLimits::new().fuel(GENEROUS_FUEL);
+    session(NONLINEAR, "hub", EvalOptions::new().limits(limits.clone()))
+        .materialize(&s)
+        .unwrap();
+    assert!(limits.fuel_spent() > 0, "the budgeted sweep is metered");
 }

@@ -1,12 +1,13 @@
 //! Golden test for the lint pipeline: the checked-in
 //! `tests/fixtures/lint_demo.dl` must produce exactly the expected
 //! `MD0xx` diagnostics, at the expected source locations, and the JSON
-//! encoding must round-trip.
+//! encoding must round-trip. The code table of the README and of the
+//! `LintCode` docs must list exactly the codes of `LintCode::ALL`.
 
 use mdtw_datalog::analysis::{LintCode, Severity};
 use mdtw_datalog::lint::{
-    diagnostic_from_json, diagnostic_to_json, file_json, json, lint_source, optimize_source,
-    render_pragma_error, scan_pragmas,
+    diagnostic_from_json, diagnostic_to_json, file_json, json, lint_source, render_pragma_error,
+    scan_pragmas,
 };
 
 const FIXTURE: &str = include_str!("../fixtures/lint_demo.dl");
@@ -97,7 +98,7 @@ fn file_json_matches_the_documented_shape() {
     // The object `mdtw-lint --json` emits per file, validated field by
     // field so scripts can rely on it.
     let outcome = lint_source(FIXTURE).unwrap();
-    let encoded = file_json("lint_demo.dl", &outcome, None).render();
+    let encoded = file_json("lint_demo.dl", &outcome).render();
     let value = json::parse(&encoded).expect("emitted JSON parses");
     assert_eq!(value.get("schema_version").unwrap().as_usize(), Some(1));
     assert_eq!(value.get("file").unwrap().as_str(), Some("lint_demo.dl"));
@@ -115,23 +116,50 @@ fn file_json_matches_the_documented_shape() {
     assert_eq!(summary.get("monadic").unwrap(), &json::Json::Bool(true));
     assert!(summary.get("recursion").unwrap().as_str().is_some());
     assert_eq!(summary.get("strata").unwrap(), &json::Json::Null);
-    assert!(value.get("optimize").is_none(), "only with --optimize");
     assert!(value.get("parse_error").is_none());
+}
 
-    // With --optimize, the `optimize` object carries the dry-run.
-    let source = include_str!("../fixtures/bounded_tc.dl");
-    let outcome = lint_source(source).unwrap();
-    let optimized = optimize_source(source).unwrap();
-    let encoded = file_json("bounded_tc.dl", &outcome, Some(&optimized)).render();
-    let value = json::parse(&encoded).unwrap();
-    let opt = value.get("optimize").expect("optimize field present");
-    assert_eq!(opt.get("rules_before").unwrap().as_usize(), Some(3));
-    assert_eq!(opt.get("removed_rules").unwrap().as_usize(), Some(1));
-    assert_eq!(opt.get("bounded_sccs").unwrap().as_usize(), Some(1));
-    assert!(opt.get("magic_applied").is_some());
-    let rules = opt.get("rules").unwrap().as_arr().unwrap();
-    assert!(!rules.is_empty());
-    assert!(rules.iter().all(|r| r.as_str().is_some()));
+/// The `MDxxx` codes of the `| MDxxx |` table rows in `text`, in order.
+fn table_codes(text: &str, row_prefix: &str) -> Vec<String> {
+    text.lines()
+        .filter_map(|line| line.trim_start().strip_prefix(row_prefix))
+        .filter_map(|rest| rest.trim_start().strip_prefix("| MD"))
+        .filter_map(|rest| rest.get(..3))
+        .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+        .map(|digits| format!("MD{digits}"))
+        .collect()
+}
+
+#[test]
+fn lint_code_tables_match_the_code_list() {
+    let all: Vec<String> = LintCode::ALL.iter().map(|c| c.code().to_owned()).collect();
+    for code in &all {
+        assert_eq!(
+            LintCode::from_code(code).map(LintCode::code),
+            Some(code.as_str())
+        );
+    }
+    // The codes of the retired semantic tier (containment redundancy,
+    // proven boundedness, magic-set applicability) resolve to nothing.
+    for retired in [17, 23, 40, 41].map(|n| format!("MD{n:03}")) {
+        assert_eq!(LintCode::from_code(&retired), None, "{retired} is retired");
+    }
+
+    // README's lint table: one row per code of `ALL`, none for any other.
+    let readme = include_str!("../../README.md");
+    let mut documented = table_codes(readme, "");
+    documented.sort();
+    let mut expected = all.clone();
+    expected.sort();
+    assert_eq!(documented, expected, "README lint table drifted");
+
+    // The `LintCode` doc table in analysis.rs: same codes, same order.
+    let analysis = include_str!("../../crates/datalog/src/analysis.rs");
+    assert_eq!(
+        table_codes(analysis, "///"),
+        all,
+        "LintCode doc table drifted"
+    );
 }
 
 #[test]
