@@ -7,7 +7,7 @@
 //!   number of heap allocations bounded by its passes and relations, far
 //!   below one per hundred tuples considered.
 //! - An indexed delta pass allocates nothing: a warm evaluation of the
-//!   Theorem 4.5 program on a 1200-vertex τ_td forest, tens of thousands
+//!   Theorem 4.5 program on a 1500-vertex τ_td forest, tens of thousands
 //!   of passes, makes fewer allocations than one per hundred candidates.
 //! - DRed allocates nothing per overdeleted fact: a warm `apply` that
 //!   overdeletes over 20 000 facts makes fewer than one allocation per
@@ -187,8 +187,8 @@ fn random_forest(rng: &mut SmallRng, n: usize) -> Graph {
 }
 
 /// The Theorem 4.5 `has_neighbor` program compiled at width 1, and the
-/// τ_td encoding of a seeded 1200-vertex random forest.
-fn tau_td_forest_1200() -> (mdtw_datalog::Program, Structure) {
+/// τ_td encoding of a seeded 1500-vertex random forest.
+fn tau_td_forest_1500() -> (mdtw_datalog::Program, Structure) {
     let sig = Arc::new(graph_signature());
     let undirected = |s: &Structure| {
         let e = s.signature().lookup("e").expect("e");
@@ -205,7 +205,7 @@ fn tau_td_forest_1200() -> (mdtw_datalog::Program, Structure) {
         &undirected,
     )
     .expect("width-1 compilation fits the limits");
-    let g = random_forest(&mut SmallRng::seed_from_u64(23), 1200);
+    let g = random_forest(&mut SmallRng::seed_from_u64(23), 1500);
     let s = encode_graph(&g);
     let td = decompose(&s, Heuristic::MinDegree);
     let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
@@ -214,7 +214,7 @@ fn tau_td_forest_1200() -> (mdtw_datalog::Program, Structure) {
 
 #[test]
 fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
-    let (program, s) = tau_td_forest_1200();
+    let (program, s) = tau_td_forest_1500();
     let catalog = FdCatalog::for_td_signature(&s);
     let mut session =
         Evaluator::with_options(program, EvalOptions::new().fd_catalog(catalog)).unwrap();
@@ -235,7 +235,7 @@ fn warm_quasi_guarded_evaluation_allocates_nothing_per_ground_rule() {
 /// resolved once per evaluation.
 #[test]
 fn warm_indexed_evaluation_allocates_nothing_per_pass() {
-    let (program, s) = tau_td_forest_1200();
+    let (program, s) = tau_td_forest_1500();
     let mut session =
         Evaluator::with_options(program, EvalOptions::new().engine(Engine::SemiNaiveIndexed))
             .unwrap();
