@@ -23,7 +23,7 @@
 //! *extensional skeleton*: its variable count plus its ordered list of
 //! extensional literals. The Theorem 4.5 construction emits one rule per
 //! (type, transition), so its programs have few skeletons and many rules
-//! per skeleton (564 rules over 16 skeletons for `has_neighbor` at width
+//! per skeleton (548 rules over 16 skeletons for `has_neighbor` at width
 //! 1); the rules differ only in their intensional atoms. `QgPlan`, built
 //! once per session, groups the rules by skeleton and analyzes each group
 //! once. Grounding then does the extensional work once per (group, guard

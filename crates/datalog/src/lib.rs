@@ -114,9 +114,9 @@ pub use plan::{
     JoinStep, NoEstimates, RulePlans, StructureStats,
 };
 pub use profile::{
-    eval_error_json, EvalProfile, Explanation, LiteralProfile, PlanExplanation, ProfileDetail,
-    RuleExplanation, RuleProfile, StepExplanation, StratumExplanation, StratumProfile,
-    UpdateProfile, UpdateStratumProfile,
+    EvalProfile, Explanation, LiteralProfile, PlanExplanation, ProfileDetail, RuleExplanation,
+    RuleProfile, StepExplanation, StratumExplanation, StratumProfile, UpdateProfile,
+    UpdateStratumProfile,
 };
 pub use span::{RuleSpans, Span};
 pub use stratify::{stratify, Stratification, StratificationError};

@@ -11,10 +11,10 @@
 //!   `Option` branch per rule pass and nothing per tuple) and the
 //!   evaluation returns a structured [`EvalProfile`] on
 //!   [`EvalResult`](crate::EvalResult) — and on the partial result of an
-//!   [`EvalError::LimitExceeded`] trip, so a blown budget says where it
-//!   blew. Per-literal mode records *observed selectivities* (tuples
-//!   enumerated vs. tuples surviving the join position), the feedstock a
-//!   feedback-directed re-planner needs.
+//!   [`EvalError::LimitExceeded`](crate::EvalError::LimitExceeded) trip,
+//!   so a blown budget says where it blew. Per-literal mode records
+//!   *observed selectivities* (tuples enumerated vs. tuples surviving the
+//!   join position), the feedstock a feedback-directed re-planner needs.
 //! * **Explanations.** [`Evaluator::explain`](crate::Evaluator::explain)
 //!   renders the compiled join plans — join order, scan-vs-probe access
 //!   paths, chosen key positions, delta splits — as an [`Explanation`]
@@ -25,7 +25,6 @@
 
 use crate::ast::{PredRef, Program};
 use crate::eval::EvalStats;
-use crate::evaluator::EvalError;
 use crate::lint::json::Json;
 use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::stratify::Stratification;
@@ -141,7 +140,7 @@ pub struct EvalProfile {
     /// Per-stratum timeline, in evaluation order.
     pub strata: Vec<StratumProfile>,
     /// The stratum a resource limit tripped in, when the evaluation ended
-    /// in [`EvalError::LimitExceeded`].
+    /// in [`EvalError::LimitExceeded`](crate::EvalError::LimitExceeded).
     pub trip_stratum: Option<usize>,
 }
 
@@ -897,33 +896,6 @@ impl UpdateProfile {
             ),
             ("total_nanos".into(), Json::Num(self.total_nanos as f64)),
         ])
-    }
-}
-
-/// Serializes an [`EvalError`] as a machine-readable JSON object — the
-/// error twin of [`EvalProfile::to_json`], for exporting a failed
-/// evaluation next to the profiles of successful ones. A
-/// [`EvalError::LimitExceeded`] names the limit kind, the tripping
-/// stratum, the counters at the trip and whether a partial result was
-/// attached; other errors carry their display rendering.
-pub fn eval_error_json(err: &EvalError) -> Json {
-    match err {
-        EvalError::LimitExceeded {
-            kind,
-            stats,
-            partial,
-        } => Json::Obj(vec![
-            ("error".into(), Json::Str("limit_exceeded".into())),
-            ("kind".into(), Json::Str(kind.as_str().into())),
-            ("stratum".into(), Json::Num(stats.strata as f64)),
-            ("facts".into(), Json::Num(stats.facts as f64)),
-            ("rounds".into(), Json::Num(stats.rounds as f64)),
-            ("partial".into(), Json::Bool(partial.is_some())),
-        ]),
-        other => Json::Obj(vec![
-            ("error".into(), Json::Str("eval_error".into())),
-            ("message".into(), Json::Str(other.to_string())),
-        ]),
     }
 }
 

@@ -15,9 +15,14 @@
 //! the number of non-adjacent pairs in the current neighbourhood (min-fill),
 //! and ties go to the smaller vertex id.
 //!
-//! The scores are exact at every step, yet none is recomputed from scratch.
-//! Eliminating `v` changes them by these deltas, each taken on the graph as
-//! it is just before the change it accounts for:
+//! The initial min-fill score of `v` is `C(deg v, 2) − triangles(v)`. The
+//! triangles are counted once each, with every edge directed from the end
+//! with the smaller `(degree, id)` key: a vertex then has at most `√(2m)`
+//! out-neighbours, so the count takes `O(m·√m)` for `m` edges.
+//!
+//! After that the scores are exact at every step, yet none is recomputed
+//! from scratch. Eliminating `v` changes them by these deltas, each taken
+//! on the graph as it is just before the change it accounts for:
 //!
 //! * adding the fill edge `(a, b)`: each common neighbour `c ≠ v` of `a` and
 //!   `b` loses 1, `a` gains `|N(a) ∖ N(b)|` and `b` gains `|N(b) ∖ N(a)|`;
@@ -25,16 +30,25 @@
 //!   `u ∈ N(v)` loses `|N(u) ∖ N[v]| = deg(u) − deg(v)`.
 //!
 //! Under min-degree the deltas are `+1` for both ends of a fill edge and
-//! `−1` for each neighbour of `v`. Only vertices whose score changed are
-//! re-keyed in the ordered queue. A step costs `O(d² + f·m + t·log n)`:
-//! `d = deg(v)`, `f` fill edges, `m` the smaller degree of a fill edge's
-//! ends (min-fill only) and `t` re-keyed vertices. Rescanning every
-//! remaining vertex would cost `O(Σ_u deg(u)²)` per step instead.
+//! `−1` for each neighbour of `v`. The working graph keeps each
+//! neighbourhood as a sorted list: adjacency is a binary search, common
+//! neighbours are counted by a merge that binary-searches the longer list,
+//! and fill edges are inserted in place. Removing `v` only marks it
+//! eliminated; a list is compacted once more than half of it is
+//! eliminated vertices, so a hub does not shift its whole list each time
+//! one of its neighbours goes. The queue is a lazy binary heap: a vertex
+//! whose score changed gets a new entry, and taking the minimum skips
+//! stale entries, whose score is no longer the vertex's own or whose
+//! vertex is eliminated. A step costs `O(d²·log Δ + f·(s·log Δ + Δ) +
+//! t·log n)` amortized: `d = deg(v)`, `Δ` the largest degree, `f` fill
+//! edges, `s` the smaller degree of a fill edge's ends (min-fill only) and
+//! `t` vertices whose score changed. Rescanning every remaining vertex
+//! would cost `O(Σ_u deg(u)²)` per step instead.
 
 use crate::tree::{NodeId, TreeDecomposition};
-use mdtw_structure::fx::FxHashSet;
 use mdtw_structure::{ElemId, Structure};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The primal (Gaifman) graph of a structure: one vertex per domain
 /// element, an edge whenever two elements co-occur in some EDB tuple.
@@ -47,44 +61,40 @@ pub struct PrimalGraph {
 impl PrimalGraph {
     /// Builds the primal graph of `structure`.
     pub fn of(structure: &Structure) -> Self {
-        let n = structure.domain().len();
-        let mut sets: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); structure.domain().len()];
         for p in structure.signature().preds() {
             for t in structure.relation(p).iter() {
                 for (i, &a) in t.iter().enumerate() {
                     for &b in &t[i + 1..] {
                         if a != b {
-                            sets[a.index()].insert(b.0);
-                            sets[b.index()].insert(a.0);
+                            adj[a.index()].push(b.0);
+                            adj[b.index()].push(a.0);
                         }
                     }
                 }
             }
         }
-        Self::from_sets(sets)
+        Self::from_lists(adj)
     }
 
     /// Builds a primal graph directly from an edge list on `n` vertices.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut sets: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for &(a, b) in edges {
             if a != b {
-                sets[a as usize].insert(b);
-                sets[b as usize].insert(a);
+                adj[a as usize].push(b);
+                adj[b as usize].push(a);
             }
         }
-        Self::from_sets(sets)
+        Self::from_lists(adj)
     }
 
-    fn from_sets(sets: Vec<FxHashSet<u32>>) -> Self {
-        let adj = sets
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<u32> = s.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
+    /// Sorts each neighbour list and drops its repeats.
+    fn from_lists(mut adj: Vec<Vec<u32>>) -> Self {
+        for ns in &mut adj {
+            ns.sort_unstable();
+            ns.dedup();
+        }
         Self { adj }
     }
 
@@ -116,38 +126,131 @@ pub enum Heuristic {
     MinFill,
 }
 
-/// Exact heuristic scores of the vertices not yet eliminated, with an
-/// ordered queue of their `(score, vertex)` keys.
+/// The graph during one elimination pass.
+struct Working {
+    /// `adj[v]` is sorted; it may still hold eliminated vertices, but
+    /// never more of them than live ones.
+    adj: Vec<Vec<u32>>,
+    /// `deg[v]` is the number of live vertices in `adj[v]`.
+    deg: Vec<usize>,
+    gone: Vec<bool>,
+}
+
+impl Working {
+    fn new(g: &PrimalGraph) -> Self {
+        Self {
+            deg: g.adj.iter().map(Vec::len).collect(),
+            adj: g.adj.clone(),
+            gone: vec![false; g.len()],
+        }
+    }
+
+    /// The live neighbours of `v`, in order.
+    fn neighbors(&self, v: u32) -> Vec<u32> {
+        let gone = &self.gone;
+        self.adj[v as usize]
+            .iter()
+            .copied()
+            .filter(|&u| !gone[u as usize])
+            .collect()
+    }
+
+    /// Whether the live vertices `a` and `b` are adjacent.
+    fn adjacent(&self, a: u32, b: u32) -> bool {
+        let (x, y) = if self.adj[a as usize].len() <= self.adj[b as usize].len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.adj[x as usize].binary_search(&y).is_ok()
+    }
+
+    fn add_edge(&mut self, a: u32, b: u32) {
+        for (x, y) in [(a, b), (b, a)] {
+            let ns = &mut self.adj[x as usize];
+            let at = ns.partition_point(|&u| u < y);
+            ns.insert(at, y);
+            self.deg[x as usize] += 1;
+        }
+    }
+
+    /// Eliminates `v`, whose live neighbours are `ns`.
+    fn remove(&mut self, v: u32, ns: &[u32]) {
+        self.gone[v as usize] = true;
+        self.adj[v as usize] = Vec::new();
+        for &u in ns {
+            let u = u as usize;
+            self.deg[u] -= 1;
+            if self.adj[u].len() > 2 * self.deg[u] {
+                let gone = &self.gone;
+                self.adj[u].retain(|&w| !gone[w as usize]);
+            }
+        }
+    }
+}
+
+/// `C(deg v, 2) − triangles(v)` for every vertex `v` of the simple graph
+/// `adj`: the number of non-adjacent pairs of its neighbours. Each
+/// triangle is found once, at its end with the least `(degree, id)` key,
+/// by stamping that end's out-neighbours and walking theirs.
+fn missing_pairs(adj: &[Vec<u32>]) -> Vec<usize> {
+    let n = adj.len();
+    let key = |v: u32| (adj[v as usize].len(), v);
+    let mut start = Vec::with_capacity(n + 1);
+    let mut out = Vec::new();
+    start.push(0);
+    for (v, ns) in (0..).zip(adj) {
+        out.extend(ns.iter().copied().filter(|&w| key(v) < key(w)));
+        start.push(out.len());
+    }
+    let out_of = |v: u32| &out[start[v as usize]..start[v as usize + 1]];
+    let mut triangles = vec![0; n];
+    let mut stamp = vec![u32::MAX; n];
+    for u in 0..n as u32 {
+        for &w in out_of(u) {
+            stamp[w as usize] = u;
+        }
+        for &w in out_of(u) {
+            for &x in out_of(w) {
+                if stamp[x as usize] == u {
+                    triangles[u as usize] += 1;
+                    triangles[w as usize] += 1;
+                    triangles[x as usize] += 1;
+                }
+            }
+        }
+    }
+    adj.iter()
+        .zip(triangles)
+        .map(|(ns, t)| ns.len() * ns.len().saturating_sub(1) / 2 - t)
+        .collect()
+}
+
+/// Exact heuristic scores of the vertices not yet eliminated, with a lazy
+/// min-heap of their `(score, vertex)` keys.
 struct Scores {
     heuristic: Heuristic,
     score: Vec<usize>,
-    /// `keyed[u]` is the score `u` is filed under in `queue`.
+    /// `keyed[u]` is the score of `u`'s live entry in `queue`, and
+    /// `usize::MAX` once `u` has left it.
     keyed: Vec<usize>,
-    queue: BTreeSet<(usize, u32)>,
+    /// Holds a live entry per vertex still to eliminate, and stale ones.
+    queue: BinaryHeap<Reverse<(usize, u32)>>,
     /// Vertices whose score may differ from `keyed` (repeats allowed).
     changed: Vec<u32>,
 }
 
 impl Scores {
-    fn new(heuristic: Heuristic, adj: &[FxHashSet<u32>]) -> Self {
+    fn new(heuristic: Heuristic, adj: &[Vec<u32>]) -> Self {
         let score: Vec<usize> = match heuristic {
-            Heuristic::MinDegree => adj.iter().map(FxHashSet::len).collect(),
-            Heuristic::MinFill => adj
-                .iter()
-                .map(|ns| {
-                    let ns: Vec<u32> = ns.iter().copied().collect();
-                    let mut missing = 0;
-                    for (i, &a) in ns.iter().enumerate() {
-                        missing += ns[i + 1..]
-                            .iter()
-                            .filter(|&b| !adj[a as usize].contains(b))
-                            .count();
-                    }
-                    missing
-                })
-                .collect(),
+            Heuristic::MinDegree => adj.iter().map(Vec::len).collect(),
+            Heuristic::MinFill => missing_pairs(adj),
         };
-        let queue = score.iter().zip(0..).map(|(&s, v)| (s, v)).collect();
+        let queue = score
+            .iter()
+            .zip(0..)
+            .map(|(&s, v)| Reverse((s, v)))
+            .collect();
         Self {
             heuristic,
             keyed: score.clone(),
@@ -157,12 +260,17 @@ impl Scores {
         }
     }
 
-    /// Takes the vertex with the least `(score, vertex)` key off the queue.
+    /// Takes the vertex with the least `(score, vertex)` key off the queue,
+    /// skipping stale entries.
     fn pop_min(&mut self) -> u32 {
-        self.queue
-            .pop_first()
-            .expect("a vertex is left to eliminate")
-            .1
+        loop {
+            let Reverse((s, v)) = self.queue.pop().expect("a vertex is left to eliminate");
+            let keyed = &mut self.keyed[v as usize];
+            if *keyed == s {
+                *keyed = usize::MAX;
+                return v;
+            }
+        }
     }
 
     fn add(&mut self, u: u32, delta: usize) {
@@ -175,56 +283,62 @@ impl Scores {
         self.changed.push(u);
     }
 
-    /// Accounts for the fill edge `(a, b)` of eliminating `v`; `adj` is the
+    /// Accounts for the fill edge `(a, b)` of eliminating `v`; `g` is the
     /// graph just before the edge goes in.
-    fn fill_edge(&mut self, adj: &[FxHashSet<u32>], v: u32, a: u32, b: u32) {
+    fn fill_edge(&mut self, g: &Working, v: u32, a: u32, b: u32) {
         match self.heuristic {
             Heuristic::MinDegree => {
                 self.add(a, 1);
                 self.add(b, 1);
             }
             Heuristic::MinFill => {
-                let (na, nb) = (&adj[a as usize], &adj[b as usize]);
-                let (small, large) = if na.len() <= nb.len() {
-                    (na, nb)
+                let (na, nb) = (&g.adj[a as usize], &g.adj[b as usize]);
+                let (small, mut rest) = if na.len() <= nb.len() {
+                    (na, &nb[..])
                 } else {
-                    (nb, na)
+                    (nb, &na[..])
                 };
                 let mut common = 0;
                 for &c in small {
-                    if large.contains(&c) {
-                        common += 1;
-                        if c != v {
-                            self.sub(c, 1);
+                    if g.gone[c as usize] {
+                        continue;
+                    }
+                    match rest.binary_search(&c) {
+                        Ok(i) => {
+                            common += 1;
+                            if c != v {
+                                self.sub(c, 1);
+                            }
+                            rest = &rest[i + 1..];
                         }
+                        Err(i) => rest = &rest[i..],
                     }
                 }
-                self.add(a, na.len() - common);
-                self.add(b, nb.len() - common);
+                self.add(a, g.deg[a as usize] - common);
+                self.add(b, g.deg[b as usize] - common);
             }
         }
     }
 
     /// Accounts for removing `v`, whose neighbourhood `ns` is a clique in
-    /// `adj` by now.
-    fn remove(&mut self, adj: &[FxHashSet<u32>], ns: &[u32]) {
+    /// `g` by now.
+    fn remove(&mut self, g: &Working, ns: &[u32]) {
         for &u in ns {
             let delta = match self.heuristic {
                 Heuristic::MinDegree => 1,
-                Heuristic::MinFill => adj[u as usize].len() - ns.len(),
+                Heuristic::MinFill => g.deg[u as usize] - ns.len(),
             };
             self.sub(u, delta);
         }
     }
 
-    /// Re-files every changed vertex under its current score.
+    /// Gives every changed vertex a new entry under its current score.
     fn requeue(&mut self) {
         for u in self.changed.drain(..) {
-            let (old, new) = (self.keyed[u as usize], self.score[u as usize]);
-            if old != new {
-                self.queue.remove(&(old, u));
-                self.queue.insert((new, u));
+            let new = self.score[u as usize];
+            if self.keyed[u as usize] != new {
                 self.keyed[u as usize] = new;
+                self.queue.push(Reverse((new, u)));
             }
         }
     }
@@ -242,14 +356,10 @@ enum Pick<'a> {
 /// returns that order together with each step's sorted bag `{v} ∪ N(v)`.
 fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
     let n = g.len();
-    let mut adj: Vec<FxHashSet<u32>> = g
-        .adj
-        .iter()
-        .map(|ns| ns.iter().copied().collect())
-        .collect();
+    let mut graph = Working::new(g);
     let (mut given, mut scores) = match pick {
         Pick::Order(order) => (order.iter(), None),
-        Pick::Heuristic(h) => ([].iter(), Some(Scores::new(h, &adj))),
+        Pick::Heuristic(h) => ([].iter(), Some(Scores::new(h, &g.adj))),
     };
     let mut order = Vec::with_capacity(n);
     let mut bags = Vec::with_capacity(n);
@@ -258,29 +368,24 @@ fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
             Some(scores) => scores.pop_min(),
             None => *given.next().expect("the order has one entry per vertex"),
         };
-        let mut ns: Vec<u32> = adj[v as usize].iter().copied().collect();
+        let mut ns = graph.neighbors(v);
         for (i, &a) in ns.iter().enumerate() {
             for &b in &ns[i + 1..] {
-                if adj[a as usize].contains(&b) {
+                if graph.adjacent(a, b) {
                     continue;
                 }
                 if let Some(scores) = scores.as_mut() {
-                    scores.fill_edge(&adj, v, a, b);
+                    scores.fill_edge(&graph, v, a, b);
                 }
-                adj[a as usize].insert(b);
-                adj[b as usize].insert(a);
+                graph.add_edge(a, b);
             }
         }
         if let Some(scores) = scores.as_mut() {
-            scores.remove(&adj, &ns);
+            scores.remove(&graph, &ns);
             scores.requeue();
         }
-        for &u in &ns {
-            adj[u as usize].remove(&v);
-        }
-        adj[v as usize] = FxHashSet::default();
-        ns.push(v);
-        ns.sort_unstable();
+        graph.remove(v, &ns);
+        ns.insert(ns.partition_point(|&u| u < v), v);
         order.push(v);
         bags.push(ns);
     }
@@ -292,11 +397,14 @@ fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
 /// Each step eliminates the vertex with the least `(score, vertex)` pair,
 /// where the score is its current degree ([`Heuristic::MinDegree`]) or the
 /// number of fill edges eliminating it would add ([`Heuristic::MinFill`]);
-/// ties go to the smaller vertex id. Scores are kept exact by the deltas
-/// described in the [module docs](self), so a step costs
-/// `O(d² + f·m + t·log n)` for a vertex of degree `d` adding `f` fill
-/// edges, `m` the smaller degree of a fill edge's ends and `t` vertices
-/// whose score changed — not a rescan of every remaining vertex.
+/// ties go to the smaller vertex id. The initial min-fill scores come from
+/// counting triangles in `O(m·√m)` for `m` edges. After that, scores are
+/// kept exact by the deltas described in the [module docs](self), and the
+/// next vertex comes off a lazy heap that skips stale entries, so a step
+/// costs `O(d²·log Δ + f·(s·log Δ + Δ) + t·log n)` amortized for a vertex
+/// of degree `d` adding `f` fill edges, `Δ` the largest degree, `s` the
+/// smaller degree of a fill edge's ends and `t` vertices whose score
+/// changed — not a rescan of every remaining vertex.
 pub fn elimination_order(g: &PrimalGraph, heuristic: Heuristic) -> Vec<u32> {
     eliminate(g, Pick::Heuristic(heuristic)).0
 }
@@ -462,6 +570,86 @@ mod tests {
             }
         }
         PrimalGraph::from_edges(n, &edges)
+    }
+
+    /// SplitMix64: seeded test graphs without a random-number dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A star (`shape` 0), fan (1) or wheel (2) with `spokes ≥ 2` spokes
+    /// around a hub at a random id, plus `spokes / 2` random chords.
+    fn hub_graph(shape: u64, spokes: u32, seed: u64) -> PrimalGraph {
+        let mut state = seed;
+        let hub = (splitmix(&mut state) % u64::from(spokes + 1)) as u32;
+        let rim: Vec<u32> = (0..=spokes).filter(|&u| u != hub).collect();
+        let mut edges: Vec<(u32, u32)> = rim.iter().map(|&u| (hub, u)).collect();
+        if shape > 0 {
+            edges.extend(rim.windows(2).map(|pair| (pair[0], pair[1])));
+        }
+        if shape == 2 {
+            edges.push((rim[0], rim[rim.len() - 1]));
+        }
+        for _ in 0..spokes / 2 {
+            let mut spoke = || rim[(splitmix(&mut state) % rim.len() as u64) as usize];
+            edges.push((spoke(), spoke()));
+        }
+        PrimalGraph::from_edges(spokes as usize + 1, &edges)
+    }
+
+    /// A random `k`-tree on `n > k` vertices, each edge kept with
+    /// probability 3/4.
+    fn partial_k_tree(n: u32, k: u32, seed: u64) -> PrimalGraph {
+        let mut state = seed;
+        let mut edges = Vec::new();
+        for i in 0..=k {
+            for j in i + 1..=k {
+                edges.push((i, j));
+            }
+        }
+        let mut cliques: Vec<Vec<u32>> = (0..=k)
+            .map(|drop| (0..=k).filter(|&u| u != drop).collect())
+            .collect();
+        for v in k + 1..n {
+            let clique = cliques[(splitmix(&mut state) % cliques.len() as u64) as usize].clone();
+            edges.extend(clique.iter().map(|&u| (u, v)));
+            for drop in 0..clique.len() {
+                let mut next = clique.clone();
+                next[drop] = v;
+                cliques.push(next);
+            }
+        }
+        edges.retain(|_| !splitmix(&mut state).is_multiple_of(4));
+        PrimalGraph::from_edges(n as usize, &edges)
+    }
+
+    #[test]
+    fn initial_scores_are_degrees_and_missing_pair_counts() {
+        let mut graphs: Vec<PrimalGraph> = (0..12u32)
+            .map(|i| hub_graph(u64::from(i % 3), 2 + 9 * i, u64::from(i)))
+            .collect();
+        graphs.extend((1..=4).map(|k| partial_k_tree(150, k, u64::from(k))));
+        graphs.extend([cycle(9), clique(7), PrimalGraph::from_edges(3, &[])]);
+        for g in &graphs {
+            let vertices = 0..g.len() as u32;
+            let degrees: Vec<usize> = vertices.clone().map(|v| g.neighbors(v).len()).collect();
+            let missing: Vec<usize> = vertices
+                .map(|v| {
+                    let ns = g.neighbors(v);
+                    let pairs = ns
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(i, &a)| ns[i + 1..].iter().map(move |&b| (a, b)));
+                    pairs.filter(|&(a, b)| !g.neighbors(a).contains(&b)).count()
+                })
+                .collect();
+            assert_eq!(Scores::new(Heuristic::MinDegree, &g.adj).score, degrees);
+            assert_eq!(Scores::new(Heuristic::MinFill, &g.adj).score, missing);
+        }
     }
 
     #[test]

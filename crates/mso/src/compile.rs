@@ -17,11 +17,13 @@
 //! (column) whose every glue-compatible partner selects position `i` gets
 //! one rule `phi(x_i) ← up_ϑ(v), bag(v, x̄)` resp. `down_ϑ(v)`, and only
 //! the selecting pairs no row or column covers keep the per-pair rule
-//! `phi(x_i) ← up_ϑ₁(v), down_ϑ₂(v), bag(v, x̄)`. The row and column rules
-//! are sound only when saturation was exhaustive
-//! ([`CompiledQuery::exhaustive`]); the argument is written at the
-//! selection step of [`compile_unary_filtered`]. For `has_neighbor` at
-//! width 1 this takes the program from 812 to 564 rules.
+//! `phi(x_i) ← up_ϑ₁(v), down_ϑ₂(v), bag(v, x̄)`. A column is dropped when
+//! rows already cover all its selecting pairs: it would only derive again
+//! the `phi` facts those rows derive. The row and column rules are sound
+//! only when saturation was exhaustive ([`CompiledQuery::exhaustive`]);
+//! the argument is written at the selection step of
+//! [`compile_unary_filtered`]. For `has_neighbor` at width 1 this takes
+//! the program from 812 to 548 rules.
 //!
 //! As the paper stresses, this construction is inherently exponential in
 //! `|ϕ|` and `w` ("inevitably leads to programs of exponential size") —
@@ -294,17 +296,28 @@ pub fn compile_unary_filtered(
     // `phi(x_i) ← up_u(v), bag(v, x̄)` is sound when every compatible `d`
     // selects `i` (it fires only where `u = u*`, and `d*` is one of them),
     // likewise a column rule for `d`, and every selecting pair is emitted
-    // unless its row or column already covers it. Without exhaustiveness
-    // a node may derive no type at all, `d*` need not be in the table, and
-    // only the per-pair rules are sound.
+    // unless its row or column already covers it. A column is kept only if
+    // some pair it covers has no row: a column whose every selecting pair
+    // lies in a row derives only `phi` facts those rows derive too, and
+    // dropping it leaves those pairs covered by their rows. Without
+    // exhaustiveness a node may derive no type at all, `d*` need not be in
+    // the table, and only the per-pair rules are sound.
     let sig_td = base_sig.extend_td(w);
     for i in 0..=w {
+        let selects = |cell: Option<u64>| cell.is_some_and(|m| m >> i & 1 == 1);
         let rows: Vec<bool> = sel
             .iter()
             .map(|row| exhaustive && selects_throughout(row.iter().copied(), i))
             .collect();
         let cols: Vec<bool> = (0..down.types.len())
-            .map(|id| exhaustive && selects_throughout(sel.iter().map(|row| row[id]), i))
+            .map(|id| {
+                exhaustive
+                    && selects_throughout(sel.iter().map(|row| row[id]), i)
+                    && sel
+                        .iter()
+                        .zip(&rows)
+                        .any(|(row, &r)| !r && selects(row[id]))
+            })
             .collect();
         for iu in (0..up.types.len()).filter(|&iu| rows[iu]) {
             let body = [format!("up_{}", up.names[iu])];
@@ -316,7 +329,7 @@ pub fn compile_unary_filtered(
         }
         for (iu, row) in sel.iter().enumerate() {
             for (id, cell) in row.iter().enumerate() {
-                if cell.is_some_and(|m| m >> i & 1 == 1) && !rows[iu] && !cols[id] {
+                if selects(*cell) && !rows[iu] && !cols[id] {
                     let body = [
                         format!("up_{}", up.names[iu]),
                         format!("down_{}", down.names[id]),

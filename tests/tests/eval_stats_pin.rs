@@ -177,7 +177,7 @@ fn has_neighbor_on_a_seeded_tau_td_forest() {
         compiled.program,
         options,
         &s,
-        [1790, 742, 1048, 73, 43814, 41196, 564, 4124],
+        [1262, 742, 520, 73, 42758, 40668, 548, 4124],
     );
 }
 

@@ -7,7 +7,7 @@
 use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext, ThreeColSolver};
 use mdtw_datalog::{Engine, EvalOptions, Evaluator};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
-use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
+use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, wheel, Graph};
 use mdtw_mso::{compile::compile_unary_filtered, has_neighbor, CompileLimits, IndVar};
 use mdtw_schema::{block_tree_instance, encode_schema};
 use mdtw_structure::Structure;
@@ -71,6 +71,17 @@ fn elimination_heuristics_decompose_ten_thousand_vertices() {
         let td = decompose(&s, h);
         assert_eq!(td.validate(&s), Ok(()), "{h:?}");
         assert!(td.width() <= 2 * k, "{h:?}: width {}", td.width());
+    }
+    // A wheel's hub is adjacent to every other vertex, and both heuristics
+    // eliminate the rim first. Initial min-fill scores taken by testing
+    // every pair of the hub's neighbours make 5·10⁷ probes here; removing
+    // each eliminated spoke from a sorted hub list by shifting it would
+    // move as many entries.
+    let s = encode_graph(&wheel(10_000));
+    for h in [Heuristic::MinDegree, Heuristic::MinFill] {
+        let td = decompose(&s, h);
+        assert_eq!(td.validate(&s), Ok(()), "{h:?}");
+        assert_eq!(td.width(), 3, "{h:?}: a wheel has treewidth 3");
     }
 }
 

@@ -12,8 +12,8 @@
 //!   in its `Display`, and serializes it in the JSON error shape.
 
 use mdtw_datalog::{
-    eval_error_json, parse_program, Atom, EvalError, EvalLimits, EvalOptions, EvalProfile,
-    Evaluator, IdbId, Literal, PredRef, ProfileDetail, Program, Rule, Term, Var,
+    parse_program, Atom, EvalError, EvalLimits, EvalOptions, EvalProfile, Evaluator, IdbId,
+    Literal, PredRef, ProfileDetail, Program, Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
@@ -360,10 +360,6 @@ fn tripped_budget_reports_stratum_in_display_profile_and_json() {
         message.contains("in stratum"),
         "Display must name the tripping stratum: {message}"
     );
-
-    let json = eval_error_json(&rebuilt).render();
-    assert!(json.contains("\"error\":\"limit_exceeded\""), "{json}");
-    assert!(json.contains("\"stratum\""), "{json}");
 
     let partial = partial.expect("trip keeps the partial result");
     let profile = partial.profile.expect("trip keeps the profile");

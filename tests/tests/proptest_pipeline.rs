@@ -37,9 +37,11 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 
 /// Graphs for the elimination differential, up to 80 vertices: empty
 /// graphs, mostly isolated vertices, disconnected unions, cliques, dense
-/// random graphs and partial k-trees.
+/// random graphs, partial k-trees, and stars, wheels and fans with random
+/// chords around a hub at a random id, where degree order and id order
+/// disagree.
 fn arb_elimination_graph() -> impl Strategy<Value = Graph> {
-    (0u32..6, 0u64..u64::MAX).prop_map(|(family, seed)| {
+    (0u32..7, 0u64..u64::MAX).prop_map(|(family, seed)| {
         let mut rng = SmallRng::seed_from_u64(seed);
         // Edges with probability `p`, only between vertices on the same
         // side of `split`.
@@ -71,11 +73,36 @@ fn arb_elimination_graph() -> impl Strategy<Value = Graph> {
                 let p = rng.random_range(0.5..0.95);
                 random(&mut rng, n, p, n)
             }
-            _ => {
+            5 => {
                 let k = rng.random_range(1..=4);
                 let n = rng.random_range(k + 1..=80);
                 let keep = rng.random_range(0.5..1.0);
                 partial_k_tree(&mut rng, n, k, keep).0
+            }
+            _ => {
+                let spokes: usize = rng.random_range(2..=60);
+                let hub = rng.random_range(0..=spokes as u32);
+                let rim: Vec<u32> = (0..=spokes as u32).filter(|&u| u != hub).collect();
+                let mut g = Graph::new(spokes + 1);
+                for &u in &rim {
+                    g.add_edge(hub, u);
+                }
+                // 0: star, 1: fan (a path through the spokes), 2: wheel.
+                let shape = rng.random_range(0..3);
+                if shape > 0 {
+                    for pair in rim.windows(2) {
+                        g.add_edge(pair[0], pair[1]);
+                    }
+                }
+                if shape == 2 {
+                    g.add_edge(rim[0], rim[spokes - 1]);
+                }
+                for _ in 0..rng.random_range(0..=spokes / 2) {
+                    let a = rim[rng.random_range(0..spokes)];
+                    let b = rim[rng.random_range(0..spokes)];
+                    g.add_edge(a, b);
+                }
+                g
             }
         }
     })
