@@ -27,6 +27,6 @@ pub use abduction::{instance_from_clauses, AbductionInstance};
 pub use lowering::{ground_three_col, GroundThreeCol};
 pub use primality::{
     enumerate_primes, is_3nf_fpt, is_prime_fpt, is_prime_fpt_with_td, prime_attributes_fpt,
-    third_nf_violations_fpt, PrimState, PrimStats, PrimalityContext,
+    third_nf_violations_fpt, PrimState, PrimStats, PrimTables, PrimalityContext,
 };
 pub use three_col::{is_three_colorable_fpt, three_coloring_fpt, ColorState, ThreeColSolver};

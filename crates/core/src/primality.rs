@@ -21,11 +21,19 @@
 //! containing an FD also contains its right-hand-side attribute
 //! ([`PrimalityContext`] enforces it via bag augmentation).
 //!
-//! A node's table is a sorted, deduplicated `Vec<PrimState>`: each
-//! transition pushes the states it derives and sorts once at the end, and
-//! [`PrimalityContext::accepts`] reads the table as a slice. A table holds
-//! about twenty 16-byte states on the Table 1 workloads, so a flat vector
-//! beats a hash set on both time and memory.
+//! A pass keeps the tables of all nodes in one arena, [`PrimTables`]: a
+//! single `Vec<PrimState>` and a `(start, end)` span per node. Every
+//! transition pushes the states it derives into one scratch buffer that
+//! the pass reuses; the pass sorts and deduplicates the buffer and appends
+//! it to the arena, so each table is a sorted set and a pass allocates
+//! nothing per node. [`PrimalityContext`] compiles the bags once, in CSR
+//! form: per bag its attributes and FDs, and per FD the bag position of
+//! its right-hand side (`u8`) and the bag positions of its left-hand side
+//! as a mask (`u16`). Every predicate of Figure 6 is then a few mask
+//! operations indexed by FD position. The §5.3 `prime()` check reads each
+//! leaf's `solve↓` table once: a state with `FY = {f | rhs(f) ∉ Y}` and
+//! `ΔC ⊆ C°` accepts the one attribute of `C°` that `ΔC` lacks, if `ΔC`
+//! lacks exactly one.
 
 use mdtw_decomp::{
     augment_bags, decompose, Heuristic, NiceKind, NiceOptions, NiceTd, NodeId, TreeDecomposition,
@@ -33,6 +41,7 @@ use mdtw_decomp::{
 use mdtw_schema::{encode_schema, AttrId, Schema, SchemaEncoding};
 use mdtw_structure::ElemId;
 use std::cmp::Ordering;
+use std::ops::Index;
 
 /// One `solve` fact, packed bag-locally. Attribute components are bitmasks
 /// over the sorted *attribute positions* of the bag; FD components over
@@ -55,6 +64,59 @@ pub struct PrimState {
     pub dc: u16,
     /// Bag FDs verified non-contradicting (`FY`).
     pub fy: u16,
+}
+
+/// The tables of one pass, one per nice node, in a single arena: every
+/// state of the pass in one `Vec<PrimState>`, and per node the span of
+/// its table. `tables[node.index()]` is that node's table, a sorted and
+/// deduplicated slice.
+#[derive(Debug, Clone)]
+pub struct PrimTables {
+    states: Vec<PrimState>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl PrimTables {
+    /// Empty tables for `nodes` nodes.
+    fn with_nodes(nodes: usize) -> Self {
+        Self {
+            states: Vec::new(),
+            spans: vec![(0, 0); nodes],
+        }
+    }
+
+    /// Sorts and deduplicates the states a transition pushed into
+    /// `scratch` and appends them as the table of `node`.
+    fn append(&mut self, node: NodeId, scratch: &mut Vec<PrimState>) {
+        scratch.sort_unstable();
+        scratch.dedup();
+        let span = |at: usize| u32::try_from(at).expect("a pass holds fewer than 2³² states");
+        let start = span(self.states.len());
+        self.states.extend_from_slice(scratch);
+        self.spans[node.index()] = (start, span(self.states.len()));
+    }
+
+    /// The number of states over all tables.
+    pub fn facts(&self) -> usize {
+        self.states.len()
+    }
+
+    /// The tables in node order.
+    pub fn iter(&self) -> impl Iterator<Item = &[PrimState]> {
+        self.spans
+            .iter()
+            .map(|&(start, end)| &self.states[start as usize..end as usize])
+    }
+}
+
+impl Index<usize> for PrimTables {
+    type Output = [PrimState];
+
+    /// The table of the node with index `node`.
+    fn index(&self, node: usize) -> &[PrimState] {
+        let (start, end) = self.spans[node];
+        &self.states[start as usize..end as usize]
+    }
 }
 
 // --- nibble-sequence helpers for the C° ordering ---------------------------
@@ -113,22 +175,177 @@ fn mask_drop(mask: u16, at: usize) -> u16 {
     (low | high) as u16
 }
 
-// --- bag context ------------------------------------------------------------
+// --- bag contexts ------------------------------------------------------------
 
-/// The split of a bag into attribute and FD elements (both sorted).
-#[derive(Debug, Clone, Default)]
-struct BagCtx {
+/// The bags of the nice decomposition, compiled once in CSR form: node
+/// `n`'s attributes are `attrs[offsets[n].0..offsets[n + 1].0]` and its
+/// FDs `fds[offsets[n].1..offsets[n + 1].1]` (both sorted); `rhs` and
+/// `lhs` run parallel to `fds`.
+#[derive(Debug)]
+struct BagStore {
+    offsets: Vec<(usize, usize)>,
     attrs: Vec<ElemId>,
     fds: Vec<ElemId>,
+    /// The bag position of each FD's right-hand side.
+    rhs: Vec<u8>,
+    /// The bag positions of each FD's left-hand-side attributes, as a mask
+    /// (attributes outside the bag are left out).
+    lhs: Vec<u16>,
 }
 
-impl BagCtx {
+impl BagStore {
+    /// Splits every bag into attributes and FDs and compiles each FD's
+    /// sides into bag positions. `PrimState` packs each component into a
+    /// `u16` mask and `C°` into 16 nibbles, hence the 16-attribute /
+    /// 16-FD cap per bag, checked here.
+    fn compile(nice: &NiceTd, info: &[ElemInfo]) -> Self {
+        let mut store = Self {
+            offsets: Vec::with_capacity(nice.len() + 1),
+            attrs: Vec::new(),
+            fds: Vec::new(),
+            rhs: Vec::new(),
+            lhs: Vec::new(),
+        };
+        store.offsets.push((0, 0));
+        for n in nice.node_ids() {
+            let bag = nice.bag(n);
+            let first_attr = store.attrs.len();
+            let first_fd = store.fds.len();
+            store.attrs.extend(
+                bag.iter()
+                    .filter(|e| matches!(info[e.index()], ElemInfo::Attr)),
+            );
+            let attrs = &store.attrs[first_attr..];
+            assert!(attrs.len() <= 16, "bag attribute count exceeds 16");
+            for &f in bag {
+                let ElemInfo::Fd { rhs, lhs } = &info[f.index()] else {
+                    continue;
+                };
+                let rhs_pos = attrs
+                    .binary_search(rhs)
+                    .expect("rhs attribute accompanies its FD in every bag");
+                store.fds.push(f);
+                store.rhs.push(rhs_pos as u8);
+                store.lhs.push(
+                    lhs.iter()
+                        .filter_map(|b| attrs.binary_search(b).ok())
+                        .fold(0, |m, p| m | 1 << p),
+                );
+            }
+            assert!(store.fds.len() - first_fd <= 16, "bag FD count exceeds 16");
+            store.offsets.push((store.attrs.len(), store.fds.len()));
+        }
+        store
+    }
+
+    /// The compiled bag of `node`.
+    fn get(&self, node: NodeId) -> BagCtx<'_> {
+        let (a0, f0) = self.offsets[node.index()];
+        let (a1, f1) = self.offsets[node.index() + 1];
+        let f = f0..f1;
+        BagCtx {
+            attrs: &self.attrs[a0..a1],
+            fds: &self.fds[f.clone()],
+            rhs: &self.rhs[f.clone()],
+            lhs: &self.lhs[f],
+        }
+    }
+}
+
+/// One compiled bag: its attribute and FD elements, and per FD position
+/// `j` the attribute position `rhs[j]` of `rhs(f)` and the attribute mask
+/// `lhs[j]` of `lhs(f)`.
+#[derive(Debug, Clone, Copy)]
+struct BagCtx<'a> {
+    attrs: &'a [ElemId],
+    fds: &'a [ElemId],
+    rhs: &'a [u8],
+    lhs: &'a [u16],
+}
+
+impl BagCtx<'_> {
     fn attr_pos(&self, e: ElemId) -> Option<usize> {
         self.attrs.binary_search(&e).ok()
     }
 
     fn fd_pos(&self, e: ElemId) -> Option<usize> {
         self.fds.binary_search(&e).ok()
+    }
+
+    /// All attribute positions of the bag as a mask.
+    fn full(&self) -> u16 {
+        ((1u32 << self.attrs.len()) - 1) as u16
+    }
+
+    // --- predicates of Figure 6 --------------------------------------------
+
+    /// `outside(·, Y, At, {f})` for the FD at position `j`: `rhs(f) ∉ Y`
+    /// and some lhs attribute of `f` present in the bag lies outside `Y`.
+    fn fd_outside(&self, y: u16, j: usize) -> bool {
+        y >> self.rhs[j] & 1 == 0 && self.lhs[j] & !y != 0
+    }
+
+    /// The full `outside(FY, Y, At, Fd)` mask over the bag's FDs.
+    fn outside_mask(&self, y: u16) -> u16 {
+        (0..self.fds.len())
+            .filter(|&j| self.fd_outside(y, j))
+            .fold(0, |m, j| m | 1 << j)
+    }
+
+    /// The FDs of the mask `fds` that satisfy `consistent({f}, C°)`:
+    /// `rhs(f) ∈ C°` and every lhs attribute of `f` that is in `C°`
+    /// precedes `rhs(f)` in the order. One walk of `C°` records the mask
+    /// of the positions preceding each position.
+    fn consistent_fds(&self, y: u16, co: u64, co_len: usize, fds: u16) -> u16 {
+        let mut before = [0u16; 16];
+        let mut seen = 0u16;
+        for i in 0..co_len {
+            let p = co_get(co, i);
+            before[p as usize] = seen;
+            seen |= 1 << p;
+        }
+        let mut out = 0u16;
+        let mut bits = fds;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let r = self.rhs[j];
+            if seen >> r & 1 == 1 && self.lhs[j] & !y & !before[r as usize] == 0 {
+                out |= 1 << j;
+            }
+        }
+        out
+    }
+
+    /// The positions `{rhs(f) | f ∈ fc}` as an attribute mask.
+    fn rhs_mask(&self, fc: u16) -> u16 {
+        let mut out = 0u16;
+        let mut bits = fc;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            out |= 1 << self.rhs[j];
+        }
+        out
+    }
+
+    /// `{f ∈ Fd | rhs(f) ∉ Y}` as an FD mask.
+    fn required_fy(&self, y: u16) -> u16 {
+        (0..self.fds.len())
+            .filter(|&j| y >> self.rhs[j] & 1 == 0)
+            .fold(0, |m, j| m | 1 << j)
+    }
+
+    /// The acceptance test of the `success` / `prime()` rules for every
+    /// bag attribute at once. `s` accepts `a` iff `a ∉ Y`, `ΔC = C° ∖ {a}`
+    /// and `FY = {f ∈ Fd | rhs(f) ∉ Y}`, so it accepts at most one
+    /// attribute: the single position of `C° ∖ ΔC`, when `ΔC ⊆ C°` and `FY`
+    /// is that mask.
+    fn accepted(&self, s: &PrimState) -> Option<usize> {
+        let co = self.full() & !s.y;
+        let missing = co & !s.dc;
+        (missing.count_ones() == 1 && s.dc & !co == 0 && s.fy == self.required_fy(s.y))
+            .then(|| missing.trailing_zeros() as usize)
     }
 }
 
@@ -139,8 +356,18 @@ enum ElemInfo {
     Fd { rhs: ElemId, lhs: Vec<ElemId> },
 }
 
+impl ElemInfo {
+    /// The right-hand side of an FD element; `None` for an attribute.
+    fn rhs(&self) -> Option<ElemId> {
+        match self {
+            ElemInfo::Fd { rhs, .. } => Some(*rhs),
+            ElemInfo::Attr => None,
+        }
+    }
+}
+
 /// Everything needed to run the Figure 6 / §5.3 computations: the encoded
-/// schema, an rhs-augmented nice tree decomposition and per-bag contexts.
+/// schema, an rhs-augmented nice tree decomposition and its compiled bags.
 #[derive(Debug)]
 pub struct PrimalityContext {
     /// The τ-structure encoding of the schema.
@@ -149,7 +376,7 @@ pub struct PrimalityContext {
     /// supporting the §5.3 `prime()` rule).
     pub nice: NiceTd,
     info: Vec<ElemInfo>,
-    bags: Vec<BagCtx>,
+    bags: BagStore,
 }
 
 /// Statistics of a solver run (for the Table 1 harness and ablations).
@@ -184,26 +411,11 @@ impl PrimalityContext {
     /// # Panics
     /// Panics if a bag of the augmented decomposition holds more than 16
     /// attributes or more than 16 FDs (the packed [`PrimState`] limit).
-    pub fn from_parts(encoding: SchemaEncoding, mut td: TreeDecomposition) -> Self {
-        let info = Self::classify(&encoding);
-        // §5.2: every bag containing an FD must contain its rhs attribute.
-        let info_ref = &info;
-        augment_bags(&mut td, |e| match &info_ref[e.index()] {
-            ElemInfo::Fd { rhs, .. } => vec![*rhs],
-            ElemInfo::Attr => Vec::new(),
-        });
-        let rank = |e: ElemId| match info_ref[e.index()] {
-            ElemInfo::Fd { .. } => 1u8,
-            ElemInfo::Attr => 0u8,
+    pub fn from_parts(encoding: SchemaEncoding, td: TreeDecomposition) -> Self {
+        let options = NiceOptions {
+            every_elem_in_leaf: true,
         };
-        let nice = NiceTd::from_td_with_rank(
-            &td,
-            NiceOptions {
-                every_elem_in_leaf: true,
-            },
-            &rank,
-        );
-        Self::assemble(encoding, nice, info)
+        Self::assemble(encoding, td, options)
     }
 
     /// Like [`from_parts`](Self::from_parts) but reroots the decomposition
@@ -219,25 +431,32 @@ impl PrimalityContext {
         mut td: TreeDecomposition,
         target: AttrId,
     ) -> Self {
-        let info = Self::classify(&encoding);
         let elem = encoding.elem_of_attr(target);
         let host = td
             .node_ids()
             .find(|&n| td.bag_contains(n, elem))
             .expect("attribute occurs in some bag");
         td.reroot(host);
-        let info_ref = &info;
-        augment_bags(&mut td, |e| match &info_ref[e.index()] {
-            ElemInfo::Fd { rhs, .. } => vec![*rhs],
-            ElemInfo::Attr => Vec::new(),
-        });
-        let rank = |e: ElemId| match info_ref[e.index()] {
-            ElemInfo::Fd { .. } => 1u8,
-            ElemInfo::Attr => 0u8,
-        };
-        let nice = NiceTd::from_td_with_rank(&td, NiceOptions::default(), &rank);
-        debug_assert!(nice.bag_contains(nice.root(), elem));
-        Self::assemble(encoding, nice, info)
+        let ctx = Self::assemble(encoding, td, NiceOptions::default());
+        debug_assert!(ctx.nice.bag_contains(ctx.nice.root(), elem));
+        ctx
+    }
+
+    /// Augments every bag with the rhs attributes of its FDs (§5.2), turns
+    /// `td` into a nice decomposition with FDs ranked above attributes and
+    /// compiles its bags.
+    fn assemble(encoding: SchemaEncoding, mut td: TreeDecomposition, options: NiceOptions) -> Self {
+        let info = Self::classify(&encoding);
+        augment_bags(&mut td, |e| info[e.index()].rhs());
+        let rank = |e: ElemId| u8::from(info[e.index()].rhs().is_some());
+        let nice = NiceTd::from_td_with_rank(&td, options, &rank);
+        let bags = BagStore::compile(&nice, &info);
+        Self {
+            encoding,
+            nice,
+            info,
+            bags,
+        }
     }
 
     fn classify(encoding: &SchemaEncoding) -> Vec<ElemInfo> {
@@ -268,176 +487,60 @@ impl PrimalityContext {
         info
     }
 
-    /// Splits every bag into attributes and FDs. `PrimState` packs each
-    /// component into a `u16` mask and `C°` into 16 nibbles, hence the
-    /// 16-attribute / 16-FD cap per bag, checked here.
-    fn assemble(encoding: SchemaEncoding, nice: NiceTd, info: Vec<ElemInfo>) -> Self {
-        let bags: Vec<BagCtx> = nice
-            .node_ids()
-            .map(|n| {
-                let mut ctx = BagCtx::default();
-                for &e in nice.bag(n) {
-                    match info[e.index()] {
-                        ElemInfo::Attr => ctx.attrs.push(e),
-                        ElemInfo::Fd { .. } => ctx.fds.push(e),
-                    }
-                }
-                assert!(ctx.attrs.len() <= 16, "bag attribute count exceeds 16");
-                assert!(ctx.fds.len() <= 16, "bag FD count exceeds 16");
-                ctx
-            })
-            .collect();
-        Self {
-            encoding,
-            nice,
-            info,
-            bags,
-        }
-    }
-
     fn is_attr(&self, e: ElemId) -> bool {
         matches!(self.info[e.index()], ElemInfo::Attr)
-    }
-
-    fn fd_rhs(&self, f: ElemId) -> ElemId {
-        match &self.info[f.index()] {
-            ElemInfo::Fd { rhs, .. } => *rhs,
-            ElemInfo::Attr => unreachable!("element is not an FD"),
-        }
-    }
-
-    fn fd_lhs(&self, f: ElemId) -> &[ElemId] {
-        match &self.info[f.index()] {
-            ElemInfo::Fd { lhs, .. } => lhs,
-            ElemInfo::Attr => unreachable!("element is not an FD"),
-        }
-    }
-
-    // --- predicates of Figure 6 --------------------------------------------
-
-    /// `outside(·, Y, At, {f})`: `rhs(f) ∉ Y` and some lhs attribute of `f`
-    /// present in the bag lies outside `Y`.
-    fn fd_outside(&self, bag: &BagCtx, y: u16, f: ElemId) -> bool {
-        let rhs_pos = bag
-            .attr_pos(self.fd_rhs(f))
-            .expect("rhs attribute accompanies its FD in every bag");
-        if y >> rhs_pos & 1 == 1 {
-            return false;
-        }
-        self.fd_lhs(f)
-            .iter()
-            .any(|&b| bag.attr_pos(b).is_some_and(|p| y >> p & 1 == 0))
-    }
-
-    /// The full `outside(FY, Y, At, Fd)` mask over the bag's FDs.
-    fn outside_mask(&self, bag: &BagCtx, y: u16) -> u16 {
-        let mut fy = 0u16;
-        for (j, &f) in bag.fds.iter().enumerate() {
-            if self.fd_outside(bag, y, f) {
-                fy |= 1 << j;
-            }
-        }
-        fy
-    }
-
-    /// `consistent({f}, C°)`: `rhs(f) ∈ C°` and every lhs attribute of `f`
-    /// that is in `C°` precedes `rhs(f)` in the order.
-    fn fd_consistent(&self, bag: &BagCtx, y: u16, co: u64, co_len: usize, f: ElemId) -> bool {
-        let rhs_pos = bag.attr_pos(self.fd_rhs(f)).expect("rhs in bag") as u8;
-        let Some(rhs_idx) = co_index_of(co, co_len, rhs_pos) else {
-            return false; // rhs ∈ Y
-        };
-        for &b in self.fd_lhs(f) {
-            if let Some(p) = bag.attr_pos(b) {
-                if y >> p & 1 == 1 {
-                    continue; // lhs attribute in Y: no ordering constraint
-                }
-                match co_index_of(co, co_len, p as u8) {
-                    Some(bi) if bi < rhs_idx => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
-    }
-
-    /// The positions `{rhs(f) | f ∈ fc}` as an attribute mask.
-    fn rhs_mask(&self, bag: &BagCtx, fc: u16) -> u16 {
-        let mut out = 0u16;
-        let mut bits = fc;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let pos = bag.attr_pos(self.fd_rhs(bag.fds[j])).expect("rhs in bag");
-            out |= 1 << pos;
-        }
-        out
     }
 
     // --- the leaf rule -------------------------------------------------------
 
     /// All `solve` facts at a bag treated as a leaf (also the `solve↓`
     /// initialization at the root, whose envelope is the root alone).
-    fn leaf_table(&self, bag: &BagCtx) -> Vec<PrimState> {
+    fn leaf_table(&self, bag: BagCtx<'_>, out: &mut Vec<PrimState>) {
         let na = bag.attrs.len();
-        let nf = bag.fds.len();
-        let mut out = Vec::new();
-        let mut comp: Vec<u8> = Vec::with_capacity(na);
-        let full: u16 = if na == 16 { u16::MAX } else { (1 << na) - 1 };
-        for y in 0..=full {
-            if na == 0 && y > 0 {
-                break;
+        let all_fds = ((1u32 << bag.fds.len()) - 1) as u16;
+        let mut comp = [0u8; 16];
+        for y in 0..=bag.full() {
+            let mut co_len = 0;
+            for p in (0..na as u8).filter(|&p| y >> p & 1 == 0) {
+                comp[co_len] = p;
+                co_len += 1;
             }
-            comp.clear();
-            comp.extend((0..na as u8).filter(|&p| y >> p & 1 == 0));
-            let fy = self.outside_mask(bag, y);
-            permutations(&mut comp, 0, &mut |order| {
-                let co_len = order.len();
-                let mut co = 0u64;
-                for (i, &p) in order.iter().enumerate() {
-                    co |= (p as u64) << (4 * i);
-                }
-                // Enumerate FC ⊆ Fd with consistent FDs and distinct rhs.
-                for fc_bits in 0u32..(1u32 << nf) {
-                    let fc = fc_bits as u16;
-                    let mut dc = 0u16;
-                    let mut ok = true;
-                    let mut bits = fc;
-                    while bits != 0 {
-                        let j = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let f = bag.fds[j];
-                        if !self.fd_consistent(bag, y, co, co_len, f) {
-                            ok = false;
-                            break;
-                        }
-                        let rhs_pos = bag.attr_pos(self.fd_rhs(f)).expect("rhs in bag");
-                        if dc >> rhs_pos & 1 == 1 {
-                            ok = false; // two FDs deriving the same attribute
-                            break;
-                        }
-                        dc |= 1 << rhs_pos;
-                    }
-                    if ok {
+            let fy = bag.outside_mask(y);
+            permutations(&mut comp[..co_len], 0, &mut |order| {
+                let co = order
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |co, (i, &p)| co | (p as u64) << (4 * i));
+                // Every FC of consistent FDs with distinct right-hand sides.
+                let consistent = bag.consistent_fds(y, co, co_len, all_fds);
+                let mut fc = consistent;
+                loop {
+                    let dc = bag.rhs_mask(fc);
+                    if dc.count_ones() == fc.count_ones() {
                         out.push(PrimState { y, dc, fy, fc, co });
                     }
+                    if fc == 0 {
+                        break;
+                    }
+                    fc = (fc - 1) & consistent;
                 }
             });
-            if y == full {
-                break; // avoid overflow when na == 16
-            }
         }
-        into_table(out)
     }
 
     // --- introduction rules ---------------------------------------------------
 
     /// Attribute introduction (two rules of Figure 6): the destination bag
     /// adds attribute `b` to the source bag.
-    fn intro_attr(&self, src: &[PrimState], dst_bag: &BagCtx, b: ElemId) -> Vec<PrimState> {
+    fn intro_attr(
+        &self,
+        src: &[PrimState],
+        dst_bag: BagCtx<'_>,
+        b: ElemId,
+        out: &mut Vec<PrimState>,
+    ) {
         let bpos = dst_bag.attr_pos(b).expect("introduced attr in bag");
         let na = dst_bag.attrs.len();
-        let mut out = Vec::new();
         for s in src {
             let co_len = na - 1 - (s.y.count_ones() as usize);
             let lifted_co = co_map(
@@ -457,23 +560,12 @@ impl PrimalityContext {
             });
             // Rule: b joins C° (each insertion point; consistency with FC;
             // FY picks up newly witnessed FDs).
+            let fy = s.fy | dst_bag.outside_mask(y);
             for k in 0..=co_len {
                 let co = co_insert(lifted_co, co_len, k, bpos as u8);
-                let mut consistent = true;
-                let mut bits = s.fc;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let f = dst_bag.fds[j];
-                    if !self.fd_consistent(dst_bag, y, co, co_len + 1, f) {
-                        consistent = false;
-                        break;
-                    }
-                }
-                if !consistent {
+                if dst_bag.consistent_fds(y, co, co_len + 1, s.fc) != s.fc {
                     continue;
                 }
-                let fy = s.fy | self.outside_mask(dst_bag, y);
                 out.push(PrimState {
                     y,
                     dc,
@@ -483,18 +575,20 @@ impl PrimalityContext {
                 });
             }
         }
-        into_table(out)
     }
 
     /// FD introduction (three rules of Figure 6): the destination bag adds
     /// FD `f`.
-    fn intro_fd(&self, src: &[PrimState], dst_bag: &BagCtx, f: ElemId) -> Vec<PrimState> {
+    fn intro_fd(
+        &self,
+        src: &[PrimState],
+        dst_bag: BagCtx<'_>,
+        f: ElemId,
+        out: &mut Vec<PrimState>,
+    ) {
         let fpos = dst_bag.fd_pos(f).expect("introduced FD in bag");
-        let rhs_pos = dst_bag
-            .attr_pos(self.fd_rhs(f))
-            .expect("rhs accompanies FD") as u8;
+        let rhs_pos = dst_bag.rhs[fpos];
         let na = dst_bag.attrs.len();
-        let mut out = Vec::new();
         for s in src {
             let fy = mask_lift(s.fy, fpos);
             let fc = mask_lift(s.fc, fpos);
@@ -510,11 +604,7 @@ impl PrimalityContext {
                 });
                 continue;
             }
-            let witnessed = if self.fd_outside(dst_bag, s.y, f) {
-                1u16 << fpos
-            } else {
-                0
-            };
+            let witnessed = u16::from(dst_bag.fd_outside(s.y, fpos)) << fpos;
             // Case 3: rhs(f) ∈ C°, f unused.
             out.push(PrimState {
                 y: s.y,
@@ -525,7 +615,8 @@ impl PrimalityContext {
             });
             // Case 2: rhs(f) ∈ C°, f used — rhs joins ΔC (⊎: must be new),
             // and f must be consistent with the order.
-            if s.dc >> rhs_pos & 1 == 0 && self.fd_consistent(dst_bag, s.y, s.co, co_len, f) {
+            if s.dc >> rhs_pos & 1 == 0 && dst_bag.consistent_fds(s.y, s.co, co_len, 1 << fpos) != 0
+            {
                 out.push(PrimState {
                     y: s.y,
                     dc: s.dc | 1 << rhs_pos,
@@ -535,17 +626,21 @@ impl PrimalityContext {
                 });
             }
         }
-        into_table(out)
     }
 
     // --- removal rules ----------------------------------------------------------
 
     /// Attribute removal (two rules): the destination bag lacks attribute
     /// `b`, which sits at position `bpos` of the source bag.
-    fn remove_attr(&self, src: &[PrimState], src_bag: &BagCtx, b: ElemId) -> Vec<PrimState> {
+    fn remove_attr(
+        &self,
+        src: &[PrimState],
+        src_bag: BagCtx<'_>,
+        b: ElemId,
+        out: &mut Vec<PrimState>,
+    ) {
         let bpos = src_bag.attr_pos(b).expect("removed attr in source bag");
         let na = src_bag.attrs.len();
-        let mut out = Vec::new();
         for s in src {
             let co_len = na - s.y.count_ones() as usize;
             if s.y >> bpos & 1 == 1 {
@@ -581,43 +676,35 @@ impl PrimalityContext {
                 });
             }
         }
-        into_table(out)
     }
 
     /// FD removal (three rules): the destination bag lacks FD `f`.
-    fn remove_fd(&self, src: &[PrimState], src_bag: &BagCtx, f: ElemId) -> Vec<PrimState> {
+    fn remove_fd(
+        &self,
+        src: &[PrimState],
+        src_bag: BagCtx<'_>,
+        f: ElemId,
+        out: &mut Vec<PrimState>,
+    ) {
         let fpos = src_bag.fd_pos(f).expect("removed FD in source bag");
-        let rhs_pos = src_bag
-            .attr_pos(self.fd_rhs(f))
-            .expect("rhs accompanies FD");
-        let mut out = Vec::new();
+        let rhs_pos = src_bag.rhs[fpos];
         for s in src {
             if s.y >> rhs_pos & 1 == 1 {
                 // Case 1: rhs ∈ Y. Invariant: f ∉ FY, f ∉ FC.
                 debug_assert_eq!(s.fy >> fpos & 1, 0);
                 debug_assert_eq!(s.fc >> fpos & 1, 0);
-                out.push(PrimState {
-                    y: s.y,
-                    dc: s.dc,
-                    fy: mask_drop(s.fy, fpos),
-                    fc: mask_drop(s.fc, fpos),
-                    co: s.co,
-                });
-            } else {
+            } else if s.fy >> fpos & 1 == 0 {
                 // Cases 2 and 3: rhs ∈ C° — f must be verified (f ∈ FY).
-                if s.fy >> fpos & 1 == 0 {
-                    continue;
-                }
-                out.push(PrimState {
-                    y: s.y,
-                    dc: s.dc,
-                    fy: mask_drop(s.fy, fpos),
-                    fc: mask_drop(s.fc, fpos),
-                    co: s.co,
-                });
+                continue;
             }
+            out.push(PrimState {
+                y: s.y,
+                dc: s.dc,
+                fy: mask_drop(s.fy, fpos),
+                fc: mask_drop(s.fc, fpos),
+                co: s.co,
+            });
         }
-        into_table(out)
     }
 
     // --- branch rule ---------------------------------------------------------------
@@ -634,14 +721,14 @@ impl PrimalityContext {
         &self,
         left: &[PrimState],
         right: &[PrimState],
-        bag: &BagCtx,
-    ) -> Vec<PrimState> {
+        bag: BagCtx<'_>,
+        out: &mut Vec<PrimState>,
+    ) {
         let key = |s: &PrimState| (s.y, s.fc, s.co);
         let run_end = |t: &[PrimState], at: usize| {
             let k = key(&t[at]);
             at + t[at..].partition_point(|s| key(s) == k)
         };
-        let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < left.len() && j < right.len() {
             match key(&left[i]).cmp(&key(&right[j])) {
@@ -649,7 +736,7 @@ impl PrimalityContext {
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
                     let (i_end, j_end) = (run_end(left, i), run_end(right, j));
-                    let shared = self.rhs_mask(bag, left[i].fc);
+                    let shared = bag.rhs_mask(left[i].fc);
                     for l in &left[i..i_end] {
                         for r in &right[j..j_end] {
                             if l.dc & r.dc != shared {
@@ -666,82 +753,87 @@ impl PrimalityContext {
                 }
             }
         }
-        into_table(out)
     }
 
     // --- passes ----------------------------------------------------------------------
 
-    /// The bottom-up pass: `solve` tables for every node (Figure 6).
-    pub fn run_up(&self) -> Vec<Vec<PrimState>> {
-        let mut tables: Vec<Vec<PrimState>> = vec![Vec::new(); self.nice.len()];
+    /// The bottom-up pass: `solve` tables for every node (Figure 6), in
+    /// one arena. `tables[node.index()]` is the table of `node`.
+    pub fn run_up(&self) -> PrimTables {
+        let mut tables = PrimTables::with_nodes(self.nice.len());
+        let mut scratch = Vec::new();
         for node in self.nice.post_order() {
-            let bag = &self.bags[node.index()];
-            let table = match self.nice.kind(node) {
-                NiceKind::Leaf => self.leaf_table(bag),
+            let bag = self.bags.get(node);
+            let children = &self.nice.node(node).children;
+            scratch.clear();
+            match self.nice.kind(node) {
+                NiceKind::Leaf => self.leaf_table(bag, &mut scratch),
                 NiceKind::Introduce(e) => {
-                    let child = self.nice.node(node).children[0];
-                    let src = &tables[child.index()];
+                    let src = &tables[children[0].index()];
                     if self.is_attr(e) {
-                        self.intro_attr(src, bag, e)
+                        self.intro_attr(src, bag, e, &mut scratch);
                     } else {
-                        self.intro_fd(src, bag, e)
+                        self.intro_fd(src, bag, e, &mut scratch);
                     }
                 }
                 NiceKind::Forget(e) => {
-                    let child = self.nice.node(node).children[0];
-                    let src = &tables[child.index()];
-                    let src_bag = &self.bags[child.index()];
+                    let src = &tables[children[0].index()];
+                    let src_bag = self.bags.get(children[0]);
                     if self.is_attr(e) {
-                        self.remove_attr(src, src_bag, e)
+                        self.remove_attr(src, src_bag, e, &mut scratch);
                     } else {
-                        self.remove_fd(src, src_bag, e)
+                        self.remove_fd(src, src_bag, e, &mut scratch);
                     }
                 }
-                NiceKind::Branch => {
-                    let children = &self.nice.node(node).children;
-                    self.branch_combine(
-                        &tables[children[0].index()],
-                        &tables[children[1].index()],
-                        bag,
-                    )
-                }
-            };
-            tables[node.index()] = table;
+                NiceKind::Branch => self.branch_combine(
+                    &tables[children[0].index()],
+                    &tables[children[1].index()],
+                    bag,
+                    &mut scratch,
+                ),
+            }
+            tables.append(node, &mut scratch);
         }
         tables
     }
 
     /// The top-down pass of §5.3: `solve↓` tables describing the envelope
-    /// `T̄_s` of every node. The root's envelope is the root alone, so its
-    /// table is the leaf rule; every step down inverts the parent's kind
-    /// (an introduction becomes a removal and vice versa; a branch merges
-    /// the parent's envelope with the sibling's bottom-up table).
-    pub fn run_down(&self, up: &[Vec<PrimState>]) -> Vec<Vec<PrimState>> {
-        let mut down: Vec<Vec<PrimState>> = vec![Vec::new(); self.nice.len()];
+    /// `T̄_s` of every node, in one arena like [`run_up`](Self::run_up)'s.
+    /// The root's envelope is the root alone, so its table is the leaf
+    /// rule; every step down inverts the parent's kind (an introduction
+    /// becomes a removal and vice versa; a branch merges the parent's
+    /// envelope with the sibling's bottom-up table from `up`).
+    pub fn run_down(&self, up: &PrimTables) -> PrimTables {
+        let mut down = PrimTables::with_nodes(self.nice.len());
+        // An envelope's table is about as large as its subtree's.
+        down.states.reserve(up.facts());
+        let mut scratch = Vec::new();
         for node in self.nice.pre_order() {
-            if node == self.nice.root() {
-                down[node.index()] = self.leaf_table(&self.bags[node.index()]);
+            let node_bag = self.bags.get(node);
+            scratch.clear();
+            let Some(parent) = self.nice.node(node).parent else {
+                self.leaf_table(node_bag, &mut scratch);
+                down.append(node, &mut scratch);
                 continue;
-            }
-            let parent = self.nice.node(node).parent.expect("non-root");
-            let parent_bag = &self.bags[parent.index()];
-            let node_bag = &self.bags[node.index()];
-            let table = match self.nice.kind(parent) {
+            };
+            let parent_bag = self.bags.get(parent);
+            let src = &down[parent.index()];
+            match self.nice.kind(parent) {
                 NiceKind::Introduce(e) => {
                     // Going down, e leaves the bag.
                     if self.is_attr(e) {
-                        self.remove_attr(&down[parent.index()], parent_bag, e)
+                        self.remove_attr(src, parent_bag, e, &mut scratch);
                     } else {
-                        self.remove_fd(&down[parent.index()], parent_bag, e)
+                        self.remove_fd(src, parent_bag, e, &mut scratch);
                     }
                 }
                 NiceKind::Forget(e) => {
                     // Going down, e (re-)enters the bag; in the envelope it
                     // is fresh (its occurrences lie below this child).
                     if self.is_attr(e) {
-                        self.intro_attr(&down[parent.index()], node_bag, e)
+                        self.intro_attr(src, node_bag, e, &mut scratch);
                     } else {
-                        self.intro_fd(&down[parent.index()], node_bag, e)
+                        self.intro_fd(src, node_bag, e, &mut scratch);
                     }
                 }
                 NiceKind::Branch => {
@@ -751,11 +843,11 @@ impl PrimalityContext {
                     } else {
                         siblings[0]
                     };
-                    self.branch_combine(&down[parent.index()], &up[sibling.index()], node_bag)
+                    self.branch_combine(src, &up[sibling.index()], node_bag, &mut scratch);
                 }
                 NiceKind::Leaf => unreachable!("leaf cannot be a parent"),
-            };
-            down[node.index()] = table;
+            }
+            down.append(node, &mut scratch);
         }
         down
     }
@@ -764,43 +856,12 @@ impl PrimalityContext {
     /// at `node` has `a ∉ Y`, `FY = {f ∈ Fd | rhs(f) ∉ Y}` and
     /// `ΔC = C° ∖ {a}`.
     pub fn accepts(&self, node: NodeId, table: &[PrimState], a: ElemId) -> bool {
-        let bag = &self.bags[node.index()];
+        let bag = self.bags.get(node);
         let Some(apos) = bag.attr_pos(a) else {
             return false;
         };
-        let na = bag.attrs.len();
-        let full: u16 = if na == 16 { u16::MAX } else { (1 << na) - 1 };
-        table.iter().any(|s| {
-            if s.y >> apos & 1 == 1 {
-                return false;
-            }
-            let co_mask = full & !s.y;
-            if s.dc != co_mask & !(1 << apos) {
-                return false;
-            }
-            s.fy == self.required_fy(bag, s.y)
-        })
+        table.iter().any(|s| bag.accepted(s) == Some(apos))
     }
-
-    /// `{f ∈ Fd | rhs(f) ∉ Y}` as an FD mask.
-    fn required_fy(&self, bag: &BagCtx, y: u16) -> u16 {
-        let mut out = 0u16;
-        for (j, &f) in bag.fds.iter().enumerate() {
-            let rhs_pos = bag.attr_pos(self.fd_rhs(f)).expect("rhs in bag");
-            if y >> rhs_pos & 1 == 0 {
-                out |= 1 << j;
-            }
-        }
-        out
-    }
-}
-
-/// Sorts and deduplicates the states a transition pushed: the table form
-/// every pass stores and [`PrimalityContext::accepts`] reads.
-fn into_table(mut states: Vec<PrimState>) -> Vec<PrimState> {
-    states.sort_unstable();
-    states.dedup();
-    states
 }
 
 /// Invokes `f` on every permutation of `buf[k..]` (after `buf[..k]`),
@@ -853,22 +914,23 @@ pub fn prime_attributes_fpt(schema: &Schema) -> Vec<AttrId> {
 }
 
 /// Enumeration on a prepared context; returns prime attribute *elements*
-/// and run statistics.
+/// and run statistics. Each leaf's `solve↓` table is read once: every
+/// state marks the attribute it accepts, if any.
 pub fn enumerate_primes(ctx: &PrimalityContext) -> (Vec<ElemId>, PrimStats) {
     let up = ctx.run_up();
     let down = ctx.run_down(&up);
     let stats = PrimStats {
-        up_facts: up.iter().map(Vec::len).sum(),
-        down_facts: down.iter().map(Vec::len).sum(),
+        up_facts: up.facts(),
+        down_facts: down.facts(),
         nodes: ctx.nice.len(),
         width: ctx.nice.width(),
     };
     let mut prime = vec![false; ctx.info.len()];
     for leaf in ctx.nice.leaves() {
-        let table = &down[leaf.index()];
-        for &e in ctx.nice.bag(leaf) {
-            if ctx.is_attr(e) && !prime[e.index()] && ctx.accepts(leaf, table, e) {
-                prime[e.index()] = true;
+        let bag = ctx.bags.get(leaf);
+        for s in &down[leaf.index()] {
+            if let Some(p) = bag.accepted(s) {
+                prime[bag.attrs[p].index()] = true;
             }
         }
     }
@@ -992,13 +1054,177 @@ mod tests {
         assert_eq!(prime_attributes_fpt(&schema), vec![x, y, z]);
     }
 
+    /// The table a transition derives: its pushed states, sorted and
+    /// deduplicated.
+    fn table_of(transition: impl FnOnce(&mut Vec<PrimState>)) -> Vec<PrimState> {
+        let mut out = Vec::new();
+        transition(&mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    // --- the element-list definitions the mask predicates compile --------
+
+    fn fd_rhs(ctx: &PrimalityContext, f: ElemId) -> ElemId {
+        ctx.info[f.index()].rhs().expect("element is an FD")
+    }
+
+    fn fd_lhs(ctx: &PrimalityContext, f: ElemId) -> &[ElemId] {
+        match &ctx.info[f.index()] {
+            ElemInfo::Fd { lhs, .. } => lhs,
+            ElemInfo::Attr => unreachable!("element is not an FD"),
+        }
+    }
+
+    /// `outside(·, Y, At, {f})` by binary searches of the bag.
+    fn fd_outside_reference(ctx: &PrimalityContext, bag: BagCtx<'_>, y: u16, f: ElemId) -> bool {
+        let rhs_pos = bag.attr_pos(fd_rhs(ctx, f)).expect("rhs in bag");
+        if y >> rhs_pos & 1 == 1 {
+            return false;
+        }
+        fd_lhs(ctx, f)
+            .iter()
+            .any(|&b| bag.attr_pos(b).is_some_and(|p| y >> p & 1 == 0))
+    }
+
+    /// `consistent({f}, C°)` by looking up the index in `C°` of `rhs(f)`
+    /// and of every lhs attribute of `f`.
+    fn fd_consistent_reference(
+        ctx: &PrimalityContext,
+        bag: BagCtx<'_>,
+        y: u16,
+        co: u64,
+        co_len: usize,
+        f: ElemId,
+    ) -> bool {
+        let rhs_pos = bag.attr_pos(fd_rhs(ctx, f)).expect("rhs in bag") as u8;
+        let Some(rhs_idx) = co_index_of(co, co_len, rhs_pos) else {
+            return false; // rhs ∈ Y
+        };
+        for &b in fd_lhs(ctx, f) {
+            if let Some(p) = bag.attr_pos(b) {
+                if y >> p & 1 == 1 {
+                    continue; // lhs attribute in Y: no ordering constraint
+                }
+                match co_index_of(co, co_len, p as u8) {
+                    Some(bi) if bi < rhs_idx => {}
+                    _ => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// `{rhs(f) | f ∈ fc}` by binary searches of the bag.
+    fn rhs_mask_reference(ctx: &PrimalityContext, bag: BagCtx<'_>, fc: u16) -> u16 {
+        (0..bag.fds.len())
+            .filter(|&j| fc >> j & 1 == 1)
+            .map(|j| 1u16 << bag.attr_pos(fd_rhs(ctx, bag.fds[j])).expect("rhs in bag"))
+            .fold(0, |m, b| m | b)
+    }
+
+    /// `{f ∈ Fd | rhs(f) ∉ Y}` by binary searches of the bag.
+    fn required_fy_reference(ctx: &PrimalityContext, bag: BagCtx<'_>, y: u16) -> u16 {
+        (0..bag.fds.len())
+            .filter(|&j| {
+                let rhs_pos = bag.attr_pos(fd_rhs(ctx, bag.fds[j])).expect("rhs in bag");
+                y >> rhs_pos & 1 == 0
+            })
+            .fold(0, |m, j| m | 1 << j)
+    }
+
+    /// The acceptance test for one attribute `a`, scanning the table.
+    fn accepts_reference(
+        ctx: &PrimalityContext,
+        bag: BagCtx<'_>,
+        table: &[PrimState],
+        a: ElemId,
+    ) -> bool {
+        let Some(apos) = bag.attr_pos(a) else {
+            return false;
+        };
+        let full = ((1u32 << bag.attrs.len()) - 1) as u16;
+        table.iter().any(|s| {
+            s.y >> apos & 1 == 0
+                && s.dc == full & !s.y & !(1 << apos)
+                && s.fy == required_fy_reference(ctx, bag, s.y)
+        })
+    }
+
+    /// Compares every mask predicate with its element-list definition:
+    /// `fd_outside`, `outside_mask` and `required_fy` on every `Y` of every
+    /// bag, `rhs_mask` on every `FC`, `consistent_fds` on every `(Y, C°)`
+    /// of a `run_up` or `run_down` table, and `accepts` on every bag
+    /// attribute of those tables.
+    #[test]
+    fn mask_predicates_match_the_element_list_definitions() {
+        let mut rng = seeded_rng(17);
+        let (mut consistent, mut inconsistent, mut accepted) = (0, 0, 0);
+        for i in 0..20 {
+            let schema = random_schema(&mut rng, 4 + i % 3, 2 + i % 4, 3);
+            let ctx = PrimalityContext::new(&schema);
+            let up = ctx.run_up();
+            let down = ctx.run_down(&up);
+            for node in ctx.nice.node_ids() {
+                let bag = ctx.bags.get(node);
+                let what = format!("{schema}, node {node}");
+                for y in 0..=bag.full() {
+                    for (j, &f) in bag.fds.iter().enumerate() {
+                        let expect = fd_outside_reference(&ctx, bag, y, f);
+                        assert_eq!(bag.fd_outside(y, j), expect, "{what}: y {y:b}, FD {j}");
+                    }
+                    let outside = (0..bag.fds.len())
+                        .filter(|&j| fd_outside_reference(&ctx, bag, y, bag.fds[j]))
+                        .fold(0, |m, j| m | 1 << j);
+                    assert_eq!(bag.outside_mask(y), outside, "{what}: y {y:b}");
+                    let required = required_fy_reference(&ctx, bag, y);
+                    assert_eq!(bag.required_fy(y), required, "{what}: y {y:b}");
+                }
+                for fc in 0..1u32 << bag.fds.len() {
+                    let fc = fc as u16;
+                    let expect = rhs_mask_reference(&ctx, bag, fc);
+                    assert_eq!(bag.rhs_mask(fc), expect, "{what}: fc {fc:b}");
+                }
+                for table in [&up[node.index()], &down[node.index()]] {
+                    for s in table {
+                        let co_len = bag.attrs.len() - s.y.count_ones() as usize;
+                        let mut all = 0u16;
+                        for (j, &f) in bag.fds.iter().enumerate() {
+                            let expect = fd_consistent_reference(&ctx, bag, s.y, s.co, co_len, f);
+                            let got = bag.consistent_fds(s.y, s.co, co_len, 1 << j) != 0;
+                            assert_eq!(got, expect, "{what}: {s:?}, FD {j}");
+                            all |= u16::from(expect) << j;
+                            consistent += usize::from(expect);
+                            inconsistent += usize::from(!expect);
+                        }
+                        let every_fd = ((1u32 << bag.fds.len()) - 1) as u16;
+                        let got = bag.consistent_fds(s.y, s.co, co_len, every_fd);
+                        assert_eq!(got, all, "{what}: {s:?}");
+                    }
+                    for &a in bag.attrs {
+                        let expect = accepts_reference(&ctx, bag, table, a);
+                        assert_eq!(ctx.accepts(node, table, a), expect, "{what}: {a:?}");
+                        accepted += usize::from(expect);
+                    }
+                }
+            }
+        }
+        assert!(consistent > 1000, "only {consistent} consistent FD tests");
+        assert!(
+            inconsistent > 1000,
+            "only {inconsistent} inconsistent FD tests"
+        );
+        assert!(accepted > 100, "only {accepted} accepting tables");
+    }
+
     /// The branch rule by nested loops over both tables, with the shared
     /// `rhs(FC)` mask recomputed per pair.
     fn branch_combine_reference(
         ctx: &PrimalityContext,
         left: &[PrimState],
         right: &[PrimState],
-        bag: &BagCtx,
+        bag: BagCtx<'_>,
     ) -> Vec<PrimState> {
         let mut out = std::collections::BTreeSet::new();
         for l in left {
@@ -1006,10 +1232,7 @@ mod tests {
                 if (l.y, l.co, l.fc) != (r.y, r.co, r.fc) {
                     continue;
                 }
-                let shared = (0..bag.fds.len())
-                    .filter(|&j| l.fc >> j & 1 == 1)
-                    .map(|j| 1u16 << bag.attr_pos(ctx.fd_rhs(bag.fds[j])).unwrap())
-                    .fold(0, |m, b| m | b);
+                let shared = rhs_mask_reference(ctx, bag, l.fc);
                 if l.dc & r.dc == shared {
                     out.insert(PrimState {
                         dc: l.dc | r.dc,
@@ -1031,6 +1254,9 @@ mod tests {
         let halve = |t: &[PrimState], parity: usize| -> Vec<PrimState> {
             t.iter().skip(parity).step_by(2).copied().collect()
         };
+        let combined = |l: &[PrimState], r: &[PrimState], bag: BagCtx<'_>| {
+            table_of(|out| ctx.branch_combine(l, r, bag, out))
+        };
         let up = ctx.run_up();
         let down = ctx.run_down(&up);
         let mut non_empty = 0;
@@ -1038,7 +1264,7 @@ mod tests {
             if ctx.nice.kind(node) != NiceKind::Branch {
                 continue;
             }
-            let bag = &ctx.bags[node.index()];
+            let bag = ctx.bags.get(node);
             let [a, b] = ctx.nice.node(node).children[..] else {
                 panic!("{what}: branch {node} has two children");
             };
@@ -1049,15 +1275,15 @@ mod tests {
             ];
             for (left, right, got) in joins {
                 let expect = branch_combine_reference(ctx, left, right, bag);
-                assert_eq!(got, &expect, "{what}: table at or below {node}");
+                assert_eq!(got, &expect[..], "{what}: table at or below {node}");
                 let sub_joins = [
-                    (left.clone(), right.clone()),
-                    (halve(left, 0), right.clone()),
-                    (left.clone(), halve(right, 1)),
+                    (left.to_vec(), right.to_vec()),
+                    (halve(left, 0), right.to_vec()),
+                    (left.to_vec(), halve(right, 1)),
                 ];
                 for (l, r) in sub_joins {
                     let expect = branch_combine_reference(ctx, &l, &r, bag);
-                    assert_eq!(ctx.branch_combine(&l, &r, bag), expect, "{what}: {node}");
+                    assert_eq!(combined(&l, &r, bag), expect, "{what}: {node}");
                     non_empty += usize::from(!expect.is_empty());
                 }
                 // One state a side: a pair the full tables reject can share
@@ -1069,7 +1295,7 @@ mod tests {
                     {
                         let (l, r) = (&[*l][..], &[*r][..]);
                         let expect = branch_combine_reference(ctx, l, r, bag);
-                        assert_eq!(ctx.branch_combine(l, r, bag), expect, "{what}: {node}");
+                        assert_eq!(combined(l, r, bag), expect, "{what}: {node}");
                     }
                 }
             }
@@ -1111,6 +1337,118 @@ mod tests {
         non_empty += check_branch_joins(&ctx, "sibling FDs with one rhs");
         assert_eq!(enumerate_primes(&ctx).0.len(), 2);
         assert!(non_empty > 100, "only {non_empty} non-empty joins");
+    }
+
+    /// FNV-1a over every table of a pass in node order: each table's
+    /// length, then each state's five fields.
+    fn fnv_tables<T: AsRef<[PrimState]>>(tables: impl Iterator<Item = T>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in tables {
+            let t = t.as_ref();
+            eat(t.len() as u64);
+            for s in t {
+                for x in [
+                    u64::from(s.y),
+                    u64::from(s.fc),
+                    s.co,
+                    u64::from(s.dc),
+                    u64::from(s.fy),
+                ] {
+                    eat(x);
+                }
+            }
+        }
+        h
+    }
+
+    /// Hashes of the up and down tables, the fact counts of
+    /// [`enumerate_primes`] and its primes, as recorded before the tables
+    /// moved into one arena per pass and the FD predicates became masks.
+    #[test]
+    fn tables_stats_and_primes_are_pinned() {
+        let mut cases = vec![(
+            "example 2.1".to_string(),
+            PrimalityContext::new(&example_2_1()),
+        )];
+        for k in [8, 64] {
+            let inst = block_tree_instance(k);
+            cases.push((
+                format!("block tree {k}"),
+                PrimalityContext::from_parts(inst.encoding, inst.td),
+            ));
+        }
+        for (seed, attrs, fds) in [(41, 6, 5), (43, 5, 6)] {
+            let schema = random_schema(&mut seeded_rng(seed), attrs, fds, 3);
+            cases.push((format!("random {seed}"), PrimalityContext::new(&schema)));
+        }
+        let got: Vec<_> = cases
+            .iter()
+            .map(|(name, ctx)| {
+                let up = ctx.run_up();
+                let down = ctx.run_down(&up);
+                let (primes, stats) = enumerate_primes(ctx);
+                let primes: Vec<u32> = primes.iter().map(|e| e.0).collect();
+                (
+                    name.as_str(),
+                    fnv_tables(up.iter()),
+                    fnv_tables(down.iter()),
+                    stats.up_facts,
+                    stats.down_facts,
+                    primes,
+                )
+            })
+            .collect();
+        // Block tree `k` has attributes `u_i, v_i, w_i` at `3i, 3i+1, 3i+2`;
+        // the `u`s and `v`s are prime.
+        let blocks = |k: u32| (0..3 * k).filter(|e| e % 3 != 2).collect::<Vec<_>>();
+        let expect = vec![
+            (
+                "example 2.1",
+                2302207924994961303,
+                2731369194138820205,
+                164,
+                180,
+                vec![0, 1, 2, 3],
+            ),
+            (
+                "block tree 8",
+                7796050424824316180,
+                14261726772998057879,
+                864,
+                825,
+                blocks(8),
+            ),
+            (
+                "block tree 64",
+                15918252778402170292,
+                556066626691025719,
+                7024,
+                6649,
+                blocks(64),
+            ),
+            (
+                "random 41",
+                2294690123385771315,
+                9319648724141023045,
+                823,
+                835,
+                vec![0, 1, 2, 3, 4],
+            ),
+            (
+                "random 43",
+                12976610887658716055,
+                185551404349613343,
+                1527,
+                1505,
+                vec![0, 1, 3, 4],
+            ),
+        ];
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -431,23 +431,26 @@ impl NiceBuilder<'_> {
 }
 
 /// Augments every bag with companion elements: wherever `e` occurs in a
-/// bag, `companions(e)` are added too.
+/// bag, its companion `companion(e)` is added too, if it has one.
 ///
 /// This implements the paper's §5.2 requirement that *"whenever an FD `f`
 /// is contained in a bag of the tree decomposition, then the attribute
-/// `rhs(f)` is as well"* (worst case: doubles the width).
+/// `rhs(f)` is as well"* (worst case: doubles the width). An element has
+/// at most one companion there (an FD's right-hand side), so each bag is
+/// copied once and extended, without a list per element.
 ///
 /// **Precondition** (satisfied by the `lh`/`rh` encoding): for every
 /// element `e` and companion `c`, some bag already contains both — then
 /// each occurrence subtree of `c` grows by subtrees that intersect it,
 /// preserving connectedness. Validity should be re-checked in tests via
 /// [`TreeDecomposition::validate`].
-pub fn augment_bags(td: &mut TreeDecomposition, mut companions: impl FnMut(ElemId) -> Vec<ElemId>) {
+pub fn augment_bags(
+    td: &mut TreeDecomposition,
+    mut companion: impl FnMut(ElemId) -> Option<ElemId>,
+) {
     td.map_bags(|_, bag| {
         let mut out = bag.to_vec();
-        for &e in bag {
-            out.extend(companions(e));
-        }
+        out.extend(bag.iter().filter_map(|&e| companion(e)));
         out
     });
 }
@@ -562,7 +565,7 @@ mod tests {
             s.insert(ep, &[e(a), e(b)]);
         }
         let mut td = sample_td();
-        augment_bags(&mut td, |x| if x == e(0) { vec![e(1)] } else { vec![] });
+        augment_bags(&mut td, |x| (x == e(0)).then_some(e(1)));
         assert_eq!(td.validate(&s), Ok(()));
         // Every bag that contains 0 now contains 1 as well.
         for id in td.node_ids() {

@@ -24,13 +24,17 @@
 //!   quasi-guarded evaluation of the Theorem 4.5 program on a τ_td forest
 //!   make a number of allocations bounded by their arrays, not their
 //!   rules.
+//! - The PRIMALITY passes allocate nothing per node: `run_up` and
+//!   `enumerate_primes` on a block-tree schema with over 10 000 nice nodes
+//!   each make fewer allocations than one per hundred nodes.
 
-use mdtw_core::ground_three_col;
+use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext};
 use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog, Update};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
 use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
 use mdtw_mso::compile::compile_unary_filtered;
 use mdtw_mso::{has_neighbor, CompileLimits, IndVar};
+use mdtw_schema::block_tree_instance;
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -317,5 +321,36 @@ fn warm_apply_allocates_nothing_per_overdeleted_fact() {
     assert!(
         allocs < overdeleted / 10,
         "{allocs} allocations for {overdeleted} overdeleted facts"
+    );
+}
+
+/// The PRIMALITY passes allocate nothing per node: on the Table 1
+/// block-tree schema with 1000 FDs, `run_up` and `enumerate_primes` (both
+/// sweeps and the §5.3 acceptance) each make fewer allocations than one
+/// per hundred nice nodes, because a pass keeps its tables in one arena
+/// and derives every table in one reused scratch buffer.
+#[test]
+fn warm_primality_passes_allocate_nothing_per_node() {
+    let inst = block_tree_instance(1000);
+    let ctx = PrimalityContext::from_parts(inst.encoding, inst.td);
+    let nodes = ctx.nice.len();
+    assert!(nodes > 10_000, "{nodes} nice nodes");
+    let (up, allocs) = allocations(|| ctx.run_up());
+    let up_facts = up.facts();
+    assert!(up_facts > 100_000, "{up_facts} up facts");
+    assert!(
+        allocs < nodes / 100,
+        "{allocs} allocations for run_up over {nodes} nodes"
+    );
+    let ((primes, stats), allocs) = allocations(|| enumerate_primes(&ctx));
+    let primes: Vec<_> = primes
+        .iter()
+        .map(|&e| ctx.encoding.attr_of_elem(e).expect("attribute element"))
+        .collect();
+    assert_eq!(primes, inst.expected_primes);
+    assert_eq!(stats.up_facts, up_facts);
+    assert!(
+        allocs < nodes / 100,
+        "{allocs} allocations for enumerate_primes over {nodes} nodes"
     );
 }

@@ -204,7 +204,7 @@ fn uncovered_primality_nice(
             .fd_of_elem(e)
             .map(|f| encoding.elem_of_attr(schema.fds()[f].rhs))
     };
-    augment_bags(&mut td, |e| rhs(e).into_iter().collect());
+    augment_bags(&mut td, rhs);
     let rank = |e: ElemId| u8::from(rhs(e).is_some());
     NiceTd::from_td_with_rank(&td, NiceOptions::default(), &rank)
 }
