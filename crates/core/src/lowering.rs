@@ -185,7 +185,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = base[td.node(node).children[0].index()];
+                let child = base[td.children(node)[0].index()];
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
                 let p = pow3[vpos];
                 for (k, &(r, g)) in states[n - 1].iter().enumerate() {
@@ -206,7 +206,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Forget(v) => {
-                let child_node = td.node(node).children[0];
+                let child_node = td.children(node)[0];
                 let child = base[child_node.index()];
                 let vpos = td
                     .bag(child_node)
@@ -218,7 +218,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Branch => {
-                let children = &td.node(node).children;
+                let children = td.children(node);
                 let (c1, c2) = (base[children[0].index()], base[children[1].index()]);
                 for k in 0..pow3[n] {
                     horn.push(at + k, [c1 + k, c2 + k]);

@@ -764,7 +764,7 @@ impl PrimalityContext {
         let mut scratch = Vec::new();
         for node in self.nice.post_order() {
             let bag = self.bags.get(node);
-            let children = &self.nice.node(node).children;
+            let children = self.nice.children(node);
             scratch.clear();
             match self.nice.kind(node) {
                 NiceKind::Leaf => self.leaf_table(bag, &mut scratch),
@@ -811,7 +811,7 @@ impl PrimalityContext {
         for node in self.nice.pre_order() {
             let node_bag = self.bags.get(node);
             scratch.clear();
-            let Some(parent) = self.nice.node(node).parent else {
+            let Some(parent) = self.nice.parent(node) else {
                 self.leaf_table(node_bag, &mut scratch);
                 down.append(node, &mut scratch);
                 continue;
@@ -837,7 +837,7 @@ impl PrimalityContext {
                     }
                 }
                 NiceKind::Branch => {
-                    let siblings = &self.nice.node(parent).children;
+                    let siblings = self.nice.children(parent);
                     let sibling = if siblings[0] == node {
                         siblings[1]
                     } else {
@@ -1265,7 +1265,7 @@ mod tests {
                 continue;
             }
             let bag = ctx.bags.get(node);
-            let [a, b] = ctx.nice.node(node).children[..] else {
+            let [a, b] = ctx.nice.children(node)[..] else {
                 panic!("{what}: branch {node} has two children");
             };
             let joins = [

@@ -465,10 +465,7 @@ pub fn profile_source_with_limits(
 /// round 0.
 pub fn dry_run_structure(synthetic: &Structure) -> Structure {
     let sig = Arc::clone(synthetic.signature());
-    let mut domain = Domain::new();
-    for i in 0..synthetic.domain().len() {
-        domain.insert(synthetic.domain().name(ElemId(i as u32)));
-    }
+    let mut domain = synthetic.domain().clone();
     let mut pad = 0usize;
     while domain.len() < 4 {
         let name = format!("_dry{pad}");

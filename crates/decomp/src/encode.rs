@@ -5,7 +5,8 @@
 
 use crate::tree::NodeId;
 use crate::tuple_normal::TupleTd;
-use mdtw_structure::{Domain, ElemId, Structure};
+use mdtw_structure::{ElemId, Structure};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The result of encoding: the τ_td structure plus the mapping from
@@ -38,14 +39,14 @@ impl TdEncoding {
 /// * `bag(t, a₀, …, a_w)` — the bag of `t` is the tuple `(a₀, …, a_w)`.
 pub fn encode_tuple_td(base: &Structure, td: &TupleTd) -> TdEncoding {
     let sig = Arc::new(base.signature().extend_td(td.width()));
-    // Copy the base domain, then append one element per tree node.
-    let mut domain = Domain::new();
-    for e in base.domain().elems() {
-        domain.insert(base.domain().name(e).to_owned());
-    }
+    // Clone the base domain, then append one element per tree node.
+    let mut domain = base.domain().clone();
     let mut node_elem = Vec::with_capacity(td.len());
+    let mut name = String::new();
     for t in td.node_ids() {
-        node_elem.push(domain.insert(format!("nd{}", t.0)));
+        name.clear();
+        write!(name, "nd{}", t.0).expect("writing to a String cannot fail");
+        node_elem.push(domain.insert(&name));
     }
 
     let mut out = Structure::new(Arc::clone(&sig), domain);
@@ -96,7 +97,7 @@ pub fn encode_tuple_td(base: &Structure, td: &TupleTd) -> TdEncoding {
 mod tests {
     use super::*;
     use crate::tree::TreeDecomposition;
-    use mdtw_structure::Signature;
+    use mdtw_structure::{Domain, Signature};
 
     fn e(i: u32) -> ElemId {
         ElemId(i)

@@ -32,7 +32,7 @@ pub use encode::{encode_tuple_td, TdEncoding};
 pub use heuristics::{
     decompose, decompose_with_order, elimination_order, exact_treewidth, Heuristic, PrimalGraph,
 };
-pub use nice::{augment_bags, NiceKind, NiceNode, NiceOptions, NiceTd};
+pub use nice::{augment_bags, NiceKind, NiceOptions, NiceTd};
 pub use tree::{NodeId, TdNode, TreeDecomposition};
 pub use tuple_normal::{NormalizeError, TupleNode, TupleNodeKind, TupleTd};
 pub use validate::TdViolation;

@@ -17,10 +17,11 @@
 //! parent, so decompositions can be re-rooted at any leaf) exists to
 //! support their re-rooting implementation of the enumeration algorithm;
 //! our solvers compute the top-down `solve↓` tables for every node kind
-//! directly, which subsumes it (see `mdtw-core::enumeration`).
+//! directly, which subsumes it (see `mdtw_core::primality`).
 
 use crate::tree::{NodeId, TreeDecomposition};
 use mdtw_structure::ElemId;
+use std::cmp::Reverse;
 
 /// Kinds of nodes in a nice tree decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,17 +37,16 @@ pub enum NiceKind {
     Branch,
 }
 
-/// One node of a [`NiceTd`].
-#[derive(Debug, Clone)]
-pub struct NiceNode {
-    /// The bag as a sorted set.
-    pub bag: Vec<ElemId>,
-    /// Children (at most two).
-    pub children: Vec<NodeId>,
-    /// Parent link; `None` for the root.
-    pub parent: Option<NodeId>,
-    /// The node kind (cached at construction).
-    pub kind: NiceKind,
+impl NiceKind {
+    /// The number of children a node of this kind has.
+    #[inline]
+    fn child_count(self) -> usize {
+        match self {
+            NiceKind::Leaf => 0,
+            NiceKind::Introduce(_) | NiceKind::Forget(_) => 1,
+            NiceKind::Branch => 2,
+        }
+    }
 }
 
 /// Options controlling [`NiceTd::from_td`].
@@ -62,10 +62,39 @@ pub struct NiceOptions {
     pub every_elem_in_leaf: bool,
 }
 
+/// The links of one nice node. The kind gives the child count: only the
+/// first `kind.child_count()` entries of `children` are meaningful.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    kind: NiceKind,
+    parent: Option<NodeId>,
+    children: [NodeId; 2],
+}
+
 /// A tree decomposition in the modified normal form of §5.
+///
+/// # Layout
+///
+/// The nodes are stored flat, with no allocation per node:
+///
+/// * every bag lives in one `Vec<ElemId>` arena, in node order: node `n`'s
+///   sorted bag is `bags[ends[n − 1]..ends[n]]` (with `ends[−1] = 0`), so
+///   the offsets cost one `u32` per node;
+/// * every node keeps its kind, its parent and a fixed pair of child ids
+///   in one `Copy` record (24 bytes); the kind says how many of the pair
+///   are children.
+///
+/// A decomposition of `n` nodes and `Σ |bag|` bag cells thus occupies
+/// three vectors of `4·Σ|bag|`, `4n` and `24n` bytes. Building it
+/// ([`from_td_with_rank`](Self::from_td_with_rank)) allocates only those
+/// vectors, the traversal of the input and a few scratch buffers it
+/// reuses for every morph chain; the §5.3 leaf coverage copies bags within
+/// the arena. Cloning costs three memcpys.
 #[derive(Debug, Clone)]
 pub struct NiceTd {
-    nodes: Vec<NiceNode>,
+    bags: Vec<ElemId>,
+    ends: Vec<u32>,
+    links: Vec<Links>,
     root: NodeId,
 }
 
@@ -79,38 +108,47 @@ impl NiceTd {
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.links.len()
     }
 
     /// Always false; kept for API symmetry.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Node access.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &NiceNode {
-        &self.nodes[id.index()]
+        self.links.is_empty()
     }
 
     /// The sorted bag of `id`.
     #[inline]
     pub fn bag(&self, id: NodeId) -> &[ElemId] {
-        &self.nodes[id.index()].bag
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bags[start..self.ends[i] as usize]
     }
 
     /// The kind of `id`.
     #[inline]
     pub fn kind(&self, id: NodeId) -> NiceKind {
-        self.nodes[id.index()].kind
+        self.links[id.index()].kind
+    }
+
+    /// The children of `id`: none for a leaf, one for an introduce or
+    /// forget node, two for a branch node.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        let links = &self.links[id.index()];
+        &links.children[..links.kind.child_count()]
+    }
+
+    /// The parent of `id`; `None` for the root.
+    #[inline]
+    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+        self.links[id.index()].parent
     }
 
     /// The width `max |bag| − 1`.
     pub fn width(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.bag.len())
+        self.node_ids()
+            .map(|id| self.bag(id).len())
             .max()
             .unwrap_or(0)
             .saturating_sub(1)
@@ -118,17 +156,17 @@ impl NiceTd {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.links.len() as u32).map(NodeId)
     }
 
     /// Post-order traversal (children before parents): the order of the
     /// bottom-up `solve` computation of Figures 5 and 6.
     pub fn post_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut stack = vec![(self.root, 0usize)];
         while let Some(last) = stack.len().checked_sub(1) {
             let (node, cursor) = stack[last];
-            let children = &self.nodes[node.index()].children;
+            let children = self.children(node);
             if cursor < children.len() {
                 stack[last].1 += 1;
                 stack.push((children[cursor], 0));
@@ -143,13 +181,11 @@ impl NiceTd {
     /// Pre-order traversal (parents before children): the order of the
     /// top-down `solve↓` computation of §5.3.
     pub fn pre_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut stack = vec![self.root];
         while let Some(node) = stack.pop() {
             out.push(node);
-            for &c in self.nodes[node.index()].children.iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(self.children(node).iter().rev());
         }
         out
     }
@@ -157,7 +193,7 @@ impl NiceTd {
     /// All leaf nodes.
     pub fn leaves(&self) -> Vec<NodeId> {
         self.node_ids()
-            .filter(|&id| self.node(id).children.is_empty())
+            .filter(|&id| self.kind(id) == NiceKind::Leaf)
             .collect()
     }
 
@@ -170,7 +206,7 @@ impl NiceTd {
     /// Counts nodes per kind: `(leaf, introduce, forget, branch)`.
     pub fn kind_histogram(&self) -> (usize, usize, usize, usize) {
         let mut h = (0, 0, 0, 0);
-        for n in &self.nodes {
+        for n in &self.links {
             match n.kind {
                 NiceKind::Leaf => h.0 += 1,
                 NiceKind::Introduce(_) => h.1 += 1,
@@ -186,7 +222,7 @@ impl NiceTd {
         let mut td = TreeDecomposition::singleton(self.bag(self.root).to_vec());
         let mut stack = vec![(self.root, td.root())];
         while let Some((old, new)) = stack.pop() {
-            for &c in &self.node(old).children {
+            for &c in self.children(old) {
                 let nc = td.add_child(new, self.bag(c).to_vec());
                 stack.push((c, nc));
             }
@@ -194,39 +230,48 @@ impl NiceTd {
         td
     }
 
-    /// Checks the structural invariants of the nice form.
+    /// Checks the structural invariants of the nice form: sorted bags,
+    /// kinds agreeing with the bags of their children, and parent links
+    /// mirroring child links. Allocates only to report a violation.
     pub fn validate_nice_form(&self) -> Result<(), String> {
+        if self.ends.len() != self.len() || self.root.index() >= self.len() {
+            return Err(format!(
+                "{} bag ends and root {} for {} nodes",
+                self.ends.len(),
+                self.root,
+                self.len()
+            ));
+        }
+        if self.parent(self.root).is_some() {
+            return Err(format!("root {} has a parent", self.root));
+        }
         for id in self.node_ids() {
-            let node = self.node(id);
-            if node.bag.windows(2).any(|w| w[0] >= w[1]) {
+            let bag = self.bag(id);
+            if bag.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("bag of {id} is not a sorted set"));
             }
-            match (node.children.len(), node.kind) {
-                (0, NiceKind::Leaf) => {}
-                (1, NiceKind::Introduce(a)) => {
-                    let child = self.bag(node.children[0]);
-                    let mut expect = child.to_vec();
-                    expect.push(a);
-                    expect.sort_unstable();
-                    if child.contains(&a) || expect != node.bag {
-                        return Err(format!("{id}: bad introduce({a})"));
-                    }
+            for &c in self.children(id) {
+                if c.index() >= self.len() || self.parent(c) != Some(id) {
+                    return Err(format!("child {c} of {id} does not link back"));
                 }
-                (1, NiceKind::Forget(a)) => {
-                    let child = self.bag(node.children[0]);
-                    let expect: Vec<ElemId> = child.iter().copied().filter(|&e| e != a).collect();
-                    if !child.contains(&a) || expect != node.bag {
-                        return Err(format!("{id}: bad forget({a})"));
-                    }
+            }
+            let child = |i: usize| self.bag(self.children(id)[i]);
+            let ok = match self.kind(id) {
+                NiceKind::Leaf => true,
+                NiceKind::Introduce(a) => {
+                    let child = child(0);
+                    !child.contains(&a)
+                        && bag.contains(&a)
+                        && bag.iter().filter(|&&e| e != a).eq(child)
                 }
-                (2, NiceKind::Branch) => {
-                    for &c in &node.children {
-                        if self.bag(c) != &node.bag[..] {
-                            return Err(format!("branch {id}: child bag differs"));
-                        }
-                    }
+                NiceKind::Forget(a) => {
+                    let child = child(0);
+                    child.contains(&a) && child.iter().filter(|&&e| e != a).eq(bag)
                 }
-                (n, k) => return Err(format!("{id}: kind {k:?} with {n} children")),
+                NiceKind::Branch => child(0) == bag && child(1) == bag,
+            };
+            if !ok {
+                return Err(format!("{id}: bag disagrees with {:?}", self.kind(id)));
             }
         }
         Ok(())
@@ -248,51 +293,79 @@ impl NiceTd {
     /// rhs attribute is as well" survives the conversion: give FDs rank 1
     /// and attributes rank 0, so an FD always leaves a bag before its rhs
     /// attribute and enters after it.
+    ///
+    /// Nodes are numbered as they are built: a post-order walk of `td`
+    /// builds each leaf's node, or else morphs every child's top node up
+    /// to the bag (one forget per element to drop, then one introduce per
+    /// element to add) and joins the chain tops pairwise from the last
+    /// child on.
     pub fn from_td_with_rank(
         td: &TreeDecomposition,
         options: NiceOptions,
         rank: &dyn Fn(ElemId) -> u8,
     ) -> Self {
         let mut b = NiceBuilder {
-            nodes: Vec::new(),
+            nice: Self {
+                bags: Vec::new(),
+                ends: Vec::new(),
+                links: Vec::new(),
+                root: NodeId(0),
+            },
             rank,
+            current: Vec::new(),
+            diff: Vec::new(),
         };
-        let mut rep: Vec<Option<NodeId>> = vec![None; td.len()];
+        let mut rep: Vec<NodeId> = vec![NodeId(u32::MAX); td.len()];
+        let mut tops: Vec<NodeId> = Vec::new();
         for id in td.post_order() {
-            let bag = td.bag(id).to_vec();
+            let bag = td.bag(id);
             let children = &td.node(id).children;
             let built = if children.is_empty() {
-                b.add(bag, NiceKind::Leaf, &[])
+                b.add_bag(bag, NiceKind::Leaf, &[])
             } else {
-                // Morph every child chain up to this node's bag, then join.
-                let mut tops: Vec<NodeId> = children
-                    .iter()
-                    .map(|&c| {
-                        let child_rep = rep[c.index()].expect("post-order");
-                        b.morph(child_rep, &bag)
-                    })
-                    .collect();
-                // Join pairwise with branch nodes.
+                // Morph every child chain up to this node's bag, then join
+                // them pairwise with branch nodes.
+                tops.clear();
+                for &c in children {
+                    let top = b.morph(rep[c.index()], bag);
+                    tops.push(top);
+                }
                 while tops.len() > 1 {
                     let right = tops.pop().expect("len > 1");
                     let left = tops.pop().expect("len > 1");
-                    let join = b.add(bag.clone(), NiceKind::Branch, &[left, right]);
+                    let join = b.add_bag(bag, NiceKind::Branch, &[left, right]);
                     tops.push(join);
                 }
-                tops.pop().expect("one top")
+                tops[0]
             };
-            rep[id.index()] = Some(built);
+            rep[id.index()] = built;
         }
-        let root = rep[td.root().index()].expect("root built");
-        let mut nice = Self {
-            nodes: b.nodes,
-            root,
-        };
+        let mut nice = b.nice;
+        nice.root = rep[td.root().index()];
         if options.every_elem_in_leaf {
             nice.ensure_leaf_coverage();
         }
         debug_assert_eq!(nice.validate_nice_form(), Ok(()));
         nice
+    }
+
+    /// Appends a node with the given kind and children, whose bag the
+    /// caller has just appended to the arena, and links the children up.
+    fn push_node(&mut self, kind: NiceKind, parent: Option<NodeId>, children: &[NodeId]) -> NodeId {
+        let id = NodeId(self.links.len() as u32);
+        let end = u32::try_from(self.bags.len()).expect("fewer than 2³² bag cells");
+        self.ends.push(end);
+        let mut pair = [NodeId(u32::MAX); 2];
+        pair[..children.len()].copy_from_slice(children);
+        for &c in children {
+            self.links[c.index()].parent = Some(id);
+        }
+        self.links.push(Links {
+            kind,
+            parent,
+            children: pair,
+        });
+        id
     }
 
     /// §5.3: for every element that occurs in no leaf bag, splice a fresh
@@ -313,22 +386,18 @@ impl NiceTd {
     /// sizes and every host is found by a single pass made before any
     /// splice. The whole routine costs `O(Σ |bag|)`.
     fn ensure_leaf_coverage(&mut self) {
-        let elems = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.bag.last())
-            .map(|e| e.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let elems = self.bags.iter().map(|e| e.index() + 1).max().unwrap_or(0);
         let mut in_leaf = vec![false; elems];
         let mut host: Vec<Option<NodeId>> = vec![None; elems];
-        for (id, node) in self.node_ids().zip(&self.nodes) {
-            for &e in &node.bag {
+        for id in self.node_ids() {
+            let bag = self.bag(id);
+            let leaf = self.kind(id) == NiceKind::Leaf;
+            for &e in bag {
                 let h = &mut host[e.index()];
-                if h.is_none_or(|h| self.nodes[h.index()].bag.len() < node.bag.len()) {
+                if h.is_none_or(|h| self.bag(h).len() < bag.len()) {
                     *h = Some(id);
                 }
-                in_leaf[e.index()] |= node.children.is_empty();
+                in_leaf[e.index()] |= leaf;
             }
         }
         for e in 0..elems {
@@ -337,96 +406,99 @@ impl NiceTd {
                 continue;
             }
             self.splice_leaf_above(t);
-            for &x in &self.nodes[t.index()].bag {
+            for &x in self.bag(t) {
                 in_leaf[x.index()] = true;
             }
         }
     }
 
-    /// Inserts `branch(bag(t)) -> [t, leaf(bag(t))]` above `t`.
+    /// Inserts `branch(bag(t)) -> [t, leaf(bag(t))]` above `t`, copying
+    /// `bag(t)` twice within the arena.
     fn splice_leaf_above(&mut self, t: NodeId) {
-        let bag = self.bag(t).to_vec();
-        let parent = self.node(t).parent;
-        let leaf = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NiceNode {
-            bag: bag.clone(),
-            children: Vec::new(),
-            parent: None, // fixed below
-            kind: NiceKind::Leaf,
-        });
-        let branch = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NiceNode {
-            bag,
-            children: vec![t, leaf],
-            parent,
-            kind: NiceKind::Branch,
-        });
-        self.nodes[leaf.index()].parent = Some(branch);
-        self.nodes[t.index()].parent = Some(branch);
+        let end = self.ends[t.index()] as usize;
+        let range = end - self.bag(t).len()..end;
+        let parent = self.parent(t);
+        self.bags.extend_from_within(range.clone());
+        let leaf = self.push_node(NiceKind::Leaf, None, &[]);
+        self.bags.extend_from_within(range);
+        // `push_node` links both children up to the branch.
+        let branch = self.push_node(NiceKind::Branch, parent, &[t, leaf]);
         match parent {
             Some(p) => {
-                let slot = self.nodes[p.index()]
-                    .children
+                let slot = self
+                    .children(p)
                     .iter()
                     .position(|&c| c == t)
                     .expect("edge exists");
-                self.nodes[p.index()].children[slot] = branch;
+                self.links[p.index()].children[slot] = branch;
             }
             None => self.root = branch,
         }
     }
 }
 
-/// Incremental builder for nice decompositions.
+/// Incremental builder for nice decompositions: the decomposition built
+/// so far plus the two scratch buffers every morph chain reuses.
 struct NiceBuilder<'a> {
-    nodes: Vec<NiceNode>,
+    nice: NiceTd,
     rank: &'a dyn Fn(ElemId) -> u8,
+    /// The bag at the current top of a morph chain.
+    current: Vec<ElemId>,
+    /// The elements a morph chain forgets, then those it introduces.
+    diff: Vec<ElemId>,
 }
 
 impl NiceBuilder<'_> {
-    fn add(&mut self, bag: Vec<ElemId>, kind: NiceKind, children: &[NodeId]) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        for &c in children {
-            self.nodes[c.index()].parent = Some(id);
-        }
-        self.nodes.push(NiceNode {
-            bag,
-            children: children.to_vec(),
-            parent: None,
-            kind,
-        });
-        id
+    /// Appends a node carrying a copy of `bag`.
+    fn add_bag(&mut self, bag: &[ElemId], kind: NiceKind, children: &[NodeId]) -> NodeId {
+        self.nice.bags.extend_from_slice(bag);
+        self.nice.push_node(kind, None, children)
     }
 
-    /// Builds the forget/introduce chain from the bag of `from` up to
-    /// `target`, returning the top node (whose bag equals `target`).
-    /// Forgets run by descending rank, introductions by ascending rank.
+    /// Builds the forget/introduce chain from the bag of `from` up to the
+    /// sorted set `target`, returning the top node (whose bag equals
+    /// `target`). Forgets run by descending rank, introductions by
+    /// ascending rank, each in ascending element order within a rank.
     fn morph(&mut self, from: NodeId, target: &[ElemId]) -> NodeId {
-        let mut current = self.nodes[from.index()].bag.clone();
+        let rank = self.rank;
+        let in_target = |e: &ElemId| target.binary_search(e).is_ok();
+        self.current.clear();
+        self.current.extend_from_slice(self.nice.bag(from));
         let mut top = from;
-        let mut to_forget: Vec<ElemId> = current
-            .iter()
-            .copied()
-            .filter(|e| !target.contains(e))
-            .collect();
-        to_forget.sort_by_key(|&e| std::cmp::Reverse((self.rank)(e)));
-        for e in to_forget {
-            current.retain(|&x| x != e);
-            top = self.add(current.clone(), NiceKind::Forget(e), &[top]);
+        self.diff.clear();
+        self.diff
+            .extend(self.current.iter().copied().filter(|e| !in_target(e)));
+        self.diff.sort_unstable_by_key(|&e| (Reverse(rank(e)), e));
+        for i in 0..self.diff.len() {
+            let e = self.diff[i];
+            self.current.retain(|&x| x != e);
+            top = self.add_current(NiceKind::Forget(e), top);
         }
-        let mut to_introduce: Vec<ElemId> = target
-            .iter()
-            .copied()
-            .filter(|e| !current.contains(e))
-            .collect();
-        to_introduce.sort_by_key(|&e| (self.rank)(e));
-        for e in to_introduce {
-            current.push(e);
-            current.sort_unstable();
-            top = self.add(current.clone(), NiceKind::Introduce(e), &[top]);
+        // What survives the forgets is `current ∩ target`, a sorted
+        // subsequence of `target`: the introductions are the rest.
+        self.diff.clear();
+        let kept = &self.current;
+        self.diff.extend(
+            target
+                .iter()
+                .copied()
+                .filter(|e| kept.binary_search(e).is_err()),
+        );
+        self.diff.sort_unstable_by_key(|&e| (rank(e), e));
+        for i in 0..self.diff.len() {
+            let e = self.diff[i];
+            let at = self.current.partition_point(|&x| x < e);
+            self.current.insert(at, e);
+            top = self.add_current(NiceKind::Introduce(e), top);
         }
-        debug_assert_eq!(current, target);
+        debug_assert_eq!(self.current, target);
         top
+    }
+
+    /// Appends a node carrying the current chain bag above `child`.
+    fn add_current(&mut self, kind: NiceKind, child: NodeId) -> NodeId {
+        self.nice.bags.extend_from_slice(&self.current);
+        self.nice.push_node(kind, None, &[child])
     }
 }
 
@@ -437,7 +509,7 @@ impl NiceBuilder<'_> {
 /// is contained in a bag of the tree decomposition, then the attribute
 /// `rhs(f)` is as well"* (worst case: doubles the width). An element has
 /// at most one companion there (an FD's right-hand side), so each bag is
-/// copied once and extended, without a list per element.
+/// extended in place, without a list per element.
 ///
 /// **Precondition** (satisfied by the `lh`/`rh` encoding): for every
 /// element `e` and companion `c`, some bag already contains both — then
@@ -449,9 +521,11 @@ pub fn augment_bags(
     mut companion: impl FnMut(ElemId) -> Option<ElemId>,
 ) {
     td.map_bags(|_, bag| {
-        let mut out = bag.to_vec();
-        out.extend(bag.iter().filter_map(|&e| companion(e)));
-        out
+        for i in 0..bag.len() {
+            if let Some(c) = companion(bag[i]) {
+                bag.push(c);
+            }
+        }
     });
 }
 
@@ -520,7 +594,7 @@ mod tests {
         let mut in_leaf: BTreeSet<ElemId> = BTreeSet::new();
         for id in nice.node_ids() {
             everywhere.extend(nice.bag(id).iter().copied());
-            if nice.node(id).children.is_empty() {
+            if nice.kind(id) == NiceKind::Leaf {
                 in_leaf.extend(nice.bag(id).iter().copied());
             }
         }

@@ -190,15 +190,14 @@ impl TreeDecomposition {
         self.root = new_root;
     }
 
-    /// Applies `f` to every bag element, replacing bags wholesale.
-    /// Used by bag-augmentation transforms; re-sorts each bag.
-    pub fn map_bags(&mut self, mut f: impl FnMut(NodeId, &[ElemId]) -> Vec<ElemId>) {
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
-            let mut new_bag = f(id, &self.nodes[i].bag);
-            new_bag.sort_unstable();
-            new_bag.dedup();
-            self.nodes[i].bag = new_bag;
+    /// Lets `f` edit every bag in place (bag-augmentation transforms
+    /// extend them), then restores set semantics by sorting and
+    /// deduplicating each bag. Reuses every bag's buffer.
+    pub fn map_bags(&mut self, mut f: impl FnMut(NodeId, &mut Vec<ElemId>)) {
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            f(NodeId(i as u32), &mut node.bag);
+            node.bag.sort_unstable();
+            node.bag.dedup();
         }
     }
 }

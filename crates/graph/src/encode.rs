@@ -2,6 +2,7 @@
 
 use crate::graph::Graph;
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The signature τ = {e} with a binary edge relation.
@@ -12,11 +13,22 @@ pub fn graph_signature() -> Signature {
 /// Encodes an undirected graph: vertex `v` becomes element `v`, and each
 /// edge contributes both `e(u, v)` and `e(v, u)` (the paper's MSO sentence
 /// quantifies over ordered pairs, and symmetric storage keeps the datalog
-/// programs free of orientation case splits).
+/// programs free of orientation case splits). Vertex `v` is named `v{v}`;
+/// the domain and the edge relation are sized up front.
 pub fn encode_graph(g: &Graph) -> Structure {
     let sig = Arc::new(graph_signature());
-    let dom = Domain::from_names((0..g.len()).map(|i| format!("v{i}")));
-    let mut s = Structure::new(sig, dom);
+    // `v0`, `v1`, …: one letter and the digits of the vertex number.
+    let name_bytes = (0..g.len())
+        .map(|i| 2 + i.checked_ilog10().unwrap_or(0) as usize)
+        .sum();
+    let mut dom = Domain::with_capacity(g.len(), name_bytes);
+    let mut name = String::new();
+    for i in 0..g.len() {
+        name.clear();
+        write!(name, "v{i}").expect("writing to a String cannot fail");
+        dom.insert(&name);
+    }
+    let mut s = Structure::with_capacity(sig, dom, &[2 * g.edge_count()]);
     let e = s.signature().lookup("e").unwrap();
     for (a, b) in g.edges() {
         s.insert(e, &[ElemId(a), ElemId(b)]);

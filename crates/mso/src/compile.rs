@@ -693,10 +693,7 @@ fn replace_element(
     pos0_atoms: &[usize],
     sel: u32,
 ) -> (Structure, Vec<ElemId>) {
-    let mut dom = Domain::new();
-    for e in witness.s.domain().elems() {
-        dom.insert(witness.s.domain().name(e).to_owned());
-    }
+    let mut dom = witness.s.domain().clone();
     let fresh = dom.insert(format!("w{}", dom.len()));
     let mut s = Structure::new(Arc::clone(base_sig), dom);
     for p in witness.s.signature().preds() {

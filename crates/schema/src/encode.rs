@@ -3,6 +3,7 @@
 
 use crate::schema::{AttrId, Schema};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The encoded structure plus element maps for both universes.
@@ -50,31 +51,46 @@ pub fn schema_signature() -> Signature {
 
 /// Encodes `(R, F)` as a τ-structure: `fd(f)`, `att(b)`, `lh(b, f)` for
 /// `b ∈ lhs(f)`, `rh(b, f)` for `b = rhs(f)` (Example 2.2).
+///
+/// The domain holds the attributes in schema order, then the FDs `f1`,
+/// `f2`, …. The domain and the four relations are sized up front, so the
+/// encoding makes a constant number of allocations.
 pub fn encode_schema(schema: &Schema) -> SchemaEncoding {
     let sig = Arc::new(schema_signature());
-    let mut dom = Domain::new();
+    let fds = schema.fds();
+    let attr_bytes: usize = schema.attrs().map(|a| schema.attr_name(a).len()).sum();
+    // `f1`, `f2`, …: one letter and the digits of the FD's number.
+    let fd_bytes: usize = (1..=fds.len()).map(|i| 2 + i.ilog10() as usize).sum();
+    let mut dom = Domain::with_capacity(schema.attr_count() + fds.len(), attr_bytes + fd_bytes);
     let attr_elem: Vec<ElemId> = schema
         .attrs()
-        .map(|a| dom.insert(schema.attr_name(a).to_owned()))
+        .map(|a| dom.insert(schema.attr_name(a)))
         .collect();
-    let fd_elem: Vec<ElemId> = (0..schema.fd_count())
-        .map(|i| dom.insert(format!("f{}", i + 1)))
+    let mut name = String::new();
+    let fd_elem: Vec<ElemId> = (1..=fds.len())
+        .map(|i| {
+            name.clear();
+            write!(name, "f{i}").expect("writing to a String cannot fail");
+            dom.insert(&name)
+        })
         .collect();
-    let mut s = Structure::new(sig, dom);
-    let fd_p = s.signature().lookup("fd").unwrap();
-    let att_p = s.signature().lookup("att").unwrap();
-    let lh_p = s.signature().lookup("lh").unwrap();
-    let rh_p = s.signature().lookup("rh").unwrap();
-    for (i, &e) in attr_elem.iter().enumerate() {
-        let _ = i;
+    let pred = |n: &str| sig.lookup(n).expect("schema predicate");
+    let (fd_p, att_p, lh_p, rh_p) = (pred("fd"), pred("att"), pred("lh"), pred("rh"));
+    let mut rows = [0; 4];
+    rows[fd_p.index()] = fds.len();
+    rows[att_p.index()] = attr_elem.len();
+    rows[lh_p.index()] = fds.iter().map(|fd| fd.lhs.len()).sum();
+    rows[rh_p.index()] = fds.len();
+    let mut s = Structure::with_capacity(sig, dom, &rows);
+    for &e in &attr_elem {
         s.insert(att_p, &[e]);
     }
-    for (i, fd) in schema.fds().iter().enumerate() {
-        s.insert(fd_p, &[fd_elem[i]]);
+    for (fd, &f) in fds.iter().zip(&fd_elem) {
+        s.insert(fd_p, &[f]);
         for &b in &fd.lhs {
-            s.insert(lh_p, &[attr_elem[b.index()], fd_elem[i]]);
+            s.insert(lh_p, &[attr_elem[b.index()], f]);
         }
-        s.insert(rh_p, &[attr_elem[fd.rhs.index()], fd_elem[i]]);
+        s.insert(rh_p, &[attr_elem[fd.rhs.index()], f]);
     }
     SchemaEncoding {
         structure: s,

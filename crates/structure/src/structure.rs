@@ -96,9 +96,10 @@ fn dense_id(n: usize, what: &str) -> u32 {
 }
 
 /// An open-addressing hash table whose slots hold bare `u32` values (row
-/// ids, or bucket ids for [`PosIndex`]). The table stores no keys: callers
-/// supply the hash and an equality predicate that compares against the
-/// owning relation's arena, so probes and inserts allocate nothing.
+/// ids, bucket ids for [`PosIndex`], or element ids for a [`Domain`]'s
+/// names). The table stores no keys: callers supply the hash and an
+/// equality predicate that compares against the owner's arena, so probes
+/// and inserts allocate nothing.
 ///
 /// Next to each slot the table keeps a one-byte *tag*: the top byte of
 /// the stored value's hash (never 0), or 0 for a free slot. A probe walks
@@ -107,13 +108,13 @@ fn dense_id(n: usize, what: &str) -> u32 {
 /// unless their tag agrees (about one in 255 of them). The key comparison
 /// itself is never skipped.
 ///
-/// Both users keep their values *dense*: a relation's row ids and an
-/// index's bucket ids are always `0..len`. The table relies on that: a new
+/// Every user keeps its values *dense*: a relation's row ids, an index's
+/// bucket ids and a domain's element ids are always `0..len`. The table relies on that: a new
 /// value is `len` ([`RowTable::find_or_insert`]), and growth re-places the
 /// values `0..len` in order, so rehashing reads the arena front to back
 /// instead of in slot order.
 #[derive(Debug, Clone, Default)]
-struct RowTable {
+pub(crate) struct RowTable {
     /// Power-of-two slot array; a slot's value is meaningful only where
     /// its tag is not [`RowTable::FREE`].
     slots: Vec<u32>,
@@ -128,7 +129,7 @@ impl RowTable {
 
     /// A table that holds `n` values without growing: the capacity that
     /// inserting them one by one would reach.
-    fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         if n == 0 {
             return Self::default();
         }
@@ -180,7 +181,7 @@ impl RowTable {
 
     /// Finds the stored value matching `hash` + `eq` via linear probing.
     #[inline]
-    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.tags.is_empty() {
             return None;
         }
@@ -198,7 +199,7 @@ impl RowTable {
     /// Panics if the table already holds `u32::MAX` values (see
     /// [`dense_id`]; `what` names them).
     #[inline]
-    fn find_or_insert(
+    pub(crate) fn find_or_insert(
         &mut self,
         hash: u64,
         eq: impl FnMut(u32) -> bool,
@@ -314,7 +315,7 @@ impl RowTable {
     /// with `same(a, b)` the content equality probes use: so no two values
     /// share content either. Also checks the slot arrays' shape and the
     /// load limit. Returns the first violation found.
-    fn check_dense(
+    pub(crate) fn check_dense(
         &self,
         n: usize,
         hash_of: impl Fn(u32) -> u64,
@@ -986,6 +987,26 @@ impl Structure {
         let relations = sig
             .preds()
             .map(|p| Arc::new(Relation::new(sig.arity(p))))
+            .collect();
+        Self {
+            sig,
+            domain,
+            relations,
+        }
+    }
+
+    /// Like [`Structure::new`], with room for `rows[p]` tuples in the
+    /// relation of each predicate `p` (see [`Relation::with_capacity`]), so
+    /// a builder that knows its relation sizes fills them without
+    /// reallocating or rehashing.
+    ///
+    /// # Panics
+    /// Panics unless `rows` has one entry per predicate.
+    pub fn with_capacity(sig: Arc<Signature>, domain: Domain, rows: &[usize]) -> Self {
+        assert_eq!(rows.len(), sig.len(), "one capacity per predicate");
+        let relations = sig
+            .preds()
+            .map(|p| Arc::new(Relation::with_capacity(sig.arity(p), rows[p.index()])))
             .collect();
         Self {
             sig,

@@ -12,7 +12,7 @@
 pub use mdtw_datalog;
 
 use mdtw_datalog::{Atom, HornProgram, PredRef, Program, Rule, Term};
-use mdtw_decomp::{NiceKind, NiceNode, NiceTd, NodeId};
+use mdtw_decomp::{NiceKind, NiceTd, NodeId};
 use mdtw_graph::Graph;
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, Structure};
@@ -120,6 +120,20 @@ fn satisfy(
     }
 }
 
+/// One node of a nice decomposition as [`leaf_coverage_reference`] keeps
+/// it: owned bag and child list, so splicing is plain vector surgery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RefNode {
+    /// The bag as a sorted set.
+    pub bag: Vec<ElemId>,
+    /// Children (at most two).
+    pub children: Vec<NodeId>,
+    /// Parent link; `None` for the root.
+    pub parent: Option<NodeId>,
+    /// The node kind.
+    pub kind: NiceKind,
+}
+
 /// §5.3 leaf coverage done by rescanning: for every element, in ascending
 /// order, that occurs in no leaf bag of the current tree, splice
 /// `branch(bag(t)) -> [t, leaf(bag(t))]` above the node `t` with the
@@ -130,10 +144,18 @@ fn satisfy(
 ///
 /// `nice` is the decomposition built without leaf coverage. Returns the
 /// covered nodes and root.
-pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<NiceNode>, NodeId) {
-    let mut nodes: Vec<NiceNode> = nice.node_ids().map(|id| nice.node(id).clone()).collect();
+pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<RefNode>, NodeId) {
+    let mut nodes: Vec<RefNode> = nice
+        .node_ids()
+        .map(|id| RefNode {
+            bag: nice.bag(id).to_vec(),
+            children: nice.children(id).to_vec(),
+            parent: nice.parent(id),
+            kind: nice.kind(id),
+        })
+        .collect();
     let mut root = nice.root();
-    let is_leaf = |n: &NiceNode| n.children.is_empty();
+    let is_leaf = |n: &RefNode| n.children.is_empty();
     let mut in_leaf = BTreeSet::new();
     let mut everywhere = BTreeSet::new();
     for n in &nodes {
@@ -156,13 +178,13 @@ pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<NiceNode>, NodeId) {
         let parent = nodes[t].parent;
         let leaf = NodeId(nodes.len() as u32);
         let branch = NodeId(leaf.0 + 1);
-        nodes.push(NiceNode {
+        nodes.push(RefNode {
             bag: bag.clone(),
             children: Vec::new(),
             parent: Some(branch),
             kind: NiceKind::Leaf,
         });
-        nodes.push(NiceNode {
+        nodes.push(RefNode {
             bag,
             children: vec![NodeId(t as u32), leaf],
             parent,
@@ -265,7 +287,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = td.node(node).children[0];
+                let child = td.children(node)[0];
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
                 for (r, g) in all_states(n - 1) {
                     let body_atom = intern(&mut atoms, child, r, g);
@@ -284,7 +306,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Forget(v) => {
-                let child = td.node(node).children[0];
+                let child = td.children(node)[0];
                 let vpos = td.bag(child).binary_search(&v).expect("forgotten in child");
                 let drop = |mask: u64| -> u64 {
                     let low = mask & ((1u64 << vpos) - 1);
@@ -298,7 +320,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Branch => {
-                let children = &td.node(node).children;
+                let children = td.children(node);
                 let (c1, c2) = (children[0], children[1]);
                 for (r, g) in all_states(n) {
                     let b1 = intern(&mut atoms, c1, r, g);

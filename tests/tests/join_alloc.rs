@@ -27,14 +27,22 @@
 //! - The PRIMALITY passes allocate nothing per node: `run_up` and
 //!   `enumerate_primes` on a block-tree schema with over 10 000 nice nodes
 //!   each make fewer allocations than one per hundred nodes.
+//! - The pipeline front end allocates nothing per node or element:
+//!   `NiceTd::from_td_with_rank` on the augmented block-tree decomposition
+//!   with 1000 FDs makes fewer allocations than one per hundred nice
+//!   nodes, with and without leaf coverage, and `encode_schema` on its
+//!   schema fewer than one per hundred domain elements.
 
 use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext};
 use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog, Update};
-use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
+use mdtw_decomp::{
+    augment_bags, decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TreeDecomposition,
+    TupleTd,
+};
 use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, Graph};
 use mdtw_mso::compile::compile_unary_filtered;
 use mdtw_mso::{has_neighbor, CompileLimits, IndVar};
-use mdtw_schema::block_tree_instance;
+use mdtw_schema::{block_tree_instance, encode_schema};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -352,5 +360,57 @@ fn warm_primality_passes_allocate_nothing_per_node() {
     assert!(
         allocs < nodes / 100,
         "{allocs} allocations for enumerate_primes over {nodes} nodes"
+    );
+}
+
+/// The augmented, ranked block-tree decomposition the PRIMALITY context
+/// turns into nice form, for the Table 1 schema with `blocks` FDs.
+fn augmented_block_tree(blocks: usize) -> (TreeDecomposition, Vec<Option<ElemId>>) {
+    let inst = block_tree_instance(blocks);
+    let s = &inst.encoding.structure;
+    let mut rhs: Vec<Option<ElemId>> = vec![None; s.domain().len()];
+    for t in s.relation(s.signature().lookup("rh").expect("rh")).iter() {
+        rhs[t[1].index()] = Some(t[0]);
+    }
+    let mut td = inst.td;
+    augment_bags(&mut td, |e| rhs[e.index()]);
+    (td, rhs)
+}
+
+/// Building a nice decomposition allocates nothing per node: on the
+/// augmented, ranked block-tree decomposition with 1000 FDs,
+/// `NiceTd::from_td_with_rank` makes fewer allocations than one per
+/// hundred nice nodes, with and without §5.3 leaf coverage, because all
+/// bags share one arena and every morph chain is built in reused scratch
+/// buffers.
+#[test]
+fn nice_conversion_allocates_nothing_per_node() {
+    let (td, rhs) = augmented_block_tree(1000);
+    let rank = |e: ElemId| u8::from(rhs[e.index()].is_some());
+    for every_elem_in_leaf in [false, true] {
+        let options = NiceOptions { every_elem_in_leaf };
+        let (nice, allocs) = allocations(|| NiceTd::from_td_with_rank(&td, options, &rank));
+        let nodes = nice.len();
+        assert!(nodes > 8_000, "{nodes} nice nodes");
+        assert!(
+            allocs < nodes / 100,
+            "{allocs} allocations for {nodes} nice nodes ({options:?})"
+        );
+    }
+}
+
+/// Encoding a schema allocates nothing per element: `encode_schema` on
+/// the block-tree schema with 1000 FDs makes fewer allocations than one
+/// per hundred domain elements, because the domain keeps every name in
+/// one string arena.
+#[test]
+fn schema_encoding_allocates_nothing_per_element() {
+    let inst = block_tree_instance(1000);
+    let (enc, allocs) = allocations(|| encode_schema(&inst.schema));
+    let elements = enc.structure.domain().len();
+    assert!(elements >= 4000, "{elements} elements");
+    assert!(
+        allocs < elements / 100,
+        "{allocs} allocations for {elements} elements"
     );
 }

@@ -183,11 +183,10 @@ fn assert_matches_reference(nice: &NiceTd, uncovered: &NiceTd) {
     assert_eq!(nice.root(), root);
     assert_eq!(nice.len(), nodes.len());
     for (id, expect) in nice.node_ids().zip(&nodes) {
-        let got = nice.node(id);
-        assert_eq!(got.bag, expect.bag, "bag of {id}");
-        assert_eq!(got.kind, expect.kind, "kind of {id}");
-        assert_eq!(got.children, expect.children, "children of {id}");
-        assert_eq!(got.parent, expect.parent, "parent of {id}");
+        assert_eq!(nice.bag(id), expect.bag, "bag of {id}");
+        assert_eq!(nice.kind(id), expect.kind, "kind of {id}");
+        assert_eq!(nice.children(id), expect.children, "children of {id}");
+        assert_eq!(nice.parent(id), expect.parent, "parent of {id}");
     }
 }
 
