@@ -1016,6 +1016,24 @@ mod tests {
     }
 
     #[test]
+    fn attributes_named_like_fd_elements_keep_their_primes() {
+        // `f1` is also the name `encode_schema` gives the first FD.
+        let mut schema = Schema::new();
+        let f1 = schema.add_attr("f1");
+        let f2 = schema.add_attr("f2");
+        let x = schema.add_attr("x");
+        schema.add_fd(&[f1], x);
+        schema.add_fd(&[x], f2);
+        let primes = prime_attributes_fpt(&schema);
+        let brute: Vec<AttrId> = schema
+            .attrs()
+            .filter(|&a| schema.is_prime_bruteforce(a))
+            .collect();
+        assert_eq!(primes, brute);
+        assert_eq!(primes, [f1]);
+    }
+
+    #[test]
     fn schema_without_fds_has_all_attributes_prime() {
         let mut schema = Schema::new();
         for n in ["x", "y", "z"] {

@@ -10,7 +10,6 @@
 //! the [`stratify`](mod@crate::stratify) pipeline, which reduces them to a
 //! bottom-up sequence of semipositive strata.
 
-use crate::span::RuleSpans;
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, PredId, Structure};
 use std::fmt;
@@ -131,10 +130,6 @@ pub struct Program {
     pub idb_names: Vec<String>,
     /// Arities of intensional predicates.
     pub idb_arities: Vec<usize>,
-    /// Source locations, parallel to [`Program::rules`]. Filled by the
-    /// parser; empty for hand-built programs (every lookup then falls back
-    /// to [`Span::DUMMY`](crate::span::Span::DUMMY)-shaped records).
-    pub spans: Vec<RuleSpans>,
     pub(crate) idb_by_name: FxHashMap<String, IdbId>,
 }
 
@@ -142,12 +137,6 @@ impl Program {
     /// Looks up an intensional predicate by name.
     pub fn idb(&self, name: &str) -> Option<IdbId> {
         self.idb_by_name.get(name).copied()
-    }
-
-    /// The source locations of rule `index`, if the program was parsed
-    /// from text (hand-built programs have no spans).
-    pub fn rule_spans(&self, index: usize) -> Option<&RuleSpans> {
-        self.spans.get(index)
     }
 
     /// Registers (or finds) an intensional predicate.

@@ -52,8 +52,7 @@
 //! assert_eq!(second.stats.plan_cache_hits, 1);
 //! ```
 
-use crate::analysis::{analyze, relevant_rules, AnalysisOptions, ProgramReport};
-use crate::ast::Program;
+use crate::ast::{IdbId, PredRef, Program};
 use crate::eval::{EvalStats, IdbStore, SeminaiveScratch};
 use crate::ground::{FdCatalog, QgError, QgPlan, QgStats};
 use crate::limits::{EvalLimits, Governor, LimitKind};
@@ -133,9 +132,9 @@ impl EvalOptions {
     }
 
     /// Declares the *output* predicates the session is evaluated for.
-    /// Feeds the relevance passes of [`Evaluator::analyze`] and, together
-    /// with [`prune_dead_rules`](Self::prune_dead_rules), the dead-rule
-    /// pruning. Names not naming an intensional predicate are ignored.
+    /// Together with [`prune_dead_rules`](Self::prune_dead_rules) it
+    /// drives the dead-rule pruning (see [`relevant_rules`]). Names not
+    /// naming an intensional predicate are ignored.
     pub fn outputs<I, S>(mut self, outputs: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -353,10 +352,8 @@ pub struct EvalResult {
 #[derive(Debug)]
 pub struct Evaluator {
     engine: Engine,
-    fd_catalog: Option<FdCatalog>,
     /// The compiled grounding plan ([`Engine::QuasiGuarded`] sessions).
     qg_plan: Option<QgPlan>,
-    outputs: Option<Vec<String>>,
     pruned_rules: usize,
     limits: Option<EvalLimits>,
     profile_detail: ProfileDetail,
@@ -387,10 +384,6 @@ impl Evaluator {
                     pruned_rules = keep.iter().filter(|&&k| !k).count();
                     let mut keep_rules = keep.iter().copied();
                     program.rules.retain(|_| keep_rules.next().unwrap());
-                    if !program.spans.is_empty() {
-                        let mut keep_spans = keep.iter().copied();
-                        program.spans.retain(|_| keep_spans.next().unwrap());
-                    }
                 }
             }
         }
@@ -406,9 +399,11 @@ impl Evaluator {
                 strata: stratification.stratum_count(),
             });
         }
-        let fd_catalog = options.fd_catalog;
         let qg_plan = if engine == Engine::QuasiGuarded {
-            let catalog = fd_catalog.as_ref().ok_or(EvalError::MissingFdCatalog)?;
+            let catalog = options
+                .fd_catalog
+                .as_ref()
+                .ok_or(EvalError::MissingFdCatalog)?;
             Some(QgPlan::compile(&program, catalog)?)
         } else {
             None
@@ -416,9 +411,7 @@ impl Evaluator {
         let scratch = SeminaiveScratch::new(&program);
         Ok(Self {
             engine,
-            fd_catalog,
             qg_plan,
-            outputs: options.outputs,
             pruned_rules,
             limits: options.limits,
             profile_detail: options.profile,
@@ -564,7 +557,7 @@ impl Evaluator {
     /// rule plans with join order, scan-vs-probe access paths, chosen
     /// probe key positions, and the semi-naive delta splits — as an
     /// [`Explanation`] (human text via [`Explanation::render_text`], JSON
-    /// via [`Explanation::to_json`]; `mdtw-lint --explain` on the command
+    /// via [`Explanation::to_json`]; `mdtw-explain --explain` on the command
     /// line).
     ///
     /// Plans are compiled against `structure`'s statistics exactly as an
@@ -583,25 +576,6 @@ impl Evaluator {
             &plans,
             self.engine.to_string(),
         )
-    }
-
-    /// Runs the full static-analysis battery of
-    /// [`analysis`](crate::analysis) over the session's program (the
-    /// *post-pruning* program, when
-    /// [`EvalOptions::prune_dead_rules`] dropped rules) and returns the
-    /// [`ProgramReport`]. The session's declared outputs and FD catalog
-    /// feed the relevance and quasi-guard passes. A constructed session
-    /// already passed the error-level checks, so the report contains at
-    /// most warnings and notes.
-    pub fn analyze(&self) -> ProgramReport {
-        let mut options = AnalysisOptions::new();
-        if let Some(outputs) = &self.outputs {
-            options = options.outputs(outputs.iter().cloned());
-        }
-        if let Some(catalog) = &self.fd_catalog {
-            options = options.fd_catalog(catalog.clone());
-        }
-        analyze(self.strata.program(), &options)
     }
 
     /// How many rules [`EvalOptions::prune_dead_rules`] dropped at
@@ -631,6 +605,54 @@ impl Evaluator {
     pub fn stratification(&self) -> &Stratification {
         self.strata.stratification()
     }
+}
+
+/// Per-rule relevance w.r.t. `outputs`, the rules
+/// [`EvalOptions::prune_dead_rules`] keeps: the backward closure from the
+/// output predicates over positive *and* negative body dependencies (a
+/// negated predicate must be fully materialized before the negation is
+/// decidable, so it is just as relevant). A rule is relevant iff its head
+/// predicate is; rules with extensional heads (which no valid program
+/// has) are conservatively kept. Dropping every irrelevant rule of a
+/// stratified program leaves the derived facts of all relevant
+/// predicates — in particular of every output — unchanged.
+pub fn relevant_rules(program: &Program, outputs: &[IdbId]) -> Vec<bool> {
+    let n = program.idb_count();
+    let mut relevant = vec![false; n];
+    let mut queue: Vec<IdbId> = Vec::new();
+    for &o in outputs {
+        if o.index() < n && !relevant[o.index()] {
+            relevant[o.index()] = true;
+            queue.push(o);
+        }
+    }
+    // head → body-IDB edges, walked backwards from the outputs.
+    let mut deps: Vec<Vec<IdbId>> = vec![Vec::new(); n];
+    for rule in &program.rules {
+        if let PredRef::Idb(h) = rule.head.pred {
+            for lit in &rule.body {
+                if let PredRef::Idb(b) = lit.atom.pred {
+                    deps[h.index()].push(b);
+                }
+            }
+        }
+    }
+    while let Some(p) = queue.pop() {
+        for &b in &deps[p.index()] {
+            if !relevant[b.index()] {
+                relevant[b.index()] = true;
+                queue.push(b);
+            }
+        }
+    }
+    program
+        .rules
+        .iter()
+        .map(|rule| match rule.head.pred {
+            PredRef::Idb(h) => relevant[h.index()],
+            PredRef::Edb(_) => true,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -847,11 +869,6 @@ mod tests {
         .unwrap();
         assert_eq!(pruned.pruned_rule_count(), 2);
         assert_eq!(pruned.program().rules.len(), 2);
-        assert_eq!(
-            pruned.program().spans.len(),
-            2,
-            "spans stay parallel to rules"
-        );
         let a = plain.evaluate(&s).unwrap();
         let b = pruned.evaluate(&s).unwrap();
         let reach = pruned.program().idb("reach").unwrap();
@@ -860,24 +877,19 @@ mod tests {
     }
 
     #[test]
-    fn session_analyze_reports_on_the_session_program() {
+    fn relevant_rules_walk_back_from_the_outputs() {
         let s = chain(4);
         let p = parse_program(WITH_DEAD, &s).unwrap();
-        let session =
-            Evaluator::with_options(p.clone(), EvalOptions::new().outputs(["reach"])).unwrap();
-        let report = session.analyze();
-        assert!(!report.has_errors(), "constructed sessions have no errors");
-        assert_eq!(report.relevant_rules, vec![true, true, false, false]);
-        assert!(report.warning_count() > 0, "dead fragment warned about");
-        // After pruning, the same analysis comes back clean.
-        let pruned = Evaluator::with_options(
-            p,
-            EvalOptions::new().outputs(["reach"]).prune_dead_rules(true),
-        )
-        .unwrap();
-        let report = pruned.analyze();
-        assert_eq!(report.relevant_rules, vec![true, true]);
-        assert_eq!(report.warning_count(), 0, "{:?}", report.diagnostics);
+        let reach = p.idb("reach").unwrap();
+        let dead = p.idb("dead").unwrap();
+        let deader = p.idb("deader").unwrap();
+        assert_eq!(relevant_rules(&p, &[reach]), [true, true, false, false]);
+        assert_eq!(relevant_rules(&p, &[dead]), [false, false, true, false]);
+        assert_eq!(relevant_rules(&p, &[deader]), [false, false, true, true]);
+        assert_eq!(relevant_rules(&p, &[]), [false; 4]);
+        // A negated body predicate is as relevant as a positive one.
+        let p = parse_program("q(X) :- e(X, Y), !r(X).\nr(X) :- e(X, X).", &s).unwrap();
+        assert_eq!(relevant_rules(&p, &[p.idb("q").unwrap()]), [true, true]);
     }
 
     #[test]

@@ -242,12 +242,6 @@ pub(crate) struct QgPlan {
     idb_arities: Vec<usize>,
 }
 
-/// Verifies that every rule of `program` is quasi-guarded under `catalog`
-/// (structure-independent; the linter's MD030 pass).
-pub(crate) fn check_quasi_guarded(program: &Program, catalog: &FdCatalog) -> Result<(), QgError> {
-    QgPlan::analyze(program, catalog).map(|_| ())
-}
-
 fn edb_pred(literal: &Literal) -> PredId {
     match literal.atom.pred {
         PredRef::Edb(p) => p,

@@ -54,15 +54,8 @@
 //!   `O(|P|·|𝒜|)`, and the linear-time evaluation of Theorem 4.4;
 //! * [`horn`] — the LTUR/Dowling–Gallier linear-time propositional Horn
 //!   solver the grounding is handed to;
-//! * [`analysis`](mod@crate::analysis) — the static-analysis and lint
-//!   framework: spanned [`Diagnostic`]s with stable `MD0xx` codes
-//!   (safety, stratifiability, dead rules, always-empty predicates,
-//!   singleton variables, duplicate/subsumed rules, monadicity and
-//!   recursion classification, quasi-guard), driving both
-//!   [`Evaluator::analyze`] and the `mdtw-lint` binary of
-//!   [`lint`](mod@crate::lint);
 //! * [`span`](mod@crate::span) — byte-span + line/column source
-//!   locations, recorded by the parser for every rule, head and literal;
+//!   locations, carried by every [`ParseError`];
 //! * [`profile`](mod@crate::profile) — the observability layer: a
 //!   zero-cost-when-off profiler threaded through both engines
 //!   ([`EvalOptions::profile`] → [`ProfileDetail`]), collecting a
@@ -78,37 +71,39 @@
 //!   re-derivation and stratum-by-stratum DRed instead of
 //!   re-evaluation (every maintenance join runs through the compiled-plan
 //!   executor of evaluation), governed by the same [`EvalLimits`]
-//!   budgets with a sound full-recompute fallback.
+//!   budgets with a sound full-recompute fallback;
+//! * [`json`](mod@crate::json) — the dependency-free JSON value that
+//!   profiles and explanations serialize through;
+//! * [`dry_run`](mod@crate::dry_run) — explains and profiles standalone
+//!   `.dl` files over a seeded synthetic structure, the library half of
+//!   the `mdtw-explain` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod ast;
+pub mod dry_run;
 pub mod eval;
 pub mod evaluator;
 pub mod ground;
 pub mod horn;
 pub mod incremental;
+pub mod json;
 pub mod limits;
-pub mod lint;
 pub mod parser;
 pub mod plan;
 pub mod profile;
 pub mod span;
 pub mod stratify;
 
-pub use analysis::{
-    analyze, AnalysisOptions, Diagnostic, LintCode, ProgramReport, RecursionClass, Severity,
-};
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
 pub use eval::{EvalStats, IdbStore};
-pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
+pub use evaluator::{relevant_rules, Engine, EvalError, EvalOptions, EvalResult, Evaluator};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};
 pub use horn::HornProgram;
 pub use incremental::{MaterializedView, Update};
 pub use limits::{CancelToken, EvalLimits, LimitKind};
-pub use parser::{parse_program, parse_program_lenient, ParseError, ParseErrorKind};
+pub use parser::{parse_program, ParseError, ParseErrorKind};
 pub use plan::{
     plan_program, plan_program_with, plan_rule, plan_rule_with, Access, CardEstimator, JoinPlan,
     JoinStep, NoEstimates, RulePlans, StructureStats,
@@ -118,5 +113,5 @@ pub use profile::{
     RuleProfile, StepExplanation, StratumExplanation, StratumProfile, UpdateProfile,
     UpdateStratumProfile,
 };
-pub use span::{RuleSpans, Span};
+pub use span::Span;
 pub use stratify::{stratify, Stratification, StratificationError};

@@ -24,15 +24,11 @@
 //! semipositive engines.
 //!
 //! Every error carries a [`Span`] (byte range + line/col) into the source
-//! text, and parsed programs record a [`RuleSpans`] side table (whole
-//! rule, head, each body literal) consumed by the
-//! [`analysis`](crate::analysis) diagnostics. [`parse_program_lenient`]
-//! additionally admits unsafe rules, extensional heads and unstratifiable
-//! programs so the linter can report those conditions as diagnostics
-//! instead of aborting at the first one.
+//! text; rule-level errors (unsafe rules, negative dependency cycles)
+//! point at the whole offending rule.
 
 use crate::ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
-use crate::span::{RuleSpans, Span};
+use crate::span::Span;
 use crate::stratify::{stratify, StratificationError};
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::Structure;
@@ -101,26 +97,9 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses `source` and resolves predicate/constant names against
-/// `structure`. Returns a ready-to-evaluate [`Program`] (spans included);
-/// unsafe rules, extensional heads and unstratifiable programs are
-/// rejected.
+/// `structure`. Returns a ready-to-evaluate [`Program`]; unsafe rules,
+/// extensional heads and unstratifiable programs are rejected.
 pub fn parse_program(source: &str, structure: &Structure) -> Result<Program, ParseError> {
-    parse_with(source, structure, true)
-}
-
-/// Like [`parse_program`], but *lenient*: unsafe rules, extensional rule
-/// heads and negative dependency cycles are admitted into the returned
-/// [`Program`] so that [`analysis::analyze`](crate::analysis::analyze) can
-/// report them as spanned diagnostics (`MD001`–`MD003`) instead of
-/// stopping at the first offence. Syntax and name-resolution errors are
-/// still fatal. The returned program is **not** guaranteed to be
-/// evaluable — run the analysis (or construct an
-/// [`Evaluator`](crate::evaluator::Evaluator), which re-checks) first.
-pub fn parse_program_lenient(source: &str, structure: &Structure) -> Result<Program, ParseError> {
-    parse_with(source, structure, false)
-}
-
-fn parse_with(source: &str, structure: &Structure, strict: bool) -> Result<Program, ParseError> {
     let map = SourceMap::new(source);
     let statements = split_statements(&map)?;
     let mut program = Program::default();
@@ -138,55 +117,50 @@ fn parse_with(source: &str, structure: &Structure, strict: bool) -> Result<Progr
         }
         let head = parse_atom(stmt, &map, atom_lo, head_hi)?;
         if structure.signature().lookup(&head.pred).is_some() {
-            if strict {
-                return Err(ParseError {
-                    kind: ParseErrorKind::ExtensionalHead,
-                    span: stmt.span(&map, head.range.0, head.range.1),
-                    message: format!("extensional predicate `{}` in rule head", head.pred),
-                });
-            }
-        } else {
-            program
-                .intern_idb(&head.pred, head.args.len())
-                .map_err(|message| ParseError {
-                    kind: ParseErrorKind::ArityMismatch,
-                    span: stmt.span(&map, head.range.0, head.range.1),
-                    message,
-                })?;
+            return Err(ParseError {
+                kind: ParseErrorKind::ExtensionalHead,
+                span: stmt.span(&map, head.range.0, head.range.1),
+                message: format!("extensional predicate `{}` in rule head", head.pred),
+            });
         }
+        program
+            .intern_idb(&head.pred, head.args.len())
+            .map_err(|message| ParseError {
+                kind: ParseErrorKind::ArityMismatch,
+                span: stmt.span(&map, head.range.0, head.range.1),
+                message,
+            })?;
     }
+    // The whole-rule spans, parallel to `program.rules`, for the
+    // rule-level errors below.
+    let mut rule_spans: Vec<Span> = Vec::with_capacity(statements.len());
     for stmt in &statements {
-        let (rule, spans) = parse_rule(stmt, &map, structure, &mut program)?;
-        if strict && !rule.is_safe() {
+        let rule = parse_rule(stmt, &map, structure, &mut program)?;
+        let span = stmt.whole_span(&map);
+        if !rule.is_safe() {
             return Err(ParseError {
                 kind: ParseErrorKind::UnsafeRule,
-                span: spans.rule,
+                span,
                 message: "unsafe rule: every head variable and negated-literal variable \
                           must occur in a positive body literal"
                     .into(),
             });
         }
         program.rules.push(rule);
-        program.spans.push(spans);
+        rule_spans.push(span);
     }
     // Stratifiability is the program-level well-formedness condition (a
     // semipositive program is the single-stratum special case).
-    if strict {
-        stratify(&program).map_err(|e| {
-            let span = match &e {
-                StratificationError::NegativeCycle { rule, .. }
-                | StratificationError::EdbHead { rule }
-                | StratificationError::UnsafeRule { rule } => program
-                    .rule_spans(*rule)
-                    .map_or(Span::DUMMY, |spans| spans.rule),
-            };
-            ParseError {
-                kind: ParseErrorKind::Unstratifiable,
-                span,
-                message: e.to_string(),
-            }
-        })?;
-    }
+    stratify(&program).map_err(|e| {
+        let (StratificationError::NegativeCycle { rule, .. }
+        | StratificationError::EdbHead { rule }
+        | StratificationError::UnsafeRule { rule }) = &e;
+        ParseError {
+            kind: ParseErrorKind::Unstratifiable,
+            span: rule_spans[*rule],
+            message: e.to_string(),
+        }
+    })?;
     Ok(program)
 }
 
@@ -475,7 +449,7 @@ fn parse_rule(
     map: &SourceMap<'_>,
     structure: &Structure,
     program: &mut Program,
-) -> Result<(Rule, RuleSpans), ParseError> {
+) -> Result<Rule, ParseError> {
     let (head_lo, head_hi) = head_range(stmt);
     // Pass 1 already rejected negated heads; re-strip for the atom range.
     let (_, head_atom_lo) = strip_negation_range(&stmt.text, head_lo, head_hi);
@@ -547,10 +521,8 @@ fn parse_rule(
     };
 
     let head = resolve_atom(&head_raw, program, &mut resolve_term)?;
-    let head_span = stmt.span(map, head_raw.range.0, head_raw.range.1);
 
     let mut body = Vec::new();
-    let mut literal_spans = Vec::new();
     if let Some((body_lo, body_hi)) = body_range(stmt) {
         for (lit_lo, lit_hi) in split_commas(&stmt.text, body_lo, body_hi) {
             let (lit_lo, lit_hi) = trim_range(&stmt.text, lit_lo, lit_hi);
@@ -568,22 +540,15 @@ fn parse_rule(
                 atom,
                 positive: !negated,
             });
-            literal_spans.push(stmt.span(map, lit_lo, lit_hi));
         }
     }
 
-    let rule = Rule {
+    Ok(Rule {
         head,
         body,
         var_count: var_names.len() as u32,
         var_names,
-    };
-    let spans = RuleSpans {
-        rule: stmt.whole_span(map),
-        head: head_span,
-        literals: literal_spans,
-    };
-    Ok((rule, spans))
+    })
 }
 
 #[cfg(test)]
@@ -623,43 +588,6 @@ mod tests {
         assert_eq!(p.idb_count(), 1);
         assert_eq!(p.rules[1].body.len(), 2);
         assert_eq!(p.rules[1].var_count, 3);
-    }
-
-    #[test]
-    fn records_rule_head_and_literal_spans() {
-        let src = "% closure\npath(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).";
-        let s = tiny_structure();
-        let p = parse_program(src, &s).unwrap();
-        assert_eq!(p.spans.len(), 2);
-        let r0 = &p.spans[0];
-        assert_eq!(span_text(src, r0.rule), "path(X, Y) :- e(X, Y)");
-        assert_eq!(span_text(src, r0.head), "path(X, Y)");
-        assert_eq!((r0.rule.line, r0.rule.col), (2, 1));
-        let r1 = &p.spans[1];
-        assert_eq!(span_text(src, r1.head), "path(X, Z)");
-        assert_eq!(r1.literals.len(), 2);
-        assert_eq!(span_text(src, r1.literals[0]), "path(X, Y)");
-        assert_eq!(span_text(src, r1.literals[1]), "e(Y, Z)");
-        assert_eq!((r1.literals[1].line, r1.literals[1].col), (3, 27));
-    }
-
-    #[test]
-    fn multiline_rule_span_covers_both_lines() {
-        let src = "path(X, Y) :-\n   e(X, Y).";
-        let s = tiny_structure();
-        let p = parse_program(src, &s).unwrap();
-        let spans = &p.spans[0];
-        assert_eq!(span_text(src, spans.rule), "path(X, Y) :-\n   e(X, Y)");
-        assert_eq!(span_text(src, spans.literals[0]), "e(X, Y)");
-        assert_eq!((spans.literals[0].line, spans.literals[0].col), (2, 4));
-    }
-
-    #[test]
-    fn negated_literal_span_includes_marker() {
-        let src = "far(X) :- path(a, X), !e(a, X). path(X,Y) :- e(X,Y).";
-        let s = tiny_structure();
-        let p = parse_program(src, &s).unwrap();
-        assert_eq!(span_text(src, p.spans[0].literals[1]), "!e(a, X)");
     }
 
     #[test]
@@ -755,6 +683,18 @@ mod tests {
     }
 
     #[test]
+    fn multiline_rule_span_covers_both_lines() {
+        // Comments are stripped and newlines collapsed while splitting
+        // statements; the rule span must still cover the source bytes.
+        let src = "% closure\np(X) :- e(X, Y).\nq(X, Y) :- % unsafe\n   e(X, X).";
+        let s = tiny_structure();
+        let err = parse_program(src, &s).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::UnsafeRule);
+        assert_eq!(span_text(src, err.span), "q(X, Y) :- % unsafe\n   e(X, X)");
+        assert_eq!((err.span.line, err.span.col), (3, 1));
+    }
+
+    #[test]
     fn rejects_empty_atom_after_negation() {
         let src = "q(X) :- e(X, Y), !.";
         let s = tiny_structure();
@@ -831,23 +771,40 @@ mod tests {
     }
 
     #[test]
-    fn lenient_mode_admits_strict_rejections() {
+    fn crlf_input_keeps_error_lines_and_columns() {
+        // Windows line endings: every error must report the line/column
+        // of the LF version, and its span must still cover the same text.
         let s = tiny_structure();
-        // Unsafe rule.
-        let p = parse_program_lenient("q(X, Y) :- e(X, X).", &s).unwrap();
-        assert!(!p.rules[0].is_safe());
-        // Extensional head.
-        let p = parse_program_lenient("e(X, Y) :- e(Y, X).", &s).unwrap();
-        assert!(matches!(p.rules[0].head.pred, PredRef::Edb(_)));
-        assert_eq!(p.idb_count(), 0);
-        // Negative cycle.
-        let p =
-            parse_program_lenient("p(X) :- e(X, Y), !q(X). q(X) :- e(X, Y), !p(X).", &s).unwrap();
-        assert_eq!(p.rules.len(), 2);
-        assert!(stratify(&p).is_err());
-        // Syntax errors are still fatal.
-        let err = parse_program_lenient("q(X) :- e(X, ).", &s).unwrap_err();
-        assert_eq!(err.kind, ParseErrorKind::EmptyArgument);
+        for lf in [
+            "% c\np(X) :- e(X, Y).\nq(X) :- e(X, zz).\n",
+            "p(X) :- e(X, Y).\n\nq(X, Y) :-\n  e(X, X).\n",
+            "p(X) :- e(X, Y), !q(X).\nq(X) :- e(X, Y),\n  !p(X).\n",
+        ] {
+            let crlf = lf.replace('\n', "\r\n");
+            let a = parse_program(lf, &s).unwrap_err();
+            let b = parse_program(&crlf, &s).unwrap_err();
+            assert_eq!(
+                (a.kind, a.span.line, a.span.col),
+                (b.kind, b.span.line, b.span.col)
+            );
+            assert_eq!(
+                span_text(lf, a.span).replace('\n', ""),
+                span_text(&crlf, b.span).replace("\r\n", ""),
+            );
+        }
+    }
+
+    #[test]
+    fn unstratifiable_error_span_is_the_offending_rule() {
+        // A stratified prefix, a comment, and a cycle whose first rule
+        // spans two lines and sits after a multi-byte character.
+        let src = "r(X) :- e(X, X).\n% café\nq(X) :- e(X, Y), !r(X). p(X) :-\n  e(X, Y), !p(X).";
+        let s = tiny_structure();
+        let err = parse_program(src, &s).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::Unstratifiable);
+        assert_eq!(span_text(src, err.span), "p(X) :-\n  e(X, Y), !p(X)");
+        assert_eq!((err.span.line, err.span.col), (3, 25));
+        assert_eq!(err.span.start as usize, src.find("p(X) :-").unwrap());
     }
 
     #[test]

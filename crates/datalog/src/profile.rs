@@ -18,14 +18,14 @@
 //! * **Explanations.** [`Evaluator::explain`](crate::Evaluator::explain)
 //!   renders the compiled join plans — join order, scan-vs-probe access
 //!   paths, chosen key positions, delta splits — as an [`Explanation`]
-//!   with human-text and JSON renderings (`mdtw-lint --explain`).
+//!   with human-text and JSON renderings (`mdtw-explain --explain`).
 //!
-//! Both serialize through the dependency-free [`crate::lint::json`]
+//! Both serialize through the dependency-free [`json`](crate::json)
 //! layer and round-trip ([`EvalProfile::from_json`]).
 
 use crate::ast::{PredRef, Program};
 use crate::eval::EvalStats;
-use crate::lint::json::Json;
+use crate::json::Json;
 use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::stratify::Stratification;
 use mdtw_structure::Structure;
@@ -946,7 +946,7 @@ mod tests {
         };
         let json = profile.to_json();
         let text = json.render();
-        let reparsed = crate::lint::json::parse(&text).expect("renders valid JSON");
+        let reparsed = crate::json::parse(&text).expect("renders valid JSON");
         assert_eq!(EvalProfile::from_json(&reparsed).unwrap(), profile);
     }
 

@@ -1,21 +1,15 @@
 //! Source locations for parsed datalog programs.
 //!
 //! A [`Span`] is a half-open byte range into the source text a program was
-//! parsed from, together with the 1-based line/column of its start. Spans
-//! are carried per rule in a [`RuleSpans`] record (the whole rule, its
-//! head atom, and each body literal) stored in a side table on
-//! [`Program`](crate::ast::Program) — parallel to `Program::rules`, so
-//! hand-built programs (which have no source) simply leave it empty.
-//!
-//! Spans feed the [`analysis`](crate::analysis) diagnostic framework and
-//! the `mdtw-lint` driver, which renders them as rustc-style carets.
+//! parsed from, together with the 1-based line/column of its start. Every
+//! [`ParseError`](crate::parser::ParseError) carries one, as does a
+//! malformed-pragma [`PragmaError`](crate::dry_run::PragmaError).
 
 use std::fmt;
 
 /// A half-open byte range `start..end` into the source text, with the
 /// 1-based line and (character) column of `start`. [`Span::DUMMY`] (all
-/// zeros) marks "no location" — hand-built programs and program-global
-/// conditions carry it.
+/// zeros) marks "no location".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
     /// Byte offset of the first byte covered.
@@ -42,28 +36,6 @@ impl Span {
     pub fn is_known(self) -> bool {
         self.line != 0
     }
-
-    /// The smallest span covering both `self` and `other`; a dummy operand
-    /// yields the other span unchanged.
-    pub fn to(self, other: Span) -> Span {
-        match (self.is_known(), other.is_known()) {
-            (false, _) => other,
-            (_, false) => self,
-            (true, true) => {
-                let (first, last) = if self.start <= other.start {
-                    (self, other)
-                } else {
-                    (other, self)
-                };
-                Span {
-                    start: first.start,
-                    end: first.end.max(last.end),
-                    line: first.line,
-                    col: first.col,
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Span {
@@ -74,68 +46,6 @@ impl fmt::Display for Span {
             f.write_str("?:?")
         }
     }
-}
-
-/// Renders the rustc-style location block for `span`: the `--> path:line:col`
-/// arrow line plus the gutter / source-line / caret lines. Returns only the
-/// location block (starting with `\n  --> `); callers prefix their own
-/// `severity[CODE]: message` header. Degrades gracefully: an unknown span
-/// yields just `\n  --> path`, a missing source or out-of-range line yields
-/// just the arrow line.
-///
-/// Line offsets are computed from raw byte positions of `\n`, so the caret
-/// column stays correct on CRLF input (where `str::lines` would undercount
-/// the stripped `\r` bytes).
-pub(crate) fn caret_snippet(span: Span, source: Option<&str>, path: &str) -> String {
-    if !span.is_known() {
-        return format!("\n  --> {path}");
-    }
-    let mut out = format!("\n  --> {path}:{}:{}", span.line, span.col);
-    let Some(source) = source else {
-        return out;
-    };
-    let mut line_start = 0usize;
-    for _ in 1..span.line {
-        match source[line_start..].find('\n') {
-            Some(p) => line_start += p + 1,
-            None => return out,
-        }
-    }
-    let rest = &source[line_start..];
-    let line_end = rest.find('\n').unwrap_or(rest.len());
-    let line_text = rest[..line_end]
-        .strip_suffix('\r')
-        .unwrap_or(&rest[..line_end]);
-    let gutter = span.line.to_string();
-    let pad = " ".repeat(gutter.len());
-    // Caret run: from the span's column to its end, clamped to the first
-    // line (multi-line spans underline to end of line).
-    let span_end_on_line = (span.end as usize)
-        .min(line_start + line_text.len())
-        .max(span.start as usize + 1);
-    let caret_len = source
-        .get(span.start as usize..span_end_on_line)
-        .map_or(1, |s| s.chars().count())
-        .max(1);
-    out.push_str(&format!(
-        "\n {pad}|\n {gutter} | {line_text}\n {pad}| {}{}",
-        " ".repeat(span.col.max(1) as usize - 1),
-        "^".repeat(caret_len),
-    ));
-    out
-}
-
-/// The source locations of one rule: the whole statement, the head atom,
-/// and each body literal (negation marker included), in body order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RuleSpans {
-    /// The whole rule statement (without the terminating `.`).
-    pub rule: Span,
-    /// The head atom.
-    pub head: Span,
-    /// One span per body literal, in [`Rule::body`](crate::ast::Rule::body)
-    /// order.
-    pub literals: Vec<Span>,
 }
 
 #[cfg(test)]
@@ -154,26 +64,5 @@ mod tests {
         };
         assert!(real.is_known());
         assert_eq!(real.to_string(), "2:4");
-    }
-
-    #[test]
-    fn join_covers_both_and_ignores_dummy() {
-        let a = Span {
-            start: 2,
-            end: 5,
-            line: 1,
-            col: 3,
-        };
-        let b = Span {
-            start: 10,
-            end: 14,
-            line: 2,
-            col: 1,
-        };
-        let j = a.to(b);
-        assert_eq!((j.start, j.end, j.line, j.col), (2, 14, 1, 3));
-        assert_eq!(b.to(a), j);
-        assert_eq!(a.to(Span::DUMMY), a);
-        assert_eq!(Span::DUMMY.to(b), b);
     }
 }

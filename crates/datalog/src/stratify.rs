@@ -706,7 +706,6 @@ fn stratum_sub_program(
         rules,
         idb_names: program.idb_names.clone(),
         idb_arities: program.idb_arities.clone(),
-        spans: Vec::new(),
         idb_by_name: program.idb_by_name.clone(),
     };
     debug_assert!(

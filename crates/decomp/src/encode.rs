@@ -39,13 +39,17 @@ impl TdEncoding {
 /// * `bag(t, a₀, …, a_w)` — the bag of `t` is the tuple `(a₀, …, a_w)`.
 pub fn encode_tuple_td(base: &Structure, td: &TupleTd) -> TdEncoding {
     let sig = Arc::new(base.signature().extend_td(td.width()));
-    // Clone the base domain, then append one element per tree node.
+    // Clone the base domain, then append one element per tree node,
+    // named `nd{t}` (with `'` appended while a base element has the name).
     let mut domain = base.domain().clone();
     let mut node_elem = Vec::with_capacity(td.len());
     let mut name = String::new();
     for t in td.node_ids() {
         name.clear();
         write!(name, "nd{}", t.0).expect("writing to a String cannot fail");
+        while domain.lookup(&name).is_some() {
+            name.push('\'');
+        }
         node_elem.push(domain.insert(&name));
     }
 
@@ -138,6 +142,25 @@ mod tests {
         // One bag atom per node, arity w+2.
         assert_eq!(enc.structure.relation(bag_p).len(), td.len());
         assert_eq!(enc.structure.relation(bag_p).arity(), td.width() + 2);
+    }
+
+    #[test]
+    fn node_names_skip_base_element_names() {
+        let (s, td) = base_and_td();
+        let dom = Domain::from_names(["nd0", "nd1", "nd1'", "x3"]);
+        let mut base = Structure::new(Arc::clone(s.signature()), dom);
+        let ep = base.signature().lookup("e").unwrap();
+        for tuple in s.relation(ep).iter() {
+            base.insert(ep, tuple);
+        }
+        let enc = encode_tuple_td(&base, &td);
+        let dom = enc.structure.domain();
+        assert_eq!(dom.len(), 4 + td.len());
+        assert_eq!(dom.name(e(0)), "nd0");
+        let names: Vec<&str> = td.node_ids().map(|t| dom.name(enc.elem_of(t))).collect();
+        assert_eq!(names[..3], ["nd0'", "nd1''", "nd2"]);
+        assert!(enc.node_elem.iter().all(|n| n.index() >= 4));
+        assert!(enc.structure.holds(ep, &[e(0), e(1)]));
     }
 
     #[test]

@@ -7,6 +7,10 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 /// The encoded structure plus element maps for both universes.
+///
+/// [`encode_schema`] numbers the attributes first, in schema order, and
+/// the FDs next, so element `i` is attribute `i` for `i < |R|` and FD
+/// `i − |R|` after that; the reverse lookups rely on this numbering.
 #[derive(Debug)]
 pub struct SchemaEncoding {
     /// The τ-structure 𝒜 with τ = {fd, att, lh, rh}.
@@ -31,16 +35,17 @@ impl SchemaEncoding {
     }
 
     /// Reverse lookup: the attribute of a domain element, if it is one.
+    #[inline]
     pub fn attr_of_elem(&self, e: ElemId) -> Option<AttrId> {
-        self.attr_elem
-            .iter()
-            .position(|&x| x == e)
-            .map(|i| AttrId(i as u32))
+        (e.index() < self.attr_elem.len()).then_some(AttrId(e.0))
     }
 
     /// Reverse lookup: the FD index of a domain element, if it is one.
+    #[inline]
     pub fn fd_of_elem(&self, e: ElemId) -> Option<usize> {
-        self.fd_elem.iter().position(|&x| x == e)
+        e.index()
+            .checked_sub(self.attr_elem.len())
+            .filter(|&f| f < self.fd_elem.len())
     }
 }
 
@@ -53,8 +58,9 @@ pub fn schema_signature() -> Signature {
 /// `b ∈ lhs(f)`, `rh(b, f)` for `b = rhs(f)` (Example 2.2).
 ///
 /// The domain holds the attributes in schema order, then the FDs `f1`,
-/// `f2`, …. The domain and the four relations are sized up front, so the
-/// encoding makes a constant number of allocations.
+/// `f2`, …; an FD name already taken by an attribute gets `'` appended
+/// until it is free. The domain and the four relations are sized up
+/// front, so the encoding makes a constant number of allocations.
 pub fn encode_schema(schema: &Schema) -> SchemaEncoding {
     let sig = Arc::new(schema_signature());
     let fds = schema.fds();
@@ -71,6 +77,9 @@ pub fn encode_schema(schema: &Schema) -> SchemaEncoding {
         .map(|i| {
             name.clear();
             write!(name, "f{i}").expect("writing to a String cannot fail");
+            while dom.lookup(&name).is_some() {
+                name.push('\'');
+            }
             dom.insert(&name)
         })
         .collect();
@@ -140,6 +149,54 @@ mod tests {
         let td = decompose(&enc.structure, Heuristic::MinFill);
         assert_eq!(td.validate(&enc.structure), Ok(()));
         assert_eq!(td.width(), 2);
+    }
+
+    #[test]
+    fn fd_names_skip_attribute_names() {
+        // Attributes named like the generated FD elements.
+        let mut schema = Schema::new();
+        let f1 = schema.add_attr("f1");
+        let f1p = schema.add_attr("f1'");
+        let b = schema.add_attr("b");
+        schema.add_fd(&[f1], b);
+        schema.add_fd(&[b], f1p);
+        let enc = encode_schema(&schema);
+        let dom = enc.structure.domain();
+        assert_eq!(dom.len(), 5);
+        let names: Vec<&str> = (0..2).map(|f| dom.name(enc.elem_of_fd(f))).collect();
+        assert_eq!(names, ["f1''", "f2"]);
+        assert_eq!(dom.name(enc.elem_of_attr(f1)), "f1");
+        let lh = enc.structure.signature().lookup("lh").unwrap();
+        assert!(enc
+            .structure
+            .holds(lh, &[enc.elem_of_attr(f1), enc.elem_of_fd(0)]));
+    }
+
+    /// The reverse lookups against a scan of the element maps, on every
+    /// element of the encoding.
+    fn assert_lookups_match_the_scan(enc: &SchemaEncoding) {
+        for e in enc.structure.domain().elems() {
+            let attr = enc.attr_elem.iter().position(|&x| x == e);
+            assert_eq!(enc.attr_of_elem(e), attr.map(|i| AttrId(i as u32)));
+            assert_eq!(enc.fd_of_elem(e), enc.fd_elem.iter().position(|&x| x == e));
+        }
+        let past = ElemId(enc.structure.domain().len() as u32);
+        assert_eq!((enc.attr_of_elem(past), enc.fd_of_elem(past)), (None, None));
+    }
+
+    #[test]
+    fn reverse_lookups_match_the_element_maps() {
+        use crate::generator::{block_tree_instance, random_schema, seeded_rng};
+        let mut rng = seeded_rng(31);
+        for (attrs, fds) in [(2, 0), (5, 3), (12, 20), (30, 7)] {
+            assert_lookups_match_the_scan(&encode_schema(&random_schema(&mut rng, attrs, fds, 3)));
+        }
+        assert_lookups_match_the_scan(&block_tree_instance(8).encoding);
+        let mut schema = Schema::new();
+        let f1 = schema.add_attr("f1");
+        let b = schema.add_attr("b");
+        schema.add_fd(&[f1], b);
+        assert_lookups_match_the_scan(&encode_schema(&schema));
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * [`decomp`] — tree decompositions and their normal forms (§2.2, §5);
 //! * [`datalog`] — the stratified / quasi-guarded datalog engine (§2.4, §4),
 //!   fronted by the [`Evaluator`](mdtw_datalog::Evaluator) session API,
-//!   with the static-analysis / lint framework of
-//!   [`datalog::analysis`] (spanned `MD0xx`
-//!   diagnostics, dead-rule pruning, the `mdtw-lint` binary);
+//!   with plan explanations, evaluation profiles and the `mdtw-explain`
+//!   binary that dry-runs `.dl` files ([`datalog::dry_run`]);
 //! * [`mso`] — MSO formulas, types, and the Theorem 4.5 compilation (§3–4);
 //! * [`fta`] — the classical MSO-to-tree-automata baseline;
 //! * [`core`] — the §5 solvers: 3-Colorability (Figure 5), PRIMALITY
@@ -43,10 +42,9 @@ pub mod prelude {
         PrimalityContext, ThreeColSolver,
     };
     pub use mdtw_datalog::{
-        analyze, parse_program, stratify, AnalysisOptions, CancelToken, Diagnostic, Engine,
-        EvalError, EvalLimits, EvalOptions, EvalProfile, EvalResult, Evaluator, Explanation,
-        LimitKind, LintCode, MaterializedView, ProfileDetail, ProgramReport, Severity, Span,
-        Stratification, StratificationError, Update,
+        parse_program, stratify, CancelToken, Engine, EvalError, EvalLimits, EvalOptions,
+        EvalProfile, EvalResult, Evaluator, Explanation, LimitKind, MaterializedView,
+        ProfileDetail, Span, Stratification, StratificationError, Update,
     };
     pub use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd, TreeDecomposition, TupleTd};
     pub use mdtw_graph::{encode_graph, Graph};

@@ -1,20 +1,28 @@
-//! Fuzz harness: the parser, pragma scanner, linter and analyzer must
-//! never panic, whatever bytes they are fed — malformed input surfaces
-//! as `ParseError` / `PragmaError` / spanned diagnostics, not as a
-//! process abort. Every span those paths report is checked for sanity:
-//! in-bounds half-open byte ranges on char boundaries, with the 1-based
-//! line/column actually matching the byte offset.
+//! Fuzz harness: the parser, the pragma scanner and the `mdtw-explain`
+//! dry-run driver must never panic, whatever bytes they are fed —
+//! malformed input surfaces as `ParseError` / `PragmaError` / a skipped
+//! outcome, not as a process abort. Every span those paths report is
+//! checked for sanity: in-bounds half-open byte ranges on char
+//! boundaries, with the 1-based line/column actually matching the byte
+//! offset.
 //!
 //! Two input families: raw byte soup (decoded lossily), and valid
 //! programs put through random byte-level mutations (overwrite, insert,
 //! delete, truncate) — the latter reach much deeper into the parser
 //! before failing.
 
-use mdtw_datalog::lint::{lint_source, scan_pragmas};
-use mdtw_datalog::{analyze, parse_program, parse_program_lenient, AnalysisOptions, Span};
+use mdtw_datalog::dry_run::{
+    explain_source, profile_source_with_limits, scan_pragmas, ProfileOutcome,
+};
+use mdtw_datalog::{parse_program, EvalLimits, ProfileDetail, Span};
 use mdtw_structure::{Domain, Signature, Structure};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Work budget of each fuzzed dry-run evaluation: enough for the seed
+/// programs to finish, small enough that a mutated program that blows
+/// up trips it quickly.
+const FUZZ_FUEL: u64 = 20_000;
 
 /// The structure fuzz programs are parsed against: a few extensional
 /// predicates over a tiny anonymous domain.
@@ -57,7 +65,7 @@ fn check_span(source: &str, span: Span, what: &str) {
     );
 }
 
-/// Pushes one source text through every parse/lint/analyze entry point
+/// Pushes one source text through every parse and dry-run entry point
 /// reachable from text input, checking spans along the way. Nothing here
 /// may panic.
 fn exercise(source: &str) {
@@ -65,49 +73,27 @@ fn exercise(source: &str) {
     if let Err(e) = parse_program(source, &s) {
         check_span(source, e.span, "parse_program error");
     }
-    match parse_program_lenient(source, &s) {
-        Err(e) => check_span(source, e.span, "parse_program_lenient error"),
-        Ok(program) => {
-            for spans in &program.spans {
-                check_span(source, spans.rule, "rule span");
-                check_span(source, spans.head, "head span");
-                for &lit in &spans.literals {
-                    check_span(source, lit, "literal span");
-                }
-            }
-            let report = analyze(&program, &AnalysisOptions::new());
-            let mut last_known_start = 0u32;
-            for d in &report.diagnostics {
-                check_span(source, d.span, "diagnostic span");
-                // Diagnostics are sorted source-first: known spans are
-                // monotone in start offset (unknown spans sort last).
-                if d.span.is_known() {
-                    assert!(
-                        d.span.start >= last_known_start,
-                        "diagnostics out of source order"
-                    );
-                    last_known_start = d.span.start;
-                }
-            }
-        }
-    }
-    if let Err(e) = scan_pragmas(source) {
+    let pragmas = scan_pragmas(source);
+    if let Err(e) = &pragmas {
         check_span(source, e.span, "pragma error");
     }
-    // The full lint path (pragmas, synthetic structure, lenient parse,
-    // analysis): must return, never abort.
-    match lint_source(source) {
-        Ok(outcome) => {
-            if let Some(e) = &outcome.parse_error {
-                check_span(source, e.span, "lint parse error");
-            }
-            if let Some(report) = &outcome.report {
-                for d in &report.diagnostics {
-                    check_span(source, d.span, "lint diagnostic span");
-                }
+    // The driver's surface (pragmas, synthetic structure, parse, plan
+    // compilation, a budgeted profiled evaluation): must return, never
+    // abort, and must agree with the pragma scan on whether it fails.
+    match explain_source(source) {
+        Ok(_) => assert!(pragmas.is_ok(), "explain ignored a pragma error"),
+        Err(e) => assert_eq!(Err(e), pragmas, "explain pragma error"),
+    }
+    let limits = EvalLimits::new().fuel(FUZZ_FUEL);
+    match profile_source_with_limits(source, ProfileDetail::Literals, Some(&limits)) {
+        Ok(ProfileOutcome::Profiled(dump)) => {
+            assert!(pragmas.is_ok(), "profile ignored a pragma error");
+            if dump.tripped.is_none() {
+                assert!(dump.stats.fuel_spent <= FUZZ_FUEL, "fuel overspent");
             }
         }
-        Err(e) => check_span(source, e.span, "lint pragma error"),
+        Ok(ProfileOutcome::Skipped(_)) => assert!(pragmas.is_ok()),
+        Err(e) => assert_eq!(Err(e), pragmas, "profile pragma error"),
     }
 }
 

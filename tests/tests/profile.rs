@@ -325,7 +325,7 @@ fn profiles_round_trip_through_json() {
         let profile = result.profile.expect("profiling enabled");
         let json = profile.to_json();
         let rendered = json.render();
-        let reparsed = mdtw_datalog::lint::json::parse(&rendered).expect("rendered JSON parses");
+        let reparsed = mdtw_datalog::json::parse(&rendered).expect("rendered JSON parses");
         let back = EvalProfile::from_json(&reparsed).expect("profile deserializes");
         assert_eq!(*profile, back, "lossless round-trip at {detail:?}");
     }

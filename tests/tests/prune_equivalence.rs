@@ -3,7 +3,7 @@
 //! the same facts for every output predicate (and everything an output
 //! transitively depends on) as the unpruned session.
 
-use mdtw_datalog::{parse_program, EvalOptions, Evaluator};
+use mdtw_datalog::{parse_program, relevant_rules, EvalOptions, Evaluator};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -88,12 +88,13 @@ proptest! {
         let b = pruned.evaluate(&s).unwrap();
 
         // Every output — and every predicate an output depends on — has
-        // the identical relation. Relevance comes from the unpruned
-        // session's own analysis, so the check covers the whole closure.
-        let report = plain.analyze();
+        // the identical relation. Relevance is computed on the unpruned
+        // program, so the check covers the whole closure.
+        let output_ids: Vec<_> = outputs.iter().filter_map(|o| plain.program().idb(o)).collect();
+        let relevant = relevant_rules(plain.program(), &output_ids);
         let mut relevant_preds = vec![false; plain.program().idb_count()];
         for (i, rule) in plain.program().rules.iter().enumerate() {
-            if report.relevant_rules[i] {
+            if relevant[i] {
                 if let mdtw_datalog::PredRef::Idb(h) = rule.head.pred {
                     relevant_preds[h.index()] = true;
                 }
