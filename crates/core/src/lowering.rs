@@ -35,14 +35,11 @@
 //! # Rule storage
 //!
 //! The rules go into the flat arrays of [`HornProgram`] — heads, body end
-//! offsets and one arena of body atoms — which are allocated once, before
-//! the first rule: per node, a leaf has at most `3ⁿ` rules with no body
-//! atom, an introduce node at most `3ⁿ` with one, a forget node exactly
-//! `3ⁿ⁺¹` with one, a branch node exactly `3ⁿ` with two, and `success`
-//! one rule per root state (`n` the node's bag size). Leaves and
-//! introduce nodes drop the improper colourings, so the reservation
-//! exceeds the rules actually pushed; grounding itself allocates nothing
-//! per rule.
+//! offsets and one arena of body atoms — which grow by doubling, so
+//! grounding allocates nothing per rule. They are not reserved from the
+//! `3ⁿ`-per-node upper bounds: leaves and introduce nodes drop the
+//! improper colourings, and those bounds are 1.6–1.9 times the rules
+//! actually pushed.
 
 use mdtw_datalog::HornProgram;
 use mdtw_decomp::{NiceKind, NiceTd};
@@ -143,9 +140,6 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
     let mut base = vec![0u32; td.len()];
     let mut next = 1u32;
     let mut max_bag = 0;
-    // Upper bounds on the rules and body occurrences, so the program's
-    // arrays are allocated once (module docs, "Rule storage").
-    let (mut rules, mut body_atoms) = (0usize, 0usize);
     for &node in &order {
         let n = td.bag(node).len();
         max_bag = max_bag.max(n);
@@ -154,15 +148,6 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
             .checked_pow(n as u32)
             .and_then(|block| next.checked_add(block))
             .expect("the Figure 5 grounding has more than u32::MAX atoms");
-        let block = 3usize.pow(n as u32);
-        let (node_rules, per_rule) = match td.kind(node) {
-            NiceKind::Leaf => (block, 0),
-            NiceKind::Introduce(_) => (block, 1),
-            NiceKind::Forget(_) => (3 * block, 1),
-            NiceKind::Branch => (block, 2),
-        };
-        rules += node_rules;
-        body_atoms += node_rules * per_rule;
     }
     let pow3: Vec<u32> = (0..=max_bag as u32).map(|i| 3u32.pow(i)).collect();
     // The states of every bag size, built once per call.
@@ -170,8 +155,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
     let root = td.root();
     let root_states = pow3[td.bag(root).len()] as usize;
 
-    let mut horn =
-        HornProgram::with_capacity(next as usize, rules + root_states, body_atoms + root_states);
+    let mut horn = HornProgram::new(next as usize);
     for &node in &order {
         let bag = td.bag(node);
         let n = bag.len();
@@ -185,7 +169,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = base[td.children(node)[0].index()];
+                let child = base[td.children(node).next().expect("one child").index()];
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
                 let p = pow3[vpos];
                 for (k, &(r, g)) in states[n - 1].iter().enumerate() {
@@ -206,7 +190,7 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Forget(v) => {
-                let child_node = td.children(node)[0];
+                let child_node = td.children(node).next().expect("one child");
                 let child = base[child_node.index()];
                 let vpos = td
                     .bag(child_node)
@@ -218,8 +202,10 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 }
             }
             NiceKind::Branch => {
-                let children = td.children(node);
-                let (c1, c2) = (base[children[0].index()], base[children[1].index()]);
+                let mut children = td.children(node).map(|c| base[c.index()]);
+                let (Some(c1), Some(c2)) = (children.next(), children.next()) else {
+                    unreachable!("a branch node has two children")
+                };
                 for k in 0..pow3[n] {
                     horn.push(at + k, [c1 + k, c2 + k]);
                 }

@@ -41,7 +41,7 @@ use mdtw_decomp::{
 use mdtw_schema::{encode_schema, AttrId, Schema, SchemaEncoding};
 use mdtw_structure::ElemId;
 use std::cmp::Ordering;
-use std::ops::Index;
+use std::ops::{Index, Range};
 
 /// One `solve` fact, packed bag-locally. Attribute components are bitmasks
 /// over the sorted *attribute positions* of the bag; FD components over
@@ -198,13 +198,19 @@ impl BagStore {
     /// sides into bag positions. `PrimState` packs each component into a
     /// `u16` mask and `C°` into 16 nibbles, hence the 16-attribute /
     /// 16-FD cap per bag, checked here.
-    fn compile(nice: &NiceTd, info: &[ElemInfo]) -> Self {
+    fn compile(nice: &NiceTd, info: &[ElemInfo], lhs_cells: &[ElemId]) -> Self {
+        let fds = nice
+            .node_ids()
+            .flat_map(|n| nice.bag(n))
+            .filter(|e| info[e.index()].rhs().is_some())
+            .count();
+        let cells: usize = nice.node_ids().map(|n| nice.bag(n).len()).sum();
         let mut store = Self {
             offsets: Vec::with_capacity(nice.len() + 1),
-            attrs: Vec::new(),
-            fds: Vec::new(),
-            rhs: Vec::new(),
-            lhs: Vec::new(),
+            attrs: Vec::with_capacity(cells - fds),
+            fds: Vec::with_capacity(fds),
+            rhs: Vec::with_capacity(fds),
+            lhs: Vec::with_capacity(fds),
         };
         store.offsets.push((0, 0));
         for n in nice.node_ids() {
@@ -227,7 +233,8 @@ impl BagStore {
                 store.fds.push(f);
                 store.rhs.push(rhs_pos as u8);
                 store.lhs.push(
-                    lhs.iter()
+                    lhs_cells[lhs.start as usize..lhs.end as usize]
+                        .iter()
                         .filter_map(|b| attrs.binary_search(b).ok())
                         .fold(0, |m, p| m | 1 << p),
                 );
@@ -353,7 +360,12 @@ impl BagCtx<'_> {
 #[derive(Debug, Clone)]
 enum ElemInfo {
     Attr,
-    Fd { rhs: ElemId, lhs: Vec<ElemId> },
+    /// An FD with its right-hand side and the range of its left-hand side
+    /// in the flat list [`PrimalityContext::classify`] returns.
+    Fd {
+        rhs: ElemId,
+        lhs: Range<u32>,
+    },
 }
 
 impl ElemInfo {
@@ -446,11 +458,11 @@ impl PrimalityContext {
     /// `td` into a nice decomposition with FDs ranked above attributes and
     /// compiles its bags.
     fn assemble(encoding: SchemaEncoding, mut td: TreeDecomposition, options: NiceOptions) -> Self {
-        let info = Self::classify(&encoding);
+        let (info, lhs) = Self::classify(&encoding);
         augment_bags(&mut td, |e| info[e.index()].rhs());
         let rank = |e: ElemId| u8::from(info[e.index()].rhs().is_some());
         let nice = NiceTd::from_td_with_rank(&td, options, &rank);
-        let bags = BagStore::compile(&nice, &info);
+        let bags = BagStore::compile(&nice, &info, &lhs);
         Self {
             encoding,
             nice,
@@ -459,7 +471,9 @@ impl PrimalityContext {
         }
     }
 
-    fn classify(encoding: &SchemaEncoding) -> Vec<ElemInfo> {
+    /// Classifies every element, and lists the left-hand sides of all FDs
+    /// flat, each FD's attributes in `lh` order.
+    fn classify(encoding: &SchemaEncoding) -> (Vec<ElemInfo>, Vec<ElemId>) {
         let s = &encoding.structure;
         let n = s.domain().len();
         let lh = s.signature().lookup("lh").expect("lh");
@@ -469,22 +483,35 @@ impl PrimalityContext {
         for t in s.relation(rh).iter() {
             rhs_of[t[1].index()] = Some(t[0]);
         }
-        let mut lhs_of: Vec<Vec<ElemId>> = vec![Vec::new(); n];
+        // `start[f]..start[f + 1]` is FD `f`'s slice of `lhs`.
+        let mut start = vec![0u32; n + 1];
         for t in s.relation(lh).iter() {
-            lhs_of[t[1].index()].push(t[0]);
+            start[t[1].index() + 1] += 1;
         }
-        let mut info = Vec::with_capacity(n);
-        for e in s.domain().elems() {
-            if s.holds(fd, &[e]) {
-                info.push(ElemInfo::Fd {
-                    rhs: rhs_of[e.index()].expect("FD has an rhs"),
-                    lhs: std::mem::take(&mut lhs_of[e.index()]),
-                });
-            } else {
-                info.push(ElemInfo::Attr);
-            }
+        for e in 0..n {
+            start[e + 1] += start[e];
         }
-        info
+        let mut fill = start.clone();
+        let mut lhs = vec![ElemId(0); s.relation(lh).len()];
+        for t in s.relation(lh).iter() {
+            lhs[fill[t[1].index()] as usize] = t[0];
+            fill[t[1].index()] += 1;
+        }
+        let info = s
+            .domain()
+            .elems()
+            .map(|e| {
+                if s.holds(fd, &[e]) {
+                    ElemInfo::Fd {
+                        rhs: rhs_of[e.index()].expect("FD has an rhs"),
+                        lhs: start[e.index()]..start[e.index() + 1],
+                    }
+                } else {
+                    ElemInfo::Attr
+                }
+            })
+            .collect();
+        (info, lhs)
     }
 
     fn is_attr(&self, e: ElemId) -> bool {
@@ -764,33 +791,34 @@ impl PrimalityContext {
         let mut scratch = Vec::new();
         for node in self.nice.post_order() {
             let bag = self.bags.get(node);
-            let children = self.nice.children(node);
+            let mut children = self.nice.children(node);
             scratch.clear();
-            match self.nice.kind(node) {
-                NiceKind::Leaf => self.leaf_table(bag, &mut scratch),
-                NiceKind::Introduce(e) => {
-                    let src = &tables[children[0].index()];
+            match (self.nice.kind(node), children.next(), children.next()) {
+                (NiceKind::Leaf, None, None) => self.leaf_table(bag, &mut scratch),
+                (NiceKind::Introduce(e), Some(child), None) => {
+                    let src = &tables[child.index()];
                     if self.is_attr(e) {
                         self.intro_attr(src, bag, e, &mut scratch);
                     } else {
                         self.intro_fd(src, bag, e, &mut scratch);
                     }
                 }
-                NiceKind::Forget(e) => {
-                    let src = &tables[children[0].index()];
-                    let src_bag = self.bags.get(children[0]);
+                (NiceKind::Forget(e), Some(child), None) => {
+                    let src = &tables[child.index()];
+                    let src_bag = self.bags.get(child);
                     if self.is_attr(e) {
                         self.remove_attr(src, src_bag, e, &mut scratch);
                     } else {
                         self.remove_fd(src, src_bag, e, &mut scratch);
                     }
                 }
-                NiceKind::Branch => self.branch_combine(
-                    &tables[children[0].index()],
-                    &tables[children[1].index()],
+                (NiceKind::Branch, Some(left), Some(right)) => self.branch_combine(
+                    &tables[left.index()],
+                    &tables[right.index()],
                     bag,
                     &mut scratch,
                 ),
+                _ => unreachable!("a nice node's kind gives its child count"),
             }
             tables.append(node, &mut scratch);
         }
@@ -837,11 +865,12 @@ impl PrimalityContext {
                     }
                 }
                 NiceKind::Branch => {
-                    let siblings = self.nice.children(parent);
-                    let sibling = if siblings[0] == node {
-                        siblings[1]
+                    let mut siblings = self.nice.children(parent);
+                    let first = siblings.next().expect("a branch node has children");
+                    let sibling = if first == node {
+                        siblings.next().expect("a branch node has two children")
                     } else {
-                        siblings[0]
+                        first
                     };
                     self.branch_combine(src, &up[sibling.index()], node_bag, &mut scratch);
                 }
@@ -1088,11 +1117,15 @@ mod tests {
         ctx.info[f.index()].rhs().expect("element is an FD")
     }
 
-    fn fd_lhs(ctx: &PrimalityContext, f: ElemId) -> &[ElemId] {
-        match &ctx.info[f.index()] {
-            ElemInfo::Fd { lhs, .. } => lhs,
-            ElemInfo::Attr => unreachable!("element is not an FD"),
-        }
+    /// The left-hand side of FD `f`, read off the `lh` relation.
+    fn fd_lhs(ctx: &PrimalityContext, f: ElemId) -> Vec<ElemId> {
+        let s = &ctx.encoding.structure;
+        let lh = s.signature().lookup("lh").expect("lh");
+        s.relation(lh)
+            .iter()
+            .filter(|t| t[1] == f)
+            .map(|t| t[0])
+            .collect()
     }
 
     /// `outside(·, Y, At, {f})` by binary searches of the bag.
@@ -1102,8 +1135,8 @@ mod tests {
             return false;
         }
         fd_lhs(ctx, f)
-            .iter()
-            .any(|&b| bag.attr_pos(b).is_some_and(|p| y >> p & 1 == 0))
+            .into_iter()
+            .any(|b| bag.attr_pos(b).is_some_and(|p| y >> p & 1 == 0))
     }
 
     /// `consistent({f}, C°)` by looking up the index in `C°` of `rhs(f)`
@@ -1120,7 +1153,7 @@ mod tests {
         let Some(rhs_idx) = co_index_of(co, co_len, rhs_pos) else {
             return false; // rhs ∈ Y
         };
-        for &b in fd_lhs(ctx, f) {
+        for b in fd_lhs(ctx, f) {
             if let Some(p) = bag.attr_pos(b) {
                 if y >> p & 1 == 1 {
                     continue; // lhs attribute in Y: no ordering constraint
@@ -1283,7 +1316,8 @@ mod tests {
                 continue;
             }
             let bag = ctx.bags.get(node);
-            let [a, b] = ctx.nice.children(node)[..] else {
+            let mut children = ctx.nice.children(node);
+            let (Some(a), Some(b)) = (children.next(), children.next()) else {
                 panic!("{what}: branch {node} has two children");
             };
             let joins = [

@@ -128,7 +128,7 @@ impl<'a> ThreeColSolver<'a> {
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = self.td.children(node)[0];
+                let child = self.td.children(node).next().expect("one child");
                 let child_bag = self.td.bag(child);
                 let vpos = bag.binary_search(&v).expect("introduced element in bag");
                 // Bag positions below vpos keep their index; those at or
@@ -169,7 +169,7 @@ impl<'a> ThreeColSolver<'a> {
                 }
             }
             NiceKind::Forget(v) => {
-                let child = self.td.children(node)[0];
+                let child = self.td.children(node).next().expect("one child");
                 let child_bag = self.td.bag(child);
                 let vpos = child_bag
                     .binary_search(&v)
@@ -187,8 +187,10 @@ impl<'a> ThreeColSolver<'a> {
                 }
             }
             NiceKind::Branch => {
-                let children = self.td.children(node);
-                let (c1, c2) = (children[0], children[1]);
+                let mut children = self.td.children(node);
+                let (Some(c1), Some(c2)) = (children.next(), children.next()) else {
+                    unreachable!("a branch node has two children")
+                };
                 let (small, large) =
                     if self.tables[c1.index()].len() <= self.tables[c2.index()].len() {
                         (c1, c2)
@@ -259,7 +261,7 @@ impl<'a> ThreeColSolver<'a> {
         match self.td.kind(node) {
             NiceKind::Leaf => {}
             NiceKind::Introduce(v) => {
-                let child = self.td.children(node)[0];
+                let child = self.td.children(node).next().expect("one child");
                 let vpos = bag.binary_search(&v).expect("in bag");
                 let drop = |mask: u64| -> u64 {
                     let low = mask & ((1u64 << vpos) - 1);
@@ -274,7 +276,7 @@ impl<'a> ThreeColSolver<'a> {
                 stack.push((child, child_state));
             }
             NiceKind::Forget(v) => {
-                let child = self.td.children(node)[0];
+                let child = self.td.children(node).next().expect("one child");
                 let child_bag = self.td.bag(child);
                 let vpos = child_bag.binary_search(&v).expect("in child bag");
                 let lift = |mask: u64| -> u64 {
@@ -304,7 +306,7 @@ impl<'a> ThreeColSolver<'a> {
                 stack.push((child, child_state));
             }
             NiceKind::Branch => {
-                for &child in self.td.children(node) {
+                for child in self.td.children(node) {
                     debug_assert!(self.tables[child.index()].contains(&state));
                     stack.push((child, state));
                 }

@@ -45,17 +45,6 @@ impl HornProgram {
         }
     }
 
-    /// An empty program over atoms `0..n_atoms` with room for `rules`
-    /// rules holding `body_atoms` body occurrences in all.
-    pub fn with_capacity(n_atoms: usize, rules: usize, body_atoms: usize) -> Self {
-        Self {
-            n_atoms,
-            heads: Vec::with_capacity(rules),
-            ends: Vec::with_capacity(rules),
-            bodies: Vec::with_capacity(body_atoms),
-        }
-    }
-
     /// Appends the rule `head ← body` (an empty body makes it a fact).
     /// Atom ids are checked by [`least_model`](Self::least_model), not
     /// here.

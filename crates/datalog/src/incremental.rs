@@ -68,7 +68,7 @@ use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_edb_deltas, plan_head_bound, JoinPlan, RulePlans, StructureStats};
 use crate::profile::{UpdateProfile, UpdateStratumProfile};
 use crate::stratify::{Strata, Stratification};
-use mdtw_structure::{ElemId, PredId, Relation, Signature, Structure};
+use mdtw_structure::{ElemId, PredId, Relation, Structure};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -474,11 +474,6 @@ impl MaterializedView {
         self.strata.stratification()
     }
 
-    /// The base signature updates are validated against.
-    pub fn base_signature(&self) -> &Arc<Signature> {
-        self.strata.base_sig()
-    }
-
     /// A snapshot of the current (post-update) base structure. Cheap:
     /// relations are copy-on-write behind [`Arc`]s.
     pub fn base_structure(&self) -> Structure {
@@ -511,7 +506,7 @@ mod tests {
     use crate::evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
     use crate::ground::FdCatalog;
     use crate::parser::parse_program;
-    use mdtw_structure::Domain;
+    use mdtw_structure::{Domain, Signature};
 
     fn chain(n: usize) -> Structure {
         let sig = Arc::new(Signature::from_pairs([("e", 2), ("node", 1), ("first", 1)]));

@@ -4,7 +4,7 @@
 //! `child1`, `child2`, `bag` describe the tree.
 
 use crate::tree::NodeId;
-use crate::tuple_normal::TupleTd;
+use crate::tuple_normal::{TupleNodeKind, TupleTd};
 use mdtw_structure::{ElemId, Structure};
 use std::fmt::Write;
 use std::sync::Arc;
@@ -53,14 +53,6 @@ pub fn encode_tuple_td(base: &Structure, td: &TupleTd) -> TdEncoding {
         node_elem.push(domain.insert(&name));
     }
 
-    let mut out = Structure::new(Arc::clone(&sig), domain);
-    // Base relations carry over unchanged (ids are preserved).
-    for p in base.signature().preds() {
-        let q = sig.lookup(base.signature().name(p)).expect("copied pred");
-        for tuple in base.relation(p).iter() {
-            out.insert(q, tuple);
-        }
-    }
     let root_p = sig.lookup("root").expect("root");
     let leaf_p = sig.lookup("leaf").expect("leaf");
     let child1_p = sig.lookup("child1").expect("child1");
@@ -69,27 +61,57 @@ pub fn encode_tuple_td(base: &Structure, td: &TupleTd) -> TdEncoding {
     let branch_p = sig.lookup("branch").expect("branch");
     let same_p = sig.lookup("same").expect("same");
 
+    // Presize every relation: base relations keep their sizes, and the
+    // tree relations' sizes follow from the node kinds.
+    let count = |kind| td.node_ids().filter(|&t| td.kind(t) == kind).count();
+    let (leaves, branches) = (count(TupleNodeKind::Leaf), count(TupleNodeKind::Branch));
+    let mut rows = vec![0; sig.len()];
+    for p in base.signature().preds() {
+        rows[p.index()] = base.relation(p).len();
+    }
+    for (p, n) in [
+        (root_p, 1),
+        (leaf_p, leaves),
+        (child1_p, td.len() - leaves),
+        (child2_p, branches),
+        (bag_p, td.len()),
+        (branch_p, branches),
+        (same_p, domain.len()),
+    ] {
+        rows[p.index()] = n;
+    }
+    let mut out = Structure::with_capacity(Arc::clone(&sig), domain, &rows);
+    // Base relations carry over unchanged (ids are preserved).
+    for p in base.signature().preds() {
+        for tuple in base.relation(p).iter() {
+            out.insert(p, tuple);
+        }
+    }
+
     out.insert(root_p, &[node_elem[td.root().index()]]);
+    let mut bag_tuple = Vec::with_capacity(td.width() + 2);
     for t in td.node_ids() {
-        let node = td.node(t);
-        if node.children.is_empty() {
-            out.insert(leaf_p, &[node_elem[t.index()]]);
+        let at = node_elem[t.index()];
+        match td.kind(t) {
+            TupleNodeKind::Leaf => {
+                out.insert(leaf_p, &[at]);
+            }
+            TupleNodeKind::Branch => {
+                out.insert(branch_p, &[at]);
+            }
+            TupleNodeKind::Permutation | TupleNodeKind::ElementReplacement => {}
         }
-        if node.children.len() == 2 {
-            out.insert(branch_p, &[node_elem[t.index()]]);
+        for (c, pred) in td.children(t).zip([child1_p, child2_p]) {
+            out.insert(pred, &[node_elem[c.index()], at]);
         }
-        for (i, &c) in node.children.iter().enumerate() {
-            let pred = if i == 0 { child1_p } else { child2_p };
-            out.insert(pred, &[node_elem[c.index()], node_elem[t.index()]]);
-        }
-        let mut bag_tuple = Vec::with_capacity(td.width() + 2);
-        bag_tuple.push(node_elem[t.index()]);
+        bag_tuple.clear();
+        bag_tuple.push(at);
         bag_tuple.extend_from_slice(td.bag(t));
         out.insert(bag_p, &bag_tuple);
     }
     // The identity relation (a guard for the generic Theorem 4.5 rules).
-    for e in out.domain().elems().collect::<Vec<_>>() {
-        out.insert(same_p, &[e, e]);
+    for e in 0..out.domain().len() as u32 {
+        out.insert(same_p, &[ElemId(e), ElemId(e)]);
     }
     TdEncoding {
         structure: out,

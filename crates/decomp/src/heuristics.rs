@@ -145,14 +145,16 @@ impl Working {
         }
     }
 
-    /// The live neighbours of `v`, in order.
-    fn neighbors(&self, v: u32) -> Vec<u32> {
+    /// Sets `out` to the live neighbours of `v`, in order.
+    fn neighbors(&self, v: u32, out: &mut Vec<u32>) {
         let gone = &self.gone;
-        self.adj[v as usize]
-            .iter()
-            .copied()
-            .filter(|&u| !gone[u as usize])
-            .collect()
+        out.clear();
+        out.extend(
+            self.adj[v as usize]
+                .iter()
+                .copied()
+                .filter(|&u| !gone[u as usize]),
+        );
     }
 
     /// Whether the live vertices `a` and `b` are adjacent.
@@ -353,8 +355,9 @@ enum Pick<'a> {
 }
 
 /// Eliminates every vertex of `g` once, in the order `pick` gives, and
-/// returns that order together with each step's sorted bag `{v} ∪ N(v)`.
-fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
+/// returns that order together with each step's sorted bag `{v} ∪ N(v)`,
+/// as the unlinked node of that index in a [`TreeDecomposition`].
+fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, TreeDecomposition) {
     let n = g.len();
     let mut graph = Working::new(g);
     let (mut given, mut scores) = match pick {
@@ -362,13 +365,14 @@ fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
         Pick::Heuristic(h) => ([].iter(), Some(Scores::new(h, &g.adj))),
     };
     let mut order = Vec::with_capacity(n);
-    let mut bags = Vec::with_capacity(n);
+    let mut steps = TreeDecomposition::with_capacity(n, 0);
+    let mut ns = Vec::new();
     for _ in 0..n {
         let v = match scores.as_mut() {
             Some(scores) => scores.pop_min(),
             None => *given.next().expect("the order has one entry per vertex"),
         };
-        let mut ns = graph.neighbors(v);
+        graph.neighbors(v, &mut ns);
         for (i, &a) in ns.iter().enumerate() {
             for &b in &ns[i + 1..] {
                 if graph.adjacent(a, b) {
@@ -385,11 +389,12 @@ fn eliminate(g: &PrimalGraph, pick: Pick<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
             scores.requeue();
         }
         graph.remove(v, &ns);
-        ns.insert(ns.partition_point(|&u| u < v), v);
+        let (below, above) = ns.split_at(ns.partition_point(|&u| u < v));
+        let bag = below.iter().chain([&v]).chain(above);
+        steps.push(bag.map(|&u| ElemId(u)), ());
         order.push(v);
-        bags.push(ns);
     }
-    (order, bags)
+    (order, steps)
 }
 
 /// Computes an elimination order with the given heuristic.
@@ -430,56 +435,54 @@ pub fn decompose_with_order(g: &PrimalGraph, order: &[u32]) -> TreeDecomposition
         assert!(!*seen, "order[{i}] = {v} repeats an earlier entry");
         *seen = true;
     }
-    let (order, bags) = eliminate(g, Pick::Order(order));
-    tree_from_bags(&order, &bags)
+    let (order, steps) = eliminate(g, Pick::Order(order));
+    tree_from_bags(&order, steps)
 }
 
 /// Links the bags of an elimination pass into the elimination tree: the
 /// parent of `v`'s bag is the bag of the earliest-eliminated other member.
-fn tree_from_bags(order: &[u32], bags: &[Vec<u32>]) -> TreeDecomposition {
+/// The trees of other components hang below the last root, after its own
+/// children; the connecting edges carry no shared elements, so all three
+/// conditions survive. Node ids follow a depth-first walk from that root
+/// that numbers all children of a node before descending into its last.
+fn tree_from_bags(order: &[u32], mut steps: TreeDecomposition) -> TreeDecomposition {
     let n = order.len();
     if n == 0 {
         return TreeDecomposition::singleton(Vec::new());
     }
-    let mut pos = vec![0usize; n];
+    let mut pos = vec![0u32; n];
     for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = i;
+        pos[v as usize] = i as u32;
     }
     // All other members of a bag are eliminated after its vertex.
-    let parent: Vec<Option<usize>> = bags
-        .iter()
-        .zip(order)
-        .map(|(bag, &v)| {
-            bag.iter()
-                .filter(|&&u| u != v)
-                .map(|&u| pos[u as usize])
-                .min()
+    let parent: Vec<Option<u32>> = steps
+        .node_ids()
+        .map(|i| {
+            let bag = steps.bag(i).iter().filter(|u| u.0 != order[i.index()]);
+            bag.map(|u| pos[u.index()]).min()
         })
         .collect();
-    // Roots: bags with no parent (one per connected component). Chain the
-    // components together under the last root so we return a single tree
-    // (bags may be disjoint; attaching preserves all conditions because the
-    // connecting edges carry no shared elements).
-    let roots: Vec<usize> = (0..n).filter(|&i| parent[i].is_none()).collect();
-    let main_root = *roots.last().expect("at least one root");
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, p) in parent.iter().enumerate() {
+    let last_root = parent.iter().rposition(Option::is_none);
+    let main_root = NodeId(last_root.expect("the last step has no parent") as u32);
+    for (i, &p) in parent.iter().enumerate() {
         if let Some(p) = p {
-            children[*p].push(i);
+            steps.attach(NodeId(p), NodeId(i as u32));
         }
     }
-    for &r in &roots {
-        if r != main_root {
-            children[main_root].push(r);
+    for (i, p) in parent.iter().enumerate() {
+        if p.is_none() && i != main_root.index() {
+            steps.attach(main_root, NodeId(i as u32));
         }
     }
-    let to_elems = |b: &Vec<u32>| b.iter().map(|&x| ElemId(x)).collect::<Vec<_>>();
-    let mut td = TreeDecomposition::singleton(to_elems(&bags[main_root]));
-    let mut stack: Vec<(usize, NodeId)> = vec![(main_root, td.root())];
-    while let Some((i, node)) = stack.pop() {
-        for &c in &children[i] {
-            let child_node = td.add_child(node, to_elems(&bags[c]));
-            stack.push((c, child_node));
+    let cells = steps.node_ids().map(|i| steps.bag(i).len()).sum();
+    let mut td = TreeDecomposition::with_capacity(n, cells);
+    let root = td.push(steps.bag(main_root).iter().copied(), ());
+    let mut stack = vec![(main_root, root)];
+    while let Some((step, node)) = stack.pop() {
+        for c in steps.children(step) {
+            let child = td.push(steps.bag(c).iter().copied(), ());
+            td.attach(node, child);
+            stack.push((c, child));
         }
     }
     td
@@ -487,8 +490,8 @@ fn tree_from_bags(order: &[u32], bags: &[Vec<u32>]) -> TreeDecomposition {
 
 /// Convenience: decomposes `structure` with the given heuristic.
 pub fn decompose(structure: &Structure, heuristic: Heuristic) -> TreeDecomposition {
-    let (order, bags) = eliminate(&PrimalGraph::of(structure), Pick::Heuristic(heuristic));
-    tree_from_bags(&order, &bags)
+    let (order, steps) = eliminate(&PrimalGraph::of(structure), Pick::Heuristic(heuristic));
+    tree_from_bags(&order, steps)
 }
 
 /// Exact treewidth by dynamic programming over vertex subsets

@@ -5,8 +5,9 @@
 //!
 //! This crate provides the entire decomposition substrate of the paper:
 //!
-//! * [`TreeDecomposition`] — rooted decompositions with set bags (§2.2),
-//!   with full validation of the three decomposition conditions;
+//! * [`tree`] — the one flat layout ([`Tree`]) behind all three forms
+//!   below; [`TreeDecomposition`] — rooted decompositions with set bags
+//!   (§2.2), with full validation of the three decomposition conditions;
 //! * [`heuristics`] — construction by min-degree / min-fill elimination
 //!   orders plus an exact exponential treewidth algorithm for small
 //!   instances (Bodlaender's linear-time algorithm \[3\] is impractical and
@@ -33,6 +34,6 @@ pub use heuristics::{
     decompose, decompose_with_order, elimination_order, exact_treewidth, Heuristic, PrimalGraph,
 };
 pub use nice::{augment_bags, NiceKind, NiceOptions, NiceTd};
-pub use tree::{NodeId, TdNode, TreeDecomposition};
-pub use tuple_normal::{NormalizeError, TupleNode, TupleNodeKind, TupleTd};
+pub use tree::{Children, NodeId, Tree, TreeDecomposition};
+pub use tuple_normal::{NormalizeError, TupleNodeKind, TupleTd};
 pub use validate::TdViolation;

@@ -19,7 +19,7 @@
 //! our solvers compute the top-down `solve↓` tables for every node kind
 //! directly, which subsumes it (see `mdtw_core::primality`).
 
-use crate::tree::{NodeId, TreeDecomposition};
+use crate::tree::{NodeId, Tree, TreeDecomposition};
 use mdtw_structure::ElemId;
 use std::cmp::Reverse;
 
@@ -37,18 +37,6 @@ pub enum NiceKind {
     Branch,
 }
 
-impl NiceKind {
-    /// The number of children a node of this kind has.
-    #[inline]
-    fn child_count(self) -> usize {
-        match self {
-            NiceKind::Leaf => 0,
-            NiceKind::Introduce(_) | NiceKind::Forget(_) => 1,
-            NiceKind::Branch => 2,
-        }
-    }
-}
-
 /// Options controlling [`NiceTd::from_td`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NiceOptions {
@@ -62,152 +50,16 @@ pub struct NiceOptions {
     pub every_elem_in_leaf: bool,
 }
 
-/// The links of one nice node. The kind gives the child count: only the
-/// first `kind.child_count()` entries of `children` are meaningful.
-#[derive(Debug, Clone, Copy)]
-struct Links {
-    kind: NiceKind,
-    parent: Option<NodeId>,
-    children: [NodeId; 2],
-}
-
-/// A tree decomposition in the modified normal form of §5.
-///
-/// # Layout
-///
-/// The nodes are stored flat, with no allocation per node:
-///
-/// * every bag lives in one `Vec<ElemId>` arena, in node order: node `n`'s
-///   sorted bag is `bags[ends[n − 1]..ends[n]]` (with `ends[−1] = 0`), so
-///   the offsets cost one `u32` per node;
-/// * every node keeps its kind, its parent and a fixed pair of child ids
-///   in one `Copy` record (24 bytes); the kind says how many of the pair
-///   are children.
-///
-/// A decomposition of `n` nodes and `Σ |bag|` bag cells thus occupies
-/// three vectors of `4·Σ|bag|`, `4n` and `24n` bytes. Building it
-/// ([`from_td_with_rank`](Self::from_td_with_rank)) allocates only those
-/// vectors, the traversal of the input and a few scratch buffers it
-/// reuses for every morph chain; the §5.3 leaf coverage copies bags within
-/// the arena. Cloning costs three memcpys.
-#[derive(Debug, Clone)]
-pub struct NiceTd {
-    bags: Vec<ElemId>,
-    ends: Vec<u32>,
-    links: Vec<Links>,
-    root: NodeId,
-}
+/// A tree decomposition in the modified normal form of §5: a [`Tree`]
+/// whose kinds are [`NiceKind`]s and whose bags are sorted sets.
+pub type NiceTd = Tree<NiceKind>;
 
 impl NiceTd {
-    /// The root node.
-    #[inline]
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Always false; kept for API symmetry.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-
-    /// The sorted bag of `id`.
-    #[inline]
-    pub fn bag(&self, id: NodeId) -> &[ElemId] {
-        let i = id.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.bags[start..self.ends[i] as usize]
-    }
-
-    /// The kind of `id`.
-    #[inline]
-    pub fn kind(&self, id: NodeId) -> NiceKind {
-        self.links[id.index()].kind
-    }
-
-    /// The children of `id`: none for a leaf, one for an introduce or
-    /// forget node, two for a branch node.
-    #[inline]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        let links = &self.links[id.index()];
-        &links.children[..links.kind.child_count()]
-    }
-
-    /// The parent of `id`; `None` for the root.
-    #[inline]
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.links[id.index()].parent
-    }
-
-    /// The width `max |bag| − 1`.
-    pub fn width(&self) -> usize {
-        self.node_ids()
-            .map(|id| self.bag(id).len())
-            .max()
-            .unwrap_or(0)
-            .saturating_sub(1)
-    }
-
-    /// Iterates over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.links.len() as u32).map(NodeId)
-    }
-
-    /// Post-order traversal (children before parents): the order of the
-    /// bottom-up `solve` computation of Figures 5 and 6.
-    pub fn post_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![(self.root, 0usize)];
-        while let Some(last) = stack.len().checked_sub(1) {
-            let (node, cursor) = stack[last];
-            let children = self.children(node);
-            if cursor < children.len() {
-                stack[last].1 += 1;
-                stack.push((children[cursor], 0));
-            } else {
-                out.push(node);
-                stack.pop();
-            }
-        }
-        out
-    }
-
-    /// Pre-order traversal (parents before children): the order of the
-    /// top-down `solve↓` computation of §5.3.
-    pub fn pre_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![self.root];
-        while let Some(node) = stack.pop() {
-            out.push(node);
-            stack.extend(self.children(node).iter().rev());
-        }
-        out
-    }
-
-    /// All leaf nodes.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&id| self.kind(id) == NiceKind::Leaf)
-            .collect()
-    }
-
-    /// True if `elem` occurs in the bag of `node`.
-    #[inline]
-    pub fn bag_contains(&self, node: NodeId, elem: ElemId) -> bool {
-        self.bag(node).binary_search(&elem).is_ok()
-    }
-
     /// Counts nodes per kind: `(leaf, introduce, forget, branch)`.
     pub fn kind_histogram(&self) -> (usize, usize, usize, usize) {
         let mut h = (0, 0, 0, 0);
-        for n in &self.links {
-            match n.kind {
+        for id in self.node_ids() {
+            match self.kind(id) {
                 NiceKind::Leaf => h.0 += 1,
                 NiceKind::Introduce(_) => h.1 += 1,
                 NiceKind::Forget(_) => h.2 += 1,
@@ -217,61 +69,40 @@ impl NiceTd {
         h
     }
 
-    /// Converts back to a set-form [`TreeDecomposition`] for validation.
-    pub fn to_set_td(&self) -> TreeDecomposition {
-        let mut td = TreeDecomposition::singleton(self.bag(self.root).to_vec());
-        let mut stack = vec![(self.root, td.root())];
-        while let Some((old, new)) = stack.pop() {
-            for &c in self.children(old) {
-                let nc = td.add_child(new, self.bag(c).to_vec());
-                stack.push((c, nc));
-            }
-        }
-        td
-    }
-
     /// Checks the structural invariants of the nice form: sorted bags,
     /// kinds agreeing with the bags of their children, and parent links
     /// mirroring child links. Allocates only to report a violation.
     pub fn validate_nice_form(&self) -> Result<(), String> {
-        if self.ends.len() != self.len() || self.root.index() >= self.len() {
-            return Err(format!(
-                "{} bag ends and root {} for {} nodes",
-                self.ends.len(),
-                self.root,
-                self.len()
-            ));
-        }
-        if self.parent(self.root).is_some() {
-            return Err(format!("root {} has a parent", self.root));
-        }
+        self.check_links()?;
         for id in self.node_ids() {
             let bag = self.bag(id);
             if bag.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("bag of {id} is not a sorted set"));
             }
-            for &c in self.children(id) {
-                if c.index() >= self.len() || self.parent(c) != Some(id) {
-                    return Err(format!("child {c} of {id} does not link back"));
-                }
-            }
-            let child = |i: usize| self.bag(self.children(id)[i]);
-            let ok = match self.kind(id) {
-                NiceKind::Leaf => true,
-                NiceKind::Introduce(a) => {
-                    let child = child(0);
+            let mut children = self.children(id).map(|c| self.bag(c));
+            let ok = match (
+                self.kind(id),
+                children.next(),
+                children.next(),
+                children.next(),
+            ) {
+                (NiceKind::Leaf, None, ..) => true,
+                (NiceKind::Introduce(a), Some(child), None, _) => {
                     !child.contains(&a)
                         && bag.contains(&a)
                         && bag.iter().filter(|&&e| e != a).eq(child)
                 }
-                NiceKind::Forget(a) => {
-                    let child = child(0);
+                (NiceKind::Forget(a), Some(child), None, _) => {
                     child.contains(&a) && child.iter().filter(|&&e| e != a).eq(bag)
                 }
-                NiceKind::Branch => child(0) == bag && child(1) == bag,
+                (NiceKind::Branch, Some(left), Some(right), None) => left == bag && right == bag,
+                _ => false,
             };
             if !ok {
-                return Err(format!("{id}: bag disagrees with {:?}", self.kind(id)));
+                return Err(format!(
+                    "{id}: children and bags disagree with {:?}",
+                    self.kind(id)
+                ));
             }
         }
         Ok(())
@@ -305,12 +136,7 @@ impl NiceTd {
         rank: &dyn Fn(ElemId) -> u8,
     ) -> Self {
         let mut b = NiceBuilder {
-            nice: Self {
-                bags: Vec::new(),
-                ends: Vec::new(),
-                links: Vec::new(),
-                root: NodeId(0),
-            },
+            nice: Self::with_capacity(0, 0),
             rank,
             current: Vec::new(),
             diff: Vec::new(),
@@ -319,53 +145,31 @@ impl NiceTd {
         let mut tops: Vec<NodeId> = Vec::new();
         for id in td.post_order() {
             let bag = td.bag(id);
-            let children = &td.node(id).children;
-            let built = if children.is_empty() {
-                b.add_bag(bag, NiceKind::Leaf, &[])
-            } else {
-                // Morph every child chain up to this node's bag, then join
-                // them pairwise with branch nodes.
-                tops.clear();
-                for &c in children {
-                    let top = b.morph(rep[c.index()], bag);
-                    tops.push(top);
+            // Morph every child chain up to this node's bag, then join
+            // them pairwise with branch nodes.
+            tops.clear();
+            for c in td.children(id) {
+                let top = b.morph(rep[c.index()], bag);
+                tops.push(top);
+            }
+            let built = match tops.pop() {
+                None => b.add_bag(bag, NiceKind::Leaf, &[]),
+                Some(mut right) => {
+                    while let Some(left) = tops.pop() {
+                        right = b.add_bag(bag, NiceKind::Branch, &[left, right]);
+                    }
+                    right
                 }
-                while tops.len() > 1 {
-                    let right = tops.pop().expect("len > 1");
-                    let left = tops.pop().expect("len > 1");
-                    let join = b.add_bag(bag, NiceKind::Branch, &[left, right]);
-                    tops.push(join);
-                }
-                tops[0]
             };
             rep[id.index()] = built;
         }
         let mut nice = b.nice;
-        nice.root = rep[td.root().index()];
+        nice.set_root(rep[td.root().index()]);
         if options.every_elem_in_leaf {
             nice.ensure_leaf_coverage();
         }
         debug_assert_eq!(nice.validate_nice_form(), Ok(()));
         nice
-    }
-
-    /// Appends a node with the given kind and children, whose bag the
-    /// caller has just appended to the arena, and links the children up.
-    fn push_node(&mut self, kind: NiceKind, parent: Option<NodeId>, children: &[NodeId]) -> NodeId {
-        let id = NodeId(self.links.len() as u32);
-        let end = u32::try_from(self.bags.len()).expect("fewer than 2³² bag cells");
-        self.ends.push(end);
-        let mut pair = [NodeId(u32::MAX); 2];
-        pair[..children.len()].copy_from_slice(children);
-        for &c in children {
-            self.links[c.index()].parent = Some(id);
-        }
-        self.links.push(Links {
-            kind,
-            parent,
-            children: pair,
-        });
-        id
     }
 
     /// §5.3: for every element that occurs in no leaf bag, splice a fresh
@@ -386,7 +190,12 @@ impl NiceTd {
     /// sizes and every host is found by a single pass made before any
     /// splice. The whole routine costs `O(Σ |bag|)`.
     fn ensure_leaf_coverage(&mut self) {
-        let elems = self.bags.iter().map(|e| e.index() + 1).max().unwrap_or(0);
+        let elems = self
+            .node_ids()
+            .flat_map(|id| self.bag(id))
+            .map(|e| e.index() + 1)
+            .max()
+            .unwrap_or(0);
         let mut in_leaf = vec![false; elems];
         let mut host: Vec<Option<NodeId>> = vec![None; elems];
         for id in self.node_ids() {
@@ -415,25 +224,10 @@ impl NiceTd {
     /// Inserts `branch(bag(t)) -> [t, leaf(bag(t))]` above `t`, copying
     /// `bag(t)` twice within the arena.
     fn splice_leaf_above(&mut self, t: NodeId) {
-        let end = self.ends[t.index()] as usize;
-        let range = end - self.bag(t).len()..end;
-        let parent = self.parent(t);
-        self.bags.extend_from_within(range.clone());
-        let leaf = self.push_node(NiceKind::Leaf, None, &[]);
-        self.bags.extend_from_within(range);
-        // `push_node` links both children up to the branch.
-        let branch = self.push_node(NiceKind::Branch, parent, &[t, leaf]);
-        match parent {
-            Some(p) => {
-                let slot = self
-                    .children(p)
-                    .iter()
-                    .position(|&c| c == t)
-                    .expect("edge exists");
-                self.links[p.index()].children[slot] = branch;
-            }
-            None => self.root = branch,
-        }
+        let leaf = self.push_copy(t, NiceKind::Leaf);
+        let branch = self.push_copy(t, NiceKind::Branch);
+        self.splice_above(t, branch);
+        self.attach(branch, leaf);
     }
 }
 
@@ -451,8 +245,11 @@ struct NiceBuilder<'a> {
 impl NiceBuilder<'_> {
     /// Appends a node carrying a copy of `bag`.
     fn add_bag(&mut self, bag: &[ElemId], kind: NiceKind, children: &[NodeId]) -> NodeId {
-        self.nice.bags.extend_from_slice(bag);
-        self.nice.push_node(kind, None, children)
+        let id = self.nice.push(bag.iter().copied(), kind);
+        for &c in children {
+            self.nice.attach(id, c);
+        }
+        id
     }
 
     /// Builds the forget/introduce chain from the bag of `from` up to the
@@ -497,8 +294,9 @@ impl NiceBuilder<'_> {
 
     /// Appends a node carrying the current chain bag above `child`.
     fn add_current(&mut self, kind: NiceKind, child: NodeId) -> NodeId {
-        self.nice.bags.extend_from_slice(&self.current);
-        self.nice.push_node(kind, None, &[child])
+        let id = self.nice.push(self.current.iter().copied(), kind);
+        self.nice.attach(id, child);
+        id
     }
 }
 

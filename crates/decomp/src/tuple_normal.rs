@@ -7,7 +7,7 @@
 //! *element replacement node* (child bag replaces position 0); a node with
 //! two children is a *branch node* (children carry the parent's tuple).
 
-use crate::tree::{NodeId, TreeDecomposition};
+use crate::tree::{NodeId, Tree, TreeDecomposition};
 use mdtw_structure::ElemId;
 
 /// Kinds of nodes in a normalized (tuple-form) tree decomposition.
@@ -26,24 +26,11 @@ pub enum TupleNodeKind {
     Branch,
 }
 
-/// One node of a [`TupleTd`].
-#[derive(Debug, Clone)]
-pub struct TupleNode {
-    /// The bag as an ordered tuple `(a₀, …, a_w)` of distinct elements.
-    pub bag: Vec<ElemId>,
-    /// Children (at most two).
-    pub children: Vec<NodeId>,
-    /// Parent link; `None` for the root.
-    pub parent: Option<NodeId>,
-}
-
-/// A tree decomposition in the normal form of Definition 2.3.
-#[derive(Debug, Clone)]
-pub struct TupleTd {
-    nodes: Vec<TupleNode>,
-    root: NodeId,
-    width: usize,
-}
+/// A tree decomposition in the normal form of Definition 2.3: a [`Tree`]
+/// whose bags are ordered tuples of `w+1` distinct elements and whose
+/// kinds, recorded as each node's edges are built, are
+/// [`TupleNodeKind`]s.
+pub type TupleTd = Tree<TupleNodeKind>;
 
 /// Errors raised when normalizing a decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,144 +59,39 @@ impl std::fmt::Display for NormalizeError {
 impl std::error::Error for NormalizeError {}
 
 impl TupleTd {
-    /// The root node.
-    #[inline]
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Always false: a `TupleTd` has at least one node.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The decomposition width `w` (all bags have `w+1` entries).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Node access.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &TupleNode {
-        &self.nodes[id.index()]
-    }
-
-    /// The ordered bag of `id`.
-    #[inline]
-    pub fn bag(&self, id: NodeId) -> &[ElemId] {
-        &self.nodes[id.index()].bag
-    }
-
-    /// Iterates over node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
-
-    /// Classifies a node per Definition 2.3.
-    ///
-    /// # Panics
-    /// Panics if the decomposition is malformed (use
-    /// [`validate_normal_form`](Self::validate_normal_form) first when in
-    /// doubt).
-    pub fn kind(&self, id: NodeId) -> TupleNodeKind {
-        let node = self.node(id);
-        match node.children.len() {
-            0 => TupleNodeKind::Leaf,
-            1 => {
-                let child = self.bag(node.children[0]);
-                if is_permutation(&node.bag, child) {
-                    TupleNodeKind::Permutation
-                } else {
-                    TupleNodeKind::ElementReplacement
-                }
-            }
-            2 => TupleNodeKind::Branch,
-            n => panic!("normalized node with {n} children"),
-        }
-    }
-
-    /// Post-order traversal (children before parents).
-    pub fn post_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(self.root, 0usize)];
-        while let Some(last) = stack.len().checked_sub(1) {
-            let (node, cursor) = stack[last];
-            let children = &self.nodes[node.index()].children;
-            if cursor < children.len() {
-                stack[last].1 += 1;
-                stack.push((children[cursor], 0));
-            } else {
-                out.push(node);
-                stack.pop();
-            }
-        }
-        out
-    }
-
-    /// Converts back to a set-form [`TreeDecomposition`] (for validation
-    /// against the underlying structure).
-    pub fn to_set_td(&self) -> TreeDecomposition {
-        let mut td = TreeDecomposition::singleton(self.bag(self.root).to_vec());
-        let mut stack = vec![(self.root, td.root())];
-        while let Some((old, new)) = stack.pop() {
-            for &c in &self.node(old).children {
-                let nc = td.add_child(new, self.bag(c).to_vec());
-                stack.push((c, nc));
-            }
-        }
-        td
-    }
-
-    /// Checks every clause of Definition 2.3; returns a human-readable
-    /// description of the first violation.
+    /// Checks every clause of Definition 2.3, and that each node's
+    /// recorded kind is the one its children give it; returns a
+    /// human-readable description of the first violation. Allocates only
+    /// to report it.
     pub fn validate_normal_form(&self) -> Result<(), String> {
+        self.check_links()?;
+        let size = self.width() + 1;
         for id in self.node_ids() {
-            let node = self.node(id);
-            if node.bag.len() != self.width + 1 {
+            let bag = self.bag(id);
+            if bag.len() != size {
                 return Err(format!(
-                    "bag of {id} has {} entries, expected {}",
-                    node.bag.len(),
-                    self.width + 1
+                    "bag of {id} has {} entries, expected {size}",
+                    bag.len()
                 ));
             }
-            let mut sorted = node.bag.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != node.bag.len() {
+            if (1..bag.len()).any(|i| bag[..i].contains(&bag[i])) {
                 return Err(format!("bag of {id} has repeated elements"));
             }
-            match node.children.len() {
-                0 => {}
-                1 => {
-                    let child = self.bag(node.children[0]);
-                    let perm = is_permutation(&node.bag, child);
-                    let repl = is_pos0_replacement(&node.bag, child);
-                    if !perm && !repl {
-                        return Err(format!(
-                            "node {id}: child bag is neither a permutation nor a \
-                             position-0 replacement"
-                        ));
-                    }
+            let mut children = self.children(id).map(|c| self.bag(c));
+            let kind = match (children.next(), children.next(), children.next()) {
+                (None, ..) => Some(TupleNodeKind::Leaf),
+                (Some(c), None, _) if is_permutation(bag, c) => Some(TupleNodeKind::Permutation),
+                (Some(c), None, _) if is_pos0_replacement(bag, c) => {
+                    Some(TupleNodeKind::ElementReplacement)
                 }
-                2 => {
-                    for &c in &node.children {
-                        if self.bag(c) != &node.bag[..] {
-                            return Err(format!(
-                                "branch node {id}: child {c} does not carry an \
-                                 identical bag"
-                            ));
-                        }
-                    }
-                }
-                n => return Err(format!("node {id} has {n} children")),
+                (Some(l), Some(r), None) if l == bag && r == bag => Some(TupleNodeKind::Branch),
+                _ => None,
+            };
+            if kind != Some(self.kind(id)) {
+                return Err(format!(
+                    "node {id}: its children and their bags do not make it a {:?} node",
+                    self.kind(id)
+                ));
             }
         }
         Ok(())
@@ -226,6 +108,13 @@ impl TupleTd {
 
     /// Like [`from_td`](Self::from_td) but pads every bag to a caller-chosen
     /// width `w ≥ max(width(td), 1)`.
+    ///
+    /// Steps 1–4 of Proposition 2.4 rewrite a set-form copy of `td` whose
+    /// bags are `w+1`-cell slots of one arena; step 5 emits the tuples
+    /// into the result. Nodes are numbered as they are created: the copy
+    /// keeps `td`'s ids and appends new nodes, and the result numbers its
+    /// nodes in the order of a depth-first walk of the copy that visits a
+    /// branch node's second child first.
     pub fn from_td_with_width(
         td: &TreeDecomposition,
         domain_size: usize,
@@ -238,109 +127,248 @@ impl TupleTd {
                 have: domain_size,
             });
         }
+        let mut set = pad(td, domain_size, w);
+        binarize(&mut set);
+        equalize_branches(&mut set);
+        interpolate(&mut set);
+        Ok(orient(&set))
+    }
+}
 
-        // --- Step 1 (Prop. 2.4 (1)): pad all bags to w+1 elements by
-        // pulling elements from neighbouring bags. Pulling from a
-        // neighbour always preserves connectedness (the occurrence subtree
-        // grows by an adjacent node); termination is guaranteed because a
-        // global stall would imply the union of all bags has < w+1
-        // elements, contradicting coverage of a domain with ≥ w+1 elements
-        // -- provided the input decomposition covers the domain. If it
-        // covers fewer elements (legal for sub-structures) we fall back to
-        // padding with arbitrary uncovered elements appended consistently
-        // at the root-side, which keeps occurrence sets connected because
-        // those elements occur nowhere else.
-        let mut sets: Vec<Vec<ElemId>> = td.node_ids().map(|id| td.bag(id).to_vec()).collect();
-        let parent_of: Vec<Option<NodeId>> = td.node_ids().map(|id| td.node(id).parent).collect();
-        let children_of: Vec<Vec<NodeId>> = td
-            .node_ids()
-            .map(|id| td.node(id).children.clone())
-            .collect();
-        loop {
-            let mut changed = false;
-            let mut all_full = true;
-            for i in 0..sets.len() {
-                if sets[i].len() > w {
-                    continue;
-                }
-                all_full = false;
-                let mut neighbors: Vec<NodeId> = Vec::new();
-                if let Some(p) = parent_of[i] {
-                    neighbors.push(p);
-                }
-                neighbors.extend(children_of[i].iter().copied());
-                for nb in neighbors {
-                    if sets[i].len() > w {
+/// Step 1 (Prop. 2.4 (1)): a copy of `td` whose bags are padded to `w+1`
+/// elements by pulling elements from neighbouring bags, sorted.
+///
+/// Each sweep visits the nodes in order and fills every short bag from
+/// its parent's and then its children's bags, as they stand. Pulling from
+/// a neighbour always preserves connectedness (the occurrence subtree
+/// grows by an adjacent node). A sweep that changes nothing while a bag
+/// is short finds every short bag holding all of its neighbours' elements,
+/// hence (the tree being connected) all bags equal: the decomposition
+/// covers fewer than `w+1` elements. Then the least element it does not
+/// cover joins every bag, which keeps its occurrence set connected; one
+/// exists because `domain_size ≥ w+1`.
+fn pad(td: &TreeDecomposition, domain_size: usize, w: usize) -> TreeDecomposition {
+    let size = w + 1;
+    let mut set = TreeDecomposition::with_capacity(td.len(), td.len() * size);
+    let mut lens = Vec::with_capacity(td.len());
+    for id in td.node_ids() {
+        let bag = td.bag(id);
+        lens.push(bag.len());
+        let unused = std::iter::repeat_n(ElemId(u32::MAX), size - bag.len());
+        set.push(bag.iter().copied().chain(unused), ());
+    }
+    for id in td.node_ids() {
+        for c in td.children(id) {
+            set.attach(id, c);
+        }
+    }
+    set.set_root(td.root());
+    loop {
+        let mut changed = false;
+        let mut all_full = true;
+        for id in set.node_ids() {
+            let i = id.index();
+            if lens[i] == size {
+                continue;
+            }
+            all_full = false;
+            for nb in td.parent(id).into_iter().chain(td.children(id)) {
+                for k in 0..lens[nb.index()] {
+                    if lens[i] == size {
                         break;
                     }
-                    let candidates: Vec<ElemId> = sets[nb.index()]
-                        .iter()
-                        .copied()
-                        .filter(|e| !sets[i].contains(e))
-                        .collect();
-                    for e in candidates {
-                        if sets[i].len() > w {
-                            break;
-                        }
-                        sets[i].push(e);
+                    let e = set.bag(nb)[k];
+                    if !set.bag(id)[..lens[i]].contains(&e) {
+                        set.bag_mut(id)[lens[i]] = e;
+                        lens[i] += 1;
                         changed = true;
                     }
                 }
             }
-            if all_full {
-                break;
-            }
-            if !changed {
-                // The decomposition covers fewer than w+1 elements in some
-                // component; pad every short bag with globally fresh
-                // elements (each used in a single connected blob).
-                let covered: std::collections::BTreeSet<ElemId> =
-                    sets.iter().flatten().copied().collect();
-                let mut fresh: Vec<ElemId> = (0..domain_size as u32)
-                    .map(ElemId)
-                    .filter(|e| !covered.contains(e))
-                    .collect();
-                fresh.reverse();
-                // Add one fresh element to *all* bags at once so its
-                // occurrence set is the whole (connected) tree.
-                let e = fresh.pop().expect("domain_size ≥ w+1 guarantees spare");
-                for s in &mut sets {
-                    if !s.contains(&e) {
-                        s.push(e);
-                    }
-                }
+        }
+        if all_full {
+            break;
+        }
+        if !changed {
+            let len = lens[0];
+            let covered = &set.bag(NodeId(0))[..len];
+            let fresh = (0..domain_size as u32)
+                .map(ElemId)
+                .find(|e| !covered.contains(e))
+                .expect("domain_size ≥ w+1 guarantees a spare element");
+            for id in set.node_ids() {
+                debug_assert_eq!(lens[id.index()], len);
+                set.bag_mut(id)[len] = fresh;
+                lens[id.index()] += 1;
             }
         }
-        for s in &mut sets {
-            s.sort_unstable();
-            s.truncate(w + 1);
+    }
+    for id in td.node_ids() {
+        set.bag_mut(id).sort_unstable();
+    }
+    set
+}
+
+/// Step 2 (Prop. 2.4 (2)): binarizes nodes with more than two children.
+/// A node `s` with children `c₁ … c_d`, `d > 2`, keeps `c₁` and gets a
+/// chain of `d − 2` copies of itself: copy `j` has children `c_{j+1}`
+/// and copy `j + 1`, and the last copy `c_{d−1}` and `c_d`. Nodes are
+/// binarized from the last to the first, each chain's copies numbered
+/// consecutively; every child moves once.
+fn binarize(set: &mut TreeDecomposition) {
+    for s in (0..set.len() as u32).rev().map(NodeId) {
+        let d = set.children(s).count();
+        if d <= 2 {
+            continue;
         }
-
-        // Build a scratch set-form tree we can freely rewrite.
-        let mut scratch = Scratch::from_parts(sets, parent_of, children_of, td.root());
-
-        // --- Step 2 (Prop. 2.4 (2)): binarize nodes with > 2 children.
-        scratch.binarize();
-        // --- Step 3 (Prop. 2.4 (3)): give branch nodes identical children.
-        scratch.equalize_branches();
-        // --- Step 4 (Prop. 2.4 (4)): interpolate edges that differ in more
-        // than one element.
-        scratch.interpolate();
-        // --- Step 5 (Prop. 2.4 (5)): orient bags as tuples, inserting
-        // permutation nodes so replacements happen at position 0.
-        Ok(scratch.into_tuple_td(w))
+        let mut at = s;
+        for k in 2..=d {
+            let c = set.children(s).nth(1).expect("c_k is the second child");
+            set.detach(s, c);
+            if k < d {
+                let copy = set.push_copy(s, ());
+                set.attach(at, copy);
+                at = copy;
+            }
+            set.attach(at, c);
+        }
     }
 }
 
-fn is_permutation(a: &[ElemId], b: &[ElemId]) -> bool {
-    if a.len() != b.len() {
-        return false;
+/// Step 3 (Prop. 2.4 (3)): gives every branch node children with its own
+/// bag, splicing a copy of the branch node above each child that differs.
+fn equalize_branches(set: &mut TreeDecomposition) {
+    for s in set.node_ids() {
+        let mut children = set.children(s);
+        let (Some(left), Some(right)) = (children.next(), children.next()) else {
+            continue;
+        };
+        for c in [left, right] {
+            if set.bag(c) != set.bag(s) {
+                let mid = set.push_copy(s, ());
+                set.splice_above(c, mid);
+            }
+        }
     }
-    let mut x = a.to_vec();
-    let mut y = b.to_vec();
-    x.sort_unstable();
-    y.sort_unstable();
-    x == y
+}
+
+/// Step 4 (Prop. 2.4 (4)): interpolates every edge whose bags differ in
+/// `k > 1` elements with `k − 1` intermediate bags, exchanging one element
+/// per step. Bags all have `w+1` elements, so `|A_s ∖ A_c| = |A_c ∖ A_s|`.
+fn interpolate(set: &mut TreeDecomposition) {
+    let (mut out, mut inn, mut current) = (Vec::new(), Vec::new(), Vec::new());
+    for s in set.node_ids() {
+        let mut children = set.children(s);
+        let pair = [children.next(), children.next()];
+        for c in pair.into_iter().flatten() {
+            let (upper, lower) = (set.bag(s), set.bag(c));
+            out.clear();
+            out.extend(upper.iter().copied().filter(|e| !lower.contains(e)));
+            inn.clear();
+            inn.extend(lower.iter().copied().filter(|e| !upper.contains(e)));
+            debug_assert_eq!(out.len(), inn.len());
+            if out.len() <= 1 {
+                continue;
+            }
+            current.clear();
+            current.extend_from_slice(upper);
+            for i in 0..out.len() - 1 {
+                current.retain(|e| *e != out[i]);
+                current.push(inn[i]);
+                current.sort_unstable();
+                let mid = set.push(current.iter().copied(), ());
+                set.splice_above(c, mid);
+            }
+        }
+    }
+}
+
+/// Step 5 (Prop. 2.4 (5)): orients the bags of the binarized, equalized,
+/// interpolated `set` as tuples, top-down from the sorted root bag,
+/// inserting a permutation node wherever the element an edge replaces is
+/// not at position 0. Each node's kind is recorded as its edges are
+/// emitted.
+fn orient(set: &TreeDecomposition) -> TupleTd {
+    // One node per set node, plus at most one permutation node per edge
+    // below a single-child node.
+    let single = set
+        .node_ids()
+        .filter(|&s| set.children(s).count() == 1)
+        .count();
+    let nodes = set.len() + single;
+    let mut td = TupleTd::with_capacity(nodes, nodes * (set.width() + 1));
+    let root = td.push(set.bag(set.root()).iter().copied(), TupleNodeKind::Leaf);
+    let mut tuple = Vec::new();
+    // (set node, emitted node carrying its tuple)
+    let mut stack: Vec<(NodeId, NodeId)> = vec![(set.root(), root)];
+    while let Some((s, emitted)) = stack.pop() {
+        let mut children = set.children(s);
+        match (children.next(), children.next()) {
+            (None, _) => {}
+            (Some(c), None) => {
+                let child = emit_edge(&mut td, emitted, set.bag(c), &mut tuple);
+                stack.push((c, child));
+            }
+            (Some(left), Some(right)) => {
+                td.set_kind(emitted, TupleNodeKind::Branch);
+                for c in [left, right] {
+                    debug_assert!(is_permutation(td.bag(emitted), set.bag(c)));
+                    let child = td.push_copy(emitted, TupleNodeKind::Leaf);
+                    td.attach(emitted, child);
+                    stack.push((c, child));
+                }
+            }
+        }
+    }
+    debug_assert_eq!(td.validate_normal_form(), Ok(()));
+    td
+}
+
+/// Emits the nodes for the edge from the emitted node `emitted` to a
+/// child whose bag, as a set, is `child_set`: an identical child if the
+/// sets agree, else possibly a permutation node bringing the leaving
+/// element to position 0, then the replacement child. Returns the child.
+/// `tuple` is a scratch buffer.
+fn emit_edge(
+    td: &mut TupleTd,
+    emitted: NodeId,
+    child_set: &[ElemId],
+    tuple: &mut Vec<ElemId>,
+) -> NodeId {
+    tuple.clear();
+    tuple.extend_from_slice(td.bag(emitted));
+    let mut attach = emitted;
+    let kind = match tuple.iter().position(|e| !child_set.contains(e)) {
+        None => TupleNodeKind::Permutation,
+        Some(at) => {
+            debug_assert_eq!(
+                tuple.iter().filter(|e| !child_set.contains(e)).count(),
+                1,
+                "interpolation left a multi-element edge"
+            );
+            let entering = *child_set
+                .iter()
+                .find(|e| !tuple.contains(e))
+                .expect("equal-size bags: one in, one out");
+            if at != 0 {
+                tuple[..=at].rotate_right(1);
+                attach = td.push(tuple.iter().copied(), TupleNodeKind::Leaf);
+                td.attach(emitted, attach);
+                td.set_kind(emitted, TupleNodeKind::Permutation);
+            }
+            tuple[0] = entering;
+            TupleNodeKind::ElementReplacement
+        }
+    };
+    let child = td.push(tuple.iter().copied(), TupleNodeKind::Leaf);
+    td.attach(attach, child);
+    td.set_kind(attach, kind);
+    child
+}
+
+/// Whether the tuple `b` lists the distinct elements of `a` in some order.
+fn is_permutation(a: &[ElemId], b: &[ElemId]) -> bool {
+    a.len() == b.len() && a.iter().all(|e| b.contains(e))
 }
 
 fn is_pos0_replacement(parent: &[ElemId], child: &[ElemId]) -> bool {
@@ -349,221 +377,6 @@ fn is_pos0_replacement(parent: &[ElemId], child: &[ElemId]) -> bool {
         && parent[1..] == child[1..]
         && parent[0] != child[0]
         && !child[1..].contains(&child[0])
-}
-
-/// Mutable set-form scratch tree used during normalization.
-struct Scratch {
-    bags: Vec<Vec<ElemId>>, // sorted sets
-    parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
-    root: usize,
-}
-
-impl Scratch {
-    fn from_parts(
-        bags: Vec<Vec<ElemId>>,
-        parent: Vec<Option<NodeId>>,
-        children: Vec<Vec<NodeId>>,
-        root: NodeId,
-    ) -> Self {
-        Self {
-            bags,
-            parent: parent.into_iter().map(|p| p.map(NodeId::index)).collect(),
-            children: children
-                .into_iter()
-                .map(|cs| cs.into_iter().map(NodeId::index).collect())
-                .collect(),
-            root: root.index(),
-        }
-    }
-
-    fn add_node(&mut self, bag: Vec<ElemId>, parent: Option<usize>) -> usize {
-        let id = self.bags.len();
-        self.bags.push(bag);
-        self.parent.push(parent);
-        self.children.push(Vec::new());
-        id
-    }
-
-    /// Replaces edge `parent -> child` with `parent -> mid -> child`.
-    fn splice(&mut self, parent: usize, child: usize, bag: Vec<ElemId>) -> usize {
-        let mid = self.add_node(bag, Some(parent));
-        let slot = self.children[parent]
-            .iter()
-            .position(|&c| c == child)
-            .expect("child edge exists");
-        self.children[parent][slot] = mid;
-        self.children[mid].push(child);
-        self.parent[child] = Some(mid);
-        mid
-    }
-
-    fn binarize(&mut self) {
-        let mut queue: Vec<usize> = (0..self.bags.len()).collect();
-        while let Some(s) = queue.pop() {
-            if self.children[s].len() <= 2 {
-                continue;
-            }
-            // Keep the first child; move the rest under a copy of s.
-            let mut rest = self.children[s].split_off(1);
-            let copy = self.add_node(self.bags[s].clone(), Some(s));
-            self.children[s].push(copy);
-            for &c in &rest {
-                self.parent[c] = Some(copy);
-            }
-            self.children[copy].append(&mut rest);
-            queue.push(copy);
-        }
-    }
-
-    fn equalize_branches(&mut self) {
-        for s in 0..self.bags.len() {
-            if self.children[s].len() != 2 {
-                continue;
-            }
-            let cs = self.children[s].clone();
-            for c in cs {
-                if self.bags[c] != self.bags[s] {
-                    self.splice(s, c, self.bags[s].clone());
-                }
-            }
-        }
-    }
-
-    fn interpolate(&mut self) {
-        let node_count = self.bags.len();
-        for s in 0..node_count {
-            for c in self.children[s].clone() {
-                self.interpolate_edge(s, c);
-            }
-        }
-    }
-
-    /// Inserts intermediate bags so that consecutive bags differ by at most
-    /// one element exchange. Bags all have size w+1, so
-    /// `|A_s ∖ A_c| = |A_c ∖ A_s| = k`; we swap one element per step.
-    fn interpolate_edge(&mut self, s: usize, c: usize) {
-        let out: Vec<ElemId> = self.bags[s]
-            .iter()
-            .copied()
-            .filter(|e| !self.bags[c].contains(e))
-            .collect();
-        let inn: Vec<ElemId> = self.bags[c]
-            .iter()
-            .copied()
-            .filter(|e| !self.bags[s].contains(e))
-            .collect();
-        debug_assert_eq!(out.len(), inn.len());
-        if out.len() <= 1 {
-            return;
-        }
-        let mut upper = s;
-        let mut current = self.bags[s].clone();
-        for i in 0..out.len() - 1 {
-            current.retain(|e| *e != out[i]);
-            current.push(inn[i]);
-            current.sort_unstable();
-            upper = self.splice(upper, c, current.clone());
-        }
-    }
-
-    /// Assigns tuples top-down and emits the final `TupleTd`, inserting
-    /// permutation nodes in front of element replacements.
-    fn into_tuple_td(self, w: usize) -> TupleTd {
-        let mut em = Emitter { nodes: Vec::new() };
-
-        // Root tuple: sorted order.
-        let root_tuple = self.bags[self.root].clone();
-        let root_id = em.add(root_tuple, None);
-
-        // DFS: (scratch node, emitted node carrying its tuple).
-        let mut stack: Vec<(usize, NodeId)> = vec![(self.root, root_id)];
-        while let Some((s, emitted)) = stack.pop() {
-            let kids = self.children[s].clone();
-            match kids.len() {
-                0 => {}
-                1 => {
-                    let c = kids[0];
-                    let child_id = em.emit_single_edge(emitted, &self.bags[c]);
-                    stack.push((c, child_id));
-                }
-                2 => {
-                    // Branch: children carry the parent's tuple verbatim.
-                    let parent_tuple = em.nodes[emitted.index()].bag.clone();
-                    for c in kids {
-                        debug_assert!(is_permutation(&parent_tuple, &self.bags[c]));
-                        let child_id = em.add(parent_tuple.clone(), Some(emitted));
-                        stack.push((c, child_id));
-                    }
-                }
-                n => unreachable!("binarized tree has ≤ 2 children, found {n}"),
-            }
-        }
-
-        let td = TupleTd {
-            nodes: em.nodes,
-            root: root_id,
-            width: w,
-        };
-        debug_assert_eq!(td.validate_normal_form(), Ok(()));
-        td
-    }
-}
-
-/// Builds the final tuple-form node arena.
-struct Emitter {
-    nodes: Vec<TupleNode>,
-}
-
-impl Emitter {
-    fn add(&mut self, bag: Vec<ElemId>, parent: Option<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(TupleNode {
-            bag,
-            children: Vec::new(),
-            parent,
-        });
-        if let Some(p) = parent {
-            self.nodes[p.index()].children.push(id);
-        }
-        id
-    }
-
-    /// Emits the nodes for a single-child edge from the already-emitted
-    /// `emitted` node to a child whose bag (as a set) is `child_set`:
-    /// possibly a permutation node bringing the leaving element to
-    /// position 0, then the replacement child. Returns the child node id.
-    fn emit_single_edge(&mut self, emitted: NodeId, child_set: &[ElemId]) -> NodeId {
-        let parent_tuple = self.nodes[emitted.index()].bag.clone();
-        let out: Vec<ElemId> = parent_tuple
-            .iter()
-            .copied()
-            .filter(|e| !child_set.contains(e))
-            .collect();
-        if out.is_empty() {
-            // Same set: child is a permutation (identity) of the parent.
-            return self.add(parent_tuple, Some(emitted));
-        }
-        debug_assert_eq!(out.len(), 1, "interpolation left a multi-element edge");
-        let leaving = out[0];
-        let entering = *child_set
-            .iter()
-            .find(|e| !parent_tuple.contains(e))
-            .expect("equal-size bags: one in, one out");
-        // Bring `leaving` to position 0 (inserting a permutation node if it
-        // is not already there), then replace position 0.
-        let (attach, attach_tuple) = if parent_tuple[0] == leaving {
-            (emitted, parent_tuple)
-        } else {
-            let mut permuted = vec![leaving];
-            permuted.extend(parent_tuple.iter().copied().filter(|&e| e != leaving));
-            let node = self.add(permuted.clone(), Some(emitted));
-            (node, permuted)
-        };
-        let mut child_tuple = attach_tuple;
-        child_tuple[0] = entering;
-        self.add(child_tuple, Some(attach))
-    }
 }
 
 #[cfg(test)]
@@ -595,7 +408,7 @@ mod tests {
         assert_eq!(norm.validate_normal_form(), Ok(()));
         assert_eq!(norm.width(), 2);
         for id in norm.node_ids() {
-            assert!(norm.node(id).children.len() <= 2);
+            assert!(norm.children(id).count() <= 2);
         }
     }
 

@@ -68,7 +68,7 @@ impl TreeDecomposition {
         // single connected subtree.
         let mut internal_edges = vec![0u32; n];
         for id in self.node_ids() {
-            if let Some(p) = self.node(id).parent {
+            if let Some(p) = self.parent(id) {
                 // Intersect the two sorted bags.
                 let (a, b) = (self.bag(id), self.bag(p));
                 let (mut i, mut j) = (0, 0);

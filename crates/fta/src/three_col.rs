@@ -155,7 +155,7 @@ pub fn encode_three_col(graph: &Graph, td: &NiceTd, table: &mut SymbolTable) -> 
                 vpos: bag.binary_search(&v).expect("introduced in bag") as u8,
             },
             NiceKind::Forget(v) => {
-                let child = td.children(id)[0];
+                let child = td.children(id).next().expect("one child");
                 let child_bag = td.bag(child);
                 ThreeColSym::Forget {
                     child_n: child_bag.len() as u8,

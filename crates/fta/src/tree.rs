@@ -34,7 +34,7 @@ impl ColoredTree {
             .node_ids()
             .map(|id| CtNode {
                 symbol: color(id),
-                children: td.children(id).iter().map(|c| c.0).collect(),
+                children: td.children(id).map(|c| c.0).collect(),
             })
             .collect();
         Self {

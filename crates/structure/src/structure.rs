@@ -1027,13 +1027,6 @@ impl Structure {
         &self.domain
     }
 
-    /// Mutable access to the domain (used by builders that extend the
-    /// universe, e.g. the τ_td encoding which adds tree nodes).
-    #[inline]
-    pub fn domain_mut(&mut self) -> &mut Domain {
-        &mut self.domain
-    }
-
     /// The relation interpreting `pred`.
     #[inline]
     pub fn relation(&self, pred: PredId) -> &Relation {

@@ -149,7 +149,7 @@ pub fn leaf_coverage_reference(nice: &NiceTd) -> (Vec<RefNode>, NodeId) {
         .node_ids()
         .map(|id| RefNode {
             bag: nice.bag(id).to_vec(),
-            children: nice.children(id).to_vec(),
+            children: nice.children(id).collect(),
             parent: nice.parent(id),
             kind: nice.kind(id),
         })
@@ -287,7 +287,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Introduce(v) => {
-                let child = td.children(node)[0];
+                let child = td.children(node).next().expect("one child");
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
                 for (r, g) in all_states(n - 1) {
                     let body_atom = intern(&mut atoms, child, r, g);
@@ -306,7 +306,7 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Forget(v) => {
-                let child = td.children(node)[0];
+                let child = td.children(node).next().expect("one child");
                 let vpos = td.bag(child).binary_search(&v).expect("forgotten in child");
                 let drop = |mask: u64| -> u64 {
                     let low = mask & ((1u64 << vpos) - 1);
@@ -320,8 +320,10 @@ pub fn ground_three_col_reference(graph: &Graph, td: &NiceTd) -> HornProgram {
                 }
             }
             NiceKind::Branch => {
-                let children = td.children(node);
-                let (c1, c2) = (children[0], children[1]);
+                let mut children = td.children(node);
+                let (Some(c1), Some(c2)) = (children.next(), children.next()) else {
+                    unreachable!("a branch node has two children")
+                };
                 for (r, g) in all_states(n) {
                     let b1 = intern(&mut atoms, c1, r, g);
                     let b2 = intern(&mut atoms, c2, r, g);

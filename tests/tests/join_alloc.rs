@@ -32,6 +32,12 @@
 //!   with 1000 FDs makes fewer allocations than one per hundred nice
 //!   nodes, with and without leaf coverage, and `encode_schema` on its
 //!   schema fewer than one per hundred domain elements.
+//! - Every decomposition keeps its bags in one arena and its links in one
+//!   vector: cloning that block-tree decomposition and
+//!   `PrimalityContext::for_decision` on it each make fewer allocations
+//!   than one per hundred nodes, and so does `TupleTd::from_td_with_width`
+//!   on the decomposition of the τ_td forest. `encode_tuple_td` on that
+//!   forest makes a constant number (at most 96), none per node.
 
 use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext};
 use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog, Update};
@@ -217,11 +223,45 @@ fn tau_td_forest_1500() -> (mdtw_datalog::Program, Structure) {
         &undirected,
     )
     .expect("width-1 compilation fits the limits");
+    let (s, td) = forest_1500();
+    let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
+    (compiled.program, encode_tuple_td(&s, &tuple_td).structure)
+}
+
+/// A seeded 1500-vertex random forest and its min-degree decomposition.
+fn forest_1500() -> (Structure, TreeDecomposition) {
     let g = random_forest(&mut SmallRng::seed_from_u64(23), 1500);
     let s = encode_graph(&g);
     let td = decompose(&s, Heuristic::MinDegree);
-    let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
-    (compiled.program, encode_tuple_td(&s, &tuple_td).structure)
+    (s, td)
+}
+
+/// The Theorem 4.5 front end allocates nothing per node: on the forest
+/// of the τ_td guards, `TupleTd::from_td_with_width` makes fewer
+/// allocations than one per hundred tuple nodes, because the normal form
+/// writes its bags into one arena and records each node's kind as it
+/// builds it. `encode_tuple_td` makes at most 96 allocations for over
+/// 4000 nodes: it presizes every relation and reuses one tuple buffer, so
+/// what remains is a constant per relation and per predicate name (76
+/// allocations: four per relation, 25 to extend the signature, the rest
+/// to clone and grow the domain).
+#[test]
+fn tuple_normal_form_and_encoding_allocate_nothing_per_node() {
+    let (s, td) = forest_1500();
+    let (tuple_td, allocs) =
+        allocations(|| TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap());
+    let nodes = tuple_td.len();
+    assert!(nodes > 4_000, "{nodes} tuple nodes");
+    assert!(
+        allocs < nodes / 100,
+        "{allocs} allocations to normalize into {nodes} tuple nodes"
+    );
+    let (enc, allocs) = allocations(|| encode_tuple_td(&s, &tuple_td));
+    assert_eq!(enc.node_elem.len(), nodes);
+    assert!(
+        allocs <= 96,
+        "{allocs} allocations to encode {nodes} tuple nodes"
+    );
 }
 
 #[test]
@@ -360,6 +400,32 @@ fn warm_primality_passes_allocate_nothing_per_node() {
     assert!(
         allocs < nodes / 100,
         "{allocs} allocations for enumerate_primes over {nodes} nodes"
+    );
+}
+
+/// Preparing a PRIMALITY decision allocates nothing per node: on the
+/// block-tree schema with 1000 FDs, cloning the decomposition and
+/// `PrimalityContext::for_decision` (reroot, augment, nice conversion,
+/// bag compilation) each make fewer allocations than one per hundred
+/// nodes, because every tree keeps its bags in one arena and its links in
+/// one vector.
+#[test]
+fn primality_decision_setup_allocates_nothing_per_node() {
+    let inst = block_tree_instance(1000);
+    let (td, allocs) = allocations(|| inst.td.clone());
+    let nodes = td.len();
+    assert!(nodes > 2_000, "{nodes} decomposition nodes");
+    assert!(
+        allocs < nodes / 100,
+        "{allocs} allocations to clone {nodes} decomposition nodes"
+    );
+    let target = inst.expected_primes[0];
+    let (ctx, allocs) = allocations(|| PrimalityContext::for_decision(inst.encoding, td, target));
+    let nodes = ctx.nice.len();
+    assert!(nodes > 8_000, "{nodes} nice nodes");
+    assert!(
+        allocs < nodes / 100,
+        "{allocs} allocations for for_decision over {nodes} nice nodes"
     );
 }
 

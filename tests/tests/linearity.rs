@@ -4,7 +4,9 @@
 //! node, and the join work per derived fact of the indexed engine on
 //! τ_td, must stay bounded as instances grow.
 
-use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext, ThreeColSolver};
+use mdtw_core::{
+    enumerate_primes, ground_three_col, prime_attributes_fpt, PrimalityContext, ThreeColSolver,
+};
 use mdtw_datalog::{Engine, EvalOptions, Evaluator};
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, NiceOptions, NiceTd, TupleTd};
 use mdtw_graph::{encode_graph, graph_signature, partial_k_tree, wheel, Graph};
@@ -86,6 +88,28 @@ fn elimination_heuristics_decompose_ten_thousand_vertices() {
 }
 
 #[test]
+fn tuple_normal_form_of_a_wide_star_is_linear() {
+    // Min-degree eliminates a star's leaves first, so its decomposition is
+    // a star too: one hub bag with about 50 000 children. Binarizing it by
+    // re-parenting the remaining children once per added copy takes 16 s
+    // in a release build (2-vCPU VM); moving each child once takes
+    // milliseconds. No clock is read: a quadratic regression shows as a
+    // test run that does not finish.
+    let leaves = 50_000;
+    let mut g = Graph::new(leaves + 1);
+    for v in 1..=leaves as u32 {
+        g.add_edge(0, v);
+    }
+    let s = encode_graph(&g);
+    let td = decompose(&s, Heuristic::MinDegree);
+    let widest = td.node_ids().map(|n| td.children(n).count()).max();
+    assert!(widest >= Some(leaves - 2), "{widest:?} children");
+    let tuple = TupleTd::from_td(&td, s.domain().len()).unwrap();
+    assert_eq!(tuple.to_set_td().validate(&s), Ok(()));
+    assert_eq!(tuple.width(), 1);
+}
+
+#[test]
 fn ground_program_size_is_linear_with_larger_constant() {
     // The fully materialized monadic program is also linear in the data —
     // but §6 optimization (1) predicts the DP reaches fewer facts.
@@ -136,6 +160,11 @@ fn enumeration_scales_linearly_to_twenty_thousand_fds() {
                 .map(|&a| ctx.encoding.elem_of_attr(a))
                 .collect();
             assert_eq!(primes, expected, "{fds} FDs");
+            if fds == 20_000 {
+                // The public entry point (encode, min-fill, enumerate) at
+                // scale.
+                assert_eq!(prime_attributes_fpt(&inst.schema), inst.expected_primes);
+            }
             (stats.up_facts + stats.down_facts) as f64 / stats.nodes as f64
         })
         .collect();

@@ -24,7 +24,7 @@ fn induced_subtree(structure: &Structure, td: &TupleTd, s: NodeId) -> (Structure
         for &e in td.bag(node) {
             live[e.index()] = true;
         }
-        stack.extend(td.node(node).children.iter().copied());
+        stack.extend(td.children(node));
     }
     let view = structure.induced(&|e: ElemId| live[e.index()]);
     let (owned, map) = view.materialize();
@@ -61,8 +61,8 @@ fn check_lemma_3_5(structure: &Structure, td: &TupleTd, k: usize) {
             }
             match td.kind(s) {
                 TupleNodeKind::Permutation | TupleNodeKind::ElementReplacement => {
-                    let cs = td.node(s).children[0];
-                    let ct = td.node(t).children[0];
+                    let cs = td.children(s).next().expect("one child");
+                    let ct = td.children(t).next().expect("one child");
                     // Premises: equivalent child subtrees, identical
                     // relative bag arrangement (we require the full
                     // two-bag diagram to coincide).
@@ -102,8 +102,12 @@ fn check_lemma_3_5(structure: &Structure, td: &TupleTd, k: usize) {
                     );
                 }
                 TupleNodeKind::Branch => {
-                    let (s1, s2) = (td.node(s).children[0], td.node(s).children[1]);
-                    let (t1, t2) = (td.node(t).children[0], td.node(t).children[1]);
+                    let (mut sc, mut tc) = (td.children(s), td.children(t));
+                    let (Some(s1), Some(s2), Some(t1), Some(t2)) =
+                        (sc.next(), sc.next(), tc.next(), tc.next())
+                    else {
+                        unreachable!("branch nodes have two children")
+                    };
                     let matched = (types[s1.index()] == types[t1.index()]
                         && types[s2.index()] == types[t2.index()])
                         || (types[s1.index()] == types[t2.index()]
@@ -147,10 +151,7 @@ fn leaf_types_are_determined_by_bag_diagram() {
     let tuple_td = TupleTd::from_td(&td, s.domain().len()).unwrap();
     let mut ti = TypeInterner::new();
     let types = subtree_types(&s, &tuple_td, &mut ti, 1);
-    let leaves: Vec<NodeId> = tuple_td
-        .node_ids()
-        .filter(|&n| tuple_td.node(n).children.is_empty())
-        .collect();
+    let leaves = tuple_td.leaves();
     for &a in &leaves {
         for &b in &leaves {
             if s.bags_equivalent(tuple_td.bag(a), &s, tuple_td.bag(b)) {
