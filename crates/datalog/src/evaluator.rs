@@ -73,9 +73,10 @@ pub enum Engine {
     /// store, the textbook rule split. Multi-stratum programs run the bottom-up stratified
     /// pipeline over the same engine.
     SemiNaiveIndexed,
-    /// The linear-time quasi-guarded pipeline of Theorem 4.4 (ground to
-    /// propositional Horn, solve with LTUR). Requires an attached
-    /// [`FdCatalog`]; semipositive programs only.
+    /// The linear-time quasi-guarded pipeline of Theorem 4.4 (ground into
+    /// skeleton instances, solve them with LTUR without expanding them
+    /// into propositional Horn rules). Requires an attached [`FdCatalog`];
+    /// semipositive programs only.
     QuasiGuarded,
 }
 

@@ -13,8 +13,10 @@
 //! Evaluation follows the proof of Theorem 4.4: instantiate each rule once
 //! per guard tuple (≤ |𝒜| instantiations), resolve the remaining variables
 //! through unique-index lookups, check the residual extensional literals,
-//! and hand the resulting ground program `P′` (of size `O(|P|·|𝒜|)`) to
-//! the LTUR solver of the [`horn`](mod@crate::horn) module.
+//! and solve the resulting ground program `P′` (of size `O(|P|·|𝒜|)`) with
+//! the counter-based LTUR algorithm of the [`horn`](mod@crate::horn)
+//! module. [`ground`] expands `P′` into a [`HornProgram`]; an evaluation
+//! session solves it without expanding it (see below).
 //!
 //! # Skeleton groups
 //!
@@ -33,8 +35,38 @@
 //! The `O(|P|·|𝒜|)` bound is unchanged: a group has at most `|𝒜|` guard
 //! tuples and emits at most one ground rule per member and guard tuple.
 //! But the extensional part now costs `O(#groups·|𝒜|)` instead of
-//! `O(|P|·|𝒜|)`; only the emission of `P′` itself still scales with the
-//! rule count.
+//! `O(|P|·|𝒜|)`; only `P′` itself still scales with the rule count.
+//!
+//! # Solving instances, not rules
+//!
+//! A successful (group, guard tuple) pair is an *instance*: its ground
+//! rules are the group's members with every intensional atom replaced by
+//! the atom id the instance binds it to. Since the members differ only in
+//! their intensional atoms, an instance is fully described by its group
+//! and the ids of the group's distinct intensional atoms, its *slots*, in
+//! the order they first occur in the members. A `has_neighbor` branch
+//! instance binds 48 distinct atoms but expands to 128 rules with 256
+//! body cells, so grounding records the instance — group id and atom ids
+//! — and never writes the expanded rules.
+//!
+//! LTUR runs over the instances directly. Each group carries a solve
+//! template, built once when the session compiles its plan: per slot, the
+//! members whose bodies contain it (once per occurrence), and the members
+//! with an empty intensional body; each member gives its head slot and
+//! intensional body length. The solver keeps one counter per (instance, member),
+//! that is one per ground rule, and one watch list per atom of (instance,
+//! slot) pairs, at most one per atom cell of the instances. Deriving an
+//! atom walks its watchers and, through the template, the members watching
+//! that slot: every counter is decremented once per body occurrence,
+//! exactly as the expanded program's would be. The work is therefore
+//! `O(|P′|)` and the whole evaluation `O(|P|·|𝒜|)`, while the ground
+//! program is stored in `O(#instances · #slots)` cells instead of
+//! `O(|P′|)`.
+//!
+//! [`ground`] expands the same instances, member by member, into the
+//! [`HornProgram`] `P′` with the atom ids and rule order a rule-by-rule
+//! emission would give. It is Theorem 4.4's artifact and the test oracle
+//! the instance solver is checked against.
 
 use crate::ast::{Atom, IdbId, Literal, PredRef, Program, Term};
 use crate::eval::IdbStore;
@@ -209,6 +241,56 @@ struct Member {
     body: Box<[u32]>,
 }
 
+/// The index LTUR needs, besides the members themselves, to solve a
+/// skeleton group's members over one instance without expanding them (see
+/// the [module docs](self)). Slots and members are indexes into
+/// [`Skeleton::atoms`] and [`Skeleton::members`].
+#[derive(Debug, Default)]
+struct Template {
+    /// The members watching slot `s` are
+    /// `watchers[watch_start[s]..watch_start[s + 1]]`.
+    watch_start: Vec<u32>,
+    /// Members by body slot, once per occurrence (so `h ← a, a` watches
+    /// `a` twice).
+    watchers: Vec<u32>,
+    /// The members with an empty intensional body: one fact per instance.
+    facts: Vec<u32>,
+}
+
+impl Template {
+    fn new(slots: usize, members: &[Member]) -> Self {
+        let mut watch_start = vec![0u32; slots + 1];
+        for &slot in members.iter().flat_map(|m| m.body.iter()) {
+            watch_start[slot as usize + 1] += 1;
+        }
+        for s in 0..slots {
+            watch_start[s + 1] += watch_start[s];
+        }
+        let mut fill = watch_start.clone();
+        let mut watchers = vec![0u32; watch_start[slots] as usize];
+        for (mi, member) in members.iter().enumerate() {
+            for &slot in &member.body {
+                let at = &mut fill[slot as usize];
+                watchers[*at as usize] = mi as u32;
+                *at += 1;
+            }
+        }
+        Self {
+            watch_start,
+            watchers,
+            facts: (0..members.len() as u32)
+                .filter(|&mi| members[mi as usize].body.is_empty())
+                .collect(),
+        }
+    }
+
+    /// The members watching `slot`.
+    #[inline]
+    fn watchers(&self, slot: usize) -> &[u32] {
+        &self.watchers[self.watch_start[slot] as usize..self.watch_start[slot + 1] as usize]
+    }
+}
+
 /// Rules sharing one extensional skeleton, with the skeleton's grounding
 /// plan.
 #[derive(Debug)]
@@ -226,6 +308,7 @@ struct Skeleton {
     /// most once per guard tuple, however many members share it.
     atoms: Vec<IdbAtom>,
     members: Vec<Member>,
+    template: Template,
 }
 
 /// The compiled quasi-guarded grounding plan of a program: its rules
@@ -313,6 +396,9 @@ impl QgPlan {
             };
             skeleton.members.push(member);
         }
+        for group in &mut plan.groups {
+            group.template = Template::new(group.atoms.len(), &group.members);
+        }
         Ok(plan)
     }
 
@@ -351,46 +437,53 @@ impl QgPlan {
             residual,
             atoms: Vec::new(),
             members: Vec::new(),
+            template: Template::default(),
         })
     }
 
     /// Grounds the program over `structure` (the construction in the proof
-    /// of Theorem 4.4, one skeleton group at a time). The guard loop is the
-    /// pipeline's only data-proportional loop, so it carries the work
-    /// checkpoints (one unit per group and guard tuple). On a trip the
-    /// grounding is *incomplete* — the caller must not solve it for a
-    /// model (an incomplete grounding under-constrains nothing but proves
-    /// nothing).
+    /// of Theorem 4.4, one skeleton group at a time) into instances. The
+    /// guard loop is the pipeline's only data-proportional loop, so it
+    /// carries the work checkpoints (one unit per group and guard tuple).
+    /// On a trip the grounding is *incomplete* — the caller must not solve
+    /// it for a model (an incomplete grounding under-constrains nothing but
+    /// proves nothing).
     ///
     /// # Errors
     /// [`QgError::FdViolated`] if the data violates a dependency a lookup
     /// relies on.
-    fn ground(&self, structure: &Structure, gov: &mut Governor<'_>) -> Result<Grounding, QgError> {
+    fn instantiate(
+        &self,
+        structure: &Structure,
+        gov: &mut Governor<'_>,
+    ) -> Result<Instances, QgError> {
         let indexes = self
             .unique_keys
             .iter()
             .map(|(pred, determinant)| unique_index(structure, *pred, determinant))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut atoms = AtomTable::new(&self.idb_arities);
-        let mut horn = HornProgram::default();
-        let mut stats = QgStats::default();
+        let mut out = Instances {
+            atoms: AtomTable::new(&self.idb_arities),
+            instances: Vec::new(),
+            cells: Vec::new(),
+            stats: QgStats::default(),
+        };
         let mut bindings: Vec<Option<ElemId>> = Vec::new();
         let mut args: Vec<ElemId> = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        'groups: for group in &self.groups {
+        'groups: for (gid, group) in self.groups.iter().enumerate() {
             bindings.clear();
             bindings.resize(group.var_count, None);
             let Some(gi) = group.guard else {
-                stats.guard_instantiations += 1;
+                out.stats.guard_instantiations += 1;
                 if group.residual_holds(structure, &bindings, &mut args) {
-                    group.emit(&bindings, &mut atoms, &mut horn, &mut args, &mut ids);
+                    out.record(gid, group, &bindings, &mut args);
                 }
                 continue;
             };
             let guard = &group.edb[gi].atom.terms;
             for tuple in structure.relation(edb_pred(&group.edb[gi])).iter() {
-                stats.guard_instantiations += 1;
-                if gov.work(stats.guard_instantiations, 0) {
+                out.stats.guard_instantiations += 1;
+                if gov.work(out.stats.guard_instantiations, 0) {
                     break 'groups;
                 }
                 bindings.fill(None);
@@ -398,42 +491,41 @@ impl QgPlan {
                     && group.resolve(structure, &indexes, &mut bindings, &mut args)
                     && group.residual_holds(structure, &bindings, &mut args)
                 {
-                    group.emit(&bindings, &mut atoms, &mut horn, &mut args, &mut ids);
+                    out.record(gid, group, &bindings, &mut args);
                 }
             }
         }
-        horn.n_atoms = atoms.len as usize;
-        stats.ground_atoms = horn.n_atoms;
-        stats.ground_rules = horn.rule_count();
-        Ok(Grounding { horn, atoms, stats })
+        out.stats.ground_atoms = out.atoms.len as usize;
+        Ok(out)
     }
 
-    /// Full quasi-guarded evaluation: ground, run LTUR, decode into an
-    /// [`IdbStore`] shaped for `program` (the program this plan was
-    /// compiled from). Runs in `O(|P| · |𝒜|)` (Theorem 4.4). On a governor
-    /// trip the grounding is incomplete, so the LTUR solve is *skipped* — a
-    /// least model of a partial grounding is not a subset of the real one
-    /// — and an empty store is returned; the caller reads the trip off the
-    /// governor and reports no partial result.
+    /// Full quasi-guarded evaluation: ground into instances, solve them
+    /// with LTUR, decode into an [`IdbStore`] shaped for `program` (the
+    /// program this plan was compiled from). Runs in `O(|P| · |𝒜|)`
+    /// (Theorem 4.4). On a governor trip the grounding is incomplete, so
+    /// the solve is *skipped* — a least model of a partial grounding is not
+    /// a subset of the real one — and an empty store is returned; the
+    /// caller reads the trip off the governor and reports no partial
+    /// result.
     pub(crate) fn evaluate(
         &self,
         program: &Program,
         structure: &Structure,
         gov: &mut Governor<'_>,
     ) -> Result<(IdbStore, QgStats), QgError> {
-        let grounding = self.ground(structure, gov)?;
+        let instances = self.instantiate(structure, gov)?;
         // Stage checkpoint at the grounding → solve boundary: guarantees
         // every governed QG run passes at least one checkpoint, however
         // small the structure (the amortized work checks inside the
         // grounding loop only fire every few thousand guard
         // instantiations).
-        gov.round(grounding.stats.guard_instantiations, 0);
+        gov.round(instances.stats.guard_instantiations, 0);
         let mut store = IdbStore::new_for(program);
         if gov.tripped().is_some() {
-            return Ok((store, grounding.stats));
+            return Ok((store, instances.stats));
         }
-        let model = grounding.horn.least_model();
-        let atoms = &grounding.atoms;
+        let model = instances.least_model(&self.groups);
+        let atoms = &instances.atoms;
         for (p, (rel, ids)) in atoms.rels.iter().zip(&atoms.ids).enumerate() {
             for (tuple, &id) in rel.iter().zip(ids) {
                 if model[id as usize] {
@@ -441,7 +533,7 @@ impl QgPlan {
                 }
             }
         }
-        Ok((store, grounding.stats))
+        Ok((store, instances.stats))
     }
 }
 
@@ -566,30 +658,158 @@ impl Skeleton {
             structure.holds(edb_pred(&self.edb[i]), args) == *positive
         })
     }
+}
 
-    /// Pushes one ground rule per member under `bindings` straight into
-    /// `horn`'s arena (`ids` caches the atom id of each of
-    /// [`Skeleton::atoms`] for this instantiation).
-    fn emit(
-        &self,
+/// One successful (group, guard tuple) pair: its ground rules are the
+/// group's members over the atom ids in `cells[cells..cells + #slots]`.
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    /// Index into [`QgPlan::groups`].
+    group: u32,
+    /// Where the instance's atom ids start in [`Instances::cells`].
+    cells: u32,
+    /// Where the instance's member counters start: the number of ground
+    /// rules of the instances before it.
+    counters: u32,
+}
+
+/// The ground program `P′` in instance form (see the [module
+/// docs](self)): the atom interner, the successful instances in grounding
+/// order, and every instance's atom ids back to back in slot order.
+#[derive(Debug)]
+struct Instances {
+    atoms: AtomTable,
+    instances: Vec<Instance>,
+    cells: Vec<u32>,
+    stats: QgStats,
+}
+
+impl Instances {
+    /// Records the instance of `group` (number `gid`) under `bindings`:
+    /// interns the group's atoms in slot order (`args` is scratch space).
+    fn record(
+        &mut self,
+        gid: usize,
+        group: &Skeleton,
         bindings: &[Option<ElemId>],
-        table: &mut AtomTable,
-        horn: &mut HornProgram,
         args: &mut Vec<ElemId>,
-        ids: &mut Vec<u32>,
     ) {
-        ids.clear();
-        ids.resize(self.atoms.len(), u32::MAX);
-        let mut id = |i: u32| {
-            let slot = &mut ids[i as usize];
-            if *slot == u32::MAX {
-                *slot = table.intern(&self.atoms[i as usize], bindings, args);
-            }
-            *slot
-        };
-        for member in &self.members {
-            horn.push(id(member.head), member.body.iter().map(|&i| id(i)));
+        let (cells, counters) = (self.cells.len(), self.stats.ground_rules);
+        for atom in &group.atoms {
+            let id = self.atoms.intern(atom, bindings, args);
+            self.cells.push(id);
         }
+        self.stats.ground_rules += group.members.len();
+        let end = self.cells.len().max(self.stats.ground_rules);
+        assert!(
+            u32::try_from(end).is_ok(),
+            "a grounding has fewer than 2^32 atom cells and ground rules"
+        );
+        self.instances.push(Instance {
+            group: gid as u32,
+            cells: cells as u32,
+            counters: counters as u32,
+        });
+    }
+
+    /// The instances of `groups` (the plan's groups) with their cells.
+    fn iter<'a>(
+        &'a self,
+        groups: &'a [Skeleton],
+    ) -> impl Iterator<Item = (&'a Skeleton, &'a [u32])> + 'a {
+        self.instances.iter().map(move |inst| {
+            let group = &groups[inst.group as usize];
+            let start = inst.cells as usize;
+            (group, &self.cells[start..start + group.atoms.len()])
+        })
+    }
+
+    /// Expands every instance, member by member, into the Horn program
+    /// `P′`: the rules a rule-by-rule grounding would push, in the same
+    /// order and over the same atom ids.
+    fn expand(&self, groups: &[Skeleton]) -> HornProgram {
+        let mut horn = HornProgram::new(self.atoms.len as usize);
+        for (group, cells) in self.iter(groups) {
+            for member in &group.members {
+                horn.push(
+                    cells[member.head as usize],
+                    member.body.iter().map(|&slot| cells[slot as usize]),
+                );
+            }
+        }
+        horn
+    }
+
+    /// The least model of `P′` by LTUR over the instances, one boolean per
+    /// atom id. Agrees with `self.expand(groups).least_model()` in
+    /// `O(|P′|)` time without building the expanded program.
+    fn least_model(&self, groups: &[Skeleton]) -> Vec<bool> {
+        let n = self.atoms.len as usize;
+        // One counter per (instance, member): the unsatisfied body atoms.
+        let mut counter = Vec::with_capacity(self.stats.ground_rules);
+        // wstart[a] counts the watched cells holding atom a; prefix-summed,
+        // it is where a's watch segment ends.
+        let mut wstart = vec![0u32; n + 1];
+        for (group, cells) in self.iter(groups) {
+            counter.extend(group.members.iter().map(|m| m.body.len() as u32));
+            for (slot, &a) in cells.iter().enumerate() {
+                if !group.template.watchers(slot).is_empty() {
+                    wstart[a as usize] += 1;
+                }
+            }
+        }
+        let mut total = 0u32;
+        for w in &mut wstart[..n] {
+            total += *w;
+            *w = total;
+        }
+        wstart[n] = total;
+        // Fill each segment from its end with (instance, slot) pairs;
+        // afterwards wstart[a] is where a's segment starts.
+        let mut watch = vec![(0u32, 0u32); total as usize];
+        for (i, (group, cells)) in self.iter(groups).enumerate() {
+            for (slot, &a) in cells.iter().enumerate() {
+                if !group.template.watchers(slot).is_empty() {
+                    let w = &mut wstart[a as usize];
+                    *w -= 1;
+                    watch[*w as usize] = (i as u32, slot as u32);
+                }
+            }
+        }
+        let mut truth = vec![false; n];
+        // Every atom enters the queue at most once.
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        let derive = |a: u32, truth: &mut [bool], queue: &mut Vec<u32>| {
+            if !std::mem::replace(&mut truth[a as usize], true) {
+                queue.push(a);
+            }
+        };
+        for (group, cells) in self.iter(groups) {
+            for &m in &group.template.facts {
+                let head = group.members[m as usize].head;
+                derive(cells[head as usize], &mut truth, &mut queue);
+            }
+        }
+        while let Some(a) = queue.pop() {
+            let a = a as usize;
+            for &(i, slot) in &watch[wstart[a] as usize..wstart[a + 1] as usize] {
+                let inst = self.instances[i as usize];
+                let group = &groups[inst.group as usize];
+                for &m in group.template.watchers(slot as usize) {
+                    let c = &mut counter[(inst.counters + m) as usize];
+                    *c -= 1;
+                    if *c == 0 {
+                        let head = group.members[m as usize].head;
+                        derive(
+                            self.cells[(inst.cells + head) as usize],
+                            &mut truth,
+                            &mut queue,
+                        );
+                    }
+                }
+            }
+        }
+        truth
     }
 }
 
@@ -652,13 +872,20 @@ fn unique_index(
     Ok(idx)
 }
 
-/// The ground program plus the atom interner used to decode the model.
+/// The expanded ground program `P′` of Theorem 4.4 plus the atom
+/// interner used to decode its model.
+///
+/// This is the artifact the theorem's proof builds, and the oracle the
+/// evaluation session is tested against: a session grounds into the same
+/// instances but solves them without expanding them (see the [module
+/// docs](self)), and its store is the decoded least model of
+/// [`horn`](Self::horn).
 #[derive(Debug)]
 pub struct Grounding {
     /// The propositional Horn program `P′`, one rule per member and
-    /// successful guard instantiation, stored flat: the heads, the body
-    /// end offsets and one arena of every body's atom ids, each grown by
-    /// doubling as rules are pushed (no allocation per ground rule).
+    /// successful guard instantiation, in grounding order, stored flat:
+    /// the heads, the body end offsets and one arena of every body's atom
+    /// ids.
     pub horn: HornProgram,
     /// Ground atom interner.
     atoms: AtomTable,
@@ -678,10 +905,14 @@ impl Grounding {
     }
 }
 
-/// Grounds a quasi-guarded program over a structure (the construction in
-/// the proof of Theorem 4.4). A one-shot entry point: it compiles the
-/// `QgPlan` an [`Evaluator`](crate::evaluator::Evaluator) session would
-/// build once, and grounds with it.
+/// Grounds a quasi-guarded program over a structure and expands the
+/// result into the Horn program `P′` (the construction in the proof of
+/// Theorem 4.4). A one-shot entry point: it compiles the plan an
+/// [`Evaluator`](crate::evaluator::Evaluator) session would build once,
+/// grounds with it into the same instances the session solves, and
+/// expands them member by member. The session never builds this
+/// program; it is the theorem's artifact and the oracle the session's
+/// instance solver is tested against.
 ///
 /// # Errors
 /// [`QgError::NotSemipositive`] if the program negates an intensional
@@ -692,7 +923,13 @@ pub fn ground(
     structure: &Structure,
     catalog: &FdCatalog,
 ) -> Result<Grounding, QgError> {
-    QgPlan::compile(program, catalog)?.ground(structure, &mut Governor::new(None))
+    let plan = QgPlan::compile(program, catalog)?;
+    let instances = plan.instantiate(structure, &mut Governor::new(None))?;
+    Ok(Grounding {
+        horn: instances.expand(&plan.groups),
+        stats: instances.stats,
+        atoms: instances.atoms,
+    })
 }
 
 #[cfg(test)]

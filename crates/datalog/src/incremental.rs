@@ -311,6 +311,14 @@ impl MaterializedView {
         let idb_arities = &self.strata.program().idb_arities;
         for k in 0..self.strata.stratification().stratum_count() {
             let st0 = Instant::now();
+            // Each phase's nanoseconds since the previous phase ended.
+            let mut phase_end = st0;
+            let mut lap = || {
+                let now = Instant::now();
+                let nanos = now.duration_since(phase_end).as_nanos() as u64;
+                phase_end = now;
+                nanos
+            };
             let sub = self.strata.sub(k);
 
             // Phase 1 — overdelete: every stored fact some rule derives
@@ -331,6 +339,7 @@ impl MaterializedView {
             if let Some(kind) = gov.tripped() {
                 return Some(kind);
             }
+            let overdelete_nanos = lap();
 
             // Phase 2 — physically remove the overdeleted facts.
             for (i, o) in over.iter().enumerate() {
@@ -340,6 +349,7 @@ impl MaterializedView {
                     debug_assert!(removed, "overdeletion only removes stored facts");
                 }
             }
+            let remove_nanos = lap();
 
             // Phase 3 — re-derive survivors: an overdeleted fact with an
             // alternative derivation in the post state (extensional atoms
@@ -363,6 +373,7 @@ impl MaterializedView {
             if let Some(kind) = gov.tripped() {
                 return Some(kind);
             }
+            let rederive_nanos = lap();
 
             // Phase 4 — the insertion frontier: rules fire once per
             // changed extensional literal reading the changed tuples, the
@@ -387,6 +398,7 @@ impl MaterializedView {
             if let Some(kind) = gov.tripped() {
                 return Some(kind);
             }
+            let insert_nanos = lap();
 
             // Phase 5 — net the stratum out: a fact overdeleted and not
             // re-added is a net deletion, a fact added and not
@@ -396,6 +408,10 @@ impl MaterializedView {
             // ever see of this one.
             let mut sp = UpdateStratumProfile {
                 stratum: k,
+                overdelete_nanos,
+                remove_nanos,
+                rederive_nanos,
+                insert_nanos,
                 ..Default::default()
             };
             let ext_pred = self.strata.ext_pred();
@@ -424,6 +440,7 @@ impl MaterializedView {
                     }
                 }
             }
+            sp.net_nanos = lap();
             sp.nanos = st0.elapsed().as_nanos() as u64;
             profile.overdeleted += sp.overdeleted;
             profile.rederived += sp.rederived;
@@ -779,7 +796,41 @@ mod tests {
         assert_eq!(prof.strata.len(), 1);
         let json = prof.to_json().render();
         assert!(json.contains("\"base_inserted\":1"), "{json}");
+        for phase in ["overdelete", "remove", "rederive", "insert", "net"] {
+            assert!(json.contains(&format!("\"{phase}_nanos\":")), "{json}");
+        }
         assert!(json.contains("\"fell_back\":null"), "{json}");
         assert_matches_scratch(&view, "mixed batch");
+    }
+
+    #[test]
+    fn phase_times_sum_to_at_most_the_stratum_time() {
+        let s = chain(40);
+        let e = s.signature().lookup("e").unwrap();
+        let p = parse_program(UNREACH, &s).unwrap();
+        let mut view = Evaluator::new(p).unwrap().materialize(&s).unwrap();
+        for i in 0..6u32 {
+            let edge = [ElemId(5 * i), ElemId(5 * i + 1)];
+            let prof = view.apply(&Update::new().retract(e, &edge));
+            assert!(prof.strata.len() > 1, "the cut crosses the negation");
+            for sp in &prof.strata {
+                let phases = [
+                    sp.overdelete_nanos,
+                    sp.remove_nanos,
+                    sp.rederive_nanos,
+                    sp.insert_nanos,
+                    sp.net_nanos,
+                ];
+                assert!(
+                    phases.iter().sum::<u64>() <= sp.nanos,
+                    "stratum {}: phases {phases:?} exceed {} ns",
+                    sp.stratum,
+                    sp.nanos
+                );
+                assert!(sp.nanos <= prof.total_nanos);
+            }
+            view.apply(&Update::new().insert(e, &edge));
+            assert_matches_scratch(&view, "cut and heal");
+        }
     }
 }

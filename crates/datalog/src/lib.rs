@@ -53,7 +53,9 @@
 //!   analysis with declared functional dependencies, grounding in
 //!   `O(|P|·|𝒜|)`, and the linear-time evaluation of Theorem 4.4;
 //! * [`horn`] — the LTUR/Dowling–Gallier linear-time propositional Horn
-//!   solver the grounding is handed to;
+//!   solver of expanded ground programs, such as the one [`ground()`]
+//!   returns (evaluation sessions run the same counter algorithm over the
+//!   grounding's skeleton instances);
 //! * [`span`](mod@crate::span) — byte-span + line/column source
 //!   locations, carried by every [`ParseError`];
 //! * [`profile`](mod@crate::profile) — the observability layer: a

@@ -822,6 +822,22 @@ pub struct UpdateStratumProfile {
     pub deleted: usize,
     /// Wall-clock nanoseconds spent maintaining this stratum.
     pub nanos: u64,
+    /// Nanoseconds of the overdeletion phase: finding every stored fact
+    /// some rule derives from a changed tuple.
+    pub overdelete_nanos: u64,
+    /// Nanoseconds spent removing the overdeleted facts from the store.
+    pub remove_nanos: u64,
+    /// Nanoseconds of the re-derivation phase: seeding back overdeleted
+    /// facts with an alternative derivation.
+    pub rederive_nanos: u64,
+    /// Nanoseconds of the insertion phase: the frontier of the changed
+    /// tuples and the delta rounds to fixpoint.
+    pub insert_nanos: u64,
+    /// Nanoseconds spent netting the stratum out: classifying its facts
+    /// as rederived, deleted or inserted and passing the net change up.
+    /// The five phases run back to back inside [`nanos`](Self::nanos),
+    /// so they sum to at most it.
+    pub net_nanos: u64,
 }
 
 /// What one [`MaterializedView::apply`](crate::incremental::MaterializedView::apply)
@@ -882,6 +898,14 @@ impl UpdateProfile {
                                 ("inserted".into(), Json::Num(s.inserted as f64)),
                                 ("deleted".into(), Json::Num(s.deleted as f64)),
                                 ("nanos".into(), Json::Num(s.nanos as f64)),
+                                (
+                                    "overdelete_nanos".into(),
+                                    Json::Num(s.overdelete_nanos as f64),
+                                ),
+                                ("remove_nanos".into(), Json::Num(s.remove_nanos as f64)),
+                                ("rederive_nanos".into(), Json::Num(s.rederive_nanos as f64)),
+                                ("insert_nanos".into(), Json::Num(s.insert_nanos as f64)),
+                                ("net_nanos".into(), Json::Num(s.net_nanos as f64)),
                             ])
                         })
                         .collect(),

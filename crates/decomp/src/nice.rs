@@ -135,8 +135,9 @@ impl NiceTd {
         options: NiceOptions,
         rank: &dyn Fn(ElemId) -> u8,
     ) -> Self {
+        let (nodes, cells) = nice_size(td);
         let mut b = NiceBuilder {
-            nice: Self::with_capacity(0, 0),
+            nice: Self::with_capacity(nodes, cells),
             rank,
             current: Vec::new(),
             diff: Vec::new(),
@@ -164,6 +165,14 @@ impl NiceTd {
             rep[id.index()] = built;
         }
         let mut nice = b.nice;
+        debug_assert_eq!(
+            (nodes, cells),
+            (
+                nice.len(),
+                nice.node_ids().map(|id| nice.bag(id).len()).sum()
+            ),
+            "presized exactly"
+        );
         nice.set_root(rep[td.root().index()]);
         if options.every_elem_in_leaf {
             nice.ensure_leaf_coverage();
@@ -229,6 +238,38 @@ impl NiceTd {
         self.splice_above(t, branch);
         self.attach(branch, leaf);
     }
+}
+
+/// The number of nodes and bag cells of the nice form
+/// [`NiceTd::from_td_with_rank`] builds from `td` before leaf coverage:
+/// a leaf per childless node, `k − 1` branch nodes per node with `k ≥ 1`
+/// children, and per edge one chain node per element of the symmetric
+/// difference of the two bags, each carrying the bag of its chain step.
+fn nice_size(td: &TreeDecomposition) -> (usize, usize) {
+    // Σ_{s < n} s: the cells of chain bags of sizes 0..n.
+    let tri = |n: usize| n * n.saturating_sub(1) / 2;
+    let (mut nodes, mut cells) = (0, 0);
+    for id in td.node_ids() {
+        let bag = td.bag(id);
+        let copies = match td.children(id).count() {
+            0 => 1,
+            k => k - 1,
+        };
+        nodes += copies;
+        cells += copies * bag.len();
+        for c in td.children(id) {
+            let child = td.bag(c);
+            let shared = child
+                .iter()
+                .filter(|e| bag.binary_search(e).is_ok())
+                .count();
+            // Forgets shrink the child's bag to the shared part, one
+            // element at a time; introductions grow it to the parent's.
+            nodes += child.len() + bag.len() - 2 * shared;
+            cells += tri(child.len()) - tri(shared) + tri(bag.len() + 1) - tri(shared + 1);
+        }
+    }
+    (nodes, cells)
 }
 
 /// Incremental builder for nice decompositions: the decomposition built

@@ -6,11 +6,12 @@
 //! oracle's instantiation count. A *reused* session agrees with the oracle
 //! cache cold and warm. Random quasi-guarded programs whose rules share
 //! extensional skeletons pin the grouped quasi-guarded grounding to the
-//! indexed engine and to a brute-force count of its ground program.
+//! indexed engine, its instance solver to the least model of the expanded
+//! ground program, and that program's size to a brute-force count.
 
 use mdtw_datalog::{
-    Atom, Engine, EvalOptions, EvalStats, Evaluator, IdbId, IdbStore, Literal, PredRef, Program,
-    Rule, Term, Var,
+    ground, Atom, Engine, EvalOptions, EvalStats, Evaluator, IdbId, IdbStore, Literal, PredRef,
+    Program, Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use mdtw_tests::naive_model;
@@ -330,14 +331,17 @@ fn quasi_guarded_session_matches_indexed_session() {
 /// (kind, from), residual literals (kind, arg, arg))`.
 type RawSkeleton = (u8, Vec<(u8, u8)>, Vec<(u8, u8, u8)>);
 /// Raw material for one rule over a skeleton: `(skeleton pick, (head
-/// kind, arg, arg), intensional body literals (kind, arg, arg))`.
-type RawMember = (u8, (u8, u8, u8), Vec<(u8, u8, u8)>);
+/// kind, arg, arg), intensional body literals (kind, arg, arg), repeat)`;
+/// an odd `repeat` appends the first intensional body literal again.
+type RawMember = (u8, (u8, u8, u8), Vec<(u8, u8, u8)>, u8);
 
 /// A structure over `f/2` (a partial injection: functional both ways),
 /// `g/2` (a partial function) and `m/1`, plus the catalog declaring those
-/// dependencies. Pairs that would break a dependency are dropped.
+/// dependencies. The `shared` pair goes into both `f` and `g`; other
+/// pairs that would break a dependency are dropped.
 fn fd_structure(
     n: usize,
+    shared: (u8, u8),
     f_pairs: &[(u8, u8)],
     g_pairs: &[(u8, u8)],
     marks: &[u8],
@@ -346,6 +350,9 @@ fn fd_structure(
     let mut s = Structure::new(sig, Domain::anonymous(n));
     let [f, g, m] = ["f", "g", "m"].map(|p| s.signature().lookup(p).unwrap());
     let elem = |a: u8| ElemId(a as u32 % n as u32);
+    for pred in [f, g] {
+        s.insert(pred, &[elem(shared.0), elem(shared.1)]);
+    }
     for &(a, b) in f_pairs {
         let (a, b) = (elem(a), elem(b));
         if s.relation(f).iter().all(|t| t[0] != a && t[1] != b) {
@@ -452,7 +459,9 @@ fn idb_atom(kind: u8, a: u8, b: u8, term: &dyn Fn(u8) -> Term) -> Atom {
 }
 
 /// Several rules per skeleton, differing only in intensional body atoms
-/// and heads, plus one variable-free rule.
+/// (some repeating one) and heads, plus a rule whose two intensional body
+/// atoms are one ground atom wherever `f` and `g` share a pair, and one
+/// variable-free rule.
 fn build_grouped_program(
     skeletons: &[RawSkeleton],
     members: &[RawMember],
@@ -466,7 +475,7 @@ fn build_grouped_program(
     let n = s.domain().len() as u32;
     let c = |k: u8| Term::Const(ElemId(k as u32 % n));
     let skeletons: Vec<_> = skeletons.iter().map(|r| build_skeleton(r, s)).collect();
-    for (pick, (hk, ha, hb), body_raw) in members {
+    for (pick, (hk, ha, hb), body_raw, repeat) in members {
         let (vars, edb) = &skeletons[*pick as usize % skeletons.len()];
         let term = |x: u8| {
             if x % 5 == 4 {
@@ -475,13 +484,18 @@ fn build_grouped_program(
                 Term::Var(Var(x as u32 % vars))
             }
         };
-        let idb: Vec<Literal> = body_raw
+        let mut idb: Vec<Literal> = body_raw
             .iter()
             .map(|&(k, a, b)| Literal {
                 atom: idb_atom(k, a, b, &term),
                 positive: true,
             })
             .collect();
+        if repeat % 2 == 1 {
+            if let Some(first) = idb.first().cloned() {
+                idb.push(first);
+            }
+        }
         // Where the intensional literals sit must not matter.
         let body = if hk / 4 % 2 == 0 {
             [idb, edb.clone()].concat()
@@ -495,9 +509,33 @@ fn build_grouped_program(
             var_names: (0..*vars).map(|i| format!("X{i}")).collect(),
         });
     }
+    let [f, g, m] = ["f", "g", "m"].map(|p| PredRef::Edb(s.signature().lookup(p).unwrap()));
+    // p2(X1, X2) :- f(X0, X1), g(X0, X2), p0(X1), p0(X2): the guard binds
+    // X1 and the lookup X2, two slots that bind one element (and so one
+    // atom id) on the shared pair.
+    let v = |i: u32| Term::Var(Var(i));
+    let p0 = |x: Term| Literal {
+        atom: Atom {
+            pred: PredRef::Idb(IdbId(0)),
+            terms: vec![x],
+        },
+        positive: true,
+    };
+    program.rules.push(Rule {
+        head: Atom {
+            pred: PredRef::Idb(IdbId(2)),
+            terms: vec![v(1), v(2)],
+        },
+        body: vec![
+            literal(f, vec![v(0), v(1)], true),
+            literal(g, vec![v(0), v(2)], true),
+            p0(v(1)),
+            p0(v(2)),
+        ],
+        var_count: 3,
+        var_names: (0..3).map(|i| format!("X{i}")).collect(),
+    });
     let (kind, a, b) = var_free;
-    let m = PredRef::Edb(s.signature().lookup("m").unwrap());
-    let f = PredRef::Edb(s.signature().lookup("f").unwrap());
     program.rules.push(Rule {
         head: idb_atom(kind / 2, b, a, &c),
         body: vec![
@@ -559,12 +597,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// Rules sharing extensional skeletons, grounded group by group by the
     /// quasi-guarded session: the store is bit-identical to the indexed
-    /// engine's (cold and warm), and `|P′|` — ground rules and ground
-    /// atoms — equals the brute-force count, so the grouping changes how
-    /// `P′` is built, not `P′` itself.
+    /// engine's (cold and warm) and to the decoded least model of the
+    /// expanded ground program `ground` returns, so solving the instances
+    /// without expanding them derives exactly `P′`'s model, repeated body
+    /// atoms and atoms two slots share included. `|P′|` — ground rules
+    /// and ground atoms — equals the brute-force count, so the grouping
+    /// changes how `P′` is built, not `P′` itself.
     #[test]
     fn quasi_guarded_grouping_matches_indexed_and_brute_force_counts(
         n in 2usize..6,
+        shared in (0u8..8, 0u8..8),
         f_pairs in vec((0u8..8, 0u8..8), 0..8),
         g_pairs in vec((0u8..8, 0u8..8), 0..8),
         marks in vec(0u8..8, 0..5),
@@ -578,15 +620,22 @@ proptest! {
                 1..4,
             ),
             vec(
-                (0u8..8, (0u8..8, 0u8..16, 0u8..16), vec((0u8..4, 0u8..16, 0u8..16), 0..3)),
+                (
+                    0u8..8,
+                    (0u8..8, 0u8..16, 0u8..16),
+                    vec((0u8..4, 0u8..16, 0u8..16), 0..3),
+                    0u8..4,
+                ),
                 2..9,
             ),
             (0u8..6, 0u8..8, 0u8..8),
         ),
     ) {
-        let (s, catalog) = fd_structure(n, &f_pairs, &g_pairs, &marks);
+        let (s, catalog) = fd_structure(n, shared, &f_pairs, &g_pairs, &marks);
         let p = build_grouped_program(&skeletons, &members, var_free, &s);
         let (indexed, _) = eval(&p, &s);
+        let grounding = ground(&p, &s, &catalog).unwrap();
+        let model = grounding.horn.least_model();
         let mut session =
             Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
         prop_assert_eq!(session.engine(), Engine::QuasiGuarded);
@@ -596,9 +645,17 @@ proptest! {
             let id = IdbId(idb as u32);
             prop_assert_eq!(indexed.tuples(id), cold.store.tuples(id), "cold, idb {}", idb);
             prop_assert_eq!(indexed.tuples(id), warm.store.tuples(id), "warm, idb {}", idb);
+            for tuple in cold.store.tuples(id) {
+                let atom = grounding.atom_id(id, &tuple).expect("derived atoms are ground atoms");
+                prop_assert!(model[atom as usize], "idb {} {:?} not in the oracle", idb, tuple);
+            }
         }
+        let oracle_facts = model.iter().filter(|&&t| t).count();
+        prop_assert_eq!(cold.store.fact_count(), oracle_facts, "facts of the expanded oracle");
         let stats = cold.qg.unwrap();
         prop_assert_eq!(Some(stats), warm.qg);
+        prop_assert_eq!(stats, grounding.stats);
+        prop_assert_eq!(stats.ground_rules, grounding.horn.rule_count());
         let (rules, atoms) = brute_force_grounding(&p, &s);
         prop_assert_eq!(stats.ground_rules, rules, "ground rules");
         prop_assert_eq!(stats.ground_atoms, atoms, "ground atoms");

@@ -24,8 +24,8 @@
 //! every store relation in row order.
 
 use mdtw_datalog::{
-    parse_program, Engine, EvalOptions, EvalStats, Evaluator, IdbId, MaterializedView, Program,
-    Update,
+    ground, parse_program, Engine, EvalOptions, EvalStats, Evaluator, FdCatalog, IdbId, IdbStore,
+    MaterializedView, Program, Update,
 };
 use mdtw_decomp::{decompose, encode_tuple_td, Heuristic, TupleTd};
 use mdtw_graph::{encode_graph, graph_signature, Graph};
@@ -143,16 +143,24 @@ fn undirected(s: &Structure) -> bool {
         .all(|t| t[0] != t[1] && s.holds(e, &[t[1], t[0]]))
 }
 
-/// The compiled program is the subject here, so this row moves with the
-/// compiler. Before element selection was emitted as row and column rules
-/// and each Θ↑ branch pair glued once (812 rules), it read
-/// `[1321, 742, 579, 74, 60000, 57851, 812, 4124]`: the same 742 facts.
-/// Row and column rules can both fire on one node, hence the extra
-/// firings and interned hits.
-#[test]
-fn has_neighbor_on_a_seeded_tau_td_forest() {
-    let n = 120;
-    let mut rng = SmallRng::seed_from_u64(2107);
+/// The Theorem 4.5 `has_neighbor` program compiled at width 1.
+fn has_neighbor_program() -> Program {
+    compile_unary_filtered(
+        &has_neighbor(),
+        IndVar(0),
+        &Arc::new(graph_signature()),
+        1,
+        CompileLimits::default(),
+        &undirected,
+    )
+    .expect("width-1 compilation fits the limits")
+    .program
+}
+
+/// The τ_td encoding (width 1, min-degree decomposition) of a random
+/// forest on `n` vertices drawn from `rng`: each vertex after the first
+/// gets a parent with probability 0.7.
+fn tau_td_forest(rng: &mut SmallRng, n: usize) -> Structure {
     let mut g = Graph::new(n);
     for v in 1..n as u32 {
         if rng.random::<f64>() < 0.7 {
@@ -162,22 +170,135 @@ fn has_neighbor_on_a_seeded_tau_td_forest() {
     let graph = encode_graph(&g);
     let td = decompose(&graph, Heuristic::MinDegree);
     let tuple_td = TupleTd::from_td_with_width(&td, n, 1).expect("forests have width 1");
-    let s = encode_tuple_td(&graph, &tuple_td).structure;
-    let compiled = compile_unary_filtered(
-        &has_neighbor(),
-        IndVar(0),
-        &Arc::new(graph_signature()),
-        1,
-        CompileLimits::default(),
-        &undirected,
-    )
-    .expect("width-1 compilation fits the limits");
+    encode_tuple_td(&graph, &tuple_td).structure
+}
+
+/// The compiled program is the subject here, so this row moves with the
+/// compiler. Before element selection was emitted as row and column rules
+/// and each Θ↑ branch pair glued once (812 rules), it read
+/// `[1321, 742, 579, 74, 60000, 57851, 812, 4124]`: the same 742 facts.
+/// Row and column rules can both fire on one node, hence the extra
+/// firings and interned hits.
+#[test]
+fn has_neighbor_on_a_seeded_tau_td_forest() {
+    let s = tau_td_forest(&mut SmallRng::seed_from_u64(2107), 120);
     let options = EvalOptions::new().engine(Engine::SemiNaiveIndexed);
     assert_stats(
-        compiled.program,
+        has_neighbor_program(),
         options,
         &s,
         [1262, 742, 520, 73, 42758, 40668, 548, 4124],
+    );
+}
+
+/// FNV-1a over a sequence of words.
+fn fnv(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The words of every relation of `store`, in predicate and row order,
+/// each relation prefixed by its length.
+fn store_words(store: &IdbStore, idb_count: usize) -> Vec<u32> {
+    let mut words = Vec::new();
+    for i in 0..idb_count {
+        let rel = store.relation(IdbId(i as u32));
+        words.push(rel.len() as u32);
+        words.extend(rel.iter().flatten().map(|e| e.0));
+    }
+    words
+}
+
+/// One pinned quasi-guarded evaluation: `[ground_rules,
+/// guard_instantiations, ground_atoms, facts]`, the hash of the store
+/// (every intensional relation in row order) and the hash of the expanded
+/// ground program (every rule's head, body length and body atom ids, in
+/// rule order).
+type PinnedQg = ([usize; 4], u64, u64);
+
+/// The quasi-guarded engine on the `has_neighbor` width-1 program over the
+/// τ_td encodings of five seeded random forests of 100 to 300 vertices
+/// (the benchmark's forest sizes). The session's counters, facts and
+/// store, and the ground program `ground` expands, rule order and atom
+/// ids included, must stay as they are whatever the solver's internal
+/// form of `P′`.
+#[test]
+fn quasi_guarded_has_neighbor_on_seeded_tau_td_forests() {
+    let program = has_neighbor_program();
+    let mut rng = SmallRng::seed_from_u64(3301);
+    let forests: Vec<Structure> = [100, 150, 200, 250, 300]
+        .into_iter()
+        .map(|n| tau_td_forest(&mut rng, n))
+        .collect();
+    let catalog = FdCatalog::for_td_signature(&forests[0]);
+    let mut session = Evaluator::with_options(
+        program.clone(),
+        EvalOptions::new().fd_catalog(catalog.clone()),
+    )
+    .unwrap();
+    let observed: Vec<PinnedQg> = forests
+        .iter()
+        .map(|s| {
+            let result = session.evaluate(s).unwrap();
+            let qg = result.qg.expect("a quasi-guarded run");
+            let counts = [
+                qg.ground_rules,
+                qg.guard_instantiations,
+                qg.ground_atoms,
+                result.stats.facts,
+            ];
+            let store = fnv(store_words(&result.store, program.idb_count()));
+            let grounding = ground(&program, s, &catalog).unwrap();
+            assert_eq!(grounding.stats, qg, "ground() and the session agree");
+            let rules = fnv(grounding.horn.rules().flat_map(|(head, body)| {
+                [head, body.len() as u32]
+                    .into_iter()
+                    .chain(body.iter().copied())
+            }));
+            (counts, store, rules)
+        })
+        .collect();
+    let expected: &[PinnedQg] = &[
+        (
+            [34070, 4352, 8399, 627],
+            0x5e8c_913d_8e4b_1a9d,
+            0x129c_6757_d16e_f20e,
+        ),
+        (
+            [53044, 6688, 12889, 958],
+            0x2e1f_9e11_86e4_d924,
+            0x695d_4147_80e6_b4b8,
+        ),
+        (
+            [70800, 8880, 17105, 1271],
+            0x9262_12c7_5e8f_bc38,
+            0x623f_59dc_f9b5_28bc,
+        ),
+        (
+            [87658, 11008, 21205, 1575],
+            0x530a_b5b2_5453_9b13,
+            0xad4b_f3fd_742c_2ba1,
+        ),
+        (
+            [108493, 13408, 25792, 1916],
+            0xb7c8_eb0b_2fa5_2dbc,
+            0x9c41_df66_4eb6_630b,
+        ),
+    ];
+    assert!(
+        observed.as_slice() == expected,
+        "[ground_rules, guard_instantiations, ground_atoms, facts], store hash, rules hash:\n{}",
+        observed
+            .iter()
+            .map(|(c, s, r)| format!("({c:?}, {s:#018x}, {r:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 
@@ -223,23 +344,7 @@ type PinnedBatch = ([usize; 4], &'static [[usize; 4]], u64);
 
 /// FNV-1a over every store relation of `view`, in predicate and row order.
 fn store_hash(view: &MaterializedView) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u32| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for i in 0..view.program().idb_count() {
-        let rel = view.store().relation(IdbId(i as u32));
-        eat(rel.len() as u32);
-        for tuple in rel.iter() {
-            for e in tuple {
-                eat(e.0);
-            }
-        }
-    }
-    hash
+    fnv(store_words(view.store(), view.program().idb_count()))
 }
 
 /// Materializes `src` over `s`, applies `batches` in turn and checks each
