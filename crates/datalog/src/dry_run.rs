@@ -12,7 +12,8 @@
 //!   declarations, every predicate that never appears in head position is
 //!   inferred extensional, with its first-seen arity.
 //! * `%! output name` — declares an output predicate; the profiled run
-//!   then evaluates for those outputs ([`EvalOptions::outputs`]).
+//!   then evaluates for those outputs only, dropping every rule none of
+//!   them depends on ([`EvalOptions::outputs`]).
 //!
 //! Both pragmas sit inside `%` comments, so the same file feeds
 //! [`parse_program`] unchanged.
@@ -26,7 +27,7 @@ use crate::evaluator::{EvalError, EvalOptions, Evaluator};
 use crate::json::{eval_stats_json, Json};
 use crate::limits::EvalLimits;
 use crate::parser::{is_variable, parse_program};
-use crate::profile::{EvalProfile, Explanation, ProfileDetail};
+use crate::profile::{EvalProfile, Explanation};
 use crate::span::Span;
 use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
@@ -303,8 +304,9 @@ pub enum ProfileOutcome {
     /// The program parsed and a profiled evaluation ran over the seeded
     /// dry-run structure.
     Profiled(Box<ProfileDump>),
-    /// Profiling could not run: parse or stratification failure. Carries
-    /// a human-readable reason.
+    /// Profiling could not run: parse or stratification failure, or a
+    /// `%! output` naming no intensional predicate. Carries a
+    /// human-readable reason.
     Skipped(String),
 }
 
@@ -321,19 +323,20 @@ pub struct ProfileDump {
 }
 
 /// Runs a profiled dry-run evaluation of a `.dl` file for
-/// `mdtw-explain --profile`: the program is evaluated at `detail` over the
-/// seeded [`dry_run_structure`] under a fuel budget (`limits`, or a
-/// built-in default of 20 million units), and the profile — per-stratum
-/// timeline, per-rule breakdown, per-literal selectivities — is returned
-/// for rendering. The dry-run data is synthetic; the numbers show *where* the
-/// program burns work on cyclic EDB data, not production magnitudes.
+/// `mdtw-explain --profile`: the program is evaluated with profiling on,
+/// for its declared outputs, over the seeded [`dry_run_structure`] under
+/// a fuel budget (`limits`, or a built-in default of 20 million units),
+/// and the profile — per-stratum timeline, per-rule breakdown,
+/// per-literal selectivities — is returned for rendering. The dry-run
+/// data is synthetic; the numbers show *where* the program burns work on
+/// cyclic EDB data, not production magnitudes.
 ///
 /// # Errors
 /// A [`PragmaError`] when a `%!` pragma is malformed; parse and
-/// stratification failures are reported as [`ProfileOutcome::Skipped`].
+/// stratification failures, and a `%! output` naming no intensional
+/// predicate, are reported as [`ProfileOutcome::Skipped`].
 pub fn profile_source_with_limits(
     source: &str,
-    detail: ProfileDetail,
     limits: Option<&EvalLimits>,
 ) -> Result<ProfileOutcome, PragmaError> {
     let decls = scan_pragmas(source)?;
@@ -347,10 +350,17 @@ pub fn profile_source_with_limits(
             )))
         }
     };
+    // An output naming no intensional predicate would leave every rule
+    // dead, and the run would profile nothing.
+    if let Some(name) = decls.outputs.iter().find(|o| program.idb(o).is_none()) {
+        return Ok(ProfileOutcome::Skipped(format!(
+            "`%! output {name}` names no intensional predicate"
+        )));
+    }
     let budget = limits
         .cloned()
         .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_PROFILE_FUEL));
-    let mut options = EvalOptions::new().profile(detail).limits(budget);
+    let mut options = EvalOptions::new().profile(true).limits(budget);
     if !decls.outputs.is_empty() {
         options = options.outputs(decls.outputs.iter().cloned());
     }
@@ -490,13 +500,13 @@ mod tests {
 
     #[test]
     fn parse_errors_skip_the_file() {
-        let skipped = |o: &Json| o.get("skipped").and_then(Json::as_str).map(str::to_owned);
-        let explained = explain_source("q(X :- e(X, Y).").unwrap();
-        let reason = skipped(&explain_outcome_json(&explained)).expect("explain skipped");
-        assert!(reason.starts_with("parse error at 1:1: "), "{reason}");
-        let profiled =
-            profile_source_with_limits("q(X :- e(X, Y).", ProfileDetail::Rules, None).unwrap();
-        assert_eq!(skipped(&profile_outcome_json(&profiled)), Some(reason));
+        let explained = explain_outcome_json(&explain_source("q(X :- e(X, Y).").unwrap()).render();
+        assert!(
+            explained.starts_with(r#"{"skipped":"parse error at 1:1: "#),
+            "{explained}"
+        );
+        let profiled = profile_source_with_limits("q(X :- e(X, Y).", None).unwrap();
+        assert_eq!(profile_outcome_json(&profiled).render(), explained);
     }
 
     #[test]
@@ -521,28 +531,63 @@ mod tests {
                       reach(X) :- start(X).\n\
                       reach(Y) :- reach(X), edge(X, Y).\n\
                       orphan(X) :- edge(X, Y).\n";
-        let ProfileOutcome::Profiled(dump) =
-            profile_source_with_limits(source, ProfileDetail::Rules, None).unwrap()
+        let ProfileOutcome::Profiled(dump) = profile_source_with_limits(source, None).unwrap()
         else {
             panic!("the program parses");
         };
         assert_eq!(dump.tripped, None);
         // The seeded structure has 4 elements and `start` holds each of
-        // them, so `reach` holds all 4; `orphan` adds 4 more facts.
-        assert_eq!(dump.stats.facts, 8);
+        // them, so `reach` holds all 4; `orphan` feeds no output and is
+        // not evaluated.
+        assert_eq!(dump.stats.facts, 4);
         let heads: Vec<&str> = dump.profile.strata[0]
             .rules
             .iter()
             .map(|r| r.head.as_str())
             .collect();
-        assert!(heads.contains(&"reach"), "{heads:?}");
+        assert_eq!(heads, ["reach", "reach"]);
         let tight = EvalLimits::new().fuel(1);
         let ProfileOutcome::Profiled(dump) =
-            profile_source_with_limits(source, ProfileDetail::Rules, Some(&tight)).unwrap()
+            profile_source_with_limits(source, Some(&tight)).unwrap()
         else {
             panic!("the program parses");
         };
         assert_eq!(dump.tripped.as_deref(), Some("fuel"));
+    }
+
+    /// `%! output` prunes: the same program without the pragma profiles
+    /// the rule no output depends on, with it that rule is gone.
+    #[test]
+    fn declared_outputs_profile_fewer_rules() {
+        let program = "reach(X) :- start(X).\n\
+                       reach(Y) :- reach(X), edge(X, Y).\n\
+                       orphan(X) :- edge(X, Y).\n";
+        let profiled_rules = |source: &str| {
+            let ProfileOutcome::Profiled(dump) = profile_source_with_limits(source, None).unwrap()
+            else {
+                panic!("the program parses");
+            };
+            dump.profile
+                .strata
+                .iter()
+                .map(|s| s.rules.len())
+                .sum::<usize>()
+        };
+        assert_eq!(profiled_rules(program), 3);
+        assert_eq!(profiled_rules(&format!("%! output reach\n{program}")), 2);
+        // A misspelled or extensional output would prune every rule.
+        for output in ["rech", "edge"] {
+            let source = format!("%! output {output}\n{program}");
+            let ProfileOutcome::Skipped(reason) =
+                profile_source_with_limits(&source, None).unwrap()
+            else {
+                panic!("`%! output {output}` must skip the file");
+            };
+            assert!(
+                reason.contains("names no intensional predicate"),
+                "{reason}"
+            );
+        }
     }
 
     #[test]
@@ -559,10 +604,7 @@ mod tests {
             "2:3: malformed pragma: `%! edb broken`: expected `name/arity`"
         );
         assert_eq!(explain_source(source).unwrap_err(), err);
-        assert_eq!(
-            profile_source_with_limits(source, ProfileDetail::Off, None).unwrap_err(),
-            err
-        );
+        assert_eq!(profile_source_with_limits(source, None).unwrap_err(), err);
     }
 
     #[test]

@@ -971,13 +971,12 @@ fn merge_round(store: &mut IdbStore, heads: &mut Heads, stats: &mut EvalStats) {
     });
 }
 
-/// An evaluation pass ([`run_plan`] into `out`) under
-/// the profiler: at `Rules` detail and above, the pass is timed (on the
-/// sampled passes [`Profiler::pass_timer`] selects) and its
-/// [`EvalStats`] delta (plus, at `Literals`, the per-literal trace) is
-/// folded into rule `ri`'s accumulator. With the profiler off (or at
-/// `Strata`) this is exactly one branch on top of the plain pass — the
-/// zero-cost-when-off fast path.
+/// An evaluation pass ([`run_plan`] into `out`) under the profiler: the
+/// pass is timed (on the sampled passes [`Profiler::pass_timer`]
+/// selects) and its [`EvalStats`] delta and per-literal trace are folded
+/// into rule `ri`'s accumulator. With the profiler off this is exactly
+/// one branch on top of the plain pass — the zero-cost-when-off fast
+/// path.
 #[allow(clippy::too_many_arguments)]
 fn profiled_apply<S: Sink>(
     ctx: &PlanCtx<'_>,
@@ -990,11 +989,11 @@ fn profiled_apply<S: Sink>(
     prof: &mut Option<&mut Profiler>,
 ) -> bool {
     match prof.as_deref_mut() {
-        Some(p) if p.rules_on() => {
+        Some(p) => {
             let before = *stats;
             let timer = p.pass_timer(ri);
             p.begin_pass(ctx.rule.body.len());
-            let stop = run_plan(ctx, slots, stats, out, pass, gov, p.trace());
+            let stop = run_plan(ctx, slots, stats, out, pass, gov, Some(p.trace()));
             p.end_pass(
                 ri,
                 &before,
@@ -1003,7 +1002,7 @@ fn profiled_apply<S: Sink>(
             );
             stop
         }
-        _ => run_plan(ctx, slots, stats, out, pass, gov, None),
+        None => run_plan(ctx, slots, stats, out, pass, gov, None),
     }
 }
 

@@ -57,7 +57,7 @@ use crate::eval::{EvalStats, IdbStore, SeminaiveScratch};
 use crate::ground::{FdCatalog, QgError, QgPlan, QgStats};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::plan::{plan_program_with, StructureStats};
-use crate::profile::{EvalProfile, Explanation, ProfileDetail, Profiler};
+use crate::profile::{EvalProfile, Explanation, Profiler};
 use crate::stratify::{stratify, Strata, Stratification, StratificationError};
 use mdtw_structure::Structure;
 use std::fmt;
@@ -92,11 +92,11 @@ impl fmt::Display for Engine {
 /// Configuration for an [`Evaluator`] session, built fluently:
 ///
 /// ```
-/// use mdtw_datalog::{Engine, EvalOptions, ProfileDetail};
+/// use mdtw_datalog::{Engine, EvalOptions};
 /// let opts = EvalOptions::new()
 ///     .engine(Engine::SemiNaiveIndexed)
 ///     .outputs(["path"])
-///     .profile(ProfileDetail::Rules);
+///     .profile(true);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -104,15 +104,15 @@ pub struct EvalOptions {
     engine: Option<Engine>,
     fd_catalog: Option<FdCatalog>,
     outputs: Option<Vec<String>>,
-    prune_dead_rules: bool,
     limits: Option<EvalLimits>,
-    profile: ProfileDetail,
+    profile: bool,
 }
 
 impl EvalOptions {
     /// The defaults: engine auto-selected ([`Engine::SemiNaiveIndexed`],
     /// or [`Engine::QuasiGuarded`] once [`fd_catalog`](Self::fd_catalog)
-    /// is attached), no pruning, no limits, profiling off.
+    /// is attached), no declared outputs (every rule is kept), no limits,
+    /// profiling off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -132,27 +132,20 @@ impl EvalOptions {
         self
     }
 
-    /// Declares the *output* predicates the session is evaluated for.
-    /// Together with [`prune_dead_rules`](Self::prune_dead_rules) it
-    /// drives the dead-rule pruning (see [`relevant_rules`]). Names not
-    /// naming an intensional predicate are ignored.
+    /// Declares the *output* predicates the session is evaluated for, and
+    /// drops every rule no output depends on (see [`relevant_rules`])
+    /// before stratification and planning. The pruned session derives
+    /// exactly the same facts for every output (and every predicate an
+    /// output transitively depends on) as one without declared outputs —
+    /// pinned by property tests — but skips the strata, plans and
+    /// fixpoint work of the dead fragment. Names not naming an
+    /// intensional predicate are ignored.
     pub fn outputs<I, S>(mut self, outputs: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         self.outputs = Some(outputs.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Drops rules irrelevant to the declared [`outputs`](Self::outputs)
-    /// before stratification and planning. The pruned session derives
-    /// exactly the same facts for every output (and every predicate an
-    /// output transitively depends on) — pinned by property tests — but
-    /// skips the strata, plans and fixpoint work of the dead fragment.
-    /// No-op unless outputs were declared.
-    pub fn prune_dead_rules(mut self, on: bool) -> Self {
-        self.prune_dead_rules = on;
         self
     }
 
@@ -173,21 +166,22 @@ impl EvalOptions {
         self
     }
 
-    /// Selects how much profiling detail evaluations collect (default
-    /// [`ProfileDetail::Off`]). Any level above `Off` attaches an
-    /// [`EvalProfile`] to every [`EvalResult`] — and to the partial
-    /// result of an [`EvalError::LimitExceeded`] trip. Profiling never
-    /// changes what is computed: the store and [`EvalStats`] are
-    /// bit-identical to an unprofiled evaluation (property-tested), and
-    /// `Off` costs one branch per rule pass.
+    /// Switches profiling on or off (default off). On, every
+    /// [`EvalResult`] — and the partial result of an
+    /// [`EvalError::LimitExceeded`] trip — carries an [`EvalProfile`]:
+    /// the per-stratum timeline, the per-rule breakdown and the
+    /// per-literal observed selectivities. Profiling never changes what
+    /// is computed: the store and [`EvalStats`] are bit-identical to an
+    /// unprofiled evaluation (property-tested), and off costs one branch
+    /// per rule pass.
     ///
     /// ```
-    /// use mdtw_datalog::{EvalOptions, ProfileDetail};
-    /// let opts = EvalOptions::new().profile(ProfileDetail::Literals);
+    /// use mdtw_datalog::EvalOptions;
+    /// let opts = EvalOptions::new().profile(true);
     /// # let _ = opts;
     /// ```
-    pub fn profile(mut self, detail: ProfileDetail) -> Self {
-        self.profile = detail;
+    pub fn profile(mut self, on: bool) -> Self {
+        self.profile = on;
         self
     }
 }
@@ -341,7 +335,7 @@ pub struct EvalResult {
     /// otherwise.
     pub qg: Option<QgStats>,
     /// The evaluation profile, when the session requested one via
-    /// [`EvalOptions::profile`]; `None` at [`ProfileDetail::Off`]. Boxed:
+    /// [`EvalOptions::profile`]; `None` with profiling off. Boxed:
     /// profiles are cold data next to the store.
     pub profile: Option<Box<EvalProfile>>,
 }
@@ -357,7 +351,7 @@ pub struct Evaluator {
     qg_plan: Option<QgPlan>,
     pruned_rules: usize,
     limits: Option<EvalLimits>,
-    profile_detail: ProfileDetail,
+    profile: bool,
     strata: Strata,
     scratch: SeminaiveScratch,
 }
@@ -377,16 +371,12 @@ impl Evaluator {
     /// [`evaluate`](Self::evaluate) starts from a validated program.
     pub fn with_options(mut program: Program, options: EvalOptions) -> Result<Self, EvalError> {
         let mut pruned_rules = 0;
-        if options.prune_dead_rules {
-            if let Some(outputs) = &options.outputs {
-                let ids: Vec<_> = outputs.iter().filter_map(|s| program.idb(s)).collect();
-                let keep = relevant_rules(&program, &ids);
-                if keep.iter().any(|&k| !k) {
-                    pruned_rules = keep.iter().filter(|&&k| !k).count();
-                    let mut keep_rules = keep.iter().copied();
-                    program.rules.retain(|_| keep_rules.next().unwrap());
-                }
-            }
+        if let Some(outputs) = &options.outputs {
+            let ids: Vec<_> = outputs.iter().filter_map(|s| program.idb(s)).collect();
+            let keep = relevant_rules(&program, &ids);
+            pruned_rules = keep.iter().filter(|&&k| !k).count();
+            let mut keep_rules = keep.iter().copied();
+            program.rules.retain(|_| keep_rules.next().unwrap());
         }
         let stratification = stratify(&program)?;
         let engine = options.engine.unwrap_or(if options.fd_catalog.is_some() {
@@ -415,7 +405,7 @@ impl Evaluator {
             qg_plan,
             pruned_rules,
             limits: options.limits,
-            profile_detail: options.profile,
+            profile: options.profile,
             strata: Strata::new(program, stratification),
             scratch,
         })
@@ -437,8 +427,7 @@ impl Evaluator {
         // cumulative across every evaluation sharing it, so absolute
         // readings would mislead).
         let meter_before = limits.as_ref().map(|l| (l.checks_spent(), l.fuel_spent()));
-        let mut profiler =
-            (self.profile_detail != ProfileDetail::Off).then(|| Profiler::new(self.profile_detail));
+        let mut profiler = self.profile.then(Profiler::new);
         let (store, mut stats, qg, trip) = match self.engine {
             Engine::SemiNaiveIndexed => {
                 let (store, stats, trip) = self.strata.run(
@@ -468,10 +457,7 @@ impl Evaluator {
                     ..EvalStats::default()
                 };
                 if let Some(p) = profiler.as_mut() {
-                    if gov.tripped().is_some() {
-                        p.mark_trip(0);
-                    }
-                    p.end_stratum(stats.rounds, stats.facts);
+                    p.end_stratum(stats.rounds, stats.facts, gov.tripped().is_some());
                 }
                 (store, stats, Some(qg), gov.tripped())
             }
@@ -524,13 +510,12 @@ impl Evaluator {
     /// re-derivation instead of re-evaluation.
     ///
     /// Every construction option carries over: the view maintains the
-    /// session's program as pruned by
-    /// [`EvalOptions::prune_dead_rules`], so its declared
-    /// [`outputs`](EvalOptions::outputs) agree with a default session over
-    /// the original program. Only [`Engine::SemiNaiveIndexed`] compiles
-    /// the per-rule join plans the maintenance passes replay; any other
-    /// engine choice is rejected up front with
-    /// [`EvalError::UnsupportedIncremental`].
+    /// session's program as pruned to its declared
+    /// [`outputs`](EvalOptions::outputs), and those outputs agree with a
+    /// default session over the original program. Only
+    /// [`Engine::SemiNaiveIndexed`] compiles the per-rule join plans the
+    /// maintenance passes replay; any other engine choice is rejected up
+    /// front with [`EvalError::UnsupportedIncremental`].
     /// Errors from the initial evaluation (including
     /// [`EvalError::LimitExceeded`] when the session carries a budget)
     /// propagate unchanged.
@@ -579,17 +564,18 @@ impl Evaluator {
         )
     }
 
-    /// How many rules [`EvalOptions::prune_dead_rules`] dropped at
-    /// construction (0 when pruning was off or nothing was dead).
+    /// How many rules the declared [`outputs`](EvalOptions::outputs)
+    /// dropped at construction (0 when no outputs were declared or nothing
+    /// was dead).
     #[inline]
     pub fn pruned_rule_count(&self) -> usize {
         self.pruned_rules
     }
 
     /// The session's program (the session owns it; call sites that need
-    /// predicate ids after construction look them up here). When
-    /// [`EvalOptions::prune_dead_rules`] dropped rules this is the pruned
-    /// program.
+    /// predicate ids after construction look them up here). When the
+    /// declared [`outputs`](EvalOptions::outputs) dropped rules this is the
+    /// pruned program.
     #[inline]
     pub fn program(&self) -> &Program {
         self.strata.program()
@@ -608,8 +594,8 @@ impl Evaluator {
     }
 }
 
-/// Per-rule relevance w.r.t. `outputs`, the rules
-/// [`EvalOptions::prune_dead_rules`] keeps: the backward closure from the
+/// Per-rule relevance w.r.t. `outputs`, the rules a session with declared
+/// [`outputs`](EvalOptions::outputs) keeps: the backward closure from the
 /// output predicates over positive *and* negative body dependencies (a
 /// negated predicate must be fully materialized before the negation is
 /// decidable, so it is just as relevant). A rule is relevant iff its head
@@ -857,17 +843,12 @@ mod tests {
                              deader(X) :- dead(X).";
 
     #[test]
-    fn prune_dead_rules_drops_irrelevant_fragment() {
+    fn declared_outputs_drop_irrelevant_fragment() {
         let s = chain(6);
         let p = parse_program(WITH_DEAD, &s).unwrap();
-        let mut plain =
-            Evaluator::with_options(p.clone(), EvalOptions::new().outputs(["reach"])).unwrap();
-        assert_eq!(plain.pruned_rule_count(), 0, "pruning is opt-in");
-        let mut pruned = Evaluator::with_options(
-            p,
-            EvalOptions::new().outputs(["reach"]).prune_dead_rules(true),
-        )
-        .unwrap();
+        let mut plain = Evaluator::new(p.clone()).unwrap();
+        assert_eq!(plain.pruned_rule_count(), 0, "no outputs, no pruning");
+        let mut pruned = Evaluator::with_options(p, EvalOptions::new().outputs(["reach"])).unwrap();
         assert_eq!(pruned.pruned_rule_count(), 2);
         assert_eq!(pruned.program().rules.len(), 2);
         let a = plain.evaluate(&s).unwrap();

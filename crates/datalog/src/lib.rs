@@ -59,8 +59,8 @@
 //! * [`span`](mod@crate::span) — byte-span + line/column source
 //!   locations, carried by every [`ParseError`];
 //! * [`profile`](mod@crate::profile) — the observability layer: a
-//!   zero-cost-when-off profiler threaded through both engines
-//!   ([`EvalOptions::profile`] → [`ProfileDetail`]), collecting a
+//!   zero-cost-when-off profiler threaded through both engines, switched
+//!   on by [`EvalOptions::profile`], collecting a
 //!   structured [`EvalProfile`] (per-stratum timeline, per-rule
 //!   breakdown, per-literal observed selectivities) returned on
 //!   [`EvalResult`] *and* on the partial result of a resource-limit
@@ -74,8 +74,8 @@
 //!   re-evaluation (every maintenance join runs through the compiled-plan
 //!   executor of evaluation), governed by the same [`EvalLimits`]
 //!   budgets with a sound full-recompute fallback;
-//! * [`json`](mod@crate::json) — the dependency-free JSON value that
-//!   profiles and explanations serialize through;
+//! * [`json`](mod@crate::json) — the dependency-free, write-only JSON
+//!   value that profiles and explanations serialize through;
 //! * [`dry_run`](mod@crate::dry_run) — explains and profiles standalone
 //!   `.dl` files over a seeded synthetic structure, the library half of
 //!   the `mdtw-explain` binary.
@@ -111,9 +111,8 @@ pub use plan::{
     JoinStep, NoEstimates, RulePlans, StructureStats,
 };
 pub use profile::{
-    EvalProfile, Explanation, LiteralProfile, PlanExplanation, ProfileDetail, RuleExplanation,
-    RuleProfile, StepExplanation, StratumExplanation, StratumProfile, UpdateProfile,
-    UpdateStratumProfile,
+    EvalProfile, Explanation, LiteralProfile, PlanExplanation, RuleExplanation, RuleProfile,
+    StepExplanation, StratumExplanation, StratumProfile, UpdateProfile, UpdateStratumProfile,
 };
 pub use span::Span;
 pub use stratify::{stratify, Stratification, StratificationError};

@@ -5,23 +5,25 @@
 //! Two surfaces live here:
 //!
 //! * **Profiles.** [`EvalOptions::profile`](crate::EvalOptions::profile)
-//!   selects a [`ProfileDetail`] level; the engines then thread an
+//!   switches profiling on; the engines then thread an
 //!   `Option<&mut Profiler>` through their hot loops (the same
-//!   zero-cost-when-off shape as the resource governor: `Off` costs one
+//!   zero-cost-when-off shape as the resource governor: off costs one
 //!   `Option` branch per rule pass and nothing per tuple) and the
 //!   evaluation returns a structured [`EvalProfile`] on
 //!   [`EvalResult`](crate::EvalResult) — and on the partial result of an
 //!   [`EvalError::LimitExceeded`](crate::EvalError::LimitExceeded) trip,
-//!   so a blown budget says where it blew. Per-literal mode records
-//!   *observed selectivities* (tuples enumerated vs. tuples surviving the
-//!   join position), the feedstock a feedback-directed re-planner needs.
+//!   so a blown budget says where it blew. A profile holds the
+//!   per-stratum timeline, a per-rule breakdown and, per positive body
+//!   literal, the *observed selectivity* (tuples enumerated vs. tuples
+//!   surviving the join position), the feedstock a feedback-directed
+//!   re-planner needs.
 //! * **Explanations.** [`Evaluator::explain`](crate::Evaluator::explain)
 //!   renders the compiled join plans — join order, scan-vs-probe access
 //!   paths, chosen key positions, delta splits — as an [`Explanation`]
 //!   with human-text and JSON renderings (`mdtw-explain --explain`).
 //!
-//! Both serialize through the dependency-free [`json`](crate::json)
-//! layer and round-trip ([`EvalProfile::from_json`]).
+//! Both serialize through the dependency-free, write-only
+//! [`json`](crate::json) layer.
 
 use crate::ast::{PredRef, Program};
 use crate::eval::EvalStats;
@@ -30,48 +32,6 @@ use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::stratify::Stratification;
 use mdtw_structure::Structure;
 use std::time::Instant;
-
-/// How much profiling detail an evaluation collects. Levels are ordered:
-/// each one collects everything below it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ProfileDetail {
-    /// No profiling (the default). Evaluation is bit-identical — store
-    /// *and* statistics — to a build without the profiler.
-    #[default]
-    Off,
-    /// Per-stratum timeline: wall time, rounds, facts.
-    Strata,
-    /// Plus a per-rule breakdown: firings, tuples considered, index
-    /// probes vs. full scans, wall time.
-    Rules,
-    /// Plus per-literal observed selectivities: tuples enumerated at
-    /// each join position vs. tuples surviving it.
-    Literals,
-}
-
-impl ProfileDetail {
-    /// A stable lowercase label (`"off"`, `"strata"`, `"rules"`,
-    /// `"literals"`), used by the JSON export.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProfileDetail::Off => "off",
-            ProfileDetail::Strata => "strata",
-            ProfileDetail::Rules => "rules",
-            ProfileDetail::Literals => "literals",
-        }
-    }
-
-    /// Parses [`ProfileDetail::as_str`] back; `None` on anything else.
-    pub fn from_str_opt(s: &str) -> Option<Self> {
-        Some(match s {
-            "off" => ProfileDetail::Off,
-            "strata" => ProfileDetail::Strata,
-            "rules" => ProfileDetail::Rules,
-            "literals" => ProfileDetail::Literals,
-            _ => return None,
-        })
-    }
-}
 
 /// Observed selectivity of one positive body literal of one rule: of the
 /// `tuples_in` candidate tuples enumerated at this join position,
@@ -110,8 +70,8 @@ pub struct RuleProfile {
     /// where clock reads would otherwise dominate. Counters are exact;
     /// treat `nanos` as an estimate.
     pub nanos: u64,
-    /// Per-literal selectivities ([`ProfileDetail::Literals`] only), one
-    /// entry per *positive* body literal, in body order.
+    /// Per-literal selectivities, one entry per *positive* body literal,
+    /// in body order.
     pub literals: Vec<LiteralProfile>,
 }
 
@@ -127,16 +87,14 @@ pub struct StratumProfile {
     pub rounds: usize,
     /// Facts the stratum derived.
     pub facts: usize,
-    /// Per-rule breakdown ([`ProfileDetail::Rules`] and up; empty at
-    /// [`ProfileDetail::Strata`]).
+    /// Per-rule breakdown (empty for the quasi-guarded engine, which has
+    /// no per-rule pass structure).
     pub rules: Vec<RuleProfile>,
 }
 
 /// A structured evaluation profile (see the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalProfile {
-    /// The detail level the profile was collected at.
-    pub detail: ProfileDetail,
     /// Per-stratum timeline, in evaluation order.
     pub strata: Vec<StratumProfile>,
     /// The stratum a resource limit tripped in, when the evaluation ended
@@ -160,10 +118,8 @@ impl EvalProfile {
     }
 
     /// Serializes the profile through the dependency-free JSON layer.
-    /// Inverse of [`EvalProfile::from_json`].
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("detail".into(), Json::Str(self.detail.as_str().into())),
             (
                 "trip_stratum".into(),
                 match self.trip_stratum {
@@ -176,34 +132,6 @@ impl EvalProfile {
                 Json::Arr(self.strata.iter().map(stratum_to_json).collect()),
             ),
         ])
-    }
-
-    /// Parses a profile serialized by [`EvalProfile::to_json`].
-    ///
-    /// # Errors
-    /// A human-readable message naming the first malformed field.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let detail = json
-            .get("detail")
-            .and_then(Json::as_str)
-            .and_then(ProfileDetail::from_str_opt)
-            .ok_or("profile: bad `detail`")?;
-        let trip_stratum = match json.get("trip_stratum") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_usize().ok_or("profile: bad `trip_stratum`")?),
-        };
-        let strata = json
-            .get("strata")
-            .and_then(Json::as_arr)
-            .ok_or("profile: missing `strata`")?
-            .iter()
-            .map(stratum_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EvalProfile {
-            detail,
-            strata,
-            trip_stratum,
-        })
     }
 }
 
@@ -218,27 +146,6 @@ fn stratum_to_json(s: &StratumProfile) -> Json {
             Json::Arr(s.rules.iter().map(rule_to_json).collect()),
         ),
     ])
-}
-
-fn stratum_from_json(json: &Json) -> Result<StratumProfile, String> {
-    let field = |k: &str| -> Result<usize, String> {
-        json.get(k)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("stratum: bad `{k}`"))
-    };
-    Ok(StratumProfile {
-        index: field("index")?,
-        nanos: field("nanos")? as u64,
-        rounds: field("rounds")?,
-        facts: field("facts")?,
-        rules: json
-            .get("rules")
-            .and_then(Json::as_arr)
-            .ok_or("stratum: missing `rules`")?
-            .iter()
-            .map(rule_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
 }
 
 fn rule_to_json(r: &RuleProfile) -> Json {
@@ -269,46 +176,6 @@ fn rule_to_json(r: &RuleProfile) -> Json {
             ),
         ),
     ])
-}
-
-fn rule_from_json(json: &Json) -> Result<RuleProfile, String> {
-    let field = |k: &str| -> Result<usize, String> {
-        json.get(k)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("rule profile: bad `{k}`"))
-    };
-    let literals = json
-        .get("literals")
-        .and_then(Json::as_arr)
-        .ok_or("rule profile: missing `literals`")?
-        .iter()
-        .map(|l| -> Result<LiteralProfile, String> {
-            let lf = |k: &str| -> Result<usize, String> {
-                l.get(k)
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| format!("literal profile: bad `{k}`"))
-            };
-            Ok(LiteralProfile {
-                literal: lf("literal")?,
-                tuples_in: lf("tuples_in")? as u64,
-                tuples_out: lf("tuples_out")? as u64,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(RuleProfile {
-        rule: field("rule")?,
-        head: json
-            .get("head")
-            .and_then(Json::as_str)
-            .ok_or("rule profile: bad `head`")?
-            .to_owned(),
-        firings: field("firings")?,
-        tuples_considered: field("tuples_considered")?,
-        index_probes: field("index_probes")?,
-        full_scans: field("full_scans")?,
-        nanos: field("nanos")? as u64,
-        literals,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +235,6 @@ fn scale_sampled(sampled: u64, passes: u64, timed: u64) -> u64 {
 /// [`Profiler::finish`].
 #[derive(Debug)]
 pub(crate) struct Profiler {
-    detail: ProfileDetail,
     strata: Vec<StratumProfile>,
     trip_stratum: Option<usize>,
     cur_index: usize,
@@ -378,9 +244,8 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    pub(crate) fn new(detail: ProfileDetail) -> Self {
+    pub(crate) fn new() -> Self {
         Profiler {
-            detail,
             strata: Vec::new(),
             trip_stratum: None,
             cur_index: 0,
@@ -388,12 +253,6 @@ impl Profiler {
             cur_rules: Vec::new(),
             trace_buf: Vec::new(),
         }
-    }
-
-    /// True when per-rule breakdowns are collected (Rules and Literals).
-    #[inline]
-    pub(crate) fn rules_on(&self) -> bool {
-        self.detail >= ProfileDetail::Rules
     }
 
     /// Opens stratum `index`, preparing one accumulator per rule of the
@@ -409,26 +268,24 @@ impl Profiler {
         self.cur_index = index;
         self.cur_start = Some(Instant::now());
         self.cur_rules.clear();
-        if self.rules_on() {
-            for (ri, rule) in program.rules.iter().enumerate() {
-                let head = match rule.head.pred {
-                    PredRef::Idb(id) => program.idb_names[id.index()].clone(),
-                    PredRef::Edb(_) => unreachable!("stratify rejects EDB heads"),
-                };
-                self.cur_rules.push(RuleAcc {
-                    rule: rule_ids.map_or(ri, |ids| ids[ri]),
-                    head,
-                    firings: 0,
-                    tuples_considered: 0,
-                    index_probes: 0,
-                    full_scans: 0,
-                    nanos: 0,
-                    passes: 0,
-                    timed: 0,
-                    lits: vec![LitCount::default(); rule.body.len()],
-                    positive: rule.body.iter().map(|l| l.positive).collect(),
-                });
-            }
+        for (ri, rule) in program.rules.iter().enumerate() {
+            let head = match rule.head.pred {
+                PredRef::Idb(id) => program.idb_names[id.index()].clone(),
+                PredRef::Edb(_) => unreachable!("stratify rejects EDB heads"),
+            };
+            self.cur_rules.push(RuleAcc {
+                rule: rule_ids.map_or(ri, |ids| ids[ri]),
+                head,
+                firings: 0,
+                tuples_considered: 0,
+                index_probes: 0,
+                full_scans: 0,
+                nanos: 0,
+                passes: 0,
+                timed: 0,
+                lits: vec![LitCount::default(); rule.body.len()],
+                positive: rule.body.iter().map(|l| l.positive).collect(),
+            });
         }
     }
 
@@ -458,27 +315,21 @@ impl Profiler {
 
     /// Prepares the per-literal trace buffer for one rule pass.
     pub(crate) fn begin_pass(&mut self, body_len: usize) {
-        if self.detail >= ProfileDetail::Literals {
-            self.trace_buf.clear();
-            self.trace_buf.resize(body_len, LitCount::default());
-        }
+        self.trace_buf.clear();
+        self.trace_buf.resize(body_len, LitCount::default());
     }
 
     /// The trace slice the join recursion writes per-literal counters
-    /// into; `None` below [`ProfileDetail::Literals`].
+    /// into.
     #[inline]
-    pub(crate) fn trace(&mut self) -> Option<&mut [LitCount]> {
-        if self.detail >= ProfileDetail::Literals {
-            Some(&mut self.trace_buf)
-        } else {
-            None
-        }
+    pub(crate) fn trace(&mut self) -> &mut [LitCount] {
+        &mut self.trace_buf
     }
 
     /// Closes one rule pass: folds the [`EvalStats`] delta between
     /// `before` and `after`, the pass wall time (when this pass was one
-    /// of the sampled ones — see [`Profiler::pass_timer`]), and (at
-    /// Literals) the trace buffer into rule `ri`'s accumulator.
+    /// of the sampled ones — see [`Profiler::pass_timer`]), and the trace
+    /// buffer into rule `ri`'s accumulator.
     pub(crate) fn end_pass(
         &mut self,
         ri: usize,
@@ -495,16 +346,18 @@ impl Profiler {
             acc.nanos += n;
             acc.timed += 1;
         }
-        if self.detail >= ProfileDetail::Literals {
-            for (a, t) in acc.lits.iter_mut().zip(&self.trace_buf) {
-                a.tuples_in += t.tuples_in;
-                a.tuples_out += t.tuples_out;
-            }
+        for (a, t) in acc.lits.iter_mut().zip(&self.trace_buf) {
+            a.tuples_in += t.tuples_in;
+            a.tuples_out += t.tuples_out;
         }
     }
 
-    /// Closes the current stratum with its round/fact totals.
-    pub(crate) fn end_stratum(&mut self, rounds: usize, facts: usize) {
+    /// Closes the current stratum with its round/fact totals; `tripped`
+    /// records that a resource limit tripped in it.
+    pub(crate) fn end_stratum(&mut self, rounds: usize, facts: usize, tripped: bool) {
+        if tripped {
+            self.trip_stratum = Some(self.cur_index);
+        }
         let nanos = self
             .cur_start
             .take()
@@ -520,20 +373,17 @@ impl Profiler {
                 index_probes: acc.index_probes,
                 full_scans: acc.full_scans,
                 nanos: scale_sampled(acc.nanos, acc.passes, acc.timed),
-                literals: if self.detail >= ProfileDetail::Literals {
-                    acc.lits
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| acc.positive[i])
-                        .map(|(i, l)| LiteralProfile {
-                            literal: i,
-                            tuples_in: l.tuples_in,
-                            tuples_out: l.tuples_out,
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                },
+                literals: acc
+                    .lits
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| acc.positive[i])
+                    .map(|(i, l)| LiteralProfile {
+                        literal: i,
+                        tuples_in: l.tuples_in,
+                        tuples_out: l.tuples_out,
+                    })
+                    .collect(),
             })
             .collect();
         self.strata.push(StratumProfile {
@@ -545,15 +395,9 @@ impl Profiler {
         });
     }
 
-    /// Records that a resource limit tripped in stratum `index`.
-    pub(crate) fn mark_trip(&mut self, index: usize) {
-        self.trip_stratum = Some(index);
-    }
-
     /// The collected profile.
     pub(crate) fn finish(self) -> EvalProfile {
         EvalProfile {
-            detail: self.detail,
             strata: self.strata,
             trip_stratum: self.trip_stratum,
         }
@@ -927,25 +771,11 @@ impl UpdateProfile {
 mod tests {
     use super::*;
 
+    /// The profile JSON is write-only, so its exact bytes are the
+    /// contract: key order, number rendering and string escaping.
     #[test]
-    fn detail_labels_round_trip() {
-        for detail in [
-            ProfileDetail::Off,
-            ProfileDetail::Strata,
-            ProfileDetail::Rules,
-            ProfileDetail::Literals,
-        ] {
-            assert_eq!(ProfileDetail::from_str_opt(detail.as_str()), Some(detail));
-        }
-        assert_eq!(ProfileDetail::from_str_opt("bogus"), None);
-        assert!(ProfileDetail::Off < ProfileDetail::Strata);
-        assert!(ProfileDetail::Rules < ProfileDetail::Literals);
-    }
-
-    #[test]
-    fn profile_json_round_trips() {
+    fn profile_json_renders_golden_bytes() {
         let profile = EvalProfile {
-            detail: ProfileDetail::Literals,
             strata: vec![StratumProfile {
                 index: 1,
                 nanos: 12345,
@@ -953,7 +783,7 @@ mod tests {
                 facts: 42,
                 rules: vec![RuleProfile {
                     rule: 3,
-                    head: "path".into(),
+                    head: "p\"a\\th\u{1}".into(),
                     firings: 9,
                     tuples_considered: 20,
                     index_probes: 5,
@@ -968,10 +798,10 @@ mod tests {
             }],
             trip_stratum: Some(1),
         };
-        let json = profile.to_json();
-        let text = json.render();
-        let reparsed = crate::json::parse(&text).expect("renders valid JSON");
-        assert_eq!(EvalProfile::from_json(&reparsed).unwrap(), profile);
+        assert_eq!(
+            profile.to_json().render(),
+            r#"{"trip_stratum":1,"strata":[{"index":1,"nanos":12345,"rounds":7,"facts":42,"rules":[{"rule":3,"head":"p\"a\\th\u0001","firings":9,"tuples_considered":20,"index_probes":5,"full_scans":1,"nanos":999,"literals":[{"literal":0,"tuples_in":20,"tuples_out":9}]}]}]}"#
+        );
     }
 
     #[test]
@@ -982,7 +812,6 @@ mod tests {
             ..RuleProfile::default()
         };
         let profile = EvalProfile {
-            detail: ProfileDetail::Rules,
             strata: vec![
                 StratumProfile {
                     index: 0,

@@ -591,10 +591,7 @@ impl Strata {
                 prof.as_deref_mut(),
             );
             if let Some(p) = prof {
-                if gov.tripped().is_some() {
-                    p.mark_trip(0);
-                }
-                p.end_stratum(stats.rounds, stats.facts);
+                p.end_stratum(stats.rounds, stats.facts, gov.tripped().is_some());
             }
             if gov.tripped().is_some() {
                 stats.strata = 0;
@@ -639,10 +636,7 @@ impl Strata {
                 total.merge_counters(&stats);
                 trip = gov.tripped();
                 if let Some(p) = prof.as_deref_mut() {
-                    if trip.is_some() {
-                        p.mark_trip(k);
-                    }
-                    p.end_stratum(stats.rounds, stats.facts);
+                    p.end_stratum(stats.rounds, stats.facts, trip.is_some());
                 }
 
                 // Materialize this stratum's output: into the final store,

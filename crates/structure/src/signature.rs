@@ -1,6 +1,6 @@
 //! Relational signatures: named predicate symbols with fixed arities.
 
-use crate::fx::FxHashMap;
+use crate::domain::{Domain, ElemId};
 use std::fmt;
 
 /// Identifier of a predicate symbol within a [`Signature`].
@@ -25,11 +25,13 @@ impl fmt::Display for PredId {
 /// symbols, each with a name and an arity.
 ///
 /// Signatures are append-only; predicates are addressed by [`PredId`].
+/// The names live in a [`Domain`], the crate's flat name arena: predicate
+/// `p`'s name is element `p` of it, so a signature holds every name once
+/// and cloning it allocates nothing per predicate.
 #[derive(Debug, Clone, Default)]
 pub struct Signature {
-    names: Vec<String>,
+    names: Domain,
     arities: Vec<usize>,
-    by_name: FxHashMap<String, PredId>,
 }
 
 impl Signature {
@@ -45,7 +47,7 @@ impl Signature {
     pub fn from_pairs<I, S>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (S, usize)>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
         let mut sig = Self::new();
         for (name, arity) in pairs {
@@ -58,22 +60,18 @@ impl Signature {
     ///
     /// # Panics
     /// Panics if `name` is already declared (signatures are sets).
-    pub fn declare(&mut self, name: impl Into<String>, arity: usize) -> PredId {
-        let name = name.into();
-        assert!(
-            !self.by_name.contains_key(&name),
-            "predicate `{name}` declared twice"
-        );
-        let id = PredId(self.names.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.names.push(name);
+    pub fn declare(&mut self, name: impl AsRef<str>, arity: usize) -> PredId {
+        let name = name.as_ref();
+        let fresh = self.names.len();
+        let id = self.names.intern(name);
+        assert!(id.index() == fresh, "predicate `{name}` declared twice");
         self.arities.push(arity);
-        id
+        PredId(id.0)
     }
 
     /// Looks a predicate up by name.
     pub fn lookup(&self, name: &str) -> Option<PredId> {
-        self.by_name.get(name).copied()
+        self.names.lookup(name).map(|e| PredId(e.0))
     }
 
     /// The arity of `pred`.
@@ -85,24 +83,24 @@ impl Signature {
     /// The name of `pred`.
     #[inline]
     pub fn name(&self, pred: PredId) -> &str {
-        &self.names[pred.index()]
+        self.names.name(ElemId(pred.0))
     }
 
     /// Number of predicate symbols.
     #[inline]
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.arities.len()
     }
 
     /// True if no predicates are declared.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.arities.is_empty()
     }
 
     /// Iterates over all predicate ids in declaration order.
     pub fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        (0..self.names.len() as u32).map(PredId)
+        (0..self.arities.len() as u32).map(PredId)
     }
 
     /// The maximum arity over all predicates (0 for an empty signature).
@@ -123,13 +121,13 @@ impl Signature {
     /// which plain `child1`/`bag` atoms cannot discriminate.
     pub fn extend_td(&self, width: usize) -> Signature {
         self.extend_with([
-            ("root".to_owned(), 1),
-            ("leaf".to_owned(), 1),
-            ("child1".to_owned(), 2),
-            ("child2".to_owned(), 2),
-            ("bag".to_owned(), width + 2),
-            ("branch".to_owned(), 1),
-            ("same".to_owned(), 2),
+            ("root", 1),
+            ("leaf", 1),
+            ("child1", 2),
+            ("child2", 2),
+            ("bag", width + 2),
+            ("branch", 1),
+            ("same", 2),
         ])
     }
 
@@ -143,7 +141,7 @@ impl Signature {
     pub fn extend_with<I, S>(&self, pairs: I) -> Signature
     where
         I: IntoIterator<Item = (S, usize)>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
         let mut sig = self.clone();
         for (name, arity) in pairs {

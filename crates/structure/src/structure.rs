@@ -1131,7 +1131,7 @@ impl Structure {
     pub fn extended<I, S>(&self, extra: I) -> (Structure, Vec<PredId>)
     where
         I: IntoIterator<Item = (S, usize)>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
         let sig = self.sig.extend_with(extra);
         // `declare` appends, so the fresh predicates are exactly the ids

@@ -7,7 +7,7 @@
 //!
 //! Builds the 3-stratum reachability/negation workload from the bench
 //! suite, renders its compiled join plans with [`Evaluator::explain`],
-//! then evaluates it at [`ProfileDetail::Literals`] and walks the
+//! then evaluates it with profiling on and walks the
 //! collected [`EvalProfile`]: the per-stratum timeline, the hottest
 //! rules, and the observed per-literal selectivities — the feedstock a
 //! cost-based re-planner needs. Finally it trips a fuel budget to show
@@ -47,12 +47,9 @@ fn main() {
     let session = Evaluator::new(program.clone()).unwrap();
     println!("== explain ==\n{}", session.explain(&s).render_text());
 
-    // 2. What actually ran: a profiled evaluation at full detail.
-    let mut session = Evaluator::with_options(
-        program.clone(),
-        EvalOptions::new().profile(ProfileDetail::Literals),
-    )
-    .unwrap();
+    // 2. What actually ran: a profiled evaluation.
+    let mut session =
+        Evaluator::with_options(program.clone(), EvalOptions::new().profile(true)).unwrap();
     let result = session.evaluate(&s).unwrap();
     let profile = result.profile.expect("profiling enabled");
 
@@ -101,7 +98,7 @@ fn main() {
     let mut governed = Evaluator::with_options(
         program,
         EvalOptions::new()
-            .profile(ProfileDetail::Rules)
+            .profile(true)
             .limits(EvalLimits::new().fuel(200)),
     )
     .unwrap();

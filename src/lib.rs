@@ -43,8 +43,8 @@ pub mod prelude {
     };
     pub use mdtw_datalog::{
         parse_program, stratify, CancelToken, Engine, EvalError, EvalLimits, EvalOptions,
-        EvalProfile, EvalResult, Evaluator, Explanation, LimitKind, MaterializedView,
-        ProfileDetail, Span, Stratification, StratificationError, Update,
+        EvalProfile, EvalResult, Evaluator, Explanation, LimitKind, MaterializedView, Span,
+        Stratification, StratificationError, Update,
     };
     pub use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd, TreeDecomposition, TupleTd};
     pub use mdtw_graph::{encode_graph, Graph};

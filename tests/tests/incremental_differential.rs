@@ -12,15 +12,15 @@
 //! After every batch, every relation of the view must also pass
 //! [`Relation::check_invariants`](mdtw_structure::Relation::check_invariants).
 //! A fifth program carries redundant rules and a dead rule, and a sweep
-//! over all eight combinations of `prune_dead_rules`,
-//! `profile(Off | Rules)` and `limits(none | a generous fresh budget)`
-//! (each with `outputs`) checks that a materialized view's outputs agree
-//! with a default session over the original program after
-//! materialization and after every batch.
+//! over all eight combinations of `outputs(none | declared)`,
+//! `profile(off | on)` and `limits(none | a generous fresh budget)`
+//! checks that a materialized view's outputs agree with a default session
+//! over the original program after materialization and after every
+//! batch.
 
 use mdtw_datalog::{
     parse_program, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, LimitKind,
-    MaterializedView, ProfileDetail, Update,
+    MaterializedView, Update,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
@@ -69,7 +69,7 @@ const MULTI_RULE: &str = "t(X, Y) :- e(X, Y).\n\
 /// Redundant rules and a dead one: `p`'s second rule is contained in its
 /// first, `q` repeats a literal, `b`'s recursive rule adds nothing, `w`
 /// negates a derived predicate, and `dead` feeds no output
-/// (`prune_dead_rules` drops it).
+/// (declaring the outputs drops it).
 const REDUNDANT: &str = "p(X) :- m(X).\n\
                          p(X) :- m(X), e(X, Y).\n\
                          q(X, Y) :- e(X, Y), e(X, Y).\n\
@@ -190,9 +190,9 @@ fn run_case(source: &str, n: usize, edges: &[(u8, u8)], marks: &[u8], batches: &
 /// never trips.
 const GENEROUS_FUEL: u64 = 1 << 40;
 
-/// Every combination of `prune_dead_rules`, `profile(Off | Rules)` and
-/// `limits(none | a fresh generous budget)`, each with `outputs`
-/// declared: after materialization and after every batch, the view's
+/// Every combination of `outputs(none | declared)`, `profile(off | on)`
+/// and `limits(none | a fresh generous budget)`: after materialization
+/// and after every batch, the view's
 /// output predicates equal a default session's over the original
 /// program and the mutated structure, and no batch falls back.
 fn run_options_case(
@@ -220,14 +220,10 @@ fn run_options_case(
         }
     };
     for combo in 0..8u8 {
-        let mut options = EvalOptions::new()
-            .outputs(outputs.iter().copied())
-            .prune_dead_rules(combo & 1 != 0)
-            .profile(if combo & 2 != 0 {
-                ProfileDetail::Rules
-            } else {
-                ProfileDetail::Off
-            });
+        let mut options = EvalOptions::new().profile(combo & 2 != 0);
+        if combo & 1 != 0 {
+            options = options.outputs(outputs.iter().copied());
+        }
         if combo & 4 != 0 {
             options = options.limits(EvalLimits::new().fuel(GENEROUS_FUEL));
         }
@@ -490,15 +486,11 @@ fn option_sweep_programs_exercise_every_option() {
         Evaluator::with_options(program, options.outputs([output])).unwrap()
     };
     let pruned = |source: &str, output: &str| {
-        session(source, output, EvalOptions::new().prune_dead_rules(true)).pruned_rule_count()
+        session(source, output, EvalOptions::new()).pruned_rule_count()
     };
     assert_eq!(pruned(SEMIPOSITIVE, "nl"), 2);
     assert_eq!(pruned(REDUNDANT, "w"), 1);
-    let mut profiled = session(
-        NONLINEAR,
-        "hub",
-        EvalOptions::new().profile(ProfileDetail::Rules),
-    );
+    let mut profiled = session(NONLINEAR, "hub", EvalOptions::new().profile(true));
     assert!(profiled.evaluate(&s).unwrap().profile.is_some());
     let limits = EvalLimits::new().fuel(GENEROUS_FUEL);
     session(NONLINEAR, "hub", EvalOptions::new().limits(limits.clone()))

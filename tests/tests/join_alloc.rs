@@ -39,7 +39,7 @@
 //!   on it at most 24 (the nice conversion presizes its arrays), and
 //!   `TupleTd::from_td_with_width` on the decomposition of the τ_td forest
 //!   fewer than one per hundred nodes. `encode_tuple_td` on that
-//!   forest makes a constant number (at most 96), none per node.
+//!   forest makes a constant number (at most 66), none per node.
 
 use mdtw_core::{enumerate_primes, ground_three_col, PrimalityContext};
 use mdtw_datalog::{parse_program, Engine, EvalOptions, Evaluator, FdCatalog, Update};
@@ -242,11 +242,11 @@ fn forest_1500() -> (Structure, TreeDecomposition) {
 /// of the τ_td guards, `TupleTd::from_td_with_width` makes fewer
 /// allocations than one per hundred tuple nodes, because the normal form
 /// writes its bags into one arena and records each node's kind as it
-/// builds it. `encode_tuple_td` makes at most 96 allocations for over
+/// builds it. `encode_tuple_td` makes at most 66 allocations for over
 /// 4000 nodes: it presizes every relation and reuses one tuple buffer, so
-/// what remains is a constant per relation and per predicate name (76
-/// allocations: four per relation, 25 to extend the signature, the rest
-/// to clone and grow the domain).
+/// what remains is a constant per relation and for the predicate names
+/// (66 allocations: four per relation, 15 to extend the signature, whose
+/// names share one arena, the rest to clone and grow the domain).
 #[test]
 fn tuple_normal_form_and_encoding_allocate_nothing_per_node() {
     let (s, td) = forest_1500();
@@ -261,7 +261,7 @@ fn tuple_normal_form_and_encoding_allocate_nothing_per_node() {
     let (enc, allocs) = allocations(|| encode_tuple_td(&s, &tuple_td));
     assert_eq!(enc.node_elem.len(), nodes);
     assert!(
-        allocs <= 96,
+        allocs <= 66,
         "{allocs} allocations to encode {nodes} tuple nodes"
     );
 }

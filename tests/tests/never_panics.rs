@@ -14,7 +14,7 @@
 use mdtw_datalog::dry_run::{
     explain_source, profile_source_with_limits, scan_pragmas, ProfileOutcome,
 };
-use mdtw_datalog::{parse_program, EvalLimits, ProfileDetail, Span};
+use mdtw_datalog::{parse_program, EvalLimits, Span};
 use mdtw_structure::{Domain, Signature, Structure};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -85,7 +85,7 @@ fn exercise(source: &str) {
         Err(e) => assert_eq!(Err(e), pragmas, "explain pragma error"),
     }
     let limits = EvalLimits::new().fuel(FUZZ_FUEL);
-    match profile_source_with_limits(source, ProfileDetail::Literals, Some(&limits)) {
+    match profile_source_with_limits(source, Some(&limits)) {
         Ok(ProfileOutcome::Profiled(dump)) => {
             assert!(pragmas.is_ok(), "profile ignored a pragma error");
             if dump.tripped.is_none() {

@@ -1,19 +1,19 @@
 //! Observability-layer pins: profiling must *observe* evaluation, never
 //! change it.
 //!
-//! * Property test (96 random semipositive programs × structures):
-//!   every [`ProfileDetail`] level produces a store and
-//!   [`EvalStats`] bit-identical to `ProfileDetail::Off`.
+//! * Property test (96 random semipositive programs × structures): a
+//!   profiled evaluation produces a store and [`EvalStats`]
+//!   bit-identical to an unprofiled one.
 //! * Fixture pins on the 3-stratum negation chain: per-rule firing
-//!   counts in the profile sum to `EvalStats::firings`, every positive
-//!   literal of every fired rule carries a selectivity observation, and
-//!   the profile round-trips through the JSON export.
-//! * A tripped budget still yields a profile, names the tripping stratum
-//!   in its `Display`, and serializes it in the JSON error shape.
+//!   counts in the profile sum to `EvalStats::firings`, and every
+//!   positive literal of every fired rule carries a selectivity
+//!   observation.
+//! * A tripped budget still yields a profile, and the profile, its JSON
+//!   and the error's `Display` all name the tripping stratum.
 
 use mdtw_datalog::{
-    parse_program, Atom, EvalError, EvalLimits, EvalOptions, EvalProfile, Evaluator, IdbId,
-    Literal, PredRef, ProfileDetail, Program, Rule, Term, Var,
+    parse_program, Atom, EvalError, EvalLimits, EvalOptions, Evaluator, IdbId, Literal, PredRef,
+    Program, Rule, Term, Var,
 };
 use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
 use proptest::collection::vec;
@@ -174,9 +174,9 @@ fn stratified_fixture(n: usize) -> (Structure, Program) {
 fn evaluate_at(
     program: &Program,
     structure: &Structure,
-    detail: ProfileDetail,
+    profile: bool,
 ) -> mdtw_datalog::EvalResult {
-    let mut session = Evaluator::with_options(program.clone(), EvalOptions::new().profile(detail))
+    let mut session = Evaluator::with_options(program.clone(), EvalOptions::new().profile(profile))
         .expect("stratifiable program");
     session.evaluate(structure).expect("no limits, cannot trip")
 }
@@ -184,9 +184,8 @@ fn evaluate_at(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Profiling is observation only: at every `ProfileDetail` level,
-    /// the store and the work counters are
-    /// bit-identical to a `ProfileDetail::Off` evaluation.
+    /// Profiling is observation only: with profiling on, the store and
+    /// the work counters are bit-identical to an unprofiled evaluation.
     #[test]
     fn profiling_never_changes_store_or_stats(
         n in 2usize..6,
@@ -204,33 +203,29 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        let off = evaluate_at(&p, &s, ProfileDetail::Off);
-        prop_assert!(off.profile.is_none(), "Off must not allocate a profile");
-        for detail in [ProfileDetail::Strata, ProfileDetail::Rules, ProfileDetail::Literals] {
-            let on = evaluate_at(&p, &s, detail);
-            for idb in 0..p.idb_count() {
-                let id = IdbId(idb as u32);
-                prop_assert_eq!(
-                    off.store.tuples(id),
-                    on.store.tuples(id),
-                    "store must be bit-identical ({:?}, idb {})",
-                    detail,
-                    idb
-                );
-            }
-            prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
-            prop_assert_eq!(off.stats, on.stats, "stats must be bit-identical ({:?})", detail);
-            let profile = on.profile.expect("profiling enabled");
-            prop_assert_eq!(profile.detail, detail);
-            prop_assert!(profile.trip_stratum.is_none());
+        let off = evaluate_at(&p, &s, false);
+        prop_assert!(off.profile.is_none(), "off must not allocate a profile");
+        let on = evaluate_at(&p, &s, true);
+        for idb in 0..p.idb_count() {
+            let id = IdbId(idb as u32);
+            prop_assert_eq!(
+                off.store.tuples(id),
+                on.store.tuples(id),
+                "store must be bit-identical (idb {})",
+                idb
+            );
         }
+        prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
+        prop_assert_eq!(off.stats, on.stats, "stats must be bit-identical");
+        let profile = on.profile.expect("profiling enabled");
+        prop_assert!(profile.trip_stratum.is_none());
     }
 }
 
 #[test]
 fn per_rule_firings_sum_to_eval_stats() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, ProfileDetail::Rules);
+    let result = evaluate_at(&p, &s, true);
     let profile = result.profile.expect("profiling enabled");
     assert_eq!(profile.strata.len(), result.stats.strata);
     assert_eq!(profile.strata.len(), 3, "the fixture has three strata");
@@ -275,7 +270,7 @@ fn per_rule_firings_sum_to_eval_stats() {
 #[test]
 fn literal_detail_observes_every_positive_literal_of_fired_rules() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, ProfileDetail::Literals);
+    let result = evaluate_at(&p, &s, true);
     let profile = result.profile.expect("profiling enabled");
 
     let mut observed_rules = 0usize;
@@ -314,30 +309,12 @@ fn literal_detail_observes_every_positive_literal_of_fired_rules() {
 }
 
 #[test]
-fn profiles_round_trip_through_json() {
-    let (s, p) = stratified_fixture(12);
-    for detail in [
-        ProfileDetail::Strata,
-        ProfileDetail::Rules,
-        ProfileDetail::Literals,
-    ] {
-        let result = evaluate_at(&p, &s, detail);
-        let profile = result.profile.expect("profiling enabled");
-        let json = profile.to_json();
-        let rendered = json.render();
-        let reparsed = mdtw_datalog::json::parse(&rendered).expect("rendered JSON parses");
-        let back = EvalProfile::from_json(&reparsed).expect("profile deserializes");
-        assert_eq!(*profile, back, "lossless round-trip at {detail:?}");
-    }
-}
-
-#[test]
 fn tripped_budget_reports_stratum_in_display_profile_and_json() {
     let (s, p) = stratified_fixture(64);
     let mut session = Evaluator::with_options(
         p,
         EvalOptions::new()
-            .profile(ProfileDetail::Rules)
+            .profile(true)
             .limits(EvalLimits::new().fuel(40)),
     )
     .expect("stratifiable");
@@ -367,5 +344,10 @@ fn tripped_budget_reports_stratum_in_display_profile_and_json() {
     assert_eq!(
         trip, stats.strata,
         "the tripping stratum is the one after the completed count"
+    );
+    let rendered = profile.to_json().render();
+    assert!(
+        rendered.starts_with(&format!(r#"{{"trip_stratum":{trip},"#)),
+        "the JSON names the tripping stratum: {rendered}"
     );
 }

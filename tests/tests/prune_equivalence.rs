@@ -1,7 +1,8 @@
 //! Dead-rule pruning must be invisible: for any program and any declared
-//! outputs, an `Evaluator` with `prune_dead_rules(true)` derives exactly
-//! the same facts for every output predicate (and everything an output
-//! transitively depends on) as the unpruned session.
+//! outputs, an `Evaluator` with those `outputs` (which drops every rule no
+//! output depends on) derives exactly the same facts for every output
+//! predicate (and everything an output transitively depends on) as a
+//! session without declared outputs.
 
 use mdtw_datalog::{parse_program, relevant_rules, EvalOptions, Evaluator};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
@@ -71,16 +72,10 @@ proptest! {
     fn pruned_evaluation_matches_unpruned_on_outputs((source, outputs) in arb_program()) {
         let s = chain(9);
         let program = parse_program(&source, &s).expect("generated programs parse");
-        let mut plain = Evaluator::with_options(
-            program.clone(),
-            EvalOptions::new().outputs(outputs.iter().cloned()),
-        )
-        .expect("generated programs stratify");
+        let mut plain = Evaluator::new(program.clone()).expect("generated programs stratify");
         let mut pruned = Evaluator::with_options(
             program,
-            EvalOptions::new()
-                .outputs(outputs.iter().cloned())
-                .prune_dead_rules(true),
+            EvalOptions::new().outputs(outputs.iter().cloned()),
         )
         .expect("pruning preserves stratifiability");
 
@@ -147,13 +142,8 @@ fn crafted_workload_prunes_rules_with_bit_identical_store() {
     let program = parse_program(src, &s).unwrap();
     let outputs = ["reach", "far"];
 
-    let mut plain =
-        Evaluator::with_options(program.clone(), EvalOptions::new().outputs(outputs)).unwrap();
-    let mut pruned = Evaluator::with_options(
-        program,
-        EvalOptions::new().outputs(outputs).prune_dead_rules(true),
-    )
-    .unwrap();
+    let mut plain = Evaluator::new(program.clone()).unwrap();
+    let mut pruned = Evaluator::with_options(program, EvalOptions::new().outputs(outputs)).unwrap();
 
     assert_eq!(pruned.pruned_rule_count(), 3, "dead fragment dropped");
     assert_eq!(pruned.program().rules.len(), 3);
