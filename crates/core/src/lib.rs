@@ -29,4 +29,4 @@ pub use primality::{
     enumerate_primes, is_3nf_fpt, is_prime_fpt, is_prime_fpt_with_td, prime_attributes_fpt,
     third_nf_violations_fpt, PrimState, PrimStats, PrimTables, PrimalityContext,
 };
-pub use three_col::{is_three_colorable_fpt, three_coloring_fpt, ColorState, ThreeColSolver};
+pub use three_col::{is_three_colorable_fpt, three_coloring_fpt, ThreeColSolver};

@@ -13,7 +13,11 @@
 //! the bottom-up computation never reaches. Comparing the two quantifies
 //! optimization (1) of the paper's §6 ("the vast majority of possible
 //! instantiations is never computed since they are not reachable along
-//! the bottom-up computation"); the `width_sweep` bench plots it.
+//! the bottom-up computation"); the `three_col_ktree` workload of
+//! `perfbench` reports both counts (`core.three_col.facts` and
+//! `core.lowering.atoms`). The states, their introduce and forget steps
+//! and the properness test are [`mdtw_graph::bag_coloring`]'s, shared with
+//! the dynamic program.
 //!
 //! # Atom ids
 //!
@@ -43,15 +47,14 @@
 
 use mdtw_datalog::HornProgram;
 use mdtw_decomp::{NiceKind, NiceTd};
-use mdtw_graph::Graph;
-use mdtw_structure::ElemId;
+use mdtw_graph::{BagAdjacency, BagColoring, Graph};
 
 /// The materialized ground program.
 ///
 /// Atom 0 is `success`; node `s` owns atoms `base[s] .. base[s] +
-/// 3^|bag(s)|`, one per bag colouring. The rules share one body arena,
-/// reserved up front from the per-node bounds of the
-/// [module docs](self#rule-storage).
+/// 3^|bag(s)|`, one per bag colouring. The rules share one body arena
+/// that grows by doubling, as the [module docs](self#rule-storage)
+/// describe.
 #[derive(Debug)]
 pub struct GroundThreeCol {
     /// The propositional program.
@@ -73,57 +76,6 @@ impl GroundThreeCol {
     pub fn succeeds(&self) -> bool {
         self.horn.least_model()[0]
     }
-}
-
-/// All `(r, g)` partitions of an `n`-element bag, in atom-offset order:
-/// position `k` holds the colouring whose base-3 digits (least
-/// significant first) are `k`'s, with digit 0 red, 1 green and 2 blue.
-fn all_states(n: usize) -> Vec<(u64, u64)> {
-    let count = 3usize.pow(n as u32);
-    let mut out = Vec::with_capacity(count);
-    for k in 0..count {
-        let (mut r, mut g, mut rest) = (0u64, 0u64, k);
-        for i in 0..n {
-            match rest % 3 {
-                0 => r |= 1 << i,
-                1 => g |= 1 << i,
-                _ => {}
-            }
-            rest /= 3;
-        }
-        out.push((r, g));
-    }
-    out
-}
-
-fn proper_class(graph: &Graph, bag: &[ElemId], class: u64) -> bool {
-    let mut bits = class;
-    while bits != 0 {
-        let i = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let mut rest = bits;
-        while rest != 0 {
-            let j = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            if graph.has_edge(bag[i].0, bag[j].0) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn allowed(graph: &Graph, bag: &[ElemId], n: usize, r: u64, g: u64) -> bool {
-    let full = (1u64 << n) - 1;
-    let b = full & !(r | g);
-    proper_class(graph, bag, r) && proper_class(graph, bag, g) && proper_class(graph, bag, b)
-}
-
-#[inline]
-fn lift(mask: u64, at: usize) -> u64 {
-    let low = mask & ((1u64 << at) - 1);
-    let high = (mask >> at) << (at + 1);
-    low | high
 }
 
 /// Materializes the Figure 5 program over `(graph, td)` as ground monadic
@@ -150,8 +102,6 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
             .expect("the Figure 5 grounding has more than u32::MAX atoms");
     }
     let pow3: Vec<u32> = (0..=max_bag as u32).map(|i| 3u32.pow(i)).collect();
-    // The states of every bag size, built once per call.
-    let states: Vec<Vec<(u64, u64)>> = (0..=max_bag).map(all_states).collect();
     let root = td.root();
     let root_states = pow3[td.bag(root).len()] as usize;
 
@@ -162,9 +112,10 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
         let at = base[node.index()];
         match td.kind(node) {
             NiceKind::Leaf => {
-                for (k, &(r, g)) in states[n].iter().enumerate() {
-                    if allowed(graph, bag, n, r, g) {
-                        horn.push(at + k as u32, []);
+                let adj = BagAdjacency::of_bag(graph, bag);
+                for (k, state) in (0u32..).zip(BagColoring::all(n)) {
+                    if adj.is_proper(state) {
+                        horn.push(at + k, []);
                     }
                 }
             }
@@ -172,19 +123,13 @@ pub fn ground_three_col(graph: &Graph, td: &NiceTd) -> GroundThreeCol {
                 let child = base[td.children(node).next().expect("one child").index()];
                 let vpos = bag.binary_search(&v).expect("introduced in bag");
                 let p = pow3[vpos];
-                for (k, &(r, g)) in states[n - 1].iter().enumerate() {
-                    let k = k as u32;
-                    let body_atom = child + k;
-                    let (lr, lg) = (lift(r, vpos), lift(g, vpos));
+                // Every child state, proper or not, so the full check.
+                let adj = BagAdjacency::of_bag(graph, bag);
+                for (k, state) in (0u32..).zip(BagColoring::all(n - 1)) {
                     let spread = at + k % p + k / p * 3 * p;
-                    for color in 0..3u32 {
-                        let (nr, ng) = match color {
-                            0 => (lr | 1 << vpos, lg),
-                            1 => (lr, lg | 1 << vpos),
-                            _ => (lr, lg),
-                        };
-                        if allowed(graph, bag, n, nr, ng) {
-                            horn.push(spread + color * p, [body_atom]);
+                    for (color, cand) in (0u32..).zip(state.extensions(vpos)) {
+                        if adj.is_proper(cand) {
+                            horn.push(spread + color * p, [child + k]);
                         }
                     }
                 }
@@ -279,28 +224,18 @@ mod tests {
 
     #[test]
     fn state_enumeration_counts() {
-        assert_eq!(all_states(0).len(), 1);
-        assert_eq!(all_states(1).len(), 3);
-        assert_eq!(all_states(2).len(), 9);
-        assert_eq!(all_states(3).len(), 27);
+        for n in 0..=4 {
+            assert_eq!(BagColoring::all(n).count(), 3usize.pow(n as u32));
+        }
     }
 
     #[test]
     fn state_position_is_its_base_three_offset() {
         for n in 0..=4 {
-            for (k, &(r, g)) in all_states(n).iter().enumerate() {
-                assert_eq!(r & g, 0);
+            for (k, state) in BagColoring::all(n).enumerate() {
+                assert_eq!(state.r & state.g, 0);
                 let offset: usize = (0..n)
-                    .map(|i| {
-                        let digit = if r >> i & 1 == 1 {
-                            0
-                        } else if g >> i & 1 == 1 {
-                            1
-                        } else {
-                            2
-                        };
-                        digit * 3usize.pow(i as u32)
-                    })
+                    .map(|i| usize::from(state.color(i)) * 3usize.pow(i as u32))
                     .sum();
                 assert_eq!(offset, k, "n = {n}");
             }

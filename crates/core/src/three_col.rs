@@ -9,43 +9,24 @@
 //! the "succinct representation of constantly many monadic predicates
 //! solve⟨r1,r2,r3⟩(s)" argument from the proof of Theorem 5.1.
 //!
+//! The bag-local steps (colourings, introduce and forget, properness)
+//! are [`mdtw_graph::bag_coloring`]'s, shared with the Horn lowering of
+//! [`crate::lowering`] and the tree automaton of `mdtw-fta`.
+//!
 //! Beyond the paper's decision procedure, [`ThreeColSolver::witness`]
 //! extracts an explicit coloring by replaying the table top-down.
 
 use mdtw_decomp::{NiceKind, NiceTd, NodeId};
-use mdtw_graph::Graph;
+use mdtw_graph::{BagAdjacency, BagColoring, Graph};
 use mdtw_structure::fx::FxHashSet;
 use mdtw_structure::ElemId;
-
-/// A `solve(s, R, G, B)` fact: bitmasks over the *sorted bag positions*
-/// of node `s`. Positions not in `r` or `g` are in `B`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ColorState {
-    /// Bag positions colored "red".
-    pub r: u64,
-    /// Bag positions colored "green".
-    pub g: u64,
-}
-
-impl ColorState {
-    #[inline]
-    fn color_of(&self, pos: usize) -> u8 {
-        if self.r >> pos & 1 == 1 {
-            0
-        } else if self.g >> pos & 1 == 1 {
-            1
-        } else {
-            2
-        }
-    }
-}
 
 /// The per-node `solve` tables for a graph and a nice tree decomposition.
 #[derive(Debug)]
 pub struct ThreeColSolver<'a> {
     graph: &'a Graph,
     td: &'a NiceTd,
-    tables: Vec<FxHashSet<ColorState>>,
+    tables: Vec<FxHashSet<BagColoring>>,
     /// Total number of `solve` facts (for the state-count ablations).
     pub fact_count: usize,
 }
@@ -75,115 +56,42 @@ impl<'a> ThreeColSolver<'a> {
         !self.tables[self.td.root().index()].is_empty()
     }
 
-    /// The table at `node` (exposed for the enumeration/ablation benches).
-    pub fn table(&self, node: NodeId) -> &FxHashSet<ColorState> {
-        &self.tables[node.index()]
+    /// The only child of an introduce or forget node, and the position of
+    /// the introduced or forgotten element `v` in whichever of the two
+    /// bags holds it.
+    fn step(&self, node: NodeId, v: ElemId) -> (NodeId, usize) {
+        let child = self.td.children(node).next().expect("one child");
+        let pos = |n: NodeId| self.td.bag(n).binary_search(&v);
+        let pos = pos(node).or_else(|_| pos(child)).expect("element in a bag");
+        (child, pos)
     }
 
-    /// `allowed(s, X)` of Figure 5: no two adjacent bag vertices in `mask`.
-    fn allowed(&self, bag: &[ElemId], mask: u64) -> bool {
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let mut rest = bits;
-            while rest != 0 {
-                let j = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                if self.graph.has_edge(bag[i].0, bag[j].0) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn compute_node(&self, node: NodeId) -> FxHashSet<ColorState> {
+    fn compute_node(&self, node: NodeId) -> FxHashSet<BagColoring> {
         let bag = self.td.bag(node);
         let mut out = FxHashSet::default();
         match self.td.kind(node) {
+            // partition(s, R, G, B) with allowed(R), allowed(G), allowed(B).
             NiceKind::Leaf => {
-                // partition(s, R, G, B) with allowed(R), allowed(G), allowed(B).
-                let n = bag.len();
-                debug_assert!(n <= 63, "bag exceeds bitmask width");
-                for r in 0u64..(1 << n) {
-                    if !self.allowed(bag, r) {
-                        continue;
-                    }
-                    let rest = !r & ((1 << n) - 1);
-                    // Enumerate g ⊆ rest via subset iteration.
-                    let mut gmask = rest;
-                    loop {
-                        if self.allowed(bag, gmask) {
-                            let b = rest & !gmask;
-                            if self.allowed(bag, b) {
-                                out.insert(ColorState { r, g: gmask });
-                            }
-                        }
-                        if gmask == 0 {
-                            break;
-                        }
-                        gmask = (gmask - 1) & rest;
-                    }
-                }
+                let adj = BagAdjacency::of_bag(self.graph, bag);
+                out.extend(adj.proper_colorings());
             }
             NiceKind::Introduce(v) => {
-                let child = self.td.children(node).next().expect("one child");
-                let child_bag = self.td.bag(child);
-                let vpos = bag.binary_search(&v).expect("introduced element in bag");
-                // Bag positions below vpos keep their index; those at or
-                // above shift by one relative to the child bag.
-                let lift = |mask: u64| -> u64 {
-                    let low = mask & ((1u64 << vpos) - 1);
-                    let high = (mask >> vpos) << (vpos + 1);
-                    low | high
-                };
-                let _ = child_bag;
+                let (child, vpos) = self.step(node, v);
+                let adj = BagAdjacency::of_bag(self.graph, bag);
+                // Child states are proper: only the new vertex's class
+                // needs checking.
                 for state in &self.tables[child.index()] {
-                    let base = ColorState {
-                        r: lift(state.r),
-                        g: lift(state.g),
-                    };
-                    for color in 0..3u8 {
-                        let cand = match color {
-                            0 => ColorState {
-                                r: base.r | 1 << vpos,
-                                g: base.g,
-                            },
-                            1 => ColorState {
-                                r: base.r,
-                                g: base.g | 1 << vpos,
-                            },
-                            _ => base,
-                        };
-                        // Only the new vertex's class needs re-checking.
-                        let class = match color {
-                            0 => cand.r,
-                            1 => cand.g,
-                            _ => !(cand.r | cand.g) & ((1u64 << bag.len()) - 1),
-                        };
-                        if self.allowed_with(bag, class, vpos) {
-                            out.insert(cand);
+                    for c in state.extensions(vpos) {
+                        if adj.is_proper_at(c, vpos) {
+                            out.insert(c);
                         }
                     }
                 }
             }
             NiceKind::Forget(v) => {
-                let child = self.td.children(node).next().expect("one child");
-                let child_bag = self.td.bag(child);
-                let vpos = child_bag
-                    .binary_search(&v)
-                    .expect("forgotten element in child bag");
-                let drop = |mask: u64| -> u64 {
-                    let low = mask & ((1u64 << vpos) - 1);
-                    let high = (mask >> (vpos + 1)) << vpos;
-                    low | high
-                };
+                let (child, vpos) = self.step(node, v);
                 for state in &self.tables[child.index()] {
-                    out.insert(ColorState {
-                        r: drop(state.r),
-                        g: drop(state.g),
-                    });
+                    out.insert(state.drop(vpos));
                 }
             }
             NiceKind::Branch => {
@@ -205,23 +113,6 @@ impl<'a> ThreeColSolver<'a> {
             }
         }
         out
-    }
-
-    /// Checks that vertex at `vpos` has no same-class neighbour inside
-    /// `class` (cheaper than a full `allowed` re-check).
-    fn allowed_with(&self, bag: &[ElemId], class: u64, vpos: usize) -> bool {
-        if class >> vpos & 1 == 0 {
-            return true;
-        }
-        let mut bits = class & !(1u64 << vpos);
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.graph.has_edge(bag[vpos].0, bag[j].0) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Extracts a proper 3-coloring by replaying the tables top-down
@@ -250,57 +141,27 @@ impl<'a> ThreeColSolver<'a> {
     fn assign(
         &self,
         node: NodeId,
-        state: ColorState,
+        state: BagColoring,
         colors: &mut [u8],
-        stack: &mut Vec<(NodeId, ColorState)>,
+        stack: &mut Vec<(NodeId, BagColoring)>,
     ) {
-        let bag = self.td.bag(node);
-        for (pos, &v) in bag.iter().enumerate() {
-            colors[v.index()] = state.color_of(pos);
+        for (pos, &v) in self.td.bag(node).iter().enumerate() {
+            colors[v.index()] = state.color(pos);
         }
         match self.td.kind(node) {
             NiceKind::Leaf => {}
             NiceKind::Introduce(v) => {
-                let child = self.td.children(node).next().expect("one child");
-                let vpos = bag.binary_search(&v).expect("in bag");
-                let drop = |mask: u64| -> u64 {
-                    let low = mask & ((1u64 << vpos) - 1);
-                    let high = (mask >> (vpos + 1)) << vpos;
-                    low | high
-                };
-                let child_state = ColorState {
-                    r: drop(state.r),
-                    g: drop(state.g),
-                };
+                let (child, vpos) = self.step(node, v);
+                let child_state = state.drop(vpos);
                 debug_assert!(self.tables[child.index()].contains(&child_state));
                 stack.push((child, child_state));
             }
             NiceKind::Forget(v) => {
-                let child = self.td.children(node).next().expect("one child");
-                let child_bag = self.td.bag(child);
-                let vpos = child_bag.binary_search(&v).expect("in child bag");
-                let lift = |mask: u64| -> u64 {
-                    let low = mask & ((1u64 << vpos) - 1);
-                    let high = (mask >> vpos) << (vpos + 1);
-                    low | high
-                };
-                let base = ColorState {
-                    r: lift(state.r),
-                    g: lift(state.g),
-                };
+                let (child, vpos) = self.step(node, v);
                 // Find the color the table proves extendable for v.
-                let child_state = (0..3u8)
-                    .map(|color| match color {
-                        0 => ColorState {
-                            r: base.r | 1 << vpos,
-                            g: base.g,
-                        },
-                        1 => ColorState {
-                            r: base.r,
-                            g: base.g | 1 << vpos,
-                        },
-                        _ => base,
-                    })
+                let child_state = state
+                    .extensions(vpos)
+                    .into_iter()
                     .find(|cand| self.tables[child.index()].contains(cand))
                     .expect("table invariant: some extension exists");
                 stack.push((child, child_state));

@@ -350,13 +350,6 @@ pub fn profile_source_with_limits(
             )))
         }
     };
-    // An output naming no intensional predicate would leave every rule
-    // dead, and the run would profile nothing.
-    if let Some(name) = decls.outputs.iter().find(|o| program.idb(o).is_none()) {
-        return Ok(ProfileOutcome::Skipped(format!(
-            "`%! output {name}` names no intensional predicate"
-        )));
-    }
     let budget = limits
         .cloned()
         .unwrap_or_else(|| EvalLimits::new().fuel(DEFAULT_PROFILE_FUEL));
@@ -366,6 +359,11 @@ pub fn profile_source_with_limits(
     }
     let mut evaluator = match Evaluator::with_options(program, options) {
         Ok(ev) => ev,
+        Err(EvalError::UnknownOutput(name)) => {
+            return Ok(ProfileOutcome::Skipped(format!(
+                "`%! output {name}` names no intensional predicate"
+            )))
+        }
         Err(e) => return Ok(ProfileOutcome::Skipped(format!("evaluation setup: {e}"))),
     };
     match evaluator.evaluate(&dry_run_structure(&structure)) {

@@ -138,8 +138,9 @@ impl EvalOptions {
     /// exactly the same facts for every output (and every predicate an
     /// output transitively depends on) as one without declared outputs —
     /// pinned by property tests — but skips the strata, plans and
-    /// fixpoint work of the dead fragment. Names not naming an
-    /// intensional predicate are ignored.
+    /// fixpoint work of the dead fragment. A name that is not an
+    /// intensional predicate of the program fails session construction
+    /// with [`EvalError::UnknownOutput`].
     pub fn outputs<I, S>(mut self, outputs: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -219,6 +220,10 @@ pub enum EvalError {
         /// The session's selected engine.
         engine: Engine,
     },
+    /// A declared [`outputs`](EvalOptions::outputs) name is not an
+    /// intensional predicate of the program (misspelled, extensional or
+    /// absent), so pruning would drop every rule it was meant to keep.
+    UnknownOutput(String),
     /// A resource limit attached via [`EvalOptions::limits`] tripped
     /// (see [`EvalLimits`]).
     LimitExceeded {
@@ -250,6 +255,7 @@ impl PartialEq for EvalError {
                 },
             ) => engine == e2 && strata == s2,
             (EvalError::MissingFdCatalog, EvalError::MissingFdCatalog) => true,
+            (EvalError::UnknownOutput(a), EvalError::UnknownOutput(b)) => a == b,
             (
                 EvalError::UnsupportedIncremental { engine },
                 EvalError::UnsupportedIncremental { engine: e2 },
@@ -283,6 +289,9 @@ impl fmt::Display for EvalError {
                 "engine `{engine}` cannot drive incremental maintenance; materialize \
                  requires Engine::SemiNaiveIndexed"
             ),
+            EvalError::UnknownOutput(name) => {
+                write!(f, "output `{name}` names no intensional predicate")
+            }
             EvalError::LimitExceeded {
                 kind,
                 stats,
@@ -372,7 +381,14 @@ impl Evaluator {
     pub fn with_options(mut program: Program, options: EvalOptions) -> Result<Self, EvalError> {
         let mut pruned_rules = 0;
         if let Some(outputs) = &options.outputs {
-            let ids: Vec<_> = outputs.iter().filter_map(|s| program.idb(s)).collect();
+            let ids = outputs
+                .iter()
+                .map(|s| {
+                    program
+                        .idb(s)
+                        .ok_or_else(|| EvalError::UnknownOutput(s.clone()))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             let keep = relevant_rules(&program, &ids);
             pruned_rules = keep.iter().filter(|&&k| !k).count();
             let mut keep_rules = keep.iter().copied();
@@ -856,6 +872,17 @@ mod tests {
         let reach = pruned.program().idb("reach").unwrap();
         assert_eq!(a.store.tuples(reach), b.store.tuples(reach));
         assert!(a.stats.facts > b.stats.facts, "dead facts skipped");
+    }
+
+    #[test]
+    fn unknown_outputs_are_rejected_at_construction() {
+        let p = parse_program(WITH_DEAD, &chain(3)).unwrap();
+        for name in ["rech", "e"] {
+            let err =
+                Evaluator::with_options(p.clone(), EvalOptions::new().outputs(["reach", name]))
+                    .unwrap_err();
+            assert_eq!(err, EvalError::UnknownOutput(name.into()));
+        }
     }
 
     #[test]

@@ -10,12 +10,17 @@
 //! [`mona_style_3col`], which first **determinizes** over the full
 //! alphabet the way MONA-style tools do — the subset construction over
 //! `3^|bag|` states is the "state explosion" the paper reports.
+//!
+//! The states and the transitions' bag-local steps (introduce, forget,
+//! properness under a symbol's edge bitmap) are
+//! [`mdtw_graph::bag_coloring`]'s, shared with the Figure 5 dynamic
+//! program and Horn lowering of `mdtw-core`.
 
 use crate::automaton::Nfta;
 use crate::determinize::{determinize, DetBudget, Dfta, Exploded};
 use crate::tree::{ColoredTree, Symbol};
 use mdtw_decomp::{NiceKind, NiceTd};
-use mdtw_graph::Graph;
+use mdtw_graph::{BagAdjacency, BagColoring, Graph};
 use mdtw_structure::fx::FxHashMap;
 
 /// A bag-local alphabet symbol for the 3-Colorability automaton.
@@ -49,25 +54,6 @@ pub enum ThreeColSym {
         /// Bag size.
         n: u8,
     },
-}
-
-/// Triangular pair index for `i < j`.
-#[inline]
-fn pair_bit(i: usize, j: usize) -> u32 {
-    debug_assert!(i < j);
-    1u32 << (j * (j - 1) / 2 + i)
-}
-
-fn edges_of_bag(graph: &Graph, bag: &[mdtw_structure::ElemId]) -> u32 {
-    let mut out = 0u32;
-    for j in 1..bag.len() {
-        for i in 0..j {
-            if graph.has_edge(bag[i].0, bag[j].0) {
-                out |= pair_bit(i, j);
-            }
-        }
-    }
-    out
 }
 
 /// A symbol table interning [`ThreeColSym`]s.
@@ -144,14 +130,15 @@ pub fn full_alphabet(max_bag: usize) -> SymbolTable {
 pub fn encode_three_col(graph: &Graph, td: &NiceTd, table: &mut SymbolTable) -> ColoredTree {
     ColoredTree::of_nice_td(td, |id| {
         let bag = td.bag(id);
+        let edges = || BagAdjacency::of_bag(graph, bag).triangle();
         let sym = match td.kind(id) {
             NiceKind::Leaf => ThreeColSym::Leaf {
                 n: bag.len() as u8,
-                edges: edges_of_bag(graph, bag),
+                edges: edges(),
             },
             NiceKind::Introduce(v) => ThreeColSym::Intro {
                 n: bag.len() as u8,
-                edges: edges_of_bag(graph, bag),
+                edges: edges(),
                 vpos: bag.binary_search(&v).expect("introduced in bag") as u8,
             },
             NiceKind::Forget(v) => {
@@ -168,80 +155,17 @@ pub fn encode_three_col(graph: &Graph, td: &NiceTd, table: &mut SymbolTable) -> 
     })
 }
 
-/// Global state interner: `(bag size, red mask, green mask)` ↔ state id.
+/// Global state interner: `(bag size, colouring)` ↔ state id.
 #[derive(Debug, Default)]
 struct StateSpace {
-    states: Vec<(u8, u32, u32)>,
-    index: FxHashMap<(u8, u32, u32), u32>,
+    index: FxHashMap<(u8, BagColoring), u32>,
 }
 
 impl StateSpace {
-    fn intern(&mut self, n: u8, r: u32, g: u32) -> u32 {
-        let key = (n, r, g);
-        if let Some(&i) = self.index.get(&key) {
-            return i;
-        }
-        let i = self.states.len() as u32;
-        self.index.insert(key, i);
-        self.states.push(key);
-        i
+    fn intern(&mut self, n: u8, c: BagColoring) -> u32 {
+        let next = self.index.len() as u32;
+        *self.index.entry((n, c)).or_insert(next)
     }
-
-    /// All 3-partitions of `n` positions.
-    fn all_states(n: u8) -> Vec<(u32, u32)> {
-        let full: u32 = (1u32 << n) - 1;
-        let mut out = Vec::new();
-        for r in 0..=full {
-            let rest = full & !r;
-            let mut g = rest;
-            loop {
-                out.push((r, g));
-                if g == 0 {
-                    break;
-                }
-                g = (g - 1) & rest;
-            }
-            if r == full {
-                break;
-            }
-        }
-        out
-    }
-}
-
-/// Checks all classes of `(r, g, b)` are independent w.r.t. `edges`.
-fn proper(n: u8, edges: u32, r: u32, g: u32) -> bool {
-    let full = (1u32 << n) - 1;
-    let b = full & !(r | g);
-    for j in 1..n as usize {
-        for i in 0..j {
-            if edges & pair_bit(i, j) == 0 {
-                continue;
-            }
-            let (bi, bj) = (1u32 << i, 1u32 << j);
-            if (r & bi != 0 && r & bj != 0)
-                || (g & bi != 0 && g & bj != 0)
-                || (b & bi != 0 && b & bj != 0)
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-#[inline]
-fn lift(mask: u32, at: u8) -> u32 {
-    let low = mask & ((1u32 << at) - 1);
-    let high = (mask >> at) << (at + 1);
-    low | high
-}
-
-#[inline]
-fn drop_pos(mask: u32, at: u8) -> u32 {
-    let low = mask & ((1u32 << at) - 1);
-    let high = (mask >> (at + 1)) << at;
-    low | high
 }
 
 /// Builds the nondeterministic 3-Colorability automaton over the given
@@ -254,48 +178,39 @@ pub fn three_col_nfta(symbols: &[ThreeColSym]) -> Nfta {
         let si = si as Symbol;
         match *sym {
             ThreeColSym::Leaf { n, edges } => {
-                let mut states = Vec::new();
-                for (r, g) in StateSpace::all_states(n) {
-                    if proper(n, edges, r, g) {
-                        states.push(space.intern(n, r, g));
-                    }
-                }
+                let adj = BagAdjacency::from_triangle(n.into(), edges);
+                let states = adj.proper_colorings().map(|c| space.intern(n, c)).collect();
                 nfta.leaf.insert(si, states);
             }
             ThreeColSym::Intro { n, edges, vpos } => {
-                for (r, g) in StateSpace::all_states(n - 1) {
-                    let child = space.intern(n - 1, r, g);
-                    let (lr, lg) = (lift(r, vpos), lift(g, vpos));
-                    let mut outs = Vec::new();
-                    for color in 0..3u8 {
-                        let (nr, ng) = match color {
-                            0 => (lr | 1 << vpos, lg),
-                            1 => (lr, lg | 1 << vpos),
-                            _ => (lr, lg),
-                        };
-                        if proper(n, edges, nr, ng) {
-                            outs.push(space.intern(n, nr, ng));
-                        }
-                    }
+                let adj = BagAdjacency::from_triangle(n.into(), edges);
+                for c in BagColoring::all(usize::from(n) - 1) {
+                    let child = space.intern(n - 1, c);
+                    let outs = c
+                        .extensions(vpos.into())
+                        .into_iter()
+                        .filter(|&e| adj.is_proper(e))
+                        .map(|e| space.intern(n, e))
+                        .collect();
                     nfta.unary.insert((si, child), outs);
                 }
             }
             ThreeColSym::Forget { child_n, vpos } => {
-                for (r, g) in StateSpace::all_states(child_n) {
-                    let child = space.intern(child_n, r, g);
-                    let target = space.intern(child_n - 1, drop_pos(r, vpos), drop_pos(g, vpos));
+                for c in BagColoring::all(child_n.into()) {
+                    let child = space.intern(child_n, c);
+                    let target = space.intern(child_n - 1, c.drop(vpos.into()));
                     nfta.unary.insert((si, child), vec![target]);
                 }
             }
             ThreeColSym::Branch { n } => {
-                for (r, g) in StateSpace::all_states(n) {
-                    let q = space.intern(n, r, g);
+                for c in BagColoring::all(n.into()) {
+                    let q = space.intern(n, c);
                     nfta.binary.insert((si, q, q), vec![q]);
                 }
             }
         }
     }
-    nfta.n_states = space.states.len() as u32;
+    nfta.n_states = space.index.len() as u32;
     nfta.finals = (0..nfta.n_states).collect();
     nfta
 }
@@ -418,10 +333,12 @@ mod tests {
     #[test]
     fn proper_check() {
         // Two positions joined by an edge: same class is improper.
-        let edges = pair_bit(0, 1);
-        assert!(!proper(2, edges, 0b11, 0)); // both red
-        assert!(proper(2, edges, 0b01, 0b10)); // red/green
-        assert!(!proper(2, edges, 0, 0)); // both blue
-        assert!(proper(2, 0, 0b11, 0)); // no edge: both red fine
+        let edge = BagAdjacency::from_triangle(2, 1);
+        let proper = |r, g| edge.is_proper(BagColoring { r, g });
+        assert!(!proper(0b11, 0)); // both red
+        assert!(proper(0b01, 0b10)); // red/green
+        assert!(!proper(0, 0)); // both blue
+        let no_edge = BagAdjacency::from_triangle(2, 0);
+        assert!(no_edge.is_proper(BagColoring { r: 0b11, g: 0 })); // no edge: both red fine
     }
 }

@@ -4,17 +4,21 @@
 //! Treewidth* reproduction: the input domain of the §5.1 3-Colorability
 //! algorithm, bounded-treewidth generators (random partial k-trees,
 //! decomposition-first as in the paper's §6 workloads), exact exponential
-//! 3-coloring baselines and the τ = {e} structure encoding.
+//! 3-coloring baselines, the τ = {e} structure encoding, and the bag-local
+//! colourings of Figure 5 that the `mdtw-core` and `mdtw-fta` evaluators
+//! share ([`bag_coloring`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bag_coloring;
 pub mod coloring;
 pub mod encode;
 pub mod generators;
 #[allow(clippy::module_inception)]
 mod graph;
 
+pub use bag_coloring::{BagAdjacency, BagColoring};
 pub use coloring::{
     is_proper_coloring, is_three_colorable_exact, three_color_backtracking, Coloring,
 };

@@ -29,8 +29,6 @@
 //! consistent view of the pre-insert relation (see
 //! [`Relation::index_on`]); a retract — like [`Relation::clear`] —
 //! invalidates held snapshots, because the swap renumbers a row id.
-//! Every mutation of the tuple set bumps [`Relation::generation`], so
-//! incremental consumers can detect churn without diffing contents.
 //!
 //! A [`Structure`] holds its relations behind `Arc`s shared
 //! copy-on-write: cloning or [extending](Structure::extended) a structure
@@ -581,9 +579,6 @@ pub struct Relation {
     arena: Vec<ElemId>,
     /// Deduplication table mapping tuple content to row ids.
     table: RowTable,
-    /// Bumped by every mutation of the tuple set (see
-    /// [`Relation::generation`]).
-    generation: u64,
     /// Secondary indexes by key positions. Behind a lock so `index_on`
     /// can build and cache through `&self` (probes happen mid-join, where
     /// the relation is shared); `Arc` so probers hold the index without
@@ -599,7 +594,6 @@ impl Clone for Relation {
             rows: self.rows,
             arena: self.arena.clone(),
             table: self.table.clone(),
-            generation: self.generation,
             secondary: RwLock::new(self.secondary.read().expect("index cache lock").clone()),
         }
     }
@@ -746,7 +740,6 @@ impl Relation {
         {
             Arc::make_mut(idx).add(arena, arity, row);
         }
-        self.generation += 1;
         (row, true)
     }
 
@@ -806,18 +799,7 @@ impl Relation {
         }
         self.arena.truncate(self.arena.len() - arity);
         self.rows -= 1;
-        self.generation += 1;
         true
-    }
-
-    /// A counter bumped by every mutation of the tuple set (each new
-    /// insert, each successful retract, each non-empty
-    /// [`clear`](Relation::clear)). Incremental consumers use it to detect
-    /// relation churn without diffing contents; it survives deep clones,
-    /// so a copy-on-write holder observes its source's history.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Membership test. Hashes the probe tuple's element ids and compares
@@ -853,9 +835,6 @@ impl Relation {
     /// can be refilled without reallocating (and clearing an
     /// already-empty relation is O(1) regardless of retained capacity).
     pub fn clear(&mut self) {
-        if self.rows > 0 {
-            self.generation += 1;
-        }
         self.rows = 0;
         self.arena.clear();
         self.table.clear();
@@ -1857,25 +1836,6 @@ mod tests {
         assert!(!rel.contains(&[]));
         assert!(rel.insert(&[]));
         assert_eq!(rel.len(), 1);
-    }
-
-    #[test]
-    fn generation_counts_tuple_set_mutations() {
-        let mut rel = Relation::new(1);
-        assert_eq!(rel.generation(), 0);
-        rel.insert(&[ElemId(1)]);
-        rel.insert(&[ElemId(1)]); // duplicate: no mutation
-        assert_eq!(rel.generation(), 1);
-        rel.retract(&[ElemId(7)]); // absent: no mutation
-        assert_eq!(rel.generation(), 1);
-        rel.retract(&[ElemId(1)]);
-        assert_eq!(rel.generation(), 2);
-        rel.clear(); // already empty: no mutation
-        assert_eq!(rel.generation(), 2);
-        rel.insert(&[ElemId(2)]);
-        rel.clear();
-        assert_eq!(rel.generation(), 4);
-        assert_eq!(rel.clone().generation(), 4, "clones keep the history");
     }
 
     #[test]

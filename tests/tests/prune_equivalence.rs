@@ -7,6 +7,7 @@
 use mdtw_datalog::{parse_program, relevant_rules, EvalOptions, Evaluator};
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn chain(n: usize) -> Structure {
@@ -43,7 +44,8 @@ fn render_rule(head: usize, kind: u8, dep: usize) -> String {
     }
 }
 
-/// Random programs as source text plus a nonempty output set.
+/// Random programs as source text plus a nonempty set of outputs, each
+/// the head of some rule.
 fn arb_program() -> impl Strategy<Value = (String, Vec<String>)> {
     (1usize..=5).prop_flat_map(|npreds| {
         let rules = proptest::collection::vec((0..npreds, 0u8..7, 0usize..8), npreds..=3 * npreds);
@@ -53,12 +55,17 @@ fn arb_program() -> impl Strategy<Value = (String, Vec<String>)> {
                 .iter()
                 .map(|&(head, kind, dep)| render_rule(head, kind, dep))
                 .collect();
-            let mut outputs: Vec<String> = (0..npreds)
-                .filter(|&i| mask[i] == 1)
+            // Outputs are drawn from the predicates some rule defines: a
+            // name no rule defines is not intensional, and the session
+            // rejects it.
+            let heads: BTreeSet<usize> = rules.iter().map(|&(head, ..)| head).collect();
+            let mut outputs: Vec<String> = heads
+                .iter()
+                .filter(|&&i| mask[i] == 1)
                 .map(|i| format!("q{i}"))
                 .collect();
             if outputs.is_empty() {
-                outputs.push("q0".into());
+                outputs.push(format!("q{}", rules[0].0));
             }
             (source.join("\n"), outputs)
         })
