@@ -2,18 +2,26 @@
 //!
 //! The FTA layer underlying the classical route to Courcelle's Theorem
 //! (Thatcher–Wright / Doner, [29, 6] in the paper): MSO over trees equals
-//! tree-automata recognizability. Running an NFTA over an input tree is
-//! linear via on-the-fly subset simulation; building a *deterministic*
-//! automaton (what MONA does internally) lives in the [`determinize`](mod@crate::determinize) module
+//! tree-automata recognizability. The input tree is a decomposition
+//! [`Tree`] of `mdtw-decomp` with one [`Symbol`] per node: the symbol of
+//! node `id` is `symbols[id.index()]`, and a node's rank is its number of
+//! children. Running an NFTA over an input tree is linear via on-the-fly
+//! subset simulation; building a *deterministic* automaton (what MONA does
+//! internally) lives in the [`determinize`](mod@crate::determinize) module
 //! and is where the state explosion happens.
 
-use crate::tree::{ColoredTree, Symbol};
+use mdtw_decomp::Tree;
 use mdtw_structure::fx::{FxHashMap, FxHashSet};
+
+/// An interned alphabet symbol.
+pub type Symbol = u32;
 
 /// An automaton state.
 pub type State = u32;
 
-/// A nondeterministic bottom-up tree automaton.
+/// A nondeterministic bottom-up tree automaton. A deterministic one (as
+/// [`determinize`](crate::determinize()) builds) has exactly one target
+/// per transition key.
 #[derive(Debug, Clone, Default)]
 pub struct Nfta {
     /// Number of states (states are `0..n_states`).
@@ -29,117 +37,74 @@ pub struct Nfta {
 }
 
 impl Nfta {
-    /// Runs the automaton, returning the set of states reachable at the
-    /// root (on-the-fly subset simulation; linear in `|tree| · |Q|²`).
-    pub fn run(&self, tree: &ColoredTree) -> FxHashSet<State> {
+    /// Runs the automaton over `tree` labelled by `symbols`, returning the
+    /// set of states reachable at the root (on-the-fly subset simulation;
+    /// linear in `|tree| · |Q|²`). A node of more than two children has no
+    /// transition.
+    ///
+    /// # Panics
+    /// Panics unless `symbols` holds one symbol per node of `tree`.
+    pub fn run<K: Copy>(&self, tree: &Tree<K>, symbols: &[Symbol]) -> FxHashSet<State> {
+        assert_eq!(symbols.len(), tree.len(), "one symbol per tree node");
         let mut state_sets: Vec<FxHashSet<State>> = vec![FxHashSet::default(); tree.len()];
-        for i in tree.post_order() {
-            let node = tree.node(i);
-            let mut here = FxHashSet::default();
-            match node.children.len() {
-                0 => {
-                    if let Some(qs) = self.leaf.get(&node.symbol) {
-                        here.extend(qs.iter().copied());
-                    }
-                }
-                1 => {
-                    let child = &state_sets[node.children[0] as usize];
-                    for &q in child {
-                        if let Some(qs) = self.unary.get(&(node.symbol, q)) {
-                            here.extend(qs.iter().copied());
-                        }
-                    }
-                }
-                2 => {
-                    let left = &state_sets[node.children[0] as usize];
-                    let right = &state_sets[node.children[1] as usize];
-                    for &q1 in left {
-                        for &q2 in right {
-                            if let Some(qs) = self.binary.get(&(node.symbol, q1, q2)) {
-                                here.extend(qs.iter().copied());
-                            }
-                        }
-                    }
-                }
-                _ => unreachable!("colored trees are binary"),
-            }
-            state_sets[i as usize] = here;
+        for id in tree.post_order() {
+            let symbol = symbols[id.index()];
+            let mut children = tree
+                .children(id)
+                .map(|c| std::mem::take(&mut state_sets[c.index()]));
+            state_sets[id.index()] = match (children.next(), children.next(), children.next()) {
+                (None, ..) => self
+                    .leaf
+                    .get(&symbol)
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .collect(),
+                (Some(child), None, _) => child
+                    .iter()
+                    .filter_map(|&q| self.unary.get(&(symbol, q)))
+                    .flatten()
+                    .copied()
+                    .collect(),
+                (Some(left), Some(right), None) => left
+                    .iter()
+                    .flat_map(|&q1| right.iter().map(move |&q2| (symbol, q1, q2)))
+                    .filter_map(|key| self.binary.get(&key))
+                    .flatten()
+                    .copied()
+                    .collect(),
+                _ => FxHashSet::default(),
+            };
         }
-        std::mem::take(&mut state_sets[tree.root() as usize])
+        std::mem::take(&mut state_sets[tree.root().index()])
     }
 
-    /// True if some accepting state is reachable at the root.
-    pub fn accepts(&self, tree: &ColoredTree) -> bool {
-        self.run(tree).iter().any(|q| self.finals.contains(q))
+    /// True if some accepting state is reachable at the root of `tree`
+    /// labelled by `symbols`.
+    pub fn accepts<K: Copy>(&self, tree: &Tree<K>, symbols: &[Symbol]) -> bool {
+        self.run(tree, symbols)
+            .iter()
+            .any(|q| self.finals.contains(q))
     }
 
-    /// Total number of transitions (a size measure).
+    /// Total number of transitions (a size measure): the targets summed
+    /// over all keys, which for a deterministic automaton is its number of
+    /// keys.
     pub fn transition_count(&self) -> usize {
         self.leaf.values().map(Vec::len).sum::<usize>()
             + self.unary.values().map(Vec::len).sum::<usize>()
             + self.binary.values().map(Vec::len).sum::<usize>()
     }
-
-    /// The set of states reachable from leaves over the given alphabet
-    /// (emptiness analysis: the language is nonempty iff a final state is
-    /// reachable).
-    pub fn reachable_states(&self, alphabet: &[(Symbol, u8)]) -> FxHashSet<State> {
-        let mut reach: FxHashSet<State> = FxHashSet::default();
-        for &(sym, rank) in alphabet {
-            if rank == 0 {
-                if let Some(qs) = self.leaf.get(&sym) {
-                    reach.extend(qs.iter().copied());
-                }
-            }
-        }
-        loop {
-            let snapshot: Vec<State> = reach.iter().copied().collect();
-            let before = reach.len();
-            for &(sym, rank) in alphabet {
-                match rank {
-                    1 => {
-                        for &q in &snapshot {
-                            if let Some(qs) = self.unary.get(&(sym, q)) {
-                                reach.extend(qs.iter().copied());
-                            }
-                        }
-                    }
-                    2 => {
-                        for &q1 in &snapshot {
-                            for &q2 in &snapshot {
-                                if let Some(qs) = self.binary.get(&(sym, q1, q2)) {
-                                    reach.extend(qs.iter().copied());
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if reach.len() == before {
-                break;
-            }
-        }
-        reach
-    }
-
-    /// True if the automaton accepts no tree over `alphabet`.
-    pub fn is_empty(&self, alphabet: &[(Symbol, u8)]) -> bool {
-        !self
-            .reachable_states(alphabet)
-            .iter()
-            .any(|q| self.finals.contains(q))
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::tree::CtNode;
+    use mdtw_decomp::{NodeId, TreeDecomposition};
 
     /// An automaton over {a/0, f/1, g/2} accepting trees with an even
     /// number of `f` nodes. States: 0 = even, 1 = odd.
-    fn parity() -> Nfta {
+    pub(crate) fn parity() -> Nfta {
         let mut a = Nfta {
             n_states: 2,
             ..Default::default()
@@ -156,69 +121,33 @@ mod tests {
         a
     }
 
-    fn tree_ffa() -> ColoredTree {
-        // f(f(a)): two f's → even.
-        ColoredTree::from_nodes(
-            vec![
-                CtNode {
-                    symbol: 0,
-                    children: vec![],
-                },
-                CtNode {
-                    symbol: 1,
-                    children: vec![0],
-                },
-                CtNode {
-                    symbol: 1,
-                    children: vec![1],
-                },
-            ],
-            2,
-        )
+    /// A tree of empty bags: the root, then node `i + 1` as the last child
+    /// of node `parents[i]`.
+    pub(crate) fn tree(parents: &[u32]) -> TreeDecomposition {
+        let mut t = TreeDecomposition::singleton(vec![]);
+        for &p in parents {
+            t.add_child(NodeId(p), vec![]);
+        }
+        t
     }
 
-    fn tree_g_fa_a() -> ColoredTree {
-        // g(f(a), a): one f → odd.
-        ColoredTree::from_nodes(
-            vec![
-                CtNode {
-                    symbol: 0,
-                    children: vec![],
-                },
-                CtNode {
-                    symbol: 1,
-                    children: vec![0],
-                },
-                CtNode {
-                    symbol: 0,
-                    children: vec![],
-                },
-                CtNode {
-                    symbol: 2,
-                    children: vec![1, 2],
-                },
-            ],
-            3,
-        )
+    /// f(f(a)): two f's → even.
+    pub(crate) fn tree_ffa() -> (TreeDecomposition, Vec<Symbol>) {
+        (tree(&[0, 1]), vec![1, 1, 0])
+    }
+
+    /// g(f(a), a): one f → odd.
+    pub(crate) fn tree_g_fa_a() -> (TreeDecomposition, Vec<Symbol>) {
+        (tree(&[0, 1, 0]), vec![2, 1, 0, 0])
     }
 
     #[test]
     fn parity_automaton_runs() {
         let a = parity();
-        assert!(a.accepts(&tree_ffa()));
-        assert!(!a.accepts(&tree_g_fa_a()));
-    }
-
-    #[test]
-    fn reachability_and_emptiness() {
-        let a = parity();
-        let alphabet = vec![(0, 0), (1, 1), (2, 2)];
-        let reach = a.reachable_states(&alphabet);
-        assert_eq!(reach.len(), 2);
-        assert!(!a.is_empty(&alphabet));
-        // Without the leaf symbol nothing is reachable.
-        let no_leaf = vec![(1, 1), (2, 2)];
-        assert!(a.is_empty(&no_leaf));
+        let (t, symbols) = tree_ffa();
+        assert!(a.accepts(&t, &symbols));
+        let (t, symbols) = tree_g_fa_a();
+        assert!(!a.accepts(&t, &symbols));
     }
 
     #[test]
@@ -229,29 +158,17 @@ mod tests {
         };
         a.leaf.insert(0, vec![0, 1]);
         a.finals.insert(1);
-        let t = ColoredTree::from_nodes(
-            vec![CtNode {
-                symbol: 0,
-                children: vec![],
-            }],
-            0,
-        );
-        assert_eq!(a.run(&t).len(), 2);
-        assert!(a.accepts(&t));
+        assert_eq!(a.run(&tree(&[]), &[0]).len(), 2);
+        assert!(a.accepts(&tree(&[]), &[0]));
     }
 
     #[test]
     fn missing_transitions_reject() {
         let a = parity();
         // Unknown leaf symbol 9: no run.
-        let t = ColoredTree::from_nodes(
-            vec![CtNode {
-                symbol: 9,
-                children: vec![],
-            }],
-            0,
-        );
-        assert!(a.run(&t).is_empty());
-        assert!(!a.accepts(&t));
+        assert!(a.run(&tree(&[]), &[9]).is_empty());
+        assert!(!a.accepts(&tree(&[]), &[9]));
+        // No transition has rank 3: g(a, a, a) has no run.
+        assert!(a.run(&tree(&[0, 0, 0]), &[2, 0, 0, 0]).is_empty());
     }
 }

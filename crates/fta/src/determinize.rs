@@ -1,15 +1,15 @@
 //! Determinization — the step where MONA-style pipelines explode.
 //!
 //! The subset construction makes the automaton *total and deterministic*
-//! over a given alphabet: DFTA states are sets of NFTA states, and the
+//! over a given alphabet: its states are sets of NFTA states, and the
 //! transition tables are completed for **every** symbol and every (pair
-//! of) reachable subset state(s). The paper's §1 and §6 recount how this
-//! is precisely the "state explosion" that sinks the MSO-to-FTA approach
-//! in practice (\[15, 26\]); the explicit [`DetBudget`] turns that blow-up
-//! into a reportable condition instead of an out-of-memory crash.
+//! of) reachable subset state(s), with exactly one target each. The
+//! paper's §1 and §6 recount how this is precisely the "state explosion"
+//! that sinks the MSO-to-FTA approach in practice (\[15, 26\]); the
+//! explicit [`DetBudget`] turns that blow-up into a reportable condition
+//! instead of an out-of-memory crash.
 
-use crate::automaton::{Nfta, State};
-use crate::tree::{ColoredTree, Symbol};
+use crate::automaton::{Nfta, State, Symbol};
 use mdtw_structure::fx::FxHashMap;
 
 /// Resource budget for determinization.
@@ -36,7 +36,8 @@ impl Default for DetBudget {
 pub struct Exploded {
     /// Subset states built before giving up.
     pub states: usize,
-    /// Transitions built before giving up.
+    /// Transitions built before giving up, or, when the states were never
+    /// built, the least number a total automaton would need.
     pub transitions: usize,
 }
 
@@ -52,172 +53,107 @@ impl std::fmt::Display for Exploded {
 
 impl std::error::Error for Exploded {}
 
-/// A deterministic, total bottom-up tree automaton over an explicit
-/// alphabet. States are `0..n_states`; state 0 need not be special.
-#[derive(Debug, Clone)]
-pub struct Dfta {
-    /// Number of states.
-    pub n_states: usize,
-    /// The alphabet `(symbol, rank)` the automaton is total over.
-    pub alphabet: Vec<(Symbol, u8)>,
-    /// Leaf table: symbol → state.
-    pub leaf: FxHashMap<Symbol, u32>,
-    /// Unary table: (symbol, child) → state.
-    pub unary: FxHashMap<(Symbol, u32), u32>,
-    /// Binary table: (symbol, left, right) → state.
-    pub binary: FxHashMap<(Symbol, u32, u32), u32>,
-    /// Acceptance per state.
-    pub accepting: Vec<bool>,
-}
-
-impl Dfta {
-    /// Runs the automaton (deterministic, linear in the tree size).
-    /// Returns the root state, or `None` on a symbol outside the alphabet.
-    pub fn run(&self, tree: &ColoredTree) -> Option<u32> {
-        let mut states: Vec<u32> = vec![0; tree.len()];
-        for i in tree.post_order() {
-            let node = tree.node(i);
-            let q = match node.children.len() {
-                0 => *self.leaf.get(&node.symbol)?,
-                1 => *self
-                    .unary
-                    .get(&(node.symbol, states[node.children[0] as usize]))?,
-                2 => *self.binary.get(&(
-                    node.symbol,
-                    states[node.children[0] as usize],
-                    states[node.children[1] as usize],
-                ))?,
-                _ => unreachable!("colored trees are binary"),
-            };
-            states[i as usize] = q;
-        }
-        Some(states[tree.root() as usize])
-    }
-
-    /// Acceptance test.
-    pub fn accepts(&self, tree: &ColoredTree) -> bool {
-        self.run(tree).is_some_and(|q| self.accepting[q as usize])
-    }
-
-    /// Transition-table size.
-    pub fn transition_count(&self) -> usize {
-        self.leaf.len() + self.unary.len() + self.binary.len()
-    }
-}
-
-/// Subset construction over `alphabet`, with budget.
+/// Subset construction over `alphabet`, with budget: a deterministic
+/// [`Nfta`], total over `alphabet`, whose finals are the subsets holding
+/// a final state of `nfta`.
 pub fn determinize(
     nfta: &Nfta,
     alphabet: &[(Symbol, u8)],
     budget: DetBudget,
-) -> Result<Dfta, Exploded> {
+) -> Result<Nfta, Exploded> {
     // Subset states, canonically sorted.
     let mut subsets: Vec<Vec<State>> = Vec::new();
-    let mut index: FxHashMap<Vec<State>, u32> = FxHashMap::default();
-    let intern = |set: Vec<State>,
-                  subsets: &mut Vec<Vec<State>>,
-                  index: &mut FxHashMap<Vec<State>, u32>|
-     -> u32 {
-        if let Some(&i) = index.get(&set) {
-            return i;
-        }
-        let i = subsets.len() as u32;
-        index.insert(set.clone(), i);
-        subsets.push(set);
-        i
+    let mut index: FxHashMap<Vec<State>, State> = FxHashMap::default();
+    // Interns the sorted, deduplicated subset `set` as the one target of
+    // a transition.
+    let mut target = |mut set: Vec<State>, subsets: &mut Vec<Vec<State>>| -> Vec<State> {
+        set.sort_unstable();
+        set.dedup();
+        let next = subsets.len() as State;
+        let i = *index.entry(set).or_insert_with_key(|set| {
+            subsets.push(set.clone());
+            next
+        });
+        vec![i]
     };
-
-    let mut dfta = Dfta {
-        n_states: 0,
-        alphabet: alphabet.to_vec(),
-        leaf: FxHashMap::default(),
-        unary: FxHashMap::default(),
-        binary: FxHashMap::default(),
-        accepting: Vec::new(),
+    let mut dfta = Nfta::default();
+    // Every key holds one target, so the key count is the transition count.
+    let over_budget = |subsets: &Vec<Vec<State>>, dfta: &Nfta| {
+        let transitions = dfta.leaf.len() + dfta.unary.len() + dfta.binary.len();
+        (subsets.len() > budget.max_states || transitions > budget.max_transitions).then_some(
+            Exploded {
+                states: subsets.len(),
+                transitions,
+            },
+        )
     };
 
     // Leaf states.
     for &(sym, rank) in alphabet {
-        if rank != 0 {
-            continue;
+        if rank == 0 {
+            let set = nfta.leaf.get(&sym).cloned().unwrap_or_default();
+            let t = target(set, &mut subsets);
+            dfta.leaf.insert(sym, t);
         }
-        let mut set: Vec<State> = nfta.leaf.get(&sym).cloned().unwrap_or_default();
-        set.sort_unstable();
-        set.dedup();
-        let i = intern(set, &mut subsets, &mut index);
-        dfta.leaf.insert(sym, i);
     }
 
     // Saturate: totality means every (symbol, state…) combination gets an
     // entry — the cross product that blows up.
     let mut processed = 0usize;
     while processed < subsets.len() {
-        if subsets.len() > budget.max_states || dfta.transition_count() > budget.max_transitions {
-            return Err(Exploded {
-                states: subsets.len(),
-                transitions: dfta.transition_count(),
-            });
+        if let Some(exploded) = over_budget(&subsets, &dfta) {
+            return Err(exploded);
         }
         // Process all symbols against the newly added subset(s).
         let upto = subsets.len();
-        for si in 0..upto {
+        for si in 0..upto as State {
             for &(sym, rank) in alphabet {
                 match rank {
                     1 => {
-                        if dfta.unary.contains_key(&(sym, si as u32)) {
+                        if dfta.unary.contains_key(&(sym, si)) {
                             continue;
                         }
-                        let mut out: Vec<State> = Vec::new();
-                        for &q in &subsets[si] {
-                            if let Some(qs) = nfta.unary.get(&(sym, q)) {
-                                out.extend(qs.iter().copied());
-                            }
-                        }
-                        out.sort_unstable();
-                        out.dedup();
-                        let t = intern(out, &mut subsets, &mut index);
-                        dfta.unary.insert((sym, si as u32), t);
+                        let out = subsets[si as usize]
+                            .iter()
+                            .filter_map(|&q| nfta.unary.get(&(sym, q)))
+                            .flatten()
+                            .copied()
+                            .collect();
+                        let t = target(out, &mut subsets);
+                        dfta.unary.insert((sym, si), t);
                     }
                     2 => {
-                        for sj in 0..upto {
+                        for sj in 0..upto as State {
                             for (a, b) in [(si, sj), (sj, si)] {
-                                if dfta.binary.contains_key(&(sym, a as u32, b as u32)) {
+                                if dfta.binary.contains_key(&(sym, a, b)) {
                                     continue;
                                 }
-                                let mut out: Vec<State> = Vec::new();
-                                for &q1 in &subsets[a] {
-                                    for &q2 in &subsets[b] {
-                                        if let Some(qs) = nfta.binary.get(&(sym, q1, q2)) {
-                                            out.extend(qs.iter().copied());
-                                        }
-                                    }
-                                }
-                                out.sort_unstable();
-                                out.dedup();
-                                let t = intern(out, &mut subsets, &mut index);
-                                dfta.binary.insert((sym, a as u32, b as u32), t);
+                                let right = &subsets[b as usize];
+                                let out = subsets[a as usize]
+                                    .iter()
+                                    .flat_map(|&q1| right.iter().map(move |&q2| (sym, q1, q2)))
+                                    .filter_map(|key| nfta.binary.get(&key))
+                                    .flatten()
+                                    .copied()
+                                    .collect();
+                                let t = target(out, &mut subsets);
+                                dfta.binary.insert((sym, a, b), t);
                             }
                         }
                     }
                     _ => {}
                 }
-                if subsets.len() > budget.max_states
-                    || dfta.transition_count() > budget.max_transitions
-                {
-                    return Err(Exploded {
-                        states: subsets.len(),
-                        transitions: dfta.transition_count(),
-                    });
+                if let Some(exploded) = over_budget(&subsets, &dfta) {
+                    return Err(exploded);
                 }
             }
         }
         processed = upto;
     }
 
-    dfta.n_states = subsets.len();
-    dfta.accepting = subsets
-        .iter()
-        .map(|set| set.iter().any(|q| nfta.finals.contains(q)))
+    dfta.n_states = subsets.len() as State;
+    dfta.finals = (0..dfta.n_states)
+        .filter(|&i| subsets[i as usize].iter().any(|q| nfta.finals.contains(q)))
         .collect();
     Ok(dfta)
 }
@@ -225,96 +161,51 @@ pub fn determinize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::CtNode;
+    use crate::automaton::tests::{parity, tree, tree_ffa, tree_g_fa_a};
 
-    fn parity() -> (Nfta, Vec<(Symbol, u8)>) {
-        let mut a = Nfta {
-            n_states: 2,
-            ..Default::default()
-        };
-        a.leaf.insert(0, vec![0]);
-        a.unary.insert((1, 0), vec![1]);
-        a.unary.insert((1, 1), vec![0]);
-        a.binary.insert((2, 0, 0), vec![0]);
-        a.binary.insert((2, 0, 1), vec![1]);
-        a.binary.insert((2, 1, 0), vec![1]);
-        a.binary.insert((2, 1, 1), vec![0]);
-        a.finals.insert(0);
-        (a, vec![(0, 0), (1, 1), (2, 2)])
-    }
+    const ALPHABET: [(Symbol, u8); 3] = [(0, 0), (1, 1), (2, 2)];
 
     #[test]
     fn determinized_agrees_with_nfta() {
-        let (nfta, alphabet) = parity();
-        let dfta = determinize(&nfta, &alphabet, DetBudget::default()).unwrap();
+        let nfta = parity();
+        let dfta = determinize(&nfta, &ALPHABET, DetBudget::default()).unwrap();
         let trees = [
-            ColoredTree::from_nodes(
-                vec![CtNode {
-                    symbol: 0,
-                    children: vec![],
-                }],
-                0,
-            ),
-            ColoredTree::from_nodes(
-                vec![
-                    CtNode {
-                        symbol: 0,
-                        children: vec![],
-                    },
-                    CtNode {
-                        symbol: 1,
-                        children: vec![0],
-                    },
-                ],
-                1,
-            ),
-            ColoredTree::from_nodes(
-                vec![
-                    CtNode {
-                        symbol: 0,
-                        children: vec![],
-                    },
-                    CtNode {
-                        symbol: 1,
-                        children: vec![0],
-                    },
-                    CtNode {
-                        symbol: 0,
-                        children: vec![],
-                    },
-                    CtNode {
-                        symbol: 2,
-                        children: vec![1, 2],
-                    },
-                ],
-                3,
-            ),
+            (tree(&[]), vec![0]),
+            (tree(&[0]), vec![1, 0]),
+            tree_ffa(),
+            tree_g_fa_a(),
         ];
-        for (i, t) in trees.iter().enumerate() {
-            assert_eq!(dfta.accepts(t), nfta.accepts(t), "tree {i}");
+        for (i, (t, symbols)) in trees.iter().enumerate() {
+            assert_eq!(
+                dfta.accepts(t, symbols),
+                nfta.accepts(t, symbols),
+                "tree {i}"
+            );
         }
     }
 
     #[test]
     fn dfta_is_total_over_alphabet() {
-        let (nfta, alphabet) = parity();
-        let dfta = determinize(&nfta, &alphabet, DetBudget::default()).unwrap();
+        let dfta = determinize(&parity(), &ALPHABET, DetBudget::default()).unwrap();
         // Every (symbol, state) and (symbol, state, state) combination has
-        // an entry.
-        for s in 0..dfta.n_states as u32 {
+        // an entry, and every entry exactly one target.
+        assert!(dfta.leaf.contains_key(&0));
+        for s in 0..dfta.n_states {
             assert!(dfta.unary.contains_key(&(1, s)));
-            for s2 in 0..dfta.n_states as u32 {
+            for s2 in 0..dfta.n_states {
                 assert!(dfta.binary.contains_key(&(2, s, s2)));
             }
         }
+        let mut targets = dfta.leaf.values().chain(dfta.unary.values());
+        assert!(targets.all(|t| t.len() == 1));
+        assert!(dfta.binary.values().all(|t| t.len() == 1));
     }
 
     #[test]
     fn budget_is_enforced() {
-        let (nfta, alphabet) = parity();
         let err = determinize(
-            &nfta,
-            &alphabet,
+            &parity(),
+            &ALPHABET,
             DetBudget {
                 max_states: 1,
                 max_transitions: 1,

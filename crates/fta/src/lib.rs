@@ -5,14 +5,13 @@
 //! MSO-to-FTA route to Courcelle's Theorem that the paper's monadic
 //! datalog approach replaces.
 //!
-//! * [`tree`] — colored binary trees encoding nice tree decompositions;
 //! * [`automaton`] — nondeterministic bottom-up tree automata with
-//!   linear-time on-the-fly runs;
+//!   linear-time on-the-fly runs over a decomposition
+//!   [`Tree`](mdtw_decomp::Tree) with one [`Symbol`] per node;
 //! * [`determinize`](mod@crate::determinize) — the subset construction over a full alphabet, with
 //!   an explicit budget: this is where MONA-style pipelines suffer the
-//!   "state explosion" of the paper's §1/§6;
-//! * [`ops`] — product / complement / emptiness (the connective layer of
-//!   MSO-to-FTA compilation);
+//!   "state explosion" of the paper's §1/§6. Its result is an [`Nfta`]
+//!   with one target per transition key;
 //! * [`three_col`] — the 3-Colorability automaton: nondeterministic runs
 //!   reproduce Figure 5, determinization-first reproduces the baseline's
 //!   blow-up.
@@ -22,15 +21,11 @@
 
 pub mod automaton;
 pub mod determinize;
-pub mod ops;
 pub mod three_col;
-pub mod tree;
 
-pub use automaton::{Nfta, State};
-pub use determinize::{determinize, DetBudget, Dfta, Exploded};
-pub use ops::{complement, is_empty, product};
+pub use automaton::{Nfta, State, Symbol};
+pub use determinize::{determinize, DetBudget, Exploded};
 pub use three_col::{
-    encode_three_col, full_alphabet, mona_style_3col, nfta_3col, three_col_nfta, SymbolTable,
-    ThreeColSym,
+    encode_three_col, full_alphabet, full_alphabet_len, mona_style_3col, nfta_3col, three_col_nfta,
+    BagTooWide, SymbolTable, ThreeColSym,
 };
-pub use tree::{ColoredTree, CtNode, Symbol};

@@ -95,6 +95,10 @@ impl BagColoring {
     }
 }
 
+/// The widest bag whose position pairs fit a `u64` triangular bitmap
+/// ([`BagAdjacency::triangle`]): 11 elements have 55 pairs, 12 have 66.
+pub const MAX_TRIANGLE_BAG: usize = 11;
+
 /// The edges inside one bag: bit `j` of position `i`'s neighbour mask is
 /// set iff the elements at positions `i` and `j` are adjacent. It lives on
 /// the stack, so building one per node allocates nothing.
@@ -131,15 +135,29 @@ impl BagAdjacency {
         Self::from_pairs(bag.len(), |_, (i, j)| graph.has_edge(bag[i].0, bag[j].0))
     }
 
-    /// The adjacency of an `n`-element bag (`n ≤ 8`) from a triangular
-    /// bitmap whose bit `j(j-1)/2 + i` is the pair `i < j`.
-    pub fn from_triangle(n: usize, edges: u32) -> Self {
+    /// The adjacency of an `n`-element bag from a triangular bitmap whose
+    /// bit `j(j-1)/2 + i` is the pair `i < j`.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`MAX_TRIANGLE_BAG`].
+    pub fn from_triangle(n: usize, edges: u64) -> Self {
+        assert!(
+            n <= MAX_TRIANGLE_BAG,
+            "{n} bag positions overflow a triangle"
+        );
         Self::from_pairs(n, |bit, _| edges >> bit & 1 == 1)
     }
 
-    /// The triangular bitmap [`from_triangle`](Self::from_triangle) reads
-    /// (bags of at most 8 elements).
-    pub fn triangle(&self) -> u32 {
+    /// The triangular bitmap [`from_triangle`](Self::from_triangle) reads.
+    ///
+    /// # Panics
+    /// Panics if the bag has more than [`MAX_TRIANGLE_BAG`] elements.
+    pub fn triangle(&self) -> u64 {
+        assert!(
+            self.n <= MAX_TRIANGLE_BAG,
+            "{} bag positions overflow a triangle",
+            self.n
+        );
         pairs(self.n)
             .enumerate()
             .filter(|&(_, (i, j))| self.nbr[i] >> j & 1 == 1)
@@ -215,6 +233,11 @@ mod tests {
         let path = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let adj = BagAdjacency::of_bag(&path, &[0, 1, 2, 3].map(ElemId));
         assert_eq!(BagAdjacency::from_triangle(4, adj.triangle()).nbr, adj.nbr);
+        let widest: Vec<_> = (0..MAX_TRIANGLE_BAG as u32).map(ElemId).collect();
+        let clique = BagAdjacency::of_bag(&crate::complete(widest.len()), &widest);
+        assert_eq!(clique.triangle(), (1 << 55) - 1);
+        let round_trip = BagAdjacency::from_triangle(widest.len(), clique.triangle());
+        assert_eq!(round_trip.nbr, clique.nbr);
         assert!(adj.is_proper(c) && !adj.is_proper(BagColoring { r: 0b0011, g: 0 }));
         assert!(!adj.is_proper_at(BagColoring { r: 0, g: 0b1100 }, 3));
         for g in [path, crate::complete(5), crate::wheel(6)] {

@@ -18,7 +18,7 @@ pub mod generators;
 #[allow(clippy::module_inception)]
 mod graph;
 
-pub use bag_coloring::{BagAdjacency, BagColoring};
+pub use bag_coloring::{BagAdjacency, BagColoring, MAX_TRIANGLE_BAG};
 pub use coloring::{
     is_proper_coloring, is_three_colorable_exact, three_color_backtracking, Coloring,
 };

@@ -95,7 +95,7 @@ fn main() {
     for w in [1usize, 2, 3, 4] {
         let (g, gtd) = partial_k_tree(&mut rng, 30, w, 0.8);
         let nice = NiceTd::from_td(&gtd, NiceOptions::default());
-        let linear = nfta_3col(&g, &nice);
+        let linear = nfta_3col(&g, &nice).expect("bags of at most 5 elements");
         let budget = DetBudget {
             max_states: 20_000,
             max_transitions: 1 << 21,

@@ -126,13 +126,15 @@ fn horn_lowering_is_pinned() {
     );
 }
 
-/// The FNV-1a hash of `table`'s symbols in interning order.
+/// The FNV-1a hash of `table`'s symbols in interning order. The pinned
+/// bags have at most 5 elements, so each edge bitmap is one `u32` word.
 fn symbols_hash(table: &SymbolTable) -> u64 {
     let mut h = Fnv::new();
     for sym in &table.symbols {
+        let word = |edges: u64| u32::try_from(edges).expect("a bag of at most 8 elements");
         let words: [u32; 4] = match *sym {
-            ThreeColSym::Leaf { n, edges } => [0, n.into(), edges, 0],
-            ThreeColSym::Intro { n, edges, vpos } => [1, n.into(), edges, vpos.into()],
+            ThreeColSym::Leaf { n, edges } => [0, n.into(), word(edges), 0],
+            ThreeColSym::Intro { n, edges, vpos } => [1, n.into(), word(edges), vpos.into()],
             ThreeColSym::Forget { child_n, vpos } => [2, child_n.into(), 0, vpos.into()],
             ThreeColSym::Branch { n } => [3, n.into(), 0, 0],
         };
@@ -150,10 +152,10 @@ fn nfta_is_pinned() {
     for k in 2..=4 {
         let (g, nice) = k_tree(k);
         let mut table = SymbolTable::default();
-        let tree = encode_three_col(&g, &nice, &mut table);
+        let symbols = encode_three_col(&g, &nice, &mut table).unwrap();
         let nfta = three_col_nfta(&table.symbols);
         assert_eq!(
-            nfta.accepts(&tree),
+            nfta.accepts(&nice, &symbols),
             ThreeColSolver::run(&g, &nice).is_colorable(),
             "k = {k}"
         );
