@@ -333,6 +333,20 @@ mod tests {
     }
 
     #[test]
+    fn nfta_matches_backtracking_on_random_inputs() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for i in 0..15 {
+            let (g, td) = partial_k_tree(&mut rng, 12 + i, 2 + (i % 2), 0.75);
+            let nice = NiceTd::from_td(&td, NiceOptions::default());
+            assert_eq!(
+                nfta_3col(&g, &nice),
+                Ok(mdtw_graph::is_three_colorable_exact(&g)),
+                "instance {i}"
+            );
+        }
+    }
+
+    #[test]
     fn bags_over_eleven_elements_are_rejected() {
         for (n, expect) in [(11, Ok(false)), (12, Err(BagTooWide { size: 12 }))] {
             let g = complete(n);

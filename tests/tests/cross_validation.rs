@@ -1,15 +1,40 @@
 //! Cross-validation of solvers against baselines on randomized inputs:
-//! the FPT algorithms, the exact exponential algorithms and the MSO model
-//! checker must agree. The evaluators of Figure 5 are cross-checked in
+//! the FPT algorithms, the exact exponential algorithms, the MSO model
+//! checker, the tree-automaton route and the ground monadic program must
+//! agree. The evaluators of Figure 5 are cross-checked on wider inputs in
 //! `figure5_differential.rs`.
 
-use mdtw_core::{prime_attributes_fpt, ThreeColSolver};
+use mdtw_core::{ground_three_col, prime_attributes_fpt, ThreeColSolver};
 use mdtw_decomp::{NiceOptions, NiceTd};
+use mdtw_fta::nfta_3col;
 use mdtw_graph::{encode_graph, is_three_colorable_exact, partial_k_tree};
 use mdtw_mso::{eval_sentence, three_colorability, Budget};
 use mdtw_schema::{random_schema, seeded_rng};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+#[test]
+fn three_col_all_engines_agree_on_random_partial_k_trees() {
+    let mut rng = SmallRng::seed_from_u64(101);
+    for i in 0..20 {
+        let n = 10 + i;
+        let k = 2 + (i % 3);
+        let (g, td) = partial_k_tree(&mut rng, n, k, 0.75);
+        let nice = NiceTd::from_td(&td, NiceOptions::default());
+        let expected = is_three_colorable_exact(&g);
+        assert_eq!(
+            ThreeColSolver::run(&g, &nice).is_colorable(),
+            expected,
+            "DP, instance {i}"
+        );
+        assert_eq!(nfta_3col(&g, &nice), Ok(expected), "NFTA, instance {i}");
+        assert_eq!(
+            ground_three_col(&g, &nice).succeeds(),
+            expected,
+            "ground program, instance {i}"
+        );
+    }
+}
 
 #[test]
 fn three_col_mso_sentence_agrees_on_tiny_graphs() {
